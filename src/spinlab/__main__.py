@@ -9,7 +9,7 @@ import json
 import sys
 
 from .errors import ArgumentError, ConstraintError, DomainError, NumericError, ResourceError
-from .runner import SUBCOMMANDS, run
+from .runner import SUBCOMMANDS, parse_mixture, run
 
 
 def _set_path(config, dotted, value):
@@ -59,11 +59,7 @@ def config_from_args(args) -> dict:
     else:
         config = {"subcommand": args.command}
         if args.mixture is not None:
-            gammas = {}
-            for term in args.mixture.split("+"):
-                term = term.strip()
-                coef, name = (term.split("*") + [None])[:2] if "*" in term else (1.0, term)
-                gammas[int(str(name)[1:])] = float(coef)
+            gammas = parse_mixture(args.mixture).gammas
             config["mixture"] = {"gammas": {str(p): g for p, g in gammas.items()},
                                  "h": args.h if args.h is not None else 0.0}
         elif args.h is not None:

@@ -153,51 +153,75 @@ def _gh_roots(nodes: int):
     return _gh_roots_cache[nodes]
 
 
-def _shifted_slice(grid, vals, slopes, delta: float) -> np.ndarray:
-    """Slice values at grid + delta via a three-point quadratic stencil
-    around the nearest node (linear tails beyond the grid).  The grid is
-    uniform, so a constant shift is pure index arithmetic; the quadratic
-    stencil keeps Gauss-Hermite node-doubling stable to O(dx^3)."""
-    n = len(grid)
-    dx = grid[1] - grid[0]
-    shift = delta / dx
-    nearest = math.floor(shift + 0.5)
-    t = shift - nearest  # in [-0.5, 0.5)
-    base = np.arange(n) + nearest
-    core = np.clip(base, 1, n - 2)
-    vm, v0, vp = vals[core - 1], vals[core], vals[core + 1]
-    out = v0 + 0.5 * t * (vp - vm) + 0.5 * t * t * (vp - 2.0 * v0 + vm)
-    # linear beyond the second-to-last interior stencil
-    lo_mask = base < 1
-    hi_mask = base > n - 2
-    if lo_mask.any():
-        off = (base[lo_mask] + t) * dx
-        out[lo_mask] = np.where(
-            base[lo_mask] + t >= 0,
-            vals[0] + (vals[1] - vals[0]) / dx * off,
-            vals[0] + slopes[0] * off,
-        )
-    if hi_mask.any():
-        off = (base[hi_mask] + t) * dx - (n - 1) * dx
-        out[hi_mask] = np.where(
-            base[hi_mask] + t <= n - 1,
-            vals[-1] + (vals[-1] - vals[-2]) / dx * off,
-            vals[-1] + slopes[1] * off,
-        )
-    return out
+# Element cap of one row block of the shifted-slice matrix.  It bounds the
+# stencil temporaries on fine grids with many nodes, and keeps each below
+# 64 KiB on the coarse alg_is_numeric grid: larger per-step temporaries make
+# glibc trim and re-fault the heap on every step (~500 page faults a step at
+# 2**16, which cost more system time than the stencil's arithmetic).
+_GH_BLOCK_ELEMS = 1 << 13
 
 
 def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int):
-    """Gauss-Hermite Cole-Hopf step on the piecewise-linear slice."""
+    """Gauss-Hermite Cole-Hopf step on the piecewise-linear slice.
+
+    Row j of fmat is the slice at grid + sqrt(2) s z_j, read off a
+    three-point quadratic stencil around the nearest grid point, with linear
+    tails beyond the grid.  The grid is uniform, so each shift is an index
+    offset plus a fraction t in [-0.5, 0.5); the quadratic stencil keeps
+    node doubling stable to O(dx^3).  All nodes are evaluated at once, in
+    row blocks of at most _GH_BLOCK_ELEMS elements, with the same
+    floating-point operations per entry as a one-node-at-a-time loop, so the
+    result is bit-identical to that loop (kept as the test oracle in
+    tests/test_pde.py).
+    """
     z, w, logw = _gh_roots(nodes)
-    fmat = np.stack(
-        [_shifted_slice(grid, vals, slopes, math.sqrt(2.0) * s * zj) for zj in z]
-    )
+    n = len(grid)
+    dx = grid[1] - grid[0]
+    shift = math.sqrt(2.0) * s * z / dx
+    nearest = np.floor(shift + 0.5).astype(np.int64)
+    t = shift - nearest
+    # stencil terms around each interior point k = 1 .. n-2, at index k-1
+    v0 = vals[1:-1]
+    d1 = vals[2:] - vals[:-2]
+    d2 = vals[2:] - 2.0 * v0 + vals[:-2]
+    idx = np.arange(n)
+    fmat = np.empty((nodes, n))
+    rows = max(1, _GH_BLOCK_ELEMS // n)
+    for r0 in range(0, nodes, rows):
+        tb = t[r0 : r0 + rows, None]
+        base = nearest[r0 : r0 + rows, None] + idx
+        k = np.clip(base - 1, 0, n - 3)
+        out = fmat[r0 : r0 + rows]
+        out[:] = v0[k] + 0.5 * tb * d1[k] + 0.5 * tb * tb * d2[k]
+        # linear beyond the second-to-last interior stencil
+        tfull = np.broadcast_to(tb, base.shape)
+        lo_mask = base < 1
+        if lo_mask.any():
+            p = base[lo_mask] + tfull[lo_mask]
+            off = p * dx
+            out[lo_mask] = np.where(
+                p >= 0,
+                vals[0] + (vals[1] - vals[0]) / dx * off,
+                vals[0] + slopes[0] * off,
+            )
+        hi_mask = base > n - 2
+        if hi_mask.any():
+            p = base[hi_mask] + tfull[hi_mask]
+            off = p * dx - (n - 1) * dx
+            out[hi_mask] = np.where(
+                p <= n - 1,
+                vals[-1] + (vals[-1] - vals[-2]) / dx * off,
+                vals[-1] + slopes[1] * off,
+            )
     if c == 0.0:
         return (w / math.sqrt(math.pi)) @ fmat
-    a = c * fmat + logw[:, None]
-    amax = a.max(axis=0)
-    return (np.log(np.sum(np.exp(a - amax[None, :]), axis=0)) + amax) / c
+    # log-sum-exp over the nodes, in place: fmat is the step's largest array
+    fmat *= c
+    fmat += logw[:, None]
+    amax = fmat.max(axis=0)
+    fmat -= amax
+    np.exp(fmat, out=fmat)
+    return (np.log(np.sum(fmat, axis=0)) + amax) / c
 
 
 def _log_gauss_mass(a, b):

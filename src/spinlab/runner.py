@@ -135,15 +135,16 @@ def parse_mixture(spec) -> Mixture:
     if isinstance(spec, str):
         gammas = {}
         for term in spec.split("+"):
-            term = term.strip()
-            if "*" in term:
-                coef, name = term.split("*")
-                coef = float(coef)
-            else:
-                coef, name = 1.0, term
-            if not name.startswith("p"):
-                raise ArgumentError(f"bad mixture term {term!r} (want e.g. 'p4' or '0.5*p2')")
-            gammas[int(name[1:])] = gammas.get(int(name[1:]), 0.0) + coef
+            coef, star, name = term.strip().rpartition("*")
+            try:
+                if not name.startswith("p"):
+                    raise ValueError(name)
+                p, coef = int(name[1:]), float(coef) if star else 1.0
+            except ValueError:
+                raise ArgumentError(
+                    f"bad mixture term {term!r} (want e.g. 'p4' or '0.5*p2')"
+                ) from None
+            gammas[p] = gammas.get(p, 0.0) + coef
         return Mixture(gammas)
     gammas = {int(p): float(g) for p, g in spec["gammas"].items()}
     return Mixture(gammas, h=float(spec.get("h", 0.0)))
@@ -533,7 +534,7 @@ def _run_pde(config, out):
     m = parse_mixture(config.get("mixture", "p2"))
     zcfg = config.get("zeta", {"breaks": [0.0], "values": [0.0]})
     zeta = PiecewiseZeta(tuple(zcfg["breaks"]), tuple(zcfg["values"]))
-    beta = float(config.get("beta", math.inf)) if config.get("beta") else math.inf
+    beta = float(config.get("beta", math.inf))
     a = float(config.get("a", 0.0))
     grid = tuple(config["grid"]) if config.get("grid") else None
     sol = solve_parisi_pde(m, zeta, a=a, beta=beta, grid=grid, center=m.h)

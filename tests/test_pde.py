@@ -15,6 +15,7 @@ from spinlab.parisi import (
     shift_identity_check,
     solve_parisi_pde,
 )
+from spinlab.parisi import pde
 from spinlab.parisi.pde import quadrature_log2cosh_mean
 
 M2 = pure(2)
@@ -83,6 +84,70 @@ def test_exact_method_agrees_with_gh():
     a = solve_parisi_pde(M2, z, grid=GRID, self_check=False).eval(0.0, 0.0)
     b = solve_parisi_pde(M2, z, grid=GRID, method="exact", self_check=False).eval(0.0, 0.0)
     assert a == pytest.approx(b, abs=1e-6)
+
+
+def _shifted_slice(grid, vals, slopes, delta):
+    """One node's shifted slice, as _gh_step computed it one node at a time
+    before it batched the nodes: the bit-identity oracle."""
+    n = len(grid)
+    dx = grid[1] - grid[0]
+    shift = delta / dx
+    nearest = math.floor(shift + 0.5)
+    t = shift - nearest
+    base = np.arange(n) + nearest
+    core = np.clip(base, 1, n - 2)
+    vm, v0, vp = vals[core - 1], vals[core], vals[core + 1]
+    out = v0 + 0.5 * t * (vp - vm) + 0.5 * t * t * (vp - 2.0 * v0 + vm)
+    lo_mask = base < 1
+    hi_mask = base > n - 2
+    if lo_mask.any():
+        off = (base[lo_mask] + t) * dx
+        out[lo_mask] = np.where(
+            base[lo_mask] + t >= 0,
+            vals[0] + (vals[1] - vals[0]) / dx * off,
+            vals[0] + slopes[0] * off,
+        )
+    if hi_mask.any():
+        off = (base[hi_mask] + t) * dx - (n - 1) * dx
+        out[hi_mask] = np.where(
+            base[hi_mask] + t <= n - 1,
+            vals[-1] + (vals[-1] - vals[-2]) / dx * off,
+            vals[-1] + slopes[1] * off,
+        )
+    return out
+
+
+def _gh_step_per_node(grid, vals, slopes, s, c, nodes):
+    z, w, logw = pde._gh_roots(nodes)
+    fmat = np.stack([_shifted_slice(grid, vals, slopes, math.sqrt(2.0) * s * zj) for zj in z])
+    if c == 0.0:
+        return (w / math.sqrt(math.pi)) @ fmat
+    a = c * fmat + logw[:, None]
+    amax = a.max(axis=0)
+    return (np.log(np.sum(np.exp(a - amax[None, :]), axis=0)) + amax) / c
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.002])
+def test_gh_step_bit_identical_to_per_node_loop(dx):
+    half = int(math.ceil(10.65 / dx))
+    xs = dx * np.arange(-half, half + 1)
+    a = 0.3
+    slopes = (-1.0 - a, 1.0 - a)
+    vals = pde._terminal_kink_step(xs, 0.8, 0.6, a)
+    node_counts = (4, 64, 128, 256)
+    rows = max(1, pde._GH_BLOCK_ELEMS // len(xs))
+    assert rows == 1 or any(nodes % rows for nodes in node_counts)  # a partial last block
+    width = xs[-1] - xs[0]
+    for nodes in node_counts:
+        z = pde._gh_roots(nodes)[0]
+        # the largest s shifts the outer nodes past both ends of the grid,
+        # so both tail branches (in-grid and asymptotic slope) are taken
+        assert math.sqrt(2.0) * 12.0 * z.max() > width
+        for s in (0.05, 0.5, 12.0):
+            for c in (0.0, 1.5):
+                got = pde._gh_step(xs, vals, slopes, s, c, nodes)
+                want = _gh_step_per_node(xs, vals, slopes, s, c, nodes)
+                assert np.max(np.abs(got - want)) == 0.0
 
 
 def test_parisi_is_values():

@@ -17,8 +17,9 @@ def test_parse_mixture():
     assert m.gammas == {2: 0.5, 4: 1.0}
     m = parse_mixture({"gammas": {"2": 0.7}, "h": 0.3})
     assert m.gammas == {2: 0.7} and m.h == 0.3
-    with pytest.raises(ArgumentError):
-        parse_mixture("q4")
+    for bad in ("q4", "x4", "p", "p4.5", "a*p2", "0.5*0.5*p2", "p2+"):
+        with pytest.raises(ArgumentError):
+            parse_mixture(bad)
 
 
 def test_schema_validation():
@@ -83,6 +84,15 @@ def test_pde_run(tmp_path):
     assert res.status == 0
     want = math.sqrt(2.0) * math.sqrt(2 / math.pi)
     assert res.payload["phi_at_0_h"] == pytest.approx(want, abs=1e-5)
+
+
+def test_pde_run_rejects_zero_beta(tmp_path):
+    config = {"subcommand": "pde", "mixture": "p2", "beta": 0, "grid": [6.0, 0.01]}
+    with pytest.raises(ArgumentError, match="beta"):
+        run(config, out_dir=str(tmp_path / "r"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "m")]) == 2
 
 
 def test_embed_run(tmp_path):
@@ -158,6 +168,7 @@ def test_selftest_subset(tmp_path):
 def test_cli_exit_codes(tmp_path):
     assert main(["thresholds", "--mixture", "p4", "--out", str(tmp_path / "x")]) == 0
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+    assert main(["thresholds", "--mixture", "x4", "--out", str(tmp_path / "y")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"subcommand": "nope"}))
     assert main(["run", str(bad)]) == 2
