@@ -16,7 +16,11 @@ def _set_path(config, dotted, value):
     keys = dotted.split(".")
     node = config
     for k in keys[:-1]:
+        if not isinstance(node, dict):
+            break
         node = node.setdefault(k, {})
+    if not isinstance(node, dict):
+        raise ArgumentError(f"--set {dotted}: {'.'.join(keys[:-1]) or 'the config'} is not an object")
     try:
         node[keys[-1]] = json.loads(value)
     except json.JSONDecodeError:
@@ -63,7 +67,7 @@ def config_from_args(args) -> dict:
             config["mixture"] = {"gammas": {str(p): g for p, g in gammas.items()},
                                  "h": args.h if args.h is not None else 0.0}
         elif args.h is not None:
-            config["mixture"] = {"gammas": {"2": 1.0}, "h": args.h}
+            raise ArgumentError("--h sets the field of a --mixture; give --mixture too")
         if args.n is not None:
             config["n"] = args.n
         if args.seed is not None:

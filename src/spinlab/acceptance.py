@@ -51,6 +51,7 @@ from .parisi import (
     solve_parisi_pde,
     theta,
 )
+from .parisi.interpolation import _kappa_zeta_profile
 from .points import norm_n_sq, overlap, sphere_point
 from .ultrametric import (
     DatedRootedTree,
@@ -346,7 +347,7 @@ def criterion_7_cascade_and_recursion() -> CriterionResult:
         for d in range(seq.depth + 1):
             floor = b_profile(
                 big_b,
-                _kappa_zeta(shape_r, pl_r, ql_r, levels_r),
+                _kappa_zeta_profile(shape_r, pl_r, ql_r, levels_r),
                 mm,
                 ql_r.qs[d],
             )
@@ -357,17 +358,6 @@ def criterion_7_cascade_and_recursion() -> CriterionResult:
         f"telescoping {tele_ok}; Loewner floor {pd_ok}"
     )
     return CriterionResult("7 cascade and Gaussian recursion", passed, detail, time.time() - t0)
-
-
-def _kappa_zeta(shape, pladder, qladder, levels):
-    breaks, values = [], []
-    if qladder.qs[0] > 0:
-        breaks.append(0.0)
-        values.append(0.0)
-    for d in range(shape.depth):
-        breaks.append(qladder.qs[d])
-        values.append(kappa_level(shape, pladder, d + 1) * levels[d])
-    return PiecewiseZeta(tuple(breaks), tuple(values))
 
 
 def _cascade_mc(shape, pladder, qladder, levels, m, n, seed):

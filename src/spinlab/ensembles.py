@@ -135,9 +135,6 @@ class CorrelatedEnsemble:
     def leaves(self):
         return self.shape.leaves()
 
-    def node_seed(self, node) -> int:
-        return rng.derive_seed(self.seed, "node", tuple(node))
-
     def leaf_energy(self, u, x) -> float:
         """H[u](x) = <h, x> + weighted node energies; leaf tensors never built."""
         val = self.mixture.h * float(np.sum(np.asarray(x, dtype=float)))
@@ -194,15 +191,16 @@ def pair_correlated(m: Mixture, n: int, p: float, seed: int):
     [[1, p], [p, 1]] entrywise: sqrt(p) H0 + sqrt(1-p) Hi, i = 1, 2."""
     if not (0.0 <= p <= 1.0):
         raise ArgumentError(f"correlation p={p} outside [0, 1]")
-    base = [sample_hamiltonian(m, n, rng.derive_seed(seed, "pair", i)) for i in range(3)]
+    base = [sample_hamiltonian(m, n, rng.derive_seed(seed, "pair", i)).tensors for i in range(3)]
+    return tuple(mix_pair(base[0], base[i], m, n, p, f"pair{i}(p={p})") for i in (1, 2))
+
+
+def mix_pair(shared: dict, own: dict, m: Mixture, n: int, p: float, label: str) -> Hamiltonian:
+    """sqrt(p) H0 + sqrt(1-p) Hi on raw tensors: entrywise covariance p with
+    any other mix of the same shared tensors."""
     a, b = math.sqrt(p), math.sqrt(1.0 - p)
-    out = []
-    for i in (1, 2):
-        tensors = {
-            q: a * base[0].tensors[q] + b * base[i].tensors[q] for q in m.ps
-        }
-        out.append(Hamiltonian(m, n, tensors, seed=None, label=f"pair{i}(p={p})"))
-    return out[0], out[1]
+    tensors = {q: a * shared[q] + b * own[q] for q in m.ps}
+    return Hamiltonian(m, n, tensors, seed=None, label=label)
 
 
 def target_overlap_matrix(shape: TreeShape, qladder: OverlapLadder) -> np.ndarray:

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from . import rng
 from .errors import ArgumentError, DomainError, NumericError, ResourceError
 from .mixture import Mixture
-from .points import norm_n_sq, project_ball, sphere_point
+from .points import norm_n_sq, orthonormal_rows, project_ball, sphere_point
 
 DEFAULT_MAX_TENSOR_ENTRIES = 2**27
 DEFAULT_DENSE_HESSIAN_CAP = 512
@@ -187,13 +187,6 @@ def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
     return out
 
 
-def hessian_operator(h: Hamiltonian, x) -> LinearOperator:
-    x = np.asarray(x, dtype=float)
-    return LinearOperator(
-        (h.n, h.n), matvec=lambda w: hessian_apply(h, x, np.asarray(w).ravel())
-    )
-
-
 def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter: int = 10_000):
     """Top eigenpair of the Hessian restricted (as a bilinear form) to span(basis).
 
@@ -236,7 +229,7 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0):
     Dense eigh below the dimension cap, Lanczos on hessian_apply above it.
     Returns (vectors (k, n), eigenvalues (k,)) in descending order.
     """
-    ortho = _orthonormalize(orth, h.n)
+    ortho = orthonormal_rows(orth, h.n)
 
     def proj(v):
         if ortho.size:
@@ -263,20 +256,6 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0):
         raise NumericError(f"projected eigensolve did not converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
     return vecs[:, order].T.copy(), vals[order]
-
-
-def _orthonormalize(vectors, n: int) -> np.ndarray:
-    rows = []
-    for v in vectors:
-        v = np.asarray(v, dtype=float).copy()
-        for r in rows:
-            v -= (r @ v) * r
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            rows.append(v / nrm)
-    if not rows:
-        return np.empty((0, n))
-    return np.stack(rows)
 
 
 # -- operator-norm probe ------------------------------------------------------

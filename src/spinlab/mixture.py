@@ -40,10 +40,6 @@ class Mixture:
     def ps(self) -> tuple:
         return tuple(self.gammas)
 
-    @property
-    def max_p(self) -> int:
-        return max(self.gammas)
-
     def xi(self, x: float, order: int = 0) -> float:
         return xi_eval(self, x, order)
 

@@ -17,12 +17,13 @@ from .ensembles import (
     OverlapLadder,
     TreeShape,
     constrained_membership,
+    mix_pair,
     sample_ensemble,
     underline_target_matrix,
     underline_view,
 )
 from .errors import ArgumentError
-from .hamiltonian import Hamiltonian, energy, gradient, sample_hamiltonian
+from .hamiltonian import energy, gradient, sample_hamiltonian
 from .mixture import Mixture
 from .optimizers import extend_to_sphere
 from .points import norm_n_sq, overlap, sphere_point
@@ -42,14 +43,6 @@ class ChiEstimate:
         return float(self.chi_hat[idx])
 
 
-def _combine(base_tensors, m: Mixture, n: int, p: float, which: int, label: str) -> Hamiltonian:
-    a, b = math.sqrt(p), math.sqrt(1.0 - p)
-    tensors = {
-        q: a * base_tensors[0][q] + b * base_tensors[which][q] for q in m.ps
-    }
-    return Hamiltonian(m, n, tensors, seed=None, label=label)
-
-
 def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, algorithm_id: str = "") -> ChiEstimate:
     """chi(p) = E R(A(H1), A(H2)) over p-correlated pairs; the shared base
     Hamiltonian is reused across the p-grid within a rep (antithetic sweep,
@@ -66,8 +59,8 @@ def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, algorith
         for j, p in enumerate(p_grid):
             if not (0.0 <= p <= 1.0):
                 raise ArgumentError(f"correlation p={p} outside [0, 1]")
-            h1 = _combine(base, m, n, p, 1, f"chi1(p={p})")
-            h2 = _combine(base, m, n, p, 2, f"chi2(p={p})")
+            h1 = mix_pair(base[0], base[1], m, n, p, f"chi1(p={p})")
+            h2 = mix_pair(base[0], base[2], m, n, p, f"chi2(p={p})")
             out1 = np.asarray(alg(h1, run_seed))
             out2 = np.asarray(alg(h2, run_seed))
             values[r, j] = overlap(out1, out2)
@@ -141,8 +134,8 @@ def overlap_concentration(
             sample_hamiltonian(m, n, rng.derive_seed(seed, "conc", r, i)).tensors for i in range(3)
         ]
         run_seed = rng.derive_seed(seed, "conc-run", r)
-        h1 = _combine(base, m, n, p, 1, "conc1")
-        h2 = _combine(base, m, n, p, 2, "conc2")
+        h1 = mix_pair(base[0], base[1], m, n, p, "conc1")
+        h2 = mix_pair(base[0], base[2], m, n, p, "conc2")
         vals[r] = overlap(np.asarray(alg(h1, run_seed)), np.asarray(alg(h2, run_seed)))
     if np.all(vals == vals[0]):  # identical observations: sd is exactly zero
         mean, sd = float(vals[0]), 0.0

@@ -26,7 +26,7 @@ from .hamiltonian import (
     sample_hamiltonian,
 )
 from .mixture import Mixture, xi_eval
-from .points import norm_n_sq, overlap, project_ball, project_cube
+from .points import norm_n_sq, orthogonal_unit, orthonormal_rows, overlap, project_ball, project_cube
 
 
 @dataclass
@@ -424,7 +424,7 @@ def extend_to_sphere(
     def grow_sphere(node, x, q_target):
         if norm_n_sq(x) >= q_target - 1e-12:
             return x
-        v = _fresh_orthogonal(gen.standard_normal(n), [x] + constraints_for(node))
+        v = orthogonal_unit(gen.standard_normal(n), [x] + constraints_for(node))
         if v is None:
             raise ResourceError("orthogonal directions exhausted (N too small vs K)")
         need = max(q_target - norm_n_sq(x), 0.0) * n
@@ -495,28 +495,6 @@ def round_to_corners(points: dict, seed: int) -> dict:
     return out
 
 
-def _fresh_orthogonal(v, span):
-    """Unit vector orthogonal to span(span); the span is orthonormalized
-    first, so correlated span vectors are handled exactly."""
-    v = np.asarray(v, dtype=float).copy()
-    rows = []
-    for w in span:
-        w = np.asarray(w, dtype=float).copy()
-        for r in rows:
-            w -= (r @ w) * r
-        nw = np.linalg.norm(w)
-        if nw > 1e-10:
-            rows.append(w / nw)
-    for r in rows:
-        v -= (r @ v) * r
-    for r in rows:  # second pass scrubs rounding residue
-        v -= (r @ v) * r
-    nv = np.linalg.norm(v)
-    if nv < 1e-10:
-        return None
-    return v / nv
-
-
 def _ising_direction(h: Hamiltonian, x, free, span, gen):
     """Top eigenvector of P_S Hess(x) P_S restricted to the orthocomplement of
     span, with S the free coordinates; None if the top eigenvalue is negative
@@ -526,24 +504,14 @@ def _ising_direction(h: Hamiltonian, x, free, span, gen):
     mask = np.zeros(h.n)
     mask[free] = 1.0
     hs = hessian(h, x) * np.outer(mask, mask)
-    rows = []
-    for w in span:
-        wm = w * mask
-        for r in rows:
-            wm = wm - (r @ wm) * r
-        nw = np.linalg.norm(wm)
-        if nw > 1e-10:
-            rows.append(wm / nw)
-    if rows:
-        q = np.stack(rows)
-        pmat = np.eye(h.n) - q.T @ q
+    rows = orthonormal_rows([w * mask for w in span], h.n)
+    if rows.size:
+        pmat = np.eye(h.n) - rows.T @ rows
         hs = pmat @ hs @ pmat
     vals, vecs = np.linalg.eigh(0.5 * (hs + hs.T))
     if vals[-1] < 0.0:
         return None
-    v = vecs[:, -1] * mask
-    v = _fresh_orthogonal(v, rows)
-    return v
+    return orthogonal_unit(vecs[:, -1] * mask, rows)
 
 
 def _fallback_coordinate(free, span, gen, n):
@@ -552,7 +520,7 @@ def _fallback_coordinate(free, span, gen, n):
         i = int(free[gen.integers(free.size)])
         e = np.zeros(n)
         e[i] = 1.0
-        v = _fresh_orthogonal(e, span)
+        v = orthogonal_unit(e, span)
         if v is not None:
             return v
     return None

@@ -92,9 +92,6 @@ class PiecewiseZeta:
                 )
         return total
 
-    def merged_breaks(self, other: "PiecewiseZeta") -> tuple:
-        return tuple(sorted(set(self.breaks) | set(other.breaks)))
-
     def __repr__(self):
         pieces = ", ".join(f"[{b:g},): {v:g}" for b, v in zip(self.breaks, self.values))
         return f"PiecewiseZeta({pieces})"

@@ -23,24 +23,6 @@ def overlap(x, y) -> float:
     return float(x @ y) / x.size
 
 
-def on_sphere(x, tol: float = 1e-9) -> bool:
-    return abs(norm_n_sq(x) - 1.0) <= tol
-
-
-def in_ball(x, r: float = 1.0, tol: float = 1e-9) -> bool:
-    return norm_n_sq(x) <= r * r + tol
-
-
-def on_cube_corners(x, tol: float = 1e-9) -> bool:
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(np.abs(np.abs(x) - 1.0) <= tol))
-
-
-def in_cube(x, r: float = 1.0, tol: float = 1e-9) -> bool:
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(np.abs(x) <= r + tol))
-
-
 def sphere_point(v) -> np.ndarray:
     """Rescale v to S_N (|.|_N = 1)."""
     v = np.asarray(v, dtype=float)
@@ -62,3 +44,35 @@ def project_ball(x, r: float = 1.0) -> np.ndarray:
 def project_cube(x, r: float = 1.0) -> np.ndarray:
     """Euclidean projection onto rC_N = [-r, r]^N."""
     return np.clip(np.asarray(x, dtype=float), -r, r)
+
+
+def orthonormal_rows(vectors, n: int) -> np.ndarray:
+    """Modified Gram-Schmidt: orthonormal rows (k, n) spanning `vectors`; a
+    vector whose residual norm is not above 1e-10 is dropped as dependent."""
+    rows = []
+    for v in vectors:
+        v = np.asarray(v, dtype=float).copy()
+        for r in rows:
+            v -= (r @ v) * r
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-10:
+            rows.append(v / nrm)
+    if not rows:
+        return np.empty((0, n))
+    return np.stack(rows)
+
+
+def orthogonal_unit(v, span):
+    """Unit vector along the part of v orthogonal to span(span), or None when
+    v lies in that span; the span is orthonormalized first, so correlated
+    span vectors are handled exactly."""
+    v = np.asarray(v, dtype=float).copy()
+    rows = orthonormal_rows(span, v.size)
+    for r in rows:
+        v -= (r @ v) * r
+    for r in rows:  # second pass scrubs rounding residue
+        v -= (r @ v) * r
+    nv = np.linalg.norm(v)
+    if nv < 1e-10:
+        return None
+    return v / nv

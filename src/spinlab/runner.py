@@ -19,7 +19,7 @@ from jsonschema import Draft202012Validator
 from . import rng
 from .ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align, sample_ensemble
 from .errors import ArgumentError
-from .hamiltonian import sample_hamiltonian
+from .hamiltonian import energy, sample_hamiltonian
 from .mixture import Mixture
 from .ogp import (
     check_chi_properties,
@@ -30,6 +30,7 @@ from .ogp import (
 )
 from .optimizers import (
     AmpSpec,
+    Trajectory,
     amp,
     export_trajectory_csv,
     gradient_ascent,
@@ -45,7 +46,7 @@ from .parisi import (
     parisi_is,
     solve_parisi_pde,
 )
-from .points import sphere_point
+from .points import project_ball, sphere_point
 from .ultrametric import embed_energy_greedy, embedding_to_csv, tree_from_json, validate_embedding
 
 SUBCOMMANDS = (
@@ -63,6 +64,7 @@ SUBCOMMANDS = (
 SCHEMA = {
     "type": "object",
     "required": ["subcommand"],
+    "additionalProperties": False,
     "properties": {
         "subcommand": {"enum": list(SUBCOMMANDS)},
         "mixture": {
@@ -111,11 +113,6 @@ SCHEMA = {
         "C": {"type": "number"},
         "B": {"type": "number"},
         "criteria": {"type": "array"},
-        "steps": {"type": "integer"},
-        "lr": {"type": "number"},
-        "horizon": {"type": "number"},
-        "dt": {"type": "number"},
-        "r": {"type": "number"},
         "chi": {"type": "string"},
     },
 }
@@ -199,67 +196,81 @@ def map_replicas(fn, seeds, workers: int = 1):
         return list(pool.map(fn, seeds))
 
 
+def _gradient_ascent(spec):
+    steps, lr = int(spec.get("steps", 10)), float(spec.get("lr", 0.05))
+    start_scale = float(spec.get("start_scale", 0.5))
+
+    def alg(h, seed):
+        x0 = sphere_point(rng.stream(seed, "ga-x0").standard_normal(h.n)) * start_scale
+        return gradient_ascent(h, x0, steps, lr)
+
+    return alg
+
+
+def _subag(spec):
+    delta, mode = float(spec.get("delta", 0.125)), spec.get("mode", "top_eig")
+    return lambda h, seed: subag_ascent(h, delta, mode, seed=seed)
+
+
+def _langevin(spec):
+    beta, horizon = float(spec.get("beta", 1.0)), float(spec.get("horizon", 0.5))
+    dt, r = float(spec.get("dt", 0.01)), float(spec.get("r", 1.0))
+    return lambda h, seed: langevin(h, beta, horizon, dt, r=r, seed=seed)
+
+
+def _amp(spec):
+    horizon = int(spec.get("horizon", 2))
+
+    def alg(h, seed):
+        # one AmpSpec per call, so replica threads share no state-evolution cache
+        identity = AmpSpec(fs=[lambda *xs: xs[-1]] * horizon, lipschitz=[1.0] * horizon, horizon=horizon)
+        return amp(h, identity, seed=seed)
+
+    return alg
+
+
+def _one_point(name, point):
+    """One-iterate trajectory; its energy is taken on B_N, as AMP records it."""
+
+    def alg(h, seed):
+        x = point(h)
+        return Trajectory([x], [energy(h, project_ball(x, 1.0))], name, seed=seed)
+
+    return alg
+
+
+def _constant(spec):
+    value = float(spec.get("value", 0.5))
+    return _one_point("constant", lambda h: np.full(h.n, value))
+
+
+def _coef_linear(spec):
+    scale = float(spec.get("scale", 0.8))
+    return _one_point("coef_linear", lambda h: scale * h.coefficients[: h.n])
+
+
+ALGORITHMS = {
+    "gradient_ascent": _gradient_ascent,
+    "subag": _subag,
+    "langevin": _langevin,
+    "amp": _amp,
+    "constant": _constant,
+    "coef_linear": _coef_linear,
+}
+
+
 def build_algorithm(spec: dict):
-    """Algorithm table for the experiment subcommands."""
+    """The algorithm table: spec {"name": ..., params} -> (h, seed) -> Trajectory."""
     name = spec.get("name")
-    if name == "gradient_ascent":
-        steps = int(spec.get("steps", 10))
-        lr = float(spec.get("lr", 0.05))
-        start_scale = float(spec.get("start_scale", 0.5))
-
-        def alg(h, seed):
-            x0 = sphere_point(rng.stream(seed, "ga-x0").standard_normal(h.n)) * start_scale
-            return gradient_ascent(h, x0, steps, lr).final
-
-        return alg
-    if name == "subag":
-        delta = float(spec.get("delta", 0.125))
-        mode = spec.get("mode", "top_eig")
-        return lambda h, seed: subag_ascent(h, delta, mode, seed=seed).final
-    if name == "langevin":
-        return lambda h, seed: langevin(
-            h,
-            float(spec.get("beta", 1.0)),
-            float(spec.get("horizon", 0.5)),
-            float(spec.get("dt", 0.01)),
-            r=float(spec.get("r", 1.0)),
-            seed=seed,
-        ).final
-    if name == "constant":
-        value = float(spec.get("value", 0.5))
-        return lambda h, seed: np.full(h.n, value)
-    if name == "coef_linear":
-        scale = float(spec.get("scale", 0.8))
-        return lambda h, seed: scale * h.coefficients[: h.n]
-    raise ArgumentError(f"unknown algorithm {name!r}")
+    if name not in ALGORITHMS:
+        raise ArgumentError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHMS)})")
+    return ALGORITHMS[name](spec)
 
 
-def _alg_trajectory(spec: dict, h, seed):
-    name = spec.get("name")
-    if name == "gradient_ascent":
-        x0 = sphere_point(rng.stream(seed, "ga-x0").standard_normal(h.n)) * float(
-            spec.get("start_scale", 0.5)
-        )
-        return gradient_ascent(h, x0, int(spec.get("steps", 10)), float(spec.get("lr", 0.05)))
-    if name == "subag":
-        return subag_ascent(h, float(spec.get("delta", 0.125)), spec.get("mode", "top_eig"), seed=seed)
-    if name == "langevin":
-        return langevin(
-            h,
-            float(spec.get("beta", 1.0)),
-            float(spec.get("horizon", 0.5)),
-            float(spec.get("dt", 0.01)),
-            r=float(spec.get("r", 1.0)),
-            seed=seed,
-        )
-    if name == "amp":
-        spec_amp = AmpSpec(
-            fs=[lambda *xs: xs[-1]] * int(spec.get("horizon", 2)),
-            lipschitz=[1.0] * int(spec.get("horizon", 2)),
-            horizon=int(spec.get("horizon", 2)),
-        )
-        return amp(h, spec_amp, seed=seed)
-    raise ArgumentError(f"unknown trajectory algorithm {name!r}")
+def _point_algorithm(spec: dict):
+    """(h, seed) -> final iterate, the form the overlap experiments take."""
+    traj = build_algorithm(spec)
+    return lambda h, seed: traj(h, seed).final
 
 
 def _chi_fn(name: str):
@@ -323,11 +334,11 @@ def _run_optimize(config, out):
     seeds = config.get("seeds") or [int(config.get("seed", 0))]
     alg_spec = config.get("alg", {"name": "subag", "delta": 0.125})
     workers = int(config.get("workers", 1))
+    alg = build_algorithm(alg_spec)
 
     def one(seed):
         h = sample_hamiltonian(m, n, rng.derive_seed(seed, "optimize"))
-        traj = _alg_trajectory(alg_spec, h, seed)
-        return seed, traj
+        return seed, alg(h, seed)
 
     artifacts = []
     summary = []
@@ -347,7 +358,7 @@ def _run_optimize(config, out):
 def _run_chi(config, out):
     m = parse_mixture(config.get("mixture", "p2"))
     n = int(config.get("n", 48))
-    alg = build_algorithm(config.get("alg", {"name": "gradient_ascent"}))
+    alg = _point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
     p_grid = tuple(config.get("p_grid", (0.0, 0.25, 0.5, 0.75, 1.0)))
     est = estimate_chi(
         alg, m, n, p_grid, int(config.get("reps", 20)), int(config.get("seed", 0)),
@@ -370,7 +381,7 @@ def _run_chi(config, out):
 
 def _run_concentration(config, out):
     m = parse_mixture(config.get("mixture", "p2"))
-    alg = build_algorithm(config.get("alg", {"name": "gradient_ascent"}))
+    alg = _point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
     rep = overlap_concentration(
         alg,
         m,
@@ -407,7 +418,7 @@ def _run_branching(config, out):
     m = parse_mixture(config.get("mixture", "p2"))
     n = int(config.get("n", 64))
     shape, pladder, qladder = _parse_ladders(config, m)
-    alg = build_algorithm(config.get("alg", {"name": "gradient_ascent"}))
+    alg = _point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
     reports = run_branching_experiment(
         alg,
         m,
@@ -505,12 +516,7 @@ def _run_embed(config, out):
 
         tree = full_binary_tree(int(tree_cfg["binary"]))
     else:
-        from .ultrametric import DatedRootedTree
-
-        tree = DatedRootedTree(
-            {v["id"]: v["parent"] for v in tree_cfg["vertices"]},
-            {v["id"]: v["height"] for v in tree_cfg["vertices"]},
-        )
+        tree = tree_from_json(tree_cfg)
     h = sample_hamiltonian(m, n, int(config.get("seed", 0)))
     emb, energies, profile = embed_energy_greedy(
         h, tree, float(config.get("delta", 0.125)), seed=int(config.get("seed", 0))

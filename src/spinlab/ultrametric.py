@@ -19,7 +19,7 @@ from . import rng
 from .errors import ArgumentError, ResourceError
 from .hamiltonian import Hamiltonian, energy, gradient, projected_top_eigvec
 from .mixture import xi_eval
-from .points import norm_n_sq, overlap
+from .points import norm_n_sq, orthogonal_unit, overlap
 
 _H_TOL = 1e-12
 
@@ -339,15 +339,9 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
             vecs, _vals = projected_top_eigvec(
                 h, x, orth=[x] + others, k=1, seed=rng.derive_seed(step_seed, i)
             )
-            v = vecs[0]
-            for w in [x] + others:
-                nw = np.linalg.norm(w)
-                if nw > 1e-12:
-                    v = v - (w @ v) / (nw * nw) * w
-            nv = np.linalg.norm(v)
-            if nv < 1e-10:
+            v = orthogonal_unit(vecs[0], [x] + others)
+            if v is None:
                 raise ResourceError("orthogonal directions exhausted during embedding")
-            v /= nv
             if gradient(h, x) @ v < 0:
                 v = -v
             x = x + math.sqrt(gain * n) * v
@@ -389,10 +383,19 @@ def tree_to_json(t: DatedRootedTree) -> str:
     return json.dumps(payload, indent=1)
 
 
-def tree_from_json(text: str) -> DatedRootedTree:
-    payload = json.loads(text)
-    parents = {v["id"]: v["parent"] for v in payload["vertices"]}
-    heights = {v["id"]: v["height"] for v in payload["vertices"]}
+def tree_from_json(source) -> DatedRootedTree:
+    """Tree from its exchange JSON text, or from the already-decoded object:
+    {"vertices": [{"id": ..., "parent": ... or null, "height": ...}, ...]}."""
+    try:
+        payload = json.loads(source) if isinstance(source, str) else source
+        parents = {v["id"]: v["parent"] for v in payload["vertices"]}
+        heights = {v["id"]: float(v["height"]) for v in payload["vertices"]}
+    except json.JSONDecodeError as exc:
+        raise ArgumentError(f"tree is not valid JSON: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArgumentError(
+            f"tree needs a 'vertices' list of objects with id, parent and height ({exc!r})"
+        ) from None
     return DatedRootedTree(parents, heights)
 
 

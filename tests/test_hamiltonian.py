@@ -119,10 +119,6 @@ def test_hessian_apply_matches_dense():
     dense = hessian(h, x)
     assert np.allclose(dense @ w, hessian_apply(h, x, w), atol=1e-12)
     assert np.allclose(dense, dense.T)
-    from spinlab.hamiltonian import hessian_operator
-
-    op = hessian_operator(h, x)
-    assert np.allclose(op @ w, dense @ w, atol=1e-12)
 
 
 def test_homogeneity_pure_p():

@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from spinlab import rng
 from spinlab.errors import ArgumentError
+from spinlab.hamiltonian import energy, sample_hamiltonian
+from spinlab.mixture import pure
 from spinlab.runner import RunResult, parse_mixture, run, validate_config
 from spinlab.__main__ import main
 
@@ -28,6 +31,9 @@ def test_schema_validation():
     with pytest.raises(ArgumentError):
         validate_config({})
     validate_config({"subcommand": "thresholds", "mixture": "p4"})
+    for stray in ("sed", "steps"):  # a typo, and a setting that lives in "alg"
+        with pytest.raises(ArgumentError, match="Additional properties"):
+            validate_config({"subcommand": "thresholds", stray: 3})
 
 
 def test_thresholds_run(tmp_path):
@@ -51,6 +57,23 @@ def test_optimize_run_artifacts(tmp_path):
     assert (tmp_path / "trajectory_seed0.csv").exists()
     assert (tmp_path / "trajectory_seed1.csv").exists()
     assert len(res.payload["runs"]) == 2
+
+
+def test_every_subcommand_takes_every_algorithm(tmp_path):
+    config = {"subcommand": "optimize", "mixture": "p2", "n": 16, "seed": 4,
+              "alg": {"name": "constant", "value": 0.5}}
+    res = run(config, out_dir=str(tmp_path / "opt"))
+    assert res.payload["runs"][0]["steps"] == 1
+    h = sample_hamiltonian(pure(2), 16, rng.derive_seed(4, "optimize"))
+    want = energy(h, np.full(16, 0.5)) / 16
+    assert res.payload["runs"][0]["final_energy_per_n"] == want
+    config = {"subcommand": "chi", "mixture": "p2", "n": 16, "reps": 10, "seed": 3,
+              "alg": {"name": "amp", "horizon": 1}, "p_grid": [0.0, 0.5, 1.0]}
+    res = run(config, out_dir=str(tmp_path / "chi"))
+    assert res.status == 0
+    assert res.payload["chi_hat"][0] < res.payload["chi_hat"][-1]
+    with pytest.raises(ArgumentError, match="unknown algorithm"):
+        run({**config, "alg": {"name": "nope"}}, out_dir=str(tmp_path / "bad"))
 
 
 def test_byte_reproducibility(tmp_path):
@@ -108,6 +131,23 @@ def test_embed_run(tmp_path):
     assert res.status == 0
     assert res.payload["validated"]
     assert (tmp_path / "embedding.csv").exists()
+
+
+def test_embed_rejects_malformed_tree(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    bad_json = tmp_path / "tree.json"
+    bad_json.write_text("{not json")
+    trees = [
+        {"foo": 1},
+        {"vertices": [{"id": "r", "height": 0.0}]},
+        {"vertices": [{"id": "r", "parent": None}]},
+        {"vertices": [{"parent": None, "height": 0.0}]},
+        {"vertices": "r"},
+        str(bad_json),
+    ]
+    for i, tree in enumerate(trees):
+        cfg.write_text(json.dumps({"subcommand": "embed", "mixture": "p2", "n": 16, "tree": tree}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, tree
 
 
 def test_concentration_run(tmp_path):
@@ -169,6 +209,7 @@ def test_cli_exit_codes(tmp_path):
     assert main(["thresholds", "--mixture", "p4", "--out", str(tmp_path / "x")]) == 0
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     assert main(["thresholds", "--mixture", "x4", "--out", str(tmp_path / "y")]) == 2
+    assert main(["thresholds", "--h", "0.5", "--out", str(tmp_path / "z")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"subcommand": "nope"}))
     assert main(["run", str(bad)]) == 2
@@ -181,3 +222,7 @@ def test_cli_set_overrides(tmp_path):
     assert code == 0
     data = json.loads((tmp_path / "o" / "run.json").read_text())
     assert data["results"]["alg_sp"]["value"] == pytest.approx(math.sqrt(3.0), abs=1e-9)
+    cfg.write_text(json.dumps({"subcommand": "thresholds", "mixture": "p4"}))
+    assert main(["run", str(cfg), "--set", "mixture.h=0.5", "--out", str(tmp_path / "s")]) == 2
+    for stray in ("sed=3", "steps=3"):
+        assert main(["run", str(cfg), "--set", stray, "--out", str(tmp_path / "s")]) == 2
