@@ -4,6 +4,7 @@ algorithmic thresholds, and ultrametric overlap experiments."""
 from .mixture import Mixture, pure, xi_eval
 from .hamiltonian import (
     Hamiltonian,
+    derivatives,
     energy,
     gradient,
     hessian,

@@ -3,6 +3,20 @@
 H(x) = <h, x> + sum_p gamma_p N^{-(p-1)/2} <G^(p), x^{tensor p}> with G^(p)
 a flat array of N^p i.i.d. standard normals (never symmetrized; contracting
 x^{tensor p} directly keeps the covariance exactly N xi(R)).
+
+Energy, gradient and dense Hessian come from one plan, `derivatives`, that
+reads each raw tensor T at most three times, each pass a reshape matmul over
+T in place (no transposed copy):
+
+- R = T.x on the last axis (order 0 and up).  Contracting the small R
+  gives the energy, gradient slots 0..p-2 and Hessian blocks among them.
+- L = x.T on the first axis (order 1 and up): gradient slot p-1 and the
+  Hessian blocks (s, p-1) for s >= 1.
+- D = T contracted with x on its middle p-2 slots (order 2), one matmul
+  over T viewed as (n, n^(p-2), n): the (0, p-1) block.
+
+Energy and gradient keep the arithmetic of one pass per slot bit for bit.
+No symmetrised copy of T is cached: it would double the tensor memory.
 """
 
 import struct
@@ -61,9 +75,10 @@ def sample_tensor(seed: int, p: int, n: int) -> np.ndarray:
 
 def check_budget(m: Mixture, n: int, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES):
     for p in m.ps:
-        if n**p > max_entries:
+        # n >= 2 and p past the budget's bit length is over it without forming n**p
+        if n > 1 and (p >= max_entries.bit_length() or n**p > max_entries):
             raise ResourceError(
-                f"tensor for p={p} needs {n**p} entries, over the budget of {max_entries}"
+                f"tensor for p={p} at n={n} is over the budget of {max_entries} entries"
             )
 
 
@@ -117,55 +132,67 @@ def _scale(m: Mixture, p: int, n: int) -> float:
     return m.gammas[p] * n ** (-(p - 1) / 2)
 
 
-def energy(h: Hamiltonian, x) -> float:
-    """H(x) = <h, x> + sum_p gamma_p N^{-(p-1)/2} <G^(p), x^{tensor p}>."""
+def derivatives(h: Hamiltonian, x, order: int) -> tuple:
+    """(energy,), (energy, gradient) or (energy, gradient, Hessian) at x for
+    order 0, 1 or 2, from the passes R, L and D of the module docstring.
+
+    The dense Hessian is built at any n; `hessian` is the entry point capped
+    at the dense-Hessian dimension.
+    """
+    if order not in (0, 1, 2):
+        raise ArgumentError(f"derivative order {order} must be 0, 1 or 2")
     x = _check_radius(h, x)
+    n = h.n
     val = h.mixture.h * float(np.sum(x))
+    grad = np.full(n, h.mixture.h) if order >= 1 else None
+    hess = np.zeros((n, n)) if order == 2 else None
     for p in h.mixture.ps:
-        g = _scale(h.mixture, p, h.n)
+        g = _scale(h.mixture, p, n)
         if g == 0.0:
             continue
-        val += g * float(_contract(h.tensors[p], [x] * p))
-    return val
+        tensor = h.tensors[p]
+        rest = [x] * (p - 1)
+        right = (tensor.reshape(-1, n) @ x).reshape((n,) * (p - 1))  # R
+        val += g * float(_contract(right, rest))
+        if order == 0:
+            continue
+        left = (x @ tensor.reshape(n, -1)).reshape((n,) * (p - 1))  # L
+        for s in range(p - 1):
+            grad += g * _contract(right, rest, keep=(s,))
+        grad += g * _contract(left, rest, keep=(p - 2,))
+        if order == 1:
+            continue
+        middle = np.ones(1)
+        for _ in range(p - 2):
+            middle = np.multiply.outer(middle, x).ravel()
+        corner = np.matmul(middle, tensor.reshape(n, -1, n))  # D
+        for s in range(p):
+            for t in range(s + 1, p):
+                if t < p - 1:
+                    block = _contract(right, rest, keep=(s, t))
+                elif s > 0:
+                    block = _contract(left, rest, keep=(s - 1, p - 2))
+                else:
+                    block = corner
+                hess += g * (block + block.T)  # ordered pairs (s,t) and (t,s)
+    return (val, grad, hess)[: order + 1]
+
+
+def energy(h: Hamiltonian, x) -> float:
+    """H(x) = <h, x> + sum_p gamma_p N^{-(p-1)/2} <G^(p), x^{tensor p}>."""
+    return derivatives(h, x, 0)[0]
 
 
 def gradient(h: Hamiltonian, x) -> np.ndarray:
-    """Exact analytic gradient, summing slot-wise partial contractions."""
-    x = _check_radius(h, x)
-    grad = np.full(h.n, h.mixture.h)
-    for p in h.mixture.ps:
-        g = _scale(h.mixture, p, h.n)
-        if g == 0.0:
-            continue
-        assign = [x] * p
-        for s in range(p):
-            grad += g * _contract(h.tensors[p], assign, keep=(s,))
-    return grad
-
-
-def _hessian_pair_blocks(h: Hamiltonian, x):
-    """Yield (scale, s, t, block) over ordered slot pairs s != t, where block
-    is the tensor contracted with x on all other slots, axes ordered (s, t)."""
-    for p in h.mixture.ps:
-        g = _scale(h.mixture, p, h.n)
-        if g == 0.0 or p < 2:
-            continue
-        assign = [x] * p
-        for s in range(p):
-            for t in range(s + 1, p):
-                block = _contract(h.tensors[p], assign, keep=(s, t))
-                yield g, s, t, block
+    """Exact analytic gradient."""
+    return derivatives(h, x, 1)[1]
 
 
 def hessian(h: Hamiltonian, x, dense_cap: int = DEFAULT_DENSE_HESSIAN_CAP) -> np.ndarray:
     """Dense symmetric Hessian of the energy; refuses n above dense_cap."""
     if h.n > dense_cap:
         raise ResourceError(f"dense Hessian refused for n={h.n} > cap {dense_cap}")
-    x = _check_radius(h, x)
-    out = np.zeros((h.n, h.n))
-    for g, s, t, block in _hessian_pair_blocks(h, x):
-        out += g * (block + block.T)  # ordered pairs (s,t) and (t,s)
-    return out
+    return derivatives(h, x, 2)[2]
 
 
 def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
@@ -380,23 +407,37 @@ def save_snapshot(h: Hamiltonian, path):
             f.write(np.ascontiguousarray(h.tensors[p], dtype="<f8").tobytes())
 
 
+def _read_exact(f, size: int) -> bytes:
+    data = f.read(size)
+    if len(data) != size:
+        raise ArgumentError(f"snapshot truncated: wanted {size} more bytes, found {len(data)}")
+    return data
+
+
 def load_snapshot(path) -> Hamiltonian:
+    """Inverse of save_snapshot.  A truncated file or trailing bytes raise
+    ArgumentError; a header over the tensor budget raises ResourceError before
+    any payload is read."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != _SNAPSHOT_MAGIC:
             raise ArgumentError(f"bad snapshot magic {magic!r}")
-        version, n, hfield, seed, has_seed = struct.unpack("<IQdQB", f.read(29))
+        version, n, hfield, seed, has_seed = struct.unpack("<IQdQB", _read_exact(f, 29))
         if version != _SNAPSHOT_VERSION:
             raise ArgumentError(f"unsupported snapshot version {version}")
-        (nterms,) = struct.unpack("<I", f.read(4))
+        if n < 1:
+            raise ArgumentError(f"snapshot dimension n={n} must be >= 1")
+        (nterms,) = struct.unpack("<I", _read_exact(f, 4))
         gammas = {}
         for _ in range(nterms):
-            p, gam = struct.unpack("<Id", f.read(12))
+            p, gam = struct.unpack("<Id", _read_exact(f, 12))
             gammas[p] = gam
         mixture = Mixture(gammas, h=hfield)
+        check_budget(mixture, n)
         tensors = {}
         for p in mixture.ps:
-            count = n**p
-            data = np.frombuffer(f.read(8 * count), dtype="<f8").astype(float)
+            data = np.frombuffer(_read_exact(f, 8 * n**p), dtype="<f8").astype(float)
             tensors[p] = data.reshape((n,) * p)
+        if f.read(1):
+            raise ArgumentError("trailing bytes after the snapshot payload")
     return Hamiltonian(mixture, int(n), tensors, seed=int(seed) if has_seed else None)

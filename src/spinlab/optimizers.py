@@ -19,9 +19,10 @@ from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import (
     DEFAULT_DENSE_HESSIAN_CAP,
     Hamiltonian,
+    derivatives,
     energy,
     gradient,
-    hessian,
+    hessian,  # noqa: F401 -- perfbench's tracer tests call spinlab.optimizers.hessian
     projected_top_eigvec,
     sample_hamiltonian,
 )
@@ -107,11 +108,13 @@ def gradient_ascent(
     if len(lrs) < steps:
         raise ArgumentError("learning-rate sequence shorter than steps")
     iterates = [x]
-    energies = [energy(h, x)]
+    energies = []
     for k in range(steps):
-        x = _project(x + lrs[k] * gradient(h, x), domain)
+        e, grad = derivatives(h, x, 1)
+        energies.append(e)
+        x = _project(x + lrs[k] * grad, domain)
         iterates.append(x)
-        energies.append(energy(h, x))
+    energies.append(energy(h, x))
     return Trajectory(iterates, energies, "gradient_ascent", {"steps": steps, "domain": domain})
 
 
@@ -259,11 +262,12 @@ def subag_direction_from_hessian(hess, x, grad, mode: str, delta: float, step_se
     return v
 
 
-def subag_step_direction(h: Hamiltonian, x, mode: str, delta: float, step_seed: int):
+def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int):
+    """(energy at x, step direction from x): one derivatives call on the dense
+    Hessian path, Lanczos on Hessian-vector products above its cap."""
     if h.n <= DEFAULT_DENSE_HESSIAN_CAP:
-        return subag_direction_from_hessian(
-            hessian(h, x), x, gradient(h, x), mode, delta, step_seed
-        )
+        e, grad, hess = derivatives(h, x, 2)
+        return e, subag_direction_from_hessian(hess, x, grad, mode, delta, step_seed)
     k = 1 if mode == "top_eig" else max(int(math.floor(delta * h.n)), 1)
     vecs, _vals = projected_top_eigvec(h, x, orth=[x], k=k, seed=step_seed)
     if mode == "top_eig":
@@ -275,9 +279,10 @@ def subag_step_direction(h: Hamiltonian, x, mode: str, delta: float, step_seed: 
     if xn > 1e-12:
         v = v - (x @ v) / (xn * xn) * x
     v /= np.linalg.norm(v)
-    if gradient(h, x) @ v < 0:
+    e, grad = derivatives(h, x, 1)
+    if grad @ v < 0:
         v = -v
-    return v
+    return e, v
 
 
 def subag_ascent(
@@ -299,14 +304,15 @@ def subag_ascent(
         if abs(norm_n_sq(x) - delta) > 1e-9:
             raise ArgumentError(f"|x1|_N^2 = {norm_n_sq(x):.6g} must equal delta = {delta}")
     else:
-        x = scale * subag_step_direction(h, np.zeros(h.n), mode, delta, rng.derive_seed(seed, "step", 0))
+        x = scale * subag_step(h, np.zeros(h.n), mode, delta, rng.derive_seed(seed, "step", 0))[1]
     iterates = [x]
-    energies = [energy(h, x)]
+    energies = []
     for i in range(1, steps):
-        v = subag_step_direction(h, x, mode, delta, rng.derive_seed(seed, "step", i))
+        e, v = subag_step(h, x, mode, delta, rng.derive_seed(seed, "step", i))
+        energies.append(e)
         x = x + scale * v
         iterates.append(x)
-        energies.append(energy(h, x))
+    energies.append(energy(h, x))
     return Trajectory(iterates, energies, "subag_ascent", {"delta": delta, "mode": mode}, seed=seed)
 
 
@@ -338,20 +344,21 @@ def langevin(
     steps = int(round(horizon / dt))
     lr_eq = 0.5 * beta * dt
     iterates = [x]
-    energies = [energy(h, x)]
+    energies = []
     hits = 0
     for _ in range(steps):
-        proposal = x + lr_eq * gradient(h, x)
+        e, grad = derivatives(h, x, 1)
+        energies.append(e)
+        proposal = x + lr_eq * grad
         if noise_scale != 0.0:
             proposal = proposal + noise_scale * math.sqrt(dt) * gen.standard_normal(h.n)
         x = _project(proposal, domain)
         if x is not proposal and not np.array_equal(x, proposal):
             hits += 1
-        e = energy(h, x)
-        if not np.isfinite(e):
-            raise NumericError("Langevin energy diverged; reduce dt")
         iterates.append(x)
-        energies.append(e)
+    energies.append(energy(h, x))
+    if not np.all(np.isfinite(energies)):
+        raise NumericError("Langevin energy diverged; reduce dt")
     final = _project(x, ("ball", 1.0) if domain_kind == "ball" else ("cube", 1.0))
     if not np.array_equal(final, x):
         iterates.append(final)
@@ -439,13 +446,17 @@ def extend_to_sphere(
             if free.size < 2:
                 break
             span = [x] + constraints_for(node)
-            v = _ising_direction(leaf_h, x, free, span, gen)
+            if n <= DEFAULT_DENSE_HESSIAN_CAP:
+                _e, grad, hess = derivatives(leaf_h, x, 2)
+                v = _ising_direction(hess, free, span)
+            else:
+                grad, v = gradient(leaf_h, x), None
             if v is None:
                 v = _fallback_coordinate(free, span, gen, n)
                 fallbacks += 1
                 if v is None:
                     break
-            if gradient(leaf_h, x) @ v < 0:
+            if grad @ v < 0:
                 v = -v
             t_level = math.sqrt(max(q_target - norm_n_sq(x), 0.0) * n)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -495,18 +506,17 @@ def round_to_corners(points: dict, seed: int) -> dict:
     return out
 
 
-def _ising_direction(h: Hamiltonian, x, free, span, gen):
-    """Top eigenvector of P_S Hess(x) P_S restricted to the orthocomplement of
+def _ising_direction(hess, free, span):
+    """Top eigenvector of P_S Hess P_S restricted to the orthocomplement of
     span, with S the free coordinates; None if the top eigenvalue is negative
     (the curvature certificate fails at this finite N)."""
-    if h.n > DEFAULT_DENSE_HESSIAN_CAP:
-        return None
-    mask = np.zeros(h.n)
+    n = len(hess)
+    mask = np.zeros(n)
     mask[free] = 1.0
-    hs = hessian(h, x) * np.outer(mask, mask)
-    rows = orthonormal_rows([w * mask for w in span], h.n)
+    hs = hess * np.outer(mask, mask)
+    rows = orthonormal_rows([w * mask for w in span], n)
     if rows.size:
-        pmat = np.eye(h.n) - rows.T @ rows
+        pmat = np.eye(n) - rows.T @ rows
         hs = pmat @ hs @ pmat
     vals, vecs = np.linalg.eigh(0.5 * (hs + hs.T))
     if vals[-1] < 0.0:
@@ -577,19 +587,21 @@ def run_iterative(h: Hamiltonian, fs, x_init, k_order: int = 1) -> Trajectory:
     and subag_ascent are expressible in this form and reproduce bit-identical
     trajectories (see tests).
     """
+    if k_order >= 2 and h.n > DEFAULT_DENSE_HESSIAN_CAP:
+        raise ResourceError(f"dense Hessian refused for n={h.n} > cap {DEFAULT_DENSE_HESSIAN_CAP}")
     xs = [np.asarray(x, dtype=float) for x in x_init]
+    energies = []
+    derivs = []
 
-    def pack(x):
-        d = {"grad": gradient(h, x)}
-        if k_order >= 2:
-            d["hessian"] = hessian(h, x)
-        return d
+    def record(x):
+        e, *ders = derivatives(h, x, 2 if k_order >= 2 else 1)
+        energies.append(e)
+        derivs.append(dict(zip(("grad", "hessian"), ders)))
 
-    derivs = [pack(x) for x in xs]
-    energies = [energy(h, x) for x in xs]
+    for x in xs:
+        record(x)
     for f in fs:
         x = np.asarray(f(list(xs), list(derivs)), dtype=float)
         xs.append(x)
-        derivs.append(pack(x))
-        energies.append(energy(h, x))
+        record(x)
     return Trajectory(xs, energies, "generic", {"k_order": k_order})

@@ -108,7 +108,13 @@ SCHEMA = {
         "grid": {"type": "array", "items": {"type": "number"}},
         "knots": {"type": "integer", "minimum": 8},
         "ising": {"type": "boolean"},
-        "tree": {"type": ["object", "string"]},
+        "tree": {
+            "type": ["object", "string"],
+            "properties": {
+                "star": {"type": "integer", "minimum": 1},
+                "binary": {"type": "integer", "minimum": 1},
+            },
+        },
         "restarts": {"type": "integer", "minimum": 1},
         "C": {"type": "number"},
         "B": {"type": "number"},

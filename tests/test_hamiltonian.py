@@ -1,12 +1,19 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinlab import rng
 from spinlab.errors import ArgumentError, DomainError, ResourceError
 from spinlab.hamiltonian import (
     Hamiltonian,
+    _contract,
+    _scale,
+    derivatives,
     energy,
     gradient,
     hessian,
@@ -121,6 +128,136 @@ def test_hessian_apply_matches_dense():
     assert np.allclose(dense, dense.T)
 
 
+# -- oracles: one raw-tensor pass per gradient slot and per Hessian slot pair ----
+
+
+def oracle_energy(h, x):
+    val = h.mixture.h * float(np.sum(x))
+    for p in h.mixture.ps:
+        g = _scale(h.mixture, p, h.n)
+        if g != 0.0:
+            val += g * float(_contract(h.tensors[p], [x] * p))
+    return val
+
+
+def oracle_gradient(h, x):
+    """Per-slot gradient: p passes over each raw tensor."""
+    grad = np.full(h.n, h.mixture.h)
+    for p in h.mixture.ps:
+        g = _scale(h.mixture, p, h.n)
+        if g == 0.0:
+            continue
+        for s in range(p):
+            grad += g * _contract(h.tensors[p], [x] * p, keep=(s,))
+    return grad
+
+
+def oracle_hessian_pair_blocks(h, x):
+    """Yield (scale, block) over slot pairs s < t, block being the raw tensor
+    contracted with x on all other slots, axes ordered (s, t)."""
+    for p in h.mixture.ps:
+        g = _scale(h.mixture, p, h.n)
+        if g == 0.0:
+            continue
+        for s in range(p):
+            for t in range(s + 1, p):
+                yield g, _contract(h.tensors[p], [x] * p, keep=(s, t))
+
+
+def oracle_hessian(h, x):
+    out = np.zeros((h.n, h.n))
+    for g, block in oracle_hessian_pair_blocks(h, x):
+        out += g * (block + block.T)
+    return out
+
+
+PLAN_CASES = [
+    (pure(2), (1, 3, 16)),
+    (pure(4), (2, 7, 12)),
+    (pure(6), (3, 5)),
+    (Mixture({2: 0.6, 4: 0.8}, h=0.3), (5, 11)),
+    (Mixture({2: 0.5, 4: 0.4, 6: 0.3}, h=0.7), (4,)),
+    (Mixture({2: 0.0, 4: 1.0}, h=0.2), (6,)),
+]
+
+
+def _plan_points(n, seed):
+    gen = rng.stream(seed, "plan-points", n)
+    for radius in (0.0, 0.5, 1.0, 1.41):
+        yield radius * sphere_point(gen.standard_normal(n))
+
+
+@pytest.mark.parametrize("m, ns", PLAN_CASES)
+def test_derivatives_match_per_slot_oracle(m, ns):
+    for n in ns:
+        h = sample_hamiltonian(m, n, seed=40 + n)
+        for x in _plan_points(n, 41):
+            e, g, hess = derivatives(h, x, 2)
+            assert e == oracle_energy(h, x)
+            assert np.array_equal(g, oracle_gradient(h, x))
+            want = oracle_hessian(h, x)
+            assert np.max(np.abs(hess - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(hess, hess.T)
+
+
+@pytest.mark.parametrize("m, ns", PLAN_CASES)
+def test_derivatives_orders_equal_the_wrappers(m, ns):
+    n = ns[-1]
+    h = sample_hamiltonian(m, n, seed=50)
+    for x in _plan_points(n, 51):
+        (e0,) = derivatives(h, x, 0)
+        e1, g1 = derivatives(h, x, 1)
+        e2, g2, h2 = derivatives(h, x, 2)
+        assert e0 == e1 == e2 == energy(h, x)
+        assert np.array_equal(g1, gradient(h, x)) and np.array_equal(g2, g1)
+        assert np.array_equal(h2, hessian(h, x))
+
+
+def test_derivatives_rejects_bad_order_and_radius():
+    h = sample_hamiltonian(pure(2), 4, seed=0)
+    with pytest.raises(ArgumentError):
+        derivatives(h, np.zeros(4), 3)
+    with pytest.raises(DomainError):
+        derivatives(h, 1.5 * np.ones(4), 1)
+
+
+def test_derivatives_peak_memory_below_quarter_tensor():
+    # the plan reads the raw tensor in place: no transposed copy of it
+    h = sample_hamiltonian(pure(4), 24, seed=1)
+    x = sphere_point(rng.stream(52).standard_normal(24))
+    derivatives(h, x, 2)  # first-call allocations are not the plan's
+    tracemalloc.start()
+    try:
+        derivatives(h, x, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h.tensors[4].nbytes / 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    keep=st.sets(st.integers(0, 4), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=[3, 2, 4, 2], keep={0, 3}, seed=0)  # interior axes trapped between kept ones
+@example(shape=[2, 3, 2, 3, 2], keep={1, 3}, seed=1)
+def test_contract_matches_einsum(shape, keep, seed):
+    keep = tuple(sorted(a for a in keep if a < len(shape)))
+    gen = np.random.default_rng(seed)
+    tensor = gen.standard_normal(shape)
+    assign = [gen.standard_normal(k) for k in shape]
+    letters = "abcde"[: len(shape)]
+    free = [a for a in range(len(shape)) if a not in keep]
+    spec = ",".join([letters] + [letters[a] for a in free]) + "->" + "".join(letters[a] for a in keep)
+    want = np.einsum(spec, tensor, *[assign[a] for a in free])
+    bound = np.einsum(spec, np.abs(tensor), *[np.abs(assign[a]) for a in free])
+    got = _contract(tensor, assign, keep)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * bound + 1e-300)
+
+
 def test_homogeneity_pure_p():
     h = sample_hamiltonian(pure(4), 8, seed=2)
     x = rng.stream(16).standard_normal(8) * 0.4
@@ -232,3 +369,37 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
     with pytest.raises(ArgumentError):
         load_snapshot(path)
+    path.write_bytes(b"SPGLASS1" + b"\x01" + b"\x00" * 64)  # version 1, n = 0
+    with pytest.raises(ArgumentError, match="n=0"):
+        load_snapshot(path)
+
+
+def _snapshot_bytes(tmp_path):
+    h = sample_hamiltonian(Mixture({2: 0.6, 4: 1.1}, h=0.25), 5, seed=321)
+    save_snapshot(h, tmp_path / "good.bin")
+    return (tmp_path / "good.bin").read_bytes()
+
+
+def test_snapshot_rejects_truncation(tmp_path):
+    good = _snapshot_bytes(tmp_path)
+    path = tmp_path / "cut.bin"
+    for cut in (20, 8 + 29 + 2, 8 + 29 + 4 + 5, len(good) - 8, len(good) - 1):
+        path.write_bytes(good[:cut])
+        with pytest.raises(ArgumentError, match="truncated"):
+            load_snapshot(path)
+
+
+def test_snapshot_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.bin"
+    path.write_bytes(_snapshot_bytes(tmp_path) + b"\x00")
+    with pytest.raises(ArgumentError, match="trailing"):
+        load_snapshot(path)
+
+
+def test_snapshot_header_checked_against_budget(tmp_path):
+    path = tmp_path / "huge.bin"
+    for n, p in ((2**40, 2), (2, 2**31)):
+        header = b"SPGLASS1" + struct.pack("<IQdQB", 1, n, 0.0, 0, 0) + struct.pack("<I", 1)
+        path.write_bytes(header + struct.pack("<Id", p, 1.0))  # no payload at all
+        with pytest.raises(ResourceError):
+            load_snapshot(path)

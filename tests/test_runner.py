@@ -144,6 +144,9 @@ def test_embed_rejects_malformed_tree(tmp_path):
         {"vertices": [{"parent": None, "height": 0.0}]},
         {"vertices": "r"},
         str(bad_json),
+        {"star": "abc"},
+        {"binary": "x"},
+        {"star": 0},
     ]
     for i, tree in enumerate(trees):
         cfg.write_text(json.dumps({"subcommand": "embed", "mixture": "p2", "n": 16, "tree": tree}))
