@@ -17,8 +17,17 @@ T in place (no transposed copy):
 
 Energy and gradient keep the arithmetic of one pass per slot bit for bit.
 No symmetrised copy of T is cached: it would double the tensor memory.
+
+Every other derivative read goes through one evaluator, `_form(h, x, vecs)`:
+<grad^k H(x), v_1 x ... x v_k>, each tensor term summed over the ordered
+tuples of k distinct slots with v_i in slot i of the tuple and x elsewhere.
+A None entry leaves its slot open and makes the result a gradient vector.
+The Hessian-vector product is `_form(h, x, [None, w])`, the gradient in x
+of <grad H(x), w>; `op_norm_probe` takes its k-form values and gradients
+from it.
 """
 
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -93,10 +102,15 @@ def sample_hamiltonian(
     return Hamiltonian(m, n, tensors, seed=seed)
 
 
+def _as_vector(h: Hamiltonian, v, what: str = "point") -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (h.n,):
+        raise ArgumentError(f"{what} has shape {v.shape}, want ({h.n},)")
+    return v
+
+
 def _check_radius(h: Hamiltonian, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (h.n,):
-        raise ArgumentError(f"point has shape {x.shape}, want ({h.n},)")
+    x = _as_vector(h, x)
     if norm_n_sq(x) > RADIUS_SQ_CAP + _RADIUS_TOL:
         raise DomainError(f"|x|_N^2 = {norm_n_sq(x):.6g} outside the sqrt(2) evaluation ball")
     return x
@@ -195,23 +209,37 @@ def hessian(h: Hamiltonian, x, dense_cap: int = DEFAULT_DENSE_HESSIAN_CAP) -> np
     return derivatives(h, x, 2)[2]
 
 
-def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
-    """Hessian-vector product, O(n) memory, available at any n."""
-    x = _check_radius(h, x)
-    w = np.asarray(w, dtype=float)
-    out = np.zeros(h.n)
+def _form(h: Hamiltonian, x, vecs):
+    """<grad^k H(x), v_1 x ... x v_k> for k = len(vecs), raw (unnormalised).
+
+    Each tensor term sums over the ordered tuples `slots` of k distinct slots,
+    v_i in slot slots[i] and x in every other slot; the field enters at k = 1
+    only.  A None entry leaves its slot open, so the result is the gradient
+    in that v_i (a vector) instead of a float.
+    """
+    k = len(vecs)
+    open_ = [i for i, v in enumerate(vecs) if v is None]
+    out = np.zeros(h.n) if open_ else 0.0
+    if k == 1:
+        out += h.mixture.h if open_ else h.mixture.h * float(np.sum(vecs[0]))
     for p in h.mixture.ps:
         g = _scale(h.mixture, p, h.n)
-        if g == 0.0 or p < 2:
+        if g == 0.0 or p < k:
             continue
-        for s in range(p):
-            for t in range(p):
-                if s == t:
-                    continue
-                assign = [x] * p
-                assign[t] = w
-                out += g * _contract(h.tensors[p], assign, keep=(s,))
+        for slots in itertools.permutations(range(p), k):
+            assign = [x] * p
+            for s, v in zip(slots, vecs):
+                assign[s] = v
+            term = _contract(h.tensors[p], assign, keep=tuple(slots[i] for i in open_))
+            out += g * (term if open_ else float(term))
     return out
+
+
+def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
+    """Hessian-vector product, O(n) memory, available at any n: the gradient
+    in x of <grad H(x), w>."""
+    x = _check_radius(h, x)
+    return _form(h, x, [None, _as_vector(h, w, "w")])
 
 
 def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter: int = 10_000):
@@ -222,6 +250,8 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter:
     relative eigen-residual <= 1e-8.
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    if basis.ndim != 2 or basis.shape[0] == 0 or basis.shape[1] != h.n:
+        raise ArgumentError(f"basis has shape {basis.shape}, want (k, {h.n}) with k >= 1")
     k = basis.shape[0]
     gram = basis @ basis.T
     if np.max(np.abs(gram - np.eye(k))) > tol:
@@ -288,67 +318,6 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0):
 # -- operator-norm probe ------------------------------------------------------
 
 
-def _ordered_tuples(p: int, k: int):
-    if k == 1:
-        for s in range(p):
-            yield (s,)
-    elif k == 2:
-        for s in range(p):
-            for t in range(p):
-                if s != t:
-                    yield (s, t)
-    elif k == 3:
-        for s in range(p):
-            for t in range(p):
-                for u in range(p):
-                    if len({s, t, u}) == 3:
-                        yield (s, t, u)
-    else:
-        raise ArgumentError(f"k={k} unsupported")
-
-
-def _k_form_value(h: Hamiltonian, x, sigmas) -> float:
-    """<grad^k H(x), sigma^1 x ... x sigma^k>, raw (unnormalized)."""
-    k = len(sigmas)
-    val = 0.0
-    if k == 1:
-        val += h.mixture.h * float(np.sum(sigmas[0]))
-    for p in h.mixture.ps:
-        g = _scale(h.mixture, p, h.n)
-        if g == 0.0 or p < k:
-            continue
-        for slots in _ordered_tuples(p, k):
-            assign = [x] * p
-            for a, s in enumerate(slots):
-                assign[s] = sigmas[a]
-            val += g * float(_contract(h.tensors[p], assign))
-    return val
-
-
-def _k_form_grad(h: Hamiltonian, x, sigmas, wrt: str, a: int = 0) -> np.ndarray:
-    """Gradient of the k-form in sigma_a (wrt='sigma') or in x (wrt='x')."""
-    k = len(sigmas)
-    grad = np.zeros(h.n)
-    if wrt == "sigma" and k == 1:
-        grad += h.mixture.h
-    for p in h.mixture.ps:
-        g = _scale(h.mixture, p, h.n)
-        if g == 0.0 or p < k + (1 if wrt == "x" else 0) or p < k:
-            continue
-        for slots in _ordered_tuples(p, k):
-            assign = [x] * p
-            for b, s in enumerate(slots):
-                assign[s] = sigmas[b]
-            if wrt == "sigma":
-                grad += g * _contract(h.tensors[p], assign, keep=(slots[a],))
-            else:
-                for free in range(p):
-                    if free in slots:
-                        continue
-                    grad += g * _contract(h.tensors[p], assign, keep=(free,))
-    return grad
-
-
 def op_norm_probe(
     h: Hamiltonian,
     k: int,
@@ -372,21 +341,21 @@ def op_norm_probe(
         step = 0.5 * r
         for _ in range(iters):
             for a in range(k):
-                direction = _k_form_grad(h, x, sigmas, "sigma", a)
+                direction = _form(h, x, sigmas[:a] + [None] + sigmas[a + 1 :])
                 nrm = np.linalg.norm(direction)
                 if nrm > 0:
                     sigmas[a] = direction * (sqrt_n / nrm)
-            if _k_form_value(h, x, sigmas) < 0:
+            if _form(h, x, sigmas) < 0:
                 sigmas[0] = -sigmas[0]
-            gx = _k_form_grad(h, x, sigmas, "x")
+            gx = _form(h, x, sigmas + [None])
             nrm = np.linalg.norm(gx)
             if nrm > 0:
                 cand = project_ball(x + step * sqrt_n * gx / nrm, r)
-                if _k_form_value(h, cand, sigmas) > _k_form_value(h, x, sigmas):
+                if _form(h, cand, sigmas) > _form(h, x, sigmas):
                     x = cand
                 else:
                     step *= 0.5
-        best = max(best, abs(_k_form_value(h, x, sigmas)) / h.n)
+        best = max(best, abs(_form(h, x, sigmas)) / h.n)
     return best
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr, logsumexp, ndtr, roots_hermite
 
@@ -224,67 +223,6 @@ def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int):
     return (np.log(np.sum(fmat, axis=0)) + amax) / c
 
 
-def _log_gauss_mass(a, b):
-    """log(Phi(b) - Phi(a)) for a < b, stable in both tails."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast(a, b).shape)
-    flip = b <= 0.0
-    aa = np.where(flip, -b, a)
-    bb = np.where(flip, -a, b)
-    # now the mass is on [aa, bb] with bb > 0
-    straddle = aa < 0.0
-    with np.errstate(divide="ignore"):
-        out = np.where(
-            straddle,
-            np.log(np.maximum(ndtr(bb) - ndtr(aa), 1e-320)),
-            log_ndtr(-aa) + np.log(-np.expm1(np.minimum(log_ndtr(-bb) - log_ndtr(-aa), -1e-320))),
-        )
-    return out
-
-
-def _exact_pl_step(grid, vals, slopes, s: float, c: float):
-    """Exact Gaussian convolution of the piecewise-linear slice (with linear
-    tails); O(n_grid^2) per step but kink-exact."""
-    edges = np.concatenate([[-np.inf], grid, [np.inf]])
-    seg_lo = edges[:-1]
-    seg_hi = edges[1:]
-    slopes_seg = np.empty(len(grid) + 1)
-    slopes_seg[0] = slopes[0]
-    slopes_seg[-1] = slopes[1]
-    slopes_seg[1:-1] = np.diff(vals) / np.diff(grid)
-    # intercept alpha so f(y) = alpha + beta y on each segment
-    anchor_x = np.concatenate([[grid[0]], grid])
-    anchor_v = np.concatenate([[vals[0]], vals])
-    alpha = anchor_v - slopes_seg * anchor_x
-
-    out = np.empty(len(grid))
-    chunk = 256
-    for start in range(0, len(grid), chunk):
-        x = grid[start : start + chunk][:, None]
-        if c == 0.0:
-            lo = (seg_lo[None, :] - x) / s
-            hi = (seg_hi[None, :] - x) / s
-            mass = ndtr(hi) - ndtr(lo)
-            phi_lo = np.where(np.isfinite(lo), np.exp(-0.5 * lo**2), 0.0) / math.sqrt(2 * math.pi)
-            phi_hi = np.where(np.isfinite(hi), np.exp(-0.5 * hi**2), 0.0) / math.sqrt(2 * math.pi)
-            mean_y = x * mass - s * (phi_hi - phi_lo)
-            out[start : start + chunk] = np.sum(
-                alpha[None, :] * mass + slopes_seg[None, :] * mean_y, axis=1
-            )
-        else:
-            shift = x + c * slopes_seg[None, :] * s**2
-            log_mass = _log_gauss_mass((seg_lo[None, :] - shift) / s, (seg_hi[None, :] - shift) / s)
-            log_term = (
-                c * alpha[None, :]
-                + c * slopes_seg[None, :] * x
-                + 0.5 * (c * slopes_seg[None, :] * s) ** 2
-                + log_mass
-            )
-            out[start : start + chunk] = logsumexp(log_term, axis=1) / c
-    return out
-
-
 def solve_parisi_pde(
     m: Mixture,
     zeta: PiecewiseZeta,
@@ -293,7 +231,6 @@ def solve_parisi_pde(
     grid=None,
     center: float = 0.0,
     gh_nodes: int = 64,
-    method: str = "gh",
     self_check: bool = True,
 ) -> PDESolution:
     """Backward Cole-Hopf recursion for the Parisi PDE with terminal
@@ -315,10 +252,10 @@ def solve_parisi_pde(
     half = int(math.ceil(length / dx))
     xs = center + dx * np.arange(-half, half + 1)
 
-    sol = _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, method)
-    if self_check and method == "gh" and sol.meta["gh_steps"] > 0:
+    sol = _solve_on_grid(m, zeta, a, beta, xs, gh_nodes)
+    if self_check and sol.meta["gh_steps"] > 0:
         # the first backward step is node-count independent; reuse it
-        ref = _solve_on_grid(m, zeta, a, beta, xs, 2 * gh_nodes, method, warm=sol)
+        ref = _solve_on_grid(m, zeta, a, beta, xs, 2 * gh_nodes, warm=sol)
         delta = abs(sol.eval(0.0, center) - ref.eval(0.0, center))
         sol.meta["self_check_delta"] = delta
         if delta > _SELF_CHECK_TOL:
@@ -328,7 +265,7 @@ def solve_parisi_pde(
     return sol
 
 
-def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, method, warm=None) -> PDESolution:
+def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, warm=None) -> PDESolution:
     slopes = (-1.0 - a, 1.0 - a)
     knots = sorted(set(zeta.breaks) | {0.0})
     times = knots + [1.0]
@@ -351,8 +288,6 @@ def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, method, warm=None) -> PDESolu
                 current = _terminal_kink_step(xs, s, c, a)
             else:
                 current = _terminal_quad_step(xs, s, c, a, beta)
-        elif method == "exact":
-            current = _exact_pl_step(xs, current, slopes, s, c)
         else:
             current = _gh_step(xs, current, slopes, s, c, gh_nodes)
             gh_steps += 1
@@ -364,7 +299,7 @@ def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, method, warm=None) -> PDESolu
         values=vals,
         a=a,
         beta=beta,
-        meta={"gh_nodes": gh_nodes, "method": method, "gh_steps": gh_steps},
+        meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps},
     )
 
 
@@ -561,15 +496,3 @@ def phi_multidim_mc(
     bias = (n0 - 1) * (jack_mean - full)
     se = math.sqrt((n0 - 1) / n0 * float(np.sum((loo - jack_mean) ** 2)))
     return MCEstimate(float(full), se, float(bias))
-
-
-def quadrature_log2cosh_mean(mu: float, s: float) -> float:
-    """E log 2cosh(mu + s Z) by adaptive quadrature (test oracle helper)."""
-    val, _ = quad(
-        lambda z: float(_log2cosh(mu + s * z)) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi),
-        -12.0,
-        12.0,
-        epsabs=1e-12,
-        limit=400,
-    )
-    return val

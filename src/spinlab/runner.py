@@ -228,9 +228,11 @@ def _amp(spec):
     horizon = int(spec.get("horizon", 2))
 
     def alg(h, seed):
-        # one AmpSpec per call, so replica threads share no state-evolution cache
-        identity = AmpSpec(fs=[lambda *xs: xs[-1]] * horizon, lipschitz=[1.0] * horizon, horizon=horizon)
-        return amp(h, identity, seed=seed)
+        # one AmpSpec per call, so replica threads share no state-evolution cache;
+        # clipping keeps |f_t|_N <= 1, so every gradient stays inside the sqrt(2) ball
+        clip = AmpSpec(fs=[lambda *xs: np.clip(xs[-1], -1.0, 1.0)] * horizon,
+                       lipschitz=[1.0] * horizon, horizon=horizon)
+        return amp(h, clip, seed=seed)
 
     return alg
 

@@ -12,6 +12,7 @@ from spinlab.errors import ArgumentError, DomainError, ResourceError
 from spinlab.hamiltonian import (
     Hamiltonian,
     _contract,
+    _form,
     _scale,
     derivatives,
     energy,
@@ -348,6 +349,130 @@ def test_op_norm_probe_argument_errors():
         op_norm_probe(h, 4, 1.0, 1, 0)
     with pytest.raises(ArgumentError):
         op_norm_probe(h, 1, 0.5, 1, 0)
+
+
+def test_op_norm_probe_third_order():
+    # grad^3 of a pure p2 Hamiltonian vanishes: every p < 3 term is skipped
+    assert op_norm_probe(sample_hamiltonian(pure(2), 8, seed=0), 3, 1.0, trials=2, seed=0) == 0.0
+    h = sample_hamiltonian(pure(4), 5, seed=10)
+    vals = [op_norm_probe(h, 3, 1.2, trials=t, seed=6, iters=8) for t in (1, 2, 4)]
+    assert vals[0] > 0.0
+    assert vals == sorted(vals)
+
+
+# -- oracles: the slot-pair Hessian-vector loop and the k-form helpers that
+# _form replaced ------------------------------------------------------------
+
+
+def oracle_hessian_apply(h, x, w):
+    out = np.zeros(h.n)
+    for p in h.mixture.ps:
+        g = _scale(h.mixture, p, h.n)
+        if g == 0.0 or p < 2:
+            continue
+        for s in range(p):
+            for t in range(p):
+                if s == t:
+                    continue
+                assign = [x] * p
+                assign[t] = w
+                out += g * _contract(h.tensors[p], assign, keep=(s,))
+    return out
+
+
+def oracle_ordered_tuples(p, k):
+    if k == 1:
+        for s in range(p):
+            yield (s,)
+    elif k == 2:
+        for s in range(p):
+            for t in range(p):
+                if s != t:
+                    yield (s, t)
+    else:
+        for s in range(p):
+            for t in range(p):
+                for u in range(p):
+                    if len({s, t, u}) == 3:
+                        yield (s, t, u)
+
+
+def oracle_k_form_value(h, x, sigmas):
+    k = len(sigmas)
+    val = 0.0
+    if k == 1:
+        val += h.mixture.h * float(np.sum(sigmas[0]))
+    for p in h.mixture.ps:
+        g = _scale(h.mixture, p, h.n)
+        if g == 0.0 or p < k:
+            continue
+        for slots in oracle_ordered_tuples(p, k):
+            assign = [x] * p
+            for a, s in enumerate(slots):
+                assign[s] = sigmas[a]
+            val += g * float(_contract(h.tensors[p], assign))
+    return val
+
+
+def oracle_k_form_grad(h, x, sigmas, wrt, a=0):
+    """Gradient of the k-form in sigma_a (wrt='sigma') or in x (wrt='x')."""
+    k = len(sigmas)
+    grad = np.zeros(h.n)
+    if wrt == "sigma" and k == 1:
+        grad += h.mixture.h
+    for p in h.mixture.ps:
+        g = _scale(h.mixture, p, h.n)
+        if g == 0.0 or p < k + (1 if wrt == "x" else 0):
+            continue
+        for slots in oracle_ordered_tuples(p, k):
+            assign = [x] * p
+            for b, s in enumerate(slots):
+                assign[s] = sigmas[b]
+            if wrt == "sigma":
+                grad += g * _contract(h.tensors[p], assign, keep=(slots[a],))
+            else:
+                for free in range(p):
+                    if free not in slots:
+                        grad += g * _contract(h.tensors[p], assign, keep=(free,))
+    return grad
+
+
+FORM_CASES = [
+    (pure(2), (1, 3, 7, 12)),
+    (pure(4), (1, 3, 7, 12)),
+    (Mixture({2: 0.6, 4: 0.8}, h=0.3), (1, 3, 7, 12)),
+    (Mixture({2: 0.5, 4: 0.4, 6: 0.3}, h=0.7), (1, 3, 7)),
+    (Mixture({2: 0.0}, h=0.9), (1, 3, 7, 12)),
+]
+
+
+@pytest.mark.parametrize("m, ns", FORM_CASES)
+def test_form_bit_identical_to_slot_loop_oracles(m, ns):
+    for n in ns:
+        h = sample_hamiltonian(m, n, seed=60 + n)
+        gen = rng.stream(61, "form-vectors", n)
+        for x in _plan_points(n, 62):
+            w = gen.standard_normal(n)
+            assert np.array_equal(hessian_apply(h, x, w), oracle_hessian_apply(h, x, w))
+            for k in (1, 2, 3):
+                sigmas = [sphere_point(gen.standard_normal(n)) for _ in range(k)]
+                assert _form(h, x, sigmas) == oracle_k_form_value(h, x, sigmas)
+                for a in range(k):
+                    got = _form(h, x, sigmas[:a] + [None] + sigmas[a + 1 :])
+                    assert np.array_equal(got, oracle_k_form_grad(h, x, sigmas, "sigma", a))
+                got = _form(h, x, sigmas + [None])
+                assert np.array_equal(got, oracle_k_form_grad(h, x, sigmas, "x"))
+
+
+def test_hessian_apply_and_restricted_reject_bad_shapes():
+    h = sample_hamiltonian(pure(2), 6, seed=3)
+    x = np.zeros(6)
+    for w in (np.ones(7), np.ones((6, 1)), 1.0):
+        with pytest.raises(ArgumentError, match="w has shape"):
+            hessian_apply(h, x, w)
+    for basis in (np.eye(7)[:2], np.ones((2, 3, 6)), np.zeros((0, 6))):
+        with pytest.raises(ArgumentError, match="basis has shape"):
+            restricted_top_eigvec(h, x, basis)
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import log_ndtr, logsumexp, ndtr
 
 from spinlab import rng
 from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level
@@ -16,7 +18,6 @@ from spinlab.parisi import (
     solve_parisi_pde,
 )
 from spinlab.parisi import pde
-from spinlab.parisi.pde import quadrature_log2cosh_mean
 
 M2 = pure(2)
 Z0 = PiecewiseZeta.zero()
@@ -79,10 +80,73 @@ def test_solution_invariants_convex_lipschitz():
         assert np.max(np.abs(slopes)) <= 1.5 + 1e-9
 
 
-def test_exact_method_agrees_with_gh():
+def oracle_log_gauss_mass(a, b):
+    """log(Phi(b) - Phi(a)) for a < b, stable in both tails."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    flip = b <= 0.0
+    aa = np.where(flip, -b, a)
+    bb = np.where(flip, -a, b)
+    # now the mass is on [aa, bb] with bb > 0
+    straddle = aa < 0.0
+    with np.errstate(divide="ignore"):
+        out = np.where(
+            straddle,
+            np.log(np.maximum(ndtr(bb) - ndtr(aa), 1e-320)),
+            log_ndtr(-aa) + np.log(-np.expm1(np.minimum(log_ndtr(-bb) - log_ndtr(-aa), -1e-320))),
+        )
+    return out
+
+
+def oracle_exact_pl_step(grid, vals, slopes, s: float, c: float):
+    """Exact Gaussian convolution of the piecewise-linear slice (with linear
+    tails); O(n_grid^2) per step but kink-exact: the oracle for _gh_step."""
+    edges = np.concatenate([[-np.inf], grid, [np.inf]])
+    seg_lo = edges[:-1]
+    seg_hi = edges[1:]
+    slopes_seg = np.empty(len(grid) + 1)
+    slopes_seg[0] = slopes[0]
+    slopes_seg[-1] = slopes[1]
+    slopes_seg[1:-1] = np.diff(vals) / np.diff(grid)
+    # intercept alpha so f(y) = alpha + beta y on each segment
+    anchor_x = np.concatenate([[grid[0]], grid])
+    anchor_v = np.concatenate([[vals[0]], vals])
+    alpha = anchor_v - slopes_seg * anchor_x
+
+    out = np.empty(len(grid))
+    chunk = 256
+    for start in range(0, len(grid), chunk):
+        x = grid[start : start + chunk][:, None]
+        if c == 0.0:
+            lo = (seg_lo[None, :] - x) / s
+            hi = (seg_hi[None, :] - x) / s
+            mass = ndtr(hi) - ndtr(lo)
+            phi_lo = np.where(np.isfinite(lo), np.exp(-0.5 * lo**2), 0.0) / math.sqrt(2 * math.pi)
+            phi_hi = np.where(np.isfinite(hi), np.exp(-0.5 * hi**2), 0.0) / math.sqrt(2 * math.pi)
+            mean_y = x * mass - s * (phi_hi - phi_lo)
+            out[start : start + chunk] = np.sum(
+                alpha[None, :] * mass + slopes_seg[None, :] * mean_y, axis=1
+            )
+        else:
+            shift = x + c * slopes_seg[None, :] * s**2
+            log_mass = oracle_log_gauss_mass((seg_lo[None, :] - shift) / s, (seg_hi[None, :] - shift) / s)
+            log_term = (
+                c * alpha[None, :]
+                + c * slopes_seg[None, :] * x
+                + 0.5 * (c * slopes_seg[None, :] * s) ** 2
+                + log_mass
+            )
+            out[start : start + chunk] = logsumexp(log_term, axis=1) / c
+    return out
+
+
+def test_exact_method_agrees_with_gh(monkeypatch):
     z = PiecewiseZeta((0.0, 0.4), (0.3, 0.9))
     a = solve_parisi_pde(M2, z, grid=GRID, self_check=False).eval(0.0, 0.0)
-    b = solve_parisi_pde(M2, z, grid=GRID, method="exact", self_check=False).eval(0.0, 0.0)
+    monkeypatch.setattr(
+        pde, "_gh_step", lambda grid, vals, slopes, s, c, nodes: oracle_exact_pl_step(grid, vals, slopes, s, c)
+    )
+    b = solve_parisi_pde(M2, z, grid=GRID, self_check=False).eval(0.0, 0.0)
     assert a == pytest.approx(b, abs=1e-6)
 
 
@@ -219,6 +283,18 @@ def test_phi_multidim_k1_matches_solver():
     z = PiecewiseZeta((0.0, 0.3), (0.0, 0.5))
     ref = solve_parisi_pde(m, z, a=0.2, beta=1.0, grid=(8.0, 0.002), center=0.7).eval(0.0, 0.7)
     assert abs(est.value - ref) <= 3 * (est.se + abs(est.bias))
+
+
+def quadrature_log2cosh_mean(mu: float, s: float) -> float:
+    """E log 2cosh(mu + s Z) by adaptive quadrature."""
+    val, _ = quad(
+        lambda z: float(pde._log2cosh(mu + s * z)) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi),
+        -12.0,
+        12.0,
+        epsabs=1e-12,
+        limit=400,
+    )
+    return val
 
 
 def test_phi_multidim_zero_levels_quadrature():

@@ -8,8 +8,9 @@ import pytest
 from spinlab import rng
 from spinlab.errors import ArgumentError
 from spinlab.hamiltonian import energy, sample_hamiltonian
-from spinlab.mixture import pure
-from spinlab.runner import RunResult, parse_mixture, run, validate_config
+from spinlab.mixture import Mixture, pure
+from spinlab.optimizers import AmpSpec, amp
+from spinlab.runner import RunResult, build_algorithm, parse_mixture, run, validate_config
 from spinlab.__main__ import main
 
 
@@ -74,6 +75,22 @@ def test_every_subcommand_takes_every_algorithm(tmp_path):
     assert res.payload["chi_hat"][0] < res.payload["chi_hat"][-1]
     with pytest.raises(ArgumentError, match="unknown algorithm"):
         run({**config, "alg": {"name": "nope"}}, out_dir=str(tmp_path / "bad"))
+
+
+def test_amp_default_horizon_stays_in_the_evaluation_ball(tmp_path):
+    # the unclipped identity put |x^1|_N^2 near xi'(1), and the next gradient
+    # outside the sqrt(2) ball, on most of these seeds
+    alg = build_algorithm({"name": "amp"})
+    for m in (pure(2), pure(4), Mixture({2: 1.0, 4: 1.0})):
+        for seed in range(10):
+            traj = alg(sample_hamiltonian(m, 16, seed), seed)
+            assert len(traj.iterates) == 3 and np.all(np.isfinite(traj.energies))
+    # x^0 = 1 is inside the clip, so one step is the plain identity step
+    h = sample_hamiltonian(pure(2), 16, 3)
+    identity = AmpSpec(fs=[lambda *xs: xs[-1]], lipschitz=[1.0], horizon=1)
+    one = build_algorithm({"name": "amp", "horizon": 1})(h, 3)
+    assert np.array_equal(one.final, amp(h, identity, seed=3).final)
+    assert main(["optimize", "--alg", "amp", "--n", "16", "--out", str(tmp_path / "amp")]) == 0
 
 
 def test_byte_reproducibility(tmp_path):
