@@ -38,7 +38,7 @@ from .optimizers import (
 )
 from .parisi import (
     PiecewiseZeta,
-    alg_is_numeric,
+    alg_is_levels,
     alg_sp,
     b_profile,
     cascade_value,
@@ -249,8 +249,7 @@ def criterion_5_alg_is_sk() -> CriterionResult:
     """ALG for xi = x^2/2 converges under knot refinement to 0.763 +- 0.01."""
     t0 = time.time()
     msk = Mixture({2: math.sqrt(0.5)})
-    v8 = alg_is_numeric(msk, knots=8)
-    v16 = alg_is_numeric(msk, knots=16)
+    (_, v8), (_, v16) = alg_is_levels(msk, knots=16)
     target = 0.763
     passed = abs(v16 - target) <= 0.01 and v16 <= v8 + 1e-9
     return CriterionResult(

@@ -280,11 +280,17 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter:
     return vec, lam
 
 
-def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0):
+def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, start=None):
     """Top-k l2-unit eigenpairs of P Hess(x) P, P projecting out span(orth).
 
     Dense eigh below the dimension cap, Lanczos on hessian_apply above it.
     Returns (vectors (k, n), eigenvalues (k,)) in descending order.
+
+    Warm start: with k = 1 on the Lanczos path, Lanczos starts from P start
+    (a step chain passes its previous direction) unless that projection has
+    norm <= 1e-8 |start|; otherwise, and always for k > 1 (one start vector
+    in a small invariant subspace cannot yield k eigenpairs), it starts from
+    the seeded vector.  The dense path ignores `start`.
     """
     ortho = orthonormal_rows(orth, h.n)
 
@@ -306,7 +312,9 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0):
         (h.n, h.n),
         matvec=lambda w: proj(hessian_apply(h, x, proj(np.asarray(w).ravel()))),
     )
-    v0 = rng.stream(seed, "proj-eig", h.n).standard_normal(h.n)
+    v0 = proj(_as_vector(h, start, "start")) if k == 1 and start is not None else None
+    if v0 is None or np.linalg.norm(v0) <= 1e-8 * np.linalg.norm(start):
+        v0 = rng.stream(seed, "proj-eig", h.n).standard_normal(h.n)
     try:
         vals, vecs = eigsh(op, k=k, which="LA", v0=v0)
     except Exception as exc:  # pragma: no cover

@@ -262,14 +262,15 @@ def subag_direction_from_hessian(hess, x, grad, mode: str, delta: float, step_se
     return v
 
 
-def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int):
+def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int, start=None):
     """(energy at x, step direction from x): one derivatives call on the dense
-    Hessian path, Lanczos on Hessian-vector products above its cap."""
+    Hessian path, Lanczos on Hessian-vector products above its cap, warm-started
+    from `start` (the previous direction) as `projected_top_eigvec` allows."""
     if h.n <= DEFAULT_DENSE_HESSIAN_CAP:
         e, grad, hess = derivatives(h, x, 2)
         return e, subag_direction_from_hessian(hess, x, grad, mode, delta, step_seed)
     k = 1 if mode == "top_eig" else max(int(math.floor(delta * h.n)), 1)
-    vecs, _vals = projected_top_eigvec(h, x, orth=[x], k=k, seed=step_seed)
+    vecs, _vals = projected_top_eigvec(h, x, orth=[x], k=k, seed=step_seed, start=start)
     if mode == "top_eig":
         v = vecs[0].copy()
     else:
@@ -307,8 +308,9 @@ def subag_ascent(
         x = scale * subag_step(h, np.zeros(h.n), mode, delta, rng.derive_seed(seed, "step", 0))[1]
     iterates = [x]
     energies = []
+    v = x  # the first direction lies along x, so step 1 starts Lanczos cold
     for i in range(1, steps):
-        e, v = subag_step(h, x, mode, delta, rng.derive_seed(seed, "step", i))
+        e, v = subag_step(h, x, mode, delta, rng.derive_seed(seed, "step", i), start=v)
         energies.append(e)
         x = x + scale * v
         iterates.append(x)

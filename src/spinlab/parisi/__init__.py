@@ -9,6 +9,7 @@ from .interpolation import (
 )
 from .pde import (
     PDESolution,
+    alg_is_levels,
     alg_is_numeric,
     parisi_is,
     phi_multidim_mc,
@@ -30,6 +31,7 @@ __all__ = [
     "interpolation_bound_sp",
     "lambda_recursion",
     "PDESolution",
+    "alg_is_levels",
     "alg_is_numeric",
     "parisi_is",
     "phi_multidim_mc",

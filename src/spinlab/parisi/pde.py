@@ -321,7 +321,14 @@ def shift_identity_check(m: Mixture, zeta: PiecewiseZeta, a: float, x: float, gr
     return abs(lhs - rhs)
 
 
-def alg_is_numeric(
+def alg_is_numeric(m: Mixture, knots: int = 16, **kw) -> float:
+    """Coordinate-descent minimization of the Ising functional over
+    nonnegative (not necessarily monotone) step profiles on a uniform q-grid:
+    the value at the finest level of `alg_is_levels`."""
+    return alg_is_levels(m, knots, **kw)[-1][1]
+
+
+def alg_is_levels(
     m: Mixture,
     knots: int = 16,
     grid=None,
@@ -330,13 +337,14 @@ def alg_is_numeric(
     sweep_tol: float = 1e-6,
     value_cap: float = 32.0,
     **solver_kw,
-) -> float:
-    """Coordinate-descent minimization of the Ising functional over
-    nonnegative (not necessarily monotone) step profiles on a uniform q-grid.
+) -> list:
+    """[(levels, value), ...] for levels = 8, 16, ... up to `knots`, from one
+    refinement pass.
 
-    Restarts from zero, constant, and a slope-profile initialization; the
-    knot count is refined by doubling with warm starts, so the output is
-    nonincreasing when `knots` doubles.
+    Restarts from zero, constant, and a slope-profile initialization at 8
+    levels; each doubling warm-starts from the previous level's profile, so
+    the values are nonincreasing and the value at each level equals
+    `alg_is_numeric` with that many knots.
     """
     if knots < 8:
         raise ArgumentError(f"knots={knots} must be >= 8")
@@ -387,12 +395,14 @@ def alg_is_numeric(
         vals, obj = sweep_down(breaks, start)
         if obj < best:
             best_vals, best = vals, obj
+    out = [(levels, float(best))]
     while levels < knots:
         levels *= 2
         breaks = tuple(i / levels for i in range(levels))
         best_vals = [best_vals[i // 2] for i in range(levels)]
         best_vals, best = sweep_down(breaks, best_vals)
-    return float(best)
+        out.append((levels, float(best)))
+    return out
 
 
 def _slope_profile(m: Mixture, q: float) -> float:

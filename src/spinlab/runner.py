@@ -18,8 +18,8 @@ from jsonschema import Draft202012Validator
 
 from . import rng
 from .ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align, sample_ensemble
-from .errors import ArgumentError
-from .hamiltonian import energy, sample_hamiltonian
+from .errors import ArgumentError, ResourceError
+from .hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES, check_budget, energy, sample_hamiltonian
 from .mixture import Mixture
 from .ogp import (
     check_chi_properties,
@@ -84,7 +84,7 @@ SCHEMA = {
         "seed": {"type": "integer"},
         "seeds": {"type": "array", "items": {"type": "integer"}},
         "out": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1},
+        "workers": {"type": "integer", "minimum": 1, "maximum": 64},
         "alg": {"type": "object"},
         "delta": {"type": "number"},
         "eta": {"type": "number"},
@@ -343,6 +343,16 @@ def _run_optimize(config, out):
     alg_spec = config.get("alg", {"name": "subag", "delta": 0.125})
     workers = int(config.get("workers", 1))
     alg = build_algorithm(alg_spec)
+    concurrent = min(workers, len(seeds))
+    if concurrent > 1:
+        # every concurrent replica holds its own tensors
+        check_budget(m, n)
+        entries = concurrent * sum(n**p for p in m.ps)
+        if entries > DEFAULT_MAX_TENSOR_ENTRIES:
+            raise ResourceError(
+                f"{concurrent} concurrent replicas hold {entries} tensor entries,"
+                f" over the budget of {DEFAULT_MAX_TENSOR_ENTRIES}"
+            )
 
     def one(seed):
         h = sample_hamiltonian(m, n, rng.derive_seed(seed, "optimize"))

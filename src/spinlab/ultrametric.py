@@ -333,11 +333,12 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
     def step_chain(x, target_sq, others, step_seed):
         # every step is orthogonal to the running iterate AND to every
         # embedded vertex vector, which freezes all existing overlaps
-        i = 0
+        # each Lanczos solve after the first starts from the previous step
+        i, v = 0, None
         while norm_n_sq(x) < target_sq - 1e-12:
             gain = min(delta, target_sq - norm_n_sq(x))
             vecs, _vals = projected_top_eigvec(
-                h, x, orth=[x] + others, k=1, seed=rng.derive_seed(step_seed, i)
+                h, x, orth=[x] + others, k=1, seed=rng.derive_seed(step_seed, i), start=v
             )
             v = orthogonal_unit(vecs[0], [x] + others)
             if v is None:

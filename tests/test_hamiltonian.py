@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spinlab import rng
 from spinlab.errors import ArgumentError, DomainError, ResourceError
 from spinlab.hamiltonian import (
+    DEFAULT_DENSE_HESSIAN_CAP,
     Hamiltonian,
     _contract,
     _form,
@@ -21,12 +22,13 @@ from spinlab.hamiltonian import (
     hessian_apply,
     load_snapshot,
     op_norm_probe,
+    projected_top_eigvec,
     restricted_top_eigvec,
     sample_hamiltonian,
     save_snapshot,
 )
 from spinlab.mixture import Mixture, pure
-from spinlab.points import sphere_point
+from spinlab.points import orthonormal_rows, sphere_point
 
 from conftest import finite_difference_gradient
 
@@ -320,6 +322,72 @@ def test_non_orthonormal_basis_rejected():
     bad = np.ones((2, 6))
     with pytest.raises(ArgumentError):
         restricted_top_eigvec(h, np.zeros(6), bad)
+
+
+# -- Lanczos path: projected_top_eigvec above the dense-Hessian cap ------------
+
+LANCZOS_N = DEFAULT_DENSE_HESSIAN_CAP + 8
+
+
+@pytest.fixture(scope="module")
+def lanczos_case():
+    """p2 with a field at n = 520, a point inside the ball and three
+    directions; one Hamiltonian for every Lanczos test below."""
+    n = LANCZOS_N
+    h = sample_hamiltonian(Mixture({2: 1.0}, h=0.3), n, seed=21)
+    gen = rng.stream(22, "lanczos-test")
+    x = 0.7 * sphere_point(gen.standard_normal(n))
+    dirs = [gen.standard_normal(n) for _ in range(3)]
+    return h, x, dirs
+
+
+@pytest.mark.parametrize("n_orth", [0, 1, 3])
+def test_lanczos_matches_dense_eigh_oracle(lanczos_case, n_orth):
+    h, x, dirs = lanczos_case
+    orth = [x] + dirs[: n_orth - 1] if n_orth else []
+    ortho = orthonormal_rows(orth, h.n)
+    pmat = np.eye(h.n) - ortho.T @ ortho
+    dense = pmat @ derivatives(h, x, 2)[2] @ pmat
+    want_vals, want_vecs = np.linalg.eigh(0.5 * (dense + dense.T))
+    for k in (1, 3):
+        vecs, vals = projected_top_eigvec(h, x, orth=orth, k=k, seed=5)
+        assert vecs.shape == (k, h.n) and vals.shape == (k,)
+        top = want_vals[::-1][:k]
+        assert np.max(np.abs(vals - top)) <= 1e-10 * np.max(np.abs(top))
+        for got, want in zip(vecs, want_vecs[:, ::-1].T):
+            assert min(np.linalg.norm(got - want), np.linalg.norm(got + want)) <= 1e-8
+            if ortho.size:
+                assert np.max(np.abs(ortho @ got)) <= 1e-10
+
+
+def test_lanczos_cold_start_when_start_is_unusable(lanczos_case):
+    """A start inside span(orth), and any start with k > 1, give the
+    seeded cold solve bit for bit; a usable start still finds the same pair."""
+    h, x, dirs = lanczos_case
+    orth = [x, dirs[0]]
+    cold1 = projected_top_eigvec(h, x, orth=orth, k=1, seed=5)
+    in_span = projected_top_eigvec(h, x, orth=orth, k=1, seed=5, start=2.0 * x - dirs[0])
+    zero = projected_top_eigvec(h, x, orth=orth, k=1, seed=5, start=np.zeros(h.n))
+    for got in (in_span, zero):
+        assert all(np.array_equal(a, b) for a, b in zip(got, cold1))
+    cold3 = projected_top_eigvec(h, x, orth=orth, k=3, seed=5)
+    warm3 = projected_top_eigvec(h, x, orth=orth, k=3, seed=5, start=dirs[1])
+    assert all(np.array_equal(a, b) for a, b in zip(warm3, cold3))
+    warm1 = projected_top_eigvec(h, x, orth=orth, k=1, seed=5, start=dirs[1])
+    assert abs(warm1[1][0] - cold1[1][0]) <= 1e-12 * abs(cold1[1][0])
+    assert abs(abs(warm1[0][0] @ cold1[0][0]) - 1.0) <= 1e-10
+    with pytest.raises(ArgumentError):
+        projected_top_eigvec(h, x, orth=orth, k=1, start=np.ones(3))
+
+
+def test_dense_path_ignores_start():
+    h = sample_hamiltonian(Mixture({2: 0.8, 4: 0.5}, h=0.2), 10, seed=4)
+    x = 0.5 * sphere_point(rng.stream(23).standard_normal(10))
+    start = rng.stream(24).standard_normal(10)
+    for k in (1, 3):
+        cold = projected_top_eigvec(h, x, orth=[x], k=k, seed=2)
+        warm = projected_top_eigvec(h, x, orth=[x], k=k, seed=2, start=start)
+        assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
 
 
 def test_op_norm_probe_field_exact():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinlab import rng
+from spinlab import hamiltonian, optimizers, rng, ultrametric
 from spinlab.ensembles import (
     CorrelationLadder,
     OverlapLadder,
@@ -12,7 +12,13 @@ from spinlab.ensembles import (
     target_overlap_matrix,
 )
 from spinlab.errors import ArgumentError
-from spinlab.hamiltonian import energy, hessian, sample_hamiltonian
+from spinlab.hamiltonian import (
+    DEFAULT_DENSE_HESSIAN_CAP,
+    energy,
+    hessian,
+    projected_top_eigvec,
+    sample_hamiltonian,
+)
 from spinlab.mixture import Mixture, pure, xi_eval
 from spinlab.optimizers import (
     AmpSpec,
@@ -153,6 +159,88 @@ def test_subag_random_subspace_mode():
     # reproducible
     traj2 = subag_ascent(h, 0.1, "random_subspace", seed=2)
     assert np.array_equal(traj.final, traj2.final)
+
+
+# -- warm-started Lanczos (n above the dense-Hessian cap) versus cold solves ------
+
+LANCZOS_N = DEFAULT_DENSE_HESSIAN_CAP + 8
+
+
+def _solve_cold(monkeypatch, module):
+    """Make `module` call projected_top_eigvec without its warm start."""
+
+    def cold(h, x, orth=(), k=1, seed=0, start=None):
+        return projected_top_eigvec(h, x, orth=orth, k=k, seed=seed)
+
+    monkeypatch.setattr(module, "projected_top_eigvec", cold)
+
+
+def _record_warm_solves(monkeypatch, module):
+    """Pass `module`'s calls through unchanged; re-solve every warm-started
+    one cold and keep the pair of top eigenvalues (warm, cold)."""
+    pairs = []
+
+    def recorded(h, x, orth=(), k=1, seed=0, start=None):
+        vecs, vals = projected_top_eigvec(h, x, orth=orth, k=k, seed=seed, start=start)
+        if start is not None:
+            pairs.append((vals[0], projected_top_eigvec(h, x, orth=orth, k=k, seed=seed)[1][0]))
+        return vecs, vals
+
+    monkeypatch.setattr(module, "projected_top_eigvec", recorded)
+    return pairs
+
+
+def _count_matvecs(monkeypatch):
+    calls = [0]
+    apply = hamiltonian.hessian_apply
+
+    def counted(h, x, w):
+        calls[0] += 1
+        return apply(h, x, w)
+
+    monkeypatch.setattr(hamiltonian, "hessian_apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [0.0, 0.3])
+def test_subag_lanczos_warm_start_matches_cold(monkeypatch, field):
+    h = sample_hamiltonian(Mixture({2: 1.0}, h=field), LANCZOS_N, seed=11)
+    matvecs = _count_matvecs(monkeypatch)
+    with monkeypatch.context() as mp:
+        _solve_cold(mp, optimizers)
+        cold = subag_ascent(h, 0.1, "top_eig", seed=4)
+    cold_matvecs, matvecs[0] = matvecs[0], 0
+    warm = subag_ascent(h, 0.1, "top_eig", seed=4)
+    assert matvecs[0] < 0.6 * cold_matvecs
+    pairs = _record_warm_solves(monkeypatch, optimizers)
+    assert np.array_equal(subag_ascent(h, 0.1, "top_eig", seed=4).final, warm.final)
+    assert len(pairs) == 9  # every step after the first at the origin
+    for w, c in pairs:
+        assert abs(w - c) <= 1e-12 * abs(c)
+    for a, b in zip(warm.iterates, cold.iterates):
+        assert np.max(np.abs(a - b)) <= 1e-10
+    assert np.allclose(warm.energies, cold.energies, rtol=1e-12, atol=0)
+
+
+def test_embedding_lanczos_warm_start_matches_cold(monkeypatch):
+    h = sample_hamiltonian(pure(2), LANCZOS_N, seed=12)
+    tree = ultrametric.star_tree(3)
+    with monkeypatch.context() as mp:
+        _solve_cold(mp, ultrametric)
+        cold, cold_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
+    pairs = _record_warm_solves(monkeypatch, ultrametric)
+    warm, warm_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
+    assert len(pairs) == 3 * 7  # each leaf chain: 8 steps, the first cold
+    for w, c in pairs:
+        assert abs(w - c) <= 1e-12 * abs(c)
+    for v in tree.vertices():
+        assert abs(warm_energies[v] - cold_energies[v]) <= 1e-12 * max(1.0, abs(cold_energies[v]))
+    # pure p2 has <grad H(x), v> at rounding level, so a vector may reflect
+    def gram(emb):
+        vecs = np.stack([emb.vectors[v] for v in tree.vertices()])
+        return vecs @ vecs.T
+
+    assert np.max(np.abs(gram(warm) - gram(cold))) <= 1e-12 * np.max(np.abs(gram(cold)))
 
 
 def test_subag_rejects_non_integer_inverse_delta():

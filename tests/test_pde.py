@@ -11,6 +11,7 @@ from spinlab.errors import ArgumentError, NumericError
 from spinlab.mixture import Mixture, pure, xi_eval
 from spinlab.parisi import (
     PiecewiseZeta,
+    alg_is_levels,
     alg_is_numeric,
     parisi_is,
     phi_multidim_mc,
@@ -272,6 +273,18 @@ def test_alg_is_feasible_bound():
     assert got <= z0_val + 1e-9
     with pytest.raises(ArgumentError):
         alg_is_numeric(msk, knots=4)
+
+
+def test_alg_is_levels_one_pass_equals_separate_calls():
+    """Each level of one refinement pass is the value alg_is_numeric gives
+    with that many knots, bit for bit, and the levels are nonincreasing."""
+    m = Mixture({2: 0.8, 4: 0.4}, h=0.2)
+    kw = {"grid": (4.0, 0.04), "sweeps_min": 1, "sweeps_max": 1, "value_cap": 4.0, "gh_nodes": 8}
+    levels = alg_is_levels(m, knots=16, **kw)
+    assert [lv for lv, _ in levels] == [8, 16]
+    assert levels[0][1] == alg_is_numeric(m, knots=8, **kw)
+    assert levels[1][1] == alg_is_numeric(m, knots=16, **kw)
+    assert levels[1][1] <= levels[0][1]
 
 
 def test_phi_multidim_k1_matches_solver():

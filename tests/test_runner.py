@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinlab import rng
-from spinlab.errors import ArgumentError
+from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
 from spinlab.optimizers import AmpSpec, amp
@@ -133,6 +133,24 @@ def test_pde_run_rejects_zero_beta(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--out", str(tmp_path / "m")]) == 2
+
+
+def test_optimize_workers_bounded_by_the_tensor_budget(tmp_path, monkeypatch):
+    """Nine concurrent p4 replicas at n = 64 hold 9 * 2^24 entries, over the
+    2^27 budget: refused before any tensor is sampled or thread started."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may run once the budget is exceeded")
+
+    monkeypatch.setattr("spinlab.runner.sample_hamiltonian", refuse)
+    monkeypatch.setattr("spinlab.runner.ThreadPoolExecutor", refuse)
+    config = {"subcommand": "optimize", "mixture": "p4", "n": 64, "seeds": list(range(9))}
+    for workers, code in ((9, 3), (65, 2)):
+        cfg = tmp_path / f"cfg{workers}.json"
+        cfg.write_text(json.dumps({**config, "workers": workers}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / f"o{workers}")]) == code
+    with pytest.raises(ResourceError):
+        run({**config, "workers": 12}, out_dir=str(tmp_path / "r"))
 
 
 def test_embed_run(tmp_path):
