@@ -381,7 +381,7 @@ def save_snapshot(h: Hamiltonian, path):
         for p in h.mixture.ps:
             f.write(struct.pack("<Id", p, h.mixture.gammas[p]))
         for p in h.mixture.ps:
-            f.write(np.ascontiguousarray(h.tensors[p], dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(h.tensors[p], dtype="<f8").data)
 
 
 def _read_exact(f, size: int) -> bytes:
@@ -413,7 +413,10 @@ def load_snapshot(path) -> Hamiltonian:
         check_budget(mixture, n)
         tensors = {}
         for p in mixture.ps:
-            data = np.frombuffer(_read_exact(f, 8 * n**p), dtype="<f8").astype(float)
+            data = np.empty(n**p, dtype="<f8")
+            got = f.readinto(data.data)
+            if got != data.nbytes:
+                raise ArgumentError(f"snapshot truncated: wanted {data.nbytes} more bytes, found {got}")
             tensors[p] = data.reshape((n,) * p)
         if f.read(1):
             raise ArgumentError("trailing bytes after the snapshot payload")

@@ -7,6 +7,19 @@ Phi(t, x) = (1/c) log E exp(c Phi(t+, x + Z sqrt(xi'(t+) - xi'(t)))),
 with the plain heat step at c = 0.  The beta = infinity terminal |x| - ax is
 integrated in closed form (erf); smooth slices use Gauss-Hermite quadrature
 on the spatial grid with linear tail extrapolation at the asymptotic slopes.
+The finite-beta terminal step integrates each 512-point block of the grid
+over the quadrature nodes within reach of that block only, the same
+truncation the domain edges use.
+
+A solve may reuse the slices of an earlier solution `warm` on the same grid,
+a, beta and mixture.  Each backward step has the key (t_hi, t_lo, c) of the
+merged zeta steps, counted from t = 1 down.  A leading step is reused while
+its key equals warm's step at the same position and every step before it
+was reused too: its input slice and its inputs are then identical, so the
+reused slice is bit-identical to a recomputed one.  The terminal step does
+not depend on the node count; a Gauss-Hermite step is reused only when warm
+used the same gh_nodes.  Changing zeta on one interval thus leaves every
+step above that interval to warm.
 """
 
 import math
@@ -18,7 +31,8 @@ from scipy.special import log_ndtr, logsumexp, ndtr, roots_hermite
 
 from .. import rng
 from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, m_matrix
-from ..errors import ArgumentError, NumericError
+from ..errors import ArgumentError, NumericError, ResourceError
+from ..hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES
 from ..mixture import Mixture, xi_eval
 from .zeta import PiecewiseZeta
 
@@ -49,6 +63,7 @@ class PDESolution:
     values: dict = field(repr=False)  # time -> array over grid
     a: float = 0.0
     beta: float = math.inf
+    mixture: Mixture | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -124,19 +139,34 @@ def _terminal_quad_step(grid, s: float, c: float, a: float, beta: float):
     ys = (mids[:, None] + halfw[:, None] * gl_z[None, :]).ravel()
     ws = (halfw[:, None] * gl_w[None, :]).ravel()
     fy = _terminal(ys, a, beta)
+    if c == 0.0:
+        wfy = ws * fy
+    else:
+        # the log-sum-exp terms are c f(y) + log w + log kernel
+        wfy = c * fy + np.log(ws)
 
     out = np.empty_like(grid)
     chunk = 512
     log_norm = math.log(math.sqrt(2.0 * math.pi) * s)
     for start in range(0, len(grid), chunk):
-        x = grid[start : start + chunk][:, None]
-        log_kernel = -0.5 * ((ys[None, :] - x) / s) ** 2 - log_norm
+        x = grid[start : start + chunk]
+        # nodes past reach of the block are dropped, as at the domain edges
+        i0 = np.searchsorted(ys, x[0] - reach)
+        i1 = np.searchsorted(ys, x[-1] + reach, side="right")
+        lk = ys[None, i0:i1] - x[:, None]
+        lk /= s
+        lk *= lk
+        lk *= -0.5
+        lk -= log_norm
         if c == 0.0:
-            out[start : start + chunk] = (np.exp(log_kernel) * ws[None, :]) @ fy
+            np.exp(lk, out=lk)
+            out[start : start + chunk] = lk @ wfy[i0:i1]
         else:
-            out[start : start + chunk] = (
-                logsumexp(c * fy[None, :] + log_kernel, b=ws[None, :], axis=1) / c
-            )
+            lk += wfy[i0:i1]
+            amax = lk.max(axis=1)
+            lk -= amax[:, None]
+            np.exp(lk, out=lk)
+            out[start : start + chunk] = (np.log(np.sum(lk, axis=1)) + amax) / c
     return out
 
 
@@ -232,28 +262,48 @@ def solve_parisi_pde(
     center: float = 0.0,
     gh_nodes: int = 64,
     self_check: bool = True,
+    warm: PDESolution | None = None,
 ) -> PDESolution:
     """Backward Cole-Hopf recursion for the Parisi PDE with terminal
     log(2cosh(beta x))/beta - ax (|x| - ax at beta = infinity).
 
-    grid is (L, dx): spatial domain [center-L, center+L], spacing dx <= 0.01 L.
-    The node-doubling self-check raises NumericError when the quadrature is
-    under-resolved (Phi(0, center) moves by more than 1e-6).
+    grid is (L, dx): spatial domain [center-L, center+L], finite L > 0 and
+    spacing 0 < dx <= 0.01 L; a grid whose 2 gh_nodes x points self-check
+    matrix exceeds the tensor budget raises ResourceError before anything is
+    allocated.  The node-doubling self-check raises NumericError when the
+    quadrature is under-resolved (Phi(0, center) moves by more than 1e-6).
+    warm is an earlier solution on the same grid, a, beta and mixture whose
+    matching leading backward steps are reused (module docstring).
     """
     if not (-1.0 <= a <= 1.0):
         raise ArgumentError(f"a={a} outside [-1, 1]")
-    if beta <= 0:
+    if not beta > 0:
         raise ArgumentError(f"beta={beta} must be positive (or inf)")
     if grid is None:
         grid = _default_grid(m, center)
-    length, dx = grid
+    try:
+        length, dx = (float(v) for v in grid)
+    except (TypeError, ValueError):
+        raise ArgumentError(f"grid={grid!r} must be two numbers (L, dx)") from None
+    if not (0.0 < length < math.inf and 0.0 < dx < math.inf):
+        raise ArgumentError(f"grid=({length}, {dx}) needs finite L > 0 and dx > 0")
     if dx > 0.01 * length + 1e-15:
         raise ArgumentError(f"dx={dx} too coarse for L={length}: need dx <= 0.01 L")
     half = int(math.ceil(length / dx))
+    entries = 2 * gh_nodes * (2 * half + 1)
+    if entries > DEFAULT_MAX_TENSOR_ENTRIES:
+        raise ResourceError(
+            f"grid=({length}, {dx}) with {gh_nodes} nodes needs {entries} quadrature entries,"
+            f" over the budget of {DEFAULT_MAX_TENSOR_ENTRIES}"
+        )
     xs = center + dx * np.arange(-half, half + 1)
+    if warm is not None and not (
+        warm.a == a and warm.beta == beta and warm.mixture == m and np.array_equal(warm.grid, xs)
+    ):
+        raise ArgumentError("warm solution was solved on another grid, a, beta or mixture")
 
-    sol = _solve_on_grid(m, zeta, a, beta, xs, gh_nodes)
-    if self_check and sol.meta["gh_steps"] > 0:
+    sol = _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, warm)
+    if self_check and sol.meta["gh_steps"] + sol.meta["gh_reused"] > 0:
         # the first backward step is node-count independent; reuse it
         ref = _solve_on_grid(m, zeta, a, beta, xs, 2 * gh_nodes, warm=sol)
         delta = abs(sol.eval(0.0, center) - ref.eval(0.0, center))
@@ -269,44 +319,52 @@ def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, warm=None) -> PDESolution:
     slopes = (-1.0 - a, 1.0 - a)
     knots = sorted(set(zeta.breaks) | {0.0})
     times = knots + [1.0]
-    vals = {1.0: _terminal(xs, a, beta)}
+    vals = {1.0: _terminal(xs, a, beta) if warm is None else warm.values[1.0]}
     current = vals[1.0]
-    gh_steps = 0
-    first = True
-    for t_hi, t_lo in zip(times[::-1], times[::-1][1:]):
+    warm_steps = () if warm is None else warm.meta["steps"]
+    same_nodes = warm is not None and warm.meta["gh_nodes"] == gh_nodes
+    steps = []
+    gh_steps = gh_reused = 0
+    reuse = True  # every step so far was reused
+    for k, (t_hi, t_lo) in enumerate(zip(times[::-1], times[::-1][1:])):
         c = zeta(t_lo)
+        steps.append((t_hi, t_lo, c))
+        reuse = reuse and k < len(warm_steps) and warm_steps[k] == steps[k] and (k == 0 or same_nodes)
         s2 = xi_eval(m, t_hi, 1) - xi_eval(m, t_lo, 1)
-        if s2 <= 0.0:
-            vals[t_lo] = current.copy()
-            first = False
-            continue
-        s = math.sqrt(s2)
-        if first:
-            if warm is not None:
-                current = warm.values[t_lo]
-            elif math.isinf(beta):
-                current = _terminal_kink_step(xs, s, c, a)
-            else:
-                current = _terminal_quad_step(xs, s, c, a, beta)
-        else:
-            current = _gh_step(xs, current, slopes, s, c, gh_nodes)
+        if reuse:
+            current = warm.values[t_lo]
+            gh_reused += k > 0 and s2 > 0.0
+        elif s2 <= 0.0:
+            current = current.copy()
+        elif k > 0:
+            current = _gh_step(xs, current, slopes, math.sqrt(s2), c, gh_nodes)
             gh_steps += 1
+        elif math.isinf(beta):
+            current = _terminal_kink_step(xs, math.sqrt(s2), c, a)
+        else:
+            current = _terminal_quad_step(xs, math.sqrt(s2), c, a, beta)
         vals[t_lo] = current
-        first = False
     return PDESolution(
         times=tuple(times),
         grid=xs,
         values=vals,
         a=a,
         beta=beta,
-        meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps},
+        mixture=m,
+        meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps, "gh_reused": gh_reused, "steps": steps},
     )
+
+
+def _parisi_value(sol: PDESolution, zeta: PiecewiseZeta, m: Mixture) -> float:
+    """The Ising functional P(zeta) read off sol, the beta = infinity, a = 0
+    solution of zeta's PDE on a grid around h."""
+    return float(sol.eval(0.0, m.h)) - 0.5 * zeta.integral_t_xi2(m)
 
 
 def parisi_is(zeta: PiecewiseZeta, m: Mixture, grid=None, **solver_kw) -> float:
     """P(zeta) = Phi_zeta(0, h) - (1/2) integral_0^1 t xi''(t) zeta(t) dt."""
     sol = solve_parisi_pde(m, zeta, a=0.0, beta=math.inf, grid=grid, center=m.h, **solver_kw)
-    return float(sol.eval(0.0, m.h)) - 0.5 * zeta.integral_t_xi2(m)
+    return _parisi_value(sol, zeta, m)
 
 
 def shift_identity_check(m: Mixture, zeta: PiecewiseZeta, a: float, x: float, grid=None, **kw) -> float:
@@ -352,8 +410,14 @@ def alg_is_levels(
         length = abs(m.h) + 6.0 * math.sqrt(max(xi_eval(m, 1.0, 1), 1e-12)) + 2.0
         grid = (length, min(0.04, 0.01 * length))
 
+    last = None  # the previous trial's solution: its leading steps are reused
+
     def objective(breaks, values):
-        return parisi_is(PiecewiseZeta(breaks, values), m, grid=grid, self_check=False, **solver_kw)
+        nonlocal last
+        zeta = PiecewiseZeta(breaks, values)
+        last = solve_parisi_pde(m, zeta, a=0.0, beta=math.inf, grid=grid, center=m.h,
+                                self_check=False, warm=last, **solver_kw)
+        return _parisi_value(last, zeta, m)
 
     def sweep_down(breaks, values):
         values = list(values)

@@ -105,7 +105,7 @@ SCHEMA = {
         },
         "beta": {"type": "number"},
         "a": {"type": "number"},
-        "grid": {"type": "array", "items": {"type": "number"}},
+        "grid": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         "knots": {"type": "integer", "minimum": 8},
         "ising": {"type": "boolean"},
         "tree": {

@@ -557,6 +557,38 @@ def test_snapshot_roundtrip(tmp_path):
         assert np.array_equal(back.tensors[p], h.tensors[p])
 
 
+def oracle_save_snapshot(h, path):
+    """The snapshot writer before it wrote the tensors' buffers: one
+    `.tobytes()` copy per payload."""
+    seed = 0 if h.seed is None else int(h.seed) % 2**64
+    with open(path, "wb") as f:
+        f.write(b"SPGLASS1")
+        f.write(struct.pack("<IQdQB", 1, h.n, h.mixture.h, seed, int(h.seed is not None)))
+        f.write(struct.pack("<I", len(h.mixture.ps)))
+        for p in h.mixture.ps:
+            f.write(struct.pack("<Id", p, h.mixture.gammas[p]))
+        for p in h.mixture.ps:
+            f.write(np.ascontiguousarray(h.tensors[p], dtype="<f8").tobytes())
+
+
+def test_snapshot_bytes_match_the_copying_writer(tmp_path):
+    for m, n, seed, layout in (
+        (Mixture({2: 0.6, 4: 1.1}, h=0.25), 5, 321, np.ascontiguousarray),
+        (pure(2), 1, None, np.ascontiguousarray),
+        (Mixture({2: 1.0, 4: 0.5, 6: 0.2}), 4, 2**70 + 3, np.asfortranarray),
+    ):
+        h = sample_hamiltonian(m, n, seed=0)
+        tensors = {p: layout(t) for p, t in h.tensors.items()}
+        h = Hamiltonian(h.mixture, h.n, tensors, seed=seed)
+        save_snapshot(h, tmp_path / "new.bin")
+        oracle_save_snapshot(h, tmp_path / "old.bin")
+        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+        back = load_snapshot(tmp_path / "new.bin")
+        for p in m.ps:
+            assert back.tensors[p].dtype == np.float64
+            assert np.array_equal(back.tensors[p], h.tensors[p])
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTASNAP" + b"\x00" * 64)

@@ -62,6 +62,8 @@ def test_grid_precondition():
         solve_parisi_pde(M2, Z0, grid=(5.0, 0.2))
     with pytest.raises(ArgumentError):
         solve_parisi_pde(M2, Z0, a=1.5)
+    with pytest.raises(ArgumentError, match="beta"):
+        solve_parisi_pde(M2, Z0, beta=math.nan, grid=COARSE)
 
 
 def test_self_check_fires_on_coarse_quadrature():
@@ -79,6 +81,66 @@ def test_solution_invariants_convex_lipschitz():
         assert np.diff(vals, 2).min() >= -1e-8
         slopes = np.diff(vals) / np.diff(sol.grid)
         assert np.max(np.abs(slopes)) <= 1.5 + 1e-9
+
+
+def oracle_terminal_quad_step(grid, s: float, c: float, a: float, beta: float):
+    """The finite-beta terminal step before windowing: every quadrature node
+    enters every grid point's sum (scipy's logsumexp with weights b)."""
+    tilt = c * (1.0 + abs(a)) * s
+    reach = (12.0 + tilt) * s
+    lo, hi = grid[0] - reach, grid[-1] + reach
+    fine_half = min(12.0 / beta, hi - lo)
+    edges = [lo]
+    coarse = max(s / 3.0, 2.0 * fine_half / 64.0, (hi - lo) / 4000.0)
+    fine = max(fine_half / 24.0, (hi - lo) / 100_000.0)
+    y = lo
+    while y < hi:
+        width = fine if abs(y) <= fine_half or abs(y + coarse) <= fine_half else coarse
+        y = min(y + width, hi)
+        edges.append(y)
+    edges = np.asarray(edges)
+    gl_z, gl_w = np.polynomial.legendre.leggauss(8)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfw = 0.5 * np.diff(edges)
+    ys = (mids[:, None] + halfw[:, None] * gl_z[None, :]).ravel()
+    ws = (halfw[:, None] * gl_w[None, :]).ravel()
+    fy = pde._terminal(ys, a, beta)
+
+    out = np.empty_like(grid)
+    chunk = 512
+    log_norm = math.log(math.sqrt(2.0 * math.pi) * s)
+    for start in range(0, len(grid), chunk):
+        x = grid[start : start + chunk][:, None]
+        log_kernel = -0.5 * ((ys[None, :] - x) / s) ** 2 - log_norm
+        if c == 0.0:
+            out[start : start + chunk] = (np.exp(log_kernel) * ws[None, :]) @ fy
+        else:
+            out[start : start + chunk] = (
+                logsumexp(c * fy[None, :] + log_kernel, b=ws[None, :], axis=1) / c
+            )
+    return out
+
+
+# (L, dx, center): each spans three 512-point blocks, so every block after
+# the first drops the nodes out of its reach; two grids sit off the kink
+TERMINAL_GRIDS = ((0.52, 0.001, 0.0), (1.3, 0.0025, 0.0), (1.04, 0.002, 2.5), (2.6, 0.005, -0.7))
+
+
+@pytest.mark.parametrize("grid", TERMINAL_GRIDS)
+def test_windowed_terminal_step_matches_oracle(grid):
+    length, dx, center = grid
+    half = int(math.ceil(length / dx))
+    xs = center + dx * np.arange(-half, half + 1)
+    assert len(xs) > 2 * 512
+    worst = 0.0
+    for beta in (1.0, 4.0, 32.0):
+        for a in (0.0, 0.5, -0.4):
+            for c in (0.0, 0.3, 1.0, 4.0):
+                for s in (0.2, 0.7):
+                    got = pde._terminal_quad_step(xs, s, c, a, beta)
+                    want = oracle_terminal_quad_step(xs, s, c, a, beta)
+                    worst = max(worst, np.max(np.abs(got - want) / np.abs(want)))
+    assert worst <= 1e-13
 
 
 def oracle_log_gauss_mass(a, b):
@@ -285,6 +347,94 @@ def test_alg_is_levels_one_pass_equals_separate_calls():
     assert levels[0][1] == alg_is_numeric(m, knots=8, **kw)
     assert levels[1][1] == alg_is_numeric(m, knots=16, **kw)
     assert levels[1][1] <= levels[0][1]
+
+
+WARM_MIXTURES = (Mixture({2: math.sqrt(0.5)}), Mixture({2: 0.8, 4: 0.4}, h=0.2))
+WARM_GRID = (4.0, 0.04)
+BREAKS8 = tuple(i / 8 for i in range(8))
+
+
+def _solve8(m, values, **kw):
+    return solve_parisi_pde(
+        m, PiecewiseZeta(BREAKS8, values), grid=WARM_GRID, center=m.h, self_check=False, **kw
+    )
+
+
+def _assert_same_slices(got, want):
+    assert got.times == want.times
+    for t in want.times:
+        assert np.array_equal(got.values[t], want.values[t])
+
+
+@pytest.mark.parametrize("m", WARM_MIXTURES, ids=("sk", "p2p4h"))
+def test_warm_solve_equals_cold(m):
+    """A solve that reuses the matching leading steps of another gives every
+    stored slice bit-identical to a cold solve of the same profile."""
+    base = (0.3, 0.5, 0.45, 0.9, 1.2, 0.8, 1.6, 2.0)
+    warm = _solve8(m, base, gh_nodes=16)
+    for i in range(8):
+        trial = list(base)
+        trial[i] *= 1.3
+        got = _solve8(m, trial, gh_nodes=16, warm=warm)
+        _assert_same_slices(got, _solve8(m, trial, gh_nodes=16))
+        # steps come from t = 1 down: the 7 - i above interval i are reused
+        assert got.meta["gh_reused"] == max(6 - i, 0)
+        assert got.meta["gh_steps"] == 7 - got.meta["gh_reused"]
+        if i < 7:
+            # equal to its upper neighbour: the two steps merge into one
+            trial[i] = base[i + 1]
+            merged = _solve8(m, trial, gh_nodes=16, warm=warm)
+            assert len(merged.meta["steps"]) == 7
+            _assert_same_slices(merged, _solve8(m, trial, gh_nodes=16))
+    # all-zero start: one merged step, then one coordinate moved off zero
+    zero = _solve8(m, (0.0,) * 8, gh_nodes=16)
+    for i in (0, 3, 7):
+        trial = [0.0] * 8
+        trial[i] = 0.7
+        _assert_same_slices(_solve8(m, trial, gh_nodes=16, warm=zero), _solve8(m, trial, gh_nodes=16))
+    # another node count reuses the terminal step only
+    trial = list(base)
+    trial[0] = 0.1
+    other = _solve8(m, trial, gh_nodes=24, warm=warm)
+    assert (other.meta["gh_steps"], other.meta["gh_reused"]) == (7, 0)
+    _assert_same_slices(other, _solve8(m, trial, gh_nodes=24))
+
+
+def test_warm_must_match_grid_a_beta_and_mixture():
+    m = WARM_MIXTURES[1]
+    zeta = PiecewiseZeta((0.0, 0.5), (0.4, 0.9))
+    kw = {"grid": WARM_GRID, "center": m.h, "self_check": False}
+    warm = solve_parisi_pde(m, zeta, **kw)
+    solve_parisi_pde(m, zeta, warm=warm, **kw)
+    for change in (
+        {"grid": (4.0, 0.02)},
+        {"center": 0.0},
+        {"a": 0.1},
+        {"beta": 8.0},
+        {"m": Mixture({2: 0.8, 4: 0.4}, h=0.25)},
+    ):
+        args = {"m": m, **kw, **change}
+        with pytest.raises(ArgumentError, match="warm"):
+            solve_parisi_pde(args.pop("m"), zeta, warm=warm, **args)
+
+
+def test_self_check_runs_when_every_gh_step_is_reused():
+    z = PiecewiseZeta((0.0, 0.3, 0.7), (0.4, 1.0, 0.6))
+    cold = solve_parisi_pde(M2, z, grid=GRID)
+    warm = solve_parisi_pde(M2, z, grid=GRID, self_check=False)
+    got = solve_parisi_pde(M2, z, grid=GRID, warm=warm)
+    assert (got.meta["gh_steps"], got.meta["gh_reused"]) == (0, 2)
+    assert got.meta["self_check_delta"] == cold.meta["self_check_delta"]
+    _assert_same_slices(got, cold)
+
+
+@pytest.mark.parametrize("m", WARM_MIXTURES, ids=("sk", "p2p4h"))
+def test_alg_is_levels_bit_identical_without_warm(m, monkeypatch):
+    kw = {"grid": WARM_GRID, "sweeps_min": 1, "sweeps_max": 1, "value_cap": 4.0, "gh_nodes": 8}
+    warm = alg_is_levels(m, knots=16, **kw)
+    solve = pde.solve_parisi_pde
+    monkeypatch.setattr(pde, "solve_parisi_pde", lambda *a, **k: solve(*a, **{**k, "warm": None}))
+    assert alg_is_levels(m, knots=16, **kw) == warm
 
 
 def test_phi_multidim_k1_matches_solver():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,36 @@ def test_pde_run_rejects_zero_beta(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--out", str(tmp_path / "m")]) == 2
+
+
+def test_pde_run_rejects_malformed_grids(tmp_path, monkeypatch):
+    """Bad grids exit 2 (usage) or 3 (over the budget) before any slice or
+    quadrature matrix is allocated."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no solve may start on a malformed grid")
+
+    monkeypatch.setattr("spinlab.parisi.pde._solve_on_grid", refuse)
+    cases = (
+        ([10, 0], 2),
+        ([0, 0], 2),
+        ([10, -0.05], 2),
+        ([10], 2),
+        ([10, 0.05, 3], 2),
+        ([1e9, 0.01], 3),
+    )
+    for i, (grid, code) in enumerate(cases):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"subcommand": "pde", "mixture": "p2", "grid": grid}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / f"o{i}")]) == code, grid
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="budget"):
+            run({"subcommand": "pde", "grid": [1e9, 0.01]}, out_dir=str(tmp_path / "r"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_optimize_workers_bounded_by_the_tensor_budget(tmp_path, monkeypatch):
