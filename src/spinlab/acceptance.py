@@ -24,7 +24,7 @@ from .ensembles import (
     sample_ensemble,
     target_overlap_matrix,
 )
-from .hamiltonian import energy, sample_hamiltonian, sample_tensor
+from .hamiltonian import energy, sample_hamiltonian, sample_tensors
 from .mixture import Mixture, pure, xi_eval
 from .ogp import check_chi_properties, estimate_chi, overlap_concentration, ChiEstimate
 from .optimizers import (
@@ -129,9 +129,10 @@ def criterion_2_covariance_law(samples: int = 10_000) -> CriterionResult:
     g4 = np.empty((block, n**4))
     for s0 in range(0, samples, block):
         rows = min(block, samples - s0)
-        for r in range(rows):
-            g2[r] = sample_tensor(s0 + r, 2, n).ravel()
-            g4[r] = sample_tensor(s0 + r, 4, n).ravel()
+        sample_tensors(
+            [(s0 + r, p, n) for r in range(rows) for p in (2, 4)],
+            out=[g[r] for r in range(rows) for g in (g2, g4)],
+        )
         e = c2 * (g2[:rows] @ f2) + c4 * (g4[:rows] @ f4)
         prods[s0 : s0 + rows] = e[:, 0::2] * e[:, 1::2]
     # spot-check the fast path against the Hamiltonian evaluator

@@ -6,6 +6,10 @@ Leaves of the depth-D tree with arm counts (k_1, ..., k_D) are 1-based tuples
 order.  A leaf Hamiltonian is the weighted sum over its ancestor nodes,
 H[u] = sum_d sqrt(p_d - p_{d-1}) H[(u_1..u_d)], so the Gram matrix of the
 weight vectors is exactly (p_{lca depth}).
+
+The root's weight is 0 (p_0 = 0), so an ensemble samples, holds and writes
+to its manifest only the nodes at depth >= 1. Their tensors are drawn in one
+`sample_tensors` batch, filled concurrently.
 """
 
 import itertools
@@ -23,7 +27,7 @@ from .hamiltonian import (
     Hamiltonian,
     energy,
     load_snapshot,
-    sample_hamiltonian,
+    sample_hamiltonians,
     save_snapshot,
 )
 from .mixture import Mixture
@@ -130,7 +134,7 @@ class CorrelatedEnsemble:
     mixture: Mixture
     n: int
     seed: int
-    node_hams: dict = field(repr=False)  # node tuple -> field-free Hamiltonian
+    node_hams: dict = field(repr=False)  # node at depth >= 1 -> field-free Hamiltonian
 
     def leaves(self):
         return self.shape.leaves()
@@ -172,35 +176,45 @@ def sample_ensemble(
 ) -> CorrelatedEnsemble:
     if shape.depth != ladder.depth:
         raise ArgumentError("shape and correlation ladder depths disagree")
-    nodes = shape.nodes()
+    nodes = shape.nodes()[1:]  # the root has weight 0
     total = len(nodes) * sum(n**p for p in m.ps)
     if total > max_entries:
         raise ResourceError(
             f"ensemble needs {total} tensor entries over {len(nodes)} nodes, budget {max_entries}"
         )
     field_free = Mixture(dict(m.gammas), h=0.0)
-    node_hams = {
-        node: sample_hamiltonian(field_free, n, rng.derive_seed(seed, "node", node))
-        for node in nodes
-    }
-    return CorrelatedEnsemble(shape, ladder, m, n, seed, node_hams)
+    seeds = [rng.derive_seed(seed, "node", node) for node in nodes]
+    hams = sample_hamiltonians(field_free, n, seeds, max_entries)
+    return CorrelatedEnsemble(shape, ladder, m, n, seed, dict(zip(nodes, hams)))
+
+
+def pair_mixer(m: Mixture, n: int, *labels, label: str = "pair{i}(p={p})"):
+    """Three base Hamiltonians H_i = sample_hamiltonian(m, n,
+    derive_seed(*labels, i)), drawn in one batch, and the map p -> (H1', H2')
+    with Hi' = sqrt(p) H0 + sqrt(1-p) Hi: disorder coefficients of covariance
+    [[1, p], [p, 1]] entrywise.  Hi' is labelled label.format(i=i, p=p)."""
+    base = [
+        h.tensors for h in sample_hamiltonians(m, n, [rng.derive_seed(*labels, i) for i in range(3)])
+    ]
+
+    def mix(p: float) -> tuple:
+        if not (0.0 <= p <= 1.0):
+            raise ArgumentError(f"correlation p={p} outside [0, 1]")
+        a, b = math.sqrt(p), math.sqrt(1.0 - p)
+        return tuple(
+            Hamiltonian(
+                m, n, {q: a * base[0][q] + b * base[i][q] for q in m.ps}, label=label.format(i=i, p=p)
+            )
+            for i in (1, 2)
+        )
+
+    return mix
 
 
 def pair_correlated(m: Mixture, n: int, p: float, seed: int):
     """Two Hamiltonians whose disorder coefficients have covariance
     [[1, p], [p, 1]] entrywise: sqrt(p) H0 + sqrt(1-p) Hi, i = 1, 2."""
-    if not (0.0 <= p <= 1.0):
-        raise ArgumentError(f"correlation p={p} outside [0, 1]")
-    base = [sample_hamiltonian(m, n, rng.derive_seed(seed, "pair", i)).tensors for i in range(3)]
-    return tuple(mix_pair(base[0], base[i], m, n, p, f"pair{i}(p={p})") for i in (1, 2))
-
-
-def mix_pair(shared: dict, own: dict, m: Mixture, n: int, p: float, label: str) -> Hamiltonian:
-    """sqrt(p) H0 + sqrt(1-p) Hi on raw tensors: entrywise covariance p with
-    any other mix of the same shared tensors."""
-    a, b = math.sqrt(p), math.sqrt(1.0 - p)
-    tensors = {q: a * shared[q] + b * own[q] for q in m.ps}
-    return Hamiltonian(m, n, tensors, seed=None, label=label)
+    return pair_mixer(m, n, seed, "pair")(p)
 
 
 def target_overlap_matrix(shape: TreeShape, qladder: OverlapLadder) -> np.ndarray:
@@ -404,11 +418,12 @@ def underline_target_matrix(
 
 
 def save_manifest(e: CorrelatedEnsemble, directory):
-    """JSON manifest plus one snapshot per node, referenced by node path."""
+    """JSON manifest plus one snapshot per node at depth >= 1, referenced by
+    node path."""
     os.makedirs(directory, exist_ok=True)
     nodes = []
-    for node in e.shape.nodes():
-        fname = "node_" + ("root" if not node else "_".join(map(str, node))) + ".bin"
+    for node in e.shape.nodes()[1:]:
+        fname = "node_" + "_".join(map(str, node)) + ".bin"
         save_snapshot(e.node_hams[node], os.path.join(directory, fname))
         nodes.append({"path": list(node), "snapshot": fname})
     manifest = {
@@ -424,15 +439,47 @@ def save_manifest(e: CorrelatedEnsemble, directory):
 
 
 def load_manifest(directory) -> CorrelatedEnsemble:
-    with open(os.path.join(directory, "manifest.json")) as f:
-        manifest = json.load(f)
-    shape = TreeShape(tuple(manifest["ks"]))
-    ladder = CorrelationLadder(tuple(manifest["pladder"]))
-    mixture = Mixture(
-        {int(p): g for p, g in manifest["mixture"]["gammas"].items()},
-        h=manifest["mixture"]["h"],
-    )
+    """Inverse of save_manifest.  Raises ArgumentError on non-JSON, missing or
+    ill-typed keys, node paths outside the shape, repeated or missing nodes at
+    depth >= 1, and snapshots whose n or mixture disagree with the manifest.
+    A root entry, written by earlier versions, is dropped unread."""
+    try:
+        with open(os.path.join(directory, "manifest.json")) as f:
+            manifest = json.load(f)
+        shape = TreeShape(tuple(manifest["ks"]))
+        ladder = CorrelationLadder(tuple(manifest["pladder"]))
+        mixture = Mixture(
+            {int(p): g for p, g in manifest["mixture"]["gammas"].items()},
+            h=manifest["mixture"]["h"],
+        )
+        n, seed = manifest["n"], manifest["seed"]
+        paths = [tuple(entry["path"]) for entry in manifest["nodes"]]
+        snapshots = dict(zip(paths, (str(entry["snapshot"]) for entry in manifest["nodes"])))
+    except ArgumentError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ArgumentError(f"malformed manifest in {directory}: {exc!r}") from exc
+    if type(n) is not int or n < 1 or type(seed) is not int:
+        raise ArgumentError(f"manifest n={n!r} and seed={seed!r} must be integers, n >= 1")
+    if len(snapshots) != len(paths):
+        raise ArgumentError("manifest lists a node more than once")
+    snapshots.pop((), None)
+    nodes = shape.nodes()[1:]
+    known = set(nodes)
+    for path in snapshots:
+        if path not in known:
+            raise ArgumentError(f"manifest node path {list(path)} lies outside the tree shape {shape.ks}")
+    missing = [list(node) for node in nodes if node not in snapshots]
+    if missing:
+        raise ArgumentError(f"manifest lacks the nodes {missing}")
+    field_free = Mixture(dict(mixture.gammas), h=0.0)
     node_hams = {}
-    for entry in manifest["nodes"]:
-        node_hams[tuple(entry["path"])] = load_snapshot(os.path.join(directory, entry["snapshot"]))
-    return CorrelatedEnsemble(shape, ladder, mixture, manifest["n"], manifest["seed"], node_hams)
+    for node in nodes:
+        h = load_snapshot(os.path.join(directory, snapshots[node]))
+        if h.n != n or h.mixture != field_free:
+            raise ArgumentError(
+                f"snapshot {snapshots[node]} holds n={h.n}, {h.mixture}; the manifest gives "
+                f"n={n}, {field_free}"
+            )
+        node_hams[node] = h
+    return CorrelatedEnsemble(shape, ladder, mixture, n, seed, node_hams)

@@ -2,7 +2,9 @@
 
 H(x) = <h, x> + sum_p gamma_p N^{-(p-1)/2} <G^(p), x^{tensor p}> with G^(p)
 a flat array of N^p i.i.d. standard normals (never symmetrized; contracting
-x^{tensor p} directly keeps the covariance exactly N xi(R)).
+x^{tensor p} directly keeps the covariance exactly N xi(R)).  G^(p) for
+seed s is the start of the Philox stream (s, "tensor", p); `sample_tensors`
+fills a batch of them concurrently.
 
 Energy, gradient and dense Hessian come from one plan, `derivatives`, that
 reads each raw tensor T at most three times, each pass a reshape matmul over
@@ -28,7 +30,9 @@ from it.
 """
 
 import itertools
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +82,28 @@ def _tensor_stream(seed: int, p: int) -> np.random.Generator:
     return rng.stream(seed, "tensor", p)
 
 
-def sample_tensor(seed: int, p: int, n: int) -> np.ndarray:
-    return _tensor_stream(seed, p).standard_normal(n**p).reshape((n,) * p)
+def sample_tensors(jobs: list, out=None) -> list:
+    """Disorder tensors for the list of jobs [(seed, p, n), ...], in order.
+
+    Job (seed, p, n) gets the first n^p entries of stream (seed, "tensor", p)
+    in C order, shaped (n,) * p. `out`, one C-contiguous float64 array of n^p
+    entries per job, is filled in place and returned instead.
+
+    The streams are built and the outputs allocated on the calling thread;
+    only the bulk fills, which release the GIL, run on a pool of
+    min(#jobs, usable CPUs) threads. A single job fills inline.
+    """
+    gens = [_tensor_stream(seed, p) for seed, p, _n in jobs]
+    if out is None:
+        out = [np.empty((n,) * p) for _seed, p, n in jobs]
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        for g, o in zip(gens, out):
+            g.standard_normal(out=o)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda g, o: g.standard_normal(out=o), gens, out))
+    return out
 
 
 def check_budget(m: Mixture, n: int, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES):
@@ -91,15 +115,23 @@ def check_budget(m: Mixture, n: int, max_entries: int = DEFAULT_MAX_TENSOR_ENTRI
             )
 
 
+def sample_hamiltonians(
+    m: Mixture, n: int, seeds: list, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES
+) -> list:
+    """sample_hamiltonian for each seed, every tensor drawn in one
+    sample_tensors batch."""
+    if n < 1:
+        raise ArgumentError(f"dimension n={n} must be >= 1")
+    check_budget(m, n, max_entries)
+    tensors = iter(sample_tensors([(seed, p, n) for seed in seeds for p in m.ps]))
+    return [Hamiltonian(m, n, {p: next(tensors) for p in m.ps}, seed=seed) for seed in seeds]
+
+
 def sample_hamiltonian(
     m: Mixture, n: int, seed: int, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES
 ) -> Hamiltonian:
     """Deterministic disorder sample; bit-identical for equal (m, n, seed)."""
-    if n < 1:
-        raise ArgumentError(f"dimension n={n} must be >= 1")
-    check_budget(m, n, max_entries)
-    tensors = {p: sample_tensor(seed, p, n) for p in m.ps}
-    return Hamiltonian(m, n, tensors, seed=seed)
+    return sample_hamiltonians(m, n, [seed], max_entries)[0]
 
 
 def _as_vector(h: Hamiltonian, v, what: str = "point") -> np.ndarray:

@@ -17,13 +17,13 @@ from .ensembles import (
     OverlapLadder,
     TreeShape,
     constrained_membership,
-    mix_pair,
+    pair_mixer,
     sample_ensemble,
     underline_target_matrix,
     underline_view,
 )
 from .errors import ArgumentError
-from .hamiltonian import energy, gradient, sample_hamiltonian
+from .hamiltonian import energy, gradient
 from .mixture import Mixture
 from .optimizers import extend_to_sphere
 from .points import norm_n_sq, overlap, sphere_point
@@ -52,15 +52,10 @@ def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, algorith
     p_grid = tuple(float(p) for p in p_grid)
     values = np.empty((reps, len(p_grid)))
     for r in range(reps):
-        base = [
-            sample_hamiltonian(m, n, rng.derive_seed(seed, "chi", r, i)).tensors for i in range(3)
-        ]
+        mix = pair_mixer(m, n, seed, "chi", r, label="chi{i}(p={p})")
         run_seed = rng.derive_seed(seed, "chi-run", r)
         for j, p in enumerate(p_grid):
-            if not (0.0 <= p <= 1.0):
-                raise ArgumentError(f"correlation p={p} outside [0, 1]")
-            h1 = mix_pair(base[0], base[1], m, n, p, f"chi1(p={p})")
-            h2 = mix_pair(base[0], base[2], m, n, p, f"chi2(p={p})")
+            h1, h2 = mix(p)
             out1 = np.asarray(alg(h1, run_seed))
             out2 = np.asarray(alg(h2, run_seed))
             values[r, j] = overlap(out1, out2)
@@ -130,12 +125,8 @@ def overlap_concentration(
         raise ArgumentError(f"reps={reps} must be >= 30")
     vals = np.empty(reps)
     for r in range(reps):
-        base = [
-            sample_hamiltonian(m, n, rng.derive_seed(seed, "conc", r, i)).tensors for i in range(3)
-        ]
+        h1, h2 = pair_mixer(m, n, seed, "conc", r, label="conc{i}")(p)
         run_seed = rng.derive_seed(seed, "conc-run", r)
-        h1 = mix_pair(base[0], base[1], m, n, p, "conc1")
-        h2 = mix_pair(base[0], base[2], m, n, p, "conc2")
         vals[r] = overlap(np.asarray(alg(h1, run_seed)), np.asarray(alg(h2, run_seed)))
     if np.all(vals == vals[0]):  # identical observations: sd is exactly zero
         mean, sd = float(vals[0]), 0.0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from spinlab.ensembles import (
     m_matrix,
     m_of_q,
     pair_correlated,
+    pair_mixer,
     sample_ensemble,
     save_manifest,
     target_overlap_matrix,
@@ -26,7 +28,7 @@ from spinlab.ensembles import (
     underline_view,
 )
 from spinlab.errors import ArgumentError, ResourceError
-from spinlab.hamiltonian import energy
+from spinlab.hamiltonian import energy, sample_hamiltonian, save_snapshot
 from spinlab.mixture import Mixture, pure
 from spinlab.points import sphere_point
 
@@ -100,6 +102,24 @@ def test_pair_correlated():
     assert abs(c - 0.5) <= 4 / math.sqrt(64 * 64)
     with pytest.raises(ArgumentError):
         pair_correlated(m, 8, 1.5, seed=0)
+
+
+def test_pair_mixer_equals_the_per_copy_oracle():
+    m = Mixture({2: 0.8, 4: 0.4}, h=0.2)
+    for labels, label, p, names in (
+        ((4, "pair"), "pair{i}(p={p})", 0.3, ("pair1(p=0.3)", "pair2(p=0.3)")),
+        ((6, "chi", 2), "chi{i}(p={p})", 1.0, ("chi1(p=1.0)", "chi2(p=1.0)")),
+        ((5, "conc", 0), "conc{i}", 0.5, ("conc1", "conc2")),
+    ):
+        # the three copies this helper replaced: sample each base, then mix
+        base = [sample_hamiltonian(m, 5, rng.derive_seed(*labels, i)).tensors for i in range(3)]
+        a, b = math.sqrt(p), math.sqrt(1.0 - p)
+        pair = pair_mixer(m, 5, *labels, label=label)(p)
+        for i, h in zip((1, 2), pair):
+            assert (h.mixture, h.n, h.seed, h.label) == (m, 5, None, names[i - 1])
+            for q in m.ps:
+                assert np.array_equal(h.tensors[q], a * base[0][q] + b * base[i][q])
+    assert [h.label for h in pair_correlated(m, 4, 0.25, seed=4)] == ["pair1(p=0.25)", "pair2(p=0.25)"]
 
 
 def test_target_overlap_matrix():
@@ -262,6 +282,54 @@ def test_underline_view_and_target():
     assert q_ul[0, 1] == 0.3
 
 
+def _oracle_nodes(m, n, shape, seed):
+    """Every node's Hamiltonian as sampled one node at a time, root included."""
+    field_free = Mixture(dict(m.gammas), h=0.0)
+    return {
+        node: sample_hamiltonian(field_free, n, rng.derive_seed(seed, "node", node))
+        for node in shape.nodes()
+    }
+
+
+def test_ensemble_nodes_equal_the_per_node_oracle():
+    m = Mixture({2: 0.8, 4: 0.4}, h=0.3)
+    shape = TreeShape((2, 3))
+    pl = CorrelationLadder((0.0, 0.4, 1.0))
+    ens = sample_ensemble(m, 5, shape, pl, seed=9)
+    oracle = _oracle_nodes(m, 5, shape, 9)
+    assert list(ens.node_hams) == shape.nodes()[1:]  # the root is not sampled
+    for node, h in ens.node_hams.items():
+        want = oracle[node]
+        assert (h.mixture, h.n, h.seed) == (want.mixture, want.n, want.seed)
+        for p in m.ps:
+            assert np.array_equal(h.tensors[p], want.tensors[p])
+    # the leaves are the same weighted sums of the same node tensors
+    x = rng.stream(44).standard_normal(5) * 0.4
+    for u in shape.leaves():
+        weights = leaf_weights(shape, pl, u)
+        assert weights[()] == 0.0
+        leaf = ens.leaf_hamiltonian(u)
+        want_e = m.h * float(np.sum(x))
+        for p in m.ps:
+            want_t = np.zeros((5,) * p)
+            for node, w in weights.items():
+                if w > 0.0:
+                    want_t += w * oracle[node].tensors[p]
+            assert np.array_equal(leaf.tensors[p], want_t)
+        for node, w in weights.items():
+            if w > 0.0:
+                want_e += w * energy(oracle[node], x)
+        assert ens.leaf_energy(u, x) == want_e
+
+
+def test_ensemble_budget_counts_only_sampled_nodes():
+    shape = TreeShape((2,))  # two sampled nodes; the root would make three
+    ladder = CorrelationLadder((0.0, 1.0))
+    assert len(sample_ensemble(pure(2), 4, shape, ladder, seed=0, max_entries=32).node_hams) == 2
+    with pytest.raises(ResourceError):
+        sample_ensemble(pure(2), 4, shape, ladder, seed=0, max_entries=31)
+
+
 def test_manifest_roundtrip(tmp_path):
     m = Mixture({2: 0.9}, h=0.1)
     shape = TreeShape((2, 2))
@@ -275,3 +343,73 @@ def test_manifest_roundtrip(tmp_path):
     x = rng.stream(43).standard_normal(5) * 0.4
     for u in shape.leaves():
         assert back.leaf_energy(u, x) == ens.leaf_energy(u, x)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.json", "node_1.bin", "node_1_1.bin", "node_1_2.bin", "node_2.bin", "node_2_1.bin", "node_2_2.bin"
+    ]
+    assert back.node_hams.keys() == ens.node_hams.keys()
+
+
+def _saved(tmp_path, n=4, seed=77):
+    m = Mixture({2: 0.9, 4: 0.3}, h=0.1)
+    ens = sample_ensemble(m, n, TreeShape((2, 1)), CorrelationLadder((0.0, 0.3, 1.0)), seed=seed)
+    save_manifest(ens, tmp_path)
+    return ens, json.loads((tmp_path / "manifest.json").read_text())
+
+
+def _write(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_manifest_with_a_root_entry_still_loads(tmp_path):
+    ens, manifest = _saved(tmp_path)
+    root = _oracle_nodes(ens.mixture, ens.n, ens.shape, ens.seed)[()]
+    save_snapshot(root, tmp_path / "node_root.bin")  # what earlier versions wrote
+    manifest["nodes"].insert(0, {"path": [], "snapshot": "node_root.bin"})
+    _write(tmp_path, manifest)
+    back = load_manifest(tmp_path)
+    assert () not in back.node_hams
+    assert back.node_hams.keys() == ens.node_hams.keys()
+    x = rng.stream(45).standard_normal(ens.n) * 0.4
+    for u in ens.leaves():
+        assert back.leaf_energy(u, x) == ens.leaf_energy(u, x)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda m: m.pop("n"), "malformed"),
+        (lambda m: m.pop("nodes"), "malformed"),
+        (lambda m: m.update(n="4"), "must be integers"),
+        (lambda m: m.update(n=0), "must be integers"),
+        (lambda m: m.update(ks=3), "malformed"),
+        (lambda m: m.update(mixture={"gammas": {"two": 1.0}, "h": 0.1}), "malformed"),
+        (lambda m: m["nodes"].append({"path": [9], "snapshot": "node_1.bin"}), "outside the tree shape"),
+        (lambda m: m["nodes"].append({"path": [1, 1, 1], "snapshot": "node_1.bin"}), "outside"),
+        (lambda m: m["nodes"].pop(), "lacks the nodes"),
+        (lambda m: m["nodes"].append(dict(m["nodes"][0])), "more than once"),
+        (lambda m: m["nodes"][0].pop("snapshot"), "malformed"),
+        (lambda m: m["nodes"][0].update(path=[[1]]), "malformed"),
+    ],
+)
+def test_malformed_manifest_raises_argument_error(tmp_path, edit, match):
+    _ens, manifest = _saved(tmp_path)
+    edit(manifest)
+    _write(tmp_path, manifest)
+    with pytest.raises(ArgumentError, match=match):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("n, gammas", [(5, {2: 0.9, 4: 0.3}), (4, {2: 0.9}), (4, {2: 0.9, 4: 0.31})])
+def test_manifest_rejects_a_snapshot_that_disagrees(tmp_path, n, gammas):
+    _ens, manifest = _saved(tmp_path)
+    other = sample_hamiltonian(Mixture(gammas), n, seed=1)
+    save_snapshot(other, tmp_path / manifest["nodes"][0]["snapshot"])
+    with pytest.raises(ArgumentError, match="the manifest gives"):
+        load_manifest(tmp_path)
+
+
+def test_manifest_that_is_not_json(tmp_path):
+    _saved(tmp_path)
+    (tmp_path / "manifest.json").write_text("{not json")
+    with pytest.raises(ArgumentError, match="malformed"):
+        load_manifest(tmp_path)

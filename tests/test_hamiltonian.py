@@ -1,5 +1,7 @@
 import math
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,8 @@ from spinlab.hamiltonian import (
     projected_top_eigvec,
     restricted_top_eigvec,
     sample_hamiltonian,
+    sample_hamiltonians,
+    sample_tensors,
     save_snapshot,
 )
 from spinlab.mixture import Mixture, pure
@@ -47,6 +51,77 @@ def test_sampling_mean_lln():
     entries = h.tensors[4].ravel()
     assert entries.size == 4096
     assert abs(entries.mean()) <= 4 / math.sqrt(4096)
+
+
+def oracle_sample_tensor(seed, p, n):
+    """The serial sampler before `sample_tensors`: one fill per tensor."""
+    return rng.stream(seed, "tensor", p).standard_normal(n**p).reshape((n,) * p)
+
+
+@pytest.fixture(params=[1, 2])
+def pool_size(request, monkeypatch):
+    """Pretend the process may use this many CPUs, and record each pool."""
+    import spinlab.hamiltonian as ham
+
+    pools = []
+
+    class Recording(ham.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    monkeypatch.setattr(ham, "ThreadPoolExecutor", Recording)
+    return request.param, pools
+
+
+def test_sample_tensors_equal_the_serial_oracle(pool_size):
+    size, pools = pool_size
+    jobs = [(7, 2, 5), (7, 4, 5), (2**63 + 1, 2, 1), (3, 6, 3), (7, 2, 5)]
+    got = sample_tensors(jobs)
+    assert pools == ([] if size == 1 else [2])
+    for (seed, p, n), t in zip(jobs, got):
+        want = oracle_sample_tensor(seed, p, n)
+        assert t.shape == want.shape and t.dtype == want.dtype
+        assert np.array_equal(t.view(np.uint64), want.view(np.uint64))
+    # in place, into rows of a larger array
+    rows = np.zeros((2, 3**4))
+    out = sample_tensors([(4, 4, 3), (5, 4, 3)], out=list(rows))
+    assert out[0].base is rows
+    for r, seed in enumerate((4, 5)):
+        assert np.array_equal(rows[r], oracle_sample_tensor(seed, 4, 3).ravel())
+    # one job fills inline
+    pools.clear()
+    (t,) = sample_tensors([(9, 4, 4)])
+    assert pools == [] and np.array_equal(t, oracle_sample_tensor(9, 4, 4))
+
+
+def test_sample_hamiltonians_equal_one_by_one(pool_size):
+    m = Mixture({2: 0.6, 4: 1.1}, h=0.25)
+    seeds = [3, 11, 3]
+    for h, seed in zip(sample_hamiltonians(m, 4, seeds), seeds):
+        one = sample_hamiltonian(m, 4, seed)
+        assert (h.mixture, h.n, h.seed) == (one.mixture, one.n, seed)
+        for p in m.ps:
+            assert np.array_equal(h.tensors[p], oracle_sample_tensor(seed, p, 4))
+            assert np.array_equal(h.tensors[p], one.tensors[p])
+
+
+def test_streams_are_built_on_the_calling_thread(pool_size, monkeypatch):
+    size, pools = pool_size
+    original = rng.stream
+    threads = []
+
+    def stream(*labels):
+        threads.append(threading.current_thread())
+        return original(*labels)
+
+    monkeypatch.setattr(rng, "stream", stream)
+    sample_tensors([(seed, p, 6) for seed in range(3) for p in (2, 4)])
+    sample_hamiltonians(Mixture({2: 1.0, 4: 1.0}), 4, [1, 2])
+    assert len(threads) == 10
+    assert all(t is threading.main_thread() for t in threads)
+    assert pools == ([] if size == 1 else [2, 2])
 
 
 def test_budget_guard():
