@@ -10,7 +10,6 @@ from .hamiltonian import (
     hessian,
     hessian_apply,
     load_snapshot,
-    op_norm_probe,
     restricted_top_eigvec,
     sample_hamiltonian,
     save_snapshot,
@@ -27,7 +26,6 @@ from .ensembles import (
     lca_depth,
     m_matrix,
     m_of_q,
-    pair_correlated,
     sample_ensemble,
     target_overlap_matrix,
 )
@@ -45,7 +43,6 @@ from .parisi import (
     opt_sp_numeric,
     parisi_is,
     parisi_sp,
-    phi_multidim_mc,
     shift_identity_check,
     solve_parisi_pde,
     theta,

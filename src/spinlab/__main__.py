@@ -58,8 +58,13 @@ def build_parser():
 
 def config_from_args(args) -> dict:
     if args.command == "run":
-        with open(args.config) as f:
-            config = json.load(f)
+        try:
+            with open(args.config) as f:
+                config = json.load(f)
+        except IsADirectoryError:
+            raise ArgumentError(f"config {args.config} is a directory, not a JSON file") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ArgumentError(f"config {args.config} is not valid JSON: {exc}") from None
     else:
         config = {"subcommand": args.command}
         if args.mixture is not None:
@@ -72,7 +77,8 @@ def config_from_args(args) -> dict:
             config["n"] = args.n
         if args.seed is not None:
             config["seed"] = args.seed
-        if getattr(args, "seeds", None):
+        if args.seeds is not None:
+            # --seeds below 1 gives an empty list, which the schema rejects
             config["seeds"] = list(range(args.seeds))
         if getattr(args, "ising", False):
             config["ising"] = True

@@ -51,7 +51,7 @@ from .parisi import (
     solve_parisi_pde,
     theta,
 )
-from .parisi.interpolation import _kappa_zeta_profile
+from .parisi.interpolation import kappa_zeta_profile
 from .points import norm_n_sq, overlap, sphere_point
 from .ultrametric import (
     DatedRootedTree,
@@ -348,7 +348,7 @@ def criterion_7_cascade_and_recursion() -> CriterionResult:
         for d in range(seq.depth + 1):
             floor = b_profile(
                 big_b,
-                _kappa_zeta_profile(shape_r, pl_r, ql_r, levels_r),
+                kappa_zeta_profile(shape_r, pl_r, ql_r, levels_r),
                 mm,
                 ql_r.qs[d],
             )

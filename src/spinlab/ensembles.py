@@ -211,12 +211,6 @@ def pair_mixer(m: Mixture, n: int, *labels, label: str = "pair{i}(p={p})"):
     return mix
 
 
-def pair_correlated(m: Mixture, n: int, p: float, seed: int):
-    """Two Hamiltonians whose disorder coefficients have covariance
-    [[1, p], [p, 1]] entrywise: sqrt(p) H0 + sqrt(1-p) Hi, i = 1, 2."""
-    return pair_mixer(m, n, seed, "pair")(p)
-
-
 def target_overlap_matrix(shape: TreeShape, qladder: OverlapLadder) -> np.ndarray:
     """Q_{u, v} = q_{lca depth(u, v)}; diagonal = q_D = 1."""
     if qladder.depth != shape.depth:

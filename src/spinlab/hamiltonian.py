@@ -20,13 +20,11 @@ T in place (no transposed copy):
 Energy and gradient keep the arithmetic of one pass per slot bit for bit.
 No symmetrised copy of T is cached: it would double the tensor memory.
 
-Every other derivative read goes through one evaluator, `_form(h, x, vecs)`:
-<grad^k H(x), v_1 x ... x v_k>, each tensor term summed over the ordered
-tuples of k distinct slots with v_i in slot i of the tuple and x elsewhere.
-A None entry leaves its slot open and makes the result a gradient vector.
-The Hessian-vector product is `_form(h, x, [None, w])`, the gradient in x
-of <grad H(x), w>; `op_norm_probe` takes its k-form values and gradients
-from it.
+The Hessian-vector product `hessian_apply` is the gradient in x of
+<grad H(x), w>: each tensor term sums, over the ordered pairs (s, t) of
+distinct slots, the contraction with w in slot t, slot s left open and x in
+every other slot.  It needs O(n) memory beyond the tensors, so the Lanczos
+eigensolves above the dense-Hessian cap run on it.
 """
 
 import itertools
@@ -41,7 +39,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from . import rng
 from .errors import ArgumentError, DomainError, NumericError, ResourceError
 from .mixture import Mixture
-from .points import norm_n_sq, orthonormal_rows, project_ball, sphere_point
+from .points import norm_n_sq, orthonormal_rows
 
 DEFAULT_MAX_TENSOR_ENTRIES = 2**27
 DEFAULT_DENSE_HESSIAN_CAP = 512
@@ -241,37 +239,21 @@ def hessian(h: Hamiltonian, x, dense_cap: int = DEFAULT_DENSE_HESSIAN_CAP) -> np
     return derivatives(h, x, 2)[2]
 
 
-def _form(h: Hamiltonian, x, vecs):
-    """<grad^k H(x), v_1 x ... x v_k> for k = len(vecs), raw (unnormalised).
-
-    Each tensor term sums over the ordered tuples `slots` of k distinct slots,
-    v_i in slot slots[i] and x in every other slot; the field enters at k = 1
-    only.  A None entry leaves its slot open, so the result is the gradient
-    in that v_i (a vector) instead of a float.
-    """
-    k = len(vecs)
-    open_ = [i for i, v in enumerate(vecs) if v is None]
-    out = np.zeros(h.n) if open_ else 0.0
-    if k == 1:
-        out += h.mixture.h if open_ else h.mixture.h * float(np.sum(vecs[0]))
-    for p in h.mixture.ps:
-        g = _scale(h.mixture, p, h.n)
-        if g == 0.0 or p < k:
-            continue
-        for slots in itertools.permutations(range(p), k):
-            assign = [x] * p
-            for s, v in zip(slots, vecs):
-                assign[s] = v
-            term = _contract(h.tensors[p], assign, keep=tuple(slots[i] for i in open_))
-            out += g * (term if open_ else float(term))
-    return out
-
-
 def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
     """Hessian-vector product, O(n) memory, available at any n: the gradient
     in x of <grad H(x), w>."""
     x = _check_radius(h, x)
-    return _form(h, x, [None, _as_vector(h, w, "w")])
+    w = _as_vector(h, w, "w")
+    out = np.zeros(h.n)
+    for p in h.mixture.ps:
+        g = _scale(h.mixture, p, h.n)
+        if g == 0.0:
+            continue
+        for s, t in itertools.permutations(range(p), 2):
+            assign = [x] * p
+            assign[t] = w
+            out += g * _contract(h.tensors[p], assign, keep=(s,))
+    return out
 
 
 def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter: int = 10_000):
@@ -353,50 +335,6 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, 
         raise NumericError(f"projected eigensolve did not converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
     return vecs[:, order].T.copy(), vals[order]
-
-
-# -- operator-norm probe ------------------------------------------------------
-
-
-def op_norm_probe(
-    h: Hamiltonian,
-    k: int,
-    r: float,
-    trials: int,
-    seed: int,
-    iters: int = 40,
-) -> float:
-    """Lower estimate of sup_{|x|_N <= r} |grad^k H(x)|_op by random-restart
-    alternating maximization; nondecreasing in `trials` on a fixed seed."""
-    if k not in (1, 2, 3):
-        raise ArgumentError(f"k={k} must be in {{1, 2, 3}}")
-    if not (1.0 <= r < np.sqrt(2.0)):
-        raise ArgumentError(f"radius r={r} must satisfy 1 <= r < sqrt(2)")
-    best = 0.0
-    sqrt_n = np.sqrt(h.n)
-    for trial in range(trials):
-        g = rng.stream(seed, "opnorm", trial)
-        x = r * sphere_point(g.standard_normal(h.n))
-        sigmas = [sphere_point(g.standard_normal(h.n)) for _ in range(k)]
-        step = 0.5 * r
-        for _ in range(iters):
-            for a in range(k):
-                direction = _form(h, x, sigmas[:a] + [None] + sigmas[a + 1 :])
-                nrm = np.linalg.norm(direction)
-                if nrm > 0:
-                    sigmas[a] = direction * (sqrt_n / nrm)
-            if _form(h, x, sigmas) < 0:
-                sigmas[0] = -sigmas[0]
-            gx = _form(h, x, sigmas + [None])
-            nrm = np.linalg.norm(gx)
-            if nrm > 0:
-                cand = project_ball(x + step * sqrt_n * gx / nrm, r)
-                if _form(h, cand, sigmas) > _form(h, x, sigmas):
-                    x = cand
-                else:
-                    step *= 0.5
-        best = max(best, abs(_form(h, x, sigmas)) / h.n)
-    return best
 
 
 # -- snapshot serialization ----------------------------------------------------

@@ -1,7 +1,9 @@
 """Optimization algorithms on p-spin Hamiltonians: projected gradient ascent,
 AMP with Onsager correction and state evolution, Subag-style Hessian ascent
 and the random-subspace walk, reflected Langevin dynamics, the sphere/cube
-extension-and-rounding procedure, and a Lipschitz probe.
+extension-and-rounding procedure, and a Lipschitz probe in the disorder
+(`lipschitz_probe`, reported in the `concentration` subcommand's run.json
+beside the overlap concentration it implies).
 
 All optimizers ascend the energy (thresholds are maxima).
 """
@@ -254,6 +256,12 @@ def subag_direction_from_hessian(hess, x, grad, mode: str, delta: float, step_se
         v = vecs[:, -dim:] @ coeffs
     else:
         raise ArgumentError(f"unknown subag mode {mode!r}")
+    return _orient(v, x, grad)
+
+
+def _orient(v, x, grad):
+    """v projected onto x-perp, normalized, and signed so that <grad, v> >= 0."""
+    xn = np.linalg.norm(x)
     if xn > 1e-12:
         v = v - (x @ v) / (xn * xn) * x
     v /= np.linalg.norm(v)
@@ -276,14 +284,8 @@ def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int, start
     else:
         coeffs = rng.stream(step_seed, "subag-dir").standard_normal(len(vecs))
         v = coeffs @ vecs
-    xn = np.linalg.norm(x)
-    if xn > 1e-12:
-        v = v - (x @ v) / (xn * xn) * x
-    v /= np.linalg.norm(v)
     e, grad = derivatives(h, x, 1)
-    if grad @ v < 0:
-        v = -v
-    return e, v
+    return e, _orient(v, x, grad)
 
 
 def subag_ascent(
@@ -538,18 +540,9 @@ def _fallback_coordinate(free, span, gen, n):
     return None
 
 
-def lipschitz_probe(
-    alg,
-    m: Mixture,
-    n: int,
-    eps: float,
-    reps: int,
-    seed: int,
-    n_coeffs: int | None = None,
-):
+def lipschitz_probe(alg, m: Mixture, n: int, eps: float, reps: int, seed: int):
     """Empirical output-distance / input-distance ratios under i.i.d. Gaussian
-    coefficient perturbations of scale eps (optionally restricted to the first
-    n_coeffs coefficients in the fixed concatenation order).
+    perturbations of scale eps of every disorder coefficient.
 
     Returns (max_ratio, mean_ratio, ratios); distances in the |.|_N norms.
     """
@@ -557,12 +550,9 @@ def lipschitz_probe(
     out0 = np.asarray(alg(base, seed))
     sizes = {p: base.tensors[p].size for p in m.ps}
     total = sum(sizes.values())
-    limit = total if n_coeffs is None else min(n_coeffs, total)
     ratios = []
     for rep in range(reps):
-        gen = rng.stream(seed, "probe", rep)
-        delta = np.zeros(total)
-        delta[:limit] = eps * gen.standard_normal(limit)
+        delta = eps * rng.stream(seed, "probe", rep).standard_normal(total)
         tensors = {}
         offset = 0
         for p in m.ps:
@@ -576,34 +566,3 @@ def lipschitz_probe(
         ratios.append(dist_out / dist_in if dist_in > 0 else 0.0)
     ratios = np.asarray(ratios)
     return float(ratios.max()), float(ratios.mean()), ratios
-
-
-# -- generic iteration runner (conformance with the k-th order class) ----------------
-
-
-def run_iterative(h: Hamiltonian, fs, x_init, k_order: int = 1) -> Trajectory:
-    """Generic iteration x^{t+1} = f_t((x^s)_s, (derivatives of H at x^s)_s).
-
-    f_t receives (xs, derivs); derivs[s]["grad"] is the gradient at x^s and,
-    for k_order >= 2, derivs[s]["hessian"] the dense Hessian.  gradient_ascent
-    and subag_ascent are expressible in this form and reproduce bit-identical
-    trajectories (see tests).
-    """
-    if k_order >= 2 and h.n > DEFAULT_DENSE_HESSIAN_CAP:
-        raise ResourceError(f"dense Hessian refused for n={h.n} > cap {DEFAULT_DENSE_HESSIAN_CAP}")
-    xs = [np.asarray(x, dtype=float) for x in x_init]
-    energies = []
-    derivs = []
-
-    def record(x):
-        e, *ders = derivatives(h, x, 2 if k_order >= 2 else 1)
-        energies.append(e)
-        derivs.append(dict(zip(("grad", "hessian"), ders)))
-
-    for x in xs:
-        record(x)
-    for f in fs:
-        x = np.asarray(f(list(xs), list(derivs)), dtype=float)
-        xs.append(x)
-        record(x)
-    return Trajectory(xs, energies, "generic", {"k_order": k_order})

@@ -12,7 +12,6 @@ from .pde import (
     alg_is_levels,
     alg_is_numeric,
     parisi_is,
-    phi_multidim_mc,
     shift_identity_check,
     solve_parisi_pde,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "alg_is_levels",
     "alg_is_numeric",
     "parisi_is",
-    "phi_multidim_mc",
     "shift_identity_check",
     "solve_parisi_pde",
     "increasify_is",

@@ -45,31 +45,6 @@ def cascade_value(
     return 0.5 * shape.n_leaves * total
 
 
-def cascade_value_integral(
-    shape: TreeShape,
-    pladder: CorrelationLadder,
-    qladder: OverlapLadder,
-    zeta: PiecewiseZeta,
-    m: Mixture,
-) -> float:
-    """(K/2) integral_{q0}^1 (q - q0) xi''(q) kappa(q) zeta(q) dq, by
-    quadrature interval by interval (cross-check of the closed form)."""
-    q0 = qladder.qs[0]
-    total = 0.0
-    for d in range(shape.depth):
-        kap = kappa_level(shape, pladder, d + 1)
-        a, b = qladder.qs[d], qladder.qs[d + 1]
-        val, _ = quad(
-            lambda q: (q - q0) * xi_eval(m, q, 2) * kap * zeta(min(q, np.nextafter(1.0, 0.0))),
-            a,
-            b,
-            epsabs=QUAD_ABS_TOL,
-            limit=200,
-        )
-        total += val
-    return 0.5 * shape.n_leaves * total
-
-
 def gaussian_quadratic_logmoment(lam, sig, zeta: float, v, y) -> float:
     """(1/zeta) log E exp( zeta/2 [ (y+eta)' Lam^{-1} (y+eta) - 2 v'(y+eta) ] )
     for eta ~ N(0, Sigma); requires Lam, Sigma, and Lam - zeta Sigma positive
@@ -136,7 +111,7 @@ def lambda_recursion(
     depth, K = shape.depth, shape.n_leaves
     qs = qladder.qs
     levels = _zeta_levels_at_knots(zeta, qladder)
-    kz = _kappa_zeta_profile(shape, pladder, qladder, levels)
+    kz = kappa_zeta_profile(shape, pladder, qladder, levels)
     if B <= kz.integral_xi2(m, qs[0], 1.0):
         raise DomainError("(B, kappa zeta) infeasible: B <= int xi'' kappa zeta")
 
@@ -192,8 +167,9 @@ def lambda_recursion(
     return LambdaRecursionResult(LambdaSequence(mats, vecs, logdets), value, bound)
 
 
-def _kappa_zeta_profile(shape, pladder, qladder, levels) -> PiecewiseZeta:
-    """kappa(q) zeta(q) on [q0, 1) as a step profile (0 below q0)."""
+def kappa_zeta_profile(shape, pladder, qladder, levels) -> PiecewiseZeta:
+    """kappa(q) zeta(q) on [q0, 1) as a step profile (0 below q0), from the
+    zeta levels at the knots q_0..q_{D-1}."""
     breaks, values = [], []
     if qladder.qs[0] > 0.0:
         breaks.append(0.0)
@@ -202,18 +178,6 @@ def _kappa_zeta_profile(shape, pladder, qladder, levels) -> PiecewiseZeta:
         breaks.append(qladder.qs[d])
         values.append(kappa_level(shape, pladder, d + 1) * levels[d])
     return PiecewiseZeta(tuple(breaks), tuple(values))
-
-
-def kappa_zeta_profile(
-    shape: TreeShape,
-    pladder: CorrelationLadder,
-    qladder: OverlapLadder,
-    zeta: PiecewiseZeta,
-    beta: float = 1.0,
-) -> PiecewiseZeta:
-    """beta kappa(q) zeta(q) on [q0, 1) (zero below q0)."""
-    levels = [beta * z for z in _zeta_levels_at_knots(zeta, qladder)]
-    return _kappa_zeta_profile(shape, pladder, qladder, levels)
 
 
 def interpolation_bound_sp(
@@ -252,7 +216,7 @@ def composite_profile(
     """zeta_under on [0, q0) glued to beta kappa zeta on [q0, 1)."""
     q0 = qladder.qs[0]
     levels = [beta * z for z in _zeta_levels_at_knots(zeta, qladder)]
-    over = _kappa_zeta_profile(shape, pladder, qladder, levels)
+    over = kappa_zeta_profile(shape, pladder, qladder, levels)
     over_breaks = list(qladder.qs[:-1])
     over_values = [over(q) for q in over_breaks]
     return compose_under_over(zeta_under, q0, tuple(over_breaks), tuple(over_values))

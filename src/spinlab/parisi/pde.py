@@ -1,6 +1,5 @@
 """One-dimensional Parisi PDE via the backward Cole-Hopf recursion, the Ising
-functional and its variational minimization, and the multidimensional
-recursion evaluated by nested Monte Carlo.
+functional and its variational minimization.
 
 On each interval where zeta = c is constant the PDE solution satisfies
 Phi(t, x) = (1/c) log E exp(c Phi(t+, x + Z sqrt(xi'(t+) - xi'(t)))),
@@ -27,10 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import log_ndtr, logsumexp, ndtr, roots_hermite
+from scipy.special import log_ndtr, ndtr, roots_hermite
 
-from .. import rng
-from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, m_matrix
 from ..errors import ArgumentError, NumericError, ResourceError
 from ..hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES
 from ..mixture import Mixture, xi_eval
@@ -475,98 +472,3 @@ def _slope_profile(m: Mixture, q: float) -> float:
     if denom <= 1e-12:
         return 0.0
     return xi_eval(m, q, 3) / (2.0 * denom**1.5)
-
-
-# -- multidimensional recursion by nested Monte Carlo ---------------------------
-
-
-@dataclass
-class MCEstimate:
-    value: float
-    se: float
-    bias: float  # outer-level jackknife bias estimate
-
-
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals) @ vecs.T
-
-
-def phi_multidim_mc(
-    shape: TreeShape,
-    pladder: CorrelationLadder,
-    qladder: OverlapLadder,
-    zeta_levels,
-    a: float,
-    x,
-    m: Mixture,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> MCEstimate:
-    """Nested Monte Carlo for the K-dimensional recursion with terminal
-    sum_u log(2cosh x_u) - a x_u, Gaussian increments eta_d ~ N(0, M^d), and
-    per-level log-mean-exp at the zeta levels (plain mean below q_0 and at
-    zero levels)."""
-    K = shape.n_leaves
-    if K > 4:
-        raise ArgumentError(f"K={K} too large for nested MC (K <= 4)")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (K,):
-        raise ArgumentError(f"x has shape {x.shape}, want ({K},)")
-    levels = [float(z) for z in zeta_levels]
-    if len(levels) != shape.depth:
-        raise ArgumentError("need one zeta level per tree depth")
-    qs = qladder.qs
-
-    layers = []  # (std, cov sqrt, zeta level applied when reducing this layer)
-    s2_head = xi_eval(m, qs[0], 1) - xi_eval(m, 0.0, 1)
-    if s2_head > 0:
-        layers.append((math.sqrt(s2_head), _sqrt_psd(m_matrix(shape, pladder, 1)), 0.0))
-    for d in range(shape.depth):
-        s2 = xi_eval(m, qs[d + 1], 1) - xi_eval(m, qs[d], 1)
-        layers.append((math.sqrt(max(s2, 0.0)), _sqrt_psd(m_matrix(shape, pladder, d + 1)), levels[d]))
-
-    if not layers:
-        val = float(np.sum(_log2cosh(x) - a * x))
-        return MCEstimate(val, 0.0, 0.0)
-
-    depth = len(layers)
-    n_per = max(8, int(round(samples ** (1.0 / depth))))
-    gen = rng.stream(seed, "phi-mc", K, depth)
-
-    # sample increments shape (n_0, ..., n_{depth-1}, K) and fold backwards
-    total_shape = (n_per,) * depth
-    points = np.broadcast_to(x, total_shape + (K,)).copy()
-    for ell, (s, root, _z) in enumerate(layers):
-        if s == 0.0:
-            continue
-        shape_ell = total_shape[: ell + 1] + (1,) * (depth - ell - 1) + (K,)
-        eta = gen.standard_normal(shape_ell) @ root.T
-        points += s * eta
-
-    vals = np.sum(_log2cosh(points) - a * points, axis=-1)
-    for s, root, z in layers[:0:-1]:
-        if z > 0.0:
-            vals = logsumexp(z * vals, axis=-1) / z - math.log(vals.shape[-1]) / z
-        else:
-            vals = np.mean(vals, axis=-1)
-
-    # outermost reduction with jackknife over the n_0 samples
-    z0 = layers[0][2]
-    n0 = vals.shape[0]
-    if z0 > 0.0:
-        w = z0 * vals
-        full = (logsumexp(w) - math.log(n0)) / z0
-        wmax = np.max(w)
-        expw = np.exp(w - wmax)
-        total = np.sum(expw)
-        loo = (wmax + np.log((total - expw) / (n0 - 1))) / z0
-    else:
-        full = float(np.mean(vals))
-        total = np.sum(vals)
-        loo = (total - vals) / (n0 - 1)
-    jack_mean = float(np.mean(loo))
-    bias = (n0 - 1) * (jack_mean - full)
-    se = math.sqrt((n0 - 1) / n0 * float(np.sum((loo - jack_mean) ** 2)))
-    return MCEstimate(float(full), se, float(bias))

@@ -35,6 +35,7 @@ from .optimizers import (
     export_trajectory_csv,
     gradient_ascent,
     langevin,
+    lipschitz_probe,
     subag_ascent,
 )
 from .parisi import (
@@ -82,7 +83,7 @@ SCHEMA = {
         },
         "n": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer"},
-        "seeds": {"type": "array", "items": {"type": "integer"}},
+        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
         "out": {"type": "string"},
         "workers": {"type": "integer", "minimum": 1, "maximum": 64},
         "alg": {"type": "object"},
@@ -122,6 +123,12 @@ SCHEMA = {
         "chi": {"type": "string"},
     },
 }
+
+
+# The concentration run's Lipschitz probe: the disorder perturbation scale
+# (small, so the ratio measures the local slope) and the number of perturbations.
+LIPSCHITZ_EPS = 1e-3
+LIPSCHITZ_REPS = 4
 
 
 @dataclass
@@ -339,7 +346,7 @@ def _run_thresholds(config, out):
 def _run_optimize(config, out):
     m = parse_mixture(config.get("mixture", "p4"))
     n = int(config.get("n", 64))
-    seeds = config.get("seeds") or [int(config.get("seed", 0))]
+    seeds = config.get("seeds", [int(config.get("seed", 0))])
     alg_spec = config.get("alg", {"name": "subag", "delta": 0.125})
     workers = int(config.get("workers", 1))
     alg = build_algorithm(alg_spec)
@@ -400,15 +407,17 @@ def _run_chi(config, out):
 def _run_concentration(config, out):
     m = parse_mixture(config.get("mixture", "p2"))
     alg = _point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
+    n, seed = int(config.get("n", 48)), int(config.get("seed", 0))
     rep = overlap_concentration(
         alg,
         m,
-        int(config.get("n", 48)),
+        n,
         float(config.get("p", 0.5)),
         int(config.get("reps", 30)),
         float(config.get("lambda", 0.2)),
-        int(config.get("seed", 0)),
+        seed,
     )
+    max_ratio, mean_ratio, _ = lipschitz_probe(alg, m, n, LIPSCHITZ_EPS, LIPSCHITZ_REPS, seed)
     results = {
         "mean": rep.mean,
         "sd": rep.sd,
@@ -416,6 +425,12 @@ def _run_concentration(config, out):
         "wilson": list(rep.wilson),
         "lambda": rep.lam,
         "reps": rep.reps,
+        "lipschitz": {
+            "max_ratio": max_ratio,
+            "mean_ratio": mean_ratio,
+            "eps": LIPSCHITZ_EPS,
+            "reps": LIPSCHITZ_REPS,
+        },
     }
     path = os.path.join(out, "run.json")
     write_run_json(path, config, results)

@@ -103,15 +103,6 @@ class DatedRootedTree:
         return DatedRootedTree(parents, heights, self.root)
 
 
-def chain_tree(heights) -> DatedRootedTree:
-    """Path r -> v1 -> ... -> leaf at the given increasing heights."""
-    ids = list(range(len(heights)))
-    parents = {0: None}
-    for i in ids[1:]:
-        parents[i] = i - 1
-    return DatedRootedTree(parents, dict(zip(ids, heights)))
-
-
 def star_tree(k: int, a=0.0, b=1.0) -> DatedRootedTree:
     parents = {"r": None}
     heights = {"r": a}
@@ -370,18 +361,6 @@ def _alg_profile(m, q: float) -> float:
 
 
 # -- exchange format ----------------------------------------------------------------
-
-
-def tree_to_json(t: DatedRootedTree) -> str:
-    a, b = t.range
-    payload = {
-        "vertices": [
-            {"id": str(v), "parent": None if p is None else str(p), "height": float(t.heights[v])}
-            for v, p in t.parents.items()
-        ],
-        "range": [float(a), float(b)],
-    }
-    return json.dumps(payload, indent=1)
 
 
 def tree_from_json(source) -> DatedRootedTree:

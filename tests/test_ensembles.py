@@ -19,7 +19,6 @@ from spinlab.ensembles import (
     load_manifest,
     m_matrix,
     m_of_q,
-    pair_correlated,
     pair_mixer,
     sample_ensemble,
     save_manifest,
@@ -92,16 +91,16 @@ def test_ensemble_budget():
 
 def test_pair_correlated():
     m = pure(2)
-    h1, h2 = pair_correlated(m, 8, 1.0, seed=4)
+    h1, h2 = pair_mixer(m, 8, 4, "pair")(1.0)
     assert np.array_equal(h1.tensors[2], h2.tensors[2])
-    h1, h2 = pair_correlated(m, 64, 0.0, seed=4)
+    h1, h2 = pair_mixer(m, 64, 4, "pair")(0.0)
     c = np.corrcoef(h1.coefficients, h2.coefficients)[0, 1]
     assert abs(c) <= 4 / math.sqrt(64 * 64)
-    h1, h2 = pair_correlated(m, 64, 0.5, seed=4)
+    h1, h2 = pair_mixer(m, 64, 4, "pair")(0.5)
     c = np.corrcoef(h1.coefficients, h2.coefficients)[0, 1]
     assert abs(c - 0.5) <= 4 / math.sqrt(64 * 64)
     with pytest.raises(ArgumentError):
-        pair_correlated(m, 8, 1.5, seed=0)
+        pair_mixer(m, 8, 0, "pair")(1.5)
 
 
 def test_pair_mixer_equals_the_per_copy_oracle():
@@ -119,7 +118,7 @@ def test_pair_mixer_equals_the_per_copy_oracle():
             assert (h.mixture, h.n, h.seed, h.label) == (m, 5, None, names[i - 1])
             for q in m.ps:
                 assert np.array_equal(h.tensors[q], a * base[0][q] + b * base[i][q])
-    assert [h.label for h in pair_correlated(m, 4, 0.25, seed=4)] == ["pair1(p=0.25)", "pair2(p=0.25)"]
+    assert [h.label for h in pair_mixer(m, 4, 4, "pair")(0.25)] == ["pair1(p=0.25)", "pair2(p=0.25)"]
 
 
 def test_target_overlap_matrix():

@@ -15,7 +15,6 @@ from spinlab.hamiltonian import (
     DEFAULT_DENSE_HESSIAN_CAP,
     Hamiltonian,
     _contract,
-    _form,
     _scale,
     derivatives,
     energy,
@@ -23,7 +22,6 @@ from spinlab.hamiltonian import (
     hessian,
     hessian_apply,
     load_snapshot,
-    op_norm_probe,
     projected_top_eigvec,
     restricted_top_eigvec,
     sample_hamiltonian,
@@ -465,46 +463,7 @@ def test_dense_path_ignores_start():
         assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
 
 
-def test_op_norm_probe_field_exact():
-    h = sample_hamiltonian(Mixture({2: 0.0}, h=0.9), 12, seed=0)
-    val = op_norm_probe(h, 1, 1.0, trials=2, seed=0)
-    assert val == pytest.approx(0.9, abs=1e-9)
-
-
-def test_op_norm_probe_p2_vs_dense():
-    h = sample_hamiltonian(pure(2), 16, seed=8)
-    g = h.tensors[2]
-    want = float(np.max(np.abs(np.linalg.eigvalsh(16 ** (-0.5) * (g + g.T)))))
-    got = op_norm_probe(h, 2, 1.0, trials=8, seed=1)
-    assert abs(got - want) / want <= 0.02
-
-
-def test_op_norm_probe_monotone_in_trials():
-    h = sample_hamiltonian(pure(4), 8, seed=9)
-    lo = op_norm_probe(h, 2, 1.0, trials=3, seed=5, iters=10)
-    hi = op_norm_probe(h, 2, 1.0, trials=10, seed=5, iters=10)
-    assert hi >= lo
-
-
-def test_op_norm_probe_argument_errors():
-    h = sample_hamiltonian(pure(2), 8, seed=0)
-    with pytest.raises(ArgumentError):
-        op_norm_probe(h, 4, 1.0, 1, 0)
-    with pytest.raises(ArgumentError):
-        op_norm_probe(h, 1, 0.5, 1, 0)
-
-
-def test_op_norm_probe_third_order():
-    # grad^3 of a pure p2 Hamiltonian vanishes: every p < 3 term is skipped
-    assert op_norm_probe(sample_hamiltonian(pure(2), 8, seed=0), 3, 1.0, trials=2, seed=0) == 0.0
-    h = sample_hamiltonian(pure(4), 5, seed=10)
-    vals = [op_norm_probe(h, 3, 1.2, trials=t, seed=6, iters=8) for t in (1, 2, 4)]
-    assert vals[0] > 0.0
-    assert vals == sorted(vals)
-
-
-# -- oracles: the slot-pair Hessian-vector loop and the k-form helpers that
-# _form replaced ------------------------------------------------------------
+# -- oracle: the slot-pair Hessian-vector loop ---------------------------------
 
 
 def oracle_hessian_apply(h, x, w):
@@ -521,63 +480,6 @@ def oracle_hessian_apply(h, x, w):
                 assign[t] = w
                 out += g * _contract(h.tensors[p], assign, keep=(s,))
     return out
-
-
-def oracle_ordered_tuples(p, k):
-    if k == 1:
-        for s in range(p):
-            yield (s,)
-    elif k == 2:
-        for s in range(p):
-            for t in range(p):
-                if s != t:
-                    yield (s, t)
-    else:
-        for s in range(p):
-            for t in range(p):
-                for u in range(p):
-                    if len({s, t, u}) == 3:
-                        yield (s, t, u)
-
-
-def oracle_k_form_value(h, x, sigmas):
-    k = len(sigmas)
-    val = 0.0
-    if k == 1:
-        val += h.mixture.h * float(np.sum(sigmas[0]))
-    for p in h.mixture.ps:
-        g = _scale(h.mixture, p, h.n)
-        if g == 0.0 or p < k:
-            continue
-        for slots in oracle_ordered_tuples(p, k):
-            assign = [x] * p
-            for a, s in enumerate(slots):
-                assign[s] = sigmas[a]
-            val += g * float(_contract(h.tensors[p], assign))
-    return val
-
-
-def oracle_k_form_grad(h, x, sigmas, wrt, a=0):
-    """Gradient of the k-form in sigma_a (wrt='sigma') or in x (wrt='x')."""
-    k = len(sigmas)
-    grad = np.zeros(h.n)
-    if wrt == "sigma" and k == 1:
-        grad += h.mixture.h
-    for p in h.mixture.ps:
-        g = _scale(h.mixture, p, h.n)
-        if g == 0.0 or p < k + (1 if wrt == "x" else 0):
-            continue
-        for slots in oracle_ordered_tuples(p, k):
-            assign = [x] * p
-            for b, s in enumerate(slots):
-                assign[s] = sigmas[b]
-            if wrt == "sigma":
-                grad += g * _contract(h.tensors[p], assign, keep=(slots[a],))
-            else:
-                for free in range(p):
-                    if free not in slots:
-                        grad += g * _contract(h.tensors[p], assign, keep=(free,))
-    return grad
 
 
 FORM_CASES = [
@@ -597,14 +499,6 @@ def test_form_bit_identical_to_slot_loop_oracles(m, ns):
         for x in _plan_points(n, 62):
             w = gen.standard_normal(n)
             assert np.array_equal(hessian_apply(h, x, w), oracle_hessian_apply(h, x, w))
-            for k in (1, 2, 3):
-                sigmas = [sphere_point(gen.standard_normal(n)) for _ in range(k)]
-                assert _form(h, x, sigmas) == oracle_k_form_value(h, x, sigmas)
-                for a in range(k):
-                    got = _form(h, x, sigmas[:a] + [None] + sigmas[a + 1 :])
-                    assert np.array_equal(got, oracle_k_form_grad(h, x, sigmas, "sigma", a))
-                got = _form(h, x, sigmas + [None])
-                assert np.array_equal(got, oracle_k_form_grad(h, x, sigmas, "x"))
 
 
 def test_hessian_apply_and_restricted_reject_bad_shapes():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from spinlab import rng
 from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level, m_matrix
 from spinlab.errors import ArgumentError, DomainError
-from spinlab.mixture import Mixture, pure
+from spinlab.mixture import Mixture, pure, xi_eval
 from spinlab.parisi import (
     PiecewiseZeta,
     b_profile,
@@ -17,11 +18,8 @@ from spinlab.parisi import (
     parisi_sp,
     theta,
 )
-from spinlab.parisi.interpolation import (
-    cascade_value_integral,
-    composite_profile,
-    kappa_zeta_profile,
-)
+from spinlab.parisi.interpolation import composite_profile, kappa_zeta_profile
+from spinlab.parisi.spherical import QUAD_ABS_TOL
 
 M = Mixture({2: 0.7, 4: 0.6})
 SHAPE = TreeShape((2, 2))
@@ -45,9 +43,29 @@ def test_cascade_single_level_formula():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def oracle_cascade_value_integral(shape, pladder, qladder, zeta, m):
+    """(K/2) integral_{q0}^1 (q - q0) xi''(q) kappa(q) zeta(q) dq, by
+    quadrature interval by interval: the cross-check of cascade_value's
+    closed form."""
+    q0 = qladder.qs[0]
+    total = 0.0
+    for d in range(shape.depth):
+        kap = kappa_level(shape, pladder, d + 1)
+        a, b = qladder.qs[d], qladder.qs[d + 1]
+        val, _ = quad(
+            lambda q: (q - q0) * xi_eval(m, q, 2) * kap * zeta(min(q, np.nextafter(1.0, 0.0))),
+            a,
+            b,
+            epsabs=QUAD_ABS_TOL,
+            limit=200,
+        )
+        total += val
+    return 0.5 * shape.n_leaves * total
+
+
 def test_cascade_closed_equals_integral():
     closed = cascade_value(SHAPE, PL, QL, ZL, M)
-    integral = cascade_value_integral(SHAPE, PL, QL, ZL, M)
+    integral = oracle_cascade_value_integral(SHAPE, PL, QL, ZL, M)
     assert closed == pytest.approx(integral, abs=1e-10)
 
 
@@ -150,7 +168,7 @@ def test_lambda_recursion_telescoping():
 
 def test_lambda_recursion_floor():
     res = lambda_recursion(2.5, ZL, SHAPE, PL, QL, M, a=0.3, lam=0.4)
-    kz = kappa_zeta_profile(SHAPE, PL, QL, ZL)
+    kz = kappa_zeta_profile(SHAPE, PL, QL, [ZL(q) for q in QL.qs[:-1]])
     for d, mat in enumerate(res.sequence.matrices):
         floor = b_profile(2.5, kz, M, QL.qs[d])
         assert float(np.linalg.eigvalsh(mat).min()) >= floor - 1e-10

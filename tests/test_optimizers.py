@@ -14,8 +14,11 @@ from spinlab.ensembles import (
 from spinlab.errors import ArgumentError
 from spinlab.hamiltonian import (
     DEFAULT_DENSE_HESSIAN_CAP,
+    derivatives,
     energy,
+    gradient,
     hessian,
+    hessian_apply,
     projected_top_eigvec,
     sample_hamiltonian,
 )
@@ -29,7 +32,6 @@ from spinlab.optimizers import (
     langevin,
     lipschitz_probe,
     round_to_corners,
-    run_iterative,
     state_evolution,
     subag_ascent,
     subag_direction_from_hessian,
@@ -301,9 +303,36 @@ def test_extend_to_sphere_spherical_exact():
             assert overlap(rep.points[u], rep.points[v]) == pytest.approx(q[i, j], abs=1e-12)
 
 
-def test_extend_single_point_drift_bound():
-    from spinlab.hamiltonian import op_norm_probe
+def gradient_norm_probe(h, r, trials, seed, iters):
+    """Lower estimate of sup_{|x|_N <= r} |grad H(x)|_N, the k = 1 operator
+    norm, by random-restart alternating maximization: sigma follows the
+    gradient, and x takes a projected step along Hess(x) sigma while that
+    raises <grad H(x), sigma>."""
+    sqrt_n = math.sqrt(h.n)
+    best = 0.0
+    for trial in range(trials):
+        gen = rng.stream(seed, "opnorm", trial)
+        x = r * sphere_point(gen.standard_normal(h.n))
+        sigma = sphere_point(gen.standard_normal(h.n))
+        step = 0.5 * r
+        for _ in range(iters):
+            grad = gradient(h, x)
+            nrm = np.linalg.norm(grad)
+            if nrm > 0:
+                sigma = grad * (sqrt_n / nrm)
+            gx = hessian_apply(h, x, sigma)
+            nrm = np.linalg.norm(gx)
+            if nrm > 0:
+                cand = project_ball(x + step * sqrt_n * gx / nrm, r)
+                if gradient(h, cand) @ sigma > grad @ sigma:
+                    x = cand
+                else:
+                    step *= 0.5
+        best = max(best, abs(gradient(h, x) @ sigma) / h.n)
+    return best
 
+
+def test_extend_single_point_drift_bound():
     m = pure(2)
     n = 96
     ens = sample_ensemble(m, n, TreeShape((1,)), CorrelationLadder((0.0, 1.0)), seed=9)
@@ -311,7 +340,7 @@ def test_extend_single_point_drift_bound():
     x = gen.standard_normal(n)
     x *= math.sqrt(0.25 * n) / np.linalg.norm(x)
     rep = extend_to_sphere(ens, {(1,): x}, OverlapLadder((0.0, 1.0)), eta=0.1, seed=0, mode="sphere")
-    c1 = op_norm_probe(ens.leaf_hamiltonian((1,)), 1, 1.0, trials=4, seed=0, iters=25)
+    c1 = gradient_norm_probe(ens.leaf_hamiltonian((1,)), 1.0, trials=4, seed=0, iters=25)
     drift = abs(rep.energy_change[(1,)]) / n
     assert drift <= c1 * math.sqrt(1 - 0.25)
 
@@ -343,10 +372,10 @@ def test_lipschitz_probe_constant_and_isometric():
     mx, mean, _ = lipschitz_probe(const_alg, m, 16, eps=1e-2, reps=5, seed=0)
     assert mx == 0.0
 
-    def slice_alg(h, seed):
-        return h.coefficients[: h.n]
+    def coefficients_alg(h, seed):
+        return h.coefficients
 
-    mx, mean, _ = lipschitz_probe(slice_alg, m, 16, eps=1e-2, reps=5, seed=0, n_coeffs=16)
+    mx, mean, _ = lipschitz_probe(coefficients_alg, m, 16, eps=1e-2, reps=5, seed=0)
     assert mx == pytest.approx(1.0, abs=1e-9)
     assert mean == pytest.approx(1.0, abs=1e-9)
 
@@ -364,6 +393,23 @@ def test_lipschitz_probe_gradient_ascent_stable():
     assert abs(r1 - r2) <= 0.2 * max(r1, r2)
 
 
+def oracle_run_iterative(h, fs, x_init, k_order=1):
+    """Iterates of the generic k-th order iteration x^{t+1} = f_t(xs, derivs):
+    derivs[s]["grad"] is the gradient at x^s and, for k_order = 2,
+    derivs[s]["hessian"] the dense Hessian.  gradient_ascent and subag_ascent
+    must reproduce it bit for bit."""
+
+    def at(x):
+        return dict(zip(("grad", "hessian"), derivatives(h, x, k_order)[1:]))
+
+    xs = [np.asarray(x, dtype=float) for x in x_init]
+    derivs = [at(x) for x in xs]
+    for f in fs:
+        xs.append(np.asarray(f(list(xs), list(derivs)), dtype=float))
+        derivs.append(at(xs[-1]))
+    return xs
+
+
 def test_opt_form_conformance_gradient_ascent():
     h = sample_hamiltonian(pure(2), 24, seed=9)
     x0 = sphere_point(rng.stream(76).standard_normal(24)) * 0.5
@@ -373,8 +419,8 @@ def test_opt_form_conformance_gradient_ascent():
     def f(xs, derivs):
         return project_ball(xs[-1] + lr * derivs[-1]["grad"], 1.0)
 
-    generic = run_iterative(h, [f] * 6, [x0], k_order=1)
-    assert all(np.array_equal(a, b) for a, b in zip(direct.iterates, generic.iterates[0:]))
+    generic = oracle_run_iterative(h, [f] * 6, [x0], k_order=1)
+    assert all(np.array_equal(a, b) for a, b in zip(direct.iterates, generic))
 
 
 def test_opt_form_conformance_subag():
@@ -394,5 +440,5 @@ def test_opt_form_conformance_subag():
 
         return f
 
-    generic = run_iterative(h, [make_f(i) for i in range(4)], [np.zeros(24)], k_order=2)
-    assert all(np.array_equal(a, b) for a, b in zip(direct.iterates, generic.iterates[1:]))
+    generic = oracle_run_iterative(h, [make_f(i) for i in range(4)], [np.zeros(24)], k_order=2)
+    assert all(np.array_equal(a, b) for a, b in zip(direct.iterates, generic[1:]))

@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import log_ndtr, logsumexp, ndtr
 
 from spinlab import rng
-from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level
 from spinlab.errors import ArgumentError, NumericError
 from spinlab.mixture import Mixture, pure, xi_eval
 from spinlab.parisi import (
@@ -14,7 +12,6 @@ from spinlab.parisi import (
     alg_is_levels,
     alg_is_numeric,
     parisi_is,
-    phi_multidim_mc,
     shift_identity_check,
     solve_parisi_pde,
 )
@@ -435,70 +432,3 @@ def test_alg_is_levels_bit_identical_without_warm(m, monkeypatch):
     solve = pde.solve_parisi_pde
     monkeypatch.setattr(pde, "solve_parisi_pde", lambda *a, **k: solve(*a, **{**k, "warm": None}))
     assert alg_is_levels(m, knots=16, **kw) == warm
-
-
-def test_phi_multidim_k1_matches_solver():
-    m = Mixture({2: 0.8, 4: 0.4})
-    shape1 = TreeShape((1,))
-    pl1 = CorrelationLadder((0.0, 1.0))
-    ql1 = OverlapLadder((0.3, 1.0))
-    est = phi_multidim_mc(shape1, pl1, ql1, [0.5], a=0.2, x=[0.7], m=m, samples=200_000, seed=3)
-    z = PiecewiseZeta((0.0, 0.3), (0.0, 0.5))
-    ref = solve_parisi_pde(m, z, a=0.2, beta=1.0, grid=(8.0, 0.002), center=0.7).eval(0.0, 0.7)
-    assert abs(est.value - ref) <= 3 * (est.se + abs(est.bias))
-
-
-def quadrature_log2cosh_mean(mu: float, s: float) -> float:
-    """E log 2cosh(mu + s Z) by adaptive quadrature."""
-    val, _ = quad(
-        lambda z: float(pde._log2cosh(mu + s * z)) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi),
-        -12.0,
-        12.0,
-        epsabs=1e-12,
-        limit=400,
-    )
-    return val
-
-
-def test_phi_multidim_zero_levels_quadrature():
-    m = Mixture({2: 0.8, 4: 0.4})
-    shape2 = TreeShape((2,))
-    pl2 = CorrelationLadder((0.0, 1.0))
-    ql2 = OverlapLadder((0.0, 1.0))
-    x = np.array([0.4, -0.9])
-    est = phi_multidim_mc(shape2, pl2, ql2, [0.0], a=0.3, x=x, m=m, samples=200_000, seed=5)
-    s = math.sqrt(m.xi(1.0, 1))
-    want = sum(quadrature_log2cosh_mean(xi, s) - 0.3 * xi for xi in x)
-    assert abs(est.value - want) <= 3 * (est.se + abs(est.bias)) + 1e-6
-
-
-def test_phi_multidim_upper_bound_by_1d():
-    # correlated K = 2 tree: leaves (1,1), (1,2) share a depth-1 node
-    m = Mixture({2: 0.8, 4: 0.4})
-    shape = TreeShape((1, 2))
-    pl = CorrelationLadder((0.0, 0.5, 1.0))
-    ql = OverlapLadder((0.2, 0.6, 1.0))
-    levels = [0.4, 0.8]
-    x = np.array([0.4, -0.9])
-    est = phi_multidim_mc(shape, pl, ql, levels, a=-0.4, x=x, m=m, samples=300_000, seed=7)
-    breaks = (0.0, *ql.qs[:-1])
-    values = (0.0, *(kappa_level(shape, pl, d + 1) * levels[d] for d in range(2)))
-    zk = PiecewiseZeta(breaks, values)
-    total = sum(
-        solve_parisi_pde(m, zk, a=-0.4, beta=1.0, grid=(8.0, 0.002), center=float(xi)).eval(0.0, float(xi))
-        for xi in x
-    )
-    assert est.value <= total + 3 * (est.se + abs(est.bias))
-
-
-def test_phi_multidim_preconditions():
-    with pytest.raises(ArgumentError):
-        phi_multidim_mc(
-            TreeShape((5,)),
-            CorrelationLadder((0.0, 1.0)),
-            OverlapLadder((0.0, 1.0)),
-            [0.5],
-            0.0,
-            np.zeros(5),
-            M2,
-        )

@@ -10,7 +10,7 @@ from spinlab import rng
 from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
-from spinlab.optimizers import AmpSpec, amp
+from spinlab.optimizers import AmpSpec, amp, lipschitz_probe
 from spinlab.runner import RunResult, build_algorithm, parse_mixture, run, validate_config
 from spinlab.__main__ import main
 
@@ -231,6 +231,22 @@ def test_concentration_run(tmp_path):
     res = run(config, out_dir=str(tmp_path))
     assert res.status == 0
     assert res.payload["sd"] == 0.0
+    # a constant output does not move with the disorder
+    assert res.payload["lipschitz"] == {"max_ratio": 0.0, "mean_ratio": 0.0, "eps": 1e-3, "reps": 4}
+
+
+def test_concentration_run_reports_the_lipschitz_probe(tmp_path):
+    config = {"subcommand": "concentration", "mixture": "p2", "n": 16, "seed": 3}
+    res = run(config, out_dir=str(tmp_path))
+
+    def alg(h, seed):
+        return build_algorithm({"name": "gradient_ascent"})(h, seed).final
+
+    max_ratio, mean_ratio, _ = lipschitz_probe(alg, pure(2), 16, eps=1e-3, reps=4, seed=3)
+    assert res.payload["lipschitz"] == {
+        "max_ratio": max_ratio, "mean_ratio": mean_ratio, "eps": 1e-3, "reps": 4
+    }
+    assert 0.0 < mean_ratio <= max_ratio
 
 
 def test_branching_run(tmp_path):
@@ -282,6 +298,25 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"subcommand": "nope"}))
     assert main(["run", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("kind", ("malformed", "directory"))
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "bad.json"
+    if kind == "malformed":
+        path.write_text("{bad")
+    else:
+        path.mkdir()
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: config")
+
+
+@pytest.mark.parametrize("flags", (["--seeds", "0"], ["--seeds", "-2"], ["--set", "seeds=[]"]))
+def test_cli_rejects_empty_seeds(tmp_path, flags):
+    out = tmp_path / "o"
+    argv = ["optimize", "--mixture", "p2", "--n", "16", "--alg", "constant", *flags]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_set_overrides(tmp_path):

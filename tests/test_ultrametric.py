@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from spinlab.ultrametric import (
     DatedRootedTree,
     branching_depth,
     branching_depth_vertices,
-    chain_tree,
     embed_energy_greedy,
     embed_orthogonal,
     full_binary_tree,
@@ -22,9 +22,17 @@ from spinlab.ultrametric import (
     star_tree,
     tree_from_json,
     tree_metric,
-    tree_to_json,
     validate_embedding,
 )
+
+
+def chain_tree(heights) -> DatedRootedTree:
+    """Path r -> v1 -> ... -> leaf at the given increasing heights."""
+    ids = list(range(len(heights)))
+    parents = {0: None}
+    for i in ids[1:]:
+        parents[i] = i - 1
+    return DatedRootedTree(parents, dict(zip(ids, heights)))
 
 
 def _tree_from_parents(parent_list):
@@ -244,7 +252,11 @@ def test_reduced():
 
 def test_tree_json_roundtrip():
     bt = full_binary_tree(2, [0.0, 0.5, 1.0])
-    back = tree_from_json(tree_to_json(bt))
+    vertices = [
+        {"id": str(v), "parent": None if p is None else str(p), "height": float(bt.heights[v])}
+        for v, p in bt.parents.items()
+    ]
+    back = tree_from_json(json.dumps({"vertices": vertices}))
     assert sorted(map(str, back.vertices())) == sorted(map(str, bt.vertices()))
     assert branching_depth(back) == branching_depth(bt)
 
