@@ -37,5 +37,6 @@ for levels in [(0.0, 0.0), (0.2, 0.5), (0.5, 1.2)]:
 
 print("\nIsing functional value at zeta = 0 (xi = x^2, h = 0): "
       f"{parisi_is(z0, m, grid=grid):.6f}  (2/sqrt(pi) = {2 / math.sqrt(math.pi):.6f})")
-print("\nthe zero-temperature SK value 0.7632 comes out of the variational")
-print("minimizer: spinlab.alg_is_numeric(Mixture({2: sqrt(1/2)}), knots=16)")
+print("\nthe zero-temperature SK value 0.7632 comes out of the variational minimizer")
+print("spinlab.alg_is_numeric(Mixture({2: sqrt(1/2)}), knots=16): projected L-BFGS-B")
+print("over zeta >= 0 on the exact gradient of the discretized functional")

@@ -151,14 +151,22 @@ class CorrelatedEnsemble:
         """Materialized leaf (or ancestor-prefix) Hamiltonian, tensors summed
         with the ladder weights up to `depth` (default: full depth)."""
         depth = self.shape.depth if depth is None else depth
-        tensors = {
-            p: np.zeros((self.n,) * p) for p in self.mixture.ps
-        }
-        for node, w in leaf_weights(self.shape, self.ladder, u).items():
-            if w == 0.0 or len(node) > depth:
+        weighted = [
+            (self.node_hams[node], w)
+            for node, w in leaf_weights(self.shape, self.ladder, u).items()
+            if w != 0.0 and len(node) <= depth
+        ]
+        tensors = {}
+        for p in self.mixture.ps:
+            if not weighted:
+                tensors[p] = np.zeros((self.n,) * p)
                 continue
-            for p in self.mixture.ps:
-                tensors[p] += w * self.node_hams[node].tensors[p]
+            # accumulate in place: one output and one scratch tensor per p
+            acc = np.multiply(weighted[0][0].tensors[p], weighted[0][1])
+            scratch = np.empty_like(acc) if len(weighted) > 1 else None
+            for ham, w in weighted[1:]:
+                acc += np.multiply(ham.tensors[p], w, out=scratch)
+            tensors[p] = acc
         label = f"leaf{tuple(u[:depth])}"
         return Hamiltonian(self.mixture, self.n, tensors, seed=None, label=label)
 

@@ -10,22 +10,24 @@ The finite-beta terminal step integrates each 512-point block of the grid
 over the quadrature nodes within reach of that block only, the same
 truncation the domain edges use.
 
-A solve may reuse the slices of an earlier solution `warm` on the same grid,
-a, beta and mixture.  Each backward step has the key (t_hi, t_lo, c) of the
-merged zeta steps, counted from t = 1 down.  A leading step is reused while
-its key equals warm's step at the same position and every step before it
-was reused too: its input slice and its inputs are then identical, so the
-reused slice is bit-identical to a recomputed one.  The terminal step does
-not depend on the node count; a Gauss-Hermite step is reused only when warm
-used the same gh_nodes.  Changing zeta on one interval thus leaves every
-step above that interval to warm.
+ALG for Ising models minimizes the functional over nonnegative step profiles
+on the uniform partition i/levels with projected L-BFGS-B.  Its gradient is
+exact for the discretized objective: the forward pass runs the recursion on
+the unmerged partition and keeps, per step, the tilted Gauss-Hermite weights
+pi (the softmax of c f_j + log w_j over the nodes) and d out / dc =
+(E_pi f - out) / c, which tends to Var_pi(f) / 2 as c -> 0 (the first
+variation of Jagannath-Tobasco); the terminal kink step has a closed-form
+c-derivative from the tilted truncated-normal means.  The reverse pass
+starts from the grid point at h and applies the transpose of each step's
+quadratic stencil and linear tails, so a gradient costs about two solves.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr, roots_hermite
 
 from ..errors import ArgumentError, NumericError, ResourceError
@@ -187,25 +189,29 @@ def _gh_roots(nodes: int):
 _GH_BLOCK_ELEMS = 1 << 13
 
 
-def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int):
-    """Gauss-Hermite Cole-Hopf step on the piecewise-linear slice.
-
-    Row j of fmat is the slice at grid + sqrt(2) s z_j, read off a
-    three-point quadratic stencil around the nearest grid point, with linear
-    tails beyond the grid.  The grid is uniform, so each shift is an index
-    offset plus a fraction t in [-0.5, 0.5); the quadratic stencil keeps
-    node doubling stable to O(dx^3).  All nodes are evaluated at once, in
-    row blocks of at most _GH_BLOCK_ELEMS elements, with the same
-    floating-point operations per entry as a one-node-at-a-time loop, so the
-    result is bit-identical to that loop (kept as the test oracle in
-    tests/test_pde.py).
-    """
-    z, w, logw = _gh_roots(nodes)
-    n = len(grid)
-    dx = grid[1] - grid[0]
+def _gh_shifts(dx: float, s: float, nodes: int):
+    """Each node's shift sqrt(2) s z_j / dx as a nearest index offset plus a
+    fraction t in [-0.5, 0.5)."""
+    z = _gh_roots(nodes)[0]
     shift = math.sqrt(2.0) * s * z / dx
     nearest = np.floor(shift + 0.5).astype(np.int64)
-    t = shift - nearest
+    return nearest, shift - nearest
+
+
+def _gh_shifted(grid, vals, slopes, nearest, t):
+    """fmat: row j is the slice at grid + (nearest_j + t_j) dx, read off a
+    three-point quadratic stencil around the nearest grid point, with linear
+    tails beyond the grid.
+
+    The quadratic stencil keeps node doubling stable to O(dx^3).  All nodes
+    are evaluated at once, in row blocks of at most _GH_BLOCK_ELEMS
+    elements, with the same floating-point operations per entry as a
+    one-node-at-a-time loop, so the result is bit-identical to that loop
+    (kept as the test oracle in tests/test_pde.py).
+    """
+    nodes = len(nearest)
+    n = len(grid)
+    dx = grid[1] - grid[0]
     # stencil terms around each interior point k = 1 .. n-2, at index k-1
     v0 = vals[1:-1]
     d1 = vals[2:] - vals[:-2]
@@ -239,45 +245,39 @@ def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int):
                 vals[-1] + (vals[-1] - vals[-2]) / dx * off,
                 vals[-1] + slopes[1] * off,
             )
-    if c == 0.0:
-        return (w / math.sqrt(math.pi)) @ fmat
-    # log-sum-exp over the nodes, in place: fmat is the step's largest array
+    return fmat
+
+
+def _log_mean_exp(fmat, c: float, logw):
+    """(1/c) log sum_j (w_j / sqrt(pi)) exp(c f_j) over the rows f_j of fmat,
+    in place: fmat ends as the tilted weights up to their column sums, which
+    are returned second."""
     fmat *= c
     fmat += logw[:, None]
     amax = fmat.max(axis=0)
     fmat -= amax
     np.exp(fmat, out=fmat)
-    return (np.log(np.sum(fmat, axis=0)) + amax) / c
+    total = np.sum(fmat, axis=0)
+    return (np.log(total) + amax) / c, total
 
 
-def solve_parisi_pde(
-    m: Mixture,
-    zeta: PiecewiseZeta,
-    a: float = 0.0,
-    beta: float = math.inf,
-    grid=None,
-    center: float = 0.0,
-    gh_nodes: int = 64,
-    self_check: bool = True,
-    warm: PDESolution | None = None,
-) -> PDESolution:
-    """Backward Cole-Hopf recursion for the Parisi PDE with terminal
-    log(2cosh(beta x))/beta - ax (|x| - ax at beta = infinity).
+def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int):
+    """Gauss-Hermite Cole-Hopf step on the piecewise-linear slice, over the
+    node-shifted slices of _gh_shifted."""
+    _, w, logw = _gh_roots(nodes)
+    fmat = _gh_shifted(grid, vals, slopes, *_gh_shifts(grid[1] - grid[0], s, nodes))
+    if c == 0.0:
+        return (w / math.sqrt(math.pi)) @ fmat
+    # the log-sum-exp runs in place: fmat is the step's largest array
+    return _log_mean_exp(fmat, c, logw)[0]
 
-    grid is (L, dx): spatial domain [center-L, center+L], finite L > 0 and
-    spacing 0 < dx <= 0.01 L; a grid whose 2 gh_nodes x points self-check
-    matrix exceeds the tensor budget raises ResourceError before anything is
-    allocated.  The node-doubling self-check raises NumericError when the
-    quadrature is under-resolved (Phi(0, center) moves by more than 1e-6).
-    warm is an earlier solution on the same grid, a, beta and mixture whose
-    matching leading backward steps are reused (module docstring).
-    """
-    if not (-1.0 <= a <= 1.0):
-        raise ArgumentError(f"a={a} outside [-1, 1]")
-    if not beta > 0:
-        raise ArgumentError(f"beta={beta} must be positive (or inf)")
-    if grid is None:
-        grid = _default_grid(m, center)
+
+_GH_NODES = 64
+
+
+def _grid_points(grid, center: float, gh_nodes: int):
+    """The spatial grid center + dx * (-half .. half), half = ceil(L / dx),
+    of grid = (L, dx), after checking it."""
     try:
         length, dx = (float(v) for v in grid)
     except (TypeError, ValueError):
@@ -293,16 +293,39 @@ def solve_parisi_pde(
             f"grid=({length}, {dx}) with {gh_nodes} nodes needs {entries} quadrature entries,"
             f" over the budget of {DEFAULT_MAX_TENSOR_ENTRIES}"
         )
-    xs = center + dx * np.arange(-half, half + 1)
-    if warm is not None and not (
-        warm.a == a and warm.beta == beta and warm.mixture == m and np.array_equal(warm.grid, xs)
-    ):
-        raise ArgumentError("warm solution was solved on another grid, a, beta or mixture")
+    return center + dx * np.arange(-half, half + 1)
 
-    sol = _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, warm)
-    if self_check and sol.meta["gh_steps"] + sol.meta["gh_reused"] > 0:
+
+def solve_parisi_pde(
+    m: Mixture,
+    zeta: PiecewiseZeta,
+    a: float = 0.0,
+    beta: float = math.inf,
+    grid=None,
+    center: float = 0.0,
+    gh_nodes: int = _GH_NODES,
+    self_check: bool = True,
+) -> PDESolution:
+    """Backward Cole-Hopf recursion for the Parisi PDE with terminal
+    log(2cosh(beta x))/beta - ax (|x| - ax at beta = infinity).
+
+    grid is (L, dx): spatial domain [center-L, center+L], finite L > 0 and
+    spacing 0 < dx <= 0.01 L; a grid whose 2 gh_nodes x points self-check
+    matrix exceeds the tensor budget raises ResourceError before anything is
+    allocated.  The node-doubling self-check raises NumericError when the
+    quadrature is under-resolved (Phi(0, center) moves by more than 1e-6).
+    """
+    if not (-1.0 <= a <= 1.0):
+        raise ArgumentError(f"a={a} outside [-1, 1]")
+    if not beta > 0:
+        raise ArgumentError(f"beta={beta} must be positive (or inf)")
+    if grid is None:
+        grid = _default_grid(m, center)
+    xs = _grid_points(grid, center, gh_nodes)
+    sol = _solve_on_grid(m, zeta, a, beta, xs, gh_nodes)
+    if self_check and sol.meta["gh_steps"] > 0:
         # the first backward step is node-count independent; reuse it
-        ref = _solve_on_grid(m, zeta, a, beta, xs, 2 * gh_nodes, warm=sol)
+        ref = _solve_on_grid(m, zeta, a, beta, xs, 2 * gh_nodes, top=sol)
         delta = abs(sol.eval(0.0, center) - ref.eval(0.0, center))
         sol.meta["self_check_delta"] = delta
         if delta > _SELF_CHECK_TOL:
@@ -312,25 +335,21 @@ def solve_parisi_pde(
     return sol
 
 
-def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, warm=None) -> PDESolution:
+def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, top=None) -> PDESolution:
+    """The recursion on the grid xs.  top, a solution of the same problem at
+    another node count, supplies the terminal slice and the first backward
+    step, which do not depend on the node count."""
     slopes = (-1.0 - a, 1.0 - a)
     knots = sorted(set(zeta.breaks) | {0.0})
     times = knots + [1.0]
-    vals = {1.0: _terminal(xs, a, beta) if warm is None else warm.values[1.0]}
+    vals = {1.0: _terminal(xs, a, beta) if top is None else top.values[1.0]}
     current = vals[1.0]
-    warm_steps = () if warm is None else warm.meta["steps"]
-    same_nodes = warm is not None and warm.meta["gh_nodes"] == gh_nodes
-    steps = []
-    gh_steps = gh_reused = 0
-    reuse = True  # every step so far was reused
+    gh_steps = 0
     for k, (t_hi, t_lo) in enumerate(zip(times[::-1], times[::-1][1:])):
         c = zeta(t_lo)
-        steps.append((t_hi, t_lo, c))
-        reuse = reuse and k < len(warm_steps) and warm_steps[k] == steps[k] and (k == 0 or same_nodes)
         s2 = xi_eval(m, t_hi, 1) - xi_eval(m, t_lo, 1)
-        if reuse:
-            current = warm.values[t_lo]
-            gh_reused += k > 0 and s2 > 0.0
+        if k == 0 and top is not None:
+            current = top.values[t_lo]
         elif s2 <= 0.0:
             current = current.copy()
         elif k > 0:
@@ -348,7 +367,7 @@ def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, warm=None) -> PDESolution:
         a=a,
         beta=beta,
         mixture=m,
-        meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps, "gh_reused": gh_reused, "steps": steps},
+        meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps},
     )
 
 
@@ -376,11 +395,190 @@ def shift_identity_check(m: Mixture, zeta: PiecewiseZeta, a: float, x: float, gr
     return abs(lhs - rhs)
 
 
+# Below this |c| a step's d out / dc = (E_pi f - out) / c loses too much to
+# cancellation (out itself carries rounding of order eps / c), so it is
+# taken as Var(f) / 2 under the tilt 2c/3 instead: the one-point quadrature
+# of d out / dc = int_0^1 u Var_{cu}(f) du, exact at c = 0 and off by about
+# c^2 kappa_4(f) / 72 elsewhere.
+_SMALL_C = 1e-3
+
+
+def _mills(u):
+    """phi(u) / Phi(u), stable for large |u|."""
+    return np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - log_ndtr(u))
+
+
+def _kink_moments(x, s: float, c: float, a: float):
+    """E_pi f and E_pi f^2 for f(y) = |y| - ay under the law of y = x + sZ
+    tilted by exp(c f(y)): two truncated normals, with means shifted by
+    c (1 - a) s^2 on y > 0 and -c (1 + a) s^2 on y < 0."""
+    lam_p = c * (1.0 - a)
+    lam_m = -c * (1.0 + a)
+    mu_p = x + lam_p * s * s
+    mu_m = x + lam_m * s * s
+    log_pos = lam_p * x + 0.5 * lam_p**2 * s**2 + log_ndtr(mu_p / s)
+    log_neg = lam_m * x + 0.5 * lam_m**2 * s**2 + log_ndtr(-mu_m / s)
+    log_tot = np.logaddexp(log_pos, log_neg)
+    w_p = np.exp(log_pos - log_tot) * (1.0 - a)
+    w_m = np.exp(log_neg - log_tot) * (1.0 + a)
+    r_p = s * _mills(mu_p / s)  # E[y | y > 0] = mu_p + r_p
+    r_m = s * _mills(-mu_m / s)  # E[y | y < 0] = mu_m - r_m
+    mean = w_p * (mu_p + r_p) - w_m * (mu_m - r_m)
+    second = (1.0 - a) * w_p * (mu_p * mu_p + s * s + mu_p * r_p) + (1.0 + a) * w_m * (
+        mu_m * mu_m + s * s - mu_m * r_m
+    )
+    return mean, second
+
+
+def _terminal_kink_dc(grid, s: float, c: float, a: float, out):
+    """d/dc of _terminal_kink_step(grid, s, c, a), whose value is out."""
+    if abs(c) >= _SMALL_C:
+        return (_kink_moments(grid, s, c, a)[0] - out) / c
+    mean, second = _kink_moments(grid, s, 2.0 * c / 3.0, a)
+    return 0.5 * (second - mean * mean)
+
+
+class _StencilPlan:
+    """The node shifts of one step width on an n-point grid, and the entries
+    of the (nodes, n) shifted-slice matrix that read the linear tails: what
+    the transpose of _gh_shifted needs, built once per width."""
+
+    def __init__(self, n: int, dx: float, s: float, nodes: int):
+        self.nearest, self.t = _gh_shifts(dx, s, nodes)
+        t = self.t
+        base = (self.nearest[:, None] + np.arange(n)).ravel()
+        pos = base + np.repeat(t, n)
+        self.coefs = (0.5 * t * t - 0.5 * t, 1.0 - t * t, 0.5 * t * t + 0.5 * t)
+        lo = np.flatnonzero(base < 1)
+        p = pos[lo]
+        self.lo = (lo, np.where(p >= 0, 1.0 - p, 1.0), np.where(p >= 0, p, 0.0))  # on vals[0], vals[1]
+        hi = np.flatnonzero(base > n - 2)
+        q = pos[hi] - (n - 1)
+        self.hi = (hi, np.where(q <= 0, 1.0 + q, 1.0), np.where(q <= 0, -q, 0.0))  # on vals[-1], vals[-2]
+
+    def transpose(self, wmat):
+        """The adjoint of the input slice, given the adjoint wmat of the
+        shifted slices (overwritten)."""
+        n = wmat.shape[1]
+        flat = wmat.ravel()
+        out = np.zeros(n)
+        for (entries, c_end, c_next), end, step in ((self.lo, 0, 1), (self.hi, n - 1, -1)):
+            w = flat[entries]
+            out[end] += w @ c_end
+            out[end + step] += w @ c_next
+            flat[entries] = 0.0
+        # interior entries read vals[k], vals[k+1], vals[k+2] with k = base - 1
+        k = np.clip(self.nearest[:, None] + np.arange(-1, n - 1), 0, n - 3).ravel()
+        for o, coef in enumerate(self.coefs):
+            out[o : n - 2 + o] += np.bincount(k, (wmat * coef[:, None]).ravel(), minlength=n - 2)
+        return out
+
+
+def _gh_tape_step(grid, vals, slopes, plan: _StencilPlan, c: float, nodes: int):
+    """_gh_step's output (bit-identical), the tilted weights pi and
+    d out / dc."""
+    _, w, logw = _gh_roots(nodes)
+    fmat = _gh_shifted(grid, vals, slopes, plan.nearest, plan.t)
+    if c == 0.0:
+        wn = w / math.sqrt(math.pi)
+        out = wn @ fmat
+        pi = np.broadcast_to(wn[:, None], fmat.shape)
+    else:
+        pi = fmat.copy()
+        out, total = _log_mean_exp(pi, c, logw)
+        pi /= total
+    if abs(c) >= _SMALL_C:
+        return out, pi, (np.einsum("jk,jk->k", pi, fmat) - out) / c
+    tilt = pi
+    if c != 0.0:
+        tilt = fmat.copy()
+        tilt /= _log_mean_exp(tilt, 2.0 * c / 3.0, logw)[1]
+    fmat -= np.einsum("jk,jk->k", tilt, fmat)
+    fmat *= fmat
+    return out, pi, 0.5 * np.einsum("jk,jk->k", tilt, fmat)
+
+
+class _AlgObjective:
+    """P(zeta) on the unmerged partition i/levels as a function of the
+    levels' values, with its exact gradient (module docstring), on the grid
+    xs around h at beta = infinity and a = 0.
+
+    Every evaluation uses the same step widths, so each width's stencil plan
+    is built once here.  A call repeated at the same point is answered from
+    the last one.
+    """
+
+    def __init__(self, m: Mixture, levels: int, xs, nodes: int):
+        self.xs, self.nodes = xs, nodes
+        self.center = (len(xs) - 1) // 2  # xs[center] is h
+        times = [i / levels for i in range(levels)] + [1.0]
+        d1 = [xi_eval(m, t, 1) for t in times]
+        # d/dzeta_i of -(1/2) int t xi''(t) zeta(t) dt, antiderivative t xi' - xi
+        self.lin = -0.5 * np.diff([t * d - xi_eval(m, t, 0) for t, d in zip(times, d1)])
+        self.widths = [math.sqrt(hi - lo) if hi > lo else 0.0 for lo, hi in zip(d1, d1[1:])]
+        dx = xs[1] - xs[0]
+        self.plans = [_StencilPlan(len(xs), dx, s, nodes) if s > 0 else None for s in self.widths[:-1]]
+        self._last = (None, None)
+
+    def __call__(self, zeta):
+        zeta = np.array(zeta, dtype=float)
+        if np.array_equal(self._last[0], zeta):
+            return self._last[1]
+        xs = self.xs
+        top = float(zeta[-1])
+        current = _terminal(xs, 0.0, math.inf)
+        top_dc = np.zeros(len(xs))
+        if self.widths[-1] > 0:
+            current = _terminal_kink_step(xs, self.widths[-1], top, 0.0)
+            top_dc = _terminal_kink_dc(xs, self.widths[-1], top, 0.0, current)
+        tape = []  # (pi, d out / dc) per step, from t = 1 down
+        for i in range(len(zeta) - 2, -1, -1):
+            plan = self.plans[i]
+            if plan is None:
+                tape.append(None)
+                continue
+            current, pi, dc = _gh_tape_step(xs, current, (-1.0, 1.0), plan, float(zeta[i]), self.nodes)
+            tape.append((pi, dc))
+        value = float(current[self.center]) + float(self.lin @ zeta)
+        grad = self.lin.copy()
+        adj = np.zeros(len(xs))
+        adj[self.center] = 1.0
+        for i, entry in enumerate(reversed(tape)):
+            if entry is not None:
+                pi, dc = entry
+                grad[i] += adj @ dc
+                adj = self.plans[i].transpose(pi * adj)
+        grad[-1] += adj @ top_dc
+        self._last = (zeta, (value, grad))
+        return value, grad
+
+
+# Per-sweep tolerances of L-BFGS-B: a sweep ends early only once the
+# projected gradient or the relative decrease is at rounding level.
+_LBFGS_GTOL = 1e-10
+_LBFGS_FTOL = 1e-15
+
+
+class AlgLevel(NamedTuple):
+    """One refinement level of alg_is_levels."""
+
+    levels: int
+    value: float  # P(zeta) from one solver run, the number parisi_is gives
+    zeta: tuple  # the profile's values on the breaks i / levels
+    proj_grad: float  # max projected gradient of the discretized P at zeta
+
+
+def _projected_gradient(zeta, grad) -> float:
+    """max_i |dP/dzeta_i| where zeta_i > 0 and max(-dP/dzeta_i, 0) where
+    zeta_i = 0: zero exactly at a first-order point of P on zeta >= 0."""
+    return float(max(abs(g) if z > 0.0 else max(-g, 0.0) for z, g in zip(zeta, grad)))
+
+
 def alg_is_numeric(m: Mixture, knots: int = 16, **kw) -> float:
-    """Coordinate-descent minimization of the Ising functional over
-    nonnegative (not necessarily monotone) step profiles on a uniform q-grid:
-    the value at the finest level of `alg_is_levels`."""
-    return alg_is_levels(m, knots, **kw)[-1][1]
+    """Minimum of the Ising functional over nonnegative (not necessarily
+    monotone) step profiles on a uniform q-grid: the value at the finest
+    level of `alg_is_levels`."""
+    return alg_is_levels(m, knots, **kw)[-1].value
 
 
 def alg_is_levels(
@@ -393,76 +591,93 @@ def alg_is_levels(
     value_cap: float = 32.0,
     **solver_kw,
 ) -> list:
-    """[(levels, value), ...] for levels = 8, 16, ... up to `knots`, from one
-    refinement pass.
+    """[AlgLevel(levels, value, zeta, proj_grad), ...] for levels = 8, 16,
+    ... up to `knots` (8 times a power of two), from one refinement pass.
 
-    Restarts from zero, constant, and a slope-profile initialization at 8
-    levels; each doubling warm-starts from the previous level's profile, so
-    the values are nonincreasing and the value at each level equals
-    `alg_is_numeric` with that many knots.
+    Each level minimizes the discretized functional over 0 <= zeta_i <=
+    value_cap with projected L-BFGS-B on its exact gradient (module
+    docstring).  A sweep is `levels` L-BFGS-B iterations started from the
+    current profile with fresh curvature memory; sweeps stop after at least
+    sweeps_min once one improves by less than sweep_tol.  Level 8 restarts
+    from zero, constant, and a slope-profile initialization; each doubling
+    starts from the previous level's profile.
+
+    Values come from one self_check=False solve at the returned profile (the
+    number parisi_is gives).  A start's or a level's result is kept only if
+    that value is at or below the value it started from; otherwise its
+    starting profile is kept, which solves to the same value.  So the values
+    are at most the zeta = 0 value and nonincreasing across levels, and the
+    value at each level equals `alg_is_numeric` with that many knots.
+    proj_grad certifies first-order optimality of the discretized objective
+    at the returned profile.
     """
-    if knots < 8:
-        raise ArgumentError(f"knots={knots} must be >= 8")
+    octaves = knots // 8 if isinstance(knots, int) else 0
+    if not (knots == 8 * octaves and octaves >= 1 and octaves & (octaves - 1) == 0):
+        raise ArgumentError(f"knots={knots} must be 8 times a power of two")
+    if sweeps_max < 1:
+        raise ArgumentError(f"sweeps_max={sweeps_max} must be >= 1")
+    if sweeps_min > sweeps_max:
+        raise ArgumentError(f"sweeps_min={sweeps_min} exceeds sweeps_max={sweeps_max}")
+    if not value_cap > 0:
+        raise ArgumentError(f"value_cap={value_cap} must be positive")
     if grid is None:
         length = abs(m.h) + 6.0 * math.sqrt(max(xi_eval(m, 1.0, 1), 1e-12)) + 2.0
         grid = (length, min(0.04, 0.01 * length))
+    nodes = solver_kw.get("gh_nodes", _GH_NODES)
+    xs = _grid_points(grid, m.h, nodes)
 
-    last = None  # the previous trial's solution: its leading steps are reused
+    def solver_value(values):
+        zeta = PiecewiseZeta(tuple(i / len(values) for i in range(len(values))), values)
+        sol = solve_parisi_pde(m, zeta, a=0.0, beta=math.inf, grid=grid, center=m.h,
+                               self_check=False, **solver_kw)
+        return _parisi_value(sol, zeta, m)
 
-    def objective(breaks, values):
-        nonlocal last
-        zeta = PiecewiseZeta(breaks, values)
-        last = solve_parisi_pde(m, zeta, a=0.0, beta=math.inf, grid=grid, center=m.h,
-                                self_check=False, warm=last, **solver_kw)
-        return _parisi_value(last, zeta, m)
-
-    def sweep_down(breaks, values):
-        values = list(values)
-        best = objective(breaks, tuple(values))
+    def descend(objective, values):
+        x = np.array(values, dtype=float)
+        best = objective(x)[0]
+        options = {"maxiter": len(x), "gtol": _LBFGS_GTOL, "ftol": _LBFGS_FTOL}
         for sweep in range(sweeps_max):
-            improved = 0.0
-            for i in range(len(values)):
-                def f(v):
-                    trial = values.copy()
-                    trial[i] = v
-                    return objective(breaks, tuple(trial))
-
-                res = minimize_scalar(f, bounds=(0.0, value_cap), method="bounded",
-                                      options={"xatol": 1e-3})
-                lo = max(0.0, 0.7 * values[i] - 0.05)
-                hi = min(value_cap, 1.4 * values[i] + 0.05)
-                local = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                        options={"xatol": 1e-4})
-                if local.fun < res.fun:
-                    res = local
-                if res.fun < best:
-                    improved += best - res.fun
-                    best = res.fun
-                    values[i] = float(res.x)
+            res = minimize(objective, x, jac=True, method="L-BFGS-B",
+                           bounds=[(0.0, value_cap)] * len(x), options=options)
+            improved = best - res.fun
+            if improved > 0.0:
+                x, best = res.x, res.fun
             if improved < sweep_tol and sweep + 1 >= sweeps_min:
                 break
-        return values, best
+        return [float(v) for v in x]
+
+    def level(objective, values, value):
+        grad = objective(values)[1]
+        return AlgLevel(len(values), float(value), tuple(values), _projected_gradient(values, grad))
 
     levels = 8
+    objective = _AlgObjective(m, levels, xs, nodes)
     breaks = tuple(i / levels for i in range(levels))
     starts = [
         [0.0] * levels,
-        [1.0] * levels,
+        [min(1.0, value_cap)] * levels,
         [min(_slope_profile(m, (b + 0.5 / levels)), value_cap) for b in breaks],
     ]
     starts = [s for i, s in enumerate(starts) if s not in starts[:i]]
     best_vals, best = None, math.inf
     for start in starts:
-        vals, obj = sweep_down(breaks, start)
-        if obj < best:
-            best_vals, best = vals, obj
-    out = [(levels, float(best))]
+        start_value = solver_value(start)
+        vals = descend(objective, start)
+        value = solver_value(vals)
+        if value > start_value:
+            vals, value = start, start_value
+        if value < best:
+            best_vals, best = vals, value
+    out = [level(objective, best_vals, best)]
     while levels < knots:
         levels *= 2
-        breaks = tuple(i / levels for i in range(levels))
-        best_vals = [best_vals[i // 2] for i in range(levels)]
-        best_vals, best = sweep_down(breaks, best_vals)
-        out.append((levels, float(best)))
+        objective = _AlgObjective(m, levels, xs, nodes)
+        start = [best_vals[i // 2] for i in range(levels)]
+        vals = descend(objective, start)
+        value = solver_value(vals)
+        # else the doubled profile merges back to the previous level's solve
+        best_vals, best = (vals, value) if value <= best else (start, best)
+        out.append(level(objective, best_vals, best))
     return out
 
 

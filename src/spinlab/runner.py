@@ -107,7 +107,7 @@ SCHEMA = {
         "beta": {"type": "number"},
         "a": {"type": "number"},
         "grid": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-        "knots": {"type": "integer", "minimum": 8},
+        "knots": {"type": "integer", "enum": [8 * 2**k for k in range(7)]},  # alg_is_levels doubles from 8
         "ising": {"type": "boolean"},
         "tree": {
             "type": ["object", "string"],

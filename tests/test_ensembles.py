@@ -13,7 +13,6 @@ from spinlab.ensembles import (
     constrained_membership,
     grand_energy,
     kappa,
-    kappa_level,
     lca_depth,
     leaf_weights,
     load_manifest,
@@ -319,6 +318,31 @@ def test_ensemble_nodes_equal_the_per_node_oracle():
             if w > 0.0:
                 want_e += w * energy(oracle[node], x)
         assert ens.leaf_energy(u, x) == want_e
+
+
+def _oracle_leaf_tensors(ens, u, depth):
+    """leaf_hamiltonian's tensors as it summed them before accumulating in
+    place: a zero tensor per p, plus a w * tensor temporary per node."""
+    tensors = {p: np.zeros((ens.n,) * p) for p in ens.mixture.ps}
+    for node, w in leaf_weights(ens.shape, ens.ladder, u).items():
+        if w == 0.0 or len(node) > depth:
+            continue
+        for p in ens.mixture.ps:
+            tensors[p] += w * ens.node_hams[node].tensors[p]
+    return tensors
+
+
+def test_leaf_hamiltonian_equals_the_summed_oracle():
+    m = Mixture({2: 0.8, 4: 0.4}, h=0.3)
+    shape = TreeShape((2, 2, 2))
+    ens = sample_ensemble(m, 6, shape, CorrelationLadder((0.0, 0.3, 0.7, 1.0)), seed=21)
+    for u in shape.leaves():
+        for depth in (0, 1, 2, 3, None):
+            got = ens.leaf_hamiltonian(u, depth)
+            want = _oracle_leaf_tensors(ens, u, shape.depth if depth is None else depth)
+            for p in m.ps:
+                assert got.tensors[p].shape == want[p].shape
+                assert np.array_equal(got.tensors[p], want[p])
 
 
 def test_ensemble_budget_counts_only_sampled_nodes():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from spinlab import rng
 from spinlab.errors import ConstraintError
 from spinlab.parisi import PiecewiseZeta, increasify_is, increasify_sp
 from spinlab.parisi.increasify import delta_perturb

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from spinlab import rng
 from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level, m_matrix
 from spinlab.errors import ArgumentError, DomainError
-from spinlab.mixture import Mixture, pure, xi_eval
+from spinlab.mixture import Mixture, xi_eval
 from spinlab.parisi import (
     PiecewiseZeta,
     b_profile,

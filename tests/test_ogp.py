@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from spinlab.ogp import (
     wilson_interval,
 )
 from spinlab.optimizers import gradient_ascent
-from spinlab.points import norm_n_sq, sphere_point
+from spinlab.points import sphere_point
 
 M2 = pure(2)
 

@@ -17,7 +17,6 @@ from spinlab.hamiltonian import (
     derivatives,
     energy,
     gradient,
-    hessian,
     hessian_apply,
     projected_top_eigvec,
     sample_hamiltonian,

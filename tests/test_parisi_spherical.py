@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from spinlab import rng
 from spinlab.errors import ArgumentError, DomainError
 from spinlab.mixture import Mixture, pure, xi_eval
 from spinlab.parisi import PiecewiseZeta, alg_sp, b_profile, opt_sp_numeric, parisi_sp, theta

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.optimize import minimize_scalar
+from scipy.special import log_ndtr, logsumexp, ndtr, owens_t
 
 from spinlab import rng
 from spinlab.errors import ArgumentError, NumericError
@@ -334,101 +336,233 @@ def test_alg_is_feasible_bound():
         alg_is_numeric(msk, knots=4)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"knots": 12},
+        {"knots": 24},
+        {"knots": 0},
+        {"knots": 16.0},
+        {"sweeps_max": 0},
+        {"sweeps_min": 2, "sweeps_max": 1},
+        {"value_cap": 0.0},
+        {"value_cap": -1.0},
+        {"value_cap": math.nan},
+    ],
+)
+def test_alg_is_levels_rejects_silent_defaults(kw, monkeypatch):
+    """Knot counts other than 8 2^k, no sweeps and an empty box are usage
+    errors, raised before any solve."""
+    monkeypatch.setattr(pde, "solve_parisi_pde", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ArgumentError):
+        alg_is_levels(Mixture({2: math.sqrt(0.5)}), **kw)
+
+
 def test_alg_is_levels_one_pass_equals_separate_calls():
     """Each level of one refinement pass is the value alg_is_numeric gives
     with that many knots, bit for bit, and the levels are nonincreasing."""
     m = Mixture({2: 0.8, 4: 0.4}, h=0.2)
     kw = {"grid": (4.0, 0.04), "sweeps_min": 1, "sweeps_max": 1, "value_cap": 4.0, "gh_nodes": 8}
     levels = alg_is_levels(m, knots=16, **kw)
-    assert [lv for lv, _ in levels] == [8, 16]
-    assert levels[0][1] == alg_is_numeric(m, knots=8, **kw)
-    assert levels[1][1] == alg_is_numeric(m, knots=16, **kw)
-    assert levels[1][1] <= levels[0][1]
+    assert [lv.levels for lv in levels] == [8, 16]
+    assert levels[0].value == alg_is_numeric(m, knots=8, **kw)
+    assert levels[1].value == alg_is_numeric(m, knots=16, **kw)
+    assert levels[1].value <= levels[0].value
 
 
-WARM_MIXTURES = (Mixture({2: math.sqrt(0.5)}), Mixture({2: 0.8, 4: 0.4}, h=0.2))
-WARM_GRID = (4.0, 0.04)
-BREAKS8 = tuple(i / 8 for i in range(8))
+ALG_MIXTURES = (Mixture({2: math.sqrt(0.5)}), Mixture({2: 0.8, 4: 0.4}, h=0.2))
+ALG_GRID = (4.0, 0.04)
 
 
-def _solve8(m, values, **kw):
-    return solve_parisi_pde(
-        m, PiecewiseZeta(BREAKS8, values), grid=WARM_GRID, center=m.h, self_check=False, **kw
-    )
+def _breaks(levels):
+    return tuple(i / levels for i in range(levels))
 
 
-def _assert_same_slices(got, want):
-    assert got.times == want.times
-    for t in want.times:
-        assert np.array_equal(got.values[t], want.values[t])
+BREAKS8 = _breaks(8)
 
 
-@pytest.mark.parametrize("m", WARM_MIXTURES, ids=("sk", "p2p4h"))
-def test_warm_solve_equals_cold(m):
-    """A solve that reuses the matching leading steps of another gives every
-    stored slice bit-identical to a cold solve of the same profile."""
+def _objective(m, levels, nodes=8, grid=ALG_GRID):
+    return pde._AlgObjective(m, levels, pde._grid_points(grid, m.h, nodes), nodes)
+
+
+def oracle_alg_is_levels(m, knots, grid, sweeps_min, sweeps_max, sweep_tol=1e-6, value_cap=32.0, **solver_kw):
+    """The coordinate search alg_is_levels ran before its gradient: per
+    coordinate of each sweep, a bounded scalar search over [0, value_cap] and
+    one around the current value, each trial a full solve.  [(levels,
+    value), ...]."""
+
+    def objective(breaks, values):
+        return parisi_is(PiecewiseZeta(breaks, values), m, grid=grid, self_check=False, **solver_kw)
+
+    def sweep_down(breaks, values):
+        values = list(values)
+        best = objective(breaks, tuple(values))
+        for sweep in range(sweeps_max):
+            improved = 0.0
+            for i in range(len(values)):
+                def f(v):
+                    trial = values.copy()
+                    trial[i] = v
+                    return objective(breaks, tuple(trial))
+
+                res = minimize_scalar(f, bounds=(0.0, value_cap), method="bounded", options={"xatol": 1e-3})
+                lo = max(0.0, 0.7 * values[i] - 0.05)
+                hi = min(value_cap, 1.4 * values[i] + 0.05)
+                local = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-4})
+                if local.fun < res.fun:
+                    res = local
+                if res.fun < best:
+                    improved += best - res.fun
+                    best = res.fun
+                    values[i] = float(res.x)
+            if improved < sweep_tol and sweep + 1 >= sweeps_min:
+                break
+        return values, best
+
+    levels = 8
+    breaks = _breaks(levels)
+    starts = [
+        [0.0] * levels,
+        [1.0] * levels,
+        [min(pde._slope_profile(m, (b + 0.5 / levels)), value_cap) for b in breaks],
+    ]
+    starts = [s for i, s in enumerate(starts) if s not in starts[:i]]
+    best_vals, best = None, math.inf
+    for start in starts:
+        vals, obj = sweep_down(breaks, start)
+        if obj < best:
+            best_vals, best = vals, obj
+    out = [(levels, float(best))]
+    while levels < knots:
+        levels *= 2
+        best_vals = [best_vals[i // 2] for i in range(levels)]
+        best_vals, best = sweep_down(_breaks(levels), best_vals)
+        out.append((levels, float(best)))
+    return out
+
+
+@pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
+def test_alg_is_levels_not_above_oracle(m):
+    """At every level the L-BFGS-B value is at most the coordinate search's,
+    and it is exactly the solver's value at the returned profile."""
+    kw = {"grid": ALG_GRID, "sweeps_min": 1, "sweeps_max": 1, "value_cap": 4.0, "gh_nodes": 8}
+    got = alg_is_levels(m, knots=16, **kw)
+    want = oracle_alg_is_levels(m, 16, **kw)
+    assert [lv.levels for lv in got] == [lv for lv, _ in want] == [8, 16]
+    for lv, (_, oracle_value) in zip(got, want):
+        assert lv.value <= oracle_value + 1e-6
+        assert len(lv.zeta) == lv.levels and min(lv.zeta) >= 0.0 and max(lv.zeta) <= 4.0
+        zeta = PiecewiseZeta(_breaks(lv.levels), lv.zeta)
+        assert lv.value == parisi_is(zeta, m, grid=ALG_GRID, self_check=False, gh_nodes=8)
+        grad = _objective(m, lv.levels)(lv.zeta)[1]
+        assert lv.proj_grad == pde._projected_gradient(lv.zeta, grad)
+    assert got[1].value <= got[0].value
+
+
+def test_alg_is_levels_keeps_the_start_when_the_search_ends_higher(monkeypatch):
+    """A search result whose solver value is above its start's is dropped:
+    level 8 keeps a start, and level 16 keeps the doubled profile, which
+    solves to the same value."""
+    m = ALG_MIXTURES[1]
+    kw = {"grid": ALG_GRID, "sweeps_min": 1, "sweeps_max": 1, "value_cap": 4.0, "gh_nodes": 8}
+
+    def worse(fun, x0, **_):
+        return SimpleNamespace(x=np.full(len(x0), 4.0), fun=-math.inf)
+
+    monkeypatch.setattr(pde, "minimize", worse)
+    lv8, lv16 = alg_is_levels(m, knots=16, **kw)
+    starts = [(0.0,) * 8, (1.0,) * 8, tuple(min(pde._slope_profile(m, b + 1 / 16), 4.0) for b in BREAKS8)]
+    values = [parisi_is(PiecewiseZeta(BREAKS8, z), m, grid=ALG_GRID, self_check=False, gh_nodes=8) for z in starts]
+    assert lv8.zeta == starts[int(np.argmin(values))]
+    assert lv8.value == min(values)
+    assert lv16.zeta == tuple(v for v in lv8.zeta for _ in (0, 1))
+    assert lv16.value == lv8.value
+
+
+def _central_difference(f, z, i, d=1e-3):
+    """Fourth-order central difference of f along coordinate i."""
+
+    def at(step):
+        y = z.copy()
+        y[i] += step
+        return f(y)[0]
+
+    return (8.0 * (at(d) - at(-d)) - (at(2 * d) - at(-2 * d))) / (12.0 * d)
+
+
+@pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
+def test_gradient_matches_central_differences(m):
+    """dP/dzeta of the discretized objective against its own central
+    differences, at random profiles with zeros, values below the small-c
+    threshold and equal neighbours (two separate steps, not merged)."""
+    gen = rng.stream(64)
+    f = _objective(m, 8)
+    for _ in range(3):
+        z = gen.uniform(0.0, 2.5, 8)
+        z[gen.choice(8, 2, replace=False)] = 0.0
+        z[gen.choice(8, 2, replace=False)] = gen.uniform(1e-4, 5e-4, 2)
+        z[3] = z[4]
+        z[7] = gen.choice((0.0, 3e-4, 1.3))
+        grad = f(z)[1]
+        fd = np.array([_central_difference(f, z, i) for i in range(8)])
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_gradient_continuous_at_the_small_c_threshold():
+    f = _objective(ALG_MIXTURES[1], 8)
+    below = np.full(8, pde._SMALL_C * (1.0 - 1e-9))
+    above = np.full(8, pde._SMALL_C)
+    assert np.max(np.abs(f(below)[1] - f(above)[1])) <= 1e-9
+
+
+@pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
+def test_gradient_matches_first_variation_at_zero(m):
+    """At zeta = 0 the first variation of Jagannath-Tobasco reads
+    dP/dzeta on [a, b] = (1/2) int_a^b xi''(t) (E[u_x(t, X_t)^2] - t) dt with
+    X_t ~ N(h, xi'(t)) and u_x(t, x) = erf(x / sqrt(2 (xi'(1) - xi'(t)))), so
+    E[u_x^2] = 1 - 8 T(h / sqrt(xi'(1)), sqrt((xi'(1) - xi'(t)) / (xi'(1) + xi'(t))))
+    with Owen's T."""
+    levels = 8
+    grad = _objective(m, levels, nodes=64, grid=(6.0, 0.005))(np.zeros(levels))[1]
+    tz, tw = np.polynomial.legendre.leggauss(24)
+    xi1 = xi_eval(m, 1.0, 1)
+    want = []
+    for i in range(levels):
+        # t = 1 - r^2 takes out the sqrt(1 - t) behaviour of E[u_x^2] near t = 1
+        r_lo, r_hi = math.sqrt(1.0 - (i + 1) / levels), math.sqrt(1.0 - i / levels)
+        r = 0.5 * (r_lo + r_hi) + 0.5 * (r_hi - r_lo) * tz
+        t = 1.0 - r * r
+        d1 = np.array([xi_eval(m, v, 1) for v in t])
+        d2 = np.array([xi_eval(m, v, 2) for v in t])
+        ux2 = 1.0 - 8.0 * owens_t(m.h / math.sqrt(xi1), np.sqrt((xi1 - d1) / (xi1 + d1)))
+        want.append((r_hi - r_lo) * np.sum(tw * r * 0.5 * d2 * (ux2 - t)))
+    assert np.max(np.abs(grad - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
+def test_objective_forward_equals_solve(m):
+    """With no equal neighbours, the objective's forward pass is the solver's
+    recursion: its value is parisi_is's to rounding of the linear term, and
+    with equal neighbours (merged by the solver) it stays within 1e-5."""
+    f = _objective(m, 8, nodes=16)
     base = (0.3, 0.5, 0.45, 0.9, 1.2, 0.8, 1.6, 2.0)
-    warm = _solve8(m, base, gh_nodes=16)
-    for i in range(8):
-        trial = list(base)
-        trial[i] *= 1.3
-        got = _solve8(m, trial, gh_nodes=16, warm=warm)
-        _assert_same_slices(got, _solve8(m, trial, gh_nodes=16))
-        # steps come from t = 1 down: the 7 - i above interval i are reused
-        assert got.meta["gh_reused"] == max(6 - i, 0)
-        assert got.meta["gh_steps"] == 7 - got.meta["gh_reused"]
-        if i < 7:
-            # equal to its upper neighbour: the two steps merge into one
-            trial[i] = base[i + 1]
-            merged = _solve8(m, trial, gh_nodes=16, warm=warm)
-            assert len(merged.meta["steps"]) == 7
-            _assert_same_slices(merged, _solve8(m, trial, gh_nodes=16))
-    # all-zero start: one merged step, then one coordinate moved off zero
-    zero = _solve8(m, (0.0,) * 8, gh_nodes=16)
-    for i in (0, 3, 7):
-        trial = [0.0] * 8
-        trial[i] = 0.7
-        _assert_same_slices(_solve8(m, trial, gh_nodes=16, warm=zero), _solve8(m, trial, gh_nodes=16))
-    # another node count reuses the terminal step only
-    trial = list(base)
-    trial[0] = 0.1
-    other = _solve8(m, trial, gh_nodes=24, warm=warm)
-    assert (other.meta["gh_steps"], other.meta["gh_reused"]) == (7, 0)
-    _assert_same_slices(other, _solve8(m, trial, gh_nodes=24))
+    for values, tol in ((base, 1e-15), ((0.0,) * 8, 1e-5), ((0.3, 0.5, 0.5, 0.9, 0.0, 0.0, 1.6, 1.6), 1e-5)):
+        want = parisi_is(PiecewiseZeta(BREAKS8, values), m, grid=ALG_GRID, self_check=False, gh_nodes=16)
+        assert f(values)[0] == pytest.approx(want, abs=tol)
 
 
-def test_warm_must_match_grid_a_beta_and_mixture():
-    m = WARM_MIXTURES[1]
-    zeta = PiecewiseZeta((0.0, 0.5), (0.4, 0.9))
-    kw = {"grid": WARM_GRID, "center": m.h, "self_check": False}
-    warm = solve_parisi_pde(m, zeta, **kw)
-    solve_parisi_pde(m, zeta, warm=warm, **kw)
-    for change in (
-        {"grid": (4.0, 0.02)},
-        {"center": 0.0},
-        {"a": 0.1},
-        {"beta": 8.0},
-        {"m": Mixture({2: 0.8, 4: 0.4}, h=0.25)},
-    ):
-        args = {"m": m, **kw, **change}
-        with pytest.raises(ArgumentError, match="warm"):
-            solve_parisi_pde(args.pop("m"), zeta, warm=warm, **args)
+def test_projected_gradient():
+    assert pde._projected_gradient((0.0, 0.0, 1.0), (0.5, -0.25, 0.0)) == 0.25
+    assert pde._projected_gradient((0.0, 2.0), (3.0, -0.125)) == 0.125
+    assert pde._projected_gradient((0.0,), (7.0,)) == 0.0
 
 
-def test_self_check_runs_when_every_gh_step_is_reused():
+def test_self_check_reuses_only_the_terminal_step():
+    """The node-doubled reference solve reuses the node-independent terminal
+    step: its delta is bit-identical to that of two separate solves."""
     z = PiecewiseZeta((0.0, 0.3, 0.7), (0.4, 1.0, 0.6))
-    cold = solve_parisi_pde(M2, z, grid=GRID)
-    warm = solve_parisi_pde(M2, z, grid=GRID, self_check=False)
-    got = solve_parisi_pde(M2, z, grid=GRID, warm=warm)
-    assert (got.meta["gh_steps"], got.meta["gh_reused"]) == (0, 2)
-    assert got.meta["self_check_delta"] == cold.meta["self_check_delta"]
-    _assert_same_slices(got, cold)
-
-
-@pytest.mark.parametrize("m", WARM_MIXTURES, ids=("sk", "p2p4h"))
-def test_alg_is_levels_bit_identical_without_warm(m, monkeypatch):
-    kw = {"grid": WARM_GRID, "sweeps_min": 1, "sweeps_max": 1, "value_cap": 4.0, "gh_nodes": 8}
-    warm = alg_is_levels(m, knots=16, **kw)
-    solve = pde.solve_parisi_pde
-    monkeypatch.setattr(pde, "solve_parisi_pde", lambda *a, **k: solve(*a, **{**k, "warm": None}))
-    assert alg_is_levels(m, knots=16, **kw) == warm
+    got = solve_parisi_pde(M2, z, grid=COARSE, gh_nodes=16)
+    one = solve_parisi_pde(M2, z, grid=COARSE, gh_nodes=16, self_check=False)
+    two = solve_parisi_pde(M2, z, grid=COARSE, gh_nodes=32, self_check=False)
+    assert got.meta["gh_steps"] == 2
+    assert got.meta["self_check_delta"] == abs(one.eval(0.0, 0.0) - two.eval(0.0, 0.0))

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -11,7 +10,7 @@ from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
 from spinlab.optimizers import AmpSpec, amp, lipschitz_probe
-from spinlab.runner import RunResult, build_algorithm, parse_mixture, run, validate_config
+from spinlab.runner import build_algorithm, parse_mixture, run, validate_config
 from spinlab.__main__ import main
 
 
@@ -36,6 +35,17 @@ def test_schema_validation():
     for stray in ("sed", "steps"):  # a typo, and a setting that lives in "alg"
         with pytest.raises(ArgumentError, match="Additional properties"):
             validate_config({"subcommand": "thresholds", stray: 3})
+
+
+@pytest.mark.parametrize("knots", [4, 12, 24, 1024])
+def test_thresholds_rejects_knots_off_the_refinement_ladder(tmp_path, knots, monkeypatch):
+    """alg_is_levels refines 8, 16, 32, ...: any other knot count exits 2
+    before the ALG search starts."""
+    monkeypatch.setattr("spinlab.runner.alg_is_numeric", lambda *a, **k: pytest.fail("searched"))
+    with pytest.raises(ArgumentError, match="knots"):
+        validate_config({"subcommand": "thresholds", "ising": True, "knots": knots})
+    argv = ["thresholds", "--mixture", "p2", "--ising", "--set", f"knots={knots}"]
+    assert main(argv + ["--out", str(tmp_path / "t")]) == 2
 
 
 def test_thresholds_run(tmp_path):

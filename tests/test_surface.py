@@ -54,3 +54,33 @@ def test_every_public_name_is_reached_outside_the_tests():
     seen = referenced_names()
     unused = {name: where for name, where in public_names().items() if name not in seen}
     assert not unused, f"public names reached only by tests: {unused}"
+
+
+def unused_imports() -> dict:
+    """module -> names it imports and never references, for every module
+    under src/ and tests/ except package __init__ files (their imports are
+    the package's re-exports).  An import whose line carries `noqa: F401`
+    is exempt."""
+    files = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").rglob("*.py"))
+    out = {}
+    for path in files:
+        lines = path.read_text().splitlines()
+        tree = _parse(path)
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    # an import kept for callers that reach it through the module says so
+                    if "noqa: F401" not in lines[alias.lineno - 1]:
+                        bound.add(alias.asname or alias.name.split(".")[0])
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(bound - used)
+        if unused:
+            out[str(path.relative_to(ROOT))] = unused
+    return out
+
+
+def test_no_unused_imports():
+    unused = unused_imports()
+    assert not unused, f"imported but never referenced: {unused}"

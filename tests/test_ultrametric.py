@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinlab import rng
 from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import sample_hamiltonian
 from spinlab.mixture import pure
