@@ -234,6 +234,12 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
 # -- Subag ascent ------------------------------------------------------------------
 
 
+def _subspace_dim(delta: float, n: int) -> int:
+    """max(floor(delta N), 1): the dimension of the top eigenspace that a
+    "random_subspace" Subag step draws its direction from."""
+    return max(int(math.floor(delta * n)), 1)
+
+
 def subag_direction_from_hessian(hess, x, grad, mode: str, delta: float, step_seed: int):
     """Step direction from a dense Hessian: top eigenvector of P Hess P with
     P = projection onto x-perp ("top_eig"), or a uniform unit vector in the
@@ -251,7 +257,7 @@ def subag_direction_from_hessian(hess, x, grad, mode: str, delta: float, step_se
     if mode == "top_eig":
         v = vecs[:, -1].copy()
     elif mode == "random_subspace":
-        dim = max(int(math.floor(delta * n)), 1)
+        dim = _subspace_dim(delta, n)
         coeffs = rng.stream(step_seed, "subag-dir").standard_normal(dim)
         v = vecs[:, -dim:] @ coeffs
     else:
@@ -277,7 +283,7 @@ def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int, start
     if h.n <= DEFAULT_DENSE_HESSIAN_CAP:
         e, grad, hess = derivatives(h, x, 2)
         return e, subag_direction_from_hessian(hess, x, grad, mode, delta, step_seed)
-    k = 1 if mode == "top_eig" else max(int(math.floor(delta * h.n)), 1)
+    k = 1 if mode == "top_eig" else _subspace_dim(delta, h.n)
     vecs, _vals = projected_top_eigvec(h, x, orth=[x], k=k, seed=step_seed, start=start)
     if mode == "top_eig":
         v = vecs[0].copy()

@@ -6,6 +6,10 @@ Phi(t, x) = (1/c) log E exp(c Phi(t+, x + Z sqrt(xi'(t+) - xi'(t)))),
 with the plain heat step at c = 0.  The beta = infinity terminal |x| - ax is
 integrated in closed form (erf); smooth slices use Gauss-Hermite quadrature
 on the spatial grid with linear tail extrapolation at the asymptotic slopes.
+A node's shifted slice is read off a quadratic stencil whose terms are held
+once per step in padded arrays, so its interior is a contiguous window of
+each and no per-entry index is built; the tails are written only over the
+prefix and suffix of the grid that reach past its ends.
 The finite-beta terminal step integrates each 512-point block of the grid
 over the quadrature nodes within reach of that block only, the same
 truncation the domain edges use.
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr, roots_hermite
 
@@ -181,11 +186,13 @@ def _gh_roots(nodes: int):
     return _gh_roots_cache[nodes]
 
 
-# Element cap of one row block of the shifted-slice matrix.  It bounds the
-# stencil temporaries on fine grids with many nodes, and keeps each below
-# 64 KiB on the coarse alg_is_numeric grid: larger per-step temporaries make
-# glibc trim and re-fault the heap on every step (~500 page faults a step at
-# 2**16, which cost more system time than the stencil's arithmetic).
+# Element cap of one row block of the shifted-slice matrix.  It bounds each
+# temporary of a block (the copied stencil windows and the tail rectangles)
+# to max(cap, n) elements: one row per block on the fine grids, and below
+# 64 KiB each on the coarse alg_is_numeric grid, where larger per-step
+# temporaries make glibc trim and re-fault the heap on every step (~500 page
+# faults a step at 2**16, which cost more system time than the stencil's
+# arithmetic).
 _GH_BLOCK_ELEMS = 1 << 13
 
 
@@ -203,48 +210,67 @@ def _gh_shifted(grid, vals, slopes, nearest, t):
     three-point quadratic stencil around the nearest grid point, with linear
     tails beyond the grid.
 
-    The quadratic stencil keeps node doubling stable to O(dx^3).  All nodes
-    are evaluated at once, in row blocks of at most _GH_BLOCK_ELEMS
-    elements, with the same floating-point operations per entry as a
-    one-node-at-a-time loop, so the result is bit-identical to that loop
-    (kept as the test oracle in tests/test_pde.py).
+    The quadratic stencil keeps node doubling stable to O(dx^3).  Its terms
+    are held once per step in arrays padded by the largest node shift (at
+    most n), so the interior of row j is a contiguous window of each,
+    starting at nearest_j - 1.  Row blocks of at most _GH_BLOCK_ELEMS
+    elements copy their rows' windows over the columns where any of those
+    rows is interior, then write the linear tails over the block's prefix
+    and suffix rectangles where the entry lies beyond the stencil.  Every
+    entry takes the same floating-point operations as in a one-node-at-a-time
+    loop, so the result is bit-identical to that loop (kept as the test
+    oracle in tests/test_pde.py).
     """
     nodes = len(nearest)
     n = len(grid)
     dx = grid[1] - grid[0]
-    # stencil terms around each interior point k = 1 .. n-2, at index k-1
-    v0 = vals[1:-1]
-    d1 = vals[2:] - vals[:-2]
-    d2 = vals[2:] - 2.0 * v0 + vals[:-2]
-    idx = np.arange(n)
+    # stencil terms around each interior point, padded by pad zeros a side;
+    # clipping a window start moves only a row that lies wholly beyond the
+    # grid, whose every entry is a tail
+    pad = min(int(np.abs(nearest).max()) + 1, n)
+    terms = np.zeros((3, n - 2 + 2 * pad))
+    v0, d1, d2 = terms[:, pad : pad + n - 2]
+    v0[:] = vals[1:-1]
+    np.subtract(vals[2:], vals[:-2], out=d1)
+    d2[:] = vals[2:] - 2.0 * v0 + vals[:-2]
+    v0w, d1w, d2w = sliding_window_view(terms, n, axis=1)
+    starts = np.clip(pad - 1 + nearest, 0, len(v0w) - 1)
+    h1 = (0.5 * t)[:, None]
+    h2 = h1 * t[:, None]
+    # row j reads the stencil on columns lo_j <= i < hi_j, the tails elsewhere
+    lo = np.clip(1 - nearest, 0, n).tolist()
+    hi = np.clip(n - 1 - nearest, 0, n).tolist()
+    lo_slope = (vals[1] - vals[0]) / dx
+    hi_slope = (vals[-1] - vals[-2]) / dx
     fmat = np.empty((nodes, n))
     rows = max(1, _GH_BLOCK_ELEMS // n)
     for r0 in range(0, nodes, rows):
-        tb = t[r0 : r0 + rows, None]
-        base = nearest[r0 : r0 + rows, None] + idx
-        k = np.clip(base - 1, 0, n - 3)
-        out = fmat[r0 : r0 + rows]
-        out[:] = v0[k] + 0.5 * tb * d1[k] + 0.5 * tb * tb * d2[k]
-        # linear beyond the second-to-last interior stencil
-        tfull = np.broadcast_to(tb, base.shape)
-        lo_mask = base < 1
-        if lo_mask.any():
-            p = base[lo_mask] + tfull[lo_mask]
+        r1 = r0 + rows
+        out = fmat[r0:r1]
+        a, b = min(lo[r0:r1]), max(hi[r0:r1])
+        if a < b:
+            # v0 + (0.5 t) d1 + ((0.5 t) t) d2, summed in the loop's order
+            st = starts[r0:r1]
+            inner = out[:, a:b]
+            np.multiply(d1w[st, a:b], h1[r0:r1], out=inner)
+            inner += v0w[st, a:b]
+            curv = d2w[st, a:b]
+            curv *= h2[r0:r1]
+            inner += curv
+        tb = t[r0:r1, None]
+        la, hb = max(lo[r0:r1]), min(hi[r0:r1])
+        if la > 0:
+            base = nearest[r0:r1, None] + np.arange(la)
+            p = base + tb
             off = p * dx
-            out[lo_mask] = np.where(
-                p >= 0,
-                vals[0] + (vals[1] - vals[0]) / dx * off,
-                vals[0] + slopes[0] * off,
-            )
-        hi_mask = base > n - 2
-        if hi_mask.any():
-            p = base[hi_mask] + tfull[hi_mask]
+            tail = np.where(p >= 0, vals[0] + lo_slope * off, vals[0] + slopes[0] * off)
+            np.copyto(out[:, :la], tail, where=base < 1)
+        if hb < n:
+            base = nearest[r0:r1, None] + np.arange(hb, n)
+            p = base + tb
             off = p * dx - (n - 1) * dx
-            out[hi_mask] = np.where(
-                p <= n - 1,
-                vals[-1] + (vals[-1] - vals[-2]) / dx * off,
-                vals[-1] + slopes[1] * off,
-            )
+            tail = np.where(p <= n - 1, vals[-1] + hi_slope * off, vals[-1] + slopes[1] * off)
+            np.copyto(out[:, hb:], tail, where=base > n - 2)
     return fmat
 
 
@@ -439,9 +465,10 @@ def _terminal_kink_dc(grid, s: float, c: float, a: float, out):
 
 
 class _StencilPlan:
-    """The node shifts of one step width on an n-point grid, and the entries
-    of the (nodes, n) shifted-slice matrix that read the linear tails: what
-    the transpose of _gh_shifted needs, built once per width."""
+    """The node shifts of one step width on an n-point grid, the entries of
+    the (nodes, n) shifted-slice matrix that read the linear tails, and the
+    stencil index of every entry: what the transpose of _gh_shifted needs,
+    built once per width."""
 
     def __init__(self, n: int, dx: float, s: float, nodes: int):
         self.nearest, self.t = _gh_shifts(dx, s, nodes)
@@ -455,6 +482,8 @@ class _StencilPlan:
         hi = np.flatnonzero(base > n - 2)
         q = pos[hi] - (n - 1)
         self.hi = (hi, np.where(q <= 0, 1.0 + q, 1.0), np.where(q <= 0, -q, 0.0))  # on vals[-1], vals[-2]
+        # interior entries read vals[k], vals[k+1], vals[k+2] with k = base - 1
+        self.k = np.clip(base - 1, 0, n - 3)
 
     def transpose(self, wmat):
         """The adjoint of the input slice, given the adjoint wmat of the
@@ -467,10 +496,8 @@ class _StencilPlan:
             out[end] += w @ c_end
             out[end + step] += w @ c_next
             flat[entries] = 0.0
-        # interior entries read vals[k], vals[k+1], vals[k+2] with k = base - 1
-        k = np.clip(self.nearest[:, None] + np.arange(-1, n - 1), 0, n - 3).ravel()
         for o, coef in enumerate(self.coefs):
-            out[o : n - 2 + o] += np.bincount(k, (wmat * coef[:, None]).ravel(), minlength=n - 2)
+            out[o : n - 2 + o] += np.bincount(self.k, (wmat * coef[:, None]).ravel(), minlength=n - 2)
         return out
 
 

@@ -276,6 +276,55 @@ def test_gh_step_bit_identical_to_per_node_loop(dx):
                 assert np.max(np.abs(got - want)) == 0.0
 
 
+def _plan_grid(dx):
+    half = int(math.ceil(10.65 / dx))
+    return dx * np.arange(-half, half + 1)
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.002])
+def test_tape_step_bit_identical_to_plain_step(dx):
+    """_gh_tape_step's output is _gh_step's, bit for bit: at c = 0, on both
+    sides of the small-c threshold, and with shifts past both grid ends."""
+    xs = _plan_grid(dx)
+    a = 0.3
+    slopes = (-1.0 - a, 1.0 - a)
+    vals = pde._terminal_kink_step(xs, 0.8, 0.6, a)
+    nodes = 64
+    assert 0.0 < 5e-4 < pde._SMALL_C < 1.5
+    for s in (0.05, 3.0):
+        # the grid's own spacing, as _gh_step and _AlgObjective take it
+        plan = pde._StencilPlan(len(xs), xs[1] - xs[0], s, nodes)
+        for c in (0.0, 5e-4, 1.5):
+            got = pde._gh_tape_step(xs, vals, slopes, plan, c, nodes)[0]
+            want = pde._gh_step(xs, vals, slopes, s, c, nodes)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the wide step's outer nodes shift past both ends of the grid
+    assert math.sqrt(2.0) * 3.0 * pde._gh_roots(nodes)[0].max() > xs[-1] - xs[0]
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.002])
+def test_stencil_transpose_is_the_adjoint_of_the_shifted_slices(dx):
+    """<W, S(v) - S(0)> = <S^T W, v> for S = _gh_shifted, affine in v (S(0)
+    holds the asymptotic-slope tails), with both branches of both tails."""
+    xs = _plan_grid(dx)
+    n = len(xs)
+    slopes = (-1.3, 0.7)
+    gen = rng.stream(65)
+    nodes = 64
+    for s in (0.05, 3.0):
+        plan = pde._StencilPlan(n, xs[1] - xs[0], s, nodes)
+        v = gen.standard_normal(n)
+        wmat = gen.standard_normal((nodes, n))
+        shifted = pde._gh_shifted(xs, v, slopes, plan.nearest, plan.t)
+        shifted -= pde._gh_shifted(xs, np.zeros(n), slopes, plan.nearest, plan.t)
+        lhs = float(np.sum(wmat * shifted))
+        rhs = float(plan.transpose(wmat.copy()) @ v)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    # the wide plan reads both tails within the grid's end cells and beyond
+    for _entries, _c_end, c_next in (plan.lo, plan.hi):
+        assert (c_next > 0.0).any() and (c_next == 0.0).any()
+
+
 def test_parisi_is_values():
     assert parisi_is(Z0, M2, grid=GRID) == pytest.approx(2 / math.sqrt(math.pi), abs=1e-5)
     m_field = Mixture({2: 1.0}, h=10.0)
