@@ -1,5 +1,7 @@
 """Right-continuous piecewise-constant order parameters on [0, 1)."""
 
+import math
+
 import numpy as np
 
 from ..errors import ArgumentError
@@ -9,7 +11,8 @@ from ..mixture import Mixture, xi_eval
 class PiecewiseZeta:
     """zeta(t) = values[i] on [breaks[i], breaks[i+1]), last interval ending at 1.
 
-    breaks must start at 0 and increase inside [0, 1); values are >= 0.
+    breaks must start at 0 and increase inside [0, 1); values are finite
+    and >= 0.
     Monotone (nondecreasing) profiles are the classical Parisi order
     parameters; general profiles index the extended functional.
     """
@@ -19,6 +22,8 @@ class PiecewiseZeta:
         values = tuple(float(v) for v in values)
         if len(breaks) != len(values):
             raise ArgumentError("breaks and values must align")
+        if not all(map(math.isfinite, breaks + values)):
+            raise ArgumentError(f"breaks {breaks} and values {values} must be finite")
         if not breaks or breaks[0] != 0.0:
             raise ArgumentError("breakpoints must start at 0")
         if any(a >= b for a, b in zip(breaks, breaks[1:])) or breaks[-1] >= 1.0:

@@ -583,6 +583,7 @@ def _run_pde(config, out):
         "diagnostics": {
             "grid_points": int(len(sol.grid)),
             "gh_nodes": sol.meta["gh_nodes"],
+            "gh_rows": sol.meta["gh_rows"],
             "self_check_delta": sol.meta.get("self_check_delta"),
             "times": list(sol.times),
         },

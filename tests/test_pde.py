@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr, logsumexp, ndtr, owens_t
 
@@ -243,8 +245,13 @@ def _shifted_slice(grid, vals, slopes, delta):
     return out
 
 
-def _gh_step_per_node(grid, vals, slopes, s, c, nodes):
+def _gh_step_per_node(grid, vals, slopes, s, c, nodes, all_nodes=False):
+    """_gh_step one node at a time, over _gh_step's kept nodes or, with
+    all_nodes, over every node as it summed before the reach truncation."""
     z, w, logw = pde._gh_roots(nodes)
+    if not all_nodes:
+        keep = pde._gh_kept(s, c, max(map(abs, slopes)), nodes)
+        z, w, logw = z[keep], w[keep], logw[keep]
     fmat = np.stack([_shifted_slice(grid, vals, slopes, math.sqrt(2.0) * s * zj) for zj in z])
     if c == 0.0:
         return (w / math.sqrt(math.pi)) @ fmat
@@ -266,14 +273,37 @@ def test_gh_step_bit_identical_to_per_node_loop(dx):
     width = xs[-1] - xs[0]
     for nodes in node_counts:
         z = pde._gh_roots(nodes)[0]
-        # the largest s shifts the outer nodes past both ends of the grid,
-        # so both tail branches (in-grid and asymptotic slope) are taken
-        assert math.sqrt(2.0) * 12.0 * z.max() > width
+        # the largest s shifts the outer kept nodes past both ends of the
+        # grid, so both tail branches (in-grid and asymptotic slope) are taken
+        for c in (0.0, 1.5):
+            kept = z[pde._gh_kept(12.0, c, max(map(abs, slopes)), nodes)]
+            assert math.sqrt(2.0) * 12.0 * min(-kept.min(), kept.max()) > width
         for s in (0.05, 0.5, 12.0):
             for c in (0.0, 1.5):
                 got = pde._gh_step(xs, vals, slopes, s, c, nodes)
                 want = _gh_step_per_node(xs, vals, slopes, s, c, nodes)
                 assert np.max(np.abs(got - want)) == 0.0
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.002])
+def test_gh_truncation_matches_all_nodes(dx):
+    """Dropping the nodes past the reach moves no slice by more than
+    rounding: truncated _gh_step against the all-node per-node loop."""
+    half = int(math.ceil(10.65 / dx))
+    xs = dx * np.arange(-half, half + 1)
+    a = 0.3
+    slopes = (-1.0 - a, 1.0 - a)
+    vals = pde._terminal_kink_step(xs, 0.8, 0.6, a)
+    dropped = 0
+    for nodes in (64, 128, 256):
+        for s in (0.05, 0.5, 12.0):
+            for c in (0.0, 5e-4, 1.5, 8.0):
+                keep = pde._gh_kept(s, c, max(map(abs, slopes)), nodes)
+                dropped += nodes - (keep.stop - keep.start)
+                got = pde._gh_step(xs, vals, slopes, s, c, nodes)
+                want = _gh_step_per_node(xs, vals, slopes, s, c, nodes, all_nodes=True)
+                assert np.max(np.abs(got - want)) <= 1e-13
+    assert dropped > 0
 
 
 def _plan_grid(dx):
@@ -323,6 +353,85 @@ def test_stencil_transpose_is_the_adjoint_of_the_shifted_slices(dx):
     # the wide plan reads both tails within the grid's end cells and beyond
     for _entries, _c_end, c_next in (plan.lo, plan.hi):
         assert (c_next > 0.0).any() and (c_next == 0.0).any()
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.002])
+def test_stencil_transpose_on_a_kept_row_range(dx):
+    """The transpose over the rows of a truncated step (and over an
+    asymmetric row range) is the adjoint of those rows' shifted slices, and
+    equals the all-row transpose with the other rows' adjoint zero."""
+    xs = _plan_grid(dx)
+    n = len(xs)
+    slopes = (-1.3, 0.7)
+    gen = rng.stream(66)
+    nodes = 64
+    for s in (0.05, 3.0):
+        plan = pde._StencilPlan(n, xs[1] - xs[0], s, nodes)
+        for keep in (pde._gh_kept(s, 0.0, 1.3, nodes), slice(5, 50)):
+            assert 0 < keep.start and keep.stop < nodes
+            rows = keep.stop - keep.start
+            v = gen.standard_normal(n)
+            wmat = gen.standard_normal((rows, n))
+            nearest, t = plan.nearest[keep], plan.t[keep]
+            shifted = pde._gh_shifted(xs, v, slopes, nearest, t)
+            shifted -= pde._gh_shifted(xs, np.zeros(n), slopes, nearest, t)
+            lhs = float(np.sum(wmat * shifted))
+            got = plan.transpose(wmat.copy(), keep.start)
+            assert abs(lhs - float(got @ v)) <= 1e-12 * abs(lhs)
+            padded = np.zeros((nodes, n))
+            padded[keep] = wmat
+            assert np.max(np.abs(got - plan.transpose(padded))) <= 1e-12 * np.max(np.abs(got))
+    # the wide step's kept rows read both tails within the end cells and beyond
+    kept = pde._gh_kept(3.0, 0.0, 1.3, nodes)
+    for entries, _c_end, c_next in (plan.lo, plan.hi):
+        inside = (entries >= kept.start * n) & (entries < kept.stop * n)
+        assert (c_next[inside] > 0.0).any() and (c_next[inside] == 0.0).any()
+
+
+def test_gh_rows_counts_the_kept_rows():
+    """meta["gh_rows"] sums the kept node counts over the GH steps, below
+    the all-node count gh_steps x gh_nodes."""
+    z = PiecewiseZeta((0.0, 0.3, 0.7), (0.4, 1.0, 0.6))
+    a, nodes = 0.5, 128
+    sol = solve_parisi_pde(M2, z, a=a, grid=COARSE, gh_nodes=nodes)
+    want = 0
+    # every step below the terminal one is a GH step
+    for t_lo, t_hi in zip(sol.times[:-2], sol.times[1:-1]):
+        s = math.sqrt(xi_eval(M2, t_hi, 1) - xi_eval(M2, t_lo, 1))
+        keep = pde._gh_kept(s, z(t_lo), 1.0 + a, nodes)
+        want += keep.stop - keep.start
+    assert sol.meta["gh_steps"] == 2
+    assert sol.meta["gh_rows"] == want < sol.meta["gh_steps"] * nodes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    pieces=st.lists(st.tuples(st.one_of(st.floats(), st.floats(0.0, 1.0)), st.floats()), max_size=5),
+    from_zero=st.booleans(),
+    extra=st.lists(st.floats(), max_size=1),
+)
+@example(pieces=[(0.0, math.nan)], from_zero=False, extra=[])
+@example(pieces=[(0.0, 1.0), (math.inf, 2.0)], from_zero=False, extra=[])
+@example(pieces=[(0.0, 1.0), (math.nan, 2.0)], from_zero=False, extra=[])
+@example(pieces=[(0.0, 1.0), (0.5, math.inf)], from_zero=False, extra=[])
+@example(pieces=[(0.0, -math.inf)], from_zero=False, extra=[])
+@example(pieces=[(0.0, 0.5), (0.25, 0.0)], from_zero=False, extra=[])
+def test_zeta_constructs_only_finite_profiles(pieces, from_zero, extra):
+    """Any float lists either make a profile with finite breaks strictly
+    increasing inside [0, 1) from 0 and finite values >= 0, or raise
+    ArgumentError."""
+    breaks = [b for b, _ in pieces]
+    if from_zero:
+        breaks = [0.0] + breaks[1:]
+    values = [v for _, v in pieces] + extra
+    try:
+        zeta = PiecewiseZeta(breaks, values)
+    except ArgumentError:
+        return
+    assert zeta.breaks[0] == 0.0 and zeta.breaks[-1] < 1.0
+    assert all(math.isfinite(b) for b in zeta.breaks)
+    assert all(lo < hi for lo, hi in zip(zeta.breaks, zeta.breaks[1:]))
+    assert all(math.isfinite(v) and v >= 0.0 for v in zeta.values)
 
 
 def test_parisi_is_values():
@@ -555,6 +664,27 @@ def test_gradient_matches_central_differences(m):
         grad = f(z)[1]
         fd = np.array([_central_difference(f, z, i) for i in range(8)])
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
+def test_gradient_across_a_node_set_switch(m):
+    """The kept node range of a step grows with c.  With one level within
+    1e-7 of the c where a node enters, the gradient still matches central
+    differences whose points straddle the switch."""
+    nodes, i = 64, 2
+    f = _objective(m, 8, nodes=nodes)
+    s = f.widths[i]
+    z = pde._gh_roots(nodes)[0]
+    # node j enters where sqrt(2) s |z_j| = (12 + c s) s, the slopes being +-1
+    entry = (math.sqrt(2.0) * z[z > 0.0] - 12.0) / s
+    c_switch = float(entry[(entry > 0.5) & (entry < 4.0)][0])
+    below = pde._gh_kept(s, c_switch - 5e-8, 1.0, nodes)
+    above = pde._gh_kept(s, c_switch + 5e-8, 1.0, nodes)
+    assert above.stop - above.start == below.stop - below.start + 2
+    values = np.array([0.3, 0.8, c_switch + 5e-8, 1.2, 0.6, 1.9, 0.0, 1.4])
+    grad = f(values)[1]
+    fd = np.array([_central_difference(f, values, k) for k in range(8)])
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 def test_gradient_continuous_at_the_small_c_threshold():

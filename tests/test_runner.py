@@ -10,6 +10,7 @@ from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
 from spinlab.optimizers import AmpSpec, amp, lipschitz_probe
+from spinlab.parisi import PiecewiseZeta, solve_parisi_pde
 from spinlab.runner import build_algorithm, parse_mixture, run, validate_config
 from spinlab.__main__ import main
 
@@ -135,6 +136,36 @@ def test_pde_run(tmp_path):
     assert res.status == 0
     want = math.sqrt(2.0) * math.sqrt(2 / math.pi)
     assert res.payload["phi_at_0_h"] == pytest.approx(want, abs=1e-5)
+
+
+def test_pde_run_reports_gh_rows(tmp_path):
+    """diagnostics.gh_rows is the solve's count of computed shifted-slice
+    rows, fewer than gh_steps x gh_nodes."""
+    config = {
+        "subcommand": "pde",
+        "mixture": "p2",
+        "zeta": {"breaks": [0.0, 0.5], "values": [0.4, 1.0]},
+        "grid": [6.0, 0.01],
+    }
+    diag = run(config, out_dir=str(tmp_path)).payload["diagnostics"]
+    sol = solve_parisi_pde(pure(2), PiecewiseZeta((0.0, 0.5), (0.4, 1.0)), grid=(6.0, 0.01))
+    assert diag["gh_rows"] == sol.meta["gh_rows"] < diag["gh_nodes"] * sol.meta["gh_steps"]
+
+
+def test_pde_run_rejects_non_finite_zeta(tmp_path):
+    """json.load reads NaN and Infinity; such a profile exits 2 before any
+    solve."""
+    for i, zeta in enumerate(
+        (
+            {"breaks": [0.0], "values": [math.nan]},
+            {"breaks": [0.0], "values": [math.inf]},
+            {"breaks": [0.0, math.nan], "values": [0.0, 1.0]},
+            {"breaks": [0.0, -math.inf], "values": [0.0, 1.0]},
+        )
+    ):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"subcommand": "pde", "mixture": "p2", "zeta": zeta, "grid": [6.0, 0.01]}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, zeta
 
 
 def test_pde_run_rejects_zero_beta(tmp_path):
