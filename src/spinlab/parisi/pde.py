@@ -4,12 +4,15 @@ functional and its variational minimization.
 On each interval where zeta = c is constant the PDE solution satisfies
 Phi(t, x) = (1/c) log E exp(c Phi(t+, x + Z sqrt(xi'(t+) - xi'(t)))),
 with the plain heat step at c = 0.  The beta = infinity terminal |x| - ax is
-integrated in closed form (erf); smooth slices use Gauss-Hermite quadrature
-on the spatial grid with linear tail extrapolation at the asymptotic slopes.
-A node's shifted slice is read off a quadratic stencil whose terms are held
-once per step in padded arrays, so its interior is a contiguous window of
-each and no per-entry index is built; the tails are written only over the
-prefix and suffix of the grid that reach past its ends.
+integrated in closed form (erf).  The finite-beta terminal is that kink plus
+the bump log1p(e^(-2 beta |x|)) / beta: its step is the kink's closed form
+plus the bump's share, integrated by Gauss-Legendre panels on
+|x| <= 20 / beta (_terminal_quad_step).  Smooth slices use Gauss-Hermite
+quadrature on the spatial grid with linear tail extrapolation at the
+asymptotic slopes.  A node's shifted slice is read off a quadratic stencil
+whose terms are held once per step in padded arrays, so its interior is a
+contiguous window of each and no per-entry index is built; the tails are
+written only over the prefix and suffix of the grid that reach past its ends.
 Every quadrature of the recursion is truncated by one reach rule, _reach:
 a step of std s at level c integrates over |y - x| <= (12 + |c| L s) s,
 where L = 1 + |a| = max|slopes| bounds the Lipschitz constant of every
@@ -19,7 +22,9 @@ step computes shifted slices only for the nodes with sqrt(2) s |z_j| within
 reach, a symmetric index range of the sorted nodes (at c = 0, 46 of 128
 and 136 of 256 nodes drop); the finite-beta terminal step integrates each
 512-point block of the grid over the Gauss-Legendre nodes within reach of
-that block.
+that block.  The node-doubling self-check reads one value, Phi(0, center),
+so its reference solve computes each step only on the grid columns that
+value depends on (_cone).
 
 ALG for Ising models minimizes the functional over nonnegative step profiles
 on the uniform partition i/levels with projected L-BFGS-B.  Its gradient is
@@ -28,9 +33,11 @@ the unmerged partition and keeps, per step, the tilted Gauss-Hermite weights
 pi (the softmax of c f_j + log w_j over the nodes) and d out / dc =
 (E_pi f - out) / c, which tends to Var_pi(f) / 2 as c -> 0 (the first
 variation of Jagannath-Tobasco); the terminal kink step has a closed-form
-c-derivative from the tilted truncated-normal means.  The reverse pass
-starts from the grid point at h and applies the transpose of each step's
-quadratic stencil and linear tails, so a gradient costs about two solves.
+c-derivative from the tilted truncated-normal means.  Each step width's
+shifted slices are one sparse matrix over the stencil terms (_StencilPlan):
+the forward step is its CSR product, and the reverse pass, which starts from
+the grid point at h, applies its CSC transpose, so a gradient costs about two
+solves.
 """
 
 import math
@@ -40,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 from scipy.special import log_ndtr, ndtr, roots_hermite
 
 from ..errors import ArgumentError, NumericError, ResourceError
@@ -129,6 +137,9 @@ def _terminal_kink_step(grid, s: float, c: float, a: float):
 # Standard deviations of a step's Gaussian increment that every quadrature
 # covers beyond the tilt (module docstring).
 _REACH_SDS = 12.0
+# Half-width, in units of 1/beta, of the finite-beta terminal's bump that
+# _terminal_quad_step integrates.
+_BUMP_SDS = 20.0
 
 
 def _reach(s: float, c: float, lip: float) -> float:
@@ -138,56 +149,58 @@ def _reach(s: float, c: float, lip: float) -> float:
 
 
 def _terminal_quad_step(grid, s: float, c: float, a: float, beta: float):
-    """Backward step from the finite-beta terminal by composite Gauss-Legendre
-    panels in y, refined near the terminal's curvature region |y| <= 12/beta,
-    so the 1/beta scale never limits the spatial grid or the Hermite nodes."""
-    reach = _reach(s, c, 1.0 + abs(a))
-    lo, hi = grid[0] - reach, grid[-1] + reach
-    fine_half = min(12.0 / beta, hi - lo)
-    edges = [lo]
-    # coarse panels resolve the Gaussian kernel; fine panels the terminal kink
-    coarse = max(s / 3.0, 2.0 * fine_half / 64.0, (hi - lo) / 4000.0)
-    fine = max(fine_half / 24.0, (hi - lo) / 100_000.0)
-    y = lo
-    while y < hi:
-        width = fine if abs(y) <= fine_half or abs(y + coarse) <= fine_half else coarse
-        y = min(y + width, hi)
-        edges.append(y)
-    edges = np.asarray(edges)
-    gl_z, gl_w = np.polynomial.legendre.leggauss(8)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfw = 0.5 * np.diff(edges)
-    ys = (mids[:, None] + halfw[:, None] * gl_z[None, :]).ravel()
-    ws = (halfw[:, None] * gl_w[None, :]).ravel()
-    fy = _terminal(ys, a, beta)
-    if c == 0.0:
-        wfy = ws * fy
-    else:
-        # the log-sum-exp terms are c f(y) + log w + log kernel
-        wfy = c * fy + np.log(ws)
+    """Backward step from the finite-beta terminal, split as the kink
+    |y| - ay plus the bump g(y) = log1p(e^(-2 beta |y|)) / beta: the
+    closed-form step K(x) of the kink (_terminal_kink_step), plus (1/c) log1p
+    of the bump's share E_pi[e^(c g(y)) - 1], where pi is the law of
+    y = x + sZ tilted by e^(c (|y| - ay) - c K(x)).  At c = 0 the plain mean
+    E g(y) is added instead.
 
-    out = np.empty_like(grid)
+    The share is integrated by 8-point Gauss-Legendre panels on
+    |y| <= _BUMP_SDS / beta, past which g is below e^-40 / beta.  The panels
+    have an edge at g's kink y = 0 and a width of at most min(1/beta, s/3), so
+    they resolve both the bump and the Gaussian kernel.  Each 512-point block
+    of the grid sums the nodes within _reach of it.
+    """
+    out = _terminal_kink_step(grid, s, c, a)
+    half = _BUMP_SDS / beta
+    panels = math.ceil(half / min(1.0 / beta, s / 3.0))
+    width = half / panels
+    gl_z, gl_w = np.polynomial.legendre.leggauss(8)
+    pos = (width * (np.arange(panels)[:, None] + 0.5 + 0.5 * gl_z)).ravel()
+    ys = np.concatenate([-pos[::-1], pos])
+    # the Gauss-Legendre weights are symmetric, so reversing a panel keeps them
+    ws = np.tile(0.5 * width * gl_w, 2 * panels)
+    bump = np.log1p(np.exp(-2.0 * beta * np.abs(ys))) / beta
+    if c == 0.0:
+        wb = ws * bump
+    else:
+        # log of the share's terms, up to the Gaussian kernel and -c K(x)
+        wb = np.log(ws * np.expm1(c * bump)) + c * (np.abs(ys) - a * ys)
+
+    reach = _reach(s, c, 1.0 + abs(a))
     chunk = 512
     log_norm = math.log(math.sqrt(2.0 * math.pi) * s)
     for start in range(0, len(grid), chunk):
         x = grid[start : start + chunk]
-        # nodes past reach of the block are dropped, as at the domain edges
         i0 = np.searchsorted(ys, x[0] - reach)
         i1 = np.searchsorted(ys, x[-1] + reach, side="right")
+        if i0 == i1:
+            continue
         lk = ys[None, i0:i1] - x[:, None]
         lk /= s
         lk *= lk
         lk *= -0.5
         lk -= log_norm
+        block = out[start : start + chunk]  # the kink step K(x), in place
         if c == 0.0:
             np.exp(lk, out=lk)
-            out[start : start + chunk] = lk @ wfy[i0:i1]
+            block += lk @ wb[i0:i1]
         else:
-            lk += wfy[i0:i1]
-            amax = lk.max(axis=1)
-            lk -= amax[:, None]
+            lk += wb[i0:i1]
+            lk -= (c * block)[:, None]
             np.exp(lk, out=lk)
-            out[start : start + chunk] = (np.log(np.sum(lk, axis=1)) + amax) / c
+            block += np.log1p(np.sum(lk, axis=1)) / c
     return out
 
 
@@ -231,10 +244,11 @@ def _gh_shifts(dx: float, s: float, nodes: int):
     return nearest, shift - nearest
 
 
-def _gh_shifted(grid, vals, slopes, nearest, t):
+def _gh_shifted(grid, vals, slopes, nearest, t, cols=None):
     """fmat: row j is the slice at grid + (nearest_j + t_j) dx, read off a
     three-point quadratic stencil around the nearest grid point, with linear
-    tails beyond the grid.
+    tails beyond the grid, on the grid columns cols = (c0, c1) (all of them
+    by default).
 
     The quadratic stencil keeps node doubling stable to O(dx^3).  Its terms
     are held once per step in arrays padded by the largest node shift (at
@@ -245,10 +259,11 @@ def _gh_shifted(grid, vals, slopes, nearest, t):
     and suffix rectangles where the entry lies beyond the stencil.  Every
     entry takes the same floating-point operations as in a one-node-at-a-time
     loop, so the result is bit-identical to that loop (kept as the test
-    oracle in tests/test_pde.py).
+    oracle in tests/test_pde.py), whichever columns are computed.
     """
     nodes = len(nearest)
     n = len(grid)
+    c0, c1 = (0, n) if cols is None else cols
     dx = grid[1] - grid[0]
     # stencil terms around each interior point, padded by pad zeros a side;
     # clipping a window start moves only a row that lies wholly beyond the
@@ -264,12 +279,12 @@ def _gh_shifted(grid, vals, slopes, nearest, t):
     h1 = (0.5 * t)[:, None]
     h2 = h1 * t[:, None]
     # row j reads the stencil on columns lo_j <= i < hi_j, the tails elsewhere
-    lo = np.clip(1 - nearest, 0, n).tolist()
-    hi = np.clip(n - 1 - nearest, 0, n).tolist()
+    lo = np.clip(1 - nearest, c0, c1).tolist()
+    hi = np.clip(n - 1 - nearest, c0, c1).tolist()
     lo_slope = (vals[1] - vals[0]) / dx
     hi_slope = (vals[-1] - vals[-2]) / dx
-    fmat = np.empty((nodes, n))
-    rows = max(1, _GH_BLOCK_ELEMS // n)
+    fmat = np.empty((nodes, c1 - c0))
+    rows = max(1, _GH_BLOCK_ELEMS // (c1 - c0))
     for r0 in range(0, nodes, rows):
         r1 = r0 + rows
         out = fmat[r0:r1]
@@ -277,7 +292,7 @@ def _gh_shifted(grid, vals, slopes, nearest, t):
         if a < b:
             # v0 + (0.5 t) d1 + ((0.5 t) t) d2, summed in the loop's order
             st = starts[r0:r1]
-            inner = out[:, a:b]
+            inner = out[:, a - c0 : b - c0]
             np.multiply(d1w[st, a:b], h1[r0:r1], out=inner)
             inner += v0w[st, a:b]
             curv = d2w[st, a:b]
@@ -285,18 +300,18 @@ def _gh_shifted(grid, vals, slopes, nearest, t):
             inner += curv
         tb = t[r0:r1, None]
         la, hb = max(lo[r0:r1]), min(hi[r0:r1])
-        if la > 0:
-            base = nearest[r0:r1, None] + np.arange(la)
+        if la > c0:
+            base = nearest[r0:r1, None] + np.arange(c0, la)
             p = base + tb
             off = p * dx
             tail = np.where(p >= 0, vals[0] + lo_slope * off, vals[0] + slopes[0] * off)
-            np.copyto(out[:, :la], tail, where=base < 1)
-        if hb < n:
-            base = nearest[r0:r1, None] + np.arange(hb, n)
+            np.copyto(out[:, : la - c0], tail, where=base < 1)
+        if hb < c1:
+            base = nearest[r0:r1, None] + np.arange(hb, c1)
             p = base + tb
             off = p * dx - (n - 1) * dx
             tail = np.where(p <= n - 1, vals[-1] + hi_slope * off, vals[-1] + slopes[1] * off)
-            np.copyto(out[:, hb:], tail, where=base > n - 2)
+            np.copyto(out[:, hb - c0 :], tail, where=base > n - 2)
     return fmat
 
 
@@ -313,9 +328,10 @@ def _log_mean_exp(fmat, c: float, logw):
     return (np.log(total) + amax) / c, total
 
 
-def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int):
+def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int, cols=None):
     """Gauss-Hermite Cole-Hopf step on the piecewise-linear slice, over the
-    node-shifted slices of _gh_shifted.
+    node-shifted slices of _gh_shifted, on the grid columns cols (all of them
+    by default).
 
     Only the nodes of _gh_kept enter.  A node past the reach (12 + |c| L s) s,
     L = max|slopes|, has a tilted weight w_j exp(c f_j) below e^-72 of the
@@ -329,7 +345,7 @@ def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int):
     _, w, logw = _gh_roots(nodes)
     keep = _gh_kept(s, c, max(map(abs, slopes)), nodes)
     nearest, t = _gh_shifts(grid[1] - grid[0], s, nodes)
-    fmat = _gh_shifted(grid, vals, slopes, nearest[keep], t[keep])
+    fmat = _gh_shifted(grid, vals, slopes, nearest[keep], t[keep], cols)
     if c == 0.0:
         return (w[keep] / math.sqrt(math.pi)) @ fmat
     # the log-sum-exp runs in place: fmat is the step's largest array
@@ -377,7 +393,11 @@ def solve_parisi_pde(
     spacing 0 < dx <= 0.01 L; a grid whose 2 gh_nodes x points self-check
     matrix exceeds the tensor budget raises ResourceError before anything is
     allocated.  The node-doubling self-check raises NumericError when the
-    quadrature is under-resolved (Phi(0, center) moves by more than 1e-6).
+    quadrature is under-resolved (Phi(0, center) moves by more than 1e-6, or
+    by a non-finite amount).  Its reference solve computes only the grid
+    columns that Phi(0, center) depends on; meta["self_check_entries"]
+    counts the shifted-slice entries it computes (kept rows x columns,
+    summed over its Gauss-Hermite steps).
     """
     if not (-1.0 <= a <= 1.0):
         raise ArgumentError(f"a={a} outside [-1, 1]")
@@ -388,40 +408,89 @@ def solve_parisi_pde(
     xs = _grid_points(grid, center, gh_nodes)
     sol = _solve_on_grid(m, zeta, a, beta, xs, gh_nodes)
     if self_check and sol.meta["gh_steps"] > 0:
-        # the first backward step is node-count independent; reuse it
-        ref = _solve_on_grid(m, zeta, a, beta, xs, 2 * gh_nodes, top=sol)
+        # the first backward step is node-count independent, so it is reused;
+        # the check reads only Phi(0, center) = Phi(0, xs[(n - 1) // 2])
+        ref = _solve_on_grid(m, zeta, a, beta, xs, 2 * gh_nodes, top=sol, point=(len(xs) - 1) // 2)
         delta = abs(sol.eval(0.0, center) - ref.eval(0.0, center))
         sol.meta["self_check_delta"] = delta
-        if delta > _SELF_CHECK_TOL:
+        sol.meta["self_check_entries"] = ref.meta["gh_entries"]
+        # a NaN delta fails too: it is what a column read outside the cone gives
+        if not delta <= _SELF_CHECK_TOL:
             raise NumericError(
                 f"quadrature self-check failed: doubling nodes moved Phi(0, {center}) by {delta:.3g}"
             )
     return sol
 
 
-def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, top=None) -> PDESolution:
+def _cone(xs, point, steps, lip: float, nodes: int) -> dict:
+    """{k: (c0, c1)}: the grid columns c0 <= i < c1 that Gauss-Hermite step k
+    of steps [(t_lo, c, s^2), ...] (from t = 1 down) computes for Phi(0,
+    xs[point]) alone.
+
+    Going back from t = 0, a step's input is needed on its output columns
+    widened by its kept nodes' shifts and the stencil, clipped to the grid
+    (an entry past the stencil reads the two end columns, which the clipped
+    range then holds).  The step at t = 0 keeps two columns: numpy sums a
+    single column pairwise, and two or more row by row as it does the full
+    grid.  A c = 0 step sums its rows with BLAS gemv, whose rounding of a
+    column depends on the column range, so that step and every step before
+    it compute the full grid.
+    """
+    n = len(xs)
+    dx = xs[1] - xs[0]
+    c0 = min(point, n - 2)
+    c1 = c0 + 2
+    cols = {}
+    for k in range(len(steps) - 1, 0, -1):
+        _, c, s2 = steps[k]
+        if s2 <= 0.0:
+            continue
+        if c == 0.0:
+            break
+        cols[k] = (c0, c1)
+        s = math.sqrt(s2)
+        nearest = _gh_shifts(dx, s, nodes)[0][_gh_kept(s, c, lip, nodes)]
+        c0 = min(max(c0 + int(nearest[0]) - 1, 0), n - 2)
+        c1 = max(min(c1 + int(nearest[-1]) + 1, n), 2)
+    return cols
+
+
+def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, top=None, point=None) -> PDESolution:
     """The recursion on the grid xs.  top, a solution of the same problem at
     another node count, supplies the terminal slice and the first backward
-    step, which do not depend on the node count."""
+    step, which do not depend on the node count.  With point, an index of
+    xs, the Gauss-Hermite steps compute only the columns of _cone, and the
+    slices hold NaN elsewhere."""
     slopes = (-1.0 - a, 1.0 - a)
+    lip = max(map(abs, slopes))
     knots = sorted(set(zeta.breaks) | {0.0})
     times = knots + [1.0]
+    steps = [
+        (t_lo, zeta(t_lo), xi_eval(m, t_hi, 1) - xi_eval(m, t_lo, 1))
+        for t_hi, t_lo in zip(times[::-1], times[::-1][1:])
+    ]
+    cols = {} if point is None else _cone(xs, point, steps, lip, gh_nodes)
     vals = {1.0: _terminal(xs, a, beta) if top is None else top.values[1.0]}
     current = vals[1.0]
-    gh_steps = gh_rows = 0
-    for k, (t_hi, t_lo) in enumerate(zip(times[::-1], times[::-1][1:])):
-        c = zeta(t_lo)
-        s2 = xi_eval(m, t_hi, 1) - xi_eval(m, t_lo, 1)
+    gh_steps = gh_rows = gh_entries = 0
+    for k, (t_lo, c, s2) in enumerate(steps):
         if k == 0 and top is not None:
             current = top.values[t_lo]
         elif s2 <= 0.0:
             current = current.copy()
         elif k > 0:
             s = math.sqrt(s2)
-            current = _gh_step(xs, current, slopes, s, c, gh_nodes)
-            keep = _gh_kept(s, c, max(map(abs, slopes)), gh_nodes)
+            c0, c1 = cols.get(k, (0, len(xs)))
+            if k in cols:
+                step = np.full(len(xs), np.nan)
+                step[c0:c1] = _gh_step(xs, current, slopes, s, c, gh_nodes, (c0, c1))
+                current = step
+            else:
+                current = _gh_step(xs, current, slopes, s, c, gh_nodes)
+            keep = _gh_kept(s, c, lip, gh_nodes)
             gh_steps += 1
             gh_rows += keep.stop - keep.start
+            gh_entries += (keep.stop - keep.start) * (c1 - c0)
         elif math.isinf(beta):
             current = _terminal_kink_step(xs, math.sqrt(s2), c, a)
         else:
@@ -434,7 +503,7 @@ def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, top=None) -> PDESolution:
         a=a,
         beta=beta,
         mixture=m,
-        meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps, "gh_rows": gh_rows},
+        meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps, "gh_rows": gh_rows, "gh_entries": gh_entries},
     )
 
 
@@ -505,48 +574,81 @@ def _terminal_kink_dc(grid, s: float, c: float, a: float, out):
     return 0.5 * (second - mean * mean)
 
 
+def _stencil_terms(grid, vals, slopes):
+    """The terms _gh_shifted reads a slice's shifted copies off, as one
+    vector u = (v0, d1, d2, vals[0], lo_slope, slopes[0], vals[-1], hi_slope,
+    slopes[1]) of length 3n: at the interior points v0 = vals[1:-1] and the
+    differences d1 and d2 as _gh_shifted takes them, then each end's value,
+    end-cell slope and asymptotic slope."""
+    n = len(grid)
+    dx = grid[1] - grid[0]
+    u = np.empty(3 * n)
+    v0, d1, d2 = u[: 3 * (n - 2)].reshape(3, n - 2)
+    v0[:] = vals[1:-1]
+    np.subtract(vals[2:], vals[:-2], out=d1)
+    d2[:] = vals[2:] - 2.0 * v0 + vals[:-2]
+    u[3 * (n - 2) :] = (vals[0], (vals[1] - vals[0]) / dx, slopes[0], vals[-1], (vals[-1] - vals[-2]) / dx, slopes[1])
+    return u
+
+
 class _StencilPlan:
-    """The node shifts of one step width on an n-point grid, the entries of
-    the (nodes, n) shifted-slice matrix that read the linear tails, and the
-    stencil index of every entry: what the transpose of _gh_shifted needs,
-    built once per width."""
+    """_gh_shifted of one step width on an n-point grid as a sparse matrix,
+    built once per width.
+
+    op, of shape (nodes n, 3n) in CSR form with int32 indices, maps the
+    stencil terms u of _stencil_terms to the shifted slices: row j n + i is
+    node j at grid point i.  An interior entry's row reads v0, d1 and d2 with
+    coefficients 1, t_j / 2 and (t_j / 2) t_j; a tail entry's reads the end
+    value with 1 and the end-cell or asymptotic slope with its offset from the
+    end.  CSR products sum a row's terms in order, which is _gh_shifted's
+    order, so op @ u is _gh_shifted bit for bit.  The transpose is the CSC
+    view op.T followed by the adjoint of u(vals).
+    """
 
     def __init__(self, n: int, dx: float, s: float, nodes: int):
-        self.s = s
+        self.s, self.dx = s, dx
         self.nearest, self.t = _gh_shifts(dx, s, nodes)
-        t = self.t
-        base = (self.nearest[:, None] + np.arange(n)).ravel()
-        pos = base + np.repeat(t, n)
-        self.coefs = (0.5 * t * t - 0.5 * t, 1.0 - t * t, 0.5 * t * t + 0.5 * t)
-        lo = np.flatnonzero(base < 1)
-        p = pos[lo]
-        self.lo = (lo, np.where(p >= 0, 1.0 - p, 1.0), np.where(p >= 0, p, 0.0))  # on vals[0], vals[1]
-        hi = np.flatnonzero(base > n - 2)
-        q = pos[hi] - (n - 1)
-        self.hi = (hi, np.where(q <= 0, 1.0 + q, 1.0), np.where(q <= 0, -q, 0.0))  # on vals[-1], vals[-2]
-        # interior entries read vals[k], vals[k+1], vals[k+2] with k = base - 1
-        self.k = np.clip(base - 1, 0, n - 3)
+        t = self.t[:, None]
+        m = n - 2
+        base = self.nearest[:, None] + np.arange(n)
+        p = base + t
+        # (entries, u index of the end value, in the end cell, offset from the end)
+        tails = ((base < 1, 3 * m, p >= 0, p * dx), (base > n - 2, 3 * m + 3, p <= n - 1, p * dx - (n - 1) * dx))
+        inner = ~(tails[0][0] | tails[1][0])
+        indptr = np.zeros(nodes * n + 1, dtype=np.int32)
+        np.cumsum(np.where(inner, 3, 2), out=indptr[1:])
+        row_start = indptr[:-1].reshape(nodes, n)
+        cols = np.empty(indptr[-1], dtype=np.int32)
+        coefs = np.empty(indptr[-1])
+        at, k = row_start[inner], base[inner] - 1
+        h1 = np.broadcast_to(0.5 * t, base.shape)
+        for o, coef in enumerate((1.0, h1[inner], (h1 * t)[inner])):
+            cols[at + o] = o * m + k
+            coefs[at + o] = coef
+        for entries, end, in_cell, off in tails:
+            at = row_start[entries]
+            cols[at] = end
+            coefs[at] = 1.0
+            cols[at + 1] = np.where(in_cell[entries], end + 1, end + 2)
+            coefs[at + 1] = off[entries]
+        self.op = csr_array((coefs, cols, indptr), shape=(nodes * n, 3 * n))
 
     def transpose(self, wmat, first: int = 0):
         """The adjoint of the input slice, given the adjoint wmat of the
-        shifted slices of nodes first, first + 1, ... (overwritten).
-
-        The flat entry lists are sorted by row, so the rows of wmat select
-        contiguous segments of them."""
+        shifted slices of nodes first, first + 1, ... (the other nodes'
+        adjoint is zero)."""
         rows, n = wmat.shape
-        f0, f1 = first * n, (first + rows) * n
-        flat = wmat.ravel()
+        padded = np.zeros((self.op.shape[0] // n, n))
+        padded[first : first + rows] = wmat
+        g = self.op.T @ padded.ravel()
+        gv0, gd1, gd2 = g[: 3 * (n - 2)].reshape(3, n - 2)
+        g_lo, lo_slope, _, g_hi, hi_slope, _ = g[3 * (n - 2) :]
         out = np.zeros(n)
-        for (entries, c_end, c_next), end, step in ((self.lo, 0, 1), (self.hi, n - 1, -1)):
-            seg = slice(*np.searchsorted(entries, (f0, f1)))
-            at = entries[seg] - f0
-            w = flat[at]
-            out[end] += w @ c_end[seg]
-            out[end + step] += w @ c_next[seg]
-            flat[at] = 0.0
-        for o, coef in enumerate(self.coefs):
-            weighted = wmat * coef[first : first + rows, None]
-            out[o : n - 2 + o] += np.bincount(self.k[f0:f1], weighted.ravel(), minlength=n - 2)
+        out[1:-1] = gv0 - 2.0 * gd2
+        out[2:] += gd1 + gd2
+        out[:-2] += gd2 - gd1
+        out[:2] += (g_lo - lo_slope / self.dx, lo_slope / self.dx)
+        out[-2:] += (-hi_slope / self.dx, g_hi + hi_slope / self.dx)
         return out
 
 
@@ -556,7 +658,9 @@ def _gh_tape_step(grid, vals, slopes, plan: _StencilPlan, c: float, nodes: int):
     _, w, logw = _gh_roots(nodes)
     keep = _gh_kept(plan.s, c, max(map(abs, slopes)), nodes)
     logw = logw[keep]
-    fmat = _gh_shifted(grid, vals, slopes, plan.nearest[keep], plan.t[keep])
+    # all rows, then the kept ones: a row-range view of op per step costs more
+    # in scipy's constructor checks than the few dropped rows do
+    fmat = (plan.op @ _stencil_terms(grid, vals, slopes)).reshape(nodes, len(grid))[keep]
     if c == 0.0:
         wn = w[keep] / math.sqrt(math.pi)
         out = wn @ fmat

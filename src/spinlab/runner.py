@@ -44,9 +44,9 @@ from .parisi import (
     alg_sp,
     interpolation_bound_sp,
     opt_sp_numeric,
-    parisi_is,
     solve_parisi_pde,
 )
+from .parisi.pde import _parisi_value
 from .points import project_ball, sphere_point
 from .ultrametric import embed_energy_greedy, embedding_to_csv, tree_from_json, validate_embedding
 
@@ -579,12 +579,13 @@ def _run_pde(config, out):
     sol = solve_parisi_pde(m, zeta, a=a, beta=beta, grid=grid, center=m.h)
     results = {
         "phi_at_0_h": float(sol.eval(0.0, m.h)),
-        "parisi_is": parisi_is(zeta, m, grid=grid) if a == 0.0 and math.isinf(beta) else None,
+        "parisi_is": _parisi_value(sol, zeta, m) if a == 0.0 and math.isinf(beta) else None,
         "diagnostics": {
             "grid_points": int(len(sol.grid)),
             "gh_nodes": sol.meta["gh_nodes"],
             "gh_rows": sol.meta["gh_rows"],
             "self_check_delta": sol.meta.get("self_check_delta"),
+            "self_check_entries": sol.meta.get("self_check_entries"),
             "times": list(sol.times),
         },
     }

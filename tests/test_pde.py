@@ -1,6 +1,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -84,42 +85,26 @@ def test_solution_invariants_convex_lipschitz():
         assert np.max(np.abs(slopes)) <= 1.5 + 1e-9
 
 
-def oracle_terminal_quad_step(grid, s: float, c: float, a: float, beta: float):
-    """The finite-beta terminal step before windowing: every quadrature node
-    enters every grid point's sum (scipy's logsumexp with weights b)."""
-    tilt = c * (1.0 + abs(a)) * s
-    reach = (12.0 + tilt) * s
-    lo, hi = grid[0] - reach, grid[-1] + reach
-    fine_half = min(12.0 / beta, hi - lo)
-    edges = [lo]
-    coarse = max(s / 3.0, 2.0 * fine_half / 64.0, (hi - lo) / 4000.0)
-    fine = max(fine_half / 24.0, (hi - lo) / 100_000.0)
-    y = lo
-    while y < hi:
-        width = fine if abs(y) <= fine_half or abs(y + coarse) <= fine_half else coarse
-        y = min(y + width, hi)
-        edges.append(y)
-    edges = np.asarray(edges)
-    gl_z, gl_w = np.polynomial.legendre.leggauss(8)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfw = 0.5 * np.diff(edges)
-    ys = (mids[:, None] + halfw[:, None] * gl_z[None, :]).ravel()
-    ws = (halfw[:, None] * gl_w[None, :]).ravel()
-    fy = pde._terminal(ys, a, beta)
+def mp_terminal_step(x, s: float, c: float, a: float, beta: float) -> float:
+    """The finite-beta terminal step at x to 30 digits: (1/c) log E exp(c
+    f(x + sZ)), or E f(x + sZ) at c = 0, for f(y) = log(2 cosh(beta y)) / beta
+    - ay, by mpmath Gauss-Legendre quadrature over x +- (14 + c (1 + |a|) s) s
+    split at y = 0."""
+    with mpmath.workdps(30):
+        x, s, c, a, beta = (mpmath.mpf(v) for v in (x, s, c, a, beta))
+        span = (14 + c * (1 + abs(a)) * s) * s
+        points = sorted({x - span, x + span} | ({mpmath.mpf(0)} if abs(x) < span else set()))
 
-    out = np.empty_like(grid)
-    chunk = 512
-    log_norm = math.log(math.sqrt(2.0 * math.pi) * s)
-    for start in range(0, len(grid), chunk):
-        x = grid[start : start + chunk][:, None]
-        log_kernel = -0.5 * ((ys[None, :] - x) / s) ** 2 - log_norm
-        if c == 0.0:
-            out[start : start + chunk] = (np.exp(log_kernel) * ws[None, :]) @ fy
-        else:
-            out[start : start + chunk] = (
-                logsumexp(c * fy[None, :] + log_kernel, b=ws[None, :], axis=1) / c
-            )
-    return out
+        def f(y):
+            return mpmath.log(2 * mpmath.cosh(beta * y)) / beta - a * y
+
+        def kernel(y):
+            return mpmath.exp(-(((y - x) / s) ** 2) / 2) / (s * mpmath.sqrt(2 * mpmath.pi))
+
+        if c == 0:
+            return float(mpmath.quad(lambda y: kernel(y) * f(y), points, method="gauss-legendre"))
+        mean = mpmath.quad(lambda y: kernel(y) * mpmath.exp(c * f(y)), points, method="gauss-legendre")
+        return float(mpmath.log(mean) / c)
 
 
 # (L, dx, center): each spans three 512-point blocks, so every block after
@@ -133,14 +118,16 @@ def test_windowed_terminal_step_matches_oracle(grid):
     half = int(math.ceil(length / dx))
     xs = center + dx * np.arange(-half, half + 1)
     assert len(xs) > 2 * 512
+    gen = rng.stream(67)
     worst = 0.0
     for beta in (1.0, 4.0, 32.0):
         for a in (0.0, 0.5, -0.4):
             for c in (0.0, 0.3, 1.0, 4.0):
                 for s in (0.2, 0.7):
                     got = pde._terminal_quad_step(xs, s, c, a, beta)
-                    want = oracle_terminal_quad_step(xs, s, c, a, beta)
-                    worst = max(worst, np.max(np.abs(got - want) / np.abs(want)))
+                    i = int(gen.integers(len(xs)))
+                    want = mp_terminal_step(xs[i], s, c, a, beta)
+                    worst = max(worst, abs(got[i] - want) / abs(want))
     assert worst <= 1e-13
 
 
@@ -333,6 +320,60 @@ def test_tape_step_bit_identical_to_plain_step(dx):
 
 
 @pytest.mark.parametrize("dx", [0.04, 0.002])
+def test_stencil_plan_is_the_shifted_slices_bit_for_bit(dx):
+    """op @ u is _gh_shifted bit for bit, on a kept node range and on rows
+    5-50, with both branches of both tails taken."""
+    xs = _plan_grid(dx)
+    n = len(xs)
+    a = 0.3
+    slopes = (-1.0 - a, 1.0 - a)
+    vals = pde._terminal_kink_step(xs, 0.8, 0.6, a)
+    nodes = 64
+    for s in (0.05, 3.0):
+        plan = pde._StencilPlan(n, xs[1] - xs[0], s, nodes)
+        fmat = (plan.op @ pde._stencil_terms(xs, vals, slopes)).reshape(nodes, n)
+        for keep in (pde._gh_kept(s, 0.0, 1.0 + a, nodes), slice(5, 50)):
+            want = pde._gh_shifted(xs, vals, slopes, plan.nearest[keep], plan.t[keep])
+            assert np.array_equal(fmat[keep].view(np.int64), want.view(np.int64))
+    # the wide step's kept rows read both tails within the end cells and beyond
+    kept = pde._gh_kept(3.0, 0.0, 1.0 + a, nodes)
+    for col in (3 * n - 5, 3 * n - 4, 3 * n - 2, 3 * n - 1):  # u's end-cell and asymptotic slopes
+        assert (plan.op[kept.start * n : kept.stop * n].indices == col).any()
+
+
+def oracle_bincount_transpose(plan, wmat, first=0):
+    """_StencilPlan.transpose as it was before the sparse plan: the tail
+    entries' flat indices with their coefficients on the two end values, and
+    one bincount per stencil coefficient over the interior entries."""
+    rows, n = wmat.shape
+    t = plan.t
+    base = (plan.nearest[:, None] + np.arange(n)).ravel()
+    pos = base + np.repeat(t, n)
+    coefs = (0.5 * t * t - 0.5 * t, 1.0 - t * t, 0.5 * t * t + 0.5 * t)
+    lo = np.flatnonzero(base < 1)
+    p = pos[lo]
+    lo = (lo, np.where(p >= 0, 1.0 - p, 1.0), np.where(p >= 0, p, 0.0))  # on vals[0], vals[1]
+    hi = np.flatnonzero(base > n - 2)
+    q = pos[hi] - (n - 1)
+    hi = (hi, np.where(q <= 0, 1.0 + q, 1.0), np.where(q <= 0, -q, 0.0))  # on vals[-1], vals[-2]
+    k = np.clip(base - 1, 0, n - 3)  # interior entries read vals[k], vals[k+1], vals[k+2]
+    f0, f1 = first * n, (first + rows) * n
+    flat = wmat.copy().ravel()
+    out = np.zeros(n)
+    for (entries, c_end, c_next), end, step in ((lo, 0, 1), (hi, n - 1, -1)):
+        seg = slice(*np.searchsorted(entries, (f0, f1)))
+        at = entries[seg] - f0
+        w = flat[at]
+        out[end] += w @ c_end[seg]
+        out[end + step] += w @ c_next[seg]
+        flat[at] = 0.0
+    weighted = flat.reshape(rows, n)
+    for o, coef in enumerate(coefs):
+        out[o : n - 2 + o] += np.bincount(k[f0:f1], (weighted * coef[first : first + rows, None]).ravel(), minlength=n - 2)
+    return out
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.002])
 def test_stencil_transpose_is_the_adjoint_of_the_shifted_slices(dx):
     """<W, S(v) - S(0)> = <S^T W, v> for S = _gh_shifted, affine in v (S(0)
     holds the asymptotic-slope tails), with both branches of both tails."""
@@ -351,8 +392,8 @@ def test_stencil_transpose_is_the_adjoint_of_the_shifted_slices(dx):
         rhs = float(plan.transpose(wmat.copy()) @ v)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
     # the wide plan reads both tails within the grid's end cells and beyond
-    for _entries, _c_end, c_next in (plan.lo, plan.hi):
-        assert (c_next > 0.0).any() and (c_next == 0.0).any()
+    for col in (3 * n - 5, 3 * n - 4, 3 * n - 2, 3 * n - 1):  # u's end-cell and asymptotic slopes
+        assert (plan.op.indices == col).any()
 
 
 @pytest.mark.parametrize("dx", [0.04, 0.002])
@@ -383,9 +424,8 @@ def test_stencil_transpose_on_a_kept_row_range(dx):
             assert np.max(np.abs(got - plan.transpose(padded))) <= 1e-12 * np.max(np.abs(got))
     # the wide step's kept rows read both tails within the end cells and beyond
     kept = pde._gh_kept(3.0, 0.0, 1.3, nodes)
-    for entries, _c_end, c_next in (plan.lo, plan.hi):
-        inside = (entries >= kept.start * n) & (entries < kept.stop * n)
-        assert (c_next[inside] > 0.0).any() and (c_next[inside] == 0.0).any()
+    for col in (3 * n - 5, 3 * n - 4, 3 * n - 2, 3 * n - 1):  # u's end-cell and asymptotic slopes
+        assert (plan.op[kept.start * n : kept.stop * n].indices == col).any()
 
 
 def test_gh_rows_counts_the_kept_rows():
@@ -667,6 +707,29 @@ def test_gradient_matches_central_differences(m):
 
 
 @pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
+def test_gradient_matches_the_bincount_transpose(m, monkeypatch):
+    """The objective's gradient through the sparse transpose is within 1e-13
+    relative of its gradient through the bincount oracle, at the profiles of
+    test_gradient_matches_central_differences."""
+    gen = rng.stream(64)
+    f = _objective(m, 8)
+    profiles = []
+    for _ in range(3):
+        z = gen.uniform(0.0, 2.5, 8)
+        z[gen.choice(8, 2, replace=False)] = 0.0
+        z[gen.choice(8, 2, replace=False)] = gen.uniform(1e-4, 5e-4, 2)
+        z[3] = z[4]
+        z[7] = gen.choice((0.0, 3e-4, 1.3))
+        profiles.append(z)
+    got = [f(z)[1] for z in profiles]
+    monkeypatch.setattr(pde._StencilPlan, "transpose", oracle_bincount_transpose)
+    oracle = _objective(m, 8)
+    for z, grad in zip(profiles, got):
+        want = oracle(z)[1]
+        assert np.max(np.abs(grad - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
 def test_gradient_across_a_node_set_switch(m):
     """The kept node range of a step grows with c.  With one level within
     1e-7 of the c where a node enters, the gradient still matches central
@@ -745,3 +808,63 @@ def test_self_check_reuses_only_the_terminal_step():
     two = solve_parisi_pde(M2, z, grid=COARSE, gh_nodes=32, self_check=False)
     assert got.meta["gh_steps"] == 2
     assert got.meta["self_check_delta"] == abs(one.eval(0.0, 0.0) - two.eval(0.0, 0.0))
+
+
+CONE_ZETAS = (
+    PiecewiseZeta((0.0, 0.3, 0.7), (0.4, 1.0, 0.6)),
+    # a c = 0 step: it and the steps before it compute the full grid
+    PiecewiseZeta((0.0, 0.3, 0.7), (0.4, 0.0, 0.6)),
+    PiecewiseZeta((0.0, 0.3, 0.7), (0.0, 1.0, 0.6)),
+)
+
+
+@pytest.mark.parametrize("beta", [math.inf, 8.0])
+@pytest.mark.parametrize("a", [0.0, 0.5, -0.5])
+def test_self_check_solves_only_the_cone(a, beta):
+    """The reference solve computes only the columns Phi(0, center) depends
+    on, and its delta is bit-identical to that of a full-grid reference
+    solve, with cones that stay inside the grid and cones that reach both of
+    its ends."""
+    reach = []
+    for grid, center in (((10.0, 0.02), 0.3), ((6.0, 0.02), -0.2)):
+        for z in CONE_ZETAS:
+            sol = solve_parisi_pde(M2, z, a=a, beta=beta, grid=grid, center=center, gh_nodes=32)
+            full = pde._solve_on_grid(M2, z, a, beta, sol.grid, 64, top=sol)
+            assert sol.meta["self_check_delta"] == abs(sol.eval(0.0, center) - full.eval(0.0, center))
+            cone = pde._solve_on_grid(M2, z, a, beta, sol.grid, 64, top=sol, point=(len(sol.grid) - 1) // 2)
+            first_gh = cone.values[0.3]
+            reach.append(bool(np.isfinite(first_gh[[0, -1]]).all()))
+            computed = np.count_nonzero(np.isfinite(cone.values[0.0]))
+            assert computed == (2 if z(0.0) > 0.0 else len(sol.grid))
+    assert True in reach and False in reach
+
+
+def test_self_check_entries_count_the_cone():
+    """meta["self_check_entries"] sums kept rows x computed columns over the
+    reference solve's Gauss-Hermite steps, below the full-grid count."""
+    z = CONE_ZETAS[0]
+    a, nodes = 0.5, 16
+    sol = solve_parisi_pde(M2, z, a=a, grid=(10.0, 0.02), center=0.3, gh_nodes=nodes)
+    cone = pde._solve_on_grid(M2, z, a, math.inf, sol.grid, 2 * nodes, top=sol, point=(len(sol.grid) - 1) // 2)
+    want = full = 0
+    for t_lo, t_hi in zip(sol.times[:-2], sol.times[1:-1]):
+        s = math.sqrt(xi_eval(M2, t_hi, 1) - xi_eval(M2, t_lo, 1))
+        keep = pde._gh_kept(s, z(t_lo), 1.0 + a, 2 * nodes)
+        want += (keep.stop - keep.start) * np.count_nonzero(np.isfinite(cone.values[t_lo]))
+        full += (keep.stop - keep.start) * len(sol.grid)
+    assert sol.meta["self_check_entries"] == want < full
+
+
+def test_self_check_rejects_a_non_finite_delta(monkeypatch):
+    """A reference solve that reads NaN at the center fails the self-check."""
+    solve = pde._solve_on_grid
+
+    def nan_reference(*args, top=None, **kw):
+        sol = solve(*args, top=top, **kw)
+        if top is not None:
+            sol.values[0.0] = np.full(len(sol.grid), np.nan)
+        return sol
+
+    monkeypatch.setattr(pde, "_solve_on_grid", nan_reference)
+    with pytest.raises(NumericError, match="nan"):
+        solve_parisi_pde(M2, CONE_ZETAS[0], grid=COARSE, gh_nodes=16)

@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinlab import rng
+from spinlab import rng, runner
 from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
 from spinlab.optimizers import AmpSpec, amp, lipschitz_probe
-from spinlab.parisi import PiecewiseZeta, solve_parisi_pde
+from spinlab.parisi import PiecewiseZeta, parisi_is, pde, solve_parisi_pde
 from spinlab.runner import build_algorithm, parse_mixture, run, validate_config
 from spinlab.__main__ import main
 
@@ -150,6 +150,38 @@ def test_pde_run_reports_gh_rows(tmp_path):
     diag = run(config, out_dir=str(tmp_path)).payload["diagnostics"]
     sol = solve_parisi_pde(pure(2), PiecewiseZeta((0.0, 0.5), (0.4, 1.0)), grid=(6.0, 0.01))
     assert diag["gh_rows"] == sol.meta["gh_rows"] < diag["gh_nodes"] * sol.meta["gh_steps"]
+
+
+def test_pde_run_reads_parisi_is_off_its_own_solve(tmp_path, monkeypatch):
+    """run.json's results are those of one self-checked solve: parisi_is is
+    the value parisi_is gives, with no second solve, and the diagnostics
+    carry the self-check's entry count."""
+    zeta = PiecewiseZeta((0.0, 0.5), (0.4, 1.0))
+    sol = solve_parisi_pde(pure(2), zeta, grid=(6.0, 0.01))
+    want = parisi_is(zeta, pure(2), grid=(6.0, 0.01))
+    solves = []
+    solve = pde.solve_parisi_pde
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "solve_parisi_pde", counted)
+    monkeypatch.setattr(runner, "solve_parisi_pde", counted)
+    config = {
+        "subcommand": "pde",
+        "mixture": "p2",
+        "zeta": {"breaks": [0.0, 0.5], "values": [0.4, 1.0]},
+        "grid": [6.0, 0.01],
+    }
+    run(config, out_dir=str(tmp_path))
+    results = json.loads((tmp_path / "run.json").read_text())["results"]
+    assert len(solves) == 1
+    assert results["parisi_is"] == want
+    assert results["phi_at_0_h"] == sol.eval(0.0, 0.0)
+    diag = results["diagnostics"]
+    assert diag["self_check_delta"] == sol.meta["self_check_delta"]
+    assert diag["self_check_entries"] == sol.meta["self_check_entries"]
 
 
 def test_pde_run_rejects_non_finite_zeta(tmp_path):
