@@ -12,7 +12,7 @@ MAX_XI_ORDER = 4
 class Mixture:
     """Even-p coefficient table gamma_p plus external field strength h.
 
-    gammas maps even p >= 2 to gamma_p >= 0 (finite support); xi(x) =
+    gammas maps even p >= 2 to finite gamma_p >= 0 (finite support); xi(x) =
     sum_p gamma_p^2 x^p.  All-zero gammas give a field-only model.
     """
 
@@ -27,12 +27,12 @@ class Mixture:
             p = int(p)
             if p < 2 or p % 2 != 0:
                 raise ArgumentError(f"mixture exponent p={p} must be even and >= 2")
-            if g < 0:
-                raise ArgumentError(f"gamma_{p}={g} must be nonnegative")
+            if not 0 <= g < math.inf:
+                raise ArgumentError(f"gamma_{p}={g} must be finite and nonnegative")
             clean[p] = float(g)
         # all-zero gammas are allowed so field-only models can be expressed
-        if self.h < 0:
-            raise ArgumentError(f"external field h={self.h} must be nonnegative")
+        if not 0 <= self.h < math.inf:
+            raise ArgumentError(f"external field h={self.h} must be finite and nonnegative")
         object.__setattr__(self, "gammas", clean)
         object.__setattr__(self, "h", float(self.h))
 

@@ -10,9 +10,10 @@ plus the bump's share, integrated by Gauss-Legendre panels on
 |x| <= 20 / beta (_terminal_quad_step).  Smooth slices use Gauss-Hermite
 quadrature on the spatial grid with linear tail extrapolation at the
 asymptotic slopes.  A node's shifted slice is read off a quadratic stencil
-whose terms are held once per step in padded arrays, so its interior is a
-contiguous window of each and no per-entry index is built; the tails are
-written only over the prefix and suffix of the grid that reach past its ends.
+whose terms are computed once per step in one vector (_stencil_terms), so
+its interior sums plain slices of that vector and no per-entry index is
+built; the tails are written only over the prefix and suffix of the grid
+that reach past its ends.
 Every quadrature of the recursion is truncated by one reach rule, _reach:
 a step of std s at level c integrates over |y - x| <= (12 + |c| L s) s,
 where L = 1 + |a| = max|slopes| bounds the Lipschitz constant of every
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize
 from scipy.sparse import csr_array
 from scipy.special import log_ndtr, ndtr, roots_hermite
@@ -225,16 +225,6 @@ def _gh_kept(s: float, c: float, lip: float, nodes: int) -> slice:
     return slice(dropped, nodes - dropped)
 
 
-# Element cap of one row block of the shifted-slice matrix.  It bounds each
-# temporary of a block (the copied stencil windows and the tail rectangles)
-# to max(cap, n) elements: one row per block on the fine grids, and below
-# 64 KiB each on the coarse alg_is_numeric grid, where larger per-step
-# temporaries make glibc trim and re-fault the heap on every step (~500 page
-# faults a step at 2**16, which cost more system time than the stencil's
-# arithmetic).
-_GH_BLOCK_ELEMS = 1 << 13
-
-
 def _gh_shifts(dx: float, s: float, nodes: int):
     """Each node's shift sqrt(2) s z_j / dx as a nearest index offset plus a
     fraction t in [-0.5, 0.5)."""
@@ -244,74 +234,67 @@ def _gh_shifts(dx: float, s: float, nodes: int):
     return nearest, shift - nearest
 
 
+def _stencil_terms(grid, vals, slopes):
+    """The stencil terms a slice's shifted copies are read off, as one vector
+    u = (v0, d1, d2, vals[0], lo_slope, slopes[0], vals[-1], hi_slope,
+    slopes[1]) of length 3n: at the interior points v0 = vals[1:-1], d1 =
+    vals[2:] - vals[:-2] and d2 = vals[2:] - 2 v0 + vals[:-2], then each
+    end's value, end-cell slope and asymptotic slope.  _gh_shifted reads
+    slices of it, and _StencilPlan's op multiplies it."""
+    n = len(grid)
+    dx = grid[1] - grid[0]
+    u = np.empty(3 * n)
+    v0, d1, d2 = u[: 3 * (n - 2)].reshape(3, n - 2)
+    v0[:] = vals[1:-1]
+    np.subtract(vals[2:], vals[:-2], out=d1)
+    d2[:] = vals[2:] - 2.0 * v0 + vals[:-2]
+    u[3 * (n - 2) :] = (vals[0], (vals[1] - vals[0]) / dx, slopes[0], vals[-1], (vals[-1] - vals[-2]) / dx, slopes[1])
+    return u
+
+
 def _gh_shifted(grid, vals, slopes, nearest, t, cols=None):
     """fmat: row j is the slice at grid + (nearest_j + t_j) dx, read off a
     three-point quadratic stencil around the nearest grid point, with linear
     tails beyond the grid, on the grid columns cols = (c0, c1) (all of them
     by default).
 
-    The quadratic stencil keeps node doubling stable to O(dx^3).  Its terms
-    are held once per step in arrays padded by the largest node shift (at
-    most n), so the interior of row j is a contiguous window of each,
-    starting at nearest_j - 1.  Row blocks of at most _GH_BLOCK_ELEMS
-    elements copy their rows' windows over the columns where any of those
-    rows is interior, then write the linear tails over the block's prefix
-    and suffix rectangles where the entry lies beyond the stencil.  Every
-    entry takes the same floating-point operations as in a one-node-at-a-time
-    loop, so the result is bit-identical to that loop (kept as the test
-    oracle in tests/test_pde.py), whichever columns are computed.
+    The quadratic stencil keeps node doubling stable to O(dx^3).  Each row
+    reads the stencil terms u of _stencil_terms: on the columns lo_j <= i <
+    hi_j whose stencil lies within the grid, it sums plain slices of v0, d1
+    and d2 that start at interior point nearest_j + lo_j - 1; on the columns
+    before and after, it writes the linear tails from u's end values and
+    slopes.  Every entry takes the same floating-point operations as in a
+    one-node-at-a-time loop, so the result is bit-identical to that loop
+    (kept as the test oracle in tests/test_pde.py), whichever columns are
+    computed.
     """
-    nodes = len(nearest)
     n = len(grid)
     c0, c1 = (0, n) if cols is None else cols
     dx = grid[1] - grid[0]
-    # stencil terms around each interior point, padded by pad zeros a side;
-    # clipping a window start moves only a row that lies wholly beyond the
-    # grid, whose every entry is a tail
-    pad = min(int(np.abs(nearest).max()) + 1, n)
-    terms = np.zeros((3, n - 2 + 2 * pad))
-    v0, d1, d2 = terms[:, pad : pad + n - 2]
-    v0[:] = vals[1:-1]
-    np.subtract(vals[2:], vals[:-2], out=d1)
-    d2[:] = vals[2:] - 2.0 * v0 + vals[:-2]
-    v0w, d1w, d2w = sliding_window_view(terms, n, axis=1)
-    starts = np.clip(pad - 1 + nearest, 0, len(v0w) - 1)
-    h1 = (0.5 * t)[:, None]
-    h2 = h1 * t[:, None]
+    u = _stencil_terms(grid, vals, slopes)
+    v0, d1, d2 = u[: 3 * (n - 2)].reshape(3, n - 2)
+    v_lo, lo_slope, slope_lo, v_hi, hi_slope, slope_hi = u[3 * (n - 2) :]
     # row j reads the stencil on columns lo_j <= i < hi_j, the tails elsewhere
     lo = np.clip(1 - nearest, c0, c1).tolist()
     hi = np.clip(n - 1 - nearest, c0, c1).tolist()
-    lo_slope = (vals[1] - vals[0]) / dx
-    hi_slope = (vals[-1] - vals[-2]) / dx
-    fmat = np.empty((nodes, c1 - c0))
-    rows = max(1, _GH_BLOCK_ELEMS // (c1 - c0))
-    for r0 in range(0, nodes, rows):
-        r1 = r0 + rows
-        out = fmat[r0:r1]
-        a, b = min(lo[r0:r1]), max(hi[r0:r1])
+    fmat = np.empty((len(nearest), c1 - c0))
+    for row, near, tj, a, b in zip(fmat, nearest.tolist(), t.tolist(), lo, hi):
         if a < b:
             # v0 + (0.5 t) d1 + ((0.5 t) t) d2, summed in the loop's order
-            st = starts[r0:r1]
-            inner = out[:, a - c0 : b - c0]
-            np.multiply(d1w[st, a:b], h1[r0:r1], out=inner)
-            inner += v0w[st, a:b]
-            curv = d2w[st, a:b]
-            curv *= h2[r0:r1]
-            inner += curv
-        tb = t[r0:r1, None]
-        la, hb = max(lo[r0:r1]), min(hi[r0:r1])
-        if la > c0:
-            base = nearest[r0:r1, None] + np.arange(c0, la)
-            p = base + tb
+            k = slice(near + a - 1, near + b - 1)
+            h1 = 0.5 * tj
+            inner = row[a - c0 : b - c0]
+            np.multiply(d1[k], h1, out=inner)
+            inner += v0[k]
+            inner += d2[k] * (h1 * tj)
+        if a > c0:
+            p = np.arange(near + c0, near + a) + tj
             off = p * dx
-            tail = np.where(p >= 0, vals[0] + lo_slope * off, vals[0] + slopes[0] * off)
-            np.copyto(out[:, : la - c0], tail, where=base < 1)
-        if hb < c1:
-            base = nearest[r0:r1, None] + np.arange(hb, c1)
-            p = base + tb
+            row[: a - c0] = np.where(p >= 0, v_lo + lo_slope * off, v_lo + slope_lo * off)
+        if b < c1:
+            p = np.arange(near + b, near + c1) + tj
             off = p * dx - (n - 1) * dx
-            tail = np.where(p <= n - 1, vals[-1] + hi_slope * off, vals[-1] + slopes[1] * off)
-            np.copyto(out[:, hb - c0 :], tail, where=base > n - 2)
+            row[b - c0 :] = np.where(p <= n - 1, v_hi + hi_slope * off, v_hi + slope_hi * off)
     return fmat
 
 
@@ -574,23 +557,6 @@ def _terminal_kink_dc(grid, s: float, c: float, a: float, out):
     return 0.5 * (second - mean * mean)
 
 
-def _stencil_terms(grid, vals, slopes):
-    """The terms _gh_shifted reads a slice's shifted copies off, as one
-    vector u = (v0, d1, d2, vals[0], lo_slope, slopes[0], vals[-1], hi_slope,
-    slopes[1]) of length 3n: at the interior points v0 = vals[1:-1] and the
-    differences d1 and d2 as _gh_shifted takes them, then each end's value,
-    end-cell slope and asymptotic slope."""
-    n = len(grid)
-    dx = grid[1] - grid[0]
-    u = np.empty(3 * n)
-    v0, d1, d2 = u[: 3 * (n - 2)].reshape(3, n - 2)
-    v0[:] = vals[1:-1]
-    np.subtract(vals[2:], vals[:-2], out=d1)
-    d2[:] = vals[2:] - 2.0 * v0 + vals[:-2]
-    u[3 * (n - 2) :] = (vals[0], (vals[1] - vals[0]) / dx, slopes[0], vals[-1], (vals[-1] - vals[-2]) / dx, slopes[1])
-    return u
-
-
 class _StencilPlan:
     """_gh_shifted of one step width on an n-point grid as a sparse matrix,
     built once per width.
@@ -739,6 +705,8 @@ class _AlgObjective:
 # projected gradient or the relative decrease is at rounding level.
 _LBFGS_GTOL = 1e-10
 _LBFGS_FTOL = 1e-15
+# A level's sweeps stop once one improves its objective by less than this.
+_SWEEP_TOL = 1e-6
 
 
 class AlgLevel(NamedTuple):
@@ -769,7 +737,6 @@ def alg_is_levels(
     grid=None,
     sweeps_min: int = 3,
     sweeps_max: int = 12,
-    sweep_tol: float = 1e-6,
     value_cap: float = 32.0,
     **solver_kw,
 ) -> list:
@@ -780,7 +747,7 @@ def alg_is_levels(
     value_cap with projected L-BFGS-B on its exact gradient (module
     docstring).  A sweep is `levels` L-BFGS-B iterations started from the
     current profile with fresh curvature memory; sweeps stop after at least
-    sweeps_min once one improves by less than sweep_tol.  Level 8 restarts
+    sweeps_min once one improves by less than _SWEEP_TOL.  Level 8 restarts
     from zero, constant, and a slope-profile initialization; each doubling
     starts from the previous level's profile.
 
@@ -803,7 +770,7 @@ def alg_is_levels(
     if not value_cap > 0:
         raise ArgumentError(f"value_cap={value_cap} must be positive")
     if grid is None:
-        length = abs(m.h) + 6.0 * math.sqrt(max(xi_eval(m, 1.0, 1), 1e-12)) + 2.0
+        length = _default_grid(m, m.h)[0]
         grid = (length, min(0.04, 0.01 * length))
     nodes = solver_kw.get("gh_nodes", _GH_NODES)
     xs = _grid_points(grid, m.h, nodes)
@@ -824,7 +791,7 @@ def alg_is_levels(
             improved = best - res.fun
             if improved > 0.0:
                 x, best = res.x, res.fun
-            if improved < sweep_tol and sweep + 1 >= sweeps_min:
+            if improved < _SWEEP_TOL and sweep + 1 >= sweeps_min:
                 break
         return [float(v) for v in x]
 

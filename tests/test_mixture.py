@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from spinlab.errors import ArgumentError
 from spinlab.mixture import Mixture, pure, xi_eval
+from spinlab.runner import parse_mixture
 
 
 def test_pure_p4_values():
@@ -36,6 +39,14 @@ def test_invariants():
         Mixture({2: 1.0}, h=-1.0)
     with pytest.raises(ArgumentError):
         Mixture({})
+    # NaN passes a sign check, and an infinite gamma_p or h is no model
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ArgumentError):
+            Mixture({2: bad})
+        with pytest.raises(ArgumentError):
+            Mixture({2: 0.5}, h=bad)
+    with pytest.raises(ArgumentError):
+        parse_mixture("nan*p2")
     # field-only models are expressible
     m = Mixture({2: 0.0}, h=1.0)
     assert m.xi(1.0) == 0.0

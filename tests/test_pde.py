@@ -255,8 +255,6 @@ def test_gh_step_bit_identical_to_per_node_loop(dx):
     slopes = (-1.0 - a, 1.0 - a)
     vals = pde._terminal_kink_step(xs, 0.8, 0.6, a)
     node_counts = (4, 64, 128, 256)
-    rows = max(1, pde._GH_BLOCK_ELEMS // len(xs))
-    assert rows == 1 or any(nodes % rows for nodes in node_counts)  # a partial last block
     width = xs[-1] - xs[0]
     for nodes in node_counts:
         z = pde._gh_roots(nodes)[0]
@@ -322,19 +320,26 @@ def test_tape_step_bit_identical_to_plain_step(dx):
 @pytest.mark.parametrize("dx", [0.04, 0.002])
 def test_stencil_plan_is_the_shifted_slices_bit_for_bit(dx):
     """op @ u is _gh_shifted bit for bit, on a kept node range and on rows
-    5-50, with both branches of both tails taken."""
+    5-50, with both branches of both tails taken, on the full grid and on
+    column ranges in the lower tail, across the interior and in the upper
+    tail."""
     xs = _plan_grid(dx)
     n = len(xs)
     a = 0.3
     slopes = (-1.0 - a, 1.0 - a)
     vals = pde._terminal_kink_step(xs, 0.8, 0.6, a)
     nodes = 64
-    for s in (0.05, 3.0):
+    # the widest step's outer kept rows lie wholly beyond both ends of the grid
+    far = pde._gh_shifts(xs[1] - xs[0], 12.0, nodes)[0][pde._gh_kept(12.0, 0.0, 1.0 + a, nodes)]
+    assert far.min() <= 1 - n and far.max() >= n - 1
+    for s in (0.05, 12.0, 3.0):
         plan = pde._StencilPlan(n, xs[1] - xs[0], s, nodes)
         fmat = (plan.op @ pde._stencil_terms(xs, vals, slopes)).reshape(nodes, n)
         for keep in (pde._gh_kept(s, 0.0, 1.0 + a, nodes), slice(5, 50)):
-            want = pde._gh_shifted(xs, vals, slopes, plan.nearest[keep], plan.t[keep])
-            assert np.array_equal(fmat[keep].view(np.int64), want.view(np.int64))
+            for cols in (None, (0, n), (0, 7), (n // 4, 3 * n // 4), (n - 7, n)):
+                want = pde._gh_shifted(xs, vals, slopes, plan.nearest[keep], plan.t[keep], cols)
+                got = fmat[keep, slice(*cols or (0, n))]
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the wide step's kept rows read both tails within the end cells and beyond
     kept = pde._gh_kept(3.0, 0.0, 1.0 + a, nodes)
     for col in (3 * n - 5, 3 * n - 4, 3 * n - 2, 3 * n - 1):  # u's end-cell and asymptotic slopes

@@ -200,6 +200,15 @@ def test_pde_run_rejects_non_finite_zeta(tmp_path):
         assert main(["run", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, zeta
 
 
+def test_thresholds_rejects_non_finite_mixtures(tmp_path):
+    """json.load reads NaN and Infinity; a mixture holding one exits 2
+    instead of writing NaN thresholds."""
+    for i, mixture in enumerate(({"gammas": {"2": math.nan}}, {"gammas": {"2": 0.5}, "h": math.inf})):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"subcommand": "thresholds", "mixture": mixture}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, mixture
+
+
 def test_pde_run_rejects_zero_beta(tmp_path):
     config = {"subcommand": "pde", "mixture": "p2", "beta": 0, "grid": [6.0, 0.01]}
     with pytest.raises(ArgumentError, match="beta"):

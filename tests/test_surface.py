@@ -1,11 +1,14 @@
-"""Every public name in spinlab is reached by code outside the tests.
+"""Every public name in spinlab, and every private module-level one, is
+reached by code outside the tests.
 
 A public top-level def or class of a `src/spinlab` module, and every name a
 package `__init__` re-exports, must be referenced (as a name or an attribute)
 by a non-`__init__` module under `src/`, by a demo, or by the benchmark
-(`perfbench/` outside its own tests). The perfbench tracer resolves its
-targets from strings, so string constants there count as references too,
-split at dots.
+(`perfbench/` outside its own tests). So must every module-level def, class
+and assigned constant whose name begins with one underscore: a helper or a
+constant that only the tests read is dead code. The perfbench tracer
+resolves its targets from strings, so string constants there count as
+references too, split at dots. An assignment is not a reference.
 """
 
 import ast
@@ -41,6 +44,8 @@ def referenced_names() -> set:
     seen = set()
     for path in files + bench:
         for node in ast.walk(_parse(path)):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue  # an assignment is not a reference
             if isinstance(node, ast.Name):
                 seen.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -54,6 +59,32 @@ def test_every_public_name_is_reached_outside_the_tests():
     seen = referenced_names()
     unused = {name: where for name, where in public_names().items() if name not in seen}
     assert not unused, f"public names reached only by tests: {unused}"
+
+
+def private_names() -> dict:
+    """name -> the module that defines it, for the module-level defs,
+    classes and assigned names that begin with one underscore."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            for name in targets:
+                if name.startswith("_") and not name.startswith("__"):
+                    out.setdefault(name, str(path.relative_to(ROOT)))
+    return out
+
+
+def test_every_private_name_is_reached_outside_the_tests():
+    seen = referenced_names()
+    unused = {name: where for name, where in private_names().items() if name not in seen}
+    assert not unused, f"private names reached only by tests: {unused}"
 
 
 def unused_imports() -> dict:
