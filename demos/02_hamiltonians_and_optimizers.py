@@ -5,8 +5,6 @@ Langevin dynamics on the same quartic instance, against the asymptotic
 threshold value sqrt(3) ~ 1.732 (finite-N runs land below it).
 """
 
-import numpy as np
-
 from spinlab import alg_sp, gradient_ascent, langevin, pure, sample_hamiltonian, subag_ascent
 from spinlab.points import sphere_point
 from spinlab import rng

@@ -8,7 +8,7 @@ machine precision.
 
 import math
 
-from spinlab import Mixture, PiecewiseZeta, parisi_is, pure, solve_parisi_pde
+from spinlab import PiecewiseZeta, parisi_is, pure, solve_parisi_pde
 
 m = pure(2)
 z0 = PiecewiseZeta.zero()

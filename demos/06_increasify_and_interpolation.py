@@ -19,7 +19,6 @@ from spinlab import (
     kappa,
     lambda_recursion,
     m_of_q,
-    pure,
 )
 from spinlab.mixture import Mixture
 

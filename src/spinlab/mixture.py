@@ -12,8 +12,9 @@ MAX_XI_ORDER = 4
 class Mixture:
     """Even-p coefficient table gamma_p plus external field strength h.
 
-    gammas maps even p >= 2 to finite gamma_p >= 0 (finite support); xi(x) =
-    sum_p gamma_p^2 x^p.  All-zero gammas give a field-only model.
+    gammas maps even p >= 2 to finite gamma_p >= 0 (finite support) with a
+    finite xi''(1); xi(x) = sum_p gamma_p^2 x^p.  All-zero gammas give a
+    field-only model.
     """
 
     gammas: dict = field(default_factory=dict)
@@ -30,6 +31,9 @@ class Mixture:
             if not 0 <= g < math.inf:
                 raise ArgumentError(f"gamma_{p}={g} must be finite and nonnegative")
             clean[p] = float(g)
+        # a finite gamma can still overflow xi; the thresholds use xi'' at 1
+        if not math.isfinite(sum(g * g * p * (p - 1) for p, g in clean.items())):
+            raise ArgumentError(f"xi''(1) of gammas {clean} overflows")
         # all-zero gammas are allowed so field-only models can be expressed
         if not 0 <= self.h < math.inf:
             raise ArgumentError(f"external field h={self.h} must be finite and nonnegative")

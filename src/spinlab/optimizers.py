@@ -29,7 +29,15 @@ from .hamiltonian import (
     sample_hamiltonian,
 )
 from .mixture import Mixture, xi_eval
-from .points import norm_n_sq, orthogonal_unit, orthonormal_rows, overlap, project_ball, project_cube
+from .points import (
+    norm_n_sq,
+    orthogonal_unit,
+    orthonormal_rows,
+    overlap,
+    project_ball,
+    project_cube,
+    sign_toward,
+)
 
 
 @dataclass
@@ -245,7 +253,7 @@ def subag_direction_from_hessian(hess, x, grad, mode: str, delta: float, step_se
     P = projection onto x-perp ("top_eig"), or a uniform unit vector in the
     span of the top floor(delta N) eigenvectors ("random_subspace"); the
     result is re-projected onto x-perp, normalized, and signed so that
-    <grad, v> >= 0."""
+    <grad, v> >= 0 (by `sign_toward` on a tie)."""
     n = len(x)
     xn = np.linalg.norm(x)
     a = 0.5 * (hess + hess.T)
@@ -266,14 +274,12 @@ def subag_direction_from_hessian(hess, x, grad, mode: str, delta: float, step_se
 
 
 def _orient(v, x, grad):
-    """v projected onto x-perp, normalized, and signed so that <grad, v> >= 0."""
+    """v projected onto x-perp, normalized, and signed by `sign_toward`."""
     xn = np.linalg.norm(x)
     if xn > 1e-12:
         v = v - (x @ v) / (xn * xn) * x
     v /= np.linalg.norm(v)
-    if grad @ v < 0:
-        v = -v
-    return v
+    return sign_toward(v, grad)
 
 
 def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int, start=None):

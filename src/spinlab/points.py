@@ -76,3 +76,14 @@ def orthogonal_unit(v, span):
     if nv < 1e-10:
         return None
     return v / nv
+
+
+def sign_toward(v, grad) -> np.ndarray:
+    """v or -v, whichever has <grad, v> >= 0.  On a tie, |<grad, v>| <=
+    1e-12 |grad| |v| (grad = 0 included), where rounding would pick the sign,
+    v is signed so that its largest-magnitude entry (lowest index among
+    equals) is positive."""
+    dot = float(grad @ v)
+    if abs(dot) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(v):
+        return -v if v[np.argmax(np.abs(v))] < 0 else v
+    return -v if dot < 0 else v

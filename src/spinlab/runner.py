@@ -18,7 +18,7 @@ from jsonschema import Draft202012Validator
 
 from . import rng
 from .ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align, sample_ensemble
-from .errors import ArgumentError, ResourceError
+from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES, check_budget, energy, sample_hamiltonian
 from .mixture import Mixture
 from .ogp import (
@@ -156,12 +156,19 @@ def parse_mixture(spec) -> Mixture:
                 ) from None
             gammas[p] = gammas.get(p, 0.0) + coef
         return Mixture(gammas)
-    gammas = {int(p): float(g) for p, g in spec["gammas"].items()}
-    return Mixture(gammas, h=float(spec.get("h", 0.0)))
+    try:
+        gammas = {int(p): float(g) for p, g in spec["gammas"].items()}
+        hfield = float(spec.get("h", 0.0))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ArgumentError(
+            f"bad mixture {spec!r} (want {{'gammas': {{p: number, ...}}, 'h': number}})"
+        ) from None
+    return Mixture(gammas, h=hfield)
 
 
 def _dump17(obj, indent=0):
-    """JSON text with floats at 17 significant digits (bit-faithful)."""
+    """JSON text with floats at 17 significant digits (bit-faithful); a
+    non-finite float raises NumericError, as JSON cannot hold it."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -178,6 +185,8 @@ def _dump17(obj, indent=0):
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (np.floating, float)):
+        if not math.isfinite(obj):
+            raise NumericError(f"non-finite value {float(obj)} has no JSON form")
         return format(float(obj), ".17g")
     if isinstance(obj, (np.integer, int)):
         return str(int(obj))
@@ -192,8 +201,9 @@ def write_run_json(path, config, results):
         "results": results,
         "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
     }
+    text = _dump17(payload)  # before the file opens, so a refused payload leaves none
     with open(path, "w") as f:
-        f.write(_dump17(payload) + "\n")
+        f.write(text + "\n")
 
 
 def _matrix_csv(path, mat):

@@ -19,7 +19,7 @@ from . import rng
 from .errors import ArgumentError, ResourceError
 from .hamiltonian import Hamiltonian, energy, gradient, projected_top_eigvec
 from .mixture import xi_eval
-from .points import norm_n_sq, orthogonal_unit, overlap
+from .points import norm_n_sq, orthogonal_unit, overlap, sign_toward
 
 _H_TOL = 1e-12
 
@@ -334,8 +334,7 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
             v = orthogonal_unit(vecs[0], [x] + others)
             if v is None:
                 raise ResourceError("orthogonal directions exhausted during embedding")
-            if gradient(h, x) @ v < 0:
-                v = -v
+            v = sign_toward(v, gradient(h, x))
             x = x + math.sqrt(gain * n) * v
             i += 1
         return x

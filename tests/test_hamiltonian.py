@@ -501,6 +501,45 @@ def test_form_bit_identical_to_slot_loop_oracles(m, ns):
             assert np.array_equal(hessian_apply(h, x, w), oracle_hessian_apply(h, x, w))
 
 
+# -- order 2 above one slab: R, L and D from one read of each tensor ------------
+
+SLAB_CASES = [
+    (pure(4), 24),
+    (pure(4), 30),
+    (pure(6), 8),
+    (Mixture({2: 0.6, 4: 0.8}, h=0.3), 48),
+    (Mixture({2: 0.5, 4: 0.4, 6: 0.3}, h=0.7), 9),
+]
+
+
+@pytest.mark.parametrize("slab", [None, 2**9])  # 2**9: 16-row slabs, a short last one at n = 30
+@pytest.mark.parametrize("m, n", SLAB_CASES)
+def test_one_read_order_two_against_the_orders_and_the_oracle(monkeypatch, m, n, slab):
+    if slab is not None:
+        monkeypatch.setattr("spinlab.hamiltonian._SLAB", slab)
+    h = sample_hamiltonian(m, n, seed=70 + n)
+    assert max(t.size for t in h.tensors.values()) > 2**16  # above one default slab
+    for x in _plan_points(n, 71):
+        (e0,) = derivatives(h, x, 0)
+        e1, g1 = derivatives(h, x, 1)
+        e2, g2, hess = derivatives(h, x, 2)
+        assert e0 == e1 == e2
+        assert np.max(np.abs(g2 - g1)) <= 1e-15 * np.max(np.abs(g1))
+        want = oracle_hessian(h, x)
+        assert np.max(np.abs(hess - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(hess, hess.T)
+
+
+def test_p2_hessian_apply_in_row_blocks_matches_the_slot_loop():
+    n = 200  # above one 128-row block
+    h = sample_hamiltonian(Mixture({2: 0.8}, h=0.2), n, seed=72)
+    gen = rng.stream(73, "form-vectors", n)
+    for x in _plan_points(n, 74):
+        w = gen.standard_normal(n)
+        want = oracle_hessian_apply(h, x, w)
+        assert np.max(np.abs(hessian_apply(h, x, w) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_hessian_apply_and_restricted_reject_bad_shapes():
     h = sample_hamiltonian(pure(2), 6, seed=3)
     x = np.zeros(6)

@@ -244,6 +244,47 @@ def test_embedding_lanczos_warm_start_matches_cold(monkeypatch):
     assert np.max(np.abs(gram(warm) - gram(cold))) <= 1e-12 * np.max(np.abs(gram(cold)))
 
 
+# -- step orientation does not depend on the eigensolver's sign ------------------
+
+
+def _negate_eigenvectors(monkeypatch):
+    """Negate every eigenvector the dense (eigh) and Lanczos (eigsh) solvers return."""
+    eigh, eigsh = np.linalg.eigh, hamiltonian.eigsh
+
+    def neg_eigh(a):
+        vals, vecs = eigh(a)
+        return vals, -vecs
+
+    def neg_eigsh(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals, -vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", neg_eigh)
+    monkeypatch.setattr(hamiltonian, "eigsh", neg_eigsh)
+
+
+@pytest.mark.parametrize("n, delta", [(16, 0.125), (LANCZOS_N, 0.25)])
+def test_subag_does_not_depend_on_the_eigenvector_sign(monkeypatch, n, delta):
+    # pure p2 without a field: <grad H, v> = 0 at the origin and ~1e-16 at step 2
+    h = sample_hamiltonian(pure(2), n, seed=13)
+    want = subag_ascent(h, delta, "top_eig", seed=6)
+    _negate_eigenvectors(monkeypatch)
+    got = subag_ascent(h, delta, "top_eig", seed=6)
+    assert all(np.array_equal(a, b) for a, b in zip(got.iterates, want.iterates))
+    assert got.energies == want.energies
+
+
+def test_embedding_does_not_depend_on_the_eigenvector_sign(monkeypatch):
+    h = sample_hamiltonian(pure(2), 96, seed=14)
+    tree = ultrametric.star_tree(3)
+    want, want_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=7)
+    _negate_eigenvectors(monkeypatch)
+    got, got_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=7)
+    for v in tree.vertices():
+        assert np.array_equal(got.vectors[v], want.vectors[v])
+    assert got_energies == want_energies
+
+
 def test_subag_rejects_non_integer_inverse_delta():
     h = sample_hamiltonian(pure(2), 40, seed=6)
     with pytest.raises(ArgumentError):

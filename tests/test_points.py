@@ -1,7 +1,7 @@
 import numpy as np
 
 from spinlab import rng
-from spinlab.points import orthogonal_unit, orthonormal_rows
+from spinlab.points import orthogonal_unit, orthonormal_rows, sign_toward
 
 
 def test_orthonormalizer_properties():
@@ -42,3 +42,17 @@ def test_orthonormalizer_empty_span():
     assert orthonormal_rows([np.zeros(5)], 5).shape == (0, 5)
     v = np.array([3.0, 4.0])
     assert np.array_equal(orthogonal_unit(v, []), v / 5.0)
+
+
+def test_sign_toward_follows_the_gradient_and_breaks_ties_by_the_largest_entry():
+    gen = rng.stream(0, "sign-toward")
+    v = gen.standard_normal(9)
+    v[4] = -3.0  # the largest-magnitude entry, negative
+    grad = gen.standard_normal(9)
+    assert sign_toward(v, grad) @ grad > 0 and sign_toward(-v, grad) @ grad > 0
+    tie = grad - (grad @ v) / (v @ v) * v  # orthogonal to v up to rounding
+    for g in (tie, tie + 1e-14 * v, tie - 1e-14 * v, np.zeros(9)):
+        assert np.array_equal(sign_toward(v, g), -v)
+        assert np.array_equal(sign_toward(-v, g), -v)
+    level = np.array([0.0, -2.0, 2.0, 1.0])  # equal magnitudes: the lowest index decides
+    assert np.array_equal(sign_toward(level, np.zeros(4)), -level)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinlab import rng, runner
-from spinlab.errors import ArgumentError, ResourceError
+from spinlab.errors import ArgumentError, NumericError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
 from spinlab.optimizers import AmpSpec, amp, lipschitz_probe
@@ -207,6 +207,34 @@ def test_thresholds_rejects_non_finite_mixtures(tmp_path):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(json.dumps({"subcommand": "thresholds", "mixture": mixture}))
         assert main(["run", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, mixture
+
+
+@pytest.mark.parametrize("gammas", [{"2": "abc"}, {"x": 1}, {"2": [1]}])
+def test_thresholds_rejects_ill_typed_gammas(tmp_path, gammas):
+    with pytest.raises(ArgumentError, match="bad mixture"):
+        parse_mixture({"gammas": gammas})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "thresholds", "mixture": {"gammas": gammas}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_thresholds_rejects_a_gamma_whose_xi_overflows(tmp_path):
+    with pytest.raises(ArgumentError, match="overflows"):
+        Mixture({2: 1e308})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "thresholds", "mixture": {"gammas": {"2": 1e308}}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "run.json").exists()
+
+
+def test_run_json_refuses_non_finite_values(tmp_path, monkeypatch):
+    for bad in (math.inf, -math.inf, math.nan, np.float64(math.nan)):
+        with pytest.raises(NumericError, match="non-finite"):
+            runner.write_run_json(tmp_path / "run.json", {}, {"value": [1.0, bad]})
+        assert not (tmp_path / "run.json").exists()
+    monkeypatch.setattr(runner, "alg_sp", lambda m: (math.inf, "full_rsb", 0.0))
+    assert main(["thresholds", "--mixture", "p4", "--out", str(tmp_path / "o")]) == 4
+    assert not (tmp_path / "o" / "run.json").exists()
 
 
 def test_pde_run_rejects_zero_beta(tmp_path):

@@ -89,11 +89,12 @@ def test_every_private_name_is_reached_outside_the_tests():
 
 def unused_imports() -> dict:
     """module -> names it imports and never references, for every module
-    under src/ and tests/ except package __init__ files (their imports are
-    the package's re-exports).  An import whose line carries `noqa: F401`
-    is exempt."""
+    under src/, tests/ and demos/ except package __init__ files (their
+    imports are the package's re-exports).  An import whose line carries
+    `noqa: F401` is exempt."""
     files = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "tests").rglob("*.py"))
+    files += sorted((ROOT / "demos").rglob("*.py"))
     out = {}
     for path in files:
         lines = path.read_text().splitlines()
