@@ -15,6 +15,7 @@ to its manifest only the nodes at depth >= 1. Their tensors are drawn in one
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -27,8 +28,10 @@ from .hamiltonian import (
     Hamiltonian,
     energy,
     load_snapshot,
+    pool_map,
     sample_hamiltonians,
     save_snapshot,
+    weighted_sum,
 )
 from .mixture import Mixture
 from .points import norm_n_sq, overlap
@@ -116,14 +119,24 @@ def lca_depth(u, v) -> int:
     return d
 
 
-def leaf_weights(shape: TreeShape, ladder: CorrelationLadder, u) -> dict:
-    """Node -> sqrt(p_d - p_{d-1}) over the ancestors of u (root weight 0)."""
+def leaf_weights(shape: TreeShape, ladder: CorrelationLadder, u, depth: int | None = None) -> dict:
+    """Node -> sqrt(p_d - p_{d-1}) over the ancestors of the leaf u down to
+    `depth` (default: the full depth D); the root's weight is 0.  Raises
+    ArgumentError unless u is a leaf of the shape and depth lies in 0..D."""
     if ladder.depth != shape.depth:
         raise ArgumentError("shape and correlation ladder depths disagree")
+    u = tuple(u)
+    if len(u) != shape.depth or not all(
+        isinstance(a, numbers.Integral) and 1 <= a <= k for a, k in zip(u, shape.ks)
+    ):
+        raise ArgumentError(f"{u} is not a leaf of the tree shape {shape.ks}")
+    depth = shape.depth if depth is None else depth
+    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= shape.depth):
+        raise ArgumentError(f"depth {depth!r} outside 0..{shape.depth}")
     ps = ladder.ps
     weights = {(): 0.0}
-    for d in range(1, shape.depth + 1):
-        weights[tuple(u[:d])] = math.sqrt(max(ps[d] - ps[d - 1], 0.0))
+    for d in range(1, depth + 1):
+        weights[u[:d]] = math.sqrt(max(ps[d] - ps[d - 1], 0.0))
     return weights
 
 
@@ -149,24 +162,18 @@ class CorrelatedEnsemble:
 
     def leaf_hamiltonian(self, u, depth: int | None = None) -> Hamiltonian:
         """Materialized leaf (or ancestor-prefix) Hamiltonian, tensors summed
-        with the ladder weights up to `depth` (default: full depth)."""
+        by `weighted_sum` with the ladder weights up to `depth` (default: full
+        depth)."""
         depth = self.shape.depth if depth is None else depth
         weighted = [
             (self.node_hams[node], w)
-            for node, w in leaf_weights(self.shape, self.ladder, u).items()
-            if w != 0.0 and len(node) <= depth
+            for node, w in leaf_weights(self.shape, self.ladder, u, depth).items()
+            if w != 0.0
         ]
         tensors = {}
         for p in self.mixture.ps:
-            if not weighted:
-                tensors[p] = np.zeros((self.n,) * p)
-                continue
-            # accumulate in place: one output and one scratch tensor per p
-            acc = np.multiply(weighted[0][0].tensors[p], weighted[0][1])
-            scratch = np.empty_like(acc) if len(weighted) > 1 else None
-            for ham, w in weighted[1:]:
-                acc += np.multiply(ham.tensors[p], w, out=scratch)
-            tensors[p] = acc
+            terms = [(ham.tensors[p], w) for ham, w in weighted]
+            tensors[p] = weighted_sum(terms) if terms else np.zeros((self.n,) * p)
         label = f"leaf{tuple(u[:depth])}"
         return Hamiltonian(self.mixture, self.n, tensors, seed=None, label=label)
 
@@ -211,7 +218,10 @@ def pair_mixer(m: Mixture, n: int, *labels, label: str = "pair{i}(p={p})"):
         a, b = math.sqrt(p), math.sqrt(1.0 - p)
         return tuple(
             Hamiltonian(
-                m, n, {q: a * base[0][q] + b * base[i][q] for q in m.ps}, label=label.format(i=i, p=p)
+                m,
+                n,
+                {q: weighted_sum([(base[0][q], a), (base[i][q], b)]) for q in m.ps},
+                label=label.format(i=i, p=p),
             )
             for i in (1, 2)
         )
@@ -421,13 +431,16 @@ def underline_target_matrix(
 
 def save_manifest(e: CorrelatedEnsemble, directory):
     """JSON manifest plus one snapshot per node at depth >= 1, referenced by
-    node path."""
+    node path; the snapshots are written concurrently by `pool_map`."""
     os.makedirs(directory, exist_ok=True)
-    nodes = []
-    for node in e.shape.nodes()[1:]:
-        fname = "node_" + "_".join(map(str, node)) + ".bin"
-        save_snapshot(e.node_hams[node], os.path.join(directory, fname))
-        nodes.append({"path": list(node), "snapshot": fname})
+    paths = e.shape.nodes()[1:]
+    fnames = ["node_" + "_".join(map(str, node)) + ".bin" for node in paths]
+    pool_map(
+        lambda node, fname: save_snapshot(e.node_hams[node], os.path.join(directory, fname)),
+        paths,
+        fnames,
+    )
+    nodes = [{"path": list(node), "snapshot": fname} for node, fname in zip(paths, fnames)]
     manifest = {
         "ks": list(e.shape.ks),
         "pladder": list(e.ladder.ps),
@@ -444,7 +457,9 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     """Inverse of save_manifest.  Raises ArgumentError on non-JSON, missing or
     ill-typed keys, node paths outside the shape, repeated or missing nodes at
     depth >= 1, and snapshots whose n or mixture disagree with the manifest.
-    A root entry, written by earlier versions, is dropped unread."""
+    A root entry, written by earlier versions, is dropped unread.  The
+    snapshots are read and checked concurrently by `pool_map`; of several bad
+    ones, the first in node order is reported."""
     try:
         with open(os.path.join(directory, "manifest.json")) as f:
             manifest = json.load(f)
@@ -475,13 +490,15 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     if missing:
         raise ArgumentError(f"manifest lacks the nodes {missing}")
     field_free = Mixture(dict(mixture.gammas), h=0.0)
-    node_hams = {}
-    for node in nodes:
+
+    def load(node):
         h = load_snapshot(os.path.join(directory, snapshots[node]))
         if h.n != n or h.mixture != field_free:
             raise ArgumentError(
                 f"snapshot {snapshots[node]} holds n={h.n}, {h.mixture}; the manifest gives "
                 f"n={n}, {field_free}"
             )
-        node_hams[node] = h
+        return h
+
+    node_hams = dict(zip(nodes, pool_map(load, nodes)))
     return CorrelatedEnsemble(shape, ladder, mixture, n, seed, node_hams)

@@ -12,20 +12,27 @@ T in place (no transposed copy):
 
 - R = T.x on the last axis (order 0 and up).  Contracting the small R
   gives the energy, gradient slots 0..p-2 and Hessian blocks among them.
-- L = x.T on the first axis (order 1 and up): gradient slot p-1 and the
-  Hessian blocks (s, p-1) for s >= 1.
+- L = x.T on the first axis: gradient slot p-1 (order 1 and up) and the
+  Hessian blocks (s, p-1) for s >= 1 (order 2).
 - D = T contracted with x on its middle p-2 slots (order 2), one matmul
   over T viewed as (n, n^(p-2), n): the (0, p-1) block.  For p = 2, D is
   T itself.
 
-At order 2, a tensor with p > 2 and more than _SLAB entries is read once:
-`_one_read` walks it in L2-sized slabs and builds R, L and D together.
+At orders 1 and 2, a tensor with p > 2 and more than _SLAB entries is read
+once: `_one_read` walks it in L2-sized slabs and builds R and D together,
+and L as well at order 2 only.  Its gradient slot p-1 is x @ D at both
+orders, so above a slab the order-1 and order-2 gradients are equal bit for
+bit, and order 1 allocates no n^(p-1) buffer for L.
 
-Energy at every order, and the gradient at orders 0 and 1, keep the
-arithmetic of one pass per slot bit for bit.  The order-2 gradient and
-Hessian of a tensor read once sum L and D in another order: its gradient
-differs from order 1's by rounding (measured at most 3.4e-16 of max|g|, in
-slot p-1), its Hessian from the three passes by about 1e-15 relative.
+Tensors of at most one slab, and p = 2 terms, keep the passes above, whose
+energy and gradient are the arithmetic of one pass per slot bit for bit.
+Above a slab, R's rows come from one matmul per slab; they equal the
+whole-tensor matvec's except where a slab ends on a BLAS tail row, which
+can move the energy at orders 1 and 2 by one rounding at odd n.  Slot p-1
+as x @ D sums in another order than L's contraction: the gradient differs
+from the per-slot passes by rounding (measured at most 9.0e-16 of max|g|
+for p4 and p2+p4 at n = 17..90, at most 2.1e-15 for p6 at n = 11), and
+the order-2 Hessian from the three passes by about 1e-15 relative.
 No symmetrised copy of T is cached: it would double the tensor memory.
 
 The Hessian-vector product `hessian_apply` is the gradient in x of
@@ -34,6 +41,10 @@ distinct slots, the contraction with w in slot t, slot s left open and x in
 every other slot; the p = 2 term reads G once for G.w and w.G together
 (`_apply_pair`).  It needs O(n) memory beyond the tensors, so the Lanczos
 eigensolves above the dense-Hessian cap run on it.
+
+`weighted_sum` forms sum_i w_i T_i (an ensemble leaf, a pair mix) in
+_SLAB-entry blocks, and `pool_map` runs GIL-releasing work (tensor fills,
+snapshot I/O) on one thread per usable CPU.
 """
 
 import itertools
@@ -55,7 +66,7 @@ DEFAULT_MAX_TENSOR_ENTRIES = 2**27
 DEFAULT_DENSE_HESSIAN_CAP = 512
 RADIUS_SQ_CAP = 2.0  # evaluation ball |x|_N <= sqrt(2)
 _RADIUS_TOL = 1e-9
-_SLAB = 2**16  # entries (512 KB) per slab of an order-2 one-read pass
+_SLAB = 2**16  # entries (512 KB) per slab of a one-read pass and per weighted_sum block
 _APPLY_ROWS = 128  # rows of G per block of the p = 2 Hessian-vector product
 
 _SNAPSHOT_MAGIC = b"SPGLASS1"
@@ -100,20 +111,25 @@ def sample_tensors(jobs: list, out=None) -> list:
     entries per job, is filled in place and returned instead.
 
     The streams are built and the outputs allocated on the calling thread;
-    only the bulk fills, which release the GIL, run on a pool of
-    min(#jobs, usable CPUs) threads. A single job fills inline.
+    only the bulk fills, which release the GIL, run on `pool_map`.
     """
     gens = [_tensor_stream(seed, p) for seed, p, _n in jobs]
     if out is None:
         out = [np.empty((n,) * p) for _seed, p, n in jobs]
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        for g, o in zip(gens, out):
-            g.standard_normal(out=o)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda g, o: g.standard_normal(out=o), gens, out))
+    pool_map(lambda g, o: g.standard_normal(out=o), gens, out)
     return out
+
+
+def pool_map(fn, *items) -> list:
+    """[fn(*args) for args in zip(*items)], on a pool of min(#items, usable
+    CPUs) threads; one item or one CPU runs inline.  For work that releases
+    the GIL (tensor fills, file I/O).  An error is raised for the first
+    failing item in order, as the inline loop would."""
+    workers = min(len(items[0]), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return list(map(fn, *items))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *items))
 
 
 def check_budget(m: Mixture, n: int, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES):
@@ -196,14 +212,16 @@ def _middle(x: np.ndarray, p: int) -> np.ndarray:
     return middle
 
 
-def _one_read(tensor: np.ndarray, x: np.ndarray) -> tuple:
-    """R, L and D of one tensor with p > 2 from a single read of it.
+def _one_read(tensor: np.ndarray, x: np.ndarray, order: int) -> tuple:
+    """R, L and D of one tensor with p > 2 from a single read of it, at
+    order 1 or 2; L is built at order 2 only.  The gradient's last slot is
+    x @ D at both orders (its rounding is in the module docstring).
 
     T is viewed as (n, n^(p-2), n) and walked in slabs T[a, r0:r0+rows] of at
     most _SLAB entries, `rows` a multiple of 16, so that a slab and its slice
     of L stay in a per-core L2 cache.  Each slab gives R's rows by a matmul,
-    adds x[a] * slab into L's slice by an in-place BLAS axpy, and adds
-    middle[r0:r0+rows] @ slab into D[a].
+    adds middle[r0:r0+rows] @ slab into D[a] and, at order 2, adds
+    x[a] * slab into L's slice by an in-place BLAS axpy.
     """
     n = x.size
     t3 = tensor.reshape(n, -1, n)
@@ -211,16 +229,17 @@ def _one_read(tensor: np.ndarray, x: np.ndarray) -> tuple:
     rows = max(16, _SLAB // n // 16 * 16)
     middle = _middle(x, tensor.ndim)
     right = np.empty((n, m))
-    left = np.zeros(m * n)  # flat, so every slice is a contiguous axpy target
+    left = np.zeros(m * n) if order == 2 else None  # flat: each slice is a contiguous axpy target
     corner = np.zeros((n, n))
     for a in range(n):
         for r0 in range(0, m, rows):
             slab = t3[a, r0 : r0 + rows]
             np.matmul(slab, x, out=right[a, r0 : r0 + rows])
-            daxpy(slab.ravel(), left[r0 * n : (r0 + rows) * n], a=x[a])
             corner[a] += middle[r0 : r0 + rows] @ slab
+            if left is not None:
+                daxpy(slab.ravel(), left[r0 * n : (r0 + rows) * n], a=x[a])
     shape = (n,) * (tensor.ndim - 1)
-    return right.reshape(shape), left.reshape(shape), corner
+    return right.reshape(shape), None if left is None else left.reshape(shape), corner
 
 
 def derivatives(h: Hamiltonian, x, order: int) -> tuple:
@@ -243,19 +262,21 @@ def derivatives(h: Hamiltonian, x, order: int) -> tuple:
             continue
         tensor = h.tensors[p]
         rest = [x] * (p - 1)
-        if order == 2 and p > 2 and tensor.size > _SLAB:
-            right, left, corner = _one_read(tensor, x)
+        if order >= 1 and p > 2 and tensor.size > _SLAB:
+            right, left, corner = _one_read(tensor, x, order)
         else:
             right = (tensor.reshape(-1, n) @ x).reshape((n,) * (p - 1))  # R
             left = corner = None
         val += g * float(_contract(right, rest))
         if order == 0:
             continue
-        if left is None:
-            left = (x @ tensor.reshape(n, -1)).reshape((n,) * (p - 1))  # L
         for s in range(p - 1):
             grad += g * _contract(right, rest, keep=(s,))
-        grad += g * _contract(left, rest, keep=(p - 2,))
+        if corner is None:
+            left = (x @ tensor.reshape(n, -1)).reshape((n,) * (p - 1))  # L
+            grad += g * _contract(left, rest, keep=(p - 2,))
+        else:
+            grad += g * (x @ corner)  # slot p-1 from D, at orders 1 and 2 alike
         if order == 1:
             continue
         if corner is None:
@@ -288,6 +309,24 @@ def hessian(h: Hamiltonian, x, dense_cap: int = DEFAULT_DENSE_HESSIAN_CAP) -> np
     if h.n > dense_cap:
         raise ResourceError(f"dense Hessian refused for n={h.n} > cap {dense_cap}")
     return derivatives(h, x, 2)[2]
+
+
+def weighted_sum(terms: list) -> np.ndarray:
+    """sum_i w_i T_i over the nonempty list [(T_i, w_i), ...] of equal-shape
+    tensors, in blocks of _SLAB entries with one block of scratch.  Each
+    entry is w_0 T_0, then += w_i T_i for i = 1, 2, ... in order: the same
+    multiply-then-add as whole-tensor arithmetic, bit for bit, without a
+    full-size temporary."""
+    (first, w0), *rest = [(np.ravel(t), w) for t, w in terms]
+    out = np.empty(first.size)
+    scratch = np.empty(min(_SLAB, out.size))
+    for b0 in range(0, out.size, _SLAB):
+        block = out[b0 : b0 + _SLAB]
+        np.multiply(first[b0 : b0 + _SLAB], w0, out=block)
+        part = scratch[: block.size]
+        for t, w in rest:
+            block += np.multiply(t[b0 : b0 + _SLAB], w, out=part)
+    return out.reshape(np.shape(terms[0][0]))
 
 
 def _apply_pair(tensor: np.ndarray, w: np.ndarray) -> tuple:

@@ -19,6 +19,7 @@ from .ensembles import (
     constrained_membership,
     pair_mixer,
     sample_ensemble,
+    target_overlap_matrix,
     underline_target_matrix,
     underline_view,
 )
@@ -217,8 +218,6 @@ def run_branching_experiment(
                 ens, outputs, qladder, eta, seed=rng.derive_seed(ens_seed, "ext"), mode="sphere"
             )
             leaves = shape.leaves()
-            from .ensembles import target_overlap_matrix
-
             full_q = target_overlap_matrix(shape, qladder)
             full_r = np.empty((len(leaves), len(leaves)))
             for i, u in enumerate(leaves):

@@ -104,17 +104,20 @@ def test_pair_correlated():
 
 def test_pair_mixer_equals_the_per_copy_oracle():
     m = Mixture({2: 0.8, 4: 0.4}, h=0.2)
-    for labels, label, p, names in (
-        ((4, "pair"), "pair{i}(p={p})", 0.3, ("pair1(p=0.3)", "pair2(p=0.3)")),
-        ((6, "chi", 2), "chi{i}(p={p})", 1.0, ("chi1(p=1.0)", "chi2(p=1.0)")),
-        ((5, "conc", 0), "conc{i}", 0.5, ("conc1", "conc2")),
+    for labels, label, p, names, n in (
+        ((4, "pair"), "pair{i}(p={p})", 0.3, ("pair1(p=0.3)", "pair2(p=0.3)"), 5),
+        ((6, "chi", 2), "chi{i}(p={p})", 1.0, ("chi1(p=1.0)", "chi2(p=1.0)"), 5),
+        ((5, "conc", 0), "conc{i}", 0.5, ("conc1", "conc2"), 5),
+        # p4 at n = 17 has 83 521 entries: one full weighted_sum block and a short one
+        ((4, "pair"), "pair{i}(p={p})", 0.3, ("pair1(p=0.3)", "pair2(p=0.3)"), 17),
+        ((4, "pair"), "pair{i}(p={p})", 0.0, ("pair1(p=0.0)", "pair2(p=0.0)"), 17),
     ):
         # the three copies this helper replaced: sample each base, then mix
-        base = [sample_hamiltonian(m, 5, rng.derive_seed(*labels, i)).tensors for i in range(3)]
+        base = [sample_hamiltonian(m, n, rng.derive_seed(*labels, i)).tensors for i in range(3)]
         a, b = math.sqrt(p), math.sqrt(1.0 - p)
-        pair = pair_mixer(m, 5, *labels, label=label)(p)
+        pair = pair_mixer(m, n, *labels, label=label)(p)
         for i, h in zip((1, 2), pair):
-            assert (h.mixture, h.n, h.seed, h.label) == (m, 5, None, names[i - 1])
+            assert (h.mixture, h.n, h.seed, h.label) == (m, n, None, names[i - 1])
             for q in m.ps:
                 assert np.array_equal(h.tensors[q], a * base[0][q] + b * base[i][q])
     assert [h.label for h in pair_mixer(m, 4, 4, "pair")(0.25)] == ["pair1(p=0.25)", "pair2(p=0.25)"]
@@ -335,14 +338,41 @@ def _oracle_leaf_tensors(ens, u, depth):
 def test_leaf_hamiltonian_equals_the_summed_oracle():
     m = Mixture({2: 0.8, 4: 0.4}, h=0.3)
     shape = TreeShape((2, 2, 2))
-    ens = sample_ensemble(m, 6, shape, CorrelationLadder((0.0, 0.3, 0.7, 1.0)), seed=21)
-    for u in shape.leaves():
-        for depth in (0, 1, 2, 3, None):
-            got = ens.leaf_hamiltonian(u, depth)
-            want = _oracle_leaf_tensors(ens, u, shape.depth if depth is None else depth)
-            for p in m.ps:
-                assert got.tensors[p].shape == want[p].shape
-                assert np.array_equal(got.tensors[p], want[p])
+    # n = 17: p4 has 83 521 entries, one full weighted_sum block and a short one
+    for n in (6, 17):
+        ens = sample_ensemble(m, n, shape, CorrelationLadder((0.0, 0.3, 0.7, 1.0)), seed=21)
+        for u in shape.leaves():
+            for depth in (0, 1, 2, 3, None):
+                got = ens.leaf_hamiltonian(u, depth)
+                want = _oracle_leaf_tensors(ens, u, shape.depth if depth is None else depth)
+                for p in m.ps:
+                    assert got.tensors[p].shape == want[p].shape
+                    assert np.array_equal(got.tensors[p], want[p])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ens, u: leaf_weights(ens.shape, ens.ladder, u),
+        lambda ens, u: ens.leaf_hamiltonian(u),
+        lambda ens, u: ens.leaf_energy(u, np.zeros(ens.n)),
+    ],
+)
+@pytest.mark.parametrize("u", [(3, 1), (1, 0), (1,), (1, 1, 1), (), (1, 1.5)])
+def test_a_point_that_is_not_a_leaf_raises_argument_error(call, u):
+    ens = sample_ensemble(pure(2), 3, TreeShape((2, 2)), CorrelationLadder((0.0, 0.5, 1.0)), seed=1)
+    with pytest.raises(ArgumentError, match="not a leaf"):
+        call(ens, u)
+
+
+@pytest.mark.parametrize("depth", [-1, 3, 1.0])
+def test_a_depth_outside_the_tree_raises_argument_error(depth):
+    shape, ladder = TreeShape((2, 2)), CorrelationLadder((0.0, 0.5, 1.0))
+    ens = sample_ensemble(pure(2), 3, shape, ladder, seed=1)
+    with pytest.raises(ArgumentError, match="depth"):
+        ens.leaf_hamiltonian((1, 2), depth)
+    with pytest.raises(ArgumentError, match="depth"):
+        leaf_weights(shape, ladder, (1, 2), depth)
 
 
 def test_ensemble_budget_counts_only_sampled_nodes():
@@ -436,3 +466,47 @@ def test_manifest_that_is_not_json(tmp_path):
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(ArgumentError, match="malformed"):
         load_manifest(tmp_path)
+
+
+@pytest.fixture
+def four_cpu_pool(fake_cpus):
+    return fake_cpus(4)
+
+
+def test_manifest_snapshots_move_on_the_pool(tmp_path, four_cpu_pool):
+    ens, manifest = _saved(tmp_path)  # four nodes: sampled, then saved
+    assert four_cpu_pool == [4, 4]
+    serial = tmp_path / "serial"
+    serial.mkdir()
+    for entry in manifest["nodes"]:
+        save_snapshot(ens.node_hams[tuple(entry["path"])], serial / entry["snapshot"])
+        assert (serial / entry["snapshot"]).read_bytes() == (tmp_path / entry["snapshot"]).read_bytes()
+    back = load_manifest(tmp_path)
+    assert four_cpu_pool == [4, 4, 4]
+    assert list(back.node_hams) == list(ens.node_hams)
+    for node, h in ens.node_hams.items():
+        for p in h.mixture.ps:
+            assert np.array_equal(back.node_hams[node].tensors[p], h.tensors[p])
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _bad_magic(path):
+    path.write_bytes(b"NOTGLASS" + path.read_bytes()[8:])
+
+
+@pytest.mark.parametrize(
+    "first, second, match",
+    [(_truncate, None, "truncated"), (_truncate, _bad_magic, "truncated"), (_bad_magic, _truncate, "magic")],
+)
+def test_manifest_reports_the_first_bad_node_in_node_order(tmp_path, four_cpu_pool, first, second, match):
+    _ens, manifest = _saved(tmp_path)
+    assert [e["path"] for e in manifest["nodes"]] == [[1], [2], [1, 1], [2, 1]]
+    first(tmp_path / manifest["nodes"][1]["snapshot"])
+    if second is not None:
+        second(tmp_path / manifest["nodes"][3]["snapshot"])
+    with pytest.raises(ArgumentError, match=match):
+        load_manifest(tmp_path)
+    assert four_cpu_pool[-1] == 4  # the snapshots were read on the pool
