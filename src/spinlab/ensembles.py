@@ -459,7 +459,8 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     depth >= 1, and snapshots whose n or mixture disagree with the manifest.
     A root entry, written by earlier versions, is dropped unread.  The
     snapshots are read and checked concurrently by `pool_map`; of several bad
-    ones, the first in node order is reported."""
+    ones, the first in node order is reported, its error prefixed with the
+    node path and file name."""
     try:
         with open(os.path.join(directory, "manifest.json")) as f:
             manifest = json.load(f)
@@ -492,10 +493,14 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     field_free = Mixture(dict(mixture.gammas), h=0.0)
 
     def load(node):
-        h = load_snapshot(os.path.join(directory, snapshots[node]))
+        where = f"node {list(node)} ({snapshots[node]})"
+        try:
+            h = load_snapshot(os.path.join(directory, snapshots[node]))
+        except (ArgumentError, ResourceError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
         if h.n != n or h.mixture != field_free:
             raise ArgumentError(
-                f"snapshot {snapshots[node]} holds n={h.n}, {h.mixture}; the manifest gives "
+                f"{where}: snapshot holds n={h.n}, {h.mixture}; the manifest gives "
                 f"n={n}, {field_free}"
             )
         return h

@@ -18,17 +18,18 @@ T in place (no transposed copy):
   over T viewed as (n, n^(p-2), n): the (0, p-1) block.  For p = 2, D is
   T itself.
 
-At orders 1 and 2, a tensor with p > 2 and more than _SLAB entries is read
-once: `_one_read` walks it in L2-sized slabs and builds R and D together,
-and L as well at order 2 only.  Its gradient slot p-1 is x @ D at both
-orders, so above a slab the order-1 and order-2 gradients are equal bit for
-bit, and order 1 allocates no n^(p-1) buffer for L.
+At every order, a tensor with p > 2 and more than _SLAB entries is read
+once: `_one_read` walks it in L2-sized slabs and builds R, D at orders 1
+and 2, and L at order 2 only.  The energy is that R's at every order and
+gradient slot p-1 is x @ D at orders 1 and 2, so above a slab the energies
+of all orders, and the gradients of orders 1 and 2, are equal bit for bit;
+order 1 allocates no n^(p-1) buffer for L.
 
 Tensors of at most one slab, and p = 2 terms, keep the passes above, whose
 energy and gradient are the arithmetic of one pass per slot bit for bit.
 Above a slab, R's rows come from one matmul per slab; they equal the
 whole-tensor matvec's except where a slab ends on a BLAS tail row, which
-can move the energy at orders 1 and 2 by one rounding at odd n.  Slot p-1
+can move the energy by one rounding at odd n.  Slot p-1
 as x @ D sums in another order than L's contraction: the gradient differs
 from the per-slot passes by rounding (measured at most 9.0e-16 of max|g|
 for p4 and p2+p4 at n = 17..90, at most 2.1e-15 for p6 at n = 11), and
@@ -213,15 +214,15 @@ def _middle(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _one_read(tensor: np.ndarray, x: np.ndarray, order: int) -> tuple:
-    """R, L and D of one tensor with p > 2 from a single read of it, at
-    order 1 or 2; L is built at order 2 only.  The gradient's last slot is
-    x @ D at both orders (its rounding is in the module docstring).
+    """R, L and D of one tensor with p > 2 from a single read of it: R at
+    every order, D at orders 1 and 2, L at order 2 only.  The gradient's last
+    slot is x @ D at both orders (its rounding is in the module docstring).
 
     T is viewed as (n, n^(p-2), n) and walked in slabs T[a, r0:r0+rows] of at
     most _SLAB entries, `rows` a multiple of 16, so that a slab and its slice
     of L stay in a per-core L2 cache.  Each slab gives R's rows by a matmul,
-    adds middle[r0:r0+rows] @ slab into D[a] and, at order 2, adds
-    x[a] * slab into L's slice by an in-place BLAS axpy.
+    at orders 1 and 2 adds middle[r0:r0+rows] @ slab into D[a] and, at
+    order 2, adds x[a] * slab into L's slice by an in-place BLAS axpy.
     """
     n = x.size
     t3 = tensor.reshape(n, -1, n)
@@ -230,12 +231,13 @@ def _one_read(tensor: np.ndarray, x: np.ndarray, order: int) -> tuple:
     middle = _middle(x, tensor.ndim)
     right = np.empty((n, m))
     left = np.zeros(m * n) if order == 2 else None  # flat: each slice is a contiguous axpy target
-    corner = np.zeros((n, n))
+    corner = np.zeros((n, n)) if order else None
     for a in range(n):
         for r0 in range(0, m, rows):
             slab = t3[a, r0 : r0 + rows]
             np.matmul(slab, x, out=right[a, r0 : r0 + rows])
-            corner[a] += middle[r0 : r0 + rows] @ slab
+            if corner is not None:
+                corner[a] += middle[r0 : r0 + rows] @ slab
             if left is not None:
                 daxpy(slab.ravel(), left[r0 * n : (r0 + rows) * n], a=x[a])
     shape = (n,) * (tensor.ndim - 1)
@@ -262,7 +264,7 @@ def derivatives(h: Hamiltonian, x, order: int) -> tuple:
             continue
         tensor = h.tensors[p]
         rest = [x] * (p - 1)
-        if order >= 1 and p > 2 and tensor.size > _SLAB:
+        if p > 2 and tensor.size > _SLAB:
             right, left, corner = _one_read(tensor, x, order)
         else:
             right = (tensor.reshape(-1, n) @ x).reshape((n,) * (p - 1))  # R
@@ -402,6 +404,18 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter:
     return vec, lam
 
 
+def top_eigenpairs(matrix: np.ndarray, ortho: np.ndarray, k: int = 1) -> tuple:
+    """Top-k eigenpairs of the symmetric part of P M P, P = I - ortho.T ortho
+    projecting out the orthonormal rows `ortho` (none: P = I), by dense eigh.
+    Returns (vectors (k, n), eigenvalues (k,)) in descending order."""
+    if ortho.size:
+        pmat = np.eye(len(matrix)) - ortho.T @ ortho
+        matrix = pmat @ matrix @ pmat
+    vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    order = np.argsort(vals)[::-1][:k]
+    return vecs[:, order].T.copy(), vals[order]
+
+
 def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, start=None):
     """Top-k l2-unit eigenpairs of P Hess(x) P, P projecting out span(orth).
 
@@ -422,13 +436,7 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, 
         return v
 
     if h.n <= DEFAULT_DENSE_HESSIAN_CAP:
-        hess = hessian(h, x)
-        if ortho.size:
-            pmat = np.eye(h.n) - ortho.T @ ortho
-            hess = pmat @ hess @ pmat
-        vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
-        order = np.argsort(vals)[::-1][:k]
-        return vecs[:, order].T.copy(), vals[order]
+        return top_eigenpairs(hessian(h, x), ortho, k)
 
     op = LinearOperator(
         (h.n, h.n),

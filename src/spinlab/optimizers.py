@@ -5,6 +5,12 @@ extension-and-rounding procedure, and a Lipschitz probe in the disorder
 (`lipschitz_probe`, reported in the `concentration` subcommand's run.json
 beside the overlap concentration it implies).
 
+`subag_step` is the one Hessian-ascent step: the top eigenvector(s) of the
+Hessian projected off the current constraints, signed along the gradient.
+Subag ascent takes it off x alone; the greedy energy embedding
+(`ultrametric.embed_energy_greedy`) takes it off x and every embedded
+vertex.
+
 All optimizers ascend the energy (thresholds are maxima).
 """
 
@@ -27,6 +33,7 @@ from .hamiltonian import (
     hessian,  # noqa: F401 -- perfbench's tracer tests call spinlab.optimizers.hessian
     projected_top_eigvec,
     sample_hamiltonian,
+    top_eigenpairs,
 )
 from .mixture import Mixture, xi_eval
 from .points import (
@@ -242,62 +249,38 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
 # -- Subag ascent ------------------------------------------------------------------
 
 
-def _subspace_dim(delta: float, n: int) -> int:
-    """max(floor(delta N), 1): the dimension of the top eigenspace that a
-    "random_subspace" Subag step draws its direction from."""
-    return max(int(math.floor(delta * n)), 1)
+def subag_step(
+    h: Hamiltonian, x, mode: str, delta: float, step_seed: int, start=None, others=()
+) -> tuple:
+    """(energy at x, step direction from x), from the top eigenpairs of
+    P Hess P, P projecting out span(x, *others): the top eigenvector
+    ("top_eig"), or a Gaussian combination of the top max(floor(delta N), 1),
+    coefficient i on the i-th largest, each first signed along the gradient
+    ("random_subspace").  The direction is re-projected off the span,
+    normalized and signed along the gradient by `sign_toward`; ResourceError
+    if it lies in the span.
 
-
-def subag_direction_from_hessian(hess, x, grad, mode: str, delta: float, step_seed: int):
-    """Step direction from a dense Hessian: top eigenvector of P Hess P with
-    P = projection onto x-perp ("top_eig"), or a uniform unit vector in the
-    span of the top floor(delta N) eigenvectors ("random_subspace"); the
-    result is re-projected onto x-perp, normalized, and signed so that
-    <grad, v> >= 0 (by `sign_toward` on a tie)."""
-    n = len(x)
-    xn = np.linalg.norm(x)
-    a = 0.5 * (hess + hess.T)
-    if xn > 1e-12:
-        xhat = x / xn
-        pmat = np.eye(n) - np.outer(xhat, xhat)
-        a = pmat @ a @ pmat
-    vals, vecs = np.linalg.eigh(a)
-    if mode == "top_eig":
-        v = vecs[:, -1].copy()
-    elif mode == "random_subspace":
-        dim = _subspace_dim(delta, n)
-        coeffs = rng.stream(step_seed, "subag-dir").standard_normal(dim)
-        v = vecs[:, -dim:] @ coeffs
-    else:
-        raise ArgumentError(f"unknown subag mode {mode!r}")
-    return _orient(v, x, grad)
-
-
-def _orient(v, x, grad):
-    """v projected onto x-perp, normalized, and signed by `sign_toward`."""
-    xn = np.linalg.norm(x)
-    if xn > 1e-12:
-        v = v - (x @ v) / (xn * xn) * x
-    v /= np.linalg.norm(v)
-    return sign_toward(v, grad)
-
-
-def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int, start=None):
-    """(energy at x, step direction from x): one derivatives call on the dense
-    Hessian path, Lanczos on Hessian-vector products above its cap, warm-started
-    from `start` (the previous direction) as `projected_top_eigvec` allows."""
+    Up to the dense-Hessian cap: one order-2 derivatives call and
+    `top_eigenpairs`.  Above it: Lanczos on Hessian-vector products
+    (`projected_top_eigvec`, warm-started from `start`, the previous
+    direction) and one order-1 call."""
+    orth = [x, *others]
+    k = 1 if mode == "top_eig" else max(math.floor(delta * h.n), 1)
     if h.n <= DEFAULT_DENSE_HESSIAN_CAP:
         e, grad, hess = derivatives(h, x, 2)
-        return e, subag_direction_from_hessian(hess, x, grad, mode, delta, step_seed)
-    k = 1 if mode == "top_eig" else _subspace_dim(delta, h.n)
-    vecs, _vals = projected_top_eigvec(h, x, orth=[x], k=k, seed=step_seed, start=start)
-    if mode == "top_eig":
-        v = vecs[0].copy()
+        vecs, _vals = top_eigenpairs(hess, orthonormal_rows(orth, h.n), k)
     else:
-        coeffs = rng.stream(step_seed, "subag-dir").standard_normal(len(vecs))
-        v = coeffs @ vecs
-    e, grad = derivatives(h, x, 1)
-    return e, _orient(v, x, grad)
+        vecs, _vals = projected_top_eigvec(h, x, orth=orth, k=k, seed=step_seed, start=start)
+        e, grad = derivatives(h, x, 1)
+    if mode == "top_eig":
+        v = vecs[0]
+    else:  # signing each eigenvector frees the draw from the eigensolver's sign convention
+        coeffs = rng.stream(step_seed, "subag-dir").standard_normal(k)
+        v = coeffs @ np.array([sign_toward(u, grad) for u in vecs])
+    v = orthogonal_unit(v, orth)
+    if v is None:
+        raise ResourceError("orthogonal directions exhausted")
+    return e, sign_toward(v, grad)
 
 
 def subag_ascent(
@@ -307,6 +290,8 @@ def subag_ascent(
     exactly, landing on the sphere after 1/delta steps.  The default starting
     point is the delta-scaled top direction at the origin; any x1 with
     |x1|_N^2 = delta may be supplied instead."""
+    if mode not in ("top_eig", "random_subspace"):
+        raise ArgumentError(f"unknown subag mode {mode!r}")
     steps = 1.0 / delta
     if abs(steps - round(steps)) > 1e-9:
         raise ArgumentError(f"1/delta = {steps} must be an integer")
@@ -531,13 +516,10 @@ def _ising_direction(hess, free, span):
     mask[free] = 1.0
     hs = hess * np.outer(mask, mask)
     rows = orthonormal_rows([w * mask for w in span], n)
-    if rows.size:
-        pmat = np.eye(n) - rows.T @ rows
-        hs = pmat @ hs @ pmat
-    vals, vecs = np.linalg.eigh(0.5 * (hs + hs.T))
-    if vals[-1] < 0.0:
+    vecs, vals = top_eigenpairs(hs, rows)
+    if vals[0] < 0.0:
         return None
-    return orthogonal_unit(vecs[:, -1] * mask, rows)
+    return orthogonal_unit(vecs[0] * mask, rows)
 
 
 def _fallback_coordinate(free, span, gen, n):

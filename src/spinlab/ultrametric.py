@@ -17,9 +17,10 @@ import numpy as np
 
 from . import rng
 from .errors import ArgumentError, ResourceError
-from .hamiltonian import Hamiltonian, energy, gradient, projected_top_eigvec
+from .hamiltonian import Hamiltonian, energy
 from .mixture import xi_eval
-from .points import norm_n_sq, orthogonal_unit, overlap, sign_toward
+from .optimizers import subag_step
+from .points import norm_n_sq, overlap
 
 _H_TOL = 1e-12
 
@@ -328,13 +329,9 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
         i, v = 0, None
         while norm_n_sq(x) < target_sq - 1e-12:
             gain = min(delta, target_sq - norm_n_sq(x))
-            vecs, _vals = projected_top_eigvec(
-                h, x, orth=[x] + others, k=1, seed=rng.derive_seed(step_seed, i), start=v
+            _e, v = subag_step(
+                h, x, "top_eig", delta, rng.derive_seed(step_seed, i), start=v, others=others
             )
-            v = orthogonal_unit(vecs[0], [x] + others)
-            if v is None:
-                raise ResourceError("orthogonal directions exhausted during embedding")
-            v = sign_toward(v, gradient(h, x))
             x = x + math.sqrt(gain * n) * v
             i += 1
         return x

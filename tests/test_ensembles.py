@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -495,6 +496,14 @@ def _truncate(path):
 
 def _bad_magic(path):
     path.write_bytes(b"NOTGLASS" + path.read_bytes()[8:])
+
+
+def test_manifest_errors_name_the_node_and_its_snapshot_file(tmp_path):
+    _ens, manifest = _saved(tmp_path)
+    name = manifest["nodes"][1]["snapshot"]
+    _truncate(tmp_path / name)
+    with pytest.raises(ArgumentError, match=rf"^node \[2\] \({re.escape(name)}\): snapshot truncated"):
+        load_manifest(tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -489,7 +489,7 @@ def test_form_bit_identical_to_slot_loop_oracles(m, ns):
             assert np.array_equal(hessian_apply(h, x, w), oracle_hessian_apply(h, x, w))
 
 
-# -- orders 1 and 2 above one slab: R, D (and L) from one read of each tensor ---
+# -- orders 0, 1 and 2 above one slab: R (D, L) from one read of each tensor ---
 
 SLAB_CASES = [
     (pure(4), 24),
@@ -497,6 +497,7 @@ SLAB_CASES = [
     (pure(6), 8),
     (Mixture({2: 0.6, 4: 0.8}, h=0.3), 48),
     (Mixture({2: 0.5, 4: 0.4, 6: 0.3}, h=0.7), 9),
+    (pure(4), 17),  # odd n: a slab ends on a BLAS tail row at the third point
 ]
 
 

@@ -20,6 +20,7 @@ from spinlab.hamiltonian import (
     hessian_apply,
     projected_top_eigvec,
     sample_hamiltonian,
+    top_eigenpairs,
 )
 from spinlab.mixture import Mixture, pure, xi_eval
 from spinlab.optimizers import (
@@ -33,9 +34,17 @@ from spinlab.optimizers import (
     round_to_corners,
     state_evolution,
     subag_ascent,
-    subag_direction_from_hessian,
+    subag_step,
 )
-from spinlab.points import norm_n_sq, overlap, project_ball, sphere_point
+from spinlab.points import (
+    norm_n_sq,
+    orthogonal_unit,
+    orthonormal_rows,
+    overlap,
+    project_ball,
+    sign_toward,
+    sphere_point,
+)
 
 
 def test_gradient_ascent_field_only():
@@ -227,9 +236,9 @@ def test_embedding_lanczos_warm_start_matches_cold(monkeypatch):
     h = sample_hamiltonian(pure(2), LANCZOS_N, seed=12)
     tree = ultrametric.star_tree(3)
     with monkeypatch.context() as mp:
-        _solve_cold(mp, ultrametric)
+        _solve_cold(mp, optimizers)
         cold, cold_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
-    pairs = _record_warm_solves(monkeypatch, ultrametric)
+    pairs = _record_warm_solves(monkeypatch, optimizers)
     warm, warm_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
     assert len(pairs) == 3 * 7  # each leaf chain: 8 steps, the first cold
     for w, c in pairs:
@@ -242,6 +251,32 @@ def test_embedding_lanczos_warm_start_matches_cold(monkeypatch):
         return vecs @ vecs.T
 
     assert np.max(np.abs(gram(warm) - gram(cold))) <= 1e-12 * np.max(np.abs(gram(cold)))
+
+
+@pytest.mark.parametrize("mode, delta", [("top_eig", 0.125), ("random_subspace", 0.01)])
+def test_subag_step_dense_and_lanczos_paths_agree(monkeypatch, mode, delta):
+    h = sample_hamiltonian(Mixture({2: 1.0}, h=0.3), LANCZOS_N, seed=15)
+    x = 0.5 * sphere_point(rng.stream(77, "step-point").standard_normal(LANCZOS_N))
+    e_lanczos, v_lanczos = subag_step(h, x, mode, delta, 8)
+    monkeypatch.setattr(optimizers, "DEFAULT_DENSE_HESSIAN_CAP", LANCZOS_N)
+    e_dense, v_dense = subag_step(h, x, mode, delta, 8)
+    assert e_dense == e_lanczos
+    assert np.max(np.abs(v_dense - v_lanczos)) <= 1e-8
+
+
+def test_dense_embedding_takes_one_order_two_call_per_step(monkeypatch):
+    h = sample_hamiltonian(pure(4), 24, seed=16)
+    orders = []
+    plan = hamiltonian.derivatives
+
+    def counted(h, x, order):
+        orders.append(order)
+        return plan(h, x, order)
+
+    for module in (hamiltonian, optimizers):
+        monkeypatch.setattr(module, "derivatives", counted)
+    ultrametric.embed_energy_greedy(h, ultrametric.star_tree(2), 0.125, seed=8)
+    assert [o for o in orders if o > 0] == [2] * 16  # two leaf chains of 8 steps
 
 
 # -- step orientation does not depend on the eigensolver's sign ------------------
@@ -470,15 +505,10 @@ def test_opt_form_conformance_subag():
 
     scale = math.sqrt(delta * 24)
 
-    def make_f(i):
-        def f(xs, derivs):
-            v = subag_direction_from_hessian(
-                derivs[-1]["hessian"], xs[-1], derivs[-1]["grad"], "top_eig", delta,
-                rng.derive_seed(seed, "step", i),
-            )
-            return xs[-1] + scale * v
+    def f(xs, derivs):
+        x = xs[-1]
+        vecs, _vals = top_eigenpairs(derivs[-1]["hessian"], orthonormal_rows([x], 24))
+        return x + scale * sign_toward(orthogonal_unit(vecs[0], [x]), derivs[-1]["grad"])
 
-        return f
-
-    generic = oracle_run_iterative(h, [make_f(i) for i in range(4)], [np.zeros(24)], k_order=2)
+    generic = oracle_run_iterative(h, [f] * 4, [np.zeros(24)], k_order=2)
     assert all(np.array_equal(a, b) for a, b in zip(direct.iterates, generic[1:]))

@@ -72,6 +72,14 @@ def test_optimize_run_artifacts(tmp_path):
     assert len(res.payload["runs"]) == 2
 
 
+@pytest.mark.parametrize("n", [64, 520])  # the dense Hessian path, and Lanczos above its cap
+def test_optimize_rejects_an_unknown_subag_mode(tmp_path, n):
+    cfg = tmp_path / "cfg.json"
+    alg = {"name": "subag", "delta": 0.125, "mode": "bogus"}
+    cfg.write_text(json.dumps({"subcommand": "optimize", "mixture": "p2", "n": n, "alg": alg}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_every_subcommand_takes_every_algorithm(tmp_path):
     config = {"subcommand": "optimize", "mixture": "p2", "n": 16, "seed": 4,
               "alg": {"name": "constant", "value": 0.5}}
