@@ -5,6 +5,7 @@ Run via spinlab.acceptance.run_all() or the `selftest` subcommand; the pytest
 module tests/test_acceptance.py asserts every criterion.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .ensembles import (
     sample_ensemble,
     target_overlap_matrix,
 )
+from .errors import ArgumentError
 from .hamiltonian import energy, sample_hamiltonian, sample_tensors
 from .mixture import Mixture, pure, xi_eval
 from .ogp import check_chi_properties, estimate_chi, overlap_concentration, ChiEstimate
@@ -84,7 +86,6 @@ def _random_shape_ladders(gen, max_depth=3, max_k=3):
 
 def criterion_1_correlation_structure() -> CriterionResult:
     """Leaf weight-vector Gram matrix equals (p_{lca}) to 1e-12, 50 shapes."""
-    t0 = time.time()
     gen = rng.stream(1, "acc-corr")
     worst = 0.0
     for _ in range(50):
@@ -103,13 +104,12 @@ def criterion_1_correlation_structure() -> CriterionResult:
         worst = max(worst, float(np.max(np.abs(gram - target))))
     passed = worst <= 1e-12
     return CriterionResult(
-        "1 exact correlation structure", passed, f"max Gram deviation {worst:.2e}", time.time() - t0
+        "1 exact correlation structure", passed, f"max Gram deviation {worst:.2e}"
     )
 
 
 def criterion_2_covariance_law(samples: int = 10_000) -> CriterionResult:
     """Empirical E[H(s1) H(s2)] within 5 SE of N xi(R) at N=16, p in {2, 4}."""
-    t0 = time.time()
     n = 16
     m = Mixture({2: 1.0, 4: 1.0})
     gen = rng.stream(2, "acc-cov")
@@ -141,7 +141,7 @@ def criterion_2_covariance_law(samples: int = 10_000) -> CriterionResult:
     direct = energy(h0, s1) * energy(h0, s2)
     if abs(direct - prods[0, 0]) > 1e-8 * max(1.0, abs(direct)):
         return CriterionResult(
-            "2 covariance law", False, "fast path disagrees with energy()", time.time() - t0
+            "2 covariance law", False, "fast path disagrees with energy()"
         )
     worst_z = 0.0
     for j, (s1, s2) in enumerate(pairs):
@@ -150,12 +150,11 @@ def criterion_2_covariance_law(samples: int = 10_000) -> CriterionResult:
         worst_z = max(worst_z, abs(prods[:, j].mean() - want) / se)
     passed = worst_z <= 5.0
     return CriterionResult(
-        "2 covariance law", passed, f"worst |z| = {worst_z:.2f} (<= 5)", time.time() - t0
+        "2 covariance law", passed, f"worst |z| = {worst_z:.2f} (<= 5)"
     )
 
 
 def criterion_3_closed_form_thresholds() -> CriterionResult:
-    t0 = time.time()
     checks = []
     v4, tag4, _ = alg_sp(pure(4))
     checks.append(("alg_sp(p4) = sqrt(3)", abs(v4 - math.sqrt(3.0)) <= 1e-9))
@@ -177,7 +176,7 @@ def criterion_3_closed_form_thresholds() -> CriterionResult:
     checks.append(("alg_sp <= opt_sp + 1e-3 on 20 mixtures", ok))
     passed = all(flag for _n, flag in checks)
     detail = "; ".join(f"{nm}: {'ok' if f else 'FAIL'}" for nm, f in checks)
-    return CriterionResult("3 closed-form thresholds", passed, detail, time.time() - t0)
+    return CriterionResult("3 closed-form thresholds", passed, detail)
 
 
 def _folded_mean(mu, s):
@@ -187,7 +186,6 @@ def _folded_mean(mu, s):
 
 
 def criterion_4_pde_identities() -> CriterionResult:
-    t0 = time.time()
     m2 = pure(2)
     z0 = PiecewiseZeta.zero()
     checks = []
@@ -244,14 +242,13 @@ def criterion_4_pde_identities() -> CriterionResult:
     checks.append(("beta gap <= log2/beta", gap_ok))
     passed = all(f for _n, f in checks)
     detail = "; ".join(f"{nm}: {'ok' if f else 'FAIL'}" for nm, f in checks)
-    return CriterionResult("4 Parisi PDE identities", passed, detail, time.time() - t0)
+    return CriterionResult("4 Parisi PDE identities", passed, detail)
 
 
 def criterion_5_alg_is_sk() -> CriterionResult:
     """ALG for xi = x^2/2 converges under knot refinement to 0.763 +- 0.01,
     and the 16-knot profile is a first-order point of the discretized
     functional (max projected gradient <= 1e-5)."""
-    t0 = time.time()
     msk = Mixture({2: math.sqrt(0.5)})
     lv8, lv16 = alg_is_levels(msk, knots=16)
     v8, v16 = lv8.value, lv16.value
@@ -262,12 +259,10 @@ def criterion_5_alg_is_sk() -> CriterionResult:
         passed,
         f"knots 8 -> {v8:.5f}, knots 16 -> {v16:.5f} (target {target} +- 0.01, nonincreasing);"
         f" projected gradient {lv8.proj_grad:.2e} / {lv16.proj_grad:.2e} (<= 1e-5 at 16)",
-        time.time() - t0,
     )
 
 
 def criterion_6_kappa_m_consistency() -> CriterionResult:
-    t0 = time.time()
     gen = rng.stream(6, "acc-kappa")
     worst = 0.0
     loewner_ok = True
@@ -285,12 +280,10 @@ def criterion_6_kappa_m_consistency() -> CriterionResult:
         "6 kappa/M consistency",
         passed,
         f"max |kappa - Sum(M)/K| = {worst:.2e}; Loewner M <= kappa I: {loewner_ok}",
-        time.time() - t0,
     )
 
 
 def criterion_7_cascade_and_recursion() -> CriterionResult:
-    t0 = time.time()
     m = Mixture({2: 0.7, 4: 0.6})
     shape = TreeShape((2, 2))
     pladder = CorrelationLadder((0.0, 0.4, 1.0))
@@ -324,10 +317,7 @@ def criterion_7_cascade_and_recursion() -> CriterionResult:
         shape_r, pl_r, ql_r = _random_shape_ladders(g2)
         raw = np.sort(g2.uniform(0.02, 0.9, ql_r.depth))
         levels_r = tuple(raw / max(raw[-1] + 0.05, 1.0))
-        zl = PiecewiseZeta(
-            (0.0, *ql_r.qs[:-1]) if ql_r.qs[0] > 0 else ql_r.qs[:-1],
-            ((0.0, *levels_r) if ql_r.qs[0] > 0 else levels_r),
-        )
+        zl = PiecewiseZeta.on_knots(ql_r.qs[:-1], levels_r)
         mm = Mixture({2: float(g2.uniform(0.2, 1.0)), 4: float(g2.uniform(0.0, 0.8))})
         kz_int = sum(
             kappa_level(shape_r, pl_r, d + 1)
@@ -362,7 +352,7 @@ def criterion_7_cascade_and_recursion() -> CriterionResult:
         f"cascade z={abs(mc - closed) / se:.2f}; gaussian z={abs(est - closed_g) / se_g:.2f}; "
         f"telescoping {tele_ok}; Loewner floor {pd_ok}"
     )
-    return CriterionResult("7 cascade and Gaussian recursion", passed, detail, time.time() - t0)
+    return CriterionResult("7 cascade and Gaussian recursion", passed, detail)
 
 
 def _cascade_mc(shape, pladder, qladder, levels, m, n, seed):
@@ -384,7 +374,6 @@ def _cascade_mc(shape, pladder, qladder, levels, m, n, seed):
 
 
 def criterion_8_increasify() -> CriterionResult:
-    t0 = time.time()
     gen = rng.stream(8, "acc-increasify")
     ok = True
     detail = []
@@ -408,12 +397,10 @@ def criterion_8_increasify() -> CriterionResult:
         "8 increasify reconstructions",
         ok,
         "all 20 targets reconstructed with strictly increasing levels" if ok else "; ".join(detail),
-        time.time() - t0,
     )
 
 
 def criterion_9_subag() -> CriterionResult:
-    t0 = time.time()
     h2 = sample_hamiltonian(pure(2), 64, seed=2)
     traj2 = subag_ascent(h2, 0.05, "top_eig", seed=0)
     sched_err = max(
@@ -432,12 +419,10 @@ def criterion_9_subag() -> CriterionResult:
         "9 Subag ascent",
         passed,
         f"schedule err {sched_err:.1e}; p2 ratio {ratio:.3f}; p4 mean {mean4:.4f} (>= 1.50)",
-        time.time() - t0,
     )
 
 
 def criterion_10_amp_state_evolution() -> CriterionResult:
-    t0 = time.time()
     m2 = pure(2)
     spec = AmpSpec(fs=[lambda x0: x0], lipschitz=[1.0], horizon=1)
     q, _xs = state_evolution(spec, m2)
@@ -455,12 +440,10 @@ def criterion_10_amp_state_evolution() -> CriterionResult:
         "10 AMP state evolution",
         passed,
         f"|x1|^2 mean {vals.mean():.4f} vs Q11 {q[0, 0]:.4f}, dev {dev:.4f} <= {tol:.4f}",
-        time.time() - t0,
     )
 
 
 def criterion_11_concentration_trend() -> CriterionResult:
-    t0 = time.time()
     m2 = pure(2)
 
     def ga(h, seed):
@@ -479,12 +462,10 @@ def criterion_11_concentration_trend() -> CriterionResult:
         "11 overlap concentration trend",
         passed,
         f"sd by N: {[round(s, 4) for s in sds]} decreasing; constant alg sd {const_rep.sd}",
-        time.time() - t0,
     )
 
 
 def criterion_12_chi_properties() -> CriterionResult:
-    t0 = time.time()
     m2 = pure(2)
     n = 48
     scale = 0.8
@@ -509,14 +490,10 @@ def criterion_12_chi_properties() -> CriterionResult:
         "12 correlation function properties",
         passed,
         f"linear slope ok {lin_ok}; no flags {rep.ok}; dip flagged {dip_flagged}",
-        time.time() - t0,
     )
 
 
 def criterion_13_ultrametric() -> CriterionResult:
-    t0 = time.time()
-    import itertools
-
     mismatches = 0
     count = 0
     for nverts in range(2, 8):
@@ -546,7 +523,6 @@ def criterion_13_ultrametric() -> CriterionResult:
         "13 ultrametric suite",
         passed,
         f"{count} trees vs brute force ({mismatches} mismatches); 50 embeddings ok {embed_ok}; V_D path {path_ok}",
-        time.time() - t0,
     )
 
 
@@ -579,8 +555,6 @@ def _tree_from_parents(parent_list):
 
 
 def _brute_branching(parent_list):
-    import itertools
-
     parents = {0: None}
     for i, p in enumerate(parent_list, start=1):
         parents[i] = p
@@ -626,7 +600,6 @@ def _is_root_path(tree, vd):
 
 
 def criterion_14_extension_rounding() -> CriterionResult:
-    t0 = time.time()
     m2 = pure(2)
     n = 128
     shape = TreeShape((2, 2))
@@ -669,7 +642,6 @@ def criterion_14_extension_rounding() -> CriterionResult:
         "14 extension and rounding",
         passed,
         f"spherical membership {member.ok}; rounding z = {z:.2f} (<= 3)",
-        time.time() - t0,
     )
 
 
@@ -691,16 +663,27 @@ CRITERIA = [
 ]
 
 
+def run_criterion(fn, verbose=True) -> CriterionResult:
+    """Run one criterion, set its wall time and print its pass/fail line."""
+    t0 = time.perf_counter()
+    res = fn()
+    res.seconds = time.perf_counter() - t0
+    if verbose:
+        status = "PASS" if res.passed else "FAIL"
+        print(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.detail}", flush=True)
+    return res
+
+
 def run_all(names=None, verbose=True) -> list:
-    results = []
-    for fn in CRITERIA:
-        label = fn.__name__.replace("criterion_", "")
-        number = label.split("_")[0]
-        if names and not any(str(n) in (number, label) for n in names):
-            continue
-        res = fn()
-        results.append(res)
-        if verbose:
-            status = "PASS" if res.passed else "FAIL"
-            print(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.detail}", flush=True)
-    return results
+    """Run the criteria whose number or label is in `names` (all when empty);
+    a name that matches no criterion raises ArgumentError before any runs."""
+    labels = {fn: fn.__name__.removeprefix("criterion_") for fn in CRITERIA}
+    keys = {fn: (label.split("_")[0], label) for fn, label in labels.items()}
+    names = [str(n) for n in names or ()]
+    unmatched = [n for n in names if not any(n in key for key in keys.values())]
+    if unmatched:
+        raise ArgumentError(
+            f"unknown criteria {unmatched} (give a number 1..{len(CRITERIA)} or a full label)"
+        )
+    chosen = [fn for fn in CRITERIA if not names or any(n in keys[fn] for n in names)]
+    return [run_criterion(fn, verbose) for fn in chosen]

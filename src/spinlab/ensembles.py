@@ -119,6 +119,12 @@ def lca_depth(u, v) -> int:
     return d
 
 
+def _lca_table(shape: TreeShape) -> np.ndarray:
+    """lca_depth(u, v) over all pairs of the shape's leaves, in leaves() order."""
+    paths = np.array(shape.leaves())
+    return np.cumprod(paths[:, None, :] == paths[None, :, :], axis=2).sum(axis=2)
+
+
 def leaf_weights(shape: TreeShape, ladder: CorrelationLadder, u, depth: int | None = None) -> dict:
     """Node -> sqrt(p_d - p_{d-1}) over the ancestors of the leaf u down to
     `depth` (default: the full depth D); the root's weight is 0.  Raises
@@ -233,14 +239,7 @@ def target_overlap_matrix(shape: TreeShape, qladder: OverlapLadder) -> np.ndarra
     """Q_{u, v} = q_{lca depth(u, v)}; diagonal = q_D = 1."""
     if qladder.depth != shape.depth:
         raise ArgumentError("shape and overlap ladder depths disagree")
-    leaves = shape.leaves()
-    qs = qladder.qs
-    k = len(leaves)
-    out = np.empty((k, k))
-    for i, u in enumerate(leaves):
-        for j, v in enumerate(leaves):
-            out[i, j] = qs[lca_depth(u, v)]
-    return out
+    return np.asarray(qladder.qs)[_lca_table(shape)]
 
 
 def m_matrix(shape: TreeShape, pladder: CorrelationLadder, d: int) -> np.ndarray:
@@ -249,16 +248,8 @@ def m_matrix(shape: TreeShape, pladder: CorrelationLadder, d: int) -> np.ndarray
         raise ArgumentError(f"level d={d} outside 1..{shape.depth}")
     if pladder.depth != shape.depth:
         raise ArgumentError("shape and correlation ladder depths disagree")
-    leaves = shape.leaves()
-    ps = pladder.ps
-    k = len(leaves)
-    out = np.zeros((k, k))
-    for i, u in enumerate(leaves):
-        for j, v in enumerate(leaves):
-            w = lca_depth(u, v)
-            if w >= d:
-                out[i, j] = ps[w]
-    return out
+    lca = _lca_table(shape)
+    return np.where(lca >= d, np.asarray(pladder.ps)[lca], 0.0)
 
 
 def _level_of_q(qladder: OverlapLadder, q: float) -> int:
@@ -416,14 +407,7 @@ def underline_target_matrix(
 ) -> np.ndarray:
     """Q_ul with entries q_{lca} ^ chi1 (min), diagonal chi1."""
     sub_shape, _, _ = underline_view(shape, pladder, qladder)
-    d_ul = sub_shape.depth
-    leaves = sub_shape.leaves()
-    k = len(leaves)
-    out = np.empty((k, k))
-    for i, u in enumerate(leaves):
-        for j, v in enumerate(leaves):
-            out[i, j] = min(qladder.qs[lca_depth(u, v)], chi1)
-    return out
+    return np.minimum(np.asarray(qladder.qs)[_lca_table(sub_shape)], chi1)
 
 
 # -- manifest ------------------------------------------------------------------

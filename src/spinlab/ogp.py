@@ -212,7 +212,6 @@ def run_branching_experiment(
             float(sum(energies.values())),
             ens_seed,
         )
-        report.extension = None
         if extend:
             ext = extend_to_sphere(
                 ens, outputs, qladder, eta, seed=rng.derive_seed(ens_seed, "ext"), mode="sphere"
@@ -303,7 +302,6 @@ def constrained_grand_max(
                 break
             penalty *= 2.0
         penalty_final = penalty
-        member = constrained_membership(sigmas, q_target, m_anchor, eta, domain="sphere")
         if member.ok:
             val = ensemble.grand_energy(sigmas) / n
             if best is None or val > best:

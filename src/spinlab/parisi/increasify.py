@@ -133,9 +133,7 @@ def increasify_is(
         clamped[d] / (beta * kappa_level(shape, pladder, d + 1)) for d in range(depth)
     )
     result = IncreasifyResult(shape, pladder, qladder, levels, beta)
-    clamped_profile = PiecewiseZeta(qladder.qs[:-1] if q0 == 0.0 else (0.0,) + qladder.qs[:-1],
-                                    clamped if q0 == 0.0 else (clamped[0],) + clamped)
-    _verify_levels(result, clamped_profile)
+    _verify_levels(result, PiecewiseZeta.on_knots(qladder.qs[:-1], clamped))
     return result
 
 

@@ -170,14 +170,10 @@ def lambda_recursion(
 def kappa_zeta_profile(shape, pladder, qladder, levels) -> PiecewiseZeta:
     """kappa(q) zeta(q) on [q0, 1) as a step profile (0 below q0), from the
     zeta levels at the knots q_0..q_{D-1}."""
-    breaks, values = [], []
-    if qladder.qs[0] > 0.0:
-        breaks.append(0.0)
-        values.append(0.0)
-    for d in range(shape.depth):
-        breaks.append(qladder.qs[d])
-        values.append(kappa_level(shape, pladder, d + 1) * levels[d])
-    return PiecewiseZeta(tuple(breaks), tuple(values))
+    return PiecewiseZeta.on_knots(
+        qladder.qs[: shape.depth],
+        [kappa_level(shape, pladder, d + 1) * levels[d] for d in range(shape.depth)],
+    )
 
 
 def interpolation_bound_sp(

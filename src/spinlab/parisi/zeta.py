@@ -48,6 +48,13 @@ class PiecewiseZeta:
     def zero(cls) -> "PiecewiseZeta":
         return cls((0.0,), (0.0,))
 
+    @classmethod
+    def on_knots(cls, knots, values) -> "PiecewiseZeta":
+        """values[d] on [knots[d], knots[d+1]) (the last up to 1), 0 below knots[0]."""
+        if knots[0] > 0.0:
+            return cls((0.0, *knots), (0.0, *values))
+        return cls(knots, values)
+
     @property
     def is_monotone(self) -> bool:
         return all(a <= b for a, b in zip(self.values, self.values[1:]))

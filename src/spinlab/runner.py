@@ -2,8 +2,11 @@
 JSON/CSV artifacts out.
 
 Subcommands: thresholds, optimize, chi, concentration, branching, sandwich,
-embed, pde, selftest.  Re-running a config byte-reproduces every numeric
-payload; timestamps live only under the "meta" key.
+embed, pde, selftest.  Each handler returns its results and CSV artifacts;
+`run` alone writes run.json.  Re-running a config byte-reproduces every
+numeric payload; timings and timestamps (among them selftest's per-criterion
+seconds) live only under the "meta" key.  A selftest criterion name that
+matches no criterion exits 2 before any criterion runs.
 """
 
 import json
@@ -17,7 +20,14 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import rng
-from .ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align, sample_ensemble
+from .ensembles import (
+    CorrelationLadder,
+    OverlapLadder,
+    TreeShape,
+    chi_align,
+    sample_ensemble,
+    target_overlap_matrix,
+)
 from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES, check_budget, energy, sample_hamiltonian
 from .mixture import Mixture
@@ -48,7 +58,14 @@ from .parisi import (
 )
 from .parisi.pde import _parisi_value
 from .points import project_ball, sphere_point
-from .ultrametric import embed_energy_greedy, embedding_to_csv, tree_from_json, validate_embedding
+from .ultrametric import (
+    embed_energy_greedy,
+    embedding_to_csv,
+    full_binary_tree,
+    star_tree,
+    tree_from_json,
+    validate_embedding,
+)
 
 SUBCOMMANDS = (
     "thresholds",
@@ -136,6 +153,7 @@ class RunResult:
     status: int
     payload: dict
     artifacts: list = field(default_factory=list)
+    meta: dict = field(default_factory=dict)  # written beside the timestamp
 
 
 def parse_mixture(spec) -> Mixture:
@@ -195,11 +213,11 @@ def _dump17(obj, indent=0):
     return json.dumps(str(obj))
 
 
-def write_run_json(path, config, results):
+def write_run_json(path, config, results, meta=None):
     payload = {
         "config": config,
         "results": results,
-        "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
+        "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), **(meta or {})},
     }
     text = _dump17(payload)  # before the file opens, so a refused payload leaves none
     with open(path, "w") as f:
@@ -319,7 +337,8 @@ def validate_config(config: dict):
 
 
 def run(config: dict, out_dir=None) -> RunResult:
-    """Dispatch a validated config; returns exit status plus the payload."""
+    """Dispatch a validated config and write its run.json; returns the exit
+    status, the payload and the artifacts, run.json last."""
     validate_config(config)
     sub = config["subcommand"]
     out = out_dir or config.get("out") or f"runs/{sub}"
@@ -335,7 +354,11 @@ def run(config: dict, out_dir=None) -> RunResult:
         "pde": _run_pde,
         "selftest": _run_selftest,
     }[sub]
-    return handler(config, out)
+    result = handler(config, out)
+    path = os.path.join(out, "run.json")
+    write_run_json(path, config, result.payload, result.meta)
+    result.artifacts.append(path)
+    return result
 
 
 def _run_thresholds(config, out):
@@ -348,9 +371,7 @@ def _run_thresholds(config, out):
     }
     if config.get("ising"):
         results["alg_is_numeric"] = alg_is_numeric(m, knots=int(config.get("knots", 8)))
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, results)
-    return RunResult(0, results, [path])
+    return RunResult(0, results)
 
 
 def _run_optimize(config, out):
@@ -385,9 +406,7 @@ def _run_optimize(config, out):
             {"seed": seed, "final_energy_per_n": traj.final_energy / n, "steps": len(traj.iterates)}
         )
     results = {"algorithm": alg_spec, "n": n, "runs": summary}
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, results)
-    return RunResult(0, results, artifacts + [path])
+    return RunResult(0, results, artifacts)
 
 
 def _run_chi(config, out):
@@ -409,9 +428,7 @@ def _run_chi(config, out):
     }
     csv_path = os.path.join(out, "chi.csv")
     _matrix_csv(csv_path, np.stack([est.p_grid, est.chi_hat, est.se]))
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, results)
-    return RunResult(0, results, [csv_path, path])
+    return RunResult(0, results, [csv_path])
 
 
 def _run_concentration(config, out):
@@ -442,9 +459,7 @@ def _run_concentration(config, out):
             "reps": LIPSCHITZ_REPS,
         },
     }
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, results)
-    return RunResult(0, results, [path])
+    return RunResult(0, results)
 
 
 def _parse_ladders(config, m):
@@ -490,9 +505,7 @@ def _run_branching(config, out):
             }
         )
     results = {"ks": list(shape.ks), "pladder": list(pladder.ps), "qladder": list(qladder.qs), "reps": rows}
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, results)
-    return RunResult(0, results, artifacts + [path])
+    return RunResult(0, results, artifacts)
 
 
 def _run_sandwich(config, out):
@@ -500,8 +513,6 @@ def _run_sandwich(config, out):
     n = int(config.get("n", 48))
     shape, pladder, qladder = _parse_ladders(config, m)
     ens = sample_ensemble(m, n, shape, pladder, int(config.get("seed", 0)))
-    from .ensembles import target_overlap_matrix
-
     q_mat = target_overlap_matrix(shape, qladder)
     anchor = np.zeros(n) if qladder.qs[0] == 0 else sphere_point(
         rng.stream(config.get("seed", 0), "anchor").standard_normal(n)
@@ -513,10 +524,7 @@ def _run_sandwich(config, out):
     beta = float(config.get("beta", 4.0))
     b_val = float(config.get("B", math.sqrt(max(m.xi(1.0, 2), 1.0))))
     levels = np.linspace(0.2, 0.8, qladder.depth)
-    zeta = PiecewiseZeta(
-        (0.0, *qladder.qs[:-1]) if qladder.qs[0] > 0 else qladder.qs[:-1],
-        ((0.0, *levels) if qladder.qs[0] > 0 else tuple(levels)),
-    )
+    zeta = PiecewiseZeta.on_knots(qladder.qs[:-1], levels)
     bound = interpolation_bound_sp(
         b_val,
         PiecewiseZeta.zero(),
@@ -538,9 +546,7 @@ def _run_sandwich(config, out):
         "sandwich_holds": (primal.best_energy is None)
         or (primal.best_energy <= bound / shape.n_leaves),
     }
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, results)
-    return RunResult(0, results, [path])
+    return RunResult(0, results)
 
 
 def _run_embed(config, out):
@@ -551,12 +557,8 @@ def _run_embed(config, out):
         with open(tree_cfg) as f:
             tree = tree_from_json(f.read())
     elif "star" in tree_cfg:
-        from .ultrametric import star_tree
-
         tree = star_tree(int(tree_cfg["star"]))
     elif "binary" in tree_cfg:
-        from .ultrametric import full_binary_tree
-
         tree = full_binary_tree(int(tree_cfg["binary"]))
     else:
         tree = tree_from_json(tree_cfg)
@@ -574,9 +576,7 @@ def _run_embed(config, out):
         "energies_per_n": {str(v): e / n for v, e in energies.items()},
         "threshold_profile": {str(v): p for v, p in profile.items()},
     }
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, results)
-    return RunResult(0 if ok else 4, results, [csv_path, path])
+    return RunResult(0 if ok else 4, results, [csv_path])
 
 
 def _run_pde(config, out):
@@ -599,9 +599,7 @@ def _run_pde(config, out):
             "times": list(sol.times),
         },
     }
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, results)
-    return RunResult(0, results, [path])
+    return RunResult(0, results)
 
 
 def _run_selftest(config, out):
@@ -609,12 +607,8 @@ def _run_selftest(config, out):
 
     results = run_all(names=config.get("criteria"), verbose=True)
     payload = {
-        "criteria": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
-            for r in results
-        ],
+        "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, payload)
-    return RunResult(0 if payload["all_passed"] else 5, payload, [path])
+    meta = {"criterion_seconds": {r.name: r.seconds for r in results}}
+    return RunResult(0 if payload["all_passed"] else 5, payload, meta=meta)

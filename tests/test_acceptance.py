@@ -9,7 +9,5 @@ from spinlab import acceptance
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA, ids=lambda f: f.__name__)
 def test_criterion(criterion):
-    result = criterion()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] {result.name} ({result.seconds:.1f}s): {result.detail}", flush=True)
+    result = acceptance.run_criterion(criterion)
     assert result.passed, f"{result.name}: {result.detail}"

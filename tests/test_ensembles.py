@@ -155,6 +155,18 @@ def test_m_matrix_examples_and_bruteforce(gen):
                 w = lca_depth(u, v)
                 brute[i, j] = pladder.ps[w] if w >= d else 0.0
         assert np.array_equal(got, brute)
+        # the target and underline-target matrices index the same lca table
+        qladder = OverlapLadder((*np.sort(gen.uniform(0, 0.95, depth)), 1.0))
+        brute_q = np.array([[qladder.qs[lca_depth(u, v)] for v in leaves] for u in leaves])
+        assert np.array_equal(target_overlap_matrix(shape, qladder), brute_q)
+        cut = int(gen.integers(1, depth + 1))  # p_cut = 1 cuts the underline view at depth cut
+        ul_pladder = CorrelationLadder((*ps[:cut], *(1.0,) * (depth + 1 - cut)))
+        chi1 = float(gen.uniform(0.3, 1.0))
+        sub_leaves = TreeShape(ks[:cut]).leaves()
+        brute_ul = np.array(
+            [[min(qladder.qs[lca_depth(u, v)], chi1) for v in sub_leaves] for u in sub_leaves]
+        )
+        assert np.array_equal(underline_target_matrix(shape, ul_pladder, qladder, chi1), brute_ul)
 
 
 def test_kappa_examples_and_sum_identity(gen):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinlab import rng, runner
+from spinlab import acceptance, rng, runner
 from spinlab.errors import ArgumentError, NumericError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
@@ -406,6 +406,33 @@ def test_selftest_subset(tmp_path):
     assert res.status == 0
     assert len(res.payload["criteria"]) == 2
     assert all(c["passed"] for c in res.payload["criteria"])
+
+
+def test_selftest_results_reproduce_and_seconds_live_under_meta(tmp_path):
+    runs = []
+    for name in ("a", "b"):
+        res = run({"subcommand": "selftest", "criteria": ["1", "6"]}, out_dir=str(tmp_path / name))
+        assert res.status == 0
+        runs.append(json.loads((tmp_path / name / "run.json").read_text()))
+    assert runs[0]["results"] == runs[1]["results"]
+    for data in runs:
+        names = [c["name"] for c in data["results"]["criteria"]]
+        assert len(names) == 2
+        seconds = data["meta"]["criterion_seconds"]
+        assert list(seconds) == names and all(s > 0 for s in seconds.values())
+
+
+def test_selftest_rejects_unknown_criteria_before_running_any(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    assert main(["selftest", "--criteria", "15", "foo", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'15'" in err and "'foo'" in err
+    assert not (out / "run.json").exists()
+    ran = []
+    monkeypatch.setattr(acceptance, "run_criterion", lambda fn, verbose=True: ran.append(fn))
+    with pytest.raises(ArgumentError, match="'foo'") as info:
+        run({"subcommand": "selftest", "criteria": ["1", "foo"]}, out_dir=str(out))
+    assert "'1'" not in str(info.value) and ran == []
 
 
 def test_cli_exit_codes(tmp_path):
