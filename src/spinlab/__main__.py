@@ -113,7 +113,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except (
+        FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError, PermissionError
+    ) as exc:  # a path given for the config, --out or a tree file that cannot be used
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     for path in result.artifacts:

@@ -33,7 +33,6 @@ from .optimizers import (
     AmpSpec,
     amp,
     extend_to_sphere,
-    gradient_ascent,
     round_to_corners,
     state_evolution,
     subag_ascent,
@@ -55,6 +54,7 @@ from .parisi import (
 )
 from .parisi.interpolation import kappa_zeta_profile
 from .points import norm_n_sq, overlap, sphere_point
+from .runner import point_algorithm
 from .ultrametric import (
     DatedRootedTree,
     branching_depth,
@@ -72,9 +72,11 @@ class CriterionResult:
     seconds: float = 0.0
 
 
-def _random_shape_ladders(gen, max_depth=3, max_k=3):
-    depth = int(gen.integers(1, max_depth + 1))
-    ks = tuple(int(gen.integers(1, max_k + 1)) for _ in range(depth))
+def _random_shape_ladders(gen):
+    """A random tree shape of depth 1..3 with 1..3 children per level, and
+    random ladders of that depth."""
+    depth = int(gen.integers(1, 4))
+    ks = tuple(int(gen.integers(1, 4)) for _ in range(depth))
     ps = np.sort(gen.uniform(0.0, 1.0, depth - 1))
     pladder = CorrelationLadder((0.0, *ps, 1.0))
     qs = np.sort(gen.uniform(0.0, 0.95, depth))
@@ -108,9 +110,11 @@ def criterion_1_correlation_structure() -> CriterionResult:
     )
 
 
-def criterion_2_covariance_law(samples: int = 10_000) -> CriterionResult:
-    """Empirical E[H(s1) H(s2)] within 5 SE of N xi(R) at N=16, p in {2, 4}."""
+def criterion_2_covariance_law() -> CriterionResult:
+    """Empirical E[H(s1) H(s2)] within 5 SE of N xi(R) at N=16, p in {2, 4},
+    over 10 000 disorder samples."""
     n = 16
+    samples = 10_000
     m = Mixture({2: 1.0, 4: 1.0})
     gen = rng.stream(2, "acc-cov")
     pairs = []
@@ -445,18 +449,13 @@ def criterion_10_amp_state_evolution() -> CriterionResult:
 
 def criterion_11_concentration_trend() -> CriterionResult:
     m2 = pure(2)
-
-    def ga(h, seed):
-        start = sphere_point(rng.stream(seed, "ga-x0").standard_normal(h.n)) * 0.5
-        return gradient_ascent(h, start, steps=10, lr=0.05).final
-
+    ga = point_algorithm({"name": "gradient_ascent"})  # 10 steps at lr 0.05 from a 0.5-scaled start
+    const = point_algorithm({"name": "constant", "value": 0.6})
     sds = []
     for n in (32, 64, 128):
         rep = overlap_concentration(ga, m2, n, p=0.5, reps=30, lam=0.2, seed=11)
         sds.append(rep.sd)
-    const_rep = overlap_concentration(
-        lambda h, seed: np.full(h.n, 0.6), m2, 32, p=0.5, reps=30, lam=0.2, seed=12
-    )
+    const_rep = overlap_concentration(const, m2, 32, p=0.5, reps=30, lam=0.2, seed=12)
     passed = sds[0] > sds[1] > sds[2] and const_rep.sd == 0.0
     return CriterionResult(
         "11 overlap concentration trend",
@@ -468,11 +467,7 @@ def criterion_11_concentration_trend() -> CriterionResult:
 def criterion_12_chi_properties() -> CriterionResult:
     m2 = pure(2)
     n = 48
-    scale = 0.8
-
-    def linear_alg(h, seed):
-        return scale * h.coefficients[:n]
-
+    linear_alg = point_algorithm({"name": "coef_linear"})  # 0.8 times the first n disorder entries
     est = estimate_chi(linear_alg, m2, n, (0.0, 0.25, 0.5, 0.75, 1.0), reps=60, seed=13)
     chi1 = est.at(1.0)
     lin_ok = True
@@ -663,18 +658,17 @@ CRITERIA = [
 ]
 
 
-def run_criterion(fn, verbose=True) -> CriterionResult:
+def run_criterion(fn) -> CriterionResult:
     """Run one criterion, set its wall time and print its pass/fail line."""
     t0 = time.perf_counter()
     res = fn()
     res.seconds = time.perf_counter() - t0
-    if verbose:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.detail}", flush=True)
+    status = "PASS" if res.passed else "FAIL"
+    print(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.detail}", flush=True)
     return res
 
 
-def run_all(names=None, verbose=True) -> list:
+def run_all(names=None) -> list:
     """Run the criteria whose number or label is in `names` (all when empty);
     a name that matches no criterion raises ArgumentError before any runs."""
     labels = {fn: fn.__name__.removeprefix("criterion_") for fn in CRITERIA}
@@ -686,4 +680,4 @@ def run_all(names=None, verbose=True) -> list:
             f"unknown criteria {unmatched} (give a number 1..{len(CRITERIA)} or a full label)"
         )
     chosen = [fn for fn in CRITERIA if not names or any(n in keys[fn] for n in names)]
-    return [run_criterion(fn, verbose) for fn in chosen]
+    return [run_criterion(fn) for fn in chosen]

@@ -284,12 +284,13 @@ def kappa_level(shape: TreeShape, pladder: CorrelationLadder, d: int) -> float:
     return total
 
 
-def chi_align(chi, qladder: OverlapLadder, tol: float = 1e-12) -> CorrelationLadder:
+def chi_align(chi, qladder: OverlapLadder) -> CorrelationLadder:
     """Correlation ladder with chi(p_d) = q_d where q_d <= chi(1), else p_d = 1.
 
     chi must be a correlation function: values in [0, 1], nondecreasing.
     Constant chi gets p_d = 1 for every d >= 1.
     """
+    tol = 1e-12  # bisection bracket, and the slack at chi(0) and chi(1)
     grid = np.linspace(0.0, 1.0, 257)
     vals = np.array([chi(g) for g in grid])
     if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
@@ -345,12 +346,12 @@ def constrained_membership(
     m_anchor,
     eta: float,
     domain: str = "sphere",
-    domain_tol: float = 1e-9,
 ) -> MembershipReport:
     """Membership in the overlap-constrained set: domain per point, band
     |R(sigma, m) - q_0| <= eta with q_0 = |m|_N^2, and |R - Q|_inf <= eta.
 
-    domain "sphere" checks |s|_N = 1; "cube" checks s in {-1, 1}^N.
+    domain "sphere" checks |s|_N = 1; "cube" checks s in {-1, 1}^N; both
+    to 1e-9.
     """
     if domain not in ("sphere", "cube"):
         raise ArgumentError(f"unknown domain {domain!r}")
@@ -373,9 +374,9 @@ def constrained_membership(
 
     for i, s in enumerate(sigmas):
         if domain == "sphere":
-            track(abs(norm_n_sq(s) - 1.0), domain_tol, f"sphere norm of point {i}")
+            track(abs(norm_n_sq(s) - 1.0), 1e-9, f"sphere norm of point {i}")
         else:
-            track(float(np.max(np.abs(np.abs(s) - 1.0))), domain_tol, f"cube corners of point {i}")
+            track(float(np.max(np.abs(np.abs(s) - 1.0))), 1e-9, f"cube corners of point {i}")
         if m_anchor.size:
             track(abs(overlap(s, m_anchor) - q0), eta, f"band of point {i}")
     for i in range(k):

@@ -154,11 +154,9 @@ def sample_hamiltonians(
     return [Hamiltonian(m, n, {p: next(tensors) for p in m.ps}, seed=seed) for seed in seeds]
 
 
-def sample_hamiltonian(
-    m: Mixture, n: int, seed: int, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES
-) -> Hamiltonian:
+def sample_hamiltonian(m: Mixture, n: int, seed: int) -> Hamiltonian:
     """Deterministic disorder sample; bit-identical for equal (m, n, seed)."""
-    return sample_hamiltonians(m, n, [seed], max_entries)[0]
+    return sample_hamiltonians(m, n, [seed])[0]
 
 
 def _as_vector(h: Hamiltonian, v, what: str = "point") -> np.ndarray:
@@ -306,10 +304,13 @@ def gradient(h: Hamiltonian, x) -> np.ndarray:
     return derivatives(h, x, 1)[1]
 
 
-def hessian(h: Hamiltonian, x, dense_cap: int = DEFAULT_DENSE_HESSIAN_CAP) -> np.ndarray:
-    """Dense symmetric Hessian of the energy; refuses n above dense_cap."""
-    if h.n > dense_cap:
-        raise ResourceError(f"dense Hessian refused for n={h.n} > cap {dense_cap}")
+def hessian(h: Hamiltonian, x) -> np.ndarray:
+    """Dense symmetric Hessian of the energy; refuses n above
+    DEFAULT_DENSE_HESSIAN_CAP."""
+    if h.n > DEFAULT_DENSE_HESSIAN_CAP:
+        raise ResourceError(
+            f"dense Hessian refused for n={h.n} > cap {DEFAULT_DENSE_HESSIAN_CAP}"
+        )
     return derivatives(h, x, 2)[2]
 
 
@@ -366,7 +367,7 @@ def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
     return out
 
 
-def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter: int = 10_000):
+def restricted_top_eigvec(h: Hamiltonian, x, basis):
     """Top eigenpair of the Hessian restricted (as a bilinear form) to span(basis).
 
     basis: array (k, n) of Euclidean-orthonormal rows.  Returns the l2-unit
@@ -378,7 +379,7 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter:
         raise ArgumentError(f"basis has shape {basis.shape}, want (k, {h.n}) with k >= 1")
     k = basis.shape[0]
     gram = basis @ basis.T
-    if np.max(np.abs(gram - np.eye(k))) > tol:
+    if np.max(np.abs(gram - np.eye(k))) > 1e-10:
         raise ArgumentError("basis is not orthonormal within 1e-10")
 
     images = np.stack([hessian_apply(h, x, b) for b in basis])
@@ -392,7 +393,7 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis, tol: float = 1e-10, maxiter:
         op = LinearOperator((k, k), matvec=lambda c: small @ c)
         v0 = rng.stream(0, "rtev", k).standard_normal(k)
         try:
-            vals, vecs = eigsh(op, k=1, which="LA", v0=v0, maxiter=maxiter)
+            vals, vecs = eigsh(op, k=1, which="LA", v0=v0, maxiter=10_000)
         except Exception as exc:  # pragma: no cover - ARPACK failure path
             raise NumericError(f"restricted eigensolve did not converge: {exc}") from exc
         lam, coef = float(vals[0]), vecs[:, 0]

@@ -137,7 +137,9 @@ def overlap_concentration(
     return ConcentrationReport(mean, sd, hits / reps, wilson_interval(hits, reps), lam, reps)
 
 
-def wilson_interval(hits: int, total: int, z: float = 1.96) -> tuple:
+def wilson_interval(hits: int, total: int) -> tuple:
+    """The 95 % Wilson score interval for hits / total."""
+    z = 1.96
     if total == 0:
         return (0.0, 1.0)
     phat = hits / total
@@ -249,12 +251,12 @@ def constrained_grand_max(
     restarts: int,
     seed: int,
     steps: int = 120,
-    lr: float = 0.05,
 ) -> GrandMaxReport:
     """Heuristic primal lower bound on the constrained grand maximum:
-    penalized projected gradient ascent over K sphere points, quadratic
-    penalties on overlap deviations and the anchor band, penalty weight
-    starting at 10 and doubling on infeasibility (up to 10 escalations)."""
+    penalized projected gradient ascent (step 0.05) over K sphere points,
+    quadratic penalties on overlap deviations and the anchor band, penalty
+    weight starting at 10 and doubling on infeasibility (up to 10
+    escalations)."""
     leaves = ensemble.leaves()
     k = len(leaves)
     n = ensemble.n
@@ -285,7 +287,7 @@ def constrained_grand_max(
                     if excess > 0:
                         pen_grad += 2 * excess * np.sign(dev) * m_anchor / n
                 step_vec = g - penalty * pen_grad
-                new.append(sphere_point(sigmas[i] + lr * n * step_vec))
+                new.append(sphere_point(sigmas[i] + 0.05 * n * step_vec))
             sigmas = new
         return sigmas
 

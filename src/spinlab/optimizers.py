@@ -42,7 +42,6 @@ from .points import (
     orthonormal_rows,
     overlap,
     project_ball,
-    project_cube,
     sign_toward,
 )
 
@@ -93,34 +92,12 @@ def _jsonable(obj):
     return obj
 
 
-def _project(x, domain):
-    kind, r = domain
-    if kind == "ball":
-        return project_ball(x, r)
-    if kind == "cube":
-        return project_cube(x, r)
-    raise ArgumentError(f"unknown domain {kind!r}")
-
-
-def _in_domain(x, domain, tol=1e-9):
-    kind, r = domain
-    if kind == "ball":
-        return norm_n_sq(x) <= r * r + tol
-    return bool(np.all(np.abs(x) <= r + tol))
-
-
-def gradient_ascent(
-    h: Hamiltonian,
-    x0,
-    steps: int,
-    lr,
-    domain=("ball", 1.0),
-) -> Trajectory:
-    """x <- Pi_domain(x + lr_k grad H(x)).  Energies may decrease through the
+def gradient_ascent(h: Hamiltonian, x0, steps: int, lr) -> Trajectory:
+    """x <- Pi_{B_N}(x + lr_k grad H(x)).  Energies may decrease through the
     projection; nothing is asserted about monotonicity."""
     x = np.asarray(x0, dtype=float)
-    if not _in_domain(x, domain):
-        raise ArgumentError("x0 outside the declared domain")
+    if norm_n_sq(x) > 1.0 + 1e-9:
+        raise ArgumentError("x0 outside B_N")
     lrs = [float(lr)] * steps if np.isscalar(lr) else [float(v) for v in lr]
     if len(lrs) < steps:
         raise ArgumentError("learning-rate sequence shorter than steps")
@@ -129,10 +106,10 @@ def gradient_ascent(
     for k in range(steps):
         e, grad = derivatives(h, x, 1)
         energies.append(e)
-        x = _project(x + lrs[k] * grad, domain)
+        x = project_ball(x + lrs[k] * grad, 1.0)
         iterates.append(x)
     energies.append(energy(h, x))
-    return Trajectory(iterates, energies, "gradient_ascent", {"steps": steps, "domain": domain})
+    return Trajectory(iterates, energies, "gradient_ascent", {"steps": steps, "domain": ("ball", 1.0)})
 
 
 # -- AMP -------------------------------------------------------------------------
@@ -141,13 +118,11 @@ def gradient_ascent(
 @dataclass
 class AmpSpec:
     """Entrywise nonlinearities f_t(x^0..x^t) with recorded Lipschitz
-    constants, the horizon, and the i.i.d. initial law of x^0."""
+    constants, and the horizon; x^0 is the all-ones vector."""
 
     fs: list
     lipschitz: list
     horizon: int
-    x0_law: tuple = ("constant", 1.0)
-    se_samples: int = 100_000
     _se_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -165,26 +140,16 @@ class AmpSpec:
                     f"f_{t} violated its recorded Lipschitz constant: probe ratio {ratio:.3g} > {lip}"
                 )
 
-    def sample_x0(self, gen, size):
-        kind, par = self.x0_law
-        if kind == "constant":
-            return np.full(size, float(par))
-        if kind == "pm":
-            return np.where(gen.random(size) < 0.5, -float(par), float(par))
-        raise ArgumentError(f"unknown initial law {kind!r}")
 
-
-def state_evolution(spec: AmpSpec, m: Mixture, seed: int = 0):
+def state_evolution(spec: AmpSpec, m: Mixture):
     """State-evolution covariance Q with Q[t-1, s-1] = Q_{t,s} =
     xi'(E[f_{t-1} f_{s-1}]) for the Gaussian iterates (X^1..X^T), by Monte
-    Carlo on cached samples shared with the Onsager expectations."""
-    key = (m, seed)
-    if key not in spec._se_cache:
+    Carlo on 100 000 cached samples shared with the Onsager expectations."""
+    if m not in spec._se_cache:
         T = spec.horizon
-        n = spec.se_samples
-        gen = rng.stream(seed, "amp-se")
-        zmat = gen.standard_normal((max(T, 1), n))
-        xs = [spec.sample_x0(gen, n)]
+        n = 100_000
+        zmat = rng.stream(0, "amp-se").standard_normal((max(T, 1), n))
+        xs = [np.full(n, 1.0)]
         cov = np.zeros((T, T))
         for t in range(T):
             f_t = np.asarray(spec.fs[t](*xs[: t + 1]))
@@ -194,13 +159,13 @@ def state_evolution(spec: AmpSpec, m: Mixture, seed: int = 0):
                 cov[t, s] = cov[s, t] = xi_eval(m, c, 1)
             chol = np.linalg.cholesky(cov[: t + 1, : t + 1] + 1e-12 * np.eye(t + 1))
             xs.append(chol[t, : t + 1] @ zmat[: t + 1])
-        spec._se_cache[key] = (cov, xs)
-    return spec._se_cache[key]
+        spec._se_cache[m] = (cov, xs)
+    return spec._se_cache[m]
 
 
-def _onsager_derivatives(spec: AmpSpec, m: Mixture, t: int, seed: int = 0):
+def _onsager_derivatives(spec: AmpSpec, m: Mixture, t: int):
     """E[d f_t / d X^s] for s = 1..t, central differences on cached samples."""
-    _q, xs = state_evolution(spec, m, seed)
+    _q, xs = state_evolution(spec, m)
     out = np.zeros(t + 1)
     eps = 1e-4
     for s in range(1, t + 1):
@@ -221,10 +186,9 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
     energies are of the iterate projected onto B_N, and per-iteration
     empirical overlaps land in params["overlaps"].
     """
-    gen = rng.stream(seed, "amp-x0")
     field_free = Mixture(dict(h.mixture.gammas), h=0.0)
     h_tilde = Hamiltonian(field_free, h.n, h.tensors, seed=h.seed, label="field-free view")
-    x = spec.sample_x0(gen, h.n)
+    x = np.full(h.n, 1.0)
     iterates = [x]
     energies = [energy(h, project_ball(x, 1.0))]
     overlaps = []
@@ -232,7 +196,7 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
         fcur = np.asarray(spec.fs[t](*iterates[: t + 1]), dtype=float)
         onsager = np.zeros(h.n)
         if t >= 1:
-            derivs = _onsager_derivatives(spec, h.mixture, t, seed=0)
+            derivs = _onsager_derivatives(spec, h.mixture, t)
             for s in range(1, t + 1):
                 fprev = np.asarray(spec.fs[s - 1](*iterates[:s]), dtype=float)
                 r_emp = float(np.clip(overlap(fcur, fprev), -1.0, 2.0))
@@ -283,13 +247,10 @@ def subag_step(
     return e, sign_toward(v, grad)
 
 
-def subag_ascent(
-    h: Hamiltonian, delta: float, mode: str = "top_eig", seed: int = 0, x1=None
-) -> Trajectory:
+def subag_ascent(h: Hamiltonian, delta: float, mode: str = "top_eig", seed: int = 0) -> Trajectory:
     """Radial exploration x^{i+1} = x^i + v^i sqrt(delta N); |x^i|_N^2 = i delta
-    exactly, landing on the sphere after 1/delta steps.  The default starting
-    point is the delta-scaled top direction at the origin; any x1 with
-    |x1|_N^2 = delta may be supplied instead."""
+    exactly, landing on the sphere after 1/delta steps.  The starting point
+    x^1 is the delta-scaled top direction at the origin."""
     if mode not in ("top_eig", "random_subspace"):
         raise ArgumentError(f"unknown subag mode {mode!r}")
     steps = 1.0 / delta
@@ -299,12 +260,7 @@ def subag_ascent(
     if delta * h.n < 2:
         raise ArgumentError(f"delta N = {delta * h.n} too small")
     scale = math.sqrt(delta * h.n)
-    if x1 is not None:
-        x = np.asarray(x1, dtype=float)
-        if abs(norm_n_sq(x) - delta) > 1e-9:
-            raise ArgumentError(f"|x1|_N^2 = {norm_n_sq(x):.6g} must equal delta = {delta}")
-    else:
-        x = scale * subag_step(h, np.zeros(h.n), mode, delta, rng.derive_seed(seed, "step", 0))[1]
+    x = scale * subag_step(h, np.zeros(h.n), mode, delta, rng.derive_seed(seed, "step", 0))[1]
     iterates = [x]
     energies = []
     v = x  # the first direction lies along x, so step 1 starts Lanczos cold
@@ -327,20 +283,17 @@ def langevin(
     dt: float,
     r: float = 1.0,
     seed: int = 0,
-    domain_kind: str = "ball",
     noise_scale: float = 1.0,
-    x0=None,
 ) -> Trajectory:
-    """Euler-Maruyama for dX = (beta/2) grad H dt + dB with per-step projection
-    onto rB_N (or rC_N) as the reflection surrogate; the final point is
-    projected onto B_N (C_N).  Boundary hits are counted in params.  With
+    """Euler-Maruyama for dX = (beta/2) grad H dt + dB from the origin, with
+    per-step projection onto rB_N as the reflection surrogate; the final
+    point is projected onto B_N.  Boundary hits are counted in params.  With
     noise_scale = 0 the map equals gradient ascent at lr = 0.5 * beta * dt."""
     if dt > 1e-2 + 1e-15:
         raise ArgumentError(f"dt={dt} too large (need <= 1e-2)")
     if not (1.0 <= r < math.sqrt(2.0)):
         raise ArgumentError(f"radius r={r} must lie in [1, sqrt(2))")
-    domain = (domain_kind, r)
-    x = np.zeros(h.n) if x0 is None else np.asarray(x0, dtype=float)
+    x = np.zeros(h.n)
     gen = rng.stream(seed, "langevin")
     steps = int(round(horizon / dt))
     lr_eq = 0.5 * beta * dt
@@ -353,14 +306,14 @@ def langevin(
         proposal = x + lr_eq * grad
         if noise_scale != 0.0:
             proposal = proposal + noise_scale * math.sqrt(dt) * gen.standard_normal(h.n)
-        x = _project(proposal, domain)
+        x = project_ball(proposal, r)
         if x is not proposal and not np.array_equal(x, proposal):
             hits += 1
         iterates.append(x)
     energies.append(energy(h, x))
     if not np.all(np.isfinite(energies)):
         raise NumericError("Langevin energy diverged; reduce dt")
-    final = _project(x, ("ball", 1.0) if domain_kind == "ball" else ("cube", 1.0))
+    final = project_ball(x, 1.0)
     if not np.array_equal(final, x):
         iterates.append(final)
         energies.append(energy(h, final))
@@ -391,19 +344,17 @@ def extend_to_sphere(
     eta: float,
     seed: int = 0,
     mode: str = "sphere",
-    m_anchor=None,
-    ising_stop_gap: float | None = None,
 ) -> ExtensionReport:
     """Grow each underline-leaf point into its subtree of full leaves with the
     prescribed overlap ladder.
 
-    Every increment is orthogonal to all contemporaneous iterates and to the
-    anchor, so cross overlaps are frozen and within-tree overlaps hit
-    q_{lca depth} exactly (spherical mode).  Ising mode walks along
-    nonnegative-curvature Hessian directions among non-saturated coordinates
-    when available (random coordinate directions otherwise, counted as
-    fallbacks), stops at 1 - gap, then rounds coordinates independently with
-    the mean preserved.
+    Every increment is orthogonal to all contemporaneous iterates, so cross
+    overlaps are frozen and within-tree overlaps hit q_{lca depth} exactly
+    (spherical mode).  Ising mode walks along nonnegative-curvature Hessian
+    directions among non-saturated coordinates when available (random
+    coordinate directions otherwise, counted as fallbacks), stops at
+    1 - min(eta / 2, 0.05), then rounds coordinates independently with the
+    mean preserved.
     """
     if mode not in ("sphere", "ising"):
         raise ArgumentError(f"unknown extension mode {mode!r}")
@@ -413,11 +364,8 @@ def extend_to_sphere(
     qs = qladder.qs
     n = ensemble.n
     gen = rng.stream(seed, "extend", mode)
-    gap = 0.0
-    if mode == "ising":
-        gap = min(eta / 2, 0.05) if ising_stop_gap is None else ising_stop_gap
+    gap = min(eta / 2, 0.05) if mode == "ising" else 0.0
 
-    anchors = [] if m_anchor is None else [np.asarray(m_anchor, dtype=float)]
     active = {}
     for u_ul, x in partial.items():
         x = np.asarray(x, dtype=float)
@@ -427,7 +375,7 @@ def extend_to_sphere(
     fallbacks = 0
 
     def constraints_for(node):
-        return [p for nd, p in active.items() if nd != node] + anchors
+        return [p for nd, p in active.items() if nd != node]
 
     def grow_sphere(node, x, q_target):
         if norm_n_sq(x) >= q_target - 1e-12:
@@ -473,7 +421,7 @@ def extend_to_sphere(
 
     grow = grow_sphere if mode == "sphere" else grow_ising
     for d in range(d_ul, shape.depth + 1):
-        q_target = qs[d] - (gap if mode == "ising" and d == shape.depth else 0.0)
+        q_target = qs[d] - (gap if d == shape.depth else 0.0)
         for node in sorted(active):
             active[node] = grow(node, active[node], q_target)
         if d < shape.depth:

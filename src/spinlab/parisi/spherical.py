@@ -52,12 +52,13 @@ def parisi_sp(B: float, zeta: PiecewiseZeta, m: Mixture) -> float:
     return 0.5 * total
 
 
-def alg_sp(m: Mixture, tol: float = 1e-12, max_iter: int = 200):
+def alg_sp(m: Mixture):
     """Algorithmic threshold: (value, regime tag, q_hat).
 
     Replica-symmetric branch when h^2 + xi'(1) >= xi''(1); otherwise q_hat
     solves h^2 + xi'(q) = q xi''(q) (bisection; the difference is strictly
-    increasing in this branch) and the value is
+    increasing in this branch, run to a bracket of 1e-12 or 200 halvings)
+    and the value is
     q_hat sqrt(xi''(q_hat)) + integral_{q_hat}^1 sqrt(xi''(q)) dq.
     """
     h2 = m.h**2
@@ -68,8 +69,8 @@ def alg_sp(m: Mixture, tol: float = 1e-12, max_iter: int = 200):
         return q * xi_eval(m, q, 2) - xi_eval(m, q, 1) - h2
 
     lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    for _ in range(200):
+        if hi - lo <= 1e-12:
             break
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
@@ -82,15 +83,11 @@ def alg_sp(m: Mixture, tol: float = 1e-12, max_iter: int = 200):
     return value, "rsb", q_hat
 
 
-def opt_sp_numeric(
-    m: Mixture,
-    grid: int = 200,
-    max_iter: int = 4000,
-    tol: float = 1e-12,
-) -> float:
+def opt_sp_numeric(m: Mixture, grid: int = 200) -> float:
     """Minimize (h^2/B(0) + sum (xi''/B + B)/G) / 2 over positive nondecreasing
     slope profiles B on a midpoint grid, by projected gradient descent with an
-    isotonic projection after each step.  Deterministic given the fixed
+    isotonic projection after each step, for at most 4000 steps and until an
+    accepted step improves by less than 1e-12.  Deterministic given the fixed
     initialization B = sqrt(max(xi''(1), h^2 + xi'(1)))."""
     if grid < 16:
         raise ArgumentError(f"grid={grid} must be >= 16")
@@ -110,7 +107,7 @@ def opt_sp_numeric(
     b = np.full(grid, math.sqrt(max(xi_eval(m, 1.0, 2), h2 + xi_eval(m, 1.0, 1))))
     best = objective(b)
     lr = 1.0
-    for _ in range(max_iter):
+    for _ in range(4000):
         step = b - lr * grad(b)
         step = np.maximum(isotonic_regression(step, increasing=True).x, floor)
         val = objective(step)
@@ -118,7 +115,7 @@ def opt_sp_numeric(
             improvement = best - val
             b, best = step, val
             lr = min(lr * 1.3, 1e3)
-            if improvement < tol:
+            if improvement < 1e-12:
                 break
         else:
             lr *= 0.5

@@ -82,9 +82,6 @@ class PiecewiseZeta:
             if b > a
         ]
 
-    def scale(self, c: float) -> "PiecewiseZeta":
-        return PiecewiseZeta(self.breaks, tuple(c * v for v in self.values))
-
     def integral_xi2(self, m: Mixture, lo: float = 0.0, hi: float = 1.0) -> float:
         """Exact integral of xi''(t) zeta(t) over [lo, hi]."""
         total = 0.0
@@ -93,10 +90,11 @@ class PiecewiseZeta:
                 total += v * (xi_eval(m, b, 1) - xi_eval(m, a, 1))
         return total
 
-    def integral_t_xi2(self, m: Mixture, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Exact integral of t xi''(t) zeta(t), antiderivative t xi'(t) - xi(t)."""
+    def integral_t_xi2(self, m: Mixture) -> float:
+        """Exact integral of t xi''(t) zeta(t) over [0, 1], antiderivative
+        t xi'(t) - xi(t)."""
         total = 0.0
-        for a, b, v in self.segments(lo, hi):
+        for a, b, v in self.segments():
             if v != 0.0:
                 total += v * (
                     (b * xi_eval(m, b, 1) - xi_eval(m, b, 0))

@@ -41,11 +41,6 @@ def project_ball(x, r: float = 1.0) -> np.ndarray:
     return x * (r / nn)
 
 
-def project_cube(x, r: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto rC_N = [-r, r]^N."""
-    return np.clip(np.asarray(x, dtype=float), -r, r)
-
-
 def orthonormal_rows(vectors, n: int) -> np.ndarray:
     """Modified Gram-Schmidt: orthonormal rows (k, n) spanning `vectors`; a
     vector whose residual norm is not above 1e-10 is dropped as dependent."""

@@ -6,12 +6,14 @@ embed, pde, selftest.  Each handler returns its results and CSV artifacts;
 `run` alone writes run.json.  Re-running a config byte-reproduces every
 numeric payload; timings and timestamps (among them selftest's per-criterion
 seconds) live only under the "meta" key.  A selftest criterion name that
-matches no criterion exits 2 before any criterion runs.
+matches no criterion exits 2 before any criterion runs.  A run that raises
+removes the output directories it made, so a refused run leaves none.
 """
 
 import json
 import math
 import os
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -310,7 +312,7 @@ def build_algorithm(spec: dict):
     return ALGORITHMS[name](spec)
 
 
-def _point_algorithm(spec: dict):
+def point_algorithm(spec: dict):
     """(h, seed) -> final iterate, the form the overlap experiments take."""
     traj = build_algorithm(spec)
     return lambda h, seed: traj(h, seed).final
@@ -336,13 +338,21 @@ def validate_config(config: dict):
         raise ArgumentError(f"config field {path}: {err.message}")
 
 
+def _outermost_missing(path):
+    """The outermost directory on the way to `path` that does not exist yet
+    (path itself included), or None when path exists."""
+    path, missing = os.path.abspath(path), None
+    while not os.path.lexists(path):
+        path, missing = os.path.dirname(path), path
+    return missing
+
+
 def run(config: dict, out_dir=None) -> RunResult:
     """Dispatch a validated config and write its run.json; returns the exit
     status, the payload and the artifacts, run.json last."""
     validate_config(config)
     sub = config["subcommand"]
     out = out_dir or config.get("out") or f"runs/{sub}"
-    os.makedirs(out, exist_ok=True)
     handler = {
         "thresholds": _run_thresholds,
         "optimize": _run_optimize,
@@ -354,9 +364,16 @@ def run(config: dict, out_dir=None) -> RunResult:
         "pde": _run_pde,
         "selftest": _run_selftest,
     }[sub]
-    result = handler(config, out)
-    path = os.path.join(out, "run.json")
-    write_run_json(path, config, result.payload, result.meta)
+    made = _outermost_missing(out)
+    os.makedirs(out, exist_ok=True)
+    try:
+        result = handler(config, out)
+        path = os.path.join(out, "run.json")
+        write_run_json(path, config, result.payload, result.meta)
+    except Exception:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     result.artifacts.append(path)
     return result
 
@@ -412,7 +429,7 @@ def _run_optimize(config, out):
 def _run_chi(config, out):
     m = parse_mixture(config.get("mixture", "p2"))
     n = int(config.get("n", 48))
-    alg = _point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
+    alg = point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
     p_grid = tuple(config.get("p_grid", (0.0, 0.25, 0.5, 0.75, 1.0)))
     est = estimate_chi(
         alg, m, n, p_grid, int(config.get("reps", 20)), int(config.get("seed", 0)),
@@ -433,7 +450,7 @@ def _run_chi(config, out):
 
 def _run_concentration(config, out):
     m = parse_mixture(config.get("mixture", "p2"))
-    alg = _point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
+    alg = point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
     n, seed = int(config.get("n", 48)), int(config.get("seed", 0))
     rep = overlap_concentration(
         alg,
@@ -476,7 +493,7 @@ def _run_branching(config, out):
     m = parse_mixture(config.get("mixture", "p2"))
     n = int(config.get("n", 64))
     shape, pladder, qladder = _parse_ladders(config, m)
-    alg = _point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
+    alg = point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
     reports = run_branching_experiment(
         alg,
         m,
@@ -605,7 +622,7 @@ def _run_pde(config, out):
 def _run_selftest(config, out):
     from .acceptance import run_all
 
-    results = run_all(names=config.get("criteria"), verbose=True)
+    results = run_all(names=config.get("criteria"))
     payload = {
         "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         "all_passed": all(r.passed for r in results),

@@ -104,12 +104,13 @@ class DatedRootedTree:
         return DatedRootedTree(parents, heights, self.root)
 
 
-def star_tree(k: int, a=0.0, b=1.0) -> DatedRootedTree:
+def star_tree(k: int) -> DatedRootedTree:
+    """Root "r" at height 0 with k leaves "l0".."l{k-1}" at height 1."""
     parents = {"r": None}
-    heights = {"r": a}
+    heights = {"r": 0.0}
     for i in range(k):
         parents[f"l{i}"] = "r"
-        heights[f"l{i}"] = b
+        heights[f"l{i}"] = 1.0
     return DatedRootedTree(parents, heights)
 
 

@@ -429,7 +429,7 @@ def test_selftest_rejects_unknown_criteria_before_running_any(tmp_path, capsys, 
     assert "'15'" in err and "'foo'" in err
     assert not (out / "run.json").exists()
     ran = []
-    monkeypatch.setattr(acceptance, "run_criterion", lambda fn, verbose=True: ran.append(fn))
+    monkeypatch.setattr(acceptance, "run_criterion", lambda fn: ran.append(fn))
     with pytest.raises(ArgumentError, match="'foo'") as info:
         run({"subcommand": "selftest", "criteria": ["1", "foo"]}, out_dir=str(out))
     assert "'1'" not in str(info.value) and ran == []
@@ -454,6 +454,37 @@ def test_cli_unreadable_config_exits_2(tmp_path, capsys, kind):
         path.mkdir()
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith("usage error: config")
+
+
+@pytest.mark.parametrize("case", ("out_is_a_file", "out_under_a_file", "tree_is_a_directory", "out_refused"))
+def test_cli_unusable_paths_exit_2(tmp_path, capsys, monkeypatch, case):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = {"out_is_a_file": taken, "out_under_a_file": taken / "sub"}.get(case, tmp_path / "o")
+    argv = ["thresholds", "--mixture", "p2", "--out", str(out)]
+    if case == "tree_is_a_directory":
+        argv = ["embed", "--mixture", "p2", "--n", "16", "--set", f"tree={tmp_path}", "--out", str(out)]
+    if case == "out_refused":
+        def refuse(path, exist_ok=False):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(runner.os, "makedirs", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert taken.is_file() and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", (["optimize", "--mixture", "p2", "--alg", "nope"], ["selftest", "--criteria", "15", "foo"])
+)
+def test_refused_run_leaves_no_output_directory(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "d")]) == 2
+    assert main(argv + ["--out", str(tmp_path / "e" / "a" / "b")]) == 2
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(argv + ["--out", str(kept)]) == 2
+    assert kept.is_dir()
 
 
 @pytest.mark.parametrize("flags", (["--seeds", "0"], ["--seeds", "-2"], ["--set", "seeds=[]"]))

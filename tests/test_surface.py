@@ -9,6 +9,10 @@ and assigned constant whose name begins with one underscore: a helper or a
 constant that only the tests read is dead code. The perfbench tracer
 resolves its targets from strings, so string constants there count as
 references too, split at dots. An assignment is not a reference.
+
+Every defaulted parameter of a def under `src/spinlab` is passed by some
+call in `src`, `tests`, `demos` or `perfbench`, by keyword or by position,
+to a callee of that name: a parameter that no call sets is a constant.
 """
 
 import ast
@@ -116,3 +120,60 @@ def unused_imports() -> dict:
 def test_no_unused_imports():
     unused = unused_imports()
     assert not unused, f"imported but never referenced: {unused}"
+
+
+def defaulted_parameters() -> dict:
+    """(function name, parameter, position in a call) -> the module defining
+    it, for every parameter with a default of every def (functions and
+    methods) under src/spinlab.  A method's call positions start after
+    `self`/`cls`; a keyword-only parameter has none."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = _parse(path)
+        methods = {
+            fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], start=first - (fn in methods)):
+                out[(fn.name, arg.arg, i)] = str(path.relative_to(ROOT))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    out[(fn.name, arg.arg, None)] = str(path.relative_to(ROOT))
+    return out
+
+
+def passed_parameters() -> set:
+    """(callee name, keyword) and (callee name, position) for every call in
+    src, tests, demos and perfbench; a call spreading *args or **kw passes
+    everything, recorded as (callee name, "*")."""
+    files = sorted(SRC.rglob("*.py"))
+    for folder in ("tests", "demos", "perfbench"):
+        files += sorted((ROOT / folder).rglob("*.py"))
+    seen = set()
+    for path in files:
+        for call in ast.walk(_parse(path)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                seen.add((name, "*"))
+                continue
+            seen.update((name, i) for i in range(len(call.args)))
+            seen.update((name, k.arg) for k in call.keywords)
+    return seen
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A defaulted parameter that no call sets is a constant in disguise."""
+    seen = passed_parameters()
+    unset = {
+        f"{fn}({param})": where
+        for (fn, param, pos), where in defaulted_parameters().items()
+        if not {(fn, "*"), (fn, param), (fn, pos)} & seen
+    }
+    assert not unset, f"defaulted parameters that no call passes: {unset}"
