@@ -6,49 +6,45 @@ x^{tensor p} directly keeps the covariance exactly N xi(R)).  G^(p) for
 seed s is the start of the Philox stream (s, "tensor", p); `sample_tensors`
 fills a batch of them concurrently.
 
-Energy, gradient and dense Hessian come from one plan, `derivatives`, that
-reads each raw tensor T at most three times, each pass a reshape matmul over
-T in place (no transposed copy):
+Energy, gradient and dense Hessian come from one plan, `derivatives`, with
+one path per p.  Each reads the raw tensor T in place (no transposed copy)
+and builds up to three small arrays:
 
-- R = T.x on the last axis (order 0 and up).  Contracting the small R
-  gives the energy, gradient slots 0..p-2 and Hessian blocks among them.
-- L = x.T on the first axis: gradient slot p-1 (order 1 and up) and the
-  Hessian blocks (s, p-1) for s >= 1 (order 2).
-- D = T contracted with x on its middle p-2 slots (order 2), one matmul
-  over T viewed as (n, n^(p-2), n): the (0, p-1) block.  For p = 2, D is
-  T itself.
+- R = T.x on the last axis (order 0 and up).  Contracting R gives the
+  energy, gradient slots 0..p-2 and the Hessian blocks among them.
+- D = T contracted with x on its middle p-2 slots (order 1 and up): gradient
+  slot p-1 is x @ D, and D is the (0, p-1) Hessian block.
+- L = x.T on the first axis (order 2): the Hessian blocks (s, p-1), s >= 1.
 
-At every order, a tensor with p > 2 and more than _SLAB entries is read
-once: `_one_read` walks it in L2-sized slabs and builds R, D at orders 1
-and 2, and L at order 2 only.  The energy is that R's at every order and
-gradient slot p-1 is x @ D at orders 1 and 2, so above a slab the energies
-of all orders, and the gradients of orders 1 and 2, are equal bit for bit;
-order 1 allocates no n^(p-1) buffer for L.
+For p > 2, `_one_read` builds them from a single read of T, walked in
+L2-sized slabs of at most _SLAB entries (a smaller tensor is one slab).  For
+p = 2, R is the matvec G.x and D is G itself; there is no L.  The energy is
+R's at every order and slot p-1 is x @ D at orders 1 and 2, so the energies
+of all orders, and the gradients of orders 1 and 2, are equal bit for bit.
 
-Tensors of at most one slab, and p = 2 terms, keep the passes above, whose
-energy and gradient are the arithmetic of one pass per slot bit for bit.
-Above a slab, R's rows come from one matmul per slab; they equal the
-whole-tensor matvec's except where a slab ends on a BLAS tail row, which
-can move the energy by one rounding at odd n.  Slot p-1
-as x @ D sums in another order than L's contraction: the gradient differs
-from the per-slot passes by rounding (measured at most 9.0e-16 of max|g|
-for p4 and p2+p4 at n = 17..90, at most 2.1e-15 for p6 at n = 11), and
-the order-2 Hessian from the three passes by about 1e-15 relative.
-No symmetrised copy of T is cached: it would double the tensor memory.
+Against one contraction of T per gradient slot and per Hessian slot pair
+(the tests' oracles), p = 2 results are equal bit for bit.  For p > 2, R's
+rows come from one matmul per slab; they equal the whole-tensor matvec's
+except where a slab ends on a BLAS tail row, which can move the energy by
+one rounding at odd n.  x @ D sums in another order than slot p-1's
+contraction: the gradient differs by rounding (measured at most 9.0e-16 of
+max|g| for p4 and p2+p4 at n = 17..90, at most 2.1e-15 for p6 at n = 11,
+at most 4.0e-16 for tensors of one slab at n = 2..12), and the order-2
+Hessian by about 1e-15 relative.  No symmetrised copy of T is cached: it
+would double the tensor memory.
 
-The Hessian-vector product `hessian_apply` is the gradient in x of
-<grad H(x), w>: each tensor term sums, over the ordered pairs (s, t) of
-distinct slots, the contraction with w in slot t, slot s left open and x in
-every other slot; the p = 2 term reads G once for G.w and w.G together
-(`_apply_pair`).  It needs O(n) memory beyond the tensors, so the Lanczos
-eigensolves above the dense-Hessian cap run on it.
+The entry budget of `check_budget`, 2^27 per tensor, admits p = 4 up to
+n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap of 512.  So
+only p = 2 is ever too large for the dense Hessian, and the O(n)-memory
+Hessian-vector product `hessian_apply` is for p = 2 only: it reads G once
+for G.w and w.G (`_apply_pair`) and refuses a nonzero p > 2 term with
+ResourceError.  `projected_top_eigvec` runs Lanczos on it.
 
 `weighted_sum` forms sum_i w_i T_i (an ensemble leaf, a pair mix) in
 _SLAB-entry blocks, and `pool_map` runs GIL-releasing work (tensor fills,
 snapshot I/O) on one thread per usable CPU.
 """
 
-import itertools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import rng
 from .errors import ArgumentError, DomainError, NumericError, ResourceError
@@ -203,30 +199,24 @@ def _scale(m: Mixture, p: int, n: int) -> float:
     return m.gammas[p] * n ** (-(p - 1) / 2)
 
 
-def _middle(x: np.ndarray, p: int) -> np.ndarray:
-    """x^{tensor (p-2)}, flattened: what D contracts T's middle slots with."""
-    middle = np.ones(1)
-    for _ in range(p - 2):
-        middle = np.multiply.outer(middle, x).ravel()
-    return middle
-
-
 def _one_read(tensor: np.ndarray, x: np.ndarray, order: int) -> tuple:
     """R, L and D of one tensor with p > 2 from a single read of it: R at
-    every order, D at orders 1 and 2, L at order 2 only.  The gradient's last
-    slot is x @ D at both orders (its rounding is in the module docstring).
+    every order, D at orders 1 and 2, L at order 2 only.
 
     T is viewed as (n, n^(p-2), n) and walked in slabs T[a, r0:r0+rows] of at
     most _SLAB entries, `rows` a multiple of 16, so that a slab and its slice
     of L stay in a per-core L2 cache.  Each slab gives R's rows by a matmul,
     at orders 1 and 2 adds middle[r0:r0+rows] @ slab into D[a] and, at
-    order 2, adds x[a] * slab into L's slice by an in-place BLAS axpy.
+    order 2, adds x[a] * slab into L's slice by an in-place BLAS axpy; middle
+    is x^{tensor (p-2)}, flattened.
     """
     n = x.size
     t3 = tensor.reshape(n, -1, n)
     m = t3.shape[1]
     rows = max(16, _SLAB // n // 16 * 16)
-    middle = _middle(x, tensor.ndim)
+    middle = np.ones(1)
+    for _ in range(tensor.ndim - 2):
+        middle = np.multiply.outer(middle, x).ravel()
     right = np.empty((n, m))
     left = np.zeros(m * n) if order == 2 else None  # flat: each slice is a contiguous axpy target
     corner = np.zeros((n, n)) if order else None
@@ -244,7 +234,7 @@ def _one_read(tensor: np.ndarray, x: np.ndarray, order: int) -> tuple:
 
 def derivatives(h: Hamiltonian, x, order: int) -> tuple:
     """(energy,), (energy, gradient) or (energy, gradient, Hessian) at x for
-    order 0, 1 or 2, from the passes R, L and D of the module docstring.
+    order 0, 1 or 2, from R, L and D of the module docstring.
 
     The dense Hessian is built at any n; `hessian` is the entry point capped
     at the dense-Hessian dimension.
@@ -262,26 +252,18 @@ def derivatives(h: Hamiltonian, x, order: int) -> tuple:
             continue
         tensor = h.tensors[p]
         rest = [x] * (p - 1)
-        if p > 2 and tensor.size > _SLAB:
-            right, left, corner = _one_read(tensor, x, order)
+        if p == 2:
+            right, left, corner = tensor @ x, None, tensor
         else:
-            right = (tensor.reshape(-1, n) @ x).reshape((n,) * (p - 1))  # R
-            left = corner = None
+            right, left, corner = _one_read(tensor, x, order)
         val += g * float(_contract(right, rest))
         if order == 0:
             continue
         for s in range(p - 1):
             grad += g * _contract(right, rest, keep=(s,))
-        if corner is None:
-            left = (x @ tensor.reshape(n, -1)).reshape((n,) * (p - 1))  # L
-            grad += g * _contract(left, rest, keep=(p - 2,))
-        else:
-            grad += g * (x @ corner)  # slot p-1 from D, at orders 1 and 2 alike
+        grad += g * (x @ corner)  # slot p-1 from D, at orders 1 and 2 alike
         if order == 1:
             continue
-        if corner is None:
-            # D; for p = 2 it is the tensor itself
-            corner = tensor if p == 2 else np.matmul(_middle(x, p), tensor.reshape(n, -1, n))
         for s in range(p):
             for t in range(s + 1, p):
                 if t < p - 1:
@@ -346,8 +328,9 @@ def _apply_pair(tensor: np.ndarray, w: np.ndarray) -> tuple:
 
 
 def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
-    """Hessian-vector product, O(n) memory, available at any n: the gradient
-    in x of <grad H(x), w>.  The p = 2 term reads G once (`_apply_pair`)."""
+    """Hessian-vector product of a p = 2 Hamiltonian, O(n) memory, available
+    at any n: each p = 2 term reads G once for G.w and w.G (`_apply_pair`).
+    A nonzero p > 2 term raises ResourceError; zero-weight terms are skipped."""
     x = _check_radius(h, x)
     w = _as_vector(h, w, "w")
     out = np.zeros(h.n)
@@ -355,15 +338,11 @@ def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
         g = _scale(h.mixture, p, h.n)
         if g == 0.0:
             continue
-        if p == 2:
-            gw, wg = _apply_pair(h.tensors[2], w)
-            out += g * gw
-            out += g * wg
-            continue
-        for s, t in itertools.permutations(range(p), 2):
-            assign = [x] * p
-            assign[t] = w
-            out += g * _contract(h.tensors[p], assign, keep=(s,))
+        if p > 2:
+            raise ResourceError(f"Hessian-vector product refused for the p={p} term: p = 2 only")
+        gw, wg = _apply_pair(h.tensors[2], w)
+        out += g * gw
+        out += g * wg
     return out
 
 
@@ -385,18 +364,8 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis):
     images = np.stack([hessian_apply(h, x, b) for b in basis])
     small = basis @ images.T
     small = 0.5 * (small + small.T)
-    if k <= 64:
-        vals, vecs = np.linalg.eigh(small)
-        idx = int(np.argmax(vals))
-        lam, coef = float(vals[idx]), vecs[:, idx]
-    else:
-        op = LinearOperator((k, k), matvec=lambda c: small @ c)
-        v0 = rng.stream(0, "rtev", k).standard_normal(k)
-        try:
-            vals, vecs = eigsh(op, k=1, which="LA", v0=v0, maxiter=10_000)
-        except Exception as exc:  # pragma: no cover - ARPACK failure path
-            raise NumericError(f"restricted eigensolve did not converge: {exc}") from exc
-        lam, coef = float(vals[0]), vecs[:, 0]
+    vecs, vals = top_eigenpairs(small, np.empty((0, k)))
+    lam, coef = float(vals[0]), vecs[0]
     vec = coef @ basis
     vec /= np.linalg.norm(vec)
     residual = np.linalg.norm(small @ coef - lam * coef)
@@ -418,16 +387,15 @@ def top_eigenpairs(matrix: np.ndarray, ortho: np.ndarray, k: int = 1) -> tuple:
 
 
 def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, start=None):
-    """Top-k l2-unit eigenpairs of P Hess(x) P, P projecting out span(orth).
-
-    Dense eigh below the dimension cap, Lanczos on hessian_apply above it.
+    """Top-k l2-unit eigenpairs of P Hess(x) P, P projecting out span(orth),
+    by Lanczos on `hessian_apply` (p = 2 only) at any n; `subag_step` takes
+    the dense `top_eigenpairs` instead up to the dense-Hessian cap.
     Returns (vectors (k, n), eigenvalues (k,)) in descending order.
 
-    Warm start: with k = 1 on the Lanczos path, Lanczos starts from P start
-    (a step chain passes its previous direction) unless that projection has
-    norm <= 1e-8 |start|; otherwise, and always for k > 1 (one start vector
-    in a small invariant subspace cannot yield k eigenpairs), it starts from
-    the seeded vector.  The dense path ignores `start`.
+    Warm start: with k = 1, Lanczos starts from P start (a step chain passes
+    its previous direction) unless that projection has norm <= 1e-8 |start|;
+    otherwise, and always for k > 1 (one start vector in a small invariant
+    subspace cannot yield k eigenpairs), it starts from the seeded vector.
     """
     ortho = orthonormal_rows(orth, h.n)
 
@@ -435,9 +403,6 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, 
         if ortho.size:
             v = v - ortho.T @ (ortho @ v)
         return v
-
-    if h.n <= DEFAULT_DENSE_HESSIAN_CAP:
-        return top_eigenpairs(hessian(h, x), ortho, k)
 
     op = LinearOperator(
         (h.n, h.n),
@@ -448,7 +413,7 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, 
         v0 = rng.stream(seed, "proj-eig", h.n).standard_normal(h.n)
     try:
         vals, vecs = eigsh(op, k=k, which="LA", v0=v0)
-    except Exception as exc:  # pragma: no cover
+    except ArpackError as exc:  # pragma: no cover
         raise NumericError(f"projected eigensolve did not converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
     return vecs[:, order].T.copy(), vals[order]

@@ -161,7 +161,7 @@ def test_gradient_and_hessian_fd_all_supported_p(gammas):
     assert np.max(np.abs(g - fd)) / max(np.max(np.abs(g)), 1.0) <= 1e-5
     w = rng.stream(23).standard_normal(4)
     fdh = (gradient(h, x + 1e-5 * w) - gradient(h, x - 1e-5 * w)) / 2e-5
-    hv = hessian_apply(h, x, w)
+    hv = derivatives(h, x, 2)[2] @ w
     assert np.max(np.abs(hv - fdh)) / max(np.max(np.abs(hv)), 1.0) <= 1e-4
 
 
@@ -179,7 +179,7 @@ def test_hessian_finite_differences_p4():
     x = rng.stream(12).standard_normal(6) * 0.3
     w = rng.stream(13).standard_normal(6)
     fd = (gradient(h, x + 1e-5 * w) - gradient(h, x - 1e-5 * w)) / 2e-5
-    hv = hessian_apply(h, x, w)
+    hv = derivatives(h, x, 2)[2] @ w
     assert np.max(np.abs(hv - fd)) / np.max(np.abs(hv)) <= 1e-4
 
 
@@ -187,9 +187,11 @@ def test_hessian_apply_matches_dense():
     h = sample_hamiltonian(Mixture({2: 0.8, 4: 0.5}), 8, seed=6)
     x = rng.stream(14).standard_normal(8) * 0.3
     w = rng.stream(15).standard_normal(8)
-    dense = hessian(h, x)
-    assert np.allclose(dense @ w, hessian_apply(h, x, w), atol=1e-12)
+    dense = derivatives(h, x, 2)[2]
+    assert np.allclose(dense @ w, oracle_hessian_apply(h, x, w), atol=1e-12)
     assert np.allclose(dense, dense.T)
+    p2 = Hamiltonian(Mixture({2: 0.8}), 8, {2: h.tensors[2]})
+    assert np.allclose(hessian(p2, x) @ w, hessian_apply(p2, x, w), atol=1e-12)
 
 
 # -- oracles: one raw-tensor pass per gradient slot and per Hessian slot pair ----
@@ -251,8 +253,9 @@ def _plan_points(n, seed):
         yield radius * sphere_point(gen.standard_normal(n))
 
 
-@pytest.mark.parametrize("m, ns", PLAN_CASES)
+@pytest.mark.parametrize("m, ns", [(m, ns) for m, ns in PLAN_CASES if m.ps == (2,)])
 def test_derivatives_match_per_slot_oracle(m, ns):
+    """p = 2 reads G as the oracle's passes do: equal bit for bit."""
     for n in ns:
         h = sample_hamiltonian(m, n, seed=40 + n)
         for x in _plan_points(n, 41):
@@ -378,6 +381,19 @@ def test_restricted_rotation_invariance():
     assert lam1 == pytest.approx(lam2, abs=1e-10)
 
 
+def test_restricted_above_64_directions_matches_eigh():
+    n, k = 80, 70
+    h = sample_hamiltonian(pure(2), n, seed=3)
+    x = 0.5 * sphere_point(rng.stream(20).standard_normal(n))
+    basis, _ = np.linalg.qr(rng.stream(19).standard_normal((n, k)))
+    basis = basis.T
+    vals, vecs = np.linalg.eigh(basis @ hessian(h, x) @ basis.T)
+    vec, lam = restricted_top_eigvec(h, x, basis)
+    assert abs(lam - vals[-1]) <= 1e-12 * abs(vals[-1])
+    want = vecs[:, -1] @ basis
+    assert min(np.linalg.norm(vec - want), np.linalg.norm(vec + want)) <= 1e-10
+
+
 def test_non_orthonormal_basis_rejected():
     h = sample_hamiltonian(pure(2), 6, seed=3)
     bad = np.ones((2, 6))
@@ -441,14 +457,11 @@ def test_lanczos_cold_start_when_start_is_unusable(lanczos_case):
         projected_top_eigvec(h, x, orth=orth, k=1, start=np.ones(3))
 
 
-def test_dense_path_ignores_start():
+def test_lanczos_refuses_a_p4_term():
     h = sample_hamiltonian(Mixture({2: 0.8, 4: 0.5}, h=0.2), 10, seed=4)
     x = 0.5 * sphere_point(rng.stream(23).standard_normal(10))
-    start = rng.stream(24).standard_normal(10)
-    for k in (1, 3):
-        cold = projected_top_eigvec(h, x, orth=[x], k=k, seed=2)
-        warm = projected_top_eigvec(h, x, orth=[x], k=k, seed=2, start=start)
-        assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+    with pytest.raises(ResourceError, match="p = 2 only"):
+        projected_top_eigvec(h, x, orth=[x], k=1, seed=2)
 
 
 # -- oracle: the slot-pair Hessian-vector loop ---------------------------------
@@ -476,22 +489,29 @@ FORM_CASES = [
     (Mixture({2: 0.6, 4: 0.8}, h=0.3), (1, 3, 7, 12)),
     (Mixture({2: 0.5, 4: 0.4, 6: 0.3}, h=0.7), (1, 3, 7)),
     (Mixture({2: 0.0}, h=0.9), (1, 3, 7, 12)),
+    (Mixture({2: 0.6, 4: 0.0}, h=0.3), (3, 7)),  # the zero-weight p4 term is skipped
 ]
 
 
 @pytest.mark.parametrize("m, ns", FORM_CASES)
 def test_form_bit_identical_to_slot_loop_oracles(m, ns):
+    """p = 2 only: a nonzero p > 2 term is refused."""
+    refused = any(p > 2 and m.gammas[p] != 0.0 for p in m.ps)
     for n in ns:
         h = sample_hamiltonian(m, n, seed=60 + n)
         gen = rng.stream(61, "form-vectors", n)
         for x in _plan_points(n, 62):
             w = gen.standard_normal(n)
-            assert np.array_equal(hessian_apply(h, x, w), oracle_hessian_apply(h, x, w))
+            if refused:
+                with pytest.raises(ResourceError, match="p = 2 only"):
+                    hessian_apply(h, x, w)
+            else:
+                assert np.array_equal(hessian_apply(h, x, w), oracle_hessian_apply(h, x, w))
 
 
-# -- orders 0, 1 and 2 above one slab: R (D, L) from one read of each tensor ---
+# -- orders 0, 1 and 2: R (D, L) from one read of each p > 2 tensor -----------
 
-SLAB_CASES = [
+SLAB_CASES = [  # above one default slab
     (pure(4), 24),
     (pure(4), 30),
     (pure(6), 8),
@@ -499,20 +519,24 @@ SLAB_CASES = [
     (Mixture({2: 0.5, 4: 0.4, 6: 0.3}, h=0.7), 9),
     (pure(4), 17),  # odd n: a slab ends on a BLAS tail row at the third point
 ]
+SMALL_CASES = [(m, n) for m, ns in PLAN_CASES if max(m.ps) > 2 for n in ns]
 
 
 @pytest.mark.parametrize("slab", [None, 2**9])  # 2**9: 16-row slabs, a short last one at n = 30
-@pytest.mark.parametrize("m, n", SLAB_CASES)
+@pytest.mark.parametrize("m, n", SLAB_CASES + SMALL_CASES)
 def test_one_read_order_two_against_the_orders_and_the_oracle(monkeypatch, m, n, slab):
     if slab is not None:
         monkeypatch.setattr("spinlab.hamiltonian._SLAB", slab)
     h = sample_hamiltonian(m, n, seed=70 + n)
-    assert max(t.size for t in h.tensors.values()) > 2**16  # above one default slab
+    if (m, n) in SLAB_CASES:
+        assert max(t.size for t in h.tensors.values()) > 2**16
     for x in _plan_points(n, 71):
         (e0,) = derivatives(h, x, 0)
         e1, g1 = derivatives(h, x, 1)
         e2, g2, hess = derivatives(h, x, 2)
         assert e0 == e1 == e2
+        want_e = oracle_energy(h, x)
+        assert abs(e0 - want_e) <= 1e-15 * abs(want_e)  # one rounding at most (n = 17)
         assert np.array_equal(g1, g2)  # both take slot p-1 as x @ D
         want_g = oracle_gradient(h, x)
         assert np.max(np.abs(g1 - want_g)) <= 1e-15 * np.max(np.abs(want_g))
