@@ -1,6 +1,7 @@
 """Tree constructions converting decreasing step targets into increasing
 levels against the kappa multiplier: beta kappa(q) zeta(q) reproduces the
-target exactly at the q-knots."""
+target exactly at the q-knots.  The spherical construction's Delta-perturbed
+target is a `PiecewiseZeta.splice` of the target."""
 
 import math
 from dataclasses import dataclass
@@ -18,53 +19,20 @@ class IncreasifyResult:
     levels: tuple  # strictly increasing zeta levels at the q-knots
     beta: float
 
-    def __iter__(self):
-        return iter((self.shape, self.pladder, self.qladder, self.levels, self.beta))
-
     def reconstructed(self, d: int) -> float:
         """beta kappa(q_d) zeta_d, which must equal the target at knot d."""
         return self.beta * kappa_level(self.shape, self.pladder, d + 1) * self.levels[d]
 
 
 def delta_perturb(target: PiecewiseZeta, delta: float, x: float) -> PiecewiseZeta:
-    """Replace the target on [x, x + delta) by its value at x + delta."""
+    """Replace the target on [x, x + delta) by its value at x + delta; a
+    window reaching 1 raises ArgumentError."""
     if delta <= 0.0:
         return target
     hi = x + delta
     if hi >= 1.0:
         raise ArgumentError(f"perturbation window [{x}, {hi}) leaves [0, 1)")
-    breaks, values = [], []
-    for a, b, v in target.segments():
-        if b <= x or a >= hi:
-            breaks.append(a)
-            values.append(v)
-        else:
-            if a < x:
-                breaks.append(a)
-                values.append(v)
-            if not breaks or breaks[-1] < x:
-                breaks.append(x)
-                values.append(target(hi))
-            if b > hi:
-                breaks.append(hi)
-                values.append(v)
-    # collapse duplicated breakpoints produced by segment splitting
-    out_b, out_v = [breaks[0]], [values[0]]
-    for b, v in zip(breaks[1:], values[1:]):
-        if b == out_b[-1]:
-            out_v[-1] = v
-        else:
-            out_b.append(b)
-            out_v.append(v)
-    return PiecewiseZeta(tuple(out_b), tuple(out_v))
-
-
-def _jumps_in(target: PiecewiseZeta, lo: float, hi: float) -> list:
-    return [
-        b
-        for b, prev, cur in zip(target.breaks[1:], target.values, target.values[1:])
-        if prev != cur and lo < b < hi
-    ]
+    return target.splice(x, hi, PiecewiseZeta.constant(target(hi)))
 
 
 def increasify_sp(
@@ -86,7 +54,7 @@ def increasify_sp(
     window = (1.0 - q0) * delta_frac
     perturbed = delta_perturb(target, window, q0)
 
-    jumps = _jumps_in(target, q0 + window, 1.0)
+    jumps = [b for b in target.breaks if q0 + window < b < 1.0]
     qladder = OverlapLadder((q0, *jumps, 1.0))
     pladder = chi_align(chi, qladder)
     depth = qladder.depth

@@ -1,6 +1,7 @@
 """Interpolation ingredients: cascade values, the Gaussian quadratic
 log-moment, the matrix recursion behind the free-energy bound, and the
-overlap-constrained grand-maximum bound assembler."""
+overlap-constrained grand-maximum bound assembler, which prices the
+composite profile zeta_under.splice(q0, 1, beta kappa zeta)."""
 
 import math
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level
 from ..errors import ArgumentError, DomainError
 from ..mixture import Mixture, xi_eval
 from .spherical import QUAD_ABS_TOL, b_profile, parisi_sp, theta
-from .zeta import PiecewiseZeta, compose_under_over
+from .zeta import PiecewiseZeta
 
 
 def _zeta_levels_at_knots(zeta: PiecewiseZeta, qladder: OverlapLadder):
@@ -85,10 +86,6 @@ class LambdaRecursionResult:
     sequence: LambdaSequence
     value: float  # E Gamma_0 at the shifted field point, exact closed form
     bound: float  # (K/2)[((h+(lam-B)a)^2 + xi'(q0))/B_kz(q0) + int xi''/B_kz - B a^2]
-
-    def __iter__(self):
-        yield self.sequence
-        yield self.value
 
 
 def lambda_recursion(
@@ -209,10 +206,7 @@ def composite_profile(
     pladder: CorrelationLadder,
     qladder: OverlapLadder,
 ) -> PiecewiseZeta:
-    """zeta_under on [0, q0) glued to beta kappa zeta on [q0, 1)."""
-    q0 = qladder.qs[0]
+    """zeta_under on [0, q0) glued to beta kappa zeta on [q0, 1), the
+    latter from zeta's levels at the q-knots."""
     levels = [beta * z for z in _zeta_levels_at_knots(zeta, qladder)]
-    over = kappa_zeta_profile(shape, pladder, qladder, levels)
-    over_breaks = list(qladder.qs[:-1])
-    over_values = [over(q) for q in over_breaks]
-    return compose_under_over(zeta_under, q0, tuple(over_breaks), tuple(over_values))
+    return zeta_under.splice(qladder.qs[0], 1.0, kappa_zeta_profile(shape, pladder, qladder, levels))

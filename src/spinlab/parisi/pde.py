@@ -81,8 +81,6 @@ class PDESolution:
     grid: np.ndarray
     values: dict = field(repr=False)  # time -> array over grid
     a: float = 0.0
-    beta: float = math.inf
-    mixture: Mixture | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -446,8 +444,7 @@ def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, top=None, point=None) -> PDES
     slices hold NaN elsewhere."""
     slopes = (-1.0 - a, 1.0 - a)
     lip = max(map(abs, slopes))
-    knots = sorted(set(zeta.breaks) | {0.0})
-    times = knots + [1.0]
+    times = [*zeta.breaks, 1.0]
     steps = [
         (t_lo, zeta(t_lo), xi_eval(m, t_hi, 1) - xi_eval(m, t_lo, 1))
         for t_hi, t_lo in zip(times[::-1], times[::-1][1:])
@@ -484,8 +481,6 @@ def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, top=None, point=None) -> PDES
         grid=xs,
         values=vals,
         a=a,
-        beta=beta,
-        mixture=m,
         meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps, "gh_rows": gh_rows, "gh_entries": gh_entries},
     )
 

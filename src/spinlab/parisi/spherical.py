@@ -78,9 +78,14 @@ def alg_sp(m: Mixture):
         else:
             hi = mid
     q_hat = 0.5 * (lo + hi) if f(0.0) < 0.0 else 0.0
-    tail, _err = quad(lambda q: math.sqrt(xi_eval(m, q, 2)), q_hat, 1.0, epsabs=QUAD_ABS_TOL, limit=200)
-    value = q_hat * math.sqrt(xi_eval(m, q_hat, 2)) + tail
+    value = q_hat * math.sqrt(xi_eval(m, q_hat, 2)) + root_xi2_integral(m, q_hat, 1.0)
     return value, "rsb", q_hat
+
+
+def root_xi2_integral(m: Mixture, lo: float, hi: float) -> float:
+    """integral_lo^hi sqrt(xi''(q)) dq, by adaptive quadrature."""
+    val, _err = quad(lambda q: math.sqrt(xi_eval(m, q, 2)), lo, hi, epsabs=QUAD_ABS_TOL, limit=200)
+    return val
 
 
 def opt_sp_numeric(m: Mixture, grid: int = 200) -> float:

@@ -1,4 +1,7 @@
-"""Right-continuous piecewise-constant order parameters on [0, 1)."""
+"""Right-continuous piecewise-constant order parameters on [0, 1).
+
+`PiecewiseZeta.splice` is the one way to replace a profile on an interval;
+the constructor's merge of equal neighbours keeps every result canonical."""
 
 import math
 
@@ -55,6 +58,19 @@ class PiecewiseZeta:
             return cls((0.0, *knots), (0.0, *values))
         return cls(knots, values)
 
+    def splice(self, lo: float, hi: float, piece: "PiecewiseZeta") -> "PiecewiseZeta":
+        """This profile on [0, lo) and [hi, 1), piece on [lo, hi); an empty
+        window (lo == hi) returns this profile."""
+        if not (0.0 <= lo < 1.0 and lo <= hi <= 1.0):
+            raise ArgumentError(f"splice window [{lo}, {hi}) must lie in [0, 1)")
+        owner = {b: self for b in self.breaks if not lo <= b < hi}
+        owner.update({b: piece for b in piece.breaks if lo < b < hi})
+        owner[lo] = piece
+        if hi < 1.0:
+            owner[hi] = self
+        cuts = sorted(owner)
+        return PiecewiseZeta(cuts, [owner[c](c) for c in cuts])
+
     @property
     def is_monotone(self) -> bool:
         return all(a <= b for a, b in zip(self.values, self.values[1:]))
@@ -105,34 +121,3 @@ class PiecewiseZeta:
     def __repr__(self):
         pieces = ", ".join(f"[{b:g},): {v:g}" for b, v in zip(self.breaks, self.values))
         return f"PiecewiseZeta({pieces})"
-
-
-def compose_under_over(under: PiecewiseZeta, q0: float, over_breaks, over_values) -> PiecewiseZeta:
-    """Profile equal to `under` on [0, q0) and to the given steps on [q0, 1).
-
-    The over-steps must cover q0 (first break <= q0).
-    """
-    if q0 <= 0.0:
-        return PiecewiseZeta(over_breaks, over_values)
-    if over_breaks[0] > q0:
-        raise ArgumentError("over-profile does not cover q0")
-    breaks, values = [], []
-    for a, _b, v in under.segments(0.0, q0):
-        breaks.append(a)
-        values.append(v)
-    head = None
-    started = False
-    for b, v in zip(over_breaks, over_values):
-        if b <= q0:
-            head = v
-            continue
-        if not started:
-            breaks.append(q0)
-            values.append(head)
-            started = True
-        breaks.append(float(b))
-        values.append(float(v))
-    if not started:
-        breaks.append(q0)
-        values.append(head)
-    return PiecewiseZeta(tuple(breaks), tuple(values))

@@ -58,6 +58,7 @@ from .parisi import (
     opt_sp_numeric,
     solve_parisi_pde,
 )
+from .parisi.interpolation import composite_profile
 from .parisi.pde import _parisi_value
 from .points import project_ball, sphere_point
 from .ultrametric import (
@@ -539,9 +540,14 @@ def _run_sandwich(config, out):
         ens, q_mat, anchor, eta, int(config.get("restarts", 3)), int(config.get("seed", 0))
     )
     beta = float(config.get("beta", 4.0))
-    b_val = float(config.get("B", math.sqrt(max(m.xi(1.0, 2), 1.0))))
     levels = np.linspace(0.2, 0.8, qladder.depth)
     zeta = PiecewiseZeta.on_knots(qladder.qs[:-1], levels)
+    if "B" in config:
+        b_val = float(config["B"])
+    else:
+        # B_zeta(0) of the composite is then the old default sqrt(max(xi''(1), 1))
+        composite = composite_profile(PiecewiseZeta.zero(), zeta, beta, shape, pladder, qladder)
+        b_val = math.sqrt(max(m.xi(1.0, 2), 1.0)) + composite.integral_xi2(m)
     bound = interpolation_bound_sp(
         b_val,
         PiecewiseZeta.zero(),

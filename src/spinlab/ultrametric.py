@@ -18,8 +18,8 @@ import numpy as np
 from . import rng
 from .errors import ArgumentError, ResourceError
 from .hamiltonian import Hamiltonian, energy
-from .mixture import xi_eval
 from .optimizers import subag_step
+from .parisi.spherical import root_xi2_integral
 from .points import norm_n_sq, overlap
 
 _H_TOL = 1e-12
@@ -346,15 +346,8 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
         )
         vectors[v] = x
         energies[v] = energy(h, x)
-    profile = {v: _alg_profile(h.mixture, float(t.heights[v])) for v in verts}
+    profile = {v: root_xi2_integral(h.mixture, 0.0, float(t.heights[v])) for v in verts}
     return Embedding(vectors, n), energies, profile
-
-
-def _alg_profile(m, q: float) -> float:
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda s: math.sqrt(max(xi_eval(m, s, 2), 0.0)), 0.0, q, limit=200)
-    return val
 
 
 # -- exchange format ----------------------------------------------------------------

@@ -401,6 +401,17 @@ def test_sandwich_run(tmp_path):
     assert "bound_per_n" in res.payload
 
 
+@pytest.mark.parametrize("mixture", (None, "p4", "p2+p4"))
+def test_sandwich_cli_defaults_are_feasible(tmp_path, mixture):
+    """Without B the run picks one with B_zeta(0) = sqrt(max(xi''(1), 1)) for
+    its composite profile, so the bound is defined at every default."""
+    argv = ["sandwich", "--n", "16", "--set", "restarts=1", "--out", str(tmp_path)]
+    if mixture is not None:
+        argv += ["--mixture", mixture]
+    assert main(argv) == 0
+    assert math.isfinite(json.loads((tmp_path / "run.json").read_text())["results"]["bound_total"])
+
+
 def test_selftest_subset(tmp_path):
     res = run({"subcommand": "selftest", "criteria": ["1", "6"]}, out_dir=str(tmp_path))
     assert res.status == 0
