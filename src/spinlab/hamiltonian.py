@@ -8,50 +8,58 @@ fills a batch of them concurrently.
 
 Energy, gradient and dense Hessian come from one plan, `derivatives`, with
 one path per p.  Each reads the raw tensor T in place (no transposed copy)
-and builds up to three small arrays:
+and builds up to four small arrays:
 
 - R = T.x on the last axis (order 0 and up).  Contracting R gives the
   energy, gradient slots 0..p-2 and the Hessian blocks among them.
 - D = T contracted with x on its middle p-2 slots (order 1 and up): gradient
   slot p-1 is x @ D, and D is the (0, p-1) Hessian block.
-- L = x.T on the first axis (order 2): the Hessian blocks (s, p-1), s >= 1.
+- Q = T contracted with x on slots 0 and p-2 (order 2, p > 2; n^(p-2)
+  entries): the Hessian blocks (s, p-1) for 1 <= s <= p-3.
+- B = T contracted with x on all slots but p-2 and p-1 (order 2, p > 2):
+  the (p-2, p-1) Hessian block.
 
 For p > 2, `_one_read` builds them from a single read of T, walked in
-L2-sized slabs of at most _SLAB entries (a smaller tensor is one slab).  For
-p = 2, R is the matvec G.x and D is G itself; there is no L.  The energy is
-R's at every order and slot p-1 is x @ D at orders 1 and 2, so the energies
-of all orders, and the gradients of orders 1 and 2, are equal bit for bit.
+L2-sized slabs (a smaller tensor is one slab).  For p = 2, R is the matvec
+G.x and D is G itself.  The energy is R's at every order and slot p-1 is
+x @ D at orders 1 and 2, so the energies of all orders, and the gradients
+of orders 1 and 2, are equal bit for bit.  The order-2 Hessian is the sum
+of g (block + block^T) over the slot pairs, assembled in place and exactly
+symmetric (`_symmetric_sum`).
 
 Against one contraction of T per gradient slot and per Hessian slot pair
 (the tests' oracles), p = 2 results are equal bit for bit.  For p > 2, R's
 rows come from one matmul per slab; they equal the whole-tensor matvec's
-except where a slab ends on a BLAS tail row, which can move the energy by
-one rounding at odd n.  x @ D sums in another order than slot p-1's
-contraction: the gradient differs by rounding (measured at most 9.0e-16 of
-max|g| for p4 and p2+p4 at n = 17..90, at most 2.1e-15 for p6 at n = 11,
-at most 4.0e-16 for tensors of one slab at n = 2..12), and the order-2
-Hessian by about 1e-15 relative.  No symmetrised copy of T is cached: it
-would double the tensor memory.
+except where T[a] ends on a BLAS tail row, which can move the energy by
+one rounding at odd n.  D, Q and B sum in other orders than the oracle's
+contractions: the gradient differs by rounding (measured at most 3.2e-16
+of max|g| for p4 and p2+p4 at n = 17..90, 2.8e-16 for p6 at n = 11 and
+3.7e-16 for tensors of one slab at n = 2..12), and the order-2 Hessian by
+at most 7.3e-16 of its largest entry.  No symmetrised copy of T is cached:
+it would double the tensor memory.
 
 The entry budget of `check_budget`, 2^27 per tensor, admits p = 4 up to
 n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap of 512.  So
-only p = 2 is ever too large for the dense Hessian, and the O(n)-memory
-Hessian-vector product `hessian_apply` is for p = 2 only: it reads G once
-for G.w and w.G (`_apply_pair`) and refuses a nonzero p > 2 term with
-ResourceError.  `projected_top_eigvec` runs Lanczos on it.
+above the cap only p = 2 fits, and its Hessian is the constant matrix
+g (G + G^T).  `projected_top_eigvec` runs Lanczos on that formed matrix,
+one BLAS dsymv per matvec.  The O(n)-memory Hessian-vector product
+`hessian_apply` is for p = 2 only: it reads G once for G.w and w.G
+(`_apply_pair`), refuses a nonzero p > 2 term with ResourceError, and
+serves `restricted_top_eigvec`.
 
 `weighted_sum` forms sum_i w_i T_i (an ensemble leaf, a pair mix) in
 _SLAB-entry blocks, and `pool_map` runs GIL-releasing work (tensor fills,
 snapshot I/O) on one thread per usable CPU.
 """
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import rng
@@ -174,8 +182,9 @@ def _contract(tensor: np.ndarray, assign: list, keep=()) -> np.ndarray:
     come out in ascending original order.
 
     First/last axes contract as reshape matvecs (no transpose copy of the
-    large tensor); only interior axes trapped between kept ones fall back to
-    tensordot, by which point the array is at least one power of n smaller.
+    large tensor); an interior axis trapped between kept ones contracts as a
+    batched vector-matrix product over the leading axes, also without a
+    transposed copy.
     """
     part = tensor
     axes = list(range(tensor.ndim))
@@ -191,7 +200,9 @@ def _contract(tensor: np.ndarray, assign: list, keep=()) -> np.ndarray:
         else:
             pos = next(i for i, a in enumerate(axes) if a not in keep)
             ax = axes.pop(pos)
-            part = np.tensordot(part, assign[ax], axes=([pos], [0]))
+            shape = part.shape
+            part = assign[ax] @ part.reshape(math.prod(shape[:pos]), shape[pos], -1)
+            part = part.reshape(shape[:pos] + shape[pos + 1 :])
     return part
 
 
@@ -200,41 +211,76 @@ def _scale(m: Mixture, p: int, n: int) -> float:
 
 
 def _one_read(tensor: np.ndarray, x: np.ndarray, order: int) -> tuple:
-    """R, L and D of one tensor with p > 2 from a single read of it: R at
-    every order, D at orders 1 and 2, L at order 2 only.
+    """R, D, Q and B of one tensor with p > 2 from a single read of it: R at
+    every order, D at orders 1 and 2, Q and B at order 2 only.
 
-    T is viewed as (n, n^(p-2), n) and walked in slabs T[a, r0:r0+rows] of at
-    most _SLAB entries, `rows` a multiple of 16, so that a slab and its slice
-    of L stay in a per-core L2 cache.  Each slab gives R's rows by a matmul,
-    at orders 1 and 2 adds middle[r0:r0+rows] @ slab into D[a] and, at
-    order 2, adds x[a] * slab into L's slice by an in-place BLAS axpy; middle
-    is x^{tensor (p-2)}, flattened.
+    T is viewed as (n, n^(p-3), n, n) and walked in slabs T[a, k0:k1] of
+    about _SLAB entries, so that a slab stays in a per-core L2 cache, with
+    (k1 - k0) n rows a multiple of 16 (at most 16 n^2 entries at odd n).
+    Each slab gives R's rows by a matmul, so BLAS tail rows fall only where
+    T[a] ends.  At orders 1 and 2 it gives P = x @ slab (the slot p-2
+    contraction, k1 - k0 rows of n) and D[a] += lead[k0:k1] @ P, lead being
+    x^{tensor (p-3)} flattened.  At order 2 it adds x[a] P into Q[k0:k1] and
+    (x[a] lead[k0:k1]) @ slab into B.  Every call is numpy's: scipy's BLAS
+    keeps its own thread pool, and switching between the two pools per slab
+    ran 2x slower at two BLAS threads.
     """
     n = x.size
-    t3 = tensor.reshape(n, -1, n)
-    m = t3.shape[1]
-    rows = max(16, _SLAB // n // 16 * 16)
-    middle = np.ones(1)
-    for _ in range(tensor.ndim - 2):
-        middle = np.multiply.outer(middle, x).ravel()
-    right = np.empty((n, m))
-    left = np.zeros(m * n) if order == 2 else None  # flat: each slice is a contiguous axpy target
+    t4 = tensor.reshape(n, -1, n, n)
+    kk = t4.shape[1]
+    step = 16 // math.gcd(n, 16)
+    rows = max(step, _SLAB // (n * n) // step * step)  # leading indices k per slab
+    lead = np.ones(1)
+    for _ in range(tensor.ndim - 3):
+        lead = np.multiply.outer(lead, x).ravel()
+    right = np.empty((n, kk * n))
     corner = np.zeros((n, n)) if order else None
+    part = np.empty((min(rows, kk), n)) if order else None
+    tail = np.zeros((kk, n)) if order == 2 else None
+    both = np.zeros(n * n) if order == 2 else None
+    image = np.empty(n * n) if order == 2 else None
     for a in range(n):
-        for r0 in range(0, m, rows):
-            slab = t3[a, r0 : r0 + rows]
-            np.matmul(slab, x, out=right[a, r0 : r0 + rows])
-            if corner is not None:
-                corner[a] += middle[r0 : r0 + rows] @ slab
-            if left is not None:
-                daxpy(slab.ravel(), left[r0 * n : (r0 + rows) * n], a=x[a])
+        scaled = x[a] * lead if order == 2 else None
+        for k0 in range(0, kk, rows):
+            slab = t4[a, k0 : k0 + rows]
+            k1 = k0 + len(slab)
+            np.matmul(slab.reshape(-1, n), x, out=right[a, k0 * n : k1 * n])
+            if order == 0:
+                continue
+            pk = np.matmul(x, slab, out=part[: k1 - k0])
+            corner[a] += lead[k0:k1] @ pk
+            if order == 2:
+                pk *= x[a]
+                tail[k0:k1] += pk
+                both += np.matmul(scaled[k0:k1], slab.reshape(k1 - k0, -1), out=image)
     shape = (n,) * (tensor.ndim - 1)
-    return right.reshape(shape), None if left is None else left.reshape(shape), corner
+    if order < 2:
+        return right.reshape(shape), corner, None, None
+    return right.reshape(shape), corner, tail.reshape(shape[:-1]), both.reshape(n, n)
+
+
+def _symmetric_sum(pairs: list, n: int) -> np.ndarray:
+    """sum_i g_i (B_i + B_i^T) over the (g_i, B_i) of `pairs`, n x n blocks
+    added in order (the ordered slot pairs (s, t) and (t, s)); exactly
+    symmetric.  The first term is written in place and the others are added
+    through one n x n scratch buffer, with the roundings of accumulating into
+    zeros (0 + y = y) and no temporary per term."""
+    if not pairs:
+        return np.zeros((n, n))
+    (g, block), *rest = pairs
+    hess = block + block.T
+    hess *= g
+    scratch = np.empty((n, n)) if rest else None
+    for g, block in rest:
+        np.add(block, block.T, out=scratch)
+        scratch *= g
+        hess += scratch
+    return hess
 
 
 def derivatives(h: Hamiltonian, x, order: int) -> tuple:
     """(energy,), (energy, gradient) or (energy, gradient, Hessian) at x for
-    order 0, 1 or 2, from R, L and D of the module docstring.
+    order 0, 1 or 2, from R, D, Q and B of the module docstring.
 
     The dense Hessian is built at any n; `hessian` is the entry point capped
     at the dense-Hessian dimension.
@@ -245,7 +291,7 @@ def derivatives(h: Hamiltonian, x, order: int) -> tuple:
     n = h.n
     val = h.mixture.h * float(np.sum(x))
     grad = np.full(n, h.mixture.h) if order >= 1 else None
-    hess = np.zeros((n, n)) if order == 2 else None
+    pairs = []  # (g, Hessian block (s, t)) for every slot pair s < t
     for p in h.mixture.ps:
         g = _scale(h.mixture, p, n)
         if g == 0.0:
@@ -253,9 +299,9 @@ def derivatives(h: Hamiltonian, x, order: int) -> tuple:
         tensor = h.tensors[p]
         rest = [x] * (p - 1)
         if p == 2:
-            right, left, corner = tensor @ x, None, tensor
+            right, corner, tail, both = tensor @ x, tensor, None, None
         else:
-            right, left, corner = _one_read(tensor, x, order)
+            right, corner, tail, both = _one_read(tensor, x, order)
         val += g * float(_contract(right, rest))
         if order == 0:
             continue
@@ -268,11 +314,14 @@ def derivatives(h: Hamiltonian, x, order: int) -> tuple:
             for t in range(s + 1, p):
                 if t < p - 1:
                     block = _contract(right, rest, keep=(s, t))
-                elif s > 0:
-                    block = _contract(left, rest, keep=(s - 1, p - 2))
-                else:
+                elif s == 0:
                     block = corner
-                hess += g * (block + block.T)  # ordered pairs (s,t) and (t,s)
+                elif s == p - 2:
+                    block = both
+                else:
+                    block = _contract(tail, rest, keep=(s - 1, p - 3))
+                pairs.append((g, block))
+    hess = _symmetric_sum(pairs, n) if order == 2 else None
     return (val, grad, hess)[: order + 1]
 
 
@@ -386,18 +435,24 @@ def top_eigenpairs(matrix: np.ndarray, ortho: np.ndarray, k: int = 1) -> tuple:
     return vecs[:, order].T.copy(), vals[order]
 
 
-def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, start=None):
-    """Top-k l2-unit eigenpairs of P Hess(x) P, P projecting out span(orth),
-    by Lanczos on `hessian_apply` (p = 2 only) at any n; `subag_step` takes
-    the dense `top_eigenpairs` instead up to the dense-Hessian cap.
-    Returns (vectors (k, n), eigenvalues (k,)) in descending order.
+def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0, start=None):
+    """Top-k l2-unit eigenpairs of P M P for an exactly symmetric n x n M
+    (a Hessian from `derivatives`), P projecting out span(orth), by Lanczos;
+    `subag_step` takes the dense `top_eigenpairs` instead up to the
+    dense-Hessian cap.  Returns (vectors (k, n), eigenvalues (k,)) in
+    descending order.
+
+    Each matvec is one BLAS dsymv on the F-contiguous view M.T, which equals
+    M and of which dsymv reads one triangle.
 
     Warm start: with k = 1, Lanczos starts from P start (a step chain passes
     its previous direction) unless that projection has norm <= 1e-8 |start|;
     otherwise, and always for k > 1 (one start vector in a small invariant
     subspace cannot yield k eigenpairs), it starts from the seeded vector.
     """
-    ortho = orthonormal_rows(orth, h.n)
+    n = len(matrix)
+    ortho = orthonormal_rows(orth, n)
+    upper = matrix.T
 
     def proj(v):
         if ortho.size:
@@ -405,12 +460,16 @@ def projected_top_eigvec(h: Hamiltonian, x, orth=(), k: int = 1, seed: int = 0, 
         return v
 
     op = LinearOperator(
-        (h.n, h.n),
-        matvec=lambda w: proj(hessian_apply(h, x, proj(np.asarray(w).ravel()))),
+        (n, n), matvec=lambda w: proj(dsymv(1.0, upper, proj(np.asarray(w).ravel()))), dtype=float
     )
-    v0 = proj(_as_vector(h, start, "start")) if k == 1 and start is not None else None
+    v0 = None
+    if k == 1 and start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,):
+            raise ArgumentError(f"start has shape {start.shape}, want ({n},)")
+        v0 = proj(start)
     if v0 is None or np.linalg.norm(v0) <= 1e-8 * np.linalg.norm(start):
-        v0 = rng.stream(seed, "proj-eig", h.n).standard_normal(h.n)
+        v0 = rng.stream(seed, "proj-eig", n).standard_normal(n)
     try:
         vals, vecs = eigsh(op, k=k, which="LA", v0=v0)
     except ArpackError as exc:  # pragma: no cover

@@ -224,18 +224,21 @@ def subag_step(
     normalized and signed along the gradient by `sign_toward`; ResourceError
     if it lies in the span.
 
-    Up to the dense-Hessian cap: one order-2 derivatives call and
-    `top_eigenpairs`.  Above it: Lanczos on Hessian-vector products
+    Every step makes one order-2 derivatives call; only the eigensolver
+    depends on n.  Up to the dense-Hessian cap it is the dense
+    `top_eigenpairs`; above it, Lanczos on the same matrix
     (`projected_top_eigvec`, warm-started from `start`, the previous
-    direction) and one order-1 call."""
+    direction).  Above the cap only p = 2 fits the entry budget, so the
+    Hessian is g(G + G^T), formed per step and not cached: the step holds
+    n^2 more floats, as many as G (1.07 GB at the largest admissible
+    n = 11585)."""
     orth = [x, *others]
     k = 1 if mode == "top_eig" else max(math.floor(delta * h.n), 1)
+    e, grad, hess = derivatives(h, x, 2)
     if h.n <= DEFAULT_DENSE_HESSIAN_CAP:
-        e, grad, hess = derivatives(h, x, 2)
         vecs, _vals = top_eigenpairs(hess, orthonormal_rows(orth, h.n), k)
     else:
-        vecs, _vals = projected_top_eigvec(h, x, orth=orth, k=k, seed=step_seed, start=start)
-        e, grad = derivatives(h, x, 1)
+        vecs, _vals = projected_top_eigvec(hess, orth, k=k, seed=step_seed, start=start)
     if mode == "top_eig":
         v = vecs[0]
     else:  # signing each eigenvector frees the draw from the eigensolver's sign convention

@@ -561,13 +561,14 @@ def _run_sandwich(config, out):
         float(config.get("C", 1.0)),
         n,
     )
+    # null without a feasible primal point: there is nothing to compare
+    holds = None if primal.best_energy is None else primal.best_energy <= bound / shape.n_leaves
     results = {
         "primal_grand_energy_per_n": primal.best_energy,
         "primal_feasible": primal.feasible,
         "bound_per_n": bound / shape.n_leaves,
         "bound_total": bound,
-        "sandwich_holds": (primal.best_energy is None)
-        or (primal.best_energy <= bound / shape.n_leaves),
+        "sandwich_holds": holds,
     }
     return RunResult(0, results)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from spinlab import rng
 from spinlab.errors import ArgumentError, DomainError, ResourceError
@@ -15,6 +16,7 @@ from spinlab.hamiltonian import (
     Hamiltonian,
     _contract,
     _scale,
+    _symmetric_sum,
     derivatives,
     energy,
     gradient,
@@ -230,11 +232,17 @@ def oracle_hessian_pair_blocks(h, x):
                 yield g, _contract(h.tensors[p], [x] * p, keep=(s, t))
 
 
-def oracle_hessian(h, x):
-    out = np.zeros((h.n, h.n))
-    for g, block in oracle_hessian_pair_blocks(h, x):
+def oracle_assembly(pairs, n):
+    """Zeros, then += g (B + B^T) per slot pair (g, B), one temporary per
+    term: the Hessian assembly before `_symmetric_sum`."""
+    out = np.zeros((n, n))
+    for g, block in pairs:
         out += g * (block + block.T)
     return out
+
+
+def oracle_hessian(h, x):
+    return oracle_assembly(oracle_hessian_pair_blocks(h, x), h.n)
 
 
 PLAN_CASES = [
@@ -418,16 +426,43 @@ def lanczos_case():
     return h, x, dirs
 
 
+def oracle_projected_top_eigvec(h, x, orth=(), k=1, seed=0, start=None):
+    """The Lanczos solve before it took the formed Hessian: ARPACK on
+    `hessian_apply`, with the same projection, starts and seeded stream."""
+    ortho = orthonormal_rows(orth, h.n)
+
+    def proj(v):
+        if ortho.size:
+            v = v - ortho.T @ (ortho @ v)
+        return v
+
+    op = LinearOperator(
+        (h.n, h.n),
+        matvec=lambda w: proj(hessian_apply(h, x, proj(np.asarray(w).ravel()))),
+    )
+    v0 = proj(np.asarray(start, dtype=float)) if k == 1 and start is not None else None
+    if v0 is None or np.linalg.norm(v0) <= 1e-8 * np.linalg.norm(start):
+        v0 = rng.stream(seed, "proj-eig", h.n).standard_normal(h.n)
+    vals, vecs = eigsh(op, k=k, which="LA", v0=v0)
+    order = np.argsort(vals)[::-1]
+    return vecs[:, order].T.copy(), vals[order]
+
+
+def _orth(x, dirs, n_orth):
+    return [x] + dirs[: n_orth - 1] if n_orth else []
+
+
 @pytest.mark.parametrize("n_orth", [0, 1, 3])
 def test_lanczos_matches_dense_eigh_oracle(lanczos_case, n_orth):
     h, x, dirs = lanczos_case
-    orth = [x] + dirs[: n_orth - 1] if n_orth else []
+    orth = _orth(x, dirs, n_orth)
     ortho = orthonormal_rows(orth, h.n)
     pmat = np.eye(h.n) - ortho.T @ ortho
-    dense = pmat @ derivatives(h, x, 2)[2] @ pmat
+    hess = derivatives(h, x, 2)[2]
+    dense = pmat @ hess @ pmat
     want_vals, want_vecs = np.linalg.eigh(0.5 * (dense + dense.T))
     for k in (1, 3):
-        vecs, vals = projected_top_eigvec(h, x, orth=orth, k=k, seed=5)
+        vecs, vals = projected_top_eigvec(hess, orth=orth, k=k, seed=5)
         assert vecs.shape == (k, h.n) and vals.shape == (k,)
         top = want_vals[::-1][:k]
         assert np.max(np.abs(vals - top)) <= 1e-10 * np.max(np.abs(top))
@@ -437,31 +472,47 @@ def test_lanczos_matches_dense_eigh_oracle(lanczos_case, n_orth):
                 assert np.max(np.abs(ortho @ got)) <= 1e-10
 
 
+@pytest.mark.parametrize("n_orth", [0, 1, 3])
+@pytest.mark.parametrize("k", [1, 3])
+def test_lanczos_on_the_formed_hessian_matches_the_matvec_oracle(lanczos_case, n_orth, k):
+    """dsymv on the formed Hessian against ARPACK on `hessian_apply`, from
+    the same start: the same eigenpairs to rounding."""
+    h, x, dirs = lanczos_case
+    orth = _orth(x, dirs, n_orth)
+    hess = derivatives(h, x, 2)[2]
+    vecs, vals = projected_top_eigvec(hess, orth=orth, k=k, seed=5)
+    want_vecs, want_vals = oracle_projected_top_eigvec(h, x, orth=orth, k=k, seed=5)
+    assert np.max(np.abs(vals - want_vals)) <= 1e-13 * np.max(np.abs(want_vals))
+    for got, want in zip(vecs, want_vecs):
+        assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-11
+
+
 def test_lanczos_cold_start_when_start_is_unusable(lanczos_case):
     """A start inside span(orth), and any start with k > 1, give the
     seeded cold solve bit for bit; a usable start still finds the same pair."""
     h, x, dirs = lanczos_case
     orth = [x, dirs[0]]
-    cold1 = projected_top_eigvec(h, x, orth=orth, k=1, seed=5)
-    in_span = projected_top_eigvec(h, x, orth=orth, k=1, seed=5, start=2.0 * x - dirs[0])
-    zero = projected_top_eigvec(h, x, orth=orth, k=1, seed=5, start=np.zeros(h.n))
+    hess = derivatives(h, x, 2)[2]
+    cold1 = projected_top_eigvec(hess, orth=orth, k=1, seed=5)
+    in_span = projected_top_eigvec(hess, orth=orth, k=1, seed=5, start=2.0 * x - dirs[0])
+    zero = projected_top_eigvec(hess, orth=orth, k=1, seed=5, start=np.zeros(h.n))
     for got in (in_span, zero):
         assert all(np.array_equal(a, b) for a, b in zip(got, cold1))
-    cold3 = projected_top_eigvec(h, x, orth=orth, k=3, seed=5)
-    warm3 = projected_top_eigvec(h, x, orth=orth, k=3, seed=5, start=dirs[1])
+    cold3 = projected_top_eigvec(hess, orth=orth, k=3, seed=5)
+    warm3 = projected_top_eigvec(hess, orth=orth, k=3, seed=5, start=dirs[1])
     assert all(np.array_equal(a, b) for a, b in zip(warm3, cold3))
-    warm1 = projected_top_eigvec(h, x, orth=orth, k=1, seed=5, start=dirs[1])
+    warm1 = projected_top_eigvec(hess, orth=orth, k=1, seed=5, start=dirs[1])
     assert abs(warm1[1][0] - cold1[1][0]) <= 1e-12 * abs(cold1[1][0])
     assert abs(abs(warm1[0][0] @ cold1[0][0]) - 1.0) <= 1e-10
     with pytest.raises(ArgumentError):
-        projected_top_eigvec(h, x, orth=orth, k=1, start=np.ones(3))
+        projected_top_eigvec(hess, orth=orth, k=1, start=np.ones(3))
 
 
-def test_lanczos_refuses_a_p4_term():
+def test_hessian_apply_refuses_a_p4_term():
     h = sample_hamiltonian(Mixture({2: 0.8, 4: 0.5}, h=0.2), 10, seed=4)
     x = 0.5 * sphere_point(rng.stream(23).standard_normal(10))
     with pytest.raises(ResourceError, match="p = 2 only"):
-        projected_top_eigvec(h, x, orth=[x], k=1, seed=2)
+        hessian_apply(h, x, x)
 
 
 # -- oracle: the slot-pair Hessian-vector loop ---------------------------------
@@ -522,7 +573,9 @@ SLAB_CASES = [  # above one default slab
 SMALL_CASES = [(m, n) for m, ns in PLAN_CASES if max(m.ps) > 2 for n in ns]
 
 
-@pytest.mark.parametrize("slab", [None, 2**9])  # 2**9: 16-row slabs, a short last one at n = 30
+# 2**9: each slab the fewest leading indices k with k n a multiple of 16
+# (8 at n = 30, a short last one of 6)
+@pytest.mark.parametrize("slab", [None, 2**9])
 @pytest.mark.parametrize("m, n", SLAB_CASES + SMALL_CASES)
 def test_one_read_order_two_against_the_orders_and_the_oracle(monkeypatch, m, n, slab):
     if slab is not None:
@@ -543,6 +596,34 @@ def test_one_read_order_two_against_the_orders_and_the_oracle(monkeypatch, m, n,
         want = oracle_hessian(h, x)
         assert np.max(np.abs(hess - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(hess, hess.T)
+
+
+ASSEMBLY_CASES = [
+    *PLAN_CASES,
+    *[(m, (n,)) for m, n in SLAB_CASES],
+    (Mixture({2: 0.0}, h=0.9), (7,)),  # no slot pair: zeros
+]
+
+
+@pytest.mark.parametrize("m, ns", ASSEMBLY_CASES)
+def test_hessian_assembly_is_symmetric_and_bit_equal_to_the_accumulating_oracle(monkeypatch, m, ns):
+    calls = []
+
+    def recorded(pairs, n):
+        calls.append(list(pairs))
+        return _symmetric_sum(pairs, n)
+
+    monkeypatch.setattr("spinlab.hamiltonian._symmetric_sum", recorded)
+    for n in ns:
+        h = sample_hamiltonian(m, n, seed=40 + n)
+        for x in _plan_points(n, 41):
+            calls.clear()
+            hess = derivatives(h, x, 2)[2]
+            (pairs,) = calls
+            assert len(pairs) == sum(p * (p - 1) // 2 for p in m.ps if m.gammas[p] != 0.0)
+            want = oracle_assembly(pairs, n)
+            assert np.array_equal(hess.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(hess, hess.T)
 
 
 def test_p2_hessian_apply_in_row_blocks_matches_the_slot_loop():

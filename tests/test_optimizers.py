@@ -179,8 +179,8 @@ LANCZOS_N = DEFAULT_DENSE_HESSIAN_CAP + 8
 def _solve_cold(monkeypatch, module):
     """Make `module` call projected_top_eigvec without its warm start."""
 
-    def cold(h, x, orth=(), k=1, seed=0, start=None):
-        return projected_top_eigvec(h, x, orth=orth, k=k, seed=seed)
+    def cold(matrix, orth=(), k=1, seed=0, start=None):
+        return projected_top_eigvec(matrix, orth=orth, k=k, seed=seed)
 
     monkeypatch.setattr(module, "projected_top_eigvec", cold)
 
@@ -190,10 +190,10 @@ def _record_warm_solves(monkeypatch, module):
     one cold and keep the pair of top eigenvalues (warm, cold)."""
     pairs = []
 
-    def recorded(h, x, orth=(), k=1, seed=0, start=None):
-        vecs, vals = projected_top_eigvec(h, x, orth=orth, k=k, seed=seed, start=start)
+    def recorded(matrix, orth=(), k=1, seed=0, start=None):
+        vecs, vals = projected_top_eigvec(matrix, orth=orth, k=k, seed=seed, start=start)
         if start is not None:
-            pairs.append((vals[0], projected_top_eigvec(h, x, orth=orth, k=k, seed=seed)[1][0]))
+            pairs.append((vals[0], projected_top_eigvec(matrix, orth=orth, k=k, seed=seed)[1][0]))
         return vecs, vals
 
     monkeypatch.setattr(module, "projected_top_eigvec", recorded)
@@ -201,14 +201,15 @@ def _record_warm_solves(monkeypatch, module):
 
 
 def _count_matvecs(monkeypatch):
+    """Count the Lanczos operator's matvecs: one BLAS dsymv each."""
     calls = [0]
-    apply = hamiltonian.hessian_apply
+    dsymv = hamiltonian.dsymv
 
-    def counted(h, x, w):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return apply(h, x, w)
+        return dsymv(*args, **kwargs)
 
-    monkeypatch.setattr(hamiltonian, "hessian_apply", counted)
+    monkeypatch.setattr(hamiltonian, "dsymv", counted)
     return calls
 
 
@@ -253,19 +254,7 @@ def test_embedding_lanczos_warm_start_matches_cold(monkeypatch):
     assert np.max(np.abs(gram(warm) - gram(cold))) <= 1e-12 * np.max(np.abs(gram(cold)))
 
 
-@pytest.mark.parametrize("mode, delta", [("top_eig", 0.125), ("random_subspace", 0.01)])
-def test_subag_step_dense_and_lanczos_paths_agree(monkeypatch, mode, delta):
-    h = sample_hamiltonian(Mixture({2: 1.0}, h=0.3), LANCZOS_N, seed=15)
-    x = 0.5 * sphere_point(rng.stream(77, "step-point").standard_normal(LANCZOS_N))
-    e_lanczos, v_lanczos = subag_step(h, x, mode, delta, 8)
-    monkeypatch.setattr(optimizers, "DEFAULT_DENSE_HESSIAN_CAP", LANCZOS_N)
-    e_dense, v_dense = subag_step(h, x, mode, delta, 8)
-    assert e_dense == e_lanczos
-    assert np.max(np.abs(v_dense - v_lanczos)) <= 1e-8
-
-
-def test_dense_embedding_takes_one_order_two_call_per_step(monkeypatch):
-    h = sample_hamiltonian(pure(4), 24, seed=16)
+def _record_orders(monkeypatch):
     orders = []
     plan = hamiltonian.derivatives
 
@@ -275,6 +264,27 @@ def test_dense_embedding_takes_one_order_two_call_per_step(monkeypatch):
 
     for module in (hamiltonian, optimizers):
         monkeypatch.setattr(module, "derivatives", counted)
+    return orders
+
+
+@pytest.mark.parametrize("mode, delta", [("top_eig", 0.125), ("random_subspace", 0.01)])
+def test_subag_step_dense_and_lanczos_paths_agree(monkeypatch, mode, delta):
+    """Both paths take one order-2 call, and no order-1 call, per step."""
+    h = sample_hamiltonian(Mixture({2: 1.0}, h=0.3), LANCZOS_N, seed=15)
+    x = 0.5 * sphere_point(rng.stream(77, "step-point").standard_normal(LANCZOS_N))
+    orders = _record_orders(monkeypatch)
+    e_lanczos, v_lanczos = subag_step(h, x, mode, delta, 8)
+    assert orders == [2]
+    monkeypatch.setattr(optimizers, "DEFAULT_DENSE_HESSIAN_CAP", LANCZOS_N)
+    e_dense, v_dense = subag_step(h, x, mode, delta, 8)
+    assert orders == [2, 2]
+    assert e_dense == e_lanczos
+    assert np.max(np.abs(v_dense - v_lanczos)) <= 1e-8
+
+
+def test_dense_embedding_takes_one_order_two_call_per_step(monkeypatch):
+    h = sample_hamiltonian(pure(4), 24, seed=16)
+    orders = _record_orders(monkeypatch)
     ultrametric.embed_energy_greedy(h, ultrametric.star_tree(2), 0.125, seed=8)
     assert [o for o in orders if o > 0] == [2] * 16  # two leaf chains of 8 steps
 

@@ -404,12 +404,22 @@ def test_sandwich_run(tmp_path):
 @pytest.mark.parametrize("mixture", (None, "p4", "p2+p4"))
 def test_sandwich_cli_defaults_are_feasible(tmp_path, mixture):
     """Without B the run picks one with B_zeta(0) = sqrt(max(xi''(1), 1)) for
-    its composite profile, so the bound is defined at every default."""
+    its composite profile, so the bound is defined at every default.  The
+    default p2 run finds no feasible primal point, and its sandwich flag is
+    then null, not a vacuous true."""
     argv = ["sandwich", "--n", "16", "--set", "restarts=1", "--out", str(tmp_path)]
     if mixture is not None:
         argv += ["--mixture", mixture]
     assert main(argv) == 0
-    assert math.isfinite(json.loads((tmp_path / "run.json").read_text())["results"]["bound_total"])
+    results = json.loads((tmp_path / "run.json").read_text())["results"]
+    assert math.isfinite(results["bound_total"])
+    assert results["primal_feasible"] is (mixture is not None)
+    if results["primal_feasible"]:
+        below = results["primal_grand_energy_per_n"] <= results["bound_per_n"]
+        assert results["sandwich_holds"] is below
+    else:
+        assert results["primal_grand_energy_per_n"] is None
+        assert results["sandwich_holds"] is None
 
 
 def test_selftest_subset(tmp_path):
