@@ -66,20 +66,16 @@ class Trajectory:
         return [norm_n_sq(x) for x in self.iterates]
 
 
-def export_trajectory_csv(traj: Trajectory, path, anchor=None):
-    """CSV columns (step, energy, norm2[, overlap_anchor]); config echoed as a
-    JSON header comment."""
+def export_trajectory_csv(traj: Trajectory, path):
+    """CSV columns (step, energy, norm2); config echoed as a JSON header
+    comment."""
     header = {"algorithm": traj.algorithm, "params": _jsonable(traj.params), "seed": traj.seed}
     with open(path, "w", newline="") as f:
         f.write("# " + json.dumps(header, sort_keys=True) + "\n")
         writer = csv.writer(f)
-        cols = ["step", "energy", "norm2"] + (["overlap_anchor"] if anchor is not None else [])
-        writer.writerow(cols)
+        writer.writerow(["step", "energy", "norm2"])
         for i, (x, e) in enumerate(zip(traj.iterates, traj.energies)):
-            row = [i, repr(float(e)), repr(norm_n_sq(x))]
-            if anchor is not None:
-                row.append(repr(overlap(x, anchor)))
-            writer.writerow(row)
+            writer.writerow([i, repr(float(e)), repr(norm_n_sq(x))])
 
 
 def _jsonable(obj):

@@ -232,7 +232,7 @@ def _matrix_csv(path, mat):
 
 
 def map_replicas(fn, seeds, workers: int = 1):
-    """Apply fn(seed) over replica seeds; results reduced in input order, so
+    """Apply fn(seed) over replica seeds; results come back in input order, so
     the output is identical whatever the worker count."""
     if workers <= 1:
         return [fn(s) for s in seeds]

@@ -2,16 +2,18 @@
 embeddings and their validation, branching depth, interval restriction, and
 the greedy energy-seeking embedding walk.
 
-A dated rooted tree with range [a, b] carries heights |v| in [a, b] with
-|root| = a, leaves at height b, and |parent| < |child|.  The associated
-metric is d(u, v) = sqrt(|u| + |v| - 2 |lca(u, v)|); a Euclidean embedding
-realizes R(i(u), i(v)) = |lca(u, v)| after the sqrt(N) scaling.
+A dated rooted tree with range [a, b] carries float heights |v| in [a, b]
+with |root| = a, leaves at height b, and |parent| < |child|; it keeps one
+`children` map, built once, that every walk over the tree reads.  The
+associated metric is d(u, v) = sqrt(|u| + |v| - 2 |lca(u, v)|); a Euclidean
+embedding realizes R(i(u), i(v)) = |lca(u, v)| after the sqrt(N) scaling.
 """
 
 import json
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,50 +27,53 @@ from .points import norm_n_sq, overlap
 _H_TOL = 1e-12
 
 
-def _as_height(x):
-    return x if isinstance(x, Fraction) else float(x)
-
-
 @dataclass
 class DatedRootedTree:
+    """`parents` maps each vertex to its parent (None at the one root) and
+    `heights` each vertex to a finite number, stored as a float.  The
+    constructor sets `root` and `children` (vertex -> list of its children,
+    in the order of `parents`) and refuses a tree that breaks the dating."""
+
     parents: dict  # vertex id -> parent id (root maps to None)
     heights: dict  # vertex id -> height in [a, b]
-    root: object = None
 
     def __post_init__(self):
         roots = [v for v, p in self.parents.items() if p is None]
         if len(roots) != 1:
             raise ArgumentError(f"need exactly one root, found {roots}")
-        if self.root is None:
-            self.root = roots[0]
-        self.heights = {v: _as_height(h) for v, h in self.heights.items()}
-        a, b = self.range
-        if abs(float(self.heights[self.root]) - float(a)) > _H_TOL:
-            raise ArgumentError("root height must equal the range minimum")
+        self.root = roots[0]
+        if self.heights.keys() != self.parents.keys():
+            raise ArgumentError("parents and heights must name the same vertices")
+        heights = {}
+        for v in self.parents:
+            h = self.heights[v]
+            if isinstance(h, bool) or not isinstance(h, numbers.Real) or not math.isfinite(h):
+                raise ArgumentError(f"vertex {v!r} needs a finite numeric height, got {h!r}")
+            heights[v] = float(h)
+        self.heights = heights
+        self.children = {v: [] for v in self.parents}
         for v, p in self.parents.items():
             if p is None:
                 continue
-            if p not in self.parents:
+            if p not in self.children:
                 raise ArgumentError(f"parent {p} of {v} is not a vertex")
-            if float(self.heights[p]) >= float(self.heights[v]):
+            if heights[p] >= heights[v]:
                 raise ArgumentError(f"|pa({v})| must be < |{v}|")
+            self.children[p].append(v)
+        b = self.range[1]
         for leaf in self.leaves():
-            if abs(float(self.heights[leaf]) - float(b)) > _H_TOL:
+            if abs(heights[leaf] - b) > _H_TOL:
                 raise ArgumentError(f"leaf {leaf} not at the range maximum {b}")
 
     @property
     def range(self):
-        return (self.heights[self.root], max(self.heights.values(), key=float))
+        return (self.heights[self.root], max(self.heights.values()))
 
     def vertices(self):
         return list(self.parents)
 
-    def children(self, v):
-        return [u for u, p in self.parents.items() if p == v]
-
     def leaves(self):
-        have_child = set(self.parents.values())
-        return [v for v in self.parents if v not in have_child]
+        return [v for v, kids in self.children.items() if not kids]
 
     def ancestors(self, v):
         out = [v]
@@ -77,31 +82,8 @@ class DatedRootedTree:
         return out
 
     def lca(self, u, v):
-        au = self.ancestors(u)
         av = set(self.ancestors(v))
-        for w in au:
-            if w in av:
-                return w
-        raise ArgumentError("vertices share no ancestor")
-
-    def reduced(self) -> "DatedRootedTree":
-        """Remove single-child vertices (except possibly the root)."""
-        parents = dict(self.parents)
-        heights = dict(self.heights)
-        changed = True
-        while changed:
-            changed = False
-            for v in list(parents):
-                if v == self.root:
-                    continue
-                kids = [u for u, p in parents.items() if p == v]
-                if len(kids) == 1:
-                    parents[kids[0]] = parents[v]
-                    del parents[v]
-                    del heights[v]
-                    changed = True
-                    break
-        return DatedRootedTree(parents, heights, self.root)
+        return next(w for w in self.ancestors(u) if w in av)
 
 
 def star_tree(k: int) -> DatedRootedTree:
@@ -136,7 +118,7 @@ def full_binary_tree(depth: int, heights=None) -> DatedRootedTree:
 def tree_metric(t: DatedRootedTree, u, v) -> float:
     """d(u, v) = sqrt(|u| + |v| - 2 |lca|)."""
     w = t.lca(u, v)
-    val = float(t.heights[u]) + float(t.heights[v]) - 2.0 * float(t.heights[w])
+    val = t.heights[u] + t.heights[v] - 2.0 * t.heights[w]
     return math.sqrt(max(val, 0.0))
 
 
@@ -161,8 +143,7 @@ def validate_embedding(t: DatedRootedTree, emb: Embedding, tol: float = 1e-9):
         if dev > worst:
             worst, label = dev, name
 
-    a = float(t.heights[t.root])
-    track(abs(norm_n_sq(emb.vectors[t.root]) - a), "root norm")
+    track(abs(norm_n_sq(emb.vectors[t.root]) - t.heights[t.root]), "root norm")
 
     def increment(v):
         p = t.parents[v]
@@ -172,14 +153,14 @@ def validate_embedding(t: DatedRootedTree, emb: Embedding, tol: float = 1e-9):
     verts = t.vertices()
     for v in verts:
         p = t.parents[v]
-        want = float(t.heights[v]) - (float(t.heights[p]) if p is not None else 0.0)
+        want = t.heights[v] - (t.heights[p] if p is not None else 0.0)
         track(abs(norm_n_sq(increment(v)) - want), f"increment norm of {v}")
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
             track(abs(overlap(increment(u), increment(v))), f"increment orthogonality ({u},{v})")
     for i, u in enumerate(verts):
         for v in verts[i:]:
-            want = float(t.heights[t.lca(u, v)])
+            want = t.heights[t.lca(u, v)]
             track(abs(overlap(emb.vectors[u], emb.vectors[v]) - want), f"overlap ({u},{v})")
     return worst <= tol, (worst, label)
 
@@ -194,102 +175,81 @@ def embed_orthogonal(t: DatedRootedTree, n: int, seed: int = 0) -> Embedding:
     gen = rng.stream(seed, "embed", len(verts))
     basis = np.linalg.qr(gen.standard_normal((n, len(verts))))[0].T  # rows orthonormal
     vectors = {}
-    order = sorted(verts, key=lambda v: (float(t.heights[v]), str(v)))
+    order = sorted(verts, key=lambda v: (t.heights[v], str(v)))
     for idx, v in enumerate(order):
         p = t.parents[v]
         base = vectors[p] if p is not None else np.zeros(n)
-        gain = float(t.heights[v]) - (float(t.heights[p]) if p is not None else 0.0)
+        gain = t.heights[v] - (t.heights[p] if p is not None else 0.0)
         vectors[v] = base + math.sqrt(max(gain, 0.0) * n) * basis[idx]
     return Embedding(vectors, n)
 
 
-def branching_depth(t: DatedRootedTree) -> int:
-    """Largest D such that the tree contains a (subdivided) full binary tree
-    of depth D: D(leaf) = 0, D(v) = max(m1, m2 + 1) over the two largest
+def _branching_depths(t: DatedRootedTree) -> dict:
+    """D(v) of the subtree at every vertex, children before parents: the
+    largest D such that the subtree contains a (subdivided) full binary tree
+    of depth D; D(leaf) = 0, D(v) = max(m1, m2 + 1) over the two largest
     child values."""
+    order = [t.root]
+    for v in order:
+        order.extend(t.children[v])
     depth = {}
-    for v in sorted(t.vertices(), key=lambda v: -float(t.heights[v])):
-        kids = t.children(v)
-        if not kids:
-            depth[v] = 0
-            continue
-        vals = sorted((depth[c] for c in kids), reverse=True)
-        depth[v] = vals[0] if len(vals) == 1 else max(vals[0], vals[1] + 1)
-    return depth[t.root]
+    for v in reversed(order):
+        # -1 stands in for a missing first or second child
+        vals = sorted((depth[c] for c in t.children[v]), reverse=True) + [-1, -1]
+        depth[v] = max(vals[0], vals[1] + 1)
+    return depth
+
+
+def branching_depth(t: DatedRootedTree) -> int:
+    """D(root): the branching depth of the whole tree."""
+    return _branching_depths(t)[t.root]
 
 
 def branching_depth_vertices(t: DatedRootedTree) -> set:
     """V_D = {v : the subtree at v has full branching depth}."""
-    total = branching_depth(t)
-    out = set()
-    for v in t.vertices():
-        sub = _subtree(t, v)
-        if branching_depth(sub) == total:
-            out.add(v)
-    return out
-
-
-def _subtree(t: DatedRootedTree, v) -> DatedRootedTree:
-    keep = {v}
-    changed = True
-    while changed:
-        changed = False
-        for u, p in t.parents.items():
-            if p in keep and u not in keep:
-                keep.add(u)
-                changed = True
-    parents = {u: (t.parents[u] if u != v else None) for u in keep}
-    heights = {u: t.heights[u] for u in keep}
-    # a subtree of a dated tree is dated with range [|v|, b]; leaves unchanged
-    return DatedRootedTree(parents, heights, root=v)
+    depth = _branching_depths(t)
+    return {v for v, d in depth.items() if d == depth[t.root]}
 
 
 def restrict(t: DatedRootedTree, interval) -> list:
     """Components of the subgraph at heights in [a', b'], after subdividing
-    the edges that cross a' or b' (degree-2 vertices at exact heights)."""
-    lo, hi = interval
-    a, b = (float(t.heights[t.root]), max(float(h) for h in t.heights.values()))
-    if not (a - _H_TOL <= float(lo) <= float(hi) <= b + _H_TOL):
+    the edges that cross a' or b' (degree-2 vertices at exact heights), in
+    the order of their roots' first appearance."""
+    lo, hi = float(interval[0]), float(interval[1])
+    a, b = t.range
+    if not (a - _H_TOL <= lo <= hi <= b + _H_TOL):
         raise ArgumentError(f"interval {interval} not inside the tree range [{a}, {b}]")
 
     parents = dict(t.parents)
     heights = dict(t.heights)
-    counter = [0]
-
-    def subdivide(v, height):
-        """Insert a vertex at `height` on the edge above v; return its id."""
-        mid = ("cut", counter[0])
-        counter[0] += 1
-        parents[mid] = parents[v]
-        parents[v] = mid
-        heights[mid] = height
-        return mid
-
     for v in list(parents):
         if parents[v] is None:
             continue
         node = v  # hi first, then lo on the edge above the hi-cut
         for cut in (hi, lo):
-            hp, hv = float(heights[parents[node]]), float(heights[node])
-            if hp < float(cut) - _H_TOL and hv > float(cut) + _H_TOL:
-                node = subdivide(node, cut)
+            if heights[parents[node]] < cut - _H_TOL and heights[node] > cut + _H_TOL:
+                # insert ("cut", k), the k-th cut so far, at height `cut` above node
+                mid = ("cut", len(parents) - len(t.parents))
+                parents[mid] = parents[node]
+                parents[node] = mid
+                heights[mid] = cut
+                node = mid
 
-    keep = {v for v in parents if float(lo) - _H_TOL <= float(heights[v]) <= float(hi) + _H_TOL}
-    comp_roots = [v for v in keep if parents[v] not in keep]
-    forest = []
-    for root in comp_roots:
-        members = {root}
-        changed = True
-        while changed:
-            changed = False
-            for v in keep:
-                if parents[v] in members and v not in members:
-                    members.add(v)
-                    changed = True
-        sub_par = {v: (parents[v] if v != root else None) for v in members}
-        sub_h = {v: heights[v] for v in members}
-        forest.append(DatedRootedTree(sub_par, sub_h, root=root))
-    return forest
+    keep = [v for v in parents if lo - _H_TOL <= heights[v] <= hi + _H_TOL]
+    kept = set(keep)
+    components = {}  # topmost kept ancestor -> its kept descendants
+    for v in keep:
+        top = v
+        while parents[top] in kept:
+            top = parents[top]
+        components.setdefault(top, []).append(v)
+    return [
+        DatedRootedTree(
+            {v: (parents[v] if v != top else None) for v in members},
+            {v: heights[v] for v in members},
+        )
+        for top, members in components.items()
+    ]
 
 
 # -- greedy energy embedding -----------------------------------------------------
@@ -299,21 +259,24 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
     """Walk the tree root-to-leaves taking sqrt(delta N)-sized steps along the
     top eigenvector of the Hessian restricted to the orthogonal complement of
     all current iterates (and finished vertices); branch points spawn children
-    whose first steps come out mutually orthogonal automatically.
+    whose first steps come out mutually orthogonal automatically.  A tree
+    whose range leaves [0, 1] has no embedding in the unit ball and is refused.
 
     Returns (Embedding, per-vertex energies, profile) where profile maps each
     vertex to the reference threshold integral int_0^{|v|} sqrt(xi'') — a
     report only, nothing is asserted against it.
     """
+    a, b = t.range
+    if a < -_H_TOL or b > 1.0 + _H_TOL:
+        raise ArgumentError(f"tree range [{a}, {b}] must lie inside [0, 1] to embed")
     n = h.n
     verts = t.vertices()
     edge_steps = sum(
-        max(1, math.ceil((float(t.heights[v]) - float(t.heights[p])) / delta - 1e-12))
+        max(1, math.ceil((t.heights[v] - t.heights[p]) / delta - 1e-12))
         for v, p in t.parents.items()
         if p is not None
     )
-    root_h = float(t.heights[t.root])
-    root_steps = math.ceil(root_h / delta - 1e-12) if root_h > 0 else 0
+    root_steps = math.ceil(a / delta - 1e-12) if a > 0 else 0
     if n < edge_steps + root_steps + len(verts) + 2:
         raise ResourceError(
             f"direction budget exhausted: n={n} < {edge_steps + root_steps + len(verts) + 2} required"
@@ -321,7 +284,7 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
 
     vectors = {}
     energies = {}
-    order = sorted(verts, key=lambda v: (float(t.heights[v]), str(v)))
+    order = sorted(verts, key=lambda v: (t.heights[v], str(v)))
 
     def step_chain(x, target_sq, others, step_seed):
         # every step is orthogonal to the running iterate AND to every
@@ -341,12 +304,10 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
         p = t.parents[v]
         base = vectors[p] if p is not None else np.zeros(n)
         others = list(vectors.values())
-        x = step_chain(
-            base.copy(), float(t.heights[v]), others, rng.derive_seed(seed, "vertex", str(v))
-        )
+        x = step_chain(base.copy(), t.heights[v], others, rng.derive_seed(seed, "vertex", str(v)))
         vectors[v] = x
         energies[v] = energy(h, x)
-    profile = {v: root_xi2_integral(h.mixture, 0.0, float(t.heights[v])) for v in verts}
+    profile = {v: root_xi2_integral(h.mixture, 0.0, t.heights[v]) for v in verts}
     return Embedding(vectors, n), energies, profile
 
 
@@ -355,18 +316,25 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
 
 def tree_from_json(source) -> DatedRootedTree:
     """Tree from its exchange JSON text, or from the already-decoded object:
-    {"vertices": [{"id": ..., "parent": ... or null, "height": ...}, ...]}."""
+    {"vertices": [{"id": ..., "parent": ... or null, "height": ...}, ...]}
+    with unique ids and finite numeric heights."""
     try:
         payload = json.loads(source) if isinstance(source, str) else source
-        parents = {v["id"]: v["parent"] for v in payload["vertices"]}
-        heights = {v["id"]: float(v["height"]) for v in payload["vertices"]}
+        vertices = payload["vertices"]
+        parents = {v["id"]: v["parent"] for v in vertices}
+        heights = {v["id"]: v["height"] for v in vertices}
+        repeated = [i for i, count in Counter(v["id"] for v in vertices).items() if count > 1]
+        if repeated:
+            raise ArgumentError(f"tree vertex ids must be unique; repeated: {repeated}")
+        return DatedRootedTree(parents, heights)
+    except ArgumentError:
+        raise
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"tree is not valid JSON: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(
             f"tree needs a 'vertices' list of objects with id, parent and height ({exc!r})"
         ) from None
-    return DatedRootedTree(parents, heights)
 
 
 def embedding_to_csv(emb: Embedding, path):

@@ -83,10 +83,10 @@ def test_trajectory_energy_recompute_and_csv(tmp_path):
         assert energy(h, x) == pytest.approx(e, abs=1e-9)
         assert norm_n_sq(x) <= 1.0 + 1e-9
     path = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, path, anchor=x0)
+    export_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# {")
-    assert lines[1] == "step,energy,norm2,overlap_anchor"
+    assert lines[1] == "step,energy,norm2"
     assert len(lines) == 2 + len(traj.iterates)
 
 

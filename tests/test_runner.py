@@ -331,10 +331,44 @@ def test_embed_rejects_malformed_tree(tmp_path):
         {"star": "abc"},
         {"binary": "x"},
         {"star": 0},
+        {"vertices": [{"id": "r", "parent": None, "height": 0.0}, {"id": "a", "parent": ["r"], "height": 1.0}]},
     ]
     for i, tree in enumerate(trees):
         cfg.write_text(json.dumps({"subcommand": "embed", "mixture": "p2", "n": 16, "tree": tree}))
         assert main(["run", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, tree
+
+
+# the 3-leaf tree "r" -> {"m" -> {"a", "b"}, "c"}, and each way of breaking it:
+# new heights for some vertices, or a vertex whose id is taken
+_GOOD_TREE = {"r": (None, 0.25), "m": ("r", 0.75), "a": ("m", 1.0), "b": ("m", 1.0), "c": ("r", 1.0)}
+_BAD_TREES = {
+    "nan_height": {"a": math.nan},
+    "infinite_height": {"a": math.inf, "b": math.inf, "c": math.inf},
+    "leaf_above_one": {"a": 2.0, "b": 2.0, "c": 2.0},
+    "root_below_zero": {"r": -0.5},
+    "repeated_id": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TREES))
+def test_embed_refuses_a_malformed_tree_file(tmp_path, capsys, case):
+    vertices = [{"id": v, "parent": p, "height": h} for v, (p, h) in _GOOD_TREE.items()]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"vertices": vertices}))
+    if case == "repeated_id":
+        vertices.append({"id": "c", "parent": "m", "height": 1.0})
+    else:
+        vertices = [{**v, "height": _BAD_TREES[case].get(v["id"], v["height"])} for v in vertices]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": vertices}))  # NaN and Infinity as JSON literals
+    argv = ["embed", "--mixture", "p2", "--n", "24", "--set"]
+    assert main(argv + [f"tree={good}", "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "refused"
+    assert main(argv + [f"tree={bad}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_concentration_run(tmp_path):

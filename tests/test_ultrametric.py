@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spinlab import rng
+from spinlab.acceptance import _brute_branching, _tree_from_parents
 from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import sample_hamiltonian
 from spinlab.mixture import pure
@@ -34,39 +35,32 @@ def chain_tree(heights) -> DatedRootedTree:
     return DatedRootedTree(parents, dict(zip(ids, heights)))
 
 
-def _tree_from_parents(parent_list):
-    parents = {0: None}
-    for i, p in enumerate(parent_list, start=1):
-        parents[i] = p
-
-    def depth(v):
-        d = 0
-        while parents[v] is not None:
-            v = parents[v]
-            d += 1
-        return d
-
-    children = {v: [] for v in parents}
-    for v, p in parents.items():
-        if p is not None:
-            children[p].append(v)
-    maxd = max(depth(v) for v in parents) or 1
-    heights = {}
-    for v in parents:
-        if not children[v]:
-            heights[v] = 1.0
-        elif parents[v] is None:
-            heights[v] = 0.0
-        else:
-            heights[v] = depth(v) / (maxd + 1)
-    return DatedRootedTree(parents, heights)
-
-
 def test_tree_invariants():
     with pytest.raises(ArgumentError):
         DatedRootedTree({"a": None, "b": "a"}, {"a": 0.5, "b": 0.2})
     with pytest.raises(ArgumentError):
         DatedRootedTree({"a": None, "b": None}, {"a": 0.0, "b": 0.0})
+    t = DatedRootedTree({"r": None, "m": "r", "x": "m", "y": "r"}, {"r": 0, "m": 0.5, "x": 1, "y": 1})
+    assert t.root == "r" and t.children == {"r": ["m", "y"], "m": ["x"], "x": [], "y": []}
+    assert all(type(h) is float for h in t.heights.values()) and t.leaves() == ["x", "y"]
+
+
+@pytest.mark.parametrize(
+    "heights",
+    (
+        {"r": 0.0, "a": math.nan},
+        {"r": 0.0, "a": math.inf},
+        {"r": -math.inf, "a": 1.0},
+        {"r": 0.0, "a": "1"},
+        {"r": 0.0, "a": None},
+        {"r": 0.0, "a": True},
+        {"r": 0.0},
+        {"r": 0.0, "a": 1.0, "b": 1.0},
+    ),
+)
+def test_tree_refuses_a_missing_non_numeric_or_non_finite_height(heights):
+    with pytest.raises(ArgumentError):
+        DatedRootedTree({"r": None, "a": "r"}, heights)
 
 
 def test_tree_metric_examples():
@@ -160,44 +154,6 @@ def test_branching_depth_examples():
     assert branching_depth(full_binary_tree(3)) == 3
 
 
-def _brute_branching(parent_list):
-    parents = {0: None}
-    for i, p in enumerate(parent_list, start=1):
-        parents[i] = p
-    children = {v: [] for v in parents}
-    for v, p in parents.items():
-        if p is not None:
-            children[p].append(v)
-    memo = {}
-
-    def hit(c, d):
-        stack = [c]
-        while stack:
-            w = stack.pop()
-            if rooted(w, d):
-                return True
-            stack.extend(children[w])
-        return False
-
-    def rooted(v, d):
-        if d == 0:
-            return True
-        if (v, d) not in memo:
-            memo[(v, d)] = any(
-                hit(c1, d - 1) and hit(c2, d - 1)
-                for c1, c2 in itertools.combinations(children[v], 2)
-            )
-        return memo[(v, d)]
-
-    best = 0
-    for v in parents:
-        d = 0
-        while rooted(v, d + 1):
-            d += 1
-        best = max(best, d)
-    return best
-
-
 def test_branching_depth_brute_force_small():
     count = 0
     for nverts in range(2, 8):
@@ -206,6 +162,127 @@ def test_branching_depth_brute_force_small():
             assert branching_depth(t) == _brute_branching(list(parent_list))
             count += 1
     assert count > 100
+
+
+def oracle_subtree(t: DatedRootedTree, v) -> DatedRootedTree:
+    """The subtree at v, rebuilt and re-validated by a fixpoint closure."""
+    keep = {v}
+    changed = True
+    while changed:
+        changed = False
+        for u, p in t.parents.items():
+            if p in keep and u not in keep:
+                keep.add(u)
+                changed = True
+    parents = {u: (t.parents[u] if u != v else None) for u in keep}
+    return DatedRootedTree(parents, {u: t.heights[u] for u in keep})
+
+
+def oracle_branching_depth_vertices(t: DatedRootedTree) -> set:
+    """V_D by definition: every v whose rebuilt subtree has the full depth."""
+    total = branching_depth(t)
+    return {v for v in t.vertices() if branching_depth(oracle_subtree(t, v)) == total}
+
+
+def oracle_restrict(t: DatedRootedTree, interval) -> list:
+    """Restriction by subdividing the crossing edges and growing each
+    component from its root by a fixpoint loop."""
+    lo, hi = interval
+    parents = dict(t.parents)
+    heights = dict(t.heights)
+    counter = [0]
+
+    def subdivide(v, height):
+        mid = ("cut", counter[0])
+        counter[0] += 1
+        parents[mid] = parents[v]
+        parents[v] = mid
+        heights[mid] = height
+        return mid
+
+    for v in list(parents):
+        if parents[v] is None:
+            continue
+        node = v
+        for cut in (hi, lo):
+            hp, hv = heights[parents[node]], heights[node]
+            if hp < cut - 1e-12 and hv > cut + 1e-12:
+                node = subdivide(node, cut)
+
+    keep = {v for v in parents if lo - 1e-12 <= heights[v] <= hi + 1e-12}
+    forest = []
+    for root in [v for v in keep if parents[v] not in keep]:
+        members = {root}
+        changed = True
+        while changed:
+            changed = False
+            for v in keep:
+                if parents[v] in members and v not in members:
+                    members.add(v)
+                    changed = True
+        sub_par = {v: (parents[v] if v != root else None) for v in members}
+        forest.append(DatedRootedTree(sub_par, {v: heights[v] for v in members}))
+    return forest
+
+
+def _canonical_forest(forest):
+    # components and their vertices in a fixed order; heights by exact repr
+    return sorted(
+        repr((sorted(map(repr, t.parents.items())), sorted(map(repr, t.heights.items()))))
+        for t in forest
+    )
+
+
+def _random_dated_tree(gen):
+    """Up to 12 vertices, leaves at 1, each inner vertex strictly between
+    its parent and 1 at a random fraction of the gap."""
+    nverts = int(gen.integers(2, 13))
+    parents = {0: None}
+    for i in range(1, nverts):
+        parents[i] = int(gen.integers(0, i))
+    inner = set(parents.values())
+    heights = {0: 0.0}
+    for v in range(1, nverts):
+        hp = heights[parents[v]]
+        heights[v] = hp + (1.0 - hp) * float(gen.uniform(0.1, 0.9)) if v in inner else 1.0
+    return DatedRootedTree(parents, heights)
+
+
+def _random_window(gen, t):
+    """Ends drawn uniformly, or (one time in three) at a vertex height, so
+    the tolerance comparisons at a cut are exercised too."""
+    hs = sorted(set(t.heights.values()))
+    ends = [
+        hs[int(gen.integers(0, len(hs)))] if gen.random() < 1 / 3 else float(gen.uniform(0, 1))
+        for _ in range(2)
+    ]
+    return min(ends), max(ends)
+
+
+def _small_trees():
+    for nverts in range(2, 8):
+        for parent_list in itertools.product(*[range(i) for i in range(1, nverts)]):
+            yield _tree_from_parents(list(parent_list))
+
+
+def test_branching_depth_vertices_match_the_per_vertex_subtree_oracle():
+    gen = rng.stream(24, "vd-oracle")
+    trees = list(_small_trees()) + [_random_dated_tree(gen) for _ in range(400)]
+    assert len(trees) == 873 + 400
+    for t in trees:
+        assert branching_depth_vertices(t) == oracle_branching_depth_vertices(t)
+
+
+def test_restrict_matches_the_fixpoint_oracle():
+    gen = rng.stream(24, "restrict-oracle")
+    trees = list(_small_trees()) + [_random_dated_tree(gen) for _ in range(400)]
+    split = 0
+    for t in trees:
+        window = _random_window(gen, t)
+        forest = restrict(t, window)
+        assert _canonical_forest(forest) == _canonical_forest(oracle_restrict(t, window))
+        split += len(forest) > 1
+    assert split > 100  # many windows cut the tree into several components
 
 
 def test_vd_path_property():
@@ -233,20 +310,10 @@ def test_restrict():
     assert len(forest) == 2
     with pytest.raises(ArgumentError):
         restrict(ct, (-0.5, 0.7))
-
-
-def test_restrict_exact_fraction_heights():
-    ct = chain_tree([Fraction(0), Fraction(1)])
-    forest = restrict(ct, (Fraction(1, 3), Fraction(2, 3)))
-    sub = forest[0]
-    hs = sorted(float(h) for h in sub.heights.values())
-    assert hs[0] == pytest.approx(1 / 3) and hs[-1] == pytest.approx(2 / 3)
-
-
-def test_reduced():
-    t = chain_tree([0.0, 0.4, 1.0])
-    r = t.reduced()
-    assert len(r.vertices()) == 2  # middle degree-2 vertex removed
+    # a window strictly inside one edge cuts it at both ends
+    forest = restrict(ct, (1 / 3, 2 / 3))
+    hs = sorted(forest[0].heights.values())
+    assert len(forest) == 1 and hs == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
 
 
 def test_tree_json_roundtrip():
@@ -258,6 +325,9 @@ def test_tree_json_roundtrip():
     back = tree_from_json(json.dumps({"vertices": vertices}))
     assert sorted(map(str, back.vertices())) == sorted(map(str, bt.vertices()))
     assert branching_depth(back) == branching_depth(bt)
+    vertices.append({**vertices[-1], "parent": str((1,))})
+    with pytest.raises(ArgumentError, match=r"repeated: \['\(2, 2\)'\]"):
+        tree_from_json(json.dumps({"vertices": vertices}))
 
 
 def test_embed_energy_greedy_star():
@@ -300,3 +370,11 @@ def test_embed_energy_greedy_resource_guard():
     h = sample_hamiltonian(pure(2), 12, seed=1)
     with pytest.raises(ResourceError):
         embed_energy_greedy(h, star_tree(4), delta=0.125, seed=0)
+
+
+@pytest.mark.parametrize("heights", ([0.0, 2.0], [-0.5, 1.0]))
+def test_embed_energy_greedy_refuses_a_range_outside_the_unit_interval(heights):
+    # refused before the direction budget, which n = 12 would also exhaust
+    h = sample_hamiltonian(pure(2), 12, seed=1)
+    with pytest.raises(ArgumentError, match=r"inside \[0, 1\]"):
+        embed_energy_greedy(h, full_binary_tree(1, heights), delta=0.125, seed=0)
