@@ -9,7 +9,7 @@ import json
 import sys
 
 from .errors import ArgumentError, ConstraintError, DomainError, NumericError, ResourceError
-from .runner import SUBCOMMANDS, parse_mixture, run
+from .runner import DEFAULTS, parse_mixture, run
 
 
 def _set_path(config, dotted, value):
@@ -27,6 +27,17 @@ def _set_path(config, dotted, value):
         node[keys[-1]] = value
 
 
+# (config key, flag, options): a subcommand offers the flag when its row of
+# DEFAULTS has the key
+_FLAGS = (
+    ("mixture", "mixture", {"help": "e.g. p4 or 0.5*p2+p4"}),
+    ("mixture", "h", {"type": float, "help": "external field strength"}),
+    ("n", "n", {"type": int}),
+    ("seed", "seed", {"type": int}),
+    ("seeds", "seeds", {"type": int, "help": "number of replica seeds (0..k-1)"}),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="spinlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,13 +48,12 @@ def build_parser():
                       help="override a config field (dotted path; value parsed as JSON)")
     runp.add_argument("--out", default=None)
 
-    for name in SUBCOMMANDS:
+    for name, row in DEFAULTS.items():
         p = sub.add_parser(name, help=f"direct {name} invocation")
-        p.add_argument("--mixture", default=None, help="e.g. p4 or 0.5*p2+p4")
-        p.add_argument("--h", type=float, default=None, help="external field strength")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--seeds", type=int, default=None, help="number of replica seeds (0..k-1)")
+        p.set_defaults(**{flag: None for _, flag, _ in _FLAGS})
+        for key, flag, options in _FLAGS:
+            if key in row:
+                p.add_argument(f"--{flag}", default=None, **options)
         p.add_argument("--out", default=None)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         if name == "optimize":

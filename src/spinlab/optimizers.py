@@ -91,6 +91,8 @@ def _jsonable(obj):
 def gradient_ascent(h: Hamiltonian, x0, steps: int, lr) -> Trajectory:
     """x <- Pi_{B_N}(x + lr_k grad H(x)).  Energies may decrease through the
     projection; nothing is asserted about monotonicity."""
+    if steps < 0:
+        raise ArgumentError(f"steps={steps} must be >= 0")
     x = np.asarray(x0, dtype=float)
     if norm_n_sq(x) > 1.0 + 1e-9:
         raise ArgumentError("x0 outside B_N")
@@ -252,6 +254,8 @@ def subag_ascent(h: Hamiltonian, delta: float, mode: str = "top_eig", seed: int 
     x^1 is the delta-scaled top direction at the origin."""
     if mode not in ("top_eig", "random_subspace"):
         raise ArgumentError(f"unknown subag mode {mode!r}")
+    if not 0 < delta <= 1:
+        raise ArgumentError(f"delta={delta} must lie in (0, 1]")
     steps = 1.0 / delta
     if abs(steps - round(steps)) > 1e-9:
         raise ArgumentError(f"1/delta = {steps} must be an integer")
@@ -288,8 +292,10 @@ def langevin(
     per-step projection onto rB_N as the reflection surrogate; the final
     point is projected onto B_N.  Boundary hits are counted in params.  With
     noise_scale = 0 the map equals gradient ascent at lr = 0.5 * beta * dt."""
-    if dt > 1e-2 + 1e-15:
-        raise ArgumentError(f"dt={dt} too large (need <= 1e-2)")
+    if not 0 < dt <= 1e-2 + 1e-15:
+        raise ArgumentError(f"dt={dt} must lie in (0, 1e-2]")
+    if not 0 <= horizon < math.inf:
+        raise ArgumentError(f"horizon={horizon} must be a nonnegative finite number")
     if not (1.0 <= r < math.sqrt(2.0)):
         raise ArgumentError(f"radius r={r} must lie in [1, sqrt(2))")
     x = np.zeros(h.n)

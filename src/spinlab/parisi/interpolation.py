@@ -189,8 +189,10 @@ def interpolation_bound_sp(
     """K P(B, zeta_under + beta kappa zeta) + C K^2 (beta eta + B eta +
     log(1/eta)/beta + 1/sqrt(N)); C is a caller-supplied constant, no
     certified claim is made about it."""
-    if beta <= 0 or B < 1.0 / beta:
+    if not (beta > 0 and B >= 1.0 / beta):
         raise DomainError(f"need beta > 0 and B >= 1/beta, got B={B}, beta={beta}")
+    if not 0 < eta < math.inf:
+        raise DomainError(f"need a positive finite eta, got eta={eta}")
     composite = composite_profile(zeta_under, zeta, beta, shape, pladder, qladder)
     K = shape.n_leaves
     main = K * parisi_sp(B, composite, m)

@@ -1,13 +1,18 @@
 """Batch experiment runner: a JSON config (or CLI flags) in, reproducible
 JSON/CSV artifacts out.
 
-Subcommands: thresholds, optimize, chi, concentration, branching, sandwich,
-embed, pde, selftest.  Each handler returns its results and CSV artifacts;
-`run` alone writes run.json.  Re-running a config byte-reproduces every
-numeric payload; timings and timestamps (among them selftest's per-criterion
-seconds) live only under the "meta" key.  A selftest criterion name that
-matches no criterion exits 2 before any criterion runs.  A run that raises
-removes the output directories it made, so a refused run leaves none.
+`DEFAULTS` gives each subcommand (thresholds, optimize, chi, concentration,
+branching, sandwich, embed, pde, selftest) its keys and their defaults, None
+where the handler decides; `FIELDS` gives each key's JSON schema, and
+`ALGORITHMS` each `alg` name's parameter defaults, whose types are the
+parameters' types.  Any other key or parameter exits 2.  `run` lays the
+config over its row once; a handler returns its results and CSV artifacts,
+and `run` alone writes run.json, echoing the config as given.  Re-running a
+config byte-reproduces every numeric payload; timings and timestamps (among
+them selftest's per-criterion seconds) live only under the "meta" key.  A
+selftest criterion name that matches no criterion exits 2 before any
+criterion runs.  A run that raises removes the output directories it made,
+so a refused run leaves none.
 """
 
 import json
@@ -70,78 +75,76 @@ from .ultrametric import (
     validate_embedding,
 )
 
-SUBCOMMANDS = (
-    "thresholds",
-    "optimize",
-    "chi",
-    "concentration",
-    "branching",
-    "sandwich",
-    "embed",
-    "pde",
-    "selftest",
-)
+_GRADIENT_ASCENT = {"name": "gradient_ascent"}
+_LADDERS = {"ks": [2, 2], "qladder": [0.0, 0.5, 1.0], "pladder": None, "chi": "identity"}
 
-SCHEMA = {
-    "type": "object",
-    "required": ["subcommand"],
-    "additionalProperties": False,
-    "properties": {
-        "subcommand": {"enum": list(SUBCOMMANDS)},
-        "mixture": {
-            "oneOf": [
-                {"type": "string"},
-                {
-                    "type": "object",
-                    "required": ["gammas"],
-                    "properties": {
-                        "gammas": {"type": "object"},
-                        "h": {"type": "number", "minimum": 0},
-                    },
-                },
-            ]
-        },
-        "n": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "out": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1, "maximum": 64},
-        "alg": {"type": "object"},
-        "delta": {"type": "number"},
-        "eta": {"type": "number"},
-        "reps": {"type": "integer", "minimum": 1},
-        "p": {"type": "number"},
-        "p_grid": {"type": "array", "items": {"type": "number"}},
-        "lambda": {"type": "number"},
-        "ks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "pladder": {"type": "array", "items": {"type": "number"}},
-        "qladder": {"type": "array", "items": {"type": "number"}},
-        "zeta": {
-            "type": "object",
-            "required": ["breaks", "values"],
-            "properties": {
-                "breaks": {"type": "array", "items": {"type": "number"}},
-                "values": {"type": "array", "items": {"type": "number"}},
+DEFAULTS = {
+    "thresholds": {"mixture": "p4", "ising": False, "knots": 8, "out": None},
+    "optimize": {"mixture": "p4", "n": 64, "seed": 0, "seeds": None,
+                 "alg": {"name": "subag", "delta": 0.125}, "workers": 1, "out": None},
+    "chi": {"mixture": "p2", "n": 48, "seed": 0, "alg": _GRADIENT_ASCENT,
+            "p_grid": [0.0, 0.25, 0.5, 0.75, 1.0], "reps": 20, "out": None},
+    "concentration": {"mixture": "p2", "n": 48, "seed": 0, "alg": _GRADIENT_ASCENT,
+                      "p": 0.5, "reps": 30, "lambda": 0.2, "out": None},
+    "branching": {"mixture": "p2", "n": 64, "seed": 0, "alg": _GRADIENT_ASCENT, **_LADDERS,
+                  "reps": 1, "out": None},
+    "sandwich": {"mixture": "p2", "n": 48, "seed": 0, **_LADDERS, "eta": 0.2, "restarts": 3,
+                 "beta": 4.0, "B": None, "C": 1.0, "out": None},
+    "embed": {"mixture": "p2", "n": 96, "seed": 0, "tree": {"star": 3}, "delta": 0.125, "out": None},
+    "pde": {"mixture": "p2", "zeta": {"breaks": [0.0], "values": [0.0]}, "beta": math.inf,
+            "a": 0.0, "grid": None, "out": None},
+    "selftest": {"criteria": None, "out": None},
+}
+
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+
+FIELDS = {
+    "subcommand": {"enum": list(DEFAULTS)},
+    "mixture": {
+        "oneOf": [
+            {"type": "string"},
+            {
+                "type": "object",
+                "required": ["gammas"],
+                "properties": {"gammas": {"type": "object"}, "h": {"type": "number", "minimum": 0}},
             },
-        },
-        "beta": {"type": "number"},
-        "a": {"type": "number"},
-        "grid": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-        "knots": {"type": "integer", "enum": [8 * 2**k for k in range(7)]},  # alg_is_levels doubles from 8
-        "ising": {"type": "boolean"},
-        "tree": {
-            "type": ["object", "string"],
-            "properties": {
-                "star": {"type": "integer", "minimum": 1},
-                "binary": {"type": "integer", "minimum": 1},
-            },
-        },
-        "restarts": {"type": "integer", "minimum": 1},
-        "C": {"type": "number"},
-        "B": {"type": "number"},
-        "criteria": {"type": "array"},
-        "chi": {"type": "string"},
+        ]
     },
+    "n": {"type": "integer", "minimum": 1},
+    "seed": {"type": "integer"},
+    "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+    "out": {"type": "string"},
+    "workers": {"type": "integer", "minimum": 1, "maximum": 64},
+    "alg": {"type": "object"},  # checked against its row of ALGORITHMS
+    "delta": _NUMBER,
+    "eta": _NUMBER,
+    "reps": {"type": "integer", "minimum": 1},
+    "p": _NUMBER,
+    "p_grid": _NUMBERS,
+    "lambda": _NUMBER,
+    "ks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+    "pladder": _NUMBERS,
+    "qladder": _NUMBERS,
+    "zeta": {"type": "object", "required": ["breaks", "values"],
+             "properties": {"breaks": _NUMBERS, "values": _NUMBERS}},
+    "beta": _NUMBER,
+    "a": _NUMBER,
+    "grid": {**_NUMBERS, "minItems": 2, "maxItems": 2},
+    "knots": {"type": "integer", "enum": [8 * 2**k for k in range(7)]},  # alg_is_levels doubles from 8
+    "ising": {"type": "boolean"},
+    "tree": {
+        "type": ["object", "string"],
+        "properties": {
+            "star": {"type": "integer", "minimum": 1},
+            "binary": {"type": "integer", "minimum": 1},
+        },
+    },
+    "restarts": {"type": "integer", "minimum": 1},
+    "C": _NUMBER,
+    "B": _NUMBER,
+    "criteria": {"type": "array"},
+    "chi": {"type": "string"},
 }
 
 
@@ -240,10 +243,7 @@ def map_replicas(fn, seeds, workers: int = 1):
         return list(pool.map(fn, seeds))
 
 
-def _gradient_ascent(spec):
-    steps, lr = int(spec.get("steps", 10)), float(spec.get("lr", 0.05))
-    start_scale = float(spec.get("start_scale", 0.5))
-
+def _gradient_ascent(steps, lr, start_scale):
     def alg(h, seed):
         x0 = sphere_point(rng.stream(seed, "ga-x0").standard_normal(h.n)) * start_scale
         return gradient_ascent(h, x0, steps, lr)
@@ -251,20 +251,7 @@ def _gradient_ascent(spec):
     return alg
 
 
-def _subag(spec):
-    delta, mode = float(spec.get("delta", 0.125)), spec.get("mode", "top_eig")
-    return lambda h, seed: subag_ascent(h, delta, mode, seed=seed)
-
-
-def _langevin(spec):
-    beta, horizon = float(spec.get("beta", 1.0)), float(spec.get("horizon", 0.5))
-    dt, r = float(spec.get("dt", 0.01)), float(spec.get("r", 1.0))
-    return lambda h, seed: langevin(h, beta, horizon, dt, r=r, seed=seed)
-
-
-def _amp(spec):
-    horizon = int(spec.get("horizon", 2))
-
+def _amp(horizon):
     def alg(h, seed):
         # one AmpSpec per call, so replica threads share no state-evolution cache;
         # clipping keeps |f_t|_N <= 1, so every gradient stays inside the sqrt(2) ball
@@ -285,32 +272,65 @@ def _one_point(name, point):
     return alg
 
 
-def _constant(spec):
-    value = float(spec.get("value", 0.5))
-    return _one_point("constant", lambda h: np.full(h.n, value))
-
-
-def _coef_linear(spec):
-    scale = float(spec.get("scale", 0.8))
-    return _one_point("coef_linear", lambda h: scale * h.coefficients[: h.n])
-
-
+# name -> (parameter defaults, builder(**parameters) -> (h, seed) -> Trajectory)
 ALGORITHMS = {
-    "gradient_ascent": _gradient_ascent,
-    "subag": _subag,
-    "langevin": _langevin,
-    "amp": _amp,
-    "constant": _constant,
-    "coef_linear": _coef_linear,
+    "gradient_ascent": ({"steps": 10, "lr": 0.05, "start_scale": 0.5}, _gradient_ascent),
+    "subag": (
+        {"delta": 0.125, "mode": "top_eig"},
+        lambda delta, mode: lambda h, seed: subag_ascent(h, delta, mode, seed=seed),
+    ),
+    "langevin": (
+        {"beta": 1.0, "horizon": 0.5, "dt": 0.01, "r": 1.0},
+        lambda beta, horizon, dt, r: lambda h, seed: langevin(h, beta, horizon, dt, r=r, seed=seed),
+    ),
+    "amp": ({"horizon": 2}, _amp),
+    "constant": ({"value": 0.5}, lambda value: _one_point("constant", lambda h: np.full(h.n, value))),
+    "coef_linear": (
+        {"scale": 0.8},
+        lambda scale: _one_point("coef_linear", lambda h: scale * h.coefficients[: h.n]),
+    ),
 }
+
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
+
+
+def _cast(value, schema):
+    """JSON numbers as their field's Python type (the schema takes 2.0 as an integer)."""
+    if isinstance(value, list) and "items" in schema:
+        return [_cast(v, schema["items"]) for v in value]
+    if type(value) not in (int, float):
+        return value
+    return int(value) if schema.get("type") == "integer" else float(value)
+
+
+def _check(schema, instance, where=()):
+    errors = sorted(Draft202012Validator(schema).iter_errors(instance), key=lambda e: e.path)
+    if errors:
+        err = errors[0]
+        path = "/".join(str(p) for p in (*where, *err.path)) or "<root>"
+        raise ArgumentError(f"config field {path}: {err.message}")
+
+
+def _closed(properties):
+    return {"type": "object", "additionalProperties": False, "properties": properties}
+
+
+def _algorithm(spec: dict):
+    """(name, parameters): spec checked against its row of ALGORITHMS and laid
+    over that row's defaults."""
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in ALGORITHMS:
+        raise ArgumentError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHMS)})")
+    defaults = ALGORITHMS[name][0]
+    types = {k: {"type": _JSON_TYPES[type(d)]} for k, d in defaults.items()}
+    _check(_closed({"name": {"type": "string"}, **types}), spec, ("alg",))
+    return name, {k: _cast(spec.get(k, d), types[k]) for k, d in defaults.items()}
 
 
 def build_algorithm(spec: dict):
     """The algorithm table: spec {"name": ..., params} -> (h, seed) -> Trajectory."""
-    name = spec.get("name")
-    if name not in ALGORITHMS:
-        raise ArgumentError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHMS)})")
-    return ALGORITHMS[name](spec)
+    name, params = _algorithm(spec)
+    return ALGORITHMS[name][1](**params)
 
 
 def point_algorithm(spec: dict):
@@ -331,12 +351,13 @@ def _chi_fn(name: str):
 
 
 def validate_config(config: dict):
-    validator = Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: e.path)
-    if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in err.path) or "<root>"
-        raise ArgumentError(f"config field {path}: {err.message}")
+    """Check config against its subcommand's row of DEFAULTS, and its `alg`
+    object against that algorithm's row of ALGORITHMS."""
+    subcommand = {"subcommand": FIELDS["subcommand"]}
+    _check({"type": "object", "required": ["subcommand"], "properties": subcommand}, config)
+    _check(_closed({**subcommand, **{k: FIELDS[k] for k in DEFAULTS[config["subcommand"]]}}), config)
+    if "alg" in config:
+        _algorithm(config["alg"])
 
 
 def _outermost_missing(path):
@@ -353,7 +374,8 @@ def run(config: dict, out_dir=None) -> RunResult:
     status, the payload and the artifacts, run.json last."""
     validate_config(config)
     sub = config["subcommand"]
-    out = out_dir or config.get("out") or f"runs/{sub}"
+    cfg = {k: _cast(v, FIELDS[k]) for k, v in {**DEFAULTS[sub], **config}.items()}
+    out = out_dir or cfg["out"] or f"runs/{sub}"
     handler = {
         "thresholds": _run_thresholds,
         "optimize": _run_optimize,
@@ -368,7 +390,7 @@ def run(config: dict, out_dir=None) -> RunResult:
     made = _outermost_missing(out)
     os.makedirs(out, exist_ok=True)
     try:
-        result = handler(config, out)
+        result = handler(cfg, out)
         path = os.path.join(out, "run.json")
         write_run_json(path, config, result.payload, result.meta)
     except Exception:
@@ -379,26 +401,23 @@ def run(config: dict, out_dir=None) -> RunResult:
     return result
 
 
-def _run_thresholds(config, out):
-    m = parse_mixture(config.get("mixture", "p4"))
+def _run_thresholds(cfg, out):
+    m = parse_mixture(cfg["mixture"])
     value, regime, q_hat = alg_sp(m)
     results = {
         "alg_sp": {"value": value, "regime": regime, "q_hat": q_hat},
         "opt_sp_numeric": opt_sp_numeric(m),
         "mixture": {"gammas": m.gammas, "h": m.h},
     }
-    if config.get("ising"):
-        results["alg_is_numeric"] = alg_is_numeric(m, knots=int(config.get("knots", 8)))
+    if cfg["ising"]:
+        results["alg_is_numeric"] = alg_is_numeric(m, knots=cfg["knots"])
     return RunResult(0, results)
 
 
-def _run_optimize(config, out):
-    m = parse_mixture(config.get("mixture", "p4"))
-    n = int(config.get("n", 64))
-    seeds = config.get("seeds", [int(config.get("seed", 0))])
-    alg_spec = config.get("alg", {"name": "subag", "delta": 0.125})
-    workers = int(config.get("workers", 1))
-    alg = build_algorithm(alg_spec)
+def _run_optimize(cfg, out):
+    m, n, workers = parse_mixture(cfg["mixture"]), cfg["n"], cfg["workers"]
+    seeds = cfg["seeds"] or [cfg["seed"]]
+    alg = build_algorithm(cfg["alg"])
     concurrent = min(workers, len(seeds))
     if concurrent > 1:
         # every concurrent replica holds its own tensors
@@ -423,18 +442,15 @@ def _run_optimize(config, out):
         summary.append(
             {"seed": seed, "final_energy_per_n": traj.final_energy / n, "steps": len(traj.iterates)}
         )
-    results = {"algorithm": alg_spec, "n": n, "runs": summary}
+    results = {"algorithm": cfg["alg"], "n": n, "runs": summary}
     return RunResult(0, results, artifacts)
 
 
-def _run_chi(config, out):
-    m = parse_mixture(config.get("mixture", "p2"))
-    n = int(config.get("n", 48))
-    alg = point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
-    p_grid = tuple(config.get("p_grid", (0.0, 0.25, 0.5, 0.75, 1.0)))
+def _run_chi(cfg, out):
+    alg = point_algorithm(cfg["alg"])
     est = estimate_chi(
-        alg, m, n, p_grid, int(config.get("reps", 20)), int(config.get("seed", 0)),
-        algorithm_id=str(config.get("alg", {}).get("name", "")),
+        alg, parse_mixture(cfg["mixture"]), cfg["n"], tuple(cfg["p_grid"]), cfg["reps"], cfg["seed"],
+        algorithm_id=cfg["alg"]["name"],
     )
     report = check_chi_properties(est)
     results = {
@@ -449,19 +465,10 @@ def _run_chi(config, out):
     return RunResult(0, results, [csv_path])
 
 
-def _run_concentration(config, out):
-    m = parse_mixture(config.get("mixture", "p2"))
-    alg = point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
-    n, seed = int(config.get("n", 48)), int(config.get("seed", 0))
-    rep = overlap_concentration(
-        alg,
-        m,
-        n,
-        float(config.get("p", 0.5)),
-        int(config.get("reps", 30)),
-        float(config.get("lambda", 0.2)),
-        seed,
-    )
+def _run_concentration(cfg, out):
+    m, n, seed = parse_mixture(cfg["mixture"]), cfg["n"], cfg["seed"]
+    alg = point_algorithm(cfg["alg"])
+    rep = overlap_concentration(alg, m, n, cfg["p"], cfg["reps"], cfg["lambda"], seed)
     max_ratio, mean_ratio, _ = lipschitz_probe(alg, m, n, LIPSCHITZ_EPS, LIPSCHITZ_REPS, seed)
     results = {
         "mean": rep.mean,
@@ -480,31 +487,23 @@ def _run_concentration(config, out):
     return RunResult(0, results)
 
 
-def _parse_ladders(config, m):
-    shape = TreeShape(tuple(config.get("ks", (2, 2))))
-    qladder = OverlapLadder(tuple(config.get("qladder", (0.0, 0.5, 1.0))))
-    if "pladder" in config:
-        pladder = CorrelationLadder(tuple(config["pladder"]))
+def _parse_ladders(cfg):
+    shape = TreeShape(tuple(cfg["ks"]))
+    qladder = OverlapLadder(tuple(cfg["qladder"]))
+    if cfg["pladder"] is not None:
+        pladder = CorrelationLadder(tuple(cfg["pladder"]))
     else:
-        pladder = chi_align(_chi_fn(config.get("chi", "identity")), qladder)
+        pladder = chi_align(_chi_fn(cfg["chi"]), qladder)
     return shape, pladder, qladder
 
 
-def _run_branching(config, out):
-    m = parse_mixture(config.get("mixture", "p2"))
-    n = int(config.get("n", 64))
-    shape, pladder, qladder = _parse_ladders(config, m)
-    alg = point_algorithm(config.get("alg", {"name": "gradient_ascent"}))
+def _run_branching(cfg, out):
+    n = cfg["n"]
+    shape, pladder, qladder = _parse_ladders(cfg)
+    alg = point_algorithm(cfg["alg"])
+    # eta only sizes the sphere extension, which the runner never asks for
     reports = run_branching_experiment(
-        alg,
-        m,
-        n,
-        shape,
-        pladder,
-        qladder,
-        float(config.get("eta", 0.1)),
-        int(config.get("reps", 1)),
-        int(config.get("seed", 0)),
+        alg, parse_mixture(cfg["mixture"]), n, shape, pladder, qladder, None, cfg["reps"], cfg["seed"]
     )
     artifacts = []
     rows = []
@@ -526,40 +525,25 @@ def _run_branching(config, out):
     return RunResult(0, results, artifacts)
 
 
-def _run_sandwich(config, out):
-    m = parse_mixture(config.get("mixture", "p2"))
-    n = int(config.get("n", 48))
-    shape, pladder, qladder = _parse_ladders(config, m)
-    ens = sample_ensemble(m, n, shape, pladder, int(config.get("seed", 0)))
+def _run_sandwich(cfg, out):
+    m, n, seed, beta = parse_mixture(cfg["mixture"]), cfg["n"], cfg["seed"], cfg["beta"]
+    shape, pladder, qladder = _parse_ladders(cfg)
+    ens = sample_ensemble(m, n, shape, pladder, seed)
     q_mat = target_overlap_matrix(shape, qladder)
     anchor = np.zeros(n) if qladder.qs[0] == 0 else sphere_point(
-        rng.stream(config.get("seed", 0), "anchor").standard_normal(n)
+        rng.stream(seed, "anchor").standard_normal(n)
     ) * math.sqrt(qladder.qs[0])
-    eta = float(config.get("eta", 0.2))
-    primal = constrained_grand_max(
-        ens, q_mat, anchor, eta, int(config.get("restarts", 3)), int(config.get("seed", 0))
-    )
-    beta = float(config.get("beta", 4.0))
+    primal = constrained_grand_max(ens, q_mat, anchor, cfg["eta"], cfg["restarts"], seed)
     levels = np.linspace(0.2, 0.8, qladder.depth)
     zeta = PiecewiseZeta.on_knots(qladder.qs[:-1], levels)
-    if "B" in config:
-        b_val = float(config["B"])
+    if cfg["B"] is not None:
+        b_val = cfg["B"]
     else:
         # B_zeta(0) of the composite is then the old default sqrt(max(xi''(1), 1))
         composite = composite_profile(PiecewiseZeta.zero(), zeta, beta, shape, pladder, qladder)
         b_val = math.sqrt(max(m.xi(1.0, 2), 1.0)) + composite.integral_xi2(m)
     bound = interpolation_bound_sp(
-        b_val,
-        PiecewiseZeta.zero(),
-        zeta,
-        beta,
-        eta,
-        shape,
-        pladder,
-        qladder,
-        m,
-        float(config.get("C", 1.0)),
-        n,
+        b_val, PiecewiseZeta.zero(), zeta, beta, cfg["eta"], shape, pladder, qladder, m, cfg["C"], n
     )
     # null without a feasible primal point: there is nothing to compare
     holds = None if primal.best_energy is None else primal.best_energy <= bound / shape.n_leaves
@@ -573,10 +557,8 @@ def _run_sandwich(config, out):
     return RunResult(0, results)
 
 
-def _run_embed(config, out):
-    m = parse_mixture(config.get("mixture", "p2"))
-    n = int(config.get("n", 96))
-    tree_cfg = config.get("tree", {"star": 3})
+def _run_embed(cfg, out):
+    n, tree_cfg = cfg["n"], cfg["tree"]
     if isinstance(tree_cfg, str):
         with open(tree_cfg) as f:
             tree = tree_from_json(f.read())
@@ -586,10 +568,8 @@ def _run_embed(config, out):
         tree = full_binary_tree(int(tree_cfg["binary"]))
     else:
         tree = tree_from_json(tree_cfg)
-    h = sample_hamiltonian(m, n, int(config.get("seed", 0)))
-    emb, energies, profile = embed_energy_greedy(
-        h, tree, float(config.get("delta", 0.125)), seed=int(config.get("seed", 0))
-    )
+    h = sample_hamiltonian(parse_mixture(cfg["mixture"]), n, cfg["seed"])
+    emb, energies, profile = embed_energy_greedy(h, tree, cfg["delta"], seed=cfg["seed"])
     ok, (worst, label) = validate_embedding(tree, emb, tol=1e-6)
     csv_path = os.path.join(out, "embedding.csv")
     embedding_to_csv(emb, csv_path)
@@ -603,13 +583,10 @@ def _run_embed(config, out):
     return RunResult(0 if ok else 4, results, [csv_path])
 
 
-def _run_pde(config, out):
-    m = parse_mixture(config.get("mixture", "p2"))
-    zcfg = config.get("zeta", {"breaks": [0.0], "values": [0.0]})
-    zeta = PiecewiseZeta(tuple(zcfg["breaks"]), tuple(zcfg["values"]))
-    beta = float(config.get("beta", math.inf))
-    a = float(config.get("a", 0.0))
-    grid = tuple(config["grid"]) if config.get("grid") else None
+def _run_pde(cfg, out):
+    m, beta, a = parse_mixture(cfg["mixture"]), cfg["beta"], cfg["a"]
+    zeta = PiecewiseZeta(tuple(cfg["zeta"]["breaks"]), tuple(cfg["zeta"]["values"]))
+    grid = tuple(cfg["grid"]) if cfg["grid"] else None
     sol = solve_parisi_pde(m, zeta, a=a, beta=beta, grid=grid, center=m.h)
     results = {
         "phi_at_0_h": float(sol.eval(0.0, m.h)),
@@ -626,10 +603,10 @@ def _run_pde(config, out):
     return RunResult(0, results)
 
 
-def _run_selftest(config, out):
+def _run_selftest(cfg, out):
     from .acceptance import run_all
 
-    results = run_all(names=config.get("criteria"))
+    results = run_all(names=cfg["criteria"])
     payload = {
         "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         "all_passed": all(r.passed for r in results),

@@ -266,6 +266,8 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
     vertex to the reference threshold integral int_0^{|v|} sqrt(xi'') — a
     report only, nothing is asserted against it.
     """
+    if not 0 < delta < math.inf:
+        raise ArgumentError(f"step delta={delta} must be a positive finite number")
     a, b = t.range
     if a < -_H_TOL or b > 1.0 + _H_TOL:
         raise ArgumentError(f"tree range [{a}, {b}] must lie inside [0, 1] to embed")

@@ -201,6 +201,19 @@ def test_interpolation_bound():
         interpolation_bound_sp(0.1, PiecewiseZeta.zero(), ZL, 2.0, 0.05, SHAPE, PL, QL, M, 1.0, 64)
 
 
+@pytest.mark.parametrize("eta", (0.0, -0.1, math.nan, math.inf))
+def test_interpolation_bound_refuses_a_non_positive_or_non_finite_eta(eta):
+    # log(1/eta) divided by zero at 0 and left the real line below it
+    with pytest.raises(DomainError, match="eta"):
+        interpolation_bound_sp(3.5, PiecewiseZeta.zero(), ZL, 2.0, eta, SHAPE, PL, QL, M, 1.0, 64)
+
+
+def test_interpolation_bound_refuses_a_nan_beta_or_b():
+    for b, beta in ((3.5, math.nan), (math.nan, 2.0)):
+        with pytest.raises(DomainError, match="beta"):
+            interpolation_bound_sp(b, PiecewiseZeta.zero(), ZL, beta, 0.05, SHAPE, PL, QL, M, 1.0, 64)
+
+
 def test_composite_profile_pointwise():
     comp = composite_profile(PiecewiseZeta.zero(), ZL, 2.0, SHAPE, PL, QL)
     levels = [ZL(q) for q in QL.qs[:-1]]

@@ -367,6 +367,29 @@ def test_langevin_preconditions():
         langevin(h, 1.0, 1.0, dt=0.01, r=0.5)
 
 
+# each ended in a ZeroDivisionError or ValueError, or silently ran no step
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda h: subag_ascent(h, 0.0), "delta"),
+        (lambda h: subag_ascent(h, -0.5), "delta"),
+        (lambda h: subag_ascent(h, math.nan), "delta"),
+        (lambda h: langevin(h, 1.0, 0.5, dt=0.0), "dt"),
+        (lambda h: langevin(h, 1.0, 0.5, dt=-0.01), "dt"),
+        (lambda h: langevin(h, 1.0, 0.5, dt=math.nan), "dt"),
+        (lambda h: langevin(h, 1.0, -0.5, dt=0.01), "horizon"),
+        (lambda h: langevin(h, 1.0, math.nan, dt=0.01), "horizon"),
+        (lambda h: gradient_ascent(h, np.zeros(h.n), -1, 0.05), "steps"),
+    ],
+    ids=["subag-delta0", "subag-delta-neg", "subag-delta-nan", "langevin-dt0", "langevin-dt-neg",
+         "langevin-dt-nan", "langevin-horizon-neg", "langevin-horizon-nan", "ga-steps-neg"],
+)
+def test_optimizers_refuse_degenerate_step_settings(call, match):
+    h = sample_hamiltonian(pure(2), 16, seed=0)
+    with pytest.raises(ArgumentError, match=match):
+        call(h)
+
+
 def test_extend_to_sphere_spherical_exact():
     m = pure(2)
     n = 128

@@ -27,7 +27,16 @@ def test_parse_mixture():
             parse_mixture(bad)
 
 
-def test_schema_validation():
+# a value each key's field takes: its first non-null default over the rows
+# of DEFAULTS, or one given here where every row leaves it to the handler
+_VALID = {"seeds": [0], "pladder": [0.0, 1.0], "B": 2.0, "grid": [6.0, 0.01], "criteria": ["1"]}
+for _row in runner.DEFAULTS.values():
+    for _key, _value in _row.items():
+        if _value is not None:
+            _VALID.setdefault(_key, _value)
+
+
+def test_schema_validation(tmp_path, capsys):
     with pytest.raises(ArgumentError, match="subcommand"):
         validate_config({"subcommand": "nope"})
     with pytest.raises(ArgumentError):
@@ -36,6 +45,30 @@ def test_schema_validation():
     for stray in ("sed", "steps"):  # a typo, and a setting that lives in "alg"
         with pytest.raises(ArgumentError, match="Additional properties"):
             validate_config({"subcommand": "thresholds", stray: 3})
+    keys = set().union(*runner.DEFAULTS.values())
+    assert set(runner.FIELDS) == keys | {"subcommand"}
+    # (config, the key the refusal names): every key another subcommand takes
+    # is refused where the row lacks it, with a value its field would take
+    cases = [
+        ({"subcommand": sub, key: _VALID[key]}, key)
+        for sub, row in runner.DEFAULTS.items()
+        for key in sorted(keys - set(row))
+    ]
+    # and for every algorithm, an unknown parameter and each wrong-typed one
+    for name, (defaults, _) in runner.ALGORITHMS.items():
+        validate_config({"subcommand": "optimize", "alg": {"name": name, **defaults}})
+        algs = [({"detla": 0.1}, "detla")]
+        algs += [({k: 1 if isinstance(d, str) else "x"}, k) for k, d in defaults.items()]
+        algs += [({k: 0.5}, k) for k, d in defaults.items() if isinstance(d, int)]
+        cases += [({"subcommand": "optimize", "alg": {"name": name, **p}}, k) for p, k in algs]
+    for i, (config, key) in enumerate(cases):
+        cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"o{i}"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg), "--out", str(out)]) == 2, config
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: config field"), config
+        assert f"'{key}' was unexpected" in err or f"alg/{key}:" in err, (config, err)
+        assert not out.exists(), config
 
 
 @pytest.mark.parametrize("knots", [4, 12, 24, 1024])
@@ -371,6 +404,34 @@ def test_embed_refuses_a_malformed_tree_file(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", ("0", "-0.1", "NaN"))
+def test_embed_refuses_a_non_positive_or_non_finite_delta(tmp_path, capsys, delta):
+    """Each ended in a traceback (ZeroDivisionError, a math domain error)."""
+    out = tmp_path / "o"
+    assert main(["embed", "--n", "24", "--set", f"delta={delta}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["optimize", "--alg", "subag", "--delta", "0"],
+        ["optimize", "--alg", "langevin", "--set", "alg.dt=0"],
+        ["optimize", "--alg", "gradient_ascent", "--set", "alg.steps=-1"],
+        ["sandwich", "--set", "restarts=1", "--set", "eta=0"],
+    ),
+    ids=("subag-delta", "langevin-dt", "gradient-ascent-steps", "sandwich-eta"),
+)
+def test_degenerate_step_settings_exit_2(tmp_path, capsys, argv):
+    """A zero step or eta, refused by the function doing the math: each ended
+    in a ZeroDivisionError, or silently ran no step."""
+    out = tmp_path / "o"
+    assert main(argv + ["--mixture", "p2", "--n", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
 def test_concentration_run(tmp_path):
     config = {
         "subcommand": "concentration",
@@ -548,6 +609,20 @@ def test_cli_rejects_empty_seeds(tmp_path, flags):
     argv = ["optimize", "--mixture", "p2", "--n", "16", "--alg", "constant", *flags]
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_integer_keys_given_as_whole_floats_read_as_integers(tmp_path):
+    """The schema takes 2.0 as an integer, so run reads it as 2, in an array
+    and an alg parameter too: seeds [1.0] ended in a TypeError."""
+    config = {"subcommand": "optimize", "mixture": "p2", "n": 16, "seeds": [1, 2],
+              "alg": {"name": "gradient_ascent", "steps": 3}}
+    want = run(config, out_dir=str(tmp_path / "a")).payload
+    floats = {**config, "n": 16.0, "seeds": [1.0, 2.0], "alg": {"name": "gradient_ascent", "steps": 3.0}}
+    got = run(floats, out_dir=str(tmp_path / "b")).payload
+    assert (got["n"], got["runs"]) == (want["n"], want["runs"])
+    for seed in (1, 2):
+        csv = f"trajectory_seed{seed}.csv"
+        assert (tmp_path / "b" / csv).read_bytes() == (tmp_path / "a" / csv).read_bytes()
 
 
 def test_cli_set_overrides(tmp_path):

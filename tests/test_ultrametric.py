@@ -372,6 +372,13 @@ def test_embed_energy_greedy_resource_guard():
         embed_energy_greedy(h, star_tree(4), delta=0.125, seed=0)
 
 
+@pytest.mark.parametrize("delta", (0.0, -0.1, math.nan, math.inf))
+def test_embed_energy_greedy_refuses_a_non_positive_or_non_finite_delta(delta):
+    h = sample_hamiltonian(pure(2), 24, seed=1)
+    with pytest.raises(ArgumentError, match="delta"):
+        embed_energy_greedy(h, star_tree(3), delta=delta, seed=0)
+
+
 @pytest.mark.parametrize("heights", ([0.0, 2.0], [-0.5, 1.0]))
 def test_embed_energy_greedy_refuses_a_range_outside_the_unit_interval(heights):
     # refused before the direction budget, which n = 12 would also exhaust
