@@ -7,9 +7,16 @@ Exit codes: 0 success, 2 usage, 3 resource, 4 numeric, 5 acceptance failure.
 import argparse
 import json
 import sys
+from functools import partial
 
 from .errors import ArgumentError, ConstraintError, DomainError, NumericError, ResourceError
 from .runner import DEFAULTS, parse_mixture, run
+
+
+def _refuse_constant(where, name):
+    """json's parse_constant, bound to where: NaN and +-Infinity pass every
+    jsonschema bound, and no config field takes them."""
+    raise ArgumentError(f"{where}: non-finite number {name} is not allowed")
 
 
 def _set_path(config, dotted, value):
@@ -22,7 +29,7 @@ def _set_path(config, dotted, value):
     if not isinstance(node, dict):
         raise ArgumentError(f"--set {dotted}: {'.'.join(keys[:-1]) or 'the config'} is not an object")
     try:
-        node[keys[-1]] = json.loads(value)
+        node[keys[-1]] = json.loads(value, parse_constant=partial(_refuse_constant, f"--set {dotted}"))
     except json.JSONDecodeError:
         node[keys[-1]] = value
 
@@ -70,7 +77,7 @@ def config_from_args(args) -> dict:
     if args.command == "run":
         try:
             with open(args.config) as f:
-                config = json.load(f)
+                config = json.load(f, parse_constant=partial(_refuse_constant, f"config {args.config}"))
         except IsADirectoryError:
             raise ArgumentError(f"config {args.config} is a directory, not a JSON file") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

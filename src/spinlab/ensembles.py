@@ -76,6 +76,8 @@ class CorrelationLadder:
         ps = tuple(float(p) for p in self.ps)
         if len(ps) < 2:
             raise ArgumentError("correlation ladder needs p_0 and p_D")
+        if not all(map(math.isfinite, ps)):
+            raise ArgumentError(f"correlation ladder {ps} must be finite")
         if ps[0] != 0.0 or ps[-1] != 1.0:
             raise ArgumentError(f"correlation ladder must start at 0 and end at 1, got {ps}")
         if any(a > b for a, b in zip(ps, ps[1:])):
@@ -97,6 +99,8 @@ class OverlapLadder:
         qs = tuple(float(q) for q in self.qs)
         if len(qs) < 2:
             raise ArgumentError("overlap ladder needs q_0 and q_D")
+        if not all(map(math.isfinite, qs)):
+            raise ArgumentError(f"overlap ladder {qs} must be finite")
         if qs[0] < 0.0 or qs[-1] != 1.0:
             raise ArgumentError(f"overlap ladder must sit in [0, 1] and end at 1, got {qs}")
         if any(a >= b for a, b in zip(qs, qs[1:])):

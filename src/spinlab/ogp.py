@@ -44,6 +44,20 @@ class ChiEstimate:
         return float(self.chi_hat[idx])
 
 
+def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: str, label: str) -> np.ndarray:
+    """[r, j] = R(A(H1), A(H2)) at p_grid[j]: rep r mixes one pair_mixer(m,
+    n, seed, tag, r, label=label) over the grid and runs alg on both
+    Hamiltonians at derive_seed(seed, tag + "-run", r)."""
+    values = np.empty((reps, len(p_grid)))
+    for r in range(reps):
+        mix = pair_mixer(m, n, seed, tag, r, label=label)
+        run_seed = rng.derive_seed(seed, f"{tag}-run", r)
+        for j, p in enumerate(p_grid):
+            h1, h2 = mix(p)
+            values[r, j] = overlap(np.asarray(alg(h1, run_seed)), np.asarray(alg(h2, run_seed)))
+    return values
+
+
 def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, algorithm_id: str = "") -> ChiEstimate:
     """chi(p) = E R(A(H1), A(H2)) over p-correlated pairs; the shared base
     Hamiltonian is reused across the p-grid within a rep (antithetic sweep,
@@ -51,15 +65,7 @@ def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, algorith
     if reps < 10:
         raise ArgumentError(f"reps={reps} must be >= 10")
     p_grid = tuple(float(p) for p in p_grid)
-    values = np.empty((reps, len(p_grid)))
-    for r in range(reps):
-        mix = pair_mixer(m, n, seed, "chi", r, label="chi{i}(p={p})")
-        run_seed = rng.derive_seed(seed, "chi-run", r)
-        for j, p in enumerate(p_grid):
-            h1, h2 = mix(p)
-            out1 = np.asarray(alg(h1, run_seed))
-            out2 = np.asarray(alg(h2, run_seed))
-            values[r, j] = overlap(out1, out2)
+    values = _pair_overlaps(alg, m, n, p_grid, reps, seed, "chi", "chi{i}(p={p})")
     chi_hat = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / math.sqrt(reps)
     return ChiEstimate(p_grid, chi_hat, se, reps, algorithm_id, n)
@@ -124,11 +130,7 @@ def overlap_concentration(
 ) -> ConcentrationReport:
     if reps < 30:
         raise ArgumentError(f"reps={reps} must be >= 30")
-    vals = np.empty(reps)
-    for r in range(reps):
-        h1, h2 = pair_mixer(m, n, seed, "conc", r, label="conc{i}")(p)
-        run_seed = rng.derive_seed(seed, "conc-run", r)
-        vals[r] = overlap(np.asarray(alg(h1, run_seed)), np.asarray(alg(h2, run_seed)))
+    vals = _pair_overlaps(alg, m, n, (p,), reps, seed, "conc", "conc{i}")[:, 0]
     if np.all(vals == vals[0]):  # identical observations: sd is exactly zero
         mean, sd = float(vals[0]), 0.0
     else:

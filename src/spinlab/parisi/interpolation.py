@@ -69,11 +69,10 @@ def gaussian_quadratic_logmoment(lam, sig, zeta: float, v, y) -> float:
 
 @dataclass
 class LambdaSequence:
-    """Matrices Lambda_0..Lambda_D of the backward recursion, their field
-    vectors v_d = B a Lambda_d^{-1} 1, and per-level log-det increments."""
+    """Matrices Lambda_0..Lambda_D of the backward recursion and their
+    per-level log-det increments."""
 
     matrices: list
-    vectors: list
     logdet_increments: list
 
     @property
@@ -129,7 +128,6 @@ def lambda_recursion(
             )
 
     ones = np.ones(K)
-    vecs = [B * a * np.linalg.solve(mats[d], ones) for d in range(depth + 1)]
     logdets = []
     for d in range(depth):
         if levels[d] == 0.0:
@@ -161,7 +159,7 @@ def lambda_recursion(
     )
     if value > bound + 1e-8:
         raise DomainError(f"recursion value {value:.10g} exceeds its bound {bound:.10g}")
-    return LambdaRecursionResult(LambdaSequence(mats, vecs, logdets), value, bound)
+    return LambdaRecursionResult(LambdaSequence(mats, logdets), value, bound)
 
 
 def kappa_zeta_profile(shape, pladder, qladder, levels) -> PiecewiseZeta:

@@ -738,22 +738,25 @@ def alg_is_levels(
     """[AlgLevel(levels, value, zeta, proj_grad), ...] for levels = 8, 16,
     ... up to `knots` (8 times a power of two), from one refinement pass.
 
-    Each level minimizes the discretized functional over 0 <= zeta_i <=
+    Every level applies one rule to its candidates, each a start profile
+    with its value: descend from the start, solve the result, keep the
+    result only if it does not solve higher than the start (else keep the
+    start), and return the lowest candidate as the level.  Level 8's
+    candidates are the distinct zero, constant and slope-profile starts;
+    each later level's one candidate is the previous level's profile
+    doubled, which merges back to it and so carries its value unsolved.
+
+    A descent minimizes the discretized functional over 0 <= zeta_i <=
     value_cap with projected L-BFGS-B on its exact gradient (module
     docstring).  A sweep is `levels` L-BFGS-B iterations started from the
     current profile with fresh curvature memory; sweeps stop after at least
-    sweeps_min once one improves by less than _SWEEP_TOL.  Level 8 restarts
-    from zero, constant, and a slope-profile initialization; each doubling
-    starts from the previous level's profile.
+    sweeps_min once one improves by less than _SWEEP_TOL.
 
-    Values come from one self_check=False solve at the returned profile (the
-    number parisi_is gives).  A start's or a level's result is kept only if
-    that value is at or below the value it started from; otherwise its
-    starting profile is kept, which solves to the same value.  So the values
-    are at most the zeta = 0 value and nonincreasing across levels, and the
-    value at each level equals `alg_is_numeric` with that many knots.
-    proj_grad certifies first-order optimality of the discretized objective
-    at the returned profile.
+    Values are parisi_is(..., self_check=False) at the returned profile.  So
+    they are at most the zeta = 0 value and nonincreasing across levels,
+    and the value at each level equals `alg_is_numeric` with that many
+    knots.  proj_grad certifies first-order optimality of the discretized
+    objective at the returned profile.
     """
     octaves = knots // 8 if isinstance(knots, int) else 0
     if not (knots == 8 * octaves and octaves >= 1 and octaves & (octaves - 1) == 0):
@@ -770,11 +773,9 @@ def alg_is_levels(
     nodes = solver_kw.get("gh_nodes", _GH_NODES)
     xs = _grid_points(grid, m.h, nodes)
 
-    def solver_value(values):
-        zeta = PiecewiseZeta(tuple(i / len(values) for i in range(len(values))), values)
-        sol = solve_parisi_pde(m, zeta, a=0.0, beta=math.inf, grid=grid, center=m.h,
-                               self_check=False, **solver_kw)
-        return _parisi_value(sol, zeta, m)
+    def value_of(values):
+        breaks = tuple(i / len(values) for i in range(len(values)))
+        return parisi_is(PiecewiseZeta(breaks, values), m, grid, self_check=False, **solver_kw)
 
     def descend(objective, values):
         x = np.array(values, dtype=float)
@@ -790,39 +791,31 @@ def alg_is_levels(
                 break
         return [float(v) for v in x]
 
-    def level(objective, values, value):
-        grad = objective(values)[1]
-        return AlgLevel(len(values), float(value), tuple(values), _projected_gradient(values, grad))
-
-    levels = 8
-    objective = _AlgObjective(m, levels, xs, nodes)
+    levels, out = 8, []
     breaks = tuple(i / levels for i in range(levels))
     starts = [
         [0.0] * levels,
         [min(1.0, value_cap)] * levels,
         [min(_slope_profile(m, (b + 0.5 / levels)), value_cap) for b in breaks],
     ]
-    starts = [s for i, s in enumerate(starts) if s not in starts[:i]]
-    best_vals, best = None, math.inf
-    for start in starts:
-        start_value = solver_value(start)
-        vals = descend(objective, start)
-        value = solver_value(vals)
-        if value > start_value:
-            vals, value = start, start_value
-        if value < best:
-            best_vals, best = vals, value
-    out = [level(objective, best_vals, best)]
-    while levels < knots:
-        levels *= 2
+    candidates = [(s, value_of(s)) for i, s in enumerate(starts) if s not in starts[:i]]
+    while True:
         objective = _AlgObjective(m, levels, xs, nodes)
-        start = [best_vals[i // 2] for i in range(levels)]
-        vals = descend(objective, start)
-        value = solver_value(vals)
-        # else the doubled profile merges back to the previous level's solve
-        best_vals, best = (vals, value) if value <= best else (start, best)
-        out.append(level(objective, best_vals, best))
-    return out
+        best_vals, best = None, math.inf
+        for start, start_value in candidates:
+            vals = descend(objective, start)
+            value = value_of(vals)
+            if not value <= start_value:
+                vals, value = start, start_value
+            if value < best:
+                best_vals, best = vals, value
+        grad = objective(best_vals)[1]
+        out.append(AlgLevel(levels, best, tuple(best_vals), _projected_gradient(best_vals, grad)))
+        if levels == knots:
+            return out
+        levels *= 2
+        # the doubled profile merges back to best_vals, so it solves to best
+        candidates = [([best_vals[i // 2] for i in range(levels)], best)]
 
 
 def _slope_profile(m: Mixture, q: float) -> float:

@@ -287,7 +287,8 @@ ALGORITHMS = {
     "constant": ({"value": 0.5}, lambda value: _one_point("constant", lambda h: np.full(h.n, value))),
     "coef_linear": (
         {"scale": 0.8},
-        lambda scale: _one_point("coef_linear", lambda h: scale * h.coefficients[: h.n]),
+        # the first n entries of h.coefficients, read without concatenating every tensor
+        lambda scale: _one_point("coef_linear", lambda h: scale * h.tensors[h.mixture.ps[0]].ravel()[: h.n]),
     ),
 }
 

@@ -49,6 +49,12 @@ def test_ladder_invariants():
         OverlapLadder((0.0, 0.5, 0.5, 1.0))
     with pytest.raises(ArgumentError):
         OverlapLadder((0.0, 0.9))
+    # a NaN entry passes every order comparison, so finiteness is checked first
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="finite"):
+            CorrelationLadder((0.0, bad, 1.0))
+        with pytest.raises(ArgumentError, match="finite"):
+            OverlapLadder((0.0, bad, 1.0))
 
 
 def _weight_gram(shape, ladder):
@@ -455,6 +461,8 @@ def test_manifest_with_a_root_entry_still_loads(tmp_path):
         (lambda m: m["nodes"].append(dict(m["nodes"][0])), "more than once"),
         (lambda m: m["nodes"][0].pop("snapshot"), "malformed"),
         (lambda m: m["nodes"][0].update(path=[[1]]), "malformed"),
+        # json.load reads NaN; leaf_energy then gave 0.0 and leaf_hamiltonian NaN tensors
+        (lambda m: m.update(pladder=[0.0, math.nan, 1.0]), "must be finite"),
     ],
 )
 def test_malformed_manifest_raises_argument_error(tmp_path, edit, match):

@@ -682,6 +682,20 @@ def test_alg_is_levels_keeps_the_start_when_the_search_ends_higher(monkeypatch):
     assert lv16.value == lv8.value
 
 
+@pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
+def test_a_doubled_profile_solves_to_its_own_value(m):
+    """alg_is_levels carries a level's value to its doubled profile unsolved:
+    a 16-level profile with distinct neighbours and its 32-level doubling
+    solve to the same value, bit for bit."""
+    values = rng.stream(65).uniform(0.0, 3.0, 16)
+    values[5] = 0.0
+    assert np.all(np.diff(values) != 0.0)
+    doubled = np.repeat(values, 2)
+    kw = {"grid": ALG_GRID, "self_check": False, "gh_nodes": 8}
+    want = parisi_is(PiecewiseZeta(_breaks(16), values), m, **kw)
+    assert parisi_is(PiecewiseZeta(_breaks(32), doubled), m, **kw) == want
+
+
 def _central_difference(f, z, i, d=1e-3):
     """Fourth-order central difference of f along coordinate i."""
 

@@ -130,6 +130,14 @@ def test_every_subcommand_takes_every_algorithm(tmp_path):
         run({**config, "alg": {"name": "nope"}}, out_dir=str(tmp_path / "bad"))
 
 
+def test_coef_linear_reads_the_first_n_disorder_coefficients():
+    """coef_linear reads the lowest-p tensor in place of concatenating every
+    tensor into h.coefficients: the same n entries, bit for bit."""
+    h = sample_hamiltonian(Mixture({4: 0.8, 2: 0.6}), 5, seed=3)
+    got = build_algorithm({"name": "coef_linear"})(h, 0).final
+    assert np.array_equal(got, 0.8 * h.coefficients[: h.n])
+
+
 def test_amp_default_horizon_stays_in_the_evaluation_ball(tmp_path):
     # the unclipped identity put |x^1|_N^2 near xi'(1), and the next gradient
     # outside the sqrt(2) ball, on most of these seeds
@@ -432,6 +440,30 @@ def test_degenerate_step_settings_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["concentration", "--n", "16", "--set", "lambda=NaN"],
+        ["sandwich", "--n", "16", "--set", "C=NaN"],
+        ["optimize", "--n", "16", "--alg", "gradient_ascent", "--set", "alg.lr=NaN"],
+        ["branching", "--n", "16", "--set", "qladder=[0.0,NaN,1.0]"],
+        ["optimize", "--n", "16", "--alg", "langevin", "--set", "alg.beta=NaN"],
+        ["pde", "--set", "beta=Infinity"],
+    ),
+    ids=("concentration-lambda", "sandwich-C", "gradient-ascent-lr", "branching-qladder", "langevin-beta",
+         "pde-beta"),
+)
+def test_non_finite_set_values_exit_2(tmp_path, capsys, argv):
+    """NaN and Infinity pass every schema bound: each of these reached the
+    payload and exited 4, the pde run only after its whole solve, when its
+    config echo had no JSON form."""
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --set {argv[-1].partition('=')[0]}:") and "non-finite" in err
+    assert not out.exists()
+
+
 def test_concentration_run(tmp_path):
     config = {
         "subcommand": "concentration",
@@ -561,14 +593,17 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("kind", ("malformed", "directory"))
+@pytest.mark.parametrize("kind", ("malformed", "directory", "non_finite"))
 def test_cli_unreadable_config_exits_2(tmp_path, capsys, kind):
     path = tmp_path / "bad.json"
     if kind == "malformed":
         path.write_text("{bad")
+    elif kind == "non_finite":
+        path.write_text('{"subcommand": "pde", "beta": Infinity}')
     else:
         path.mkdir()
-    assert main(["run", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     assert capsys.readouterr().err.startswith("usage error: config")
 
 
