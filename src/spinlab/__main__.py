@@ -14,8 +14,8 @@ from .runner import DEFAULTS, parse_mixture, run
 
 
 def _refuse_constant(where, name):
-    """json's parse_constant, bound to where: NaN and +-Infinity pass every
-    jsonschema bound, and no config field takes them."""
+    """json's parse_constant, bound to where: NaN passes every `minimum` and
+    `maximum` of FIELDS, and no config field takes a non-finite number."""
     raise ArgumentError(f"{where}: non-finite number {name} is not allowed")
 
 

@@ -7,6 +7,7 @@ module tests/test_acceptance.py asserts every criterion.
 
 import itertools
 import math
+import threading
 import time
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .ensembles import (
     target_overlap_matrix,
 )
 from .errors import ArgumentError
-from .hamiltonian import energy, sample_hamiltonian, sample_tensors
+from .hamiltonian import energy, pool_map, sample_hamiltonian, sample_tensors
 from .mixture import Mixture, pure, xi_eval
 from .ogp import check_chi_properties, estimate_chi, overlap_concentration, ChiEstimate
 from .optimizers import (
@@ -122,23 +123,30 @@ def criterion_2_covariance_law() -> CriterionResult:
         s1 = sphere_point(gen.standard_normal(n))
         s2 = sphere_point(gen.standard_normal(n))
         pairs.append((s1, s2))
-    # columns 2j and 2j + 1 of f2 and f4 are the features of pair j's points
+    # rows 2j and 2j + 1 of f2 and f4 are the features of pair j's points
     pts = [s for pair in pairs for s in pair]
-    f2 = np.stack([np.outer(s, s).ravel() for s in pts], axis=1)
-    f4 = np.stack([np.einsum("i,j,k,l->ijkl", s, s, s, s).ravel() for s in pts], axis=1)
+    f2 = np.stack([np.outer(s, s).ravel() for s in pts])
+    f4 = np.stack([np.einsum("i,j,k,l->ijkl", s, s, s, s).ravel() for s in pts])
     c2, c4 = n ** (-0.5), n ** (-1.5)
-    prods = np.empty((samples, 5))
-    block = 32  # samples per matmul: a 16 MiB block of p = 4 tensors
-    g2 = np.empty((block, n**2))
-    g4 = np.empty((block, n**4))
-    for s0 in range(0, samples, block):
+    block = 32  # samples per task: a 16 MiB block of p = 4 tensors
+    buffers = threading.local()  # each pool worker's g2, g4
+
+    def block_products(s0):
+        """Samples s0, s0 + 1, ... of the block, filled and projected onto the
+        feature rows on one pool worker.  The projection is einsum's own loop,
+        not BLAS: a BLAS call would wake OpenBLAS threads that spin beside
+        the other worker's fill."""
+        if not hasattr(buffers, "g4"):
+            buffers.g2, buffers.g4 = np.empty((block, n**2)), np.empty((block, n**4))
+        g2, g4 = buffers.g2, buffers.g4
         rows = min(block, samples - s0)
-        sample_tensors(
-            [(s0 + r, p, n) for r in range(rows) for p in (2, 4)],
-            out=[g[r] for r in range(rows) for g in (g2, g4)],
-        )
-        e = c2 * (g2[:rows] @ f2) + c4 * (g4[:rows] @ f4)
-        prods[s0 : s0 + rows] = e[:, 0::2] * e[:, 1::2]
+        for r in range(rows):
+            for p, g in ((2, g2), (4, g4)):  # one job per call: it fills inline
+                sample_tensors([(s0 + r, p, n)], out=[g[r]])
+        e = c2 * np.einsum("rk,jk->rj", g2[:rows], f2) + c4 * np.einsum("rk,jk->rj", g4[:rows], f4)
+        return e[:, 0::2] * e[:, 1::2]
+
+    prods = np.concatenate(pool_map(block_products, range(0, samples, block)))
     # spot-check the fast path against the Hamiltonian evaluator
     h0 = sample_hamiltonian(m, n, 0)
     s1, s2 = pairs[0]

@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ArgumentError
 
 MAX_XI_ORDER = 4
@@ -57,13 +59,15 @@ def pure(p: int, gamma: float = 1.0, h: float = 0.0) -> Mixture:
 
 
 def xi_eval(m: Mixture, x: float, order: int = 0) -> float:
-    """d^order xi / dx^order at x, by exact term-wise differentiation.
+    """d^order xi / dx^order at x, a float or an array of points, by exact
+    term-wise differentiation.
 
     Supports order 0..4; requires x in [-1, 2].
     """
     if not isinstance(order, (int,)) or order < 0 or order > MAX_XI_ORDER:
         raise ArgumentError(f"derivative order {order} unsupported (0..{MAX_XI_ORDER})")
-    if not (-1.0 <= x <= 2.0):
+    lo, hi = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+    if not (-1.0 <= lo and hi <= 2.0):
         raise ArgumentError(f"x={x} outside evaluation interval [-1, 2]")
     total = 0.0
     for p, g in m.gammas.items():

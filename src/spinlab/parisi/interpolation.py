@@ -7,12 +7,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level, m_matrix
 from ..errors import ArgumentError, DomainError
 from ..mixture import Mixture, xi_eval
-from .spherical import QUAD_ABS_TOL, b_profile, parisi_sp, theta
+from .spherical import b_pieces, b_profile, parisi_sp, quadrature, theta
 from .zeta import PiecewiseZeta
 
 
@@ -145,12 +144,10 @@ def lambda_recursion(
         - K * B * a**2
     )
 
-    tail, _ = quad(
-        lambda q: xi_eval(m, q, 2) / b_profile(B, kz, m, q),
-        qs[0],
-        1.0,
-        epsabs=QUAD_ABS_TOL,
-        limit=200,
+    # B_kz has a kink at each break of kz, so the tail is taken piece by piece
+    tail = sum(
+        quadrature(lambda q, bz=bz: xi_eval(m, q, 2) / bz(q), lo, hi)
+        for lo, hi, bz in b_pieces(B, kz, m, qs[0])[0]
     )
     bound = 0.5 * K * (
         (shifted_field**2 + xi_eval(m, qs[0], 1)) / b_profile(B, kz, m, qs[0])

@@ -713,10 +713,12 @@ class AlgLevel(NamedTuple):
     proj_grad: float  # max projected gradient of the discretized P at zeta
 
 
-def _projected_gradient(zeta, grad) -> float:
-    """max_i |dP/dzeta_i| where zeta_i > 0 and max(-dP/dzeta_i, 0) where
-    zeta_i = 0: zero exactly at a first-order point of P on zeta >= 0."""
-    return float(max(abs(g) if z > 0.0 else max(-g, 0.0) for z, g in zip(zeta, grad)))
+def _projected_gradient(zeta, grad, cap: float) -> float:
+    """max_i |dP/dzeta_i| where 0 < zeta_i < cap, max(-dP/dzeta_i, 0) where
+    zeta_i = 0 and max(dP/dzeta_i, 0) where zeta_i = cap: zero exactly at a
+    first-order point of P on 0 <= zeta <= cap."""
+    return float(max(max(-g, 0.0) if z <= 0.0 else max(g, 0.0) if z >= cap else abs(g)
+                     for z, g in zip(zeta, grad)))
 
 
 def alg_is_numeric(m: Mixture, knots: int = 16, **kw) -> float:
@@ -810,7 +812,7 @@ def alg_is_levels(
             if value < best:
                 best_vals, best = vals, value
         grad = objective(best_vals)[1]
-        out.append(AlgLevel(levels, best, tuple(best_vals), _projected_gradient(best_vals, grad)))
+        out.append(AlgLevel(levels, best, tuple(best_vals), _projected_gradient(best_vals, grad, value_cap)))
         if levels == knots:
             return out
         levels *= 2

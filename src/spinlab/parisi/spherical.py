@@ -1,17 +1,52 @@
 """Spherical Parisi functional, the closed-form algorithmic threshold, and a
 numeric variational minimizer over nondecreasing slope profiles."""
 
+import heapq
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import isotonic_regression
 
-from ..errors import ArgumentError, DomainError
+from ..errors import ArgumentError, DomainError, NumericError
 from ..mixture import Mixture, xi_eval
 from .zeta import PiecewiseZeta
 
 QUAD_ABS_TOL = 1e-10
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_MAX_PANELS = 200
+
+
+def _gauss_legendre(f, lo: float, hi: float) -> float:
+    half = 0.5 * (hi - lo)
+    return half * float(f(lo + half + half * _GL_X) @ _GL_W)
+
+
+def quadrature(f, a: float, b: float) -> float:
+    """integral_a^b f for f smooth on [a, b]; f takes an array of points.
+
+    Composite 20-point Gauss-Legendre.  Each panel carries its sum and its
+    two halves' sums; the panel where they disagree most is halved, until
+    the disagreements add up to at most QUAD_ABS_TOL (or 1e-14 of the
+    integral, the rounding floor), and the halves' sums are returned.  So
+    panels double where the integrand needs them, as near B_zeta -> 0.
+    NumericError if that takes more than 200 panels, or a sum is not finite."""
+
+    def panel(lo, hi, whole):  # heap entry: the largest disagreement pops first
+        mid = 0.5 * (lo + hi)
+        left, right = _gauss_legendre(f, lo, mid), _gauss_legendre(f, mid, hi)
+        return -abs(left + right - whole), lo, hi, left, right
+
+    panels = [panel(a, b, _gauss_legendre(f, a, b))]
+    while True:
+        total = sum(left + right for *_, left, right in panels)
+        if math.isfinite(total) and -sum(p[0] for p in panels) <= max(QUAD_ABS_TOL, 1e-14 * abs(total)):
+            return total
+        if len(panels) == _MAX_PANELS or not math.isfinite(total):
+            raise NumericError(f"quadrature on [{a}, {b}] did not settle on {len(panels)} panels")
+        _, lo, hi, left, right = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        heapq.heappush(panels, panel(lo, mid, left))
+        heapq.heappush(panels, panel(mid, hi, right))
 
 
 def b_profile(B: float, zeta: PiecewiseZeta, m: Mixture, t: float) -> float:
@@ -27,29 +62,29 @@ def parisi_sp(B: float, zeta: PiecewiseZeta, m: Mixture) -> float:
     """P(B, zeta) = (h^2 / B_zeta(0) + integral_0^1 (xi''/B_zeta + B_zeta)) / 2.
 
     Requires B > integral xi'' zeta (so B_zeta > 0 on [0, 1]); the integral is
-    evaluated by adaptive quadrature segment by segment, with the suffix
-    integrals of xi'' zeta precomputed so each integrand call is O(1).
+    taken by `quadrature` segment by segment of zeta.
     """
-    segs = zeta.segments()
-    tails = [0.0] * (len(segs) + 1)  # tails[i] = int_{segs[i].lo}^1 xi'' zeta
-    for i in range(len(segs) - 1, -1, -1):
-        a, b, v = segs[i]
-        tails[i] = tails[i + 1] + v * (xi_eval(m, b, 1) - xi_eval(m, a, 1))
-    slack = B - tails[0]
+    pieces, slack = b_pieces(B, zeta, m, 0.0)
     if slack <= 0.0:
         raise DomainError(f"(B, zeta) infeasible: B - int xi'' zeta = {slack:.3g} <= 0")
     total = m.h**2 / slack
-    for i, (a, b, v) in enumerate(segs):
-        tail_b = tails[i + 1]
-        xi1_b = xi_eval(m, b, 1)
-
-        def integrand(t):
-            bz = B - tail_b - v * (xi1_b - xi_eval(m, t, 1))
-            return xi_eval(m, t, 2) / bz + bz
-
-        val, _err = quad(integrand, a, b, epsabs=QUAD_ABS_TOL, limit=200)
-        total += val
+    for a, b, bz in pieces:
+        total += quadrature(lambda t, bz=bz: xi_eval(m, t, 2) / bz(t) + bz(t), a, b)
     return 0.5 * total
+
+
+def b_pieces(B: float, zeta: PiecewiseZeta, m: Mixture, lo: float):
+    """([(a, b, B_zeta on [a, b]), ...] over zeta's segments of [lo, 1],
+    B_zeta(lo)).  Each piece's B_zeta takes an array of points and adds
+    v (xi'(t) - xi'(a)) >= 0 to B_zeta(a), so it keeps its digits where
+    B_zeta is small."""
+    start = base = B - zeta.integral_xi2(m, lo, 1.0)
+    pieces = []
+    for a, b, v in zeta.segments(lo, 1.0):
+        xi1_a = xi_eval(m, a, 1)
+        pieces.append((a, b, lambda t, c=base, v=v, xi1_a=xi1_a: c + v * (xi_eval(m, t, 1) - xi1_a)))
+        base += v * (xi_eval(m, b, 1) - xi1_a)
+    return pieces, start
 
 
 def alg_sp(m: Mixture):
@@ -83,9 +118,8 @@ def alg_sp(m: Mixture):
 
 
 def root_xi2_integral(m: Mixture, lo: float, hi: float) -> float:
-    """integral_lo^hi sqrt(xi''(q)) dq, by adaptive quadrature."""
-    val, _err = quad(lambda q: math.sqrt(xi_eval(m, q, 2)), lo, hi, epsabs=QUAD_ABS_TOL, limit=200)
-    return val
+    """integral_lo^hi sqrt(xi''(q)) dq, by `quadrature`."""
+    return quadrature(lambda q: np.sqrt(xi_eval(m, q, 2)), lo, hi)
 
 
 def opt_sp_numeric(m: Mixture, grid: int = 200) -> float:

@@ -17,6 +17,7 @@ so a refused run leaves none.
 
 import json
 import math
+import numbers
 import os
 import shutil
 import time
@@ -24,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import rng
 from .ensembles import (
@@ -304,12 +304,115 @@ def _cast(value, schema):
     return int(value) if schema.get("type") == "integer" else float(value)
 
 
+def _is_type(value, name):
+    """JSON Schema's types: 2.0 is an integer, and true is not a number."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    kinds = {"boolean": bool, "number": numbers.Number, "string": str, "array": list, "object": dict}
+    return isinstance(value, kinds[name])
+
+
+# Each keyword of the JSON Schema (2020-12) subset that FIELDS and _closed
+# use: (argument, instance, schema) -> a (relative path, message) per error,
+# in jsonschema's wording.
+
+
+def _type(types, value, schema):
+    types = [types] if isinstance(types, str) else types
+    if not any(_is_type(value, t) for t in types):
+        yield (), f"{value!r} is not of type {', '.join(map(repr, types))}"
+
+
+def _minimum(limit, value, schema):
+    if _is_type(value, "number") and value < limit:
+        yield (), f"{value!r} is less than the minimum of {limit!r}"
+
+
+def _maximum(limit, value, schema):
+    if _is_type(value, "number") and value > limit:
+        yield (), f"{value!r} is greater than the maximum of {limit!r}"
+
+
+def _enum(options, value, schema):
+    if not any(o == value and isinstance(o, bool) == isinstance(value, bool) for o in options):
+        yield (), f"{value!r} is not one of {options!r}"
+
+
+def _items(item, value, schema):
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _errors(item, v, (i,))
+
+
+def _min_items(limit, value, schema):
+    if isinstance(value, list) and len(value) < limit:
+        yield (), f"{value!r} {'should be non-empty' if limit == 1 else 'is too short'}"
+
+
+def _max_items(limit, value, schema):
+    if isinstance(value, list) and len(value) > limit:
+        yield (), f"{value!r} {'is expected to be empty' if limit == 0 else 'is too long'}"
+
+
+def _required(keys, value, schema):
+    if isinstance(value, dict):
+        yield from (((), f"{k!r} is a required property") for k in keys if k not in value)
+
+
+def _properties(props, value, schema):
+    if isinstance(value, dict):
+        for k, sub in props.items():
+            if k in value:
+                yield from _errors(sub, value[k], (k,))
+
+
+def _additional_properties(allowed, value, schema):  # only `false` is used (_closed)
+    if isinstance(value, dict):
+        extras = sorted(set(value) - set(schema.get("properties", {})), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield (), f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+
+
+def _one_of(options, value, schema):
+    valid = [o for o in options if next(_errors(o, value), None) is None]
+    if not valid:
+        yield (), f"{value!r} is not valid under any of the given schemas"
+    elif len(valid) > 1:
+        yield (), f"{value!r} is valid under each of {', '.join(map(repr, valid))}"
+
+
+_KEYWORDS = {
+    "type": _type,
+    "minimum": _minimum,
+    "maximum": _maximum,
+    "enum": _enum,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "oneOf": _one_of,
+}
+
+
+def _errors(schema, value, where=()):
+    """(path, message) for each error of value against schema, keyword by
+    keyword in the schema's order, as jsonschema's iter_errors yields them."""
+    for keyword, arg in schema.items():
+        for path, message in _KEYWORDS[keyword](arg, value, schema):
+            yield (*where, *path), message
+
+
 def _check(schema, instance, where=()):
-    errors = sorted(Draft202012Validator(schema).iter_errors(instance), key=lambda e: e.path)
-    if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in (*where, *err.path)) or "<root>"
-        raise ArgumentError(f"config field {path}: {err.message}")
+    """ArgumentError naming the first error by path, as jsonschema sorts them."""
+    first = min(_errors(schema, instance), key=lambda e: e[0], default=None)
+    if first is not None:
+        path = "/".join(str(p) for p in (*where, *first[0])) or "<root>"
+        raise ArgumentError(f"config field {path}: {first[1]}")
 
 
 def _closed(properties):

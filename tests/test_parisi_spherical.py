@@ -5,10 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinlab.errors import ArgumentError, DomainError
+from spinlab import rng
+from spinlab.acceptance import _random_shape_ladders
+from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align
+from spinlab.errors import ArgumentError, DomainError, NumericError
 from spinlab.mixture import Mixture, pure, xi_eval
-from spinlab.parisi import PiecewiseZeta, alg_sp, b_profile, opt_sp_numeric, parisi_sp, theta
+from spinlab.parisi import PiecewiseZeta, alg_sp, b_profile, lambda_recursion, opt_sp_numeric, parisi_sp, theta
 from spinlab.parisi.increasify import delta_perturb
+from spinlab.parisi.interpolation import composite_profile, kappa_zeta_profile
+from spinlab.parisi.spherical import QUAD_ABS_TOL, quadrature, root_xi2_integral
+from spinlab.runner import DEFAULTS, parse_mixture
 
 
 def test_piecewise_zeta_basics():
@@ -235,3 +241,134 @@ def test_splice_to_the_top_matches_compose_under_over(under, q0, over):
     knots = [q0, *(b for b in piece.breaks if b > q0)]
     got = _outcome(under.splice, q0, 1.0, piece)
     assert got == _outcome(oracle_compose_under_over, under, q0, knots, [piece(k) for k in knots])
+
+
+# --- the Gauss-Legendre quadrature against scipy's adaptive `quad` -------------
+# The oracles below are the quad forms of parisi_sp, root_xi2_integral and
+# lambda_recursion's bound that `quadrature` replaced, at the tolerance quad
+# was asked for.
+
+
+def quad_parisi_sp(B, zeta, m):
+    from scipy.integrate import quad
+
+    segs = zeta.segments()
+    tails = [0.0] * (len(segs) + 1)  # tails[i] = int_{segs[i].lo}^1 xi'' zeta
+    for i in range(len(segs) - 1, -1, -1):
+        a, b, v = segs[i]
+        tails[i] = tails[i + 1] + v * (xi_eval(m, b, 1) - xi_eval(m, a, 1))
+    total = m.h**2 / (B - tails[0])
+    for i, (a, b, v) in enumerate(segs):
+        tail_b, xi1_b = tails[i + 1], xi_eval(m, b, 1)
+
+        def integrand(t):
+            bz = B - tail_b - v * (xi1_b - xi_eval(m, t, 1))
+            return xi_eval(m, t, 2) / bz + bz
+
+        total += quad(integrand, a, b, epsabs=QUAD_ABS_TOL, limit=200)[0]
+    return 0.5 * total
+
+
+def quad_root_xi2(m, lo, hi):
+    from scipy.integrate import quad
+
+    return quad(lambda q: math.sqrt(xi_eval(m, q, 2)), lo, hi, epsabs=QUAD_ABS_TOL, limit=200)[0]
+
+
+def quad_lambda_bound(B, zeta, shape, pladder, qladder, m, a, lam):
+    from scipy.integrate import quad
+
+    kz = kappa_zeta_profile(shape, pladder, qladder, [zeta(q) for q in qladder.qs[:-1]])
+    q0, field = qladder.qs[0], m.h + (lam - B) * a
+    tail = sum(
+        quad(lambda q: xi_eval(m, q, 2) / b_profile(B, kz, m, q), lo, hi, epsabs=QUAD_ABS_TOL, limit=200)[0]
+        for lo, hi, _v in kz.segments(q0, 1.0)
+    )
+    return 0.5 * shape.n_leaves * ((field**2 + xi_eval(m, q0, 1)) / b_profile(B, kz, m, q0) + tail - B * a**2)
+
+
+def _threshold_mixtures():
+    """Criterion 3's mixtures, the demos', this module's and the CLI's."""
+    out = [pure(4), pure(4, h=3.0), pure(4, h=1.0), pure(2), Mixture({2: 1.0, 4: 1.0}),
+           Mixture({2: 0.5, 6: 0.8}, h=0.7), Mixture({2: 0.7, 4: 0.6}), Mixture({2: 0.5, 4: 1.0})]
+    out += [parse_mixture(s) for s in ("p2", "p4", "p2+p4")]
+    gen = rng.stream(3, "acc-thresholds")
+    for _ in range(20):
+        gammas = {2: float(gen.uniform(0, 1.2)), 4: float(gen.uniform(0, 1.2))}
+        if gen.random() < 0.5:
+            gammas[6] = float(gen.uniform(0, 0.8))
+        h = float(gen.uniform(0, 1.5)) if gen.random() < 0.5 else 0.0
+        out.append(Mixture(gammas, h=h))
+    return out
+
+
+def _parisi_cases():
+    """(B, zeta, m): this module's and the demos' fixtures, test_interpolation's
+    composites, and the composite of `sandwich` at its CLI defaults."""
+    m4 = pure(4)
+    edges = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 2001)])
+    best = PiecewiseZeta(tuple(edges[:-1]), (0.0, *(1 / math.sqrt(12.0) / b**2 for b in edges[2:])))
+    cases = [(2.0, PiecewiseZeta.zero(), Mixture({2: 0.8}, h=0.5)), (math.sqrt(12.0), best, m4)]
+    cases += [(b, PiecewiseZeta.zero(), pure(2)) for b in (1.2, math.sqrt(2.0), 1.6, 2.0)]
+    m, zl = Mixture({2: 0.7, 4: 0.6}), PiecewiseZeta((0.0, 0.1, 0.5), (0.0, 0.3, 0.7))
+    shape, pl, ql = TreeShape((2, 2)), CorrelationLadder((0.0, 0.4, 1.0)), OverlapLadder((0.1, 0.5, 1.0))
+    cases.append((3.5, composite_profile(PiecewiseZeta.zero(), zl, 2.0, shape, pl, ql), m))
+    shape1, pl1, ql1 = TreeShape((1,)), CorrelationLadder((0.0, 1.0)), OverlapLadder((0.2, 1.0))
+    z1 = PiecewiseZeta((0.0, 0.2), (0.0, 0.4))
+    cases.append((2.5, composite_profile(PiecewiseZeta.zero(), z1, 2.0, shape1, pl1, ql1), m))
+    cfg = DEFAULTS["sandwich"]
+    ql = OverlapLadder(tuple(cfg["qladder"]))
+    shape, m2 = TreeShape(tuple(cfg["ks"])), parse_mixture(cfg["mixture"])
+    zeta = PiecewiseZeta.on_knots(ql.qs[:-1], np.linspace(0.2, 0.8, ql.depth))
+    comp = composite_profile(PiecewiseZeta.zero(), zeta, cfg["beta"], shape, chi_align(lambda p: p, ql), ql)
+    cases.append((math.sqrt(max(m2.xi(1.0, 2), 1.0)) + comp.integral_xi2(m2), comp, m2))
+    return cases
+
+
+def _recursion_cases():
+    """(B, zeta, shape, pladder, qladder, m, a, lam): criterion 7's 20 trials,
+    demo 06's and test_interpolation's recursions."""
+    m, zl = Mixture({2: 0.7, 4: 0.6}), PiecewiseZeta((0.0, 0.1, 0.5), (0.0, 0.3, 0.7))
+    pl, ql = CorrelationLadder((0.0, 0.4, 1.0)), OverlapLadder((0.1, 0.5, 1.0))
+    cases = [(2.5, zl, TreeShape((2, 3)), pl, ql, m, 0.3, 0.4), (2.5, zl, TreeShape((2, 2)), pl, ql, m, 0.3, 0.4),
+             (3.0, PiecewiseZeta((0.0, 0.2), (0.0, 0.4)), TreeShape((1,)), CorrelationLadder((0.0, 1.0)),
+              OverlapLadder((0.2, 1.0)), m, 0.1, 0.2)]
+    for trial in range(20):
+        g2 = rng.stream(7, "acc-lambda", trial)
+        shape, pl, ql = _random_shape_ladders(g2)
+        raw = np.sort(g2.uniform(0.02, 0.9, ql.depth))
+        levels = tuple(raw / max(raw[-1] + 0.05, 1.0))
+        zeta = PiecewiseZeta.on_knots(ql.qs[:-1], levels)
+        mm = Mixture({2: float(g2.uniform(0.2, 1.0)), 4: float(g2.uniform(0.0, 0.8))})
+        kz = kappa_zeta_profile(shape, pl, ql, [zeta(q) for q in ql.qs[:-1]])
+        big_b = kz.integral_xi2(mm, ql.qs[0], 1.0) + float(g2.uniform(0.5, 2.0))
+        cases.append((big_b, zeta, shape, pl, ql, mm, float(g2.uniform(-1, 1)), float(g2.uniform(0, 1))))
+    return cases
+
+
+def test_quadrature_matches_quad():
+    for B, zeta, m in _parisi_cases():
+        assert abs(parisi_sp(B, zeta, m) - quad_parisi_sp(B, zeta, m)) <= QUAD_ABS_TOL, (B, zeta, m)
+    for m in _threshold_mixtures():
+        q_hat = alg_sp(m)[2]
+        for lo, hi in ((q_hat, 1.0), (0.0, 1.0), (0.0, 0.25), (0.25, 0.75)):
+            assert abs(root_xi2_integral(m, lo, hi) - quad_root_xi2(m, lo, hi)) <= QUAD_ABS_TOL, (m, lo, hi)
+    for case in _recursion_cases():
+        res = lambda_recursion(*case[:6], a=case[6], lam=case[7])
+        assert abs(res.bound - quad_lambda_bound(*case)) <= QUAD_ABS_TOL, case
+
+
+def test_quadrature_rule():
+    # a degree-39 polynomial is exact on one panel; a kink on a panel edge is
+    # exact once the panels split there; a pole the rule cannot settle raises.
+    # Near B = int xi'' zeta = 2 (pure p2, zeta = 1) the integrand peaks at
+    # t = 0: panels halve there, and B_zeta = slack + 2t keeps its digits
+    for eps in (1e-4, 1e-9, 1e-12):
+        slack = (2.0 + eps) - 2.0
+        want = 0.5 * (math.log1p(2 / slack) + 1 + slack)
+        assert parisi_sp(2.0 + eps, PiecewiseZeta.constant(1.0), pure(2)) == pytest.approx(want, abs=QUAD_ABS_TOL)
+    assert quadrature(lambda t: 40 * t**39, 0.0, 1.0) == pytest.approx(1.0, abs=1e-13)
+    assert quadrature(lambda t: np.abs(t - 0.25), 0.0, 1.0) == pytest.approx(0.3125, abs=1e-15)
+    assert quadrature(np.sqrt, 0.5, 0.5) == 0.0
+    with pytest.raises(NumericError, match="did not settle"), np.errstate(divide="ignore"):
+        quadrature(lambda t: 1.0 / np.abs(t - 0.3), 0.0, 1.0)

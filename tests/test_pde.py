@@ -1,7 +1,6 @@
 import math
 from types import SimpleNamespace
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +20,7 @@ from spinlab.parisi import (
     solve_parisi_pde,
 )
 from spinlab.parisi import pde
+from terminal_step_oracle import TERMINAL_GRIDS, cases, grid_points, load_table, mp_terminal_step
 
 M2 = pure(2)
 Z0 = PiecewiseZeta.zero()
@@ -85,50 +85,30 @@ def test_solution_invariants_convex_lipschitz():
         assert np.max(np.abs(slopes)) <= 1.5 + 1e-9
 
 
-def mp_terminal_step(x, s: float, c: float, a: float, beta: float) -> float:
-    """The finite-beta terminal step at x to 30 digits: (1/c) log E exp(c
-    f(x + sZ)), or E f(x + sZ) at c = 0, for f(y) = log(2 cosh(beta y)) / beta
-    - ay, by mpmath Gauss-Legendre quadrature over x +- (14 + c (1 + |a|) s) s
-    split at y = 0."""
-    with mpmath.workdps(30):
-        x, s, c, a, beta = (mpmath.mpf(v) for v in (x, s, c, a, beta))
-        span = (14 + c * (1 + abs(a)) * s) * s
-        points = sorted({x - span, x + span} | ({mpmath.mpf(0)} if abs(x) < span else set()))
-
-        def f(y):
-            return mpmath.log(2 * mpmath.cosh(beta * y)) / beta - a * y
-
-        def kernel(y):
-            return mpmath.exp(-(((y - x) / s) ** 2) / 2) / (s * mpmath.sqrt(2 * mpmath.pi))
-
-        if c == 0:
-            return float(mpmath.quad(lambda y: kernel(y) * f(y), points, method="gauss-legendre"))
-        mean = mpmath.quad(lambda y: kernel(y) * mpmath.exp(c * f(y)), points, method="gauss-legendre")
-        return float(mpmath.log(mean) / c)
-
-
-# (L, dx, center): each spans three 512-point blocks, so every block after
-# the first drops the nodes out of its reach; two grids sit off the kink
-TERMINAL_GRIDS = ((0.52, 0.001, 0.0), (1.3, 0.0025, 0.0), (1.04, 0.002, 2.5), (2.6, 0.005, -0.7))
-
-
 @pytest.mark.parametrize("grid", TERMINAL_GRIDS)
 def test_windowed_terminal_step_matches_oracle(grid):
-    length, dx, center = grid
-    half = int(math.ceil(length / dx))
-    xs = center + dx * np.arange(-half, half + 1)
+    """Every case against its committed mpmath reference (terminal_step_oracle)."""
+    xs = grid_points(grid)
     assert len(xs) > 2 * 512
-    gen = rng.stream(67)
+    rows = load_table()[TERMINAL_GRIDS.index(grid)]
     worst = 0.0
-    for beta in (1.0, 4.0, 32.0):
-        for a in (0.0, 0.5, -0.4):
-            for c in (0.0, 0.3, 1.0, 4.0):
-                for s in (0.2, 0.7):
-                    got = pde._terminal_quad_step(xs, s, c, a, beta)
-                    i = int(gen.integers(len(xs)))
-                    want = mp_terminal_step(xs[i], s, c, a, beta)
-                    worst = max(worst, abs(got[i] - want) / abs(want))
+    for (beta, a, c, s, i), (table_i, want) in zip(cases(grid), rows, strict=True):
+        assert i == table_i  # the table holds each case's reference at its drawn index
+        got = pde._terminal_quad_step(xs, s, c, a, beta)
+        worst = max(worst, abs(got[i] - want) / abs(want))
     assert worst <= 1e-13
+
+
+def test_terminal_step_table_is_the_oracle():
+    """A seeded handful of the committed references, recomputed with mpmath."""
+    table = load_table()
+    flat = [(g, k) for g, rows in enumerate(table) for k in range(len(rows))]
+    assert len(flat) == 288
+    for pick in rng.stream(68, "terminal-table").choice(len(flat), 6, replace=False):
+        g, k = flat[pick]
+        grid = TERMINAL_GRIDS[g]
+        beta, a, c, s, i = list(cases(grid))[k]
+        assert mp_terminal_step(grid_points(grid)[i], s, c, a, beta) == table[g][k][1], (grid, k)
 
 
 def oracle_log_gauss_mass(a, b):
@@ -658,7 +638,7 @@ def test_alg_is_levels_not_above_oracle(m):
         zeta = PiecewiseZeta(_breaks(lv.levels), lv.zeta)
         assert lv.value == parisi_is(zeta, m, grid=ALG_GRID, self_check=False, gh_nodes=8)
         grad = _objective(m, lv.levels)(lv.zeta)[1]
-        assert lv.proj_grad == pde._projected_gradient(lv.zeta, grad)
+        assert lv.proj_grad == pde._projected_gradient(lv.zeta, grad, 4.0)
     assert got[1].value <= got[0].value
 
 
@@ -813,9 +793,13 @@ def test_objective_forward_equals_solve(m):
 
 
 def test_projected_gradient():
-    assert pde._projected_gradient((0.0, 0.0, 1.0), (0.5, -0.25, 0.0)) == 0.25
-    assert pde._projected_gradient((0.0, 2.0), (3.0, -0.125)) == 0.125
-    assert pde._projected_gradient((0.0,), (7.0,)) == 0.0
+    assert pde._projected_gradient((0.0, 0.0, 1.0), (0.5, -0.25, 0.0), 32.0) == 0.25
+    assert pde._projected_gradient((0.0, 2.0), (3.0, -0.125), 32.0) == 0.125
+    assert pde._projected_gradient((0.0,), (7.0,), 32.0) == 0.0
+    # at the cap only g > 0 counts (descent lowers zeta_i), as only g < 0 does at 0
+    assert pde._projected_gradient((32.0, 1.0), (-5.0, 0.5), 32.0) == 0.5
+    assert pde._projected_gradient((32.0, 1.0), (0.75, 0.5), 32.0) == 0.75
+    assert pde._projected_gradient((2.0, 2.0), (-1.5, 0.25), 2.0) == 0.25
 
 
 def test_self_check_reuses_only_the_terminal_step():

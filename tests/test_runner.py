@@ -71,6 +71,95 @@ def test_schema_validation(tmp_path, capsys):
         assert not out.exists(), config
 
 
+def _jsonschema_check(schema, instance, where=()):
+    """runner._check as it was on jsonschema: the first error by path."""
+    jsonschema = pytest.importorskip("jsonschema")
+    errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(instance), key=lambda e: e.path)
+    if errors:
+        path = "/".join(str(p) for p in (*where, *errors[0].path)) or "<root>"
+        raise ArgumentError(f"config field {path}: {errors[0].message}")
+
+
+def _wrong_values(schema):
+    """One value per way of breaking (or just passing) a field's schema."""
+    out = ["x", True, False, None, {}, [], [1, 2, 3], ["x"], [True], [2.0, 0.5], 1.5, 2.0, 7, -3, 0]
+    for bound in ("minimum", "maximum"):
+        if bound in schema:
+            out += [schema[bound] - 1, schema[bound] + 1, schema[bound] + 0.5]
+    out += [v + 1 for v in schema.get("enum", []) if isinstance(v, int)] + ["nope"]
+    return out
+
+
+# nested objects: mixture, tree and zeta, valid and broken at each level
+_NESTED = {
+    "mixture": [{"gammas": {"2": 1.0}}, {"gammas": {"2": 1.0}, "h": -1}, {"gammas": {}, "h": "x"},
+                {"h": 0.5}, {"gammas": 1}, {"gammas": [], "h": True}, {"gammas": {}, "other": 1}],
+    "tree": [{"star": 0}, {"binary": 1.5}, {"star": True, "binary": "x"}, {"other": 1}, "t.json"],
+    "zeta": [{"breaks": [0.0]}, {"breaks": ["x"], "values": [0.0]}, {"breaks": 1, "values": []},
+             {}, {"breaks": [0.0, True], "values": [1, 2.0]}],
+}
+
+
+def test_config_checks_match_jsonschema(monkeypatch):
+    """runner._check against jsonschema on every (subcommand, key) pair's
+    valid value and its mutations, configs with two errors, and every
+    algorithm's parameters: the same verdict, and the same message naming
+    the same first-error path."""
+    ours = runner._check
+
+    def outcome(check, config):
+        monkeypatch.setattr(runner, "_check", check)
+        try:
+            validate_config(config)
+        except ArgumentError as exc:
+            return str(exc)
+        return None
+
+    configs = [{}, {"subcommand": 3}, {"subcommand": "nope"}, {"subcommand": "pde", "bogus": 1, "zz": 2}]
+    for sub, row in runner.DEFAULTS.items():
+        for key in row:
+            values = [_VALID.get(key, "runs/o"), *_wrong_values(runner.FIELDS[key]), *_NESTED.get(key, [])]
+            configs += [{"subcommand": sub, key: v} for v in values]
+            configs.append({"subcommand": sub, key: "x", "bogus": 1})
+        keys = [k for k in row if k != "out"]
+        configs.append({"subcommand": sub, **{k: True for k in keys}})
+    for name, (defaults, _) in runner.ALGORITHMS.items():
+        for key in defaults:
+            for v in ("x", True, 0.5, 2, 2.0, None, [1]):
+                configs.append({"subcommand": "optimize", "alg": {"name": name, **defaults, key: v}})
+        configs.append({"subcommand": "optimize", "alg": {"name": name, "bogus": 1, **defaults}})
+    refused = 0
+    for config in configs:
+        got, want = outcome(ours, config), outcome(_jsonschema_check, config)
+        assert (got is None) == (want is None), (config, got, want)
+        if want is not None:
+            refused += 1
+            assert got == want, (config, got, want)
+    assert refused > 500
+
+
+def test_fields_use_only_interpreted_keywords():
+    """Every schema keyword in FIELDS (and in _closed) is one _check interprets."""
+    seen = set()
+
+    def walk(schema):
+        seen.update(schema)
+        assert schema.get("additionalProperties", False) is False
+        for sub in schema.get("oneOf", []):
+            walk(sub)
+        for sub in schema.get("properties", {}).values():
+            walk(sub)
+        if "items" in schema:
+            walk(schema["items"])
+
+    for schema in runner.FIELDS.values():
+        walk(schema)
+    walk(runner._closed({}))
+    assert seen <= set(runner._KEYWORDS), seen - set(runner._KEYWORDS)
+    with pytest.raises(KeyError):
+        runner._check({"pattern": "^x"}, "y")
+
+
 @pytest.mark.parametrize("knots", [4, 12, 24, 1024])
 def test_thresholds_rejects_knots_off_the_refinement_ladder(tmp_path, knots, monkeypatch):
     """alg_is_levels refines 8, 16, 32, ...: any other knot count exits 2
