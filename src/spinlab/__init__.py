@@ -21,7 +21,6 @@ from .ensembles import (
     TreeShape,
     chi_align,
     constrained_membership,
-    grand_energy,
     kappa,
     lca_depth,
     m_matrix,

@@ -34,7 +34,7 @@ from .hamiltonian import (
     weighted_sum,
 )
 from .mixture import Mixture
-from .points import norm_n_sq, overlap
+from .points import norm_n_sq, overlap, overlap_matrix, worst_violation
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,11 @@ class CorrelatedEnsemble:
         return Hamiltonian(self.mixture, self.n, tensors, seed=None, label=label)
 
     def grand_energy(self, sigmas) -> float:
-        return grand_energy(self, sigmas)
+        """Sum of leaf energies over the fixed lexicographic leaf order."""
+        leaves = self.leaves()
+        if len(sigmas) != len(leaves):
+            raise ArgumentError(f"need {len(leaves)} points, got {len(sigmas)}")
+        return sum(self.leaf_energy(u, x) for u, x in zip(leaves, sigmas))
 
 
 def sample_ensemble(
@@ -326,22 +330,11 @@ def chi_align(chi, qladder: OverlapLadder) -> CorrelationLadder:
     return CorrelationLadder(tuple(ps))
 
 
-def grand_energy(e: CorrelatedEnsemble, sigmas) -> float:
-    """Sum of leaf energies over the fixed lexicographic leaf order."""
-    leaves = e.leaves()
-    if len(sigmas) != len(leaves):
-        raise ArgumentError(f"need {len(leaves)} points, got {len(sigmas)}")
-    return sum(e.leaf_energy(u, x) for u, x in zip(leaves, sigmas))
-
-
 @dataclass
 class MembershipReport:
     ok: bool
     worst_violation: float  # largest excess over the relevant allowance; <= 0 when ok
     worst_constraint: str
-
-    def __bool__(self):
-        return self.ok
 
 
 def constrained_membership(
@@ -355,7 +348,7 @@ def constrained_membership(
     |R(sigma, m) - q_0| <= eta with q_0 = |m|_N^2, and |R - Q|_inf <= eta.
 
     domain "sphere" checks |s|_N = 1; "cube" checks s in {-1, 1}^N; both
-    to 1e-9.
+    to 1e-9.  The report is the `worst_violation` of them all: a NaN fails.
     """
     if domain not in ("sphere", "cube"):
         raise ArgumentError(f"unknown domain {domain!r}")
@@ -369,49 +362,35 @@ def constrained_membership(
     if q_target.shape != (k, k):
         raise ArgumentError(f"target overlap matrix has shape {q_target.shape}, want {(k, k)}")
 
-    worst, name = -np.inf, "none"
-
-    def track(deviation, allowance, label):
-        nonlocal worst, name
-        if deviation - allowance > worst:
-            worst, name = deviation - allowance, label
-
+    r = overlap_matrix(sigmas)
+    checks = []
     for i, s in enumerate(sigmas):
         if domain == "sphere":
-            track(abs(norm_n_sq(s) - 1.0), 1e-9, f"sphere norm of point {i}")
+            checks.append((abs(r[i, i] - 1.0) - 1e-9, f"sphere norm of point {i}"))
         else:
-            track(float(np.max(np.abs(np.abs(s) - 1.0))), 1e-9, f"cube corners of point {i}")
+            checks.append((np.max(np.abs(np.abs(s) - 1.0)) - 1e-9, f"cube corners of point {i}"))
         if m_anchor.size:
-            track(abs(overlap(s, m_anchor) - q0), eta, f"band of point {i}")
-    for i in range(k):
-        for j in range(k):
-            dev = abs(overlap(sigmas[i], sigmas[j]) - q_target[i, j])
-            track(dev, eta, f"overlap ({i},{j})")
+            checks.append((abs(overlap(s, m_anchor) - q0) - eta, f"band of point {i}"))
+    checks += [(abs(r[i, j] - q_target[i, j]) - eta, f"overlap ({i},{j})") for i, j in np.ndindex(k, k)]
+    worst, name = worst_violation(checks)
     return MembershipReport(worst <= 0.0, worst, name)
 
 
-# -- underline truncation view -------------------------------------------------
+# -- underline truncation ------------------------------------------------------
 
 
-def underline_view(shape: TreeShape, pladder: CorrelationLadder, qladder: OverlapLadder):
-    """Cut at the first depth with p_d = 1: returns (shape, p, q) underline
-    triple.  Depth-D_ul prefixes index the distinct leaf Hamiltonians."""
-    ps = pladder.ps
-    d_ul = next((d for d in range(len(ps)) if ps[d] >= 1.0 - 1e-15), pladder.depth)
-    if d_ul == 0:
-        raise ArgumentError("p_0 = 1 is not a valid correlation ladder")
-    sub_shape = TreeShape(shape.ks[:d_ul])
-    sub_p = CorrelationLadder(ps[: d_ul + 1][:-1] + (1.0,))
-    qs = qladder.qs[: d_ul + 1][:-1] + (1.0,)
-    sub_q = OverlapLadder(qs)
-    return sub_shape, sub_p, sub_q
+def underline_depth(pladder: CorrelationLadder) -> int:
+    """D_ul, the first depth with p_d = 1: the depth-D_ul prefixes index the
+    distinct leaf Hamiltonians.  At least 1, as p_0 = 0."""
+    return next(d for d, p in enumerate(pladder.ps) if p >= 1.0 - 1e-15)
 
 
 def underline_target_matrix(
     shape: TreeShape, pladder: CorrelationLadder, qladder: OverlapLadder, chi1: float
 ) -> np.ndarray:
-    """Q_ul with entries q_{lca} ^ chi1 (min), diagonal chi1."""
-    sub_shape, _, _ = underline_view(shape, pladder, qladder)
+    """Q_ul over the depth-D_ul prefixes, entries q_{lca} ^ chi1 (min); the
+    diagonal is q_{D_ul} ^ chi1."""
+    sub_shape = TreeShape(shape.ks[: underline_depth(pladder)])
     return np.minimum(np.asarray(qladder.qs)[_lca_table(sub_shape)], chi1)
 
 

@@ -20,14 +20,14 @@ from .ensembles import (
     pair_mixer,
     sample_ensemble,
     target_overlap_matrix,
+    underline_depth,
     underline_target_matrix,
-    underline_view,
 )
 from .errors import ArgumentError
 from .hamiltonian import energy, gradient
 from .mixture import Mixture
 from .optimizers import extend_to_sphere
-from .points import norm_n_sq, overlap, sphere_point
+from .points import norm_n_sq, overlap, overlap_matrix, sphere_point, worst_violation
 
 
 @dataclass
@@ -81,12 +81,17 @@ class ChiReport:
         return not self.flags
 
 
+def check_chi_grid(p_grid):
+    """The grid `check_chi_properties` needs, checked before any run."""
+    if len(p_grid) < 3 or 0.0 not in p_grid or 1.0 not in p_grid or not all(0 <= p <= 1 for p in p_grid):
+        raise ArgumentError("need at least 3 grid points in [0, 1], including p = 0 and p = 1")
+
+
 def check_chi_properties(est: ChiEstimate) -> ChiReport:
     """Flag statistically significant (3 SE) violations of: range in
     [0, chi(1)] within [0, 1]; a monotone trend; the chord bound
     chi(p) <= (1-p) chi(0) + p chi(1)."""
-    if len(est.p_grid) < 3 or 0.0 not in est.p_grid or 1.0 not in est.p_grid:
-        raise ArgumentError("need at least 3 grid points including p = 0 and p = 1")
+    check_chi_grid(est.p_grid)
     flags = []
     chi1 = est.at(1.0)
     se1 = float(est.se[est.p_grid.index(1.0)])
@@ -181,14 +186,14 @@ def run_branching_experiment(
     """Run the algorithm on each underline-truncated leaf Hamiltonian of a
     fresh ensemble per rep; report observed overlap matrices against the
     underline target, per-leaf and grand energies, and (optionally) the
-    sphere extension checked against the full target."""
+    sphere extension checked against the full target.  `eta` is not read:
+    the sphere extension takes no gap (only the Ising one does)."""
     reports = []
-    sub_shape, _, sub_q = underline_view(shape, pladder, qladder)
-    d_ul = sub_shape.depth
+    d_ul = underline_depth(pladder)
+    leaves_ul = TreeShape(shape.ks[:d_ul]).leaves()
     for r in range(reps):
         ens_seed = rng.derive_seed(seed, "branching", r)
         ens = sample_ensemble(m, n, shape, pladder, ens_seed)
-        leaves_ul = sub_shape.leaves()
         outputs = {}
         energies = {}
         alg_seed = rng.derive_seed(ens_seed, "alg")  # one seed: A is a fixed map of H
@@ -197,14 +202,10 @@ def run_branching_experiment(
             out = np.asarray(alg(h_u, alg_seed))
             outputs[u] = out
             energies[u] = energy(h_u, out)
-        k = len(leaves_ul)
-        r_mat = np.empty((k, k))
-        for i, u in enumerate(leaves_ul):
-            for j, v in enumerate(leaves_ul):
-                r_mat[i, j] = overlap(outputs[u], outputs[v])
+        r_mat = overlap_matrix([outputs[u] for u in leaves_ul])
         chi1_val = float(np.mean(np.diag(r_mat))) if chi1 is None else chi1
         q_mat = underline_target_matrix(shape, pladder, qladder, chi1_val)
-        max_dev = float(np.max(np.abs(r_mat - q_mat)))
+        max_dev, _ = worst_violation((d, None) for d in np.abs(r_mat - q_mat).flat)
         report = BranchingReport(
             shape,
             pladder,
@@ -222,15 +223,12 @@ def run_branching_experiment(
             )
             leaves = shape.leaves()
             full_q = target_overlap_matrix(shape, qladder)
-            full_r = np.empty((len(leaves), len(leaves)))
-            for i, u in enumerate(leaves):
-                for j, v in enumerate(leaves):
-                    full_r[i, j] = overlap(ext.points[u], ext.points[v])
+            full_r = overlap_matrix([ext.points[u] for u in leaves])
             report.extension = {
                 "points": ext.points,
                 "overlap_matrix": full_r,
                 "target_matrix": full_q,
-                "max_deviation": float(np.max(np.abs(full_r - full_q))),
+                "max_deviation": worst_violation((d, None) for d in np.abs(full_r - full_q).flat)[0],
                 "energy_change": ext.energy_change,
             }
         reports.append(report)
@@ -271,7 +269,7 @@ def constrained_grand_max(
     def ascend(penalty, start):
         sigmas = [s.copy() for s in start]
         for _ in range(steps):
-            r_mat = np.array([[overlap(a, b) for b in sigmas] for a in sigmas])
+            r_mat = overlap_matrix(sigmas)
             new = []
             for i, u in enumerate(leaves):
                 g = gradient(leaf_hams[i], sigmas[i]) / n

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .ensembles import CorrelatedEnsemble, underline_view
+from .ensembles import CorrelatedEnsemble, underline_depth
 from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import (
     DEFAULT_DENSE_HESSIAN_CAP,
@@ -182,7 +182,8 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
 
     Iterates are the raw AMP vectors (not confined to B_N); the recorded
     energies are of the iterate projected onto B_N, and per-iteration
-    empirical overlaps land in params["overlaps"].
+    empirical overlaps land in params["overlaps"].  A last iterate outside
+    B_N is followed by its projection, so `final` is the point last scored.
     """
     field_free = Mixture(dict(h.mixture.gammas), h=0.0)
     h_tilde = Hamiltonian(field_free, h.n, h.tensors, seed=h.seed, label="field-free view")
@@ -203,6 +204,10 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
         iterates.append(x)
         energies.append(energy(h, project_ball(x, 1.0)))
         overlaps.append([overlap(x, xp) for xp in iterates[:-1]])
+    final = project_ball(x, 1.0)
+    if final is not x:
+        iterates.append(final)
+        energies.append(energies[-1])
     return Trajectory(
         iterates, energies, "amp", {"horizon": spec.horizon, "overlaps": overlaps}, seed=seed
     )
@@ -359,13 +364,12 @@ def extend_to_sphere(
     directions among non-saturated coordinates when available (random
     coordinate directions otherwise, counted as fallbacks), stops at
     1 - min(eta / 2, 0.05), then rounds coordinates independently with the
-    mean preserved.
+    mean preserved; only this gap reads eta, so spherical mode ignores it.
     """
     if mode not in ("sphere", "ising"):
         raise ArgumentError(f"unknown extension mode {mode!r}")
     shape = ensemble.shape
-    sub_shape, _, _ = underline_view(shape, ensemble.ladder, qladder)
-    d_ul = sub_shape.depth
+    d_ul = underline_depth(ensemble.ladder)
     qs = qladder.qs
     n = ensemble.n
     gen = rng.stream(seed, "extend", mode)

@@ -23,6 +23,20 @@ def overlap(x, y) -> float:
     return float(x @ y) / x.size
 
 
+def overlap_matrix(points) -> np.ndarray:
+    """[i, j] = overlap(points[i], points[j]), each entry bit-equal to it."""
+    return np.array([[overlap(x, y) for y in points] for x in points])
+
+
+def worst_violation(checks, floor=-np.inf) -> tuple:
+    """The (excess, label) pair of `checks` with the largest excess, or
+    (floor, "none") when none is above floor: the first of equals wins and a
+    NaN excess is the worst of all, as in np.argmax."""
+    checks = [(floor, "none"), *checks]
+    excess, label = checks[int(np.argmax([e for e, _ in checks]))]
+    return float(excess), label
+
+
 def sphere_point(v) -> np.ndarray:
     """Rescale v to S_N (|.|_N = 1)."""
     v = np.asarray(v, dtype=float)

@@ -39,6 +39,7 @@ from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES, check_budget, energy, sample_hamiltonian
 from .mixture import Mixture
 from .ogp import (
+    check_chi_grid,
     check_chi_properties,
     constrained_grand_max,
     estimate_chi,
@@ -262,6 +263,12 @@ def _amp(horizon):
     return alg
 
 
+def _constant(value):
+    if not abs(value) <= 1.0:
+        raise ArgumentError(f"constant value={value} must lie in [-1, 1], so that the point is in B_N")
+    return _one_point("constant", lambda h: np.full(h.n, value))
+
+
 def _one_point(name, point):
     """One-iterate trajectory; its energy is taken on B_N, as AMP records it."""
 
@@ -284,7 +291,7 @@ ALGORITHMS = {
         lambda beta, horizon, dt, r: lambda h, seed: langevin(h, beta, horizon, dt, r=r, seed=seed),
     ),
     "amp": ({"horizon": 2}, _amp),
-    "constant": ({"value": 0.5}, lambda value: _one_point("constant", lambda h: np.full(h.n, value))),
+    "constant": ({"value": 0.5}, _constant),
     "coef_linear": (
         {"scale": 0.8},
         # the first n entries of h.coefficients, read without concatenating every tensor
@@ -551,6 +558,7 @@ def _run_optimize(cfg, out):
 
 
 def _run_chi(cfg, out):
+    check_chi_grid(cfg["p_grid"])  # before the first replica runs
     alg = point_algorithm(cfg["alg"])
     est = estimate_chi(
         alg, parse_mixture(cfg["mixture"]), cfg["n"], tuple(cfg["p_grid"]), cfg["reps"], cfg["seed"],
@@ -605,7 +613,7 @@ def _run_branching(cfg, out):
     n = cfg["n"]
     shape, pladder, qladder = _parse_ladders(cfg)
     alg = point_algorithm(cfg["alg"])
-    # eta only sizes the sphere extension, which the runner never asks for
+    # eta is None: run_branching_experiment reads no eta, and the runner asks for no extension
     reports = run_branching_experiment(
         alg, parse_mixture(cfg["mixture"]), n, shape, pladder, qladder, None, cfg["reps"], cfg["seed"]
     )

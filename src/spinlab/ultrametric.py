@@ -9,6 +9,7 @@ associated metric is d(u, v) = sqrt(|u| + |v| - 2 |lca(u, v)|); a Euclidean
 embedding realizes R(i(u), i(v)) = |lca(u, v)| after the sqrt(N) scaling.
 """
 
+import itertools
 import json
 import math
 import numbers
@@ -22,7 +23,7 @@ from .errors import ArgumentError, ResourceError
 from .hamiltonian import Hamiltonian, energy
 from .optimizers import subag_step
 from .parisi.spherical import root_xi2_integral
-from .points import norm_n_sq, overlap
+from .points import norm_n_sq, overlap_matrix, worst_violation
 
 _H_TOL = 1e-12
 
@@ -131,37 +132,29 @@ class Embedding:
 def validate_embedding(t: DatedRootedTree, emb: Embedding, tol: float = 1e-9):
     """Check the three-criterion characterization (root norm, parent-increment
     norms, pairwise increment orthogonality) AND the direct overlap law
-    R(i(u), i(v)) = |lca|; both must agree."""
-    missing = [v for v in t.vertices() if v not in emb.vectors]
+    R(i(u), i(v)) = |lca|; both must agree.  (ok, (worst, label)) is the
+    `worst_violation` of all these deviations above 0, so a NaN fails."""
+    verts = t.vertices()
+    missing = [v for v in verts if v not in emb.vectors]
     if missing:
         raise ArgumentError(f"embedding misses vertices {missing}")
-
-    worst, label = 0.0, "none"
-
-    def track(dev, name):
-        nonlocal worst, label
-        if dev > worst:
-            worst, label = dev, name
-
-    track(abs(norm_n_sq(emb.vectors[t.root]) - t.heights[t.root]), "root norm")
 
     def increment(v):
         p = t.parents[v]
         base = emb.vectors[p] if p is not None else np.zeros(emb.n)
         return emb.vectors[v] - base
 
-    verts = t.vertices()
-    for v in verts:
+    r = overlap_matrix([emb.vectors[v] for v in verts])
+    inc = overlap_matrix([increment(v) for v in verts])
+    checks = [(abs(norm_n_sq(emb.vectors[t.root]) - t.heights[t.root]), "root norm")]
+    for i, v in enumerate(verts):
         p = t.parents[v]
         want = t.heights[v] - (t.heights[p] if p is not None else 0.0)
-        track(abs(norm_n_sq(increment(v)) - want), f"increment norm of {v}")
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            track(abs(overlap(increment(u), increment(v))), f"increment orthogonality ({u},{v})")
-    for i, u in enumerate(verts):
-        for v in verts[i:]:
-            want = t.heights[t.lca(u, v)]
-            track(abs(overlap(emb.vectors[u], emb.vectors[v]) - want), f"overlap ({u},{v})")
+        checks.append((abs(inc[i, i] - want), f"increment norm of {v}"))
+    pairs = list(itertools.combinations_with_replacement(enumerate(verts), 2))
+    checks += [(abs(inc[i, j]), f"increment orthogonality ({u},{v})") for (i, u), (j, v) in pairs if i < j]
+    checks += [(abs(r[i, j] - t.heights[t.lca(u, v)]), f"overlap ({u},{v})") for (i, u), (j, v) in pairs]
+    worst, label = worst_violation(checks, floor=0.0)
     return worst <= tol, (worst, label)
 
 

@@ -12,7 +12,6 @@ from spinlab.ensembles import (
     TreeShape,
     chi_align,
     constrained_membership,
-    grand_energy,
     kappa,
     lca_depth,
     leaf_weights,
@@ -23,13 +22,13 @@ from spinlab.ensembles import (
     sample_ensemble,
     save_manifest,
     target_overlap_matrix,
+    underline_depth,
     underline_target_matrix,
-    underline_view,
 )
 from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian, save_snapshot
 from spinlab.mixture import Mixture, pure
-from spinlab.points import sphere_point
+from spinlab.points import overlap, sphere_point
 
 
 def test_lca_depth_examples():
@@ -248,17 +247,17 @@ def test_grand_energy():
     pl = CorrelationLadder((0.0, 0.3, 1.0))
     ens = sample_ensemble(m, 8, shape, pl, seed=11)
     zeros = [np.zeros(8)] * 4
-    assert grand_energy(ens, zeros) == 0.0
+    assert ens.grand_energy(zeros) == 0.0
     # K = 1 equals the single leaf energy
     ens1 = sample_ensemble(m, 8, TreeShape((1,)), CorrelationLadder((0.0, 1.0)), seed=3)
     x = rng.stream(40).standard_normal(8) * 0.4
-    assert grand_energy(ens1, [x]) == pytest.approx(ens1.leaf_energy((1,), x))
+    assert ens1.grand_energy([x]) == pytest.approx(ens1.leaf_energy((1,), x))
     # identical leaves: K * energy
     ens_same = sample_ensemble(m, 8, TreeShape((1, 3)), CorrelationLadder((0.0, 1.0, 1.0)), seed=3)
-    val = grand_energy(ens_same, [x] * 3)
+    val = ens_same.grand_energy([x] * 3)
     assert val == pytest.approx(3 * ens_same.leaf_energy((1, 1), x))
     with pytest.raises(ArgumentError):
-        grand_energy(ens, zeros[:2])
+        ens.grand_energy(zeros[:2])
 
 
 def test_leaf_energy_matches_materialized():
@@ -288,18 +287,44 @@ def test_constrained_membership():
         constrained_membership([s1], np.array([[1.0]]), np.zeros(n), 0.1, domain="torus")
 
 
-def test_underline_view_and_target():
+def test_constrained_membership_fails_a_nan_and_names_the_first_of_equal_violations():
+    n = 16
+    gen = rng.stream(43)
+    s1, s2 = (sphere_point(gen.standard_normal(n)) for _ in range(2))
+    q = np.eye(2)
+    # a NaN coordinate is the worst violation, on the sphere and on the cube
+    bad = s2.copy()
+    bad[3] = np.nan
+    rep = constrained_membership([s1, bad], q, np.zeros(n), eta=2.0, domain="sphere")
+    assert not rep.ok and math.isnan(rep.worst_violation)
+    assert rep.worst_constraint == "sphere norm of point 1"
+    corners = np.where(np.isnan(bad), np.nan, 1.0)
+    rep = constrained_membership([corners], np.eye(1), np.zeros(n), eta=0.5, domain="cube")
+    assert not rep.ok and rep.worst_constraint == "cube corners of point 0"
+    # R is symmetric bit for bit, so the (0,1) and (1,0) excesses tie; the first wins
+    rep = constrained_membership([s1, s2], q, np.zeros(n), eta=0.0, domain="sphere")
+    assert not rep.ok and rep.worst_constraint == "overlap (0,1)"
+    assert rep.worst_violation == abs(overlap(s1, s2))
+
+
+def test_underline_depth_and_target():
     shape = TreeShape((2, 3, 2))
     pl = CorrelationLadder((0.0, 0.4, 1.0, 1.0))
     ql = OverlapLadder((0.0, 0.3, 0.7, 1.0))
-    sub_shape, sub_p, sub_q = underline_view(shape, pl, ql)
-    assert sub_shape.ks == (2, 3)
-    assert sub_p.ps == (0.0, 0.4, 1.0)
-    assert sub_q.qs == (0.0, 0.3, 1.0)
+    assert underline_depth(pl) == 2
     q_ul = underline_target_matrix(shape, pl, ql, chi1=0.6)
     assert q_ul.shape == (6, 6)
-    assert q_ul[0, 0] == 0.6  # diagonal q_{D_ul} ^ chi(1)
+    assert q_ul[0, 0] == 0.6  # diagonal q_{D_ul} ^ chi(1) = min(0.7, 0.6)
     assert q_ul[0, 1] == 0.3
+    assert underline_target_matrix(shape, pl, ql, chi1=0.9)[0, 0] == 0.7  # q_{D_ul} < chi(1)
+    # the first p_d = 1 cuts: at the full depth, and at p_1 = 1, where one
+    # Hamiltonian per first-level arm leaves a k_1 x k_1 target
+    assert underline_depth(CorrelationLadder((0.0, 0.2, 0.5, 1.0))) == 3
+    assert underline_depth(CorrelationLadder((0.0, 1.0))) == 1
+    p1 = CorrelationLadder((0.0, 1.0, 1.0, 1.0))
+    assert underline_depth(p1) == 1
+    q_p1 = underline_target_matrix(shape, p1, ql, chi1=0.6)
+    assert np.array_equal(q_p1, np.array([[0.3, 0.0], [0.0, 0.3]]))
 
 
 def _oracle_nodes(m, n, shape, seed):

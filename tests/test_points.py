@@ -1,7 +1,16 @@
+import math
+
 import numpy as np
 
 from spinlab import rng
-from spinlab.points import orthogonal_unit, orthonormal_rows, sign_toward
+from spinlab.points import (
+    orthogonal_unit,
+    orthonormal_rows,
+    overlap,
+    overlap_matrix,
+    sign_toward,
+    worst_violation,
+)
 
 
 def test_orthonormalizer_properties():
@@ -56,3 +65,28 @@ def test_sign_toward_follows_the_gradient_and_breaks_ties_by_the_largest_entry()
         assert np.array_equal(sign_toward(-v, g), -v)
     level = np.array([0.0, -2.0, 2.0, 1.0])  # equal magnitudes: the lowest index decides
     assert np.array_equal(sign_toward(level, np.zeros(4)), -level)
+
+
+def test_overlap_matrix_is_the_per_pair_overlap_bit_for_bit():
+    gen = rng.stream(5, "overlap-matrix")
+    for n, k in ((1, 1), (7, 3), (64, 6), (300, 4)):
+        points = [gen.standard_normal(n) * scale for scale in gen.uniform(0.1, 3.0, k)]
+        r = overlap_matrix(points)
+        assert r.shape == (k, k) and r.dtype == np.float64
+        for i, j in np.ndindex(k, k):
+            assert r[i, j] == overlap(points[i], points[j])
+        assert np.array_equal(r, r.T)
+    assert np.array_equal(overlap_matrix([[1, 2], [3, 4]]), [[2.5, 5.5], [5.5, 12.5]])
+
+
+def test_worst_violation_takes_the_first_largest_and_fails_a_nan():
+    checks = [(0.1, "a"), (0.3, "b"), (0.2, "c"), (0.3, "d")]
+    assert worst_violation(checks) == (0.3, "b")
+    value, label = worst_violation([(0.1, "a"), (math.nan, "b"), (9.0, "c"), (math.nan, "d")])
+    assert math.isnan(value) and label == "b"
+    value, label = worst_violation([(np.float64("nan"), "a")], floor=0.0)
+    assert math.isnan(value) and label == "a" and not value <= 0.0
+    # nothing above the floor, an excess equal to it, and no checks at all
+    assert worst_violation([(-1.0, "a"), (0.0, "b")], floor=0.0) == (0.0, "none")
+    assert worst_violation([]) == (-math.inf, "none")
+    assert worst_violation([(-2.0, "a"), (-1.0, "b")]) == (-1.0, "b")

@@ -11,7 +11,8 @@ from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
 from spinlab.optimizers import AmpSpec, amp, lipschitz_probe
 from spinlab.parisi import PiecewiseZeta, parisi_is, pde, solve_parisi_pde
-from spinlab.runner import build_algorithm, parse_mixture, run, validate_config
+from spinlab.points import norm_n_sq, project_ball
+from spinlab.runner import build_algorithm, parse_mixture, point_algorithm, run, validate_config
 from spinlab.__main__ import main
 
 
@@ -230,17 +231,58 @@ def test_coef_linear_reads_the_first_n_disorder_coefficients():
 def test_amp_default_horizon_stays_in_the_evaluation_ball(tmp_path):
     # the unclipped identity put |x^1|_N^2 near xi'(1), and the next gradient
     # outside the sqrt(2) ball, on most of these seeds
+    # x^0, x^1, x^2, then the projection of x^2 when x^2 lies outside B_N
     alg = build_algorithm({"name": "amp"})
     for m in (pure(2), pure(4), Mixture({2: 1.0, 4: 1.0})):
         for seed in range(10):
-            traj = alg(sample_hamiltonian(m, 16, seed), seed)
-            assert len(traj.iterates) == 3 and np.all(np.isfinite(traj.energies))
+            h = sample_hamiltonian(m, 16, seed)
+            traj = alg(h, seed)
+            raw = traj.iterates[2]
+            assert len(traj.iterates) == 3 + (norm_n_sq(raw) > 1.0) and np.all(np.isfinite(traj.energies))
+            assert np.array_equal(traj.final, project_ball(raw, 1.0))
+            assert traj.energies[-1] == traj.energies[2] == energy(h, traj.final)
     # x^0 = 1 is inside the clip, so one step is the plain identity step
     h = sample_hamiltonian(pure(2), 16, 3)
     identity = AmpSpec(fs=[lambda *xs: xs[-1]], lipschitz=[1.0], horizon=1)
     one = build_algorithm({"name": "amp", "horizon": 1})(h, 3)
     assert np.array_equal(one.final, amp(h, identity, seed=3).final)
     assert main(["optimize", "--alg", "amp", "--n", "16", "--out", str(tmp_path / "amp")]) == 0
+
+
+def test_amp_hands_the_overlap_experiments_points_in_the_unit_ball(tmp_path):
+    """The point an overlap experiment reads is the projected last iterate,
+    whose energy amp records: inside B_N, where the raw iterate was not."""
+    alg = point_algorithm({"name": "amp"})
+    norms = [norm_n_sq(alg(sample_hamiltonian(pure(2), 16, seed), seed)) for seed in range(10)]
+    assert max(norms) <= 1.0 + 1e-12 and min(norms) > 0.99
+    cfg = {"mixture": "p2", "n": 16, "alg": {"name": "amp"}}
+    chi = run({"subcommand": "chi", **cfg, "reps": 10, "p_grid": [0, 0.5, 1]}, out_dir=str(tmp_path / "chi"))
+    assert chi.status == 0 and chi.payload["chi_hat"][-1] <= 1.0 + 1e-12
+    conc = run({"subcommand": "concentration", **cfg}, out_dir=str(tmp_path / "conc"))
+    assert conc.status == 0 and conc.payload["mean"] <= 1.0 + 1e-12
+    branching = run({"subcommand": "branching", **cfg}, out_dir=str(tmp_path / "br"))
+    r_mat = np.loadtxt(tmp_path / "br" / "overlap_rep0.csv", delimiter=",")
+    assert branching.status == 0 and np.all(np.diag(r_mat) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("value", (1.3, -1.0000001))
+def test_constant_outside_the_unit_ball_exits_2(tmp_path, capsys, value):
+    argv = ["optimize", "--n", "16", "--set", f'alg={{"name": "constant", "value": {value}}}']
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "[-1, 1]" in capsys.readouterr().err and not (tmp_path / "o").exists()
+    h = sample_hamiltonian(pure(2), 16, 0)
+    for edge in (-1.0, 1.0):  # the sphere itself is in B_N
+        assert norm_n_sq(build_algorithm({"name": "constant", "value": edge})(h, 0).final) == 1.0
+
+
+@pytest.mark.parametrize("p_grid", ([0.0, 0.5], [0.0, 0.5, 0.9], [0.25, 0.5, 1.0], [0.0, 0.5, 1.0, 1.5]))
+def test_chi_refuses_a_bad_grid_before_the_first_replica(tmp_path, capsys, monkeypatch, p_grid):
+    ran = []
+    monkeypatch.setattr(runner, "estimate_chi", lambda *args, **kwargs: ran.append(args))
+    argv = ["chi", "--n", "16", "--set", f"p_grid={json.dumps(p_grid)}", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "p = 0 and p = 1" in capsys.readouterr().err
+    assert ran == [] and not (tmp_path / "o").exists()
 
 
 def test_byte_reproducibility(tmp_path):

@@ -135,6 +135,19 @@ def test_validate_detects_perturbation():
     assert not ok and worst > 1e-6
 
 
+def test_validate_fails_a_nan_coordinate():
+    bt = full_binary_tree(2, [0.0, 0.5, 1.0])
+    emb = embed_orthogonal(bt, 16, seed=3)
+    ok, (worst, label) = validate_embedding(bt, emb, tol=1e-9)
+    assert ok and 0.0 <= worst <= 1e-9
+    leaf = bt.leaves()[2]
+    emb.vectors[leaf] = emb.vectors[leaf].copy()
+    emb.vectors[leaf][5] = np.nan
+    ok, (worst, label) = validate_embedding(bt, emb, tol=1e-9)
+    assert not ok and math.isnan(worst)
+    assert label == f"increment norm of {leaf}"  # the first check that reads the leaf
+
+
 def test_increment_gram_diagonal():
     bt = full_binary_tree(2, [0.0, 0.5, 1.0])
     emb = embed_orthogonal(bt, 16, seed=4)
