@@ -125,12 +125,13 @@ def sample_tensors(jobs: list, out=None) -> list:
     return out
 
 
-def pool_map(fn, *items) -> list:
-    """[fn(*args) for args in zip(*items)], on a pool of min(#items, usable
-    CPUs) threads; one item or one CPU runs inline.  For work that releases
-    the GIL (tensor fills, file I/O).  An error is raised for the first
-    failing item in order, as the inline loop would."""
-    workers = min(len(items[0]), len(os.sched_getaffinity(0)))
+def pool_map(fn, *items, workers: int | None = None) -> list:
+    """[fn(*args) for args in zip(*items)], in input order, on a pool of
+    min(#items, workers) threads, workers defaulting to the usable CPUs; one
+    item or one worker runs inline.  For work that releases the GIL (tensor
+    fills, file I/O, replicas).  An error is raised for the first failing
+    item in order, as the inline loop would."""
+    workers = min(len(items[0]), workers or len(os.sched_getaffinity(0)))
     if workers <= 1:
         return list(map(fn, *items))
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -2,7 +2,9 @@
 branching experiments comparing observed overlap structures and grand
 energies against targets and interpolation bounds.
 
-Algorithms are callables alg(hamiltonian, seed) -> point in B_N (or C_N).
+Algorithms are callables alg(hamiltonian, seed) -> point in B_N (or C_N),
+each a pure function of (H, seed): equal disorder tensors and seed give a
+bit-equal point, so a pair of bit-identical Hamiltonians is run once.
 """
 
 import math
@@ -47,21 +49,24 @@ class ChiEstimate:
 def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: str, label: str) -> np.ndarray:
     """[r, j] = R(A(H1), A(H2)) at p_grid[j]: rep r mixes one pair_mixer(m,
     n, seed, tag, r, label=label) over the grid and runs alg on both
-    Hamiltonians at derive_seed(seed, tag + "-run", r)."""
+    Hamiltonians at derive_seed(seed, tag + "-run", r).  At p = 1 the two
+    mixes are bit-identical to H0, so A runs once and R(x, x) is taken."""
     values = np.empty((reps, len(p_grid)))
     for r in range(reps):
         mix = pair_mixer(m, n, seed, tag, r, label=label)
         run_seed = rng.derive_seed(seed, f"{tag}-run", r)
         for j, p in enumerate(p_grid):
             h1, h2 = mix(p)
-            values[r, j] = overlap(np.asarray(alg(h1, run_seed)), np.asarray(alg(h2, run_seed)))
+            x1 = np.asarray(alg(h1, run_seed))
+            x2 = x1 if p == 1.0 else np.asarray(alg(h2, run_seed))
+            values[r, j] = overlap(x1, x2)
     return values
 
 
 def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, algorithm_id: str = "") -> ChiEstimate:
     """chi(p) = E R(A(H1), A(H2)) over p-correlated pairs; the shared base
     Hamiltonian is reused across the p-grid within a rep (antithetic sweep,
-    unbiased per p).  p = 1 runs the algorithm on identical Hamiltonians."""
+    unbiased per p).  At p = 1 both mixes equal H0, and the algorithm runs once."""
     if reps < 10:
         raise ArgumentError(f"reps={reps} must be >= 10")
     p_grid = tuple(float(p) for p in p_grid)

@@ -5,6 +5,12 @@ extension-and-rounding procedure, and a Lipschitz probe in the disorder
 (`lipschitz_probe`, reported in the `concentration` subcommand's run.json
 beside the overlap concentration it implies).
 
+Gradient ascent and Langevin run one projected-ascent loop (`_ascend`):
+each step is one order-1 derivatives call, x + lr grad, an optional noise
+draw and the projection onto rB_N.  Langevin and AMP end through one exit
+(`_end_in_ball`): a last iterate outside B_N is followed by its projection,
+so `final` lies in B_N.
+
 `subag_step` is the one Hessian-ascent step: the top eigenvector(s) of the
 Hessian projected off the current constraints, signed along the gradient.
 Subag ascent takes it off x alone; the greedy energy embedding
@@ -69,44 +75,54 @@ class Trajectory:
 def export_trajectory_csv(traj: Trajectory, path):
     """CSV columns (step, energy, norm2); config echoed as a JSON header
     comment."""
-    header = {"algorithm": traj.algorithm, "params": _jsonable(traj.params), "seed": traj.seed}
+    header = {"algorithm": traj.algorithm, "params": traj.params, "seed": traj.seed}
     with open(path, "w", newline="") as f:
-        f.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        f.write("# " + json.dumps(header, sort_keys=True, default=lambda v: v.item()) + "\n")
         writer = csv.writer(f)
         writer.writerow(["step", "energy", "norm2"])
         for i, (x, e) in enumerate(zip(traj.iterates, traj.energies)):
             writer.writerow([i, repr(float(e)), repr(norm_n_sq(x))])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _ascend(h: Hamiltonian, x, steps: int, lr: float, radius: float, noise=None) -> tuple:
+    """(iterates, energies, boundary hits) of x <- Pi_{radius B_N}(x + lr grad
+    H(x) [+ noise()]): one order-1 derivatives call per step and one energy
+    call at the end.  A hit is a step whose projection moved the point."""
+    iterates = [x]
+    energies = []
+    hits = 0
+    for _ in range(steps):
+        e, grad = derivatives(h, x, 1)
+        energies.append(e)
+        proposal = x + lr * grad
+        if noise is not None:
+            proposal = proposal + noise()
+        x = project_ball(proposal, radius)
+        if x is not proposal and not np.array_equal(x, proposal):
+            hits += 1
+        iterates.append(x)
+    energies.append(energy(h, x))
+    return iterates, energies, hits
 
 
-def gradient_ascent(h: Hamiltonian, x0, steps: int, lr) -> Trajectory:
-    """x <- Pi_{B_N}(x + lr_k grad H(x)).  Energies may decrease through the
+def _end_in_ball(h: Hamiltonian, iterates: list, energies: list):
+    """Follow a last iterate outside B_N by its projection and that point's
+    energy, so the trajectory's `final` lies in B_N."""
+    final = project_ball(iterates[-1], 1.0)
+    if final is not iterates[-1]:
+        iterates.append(final)
+        energies.append(energy(h, final))
+
+
+def gradient_ascent(h: Hamiltonian, x0, steps: int, lr: float) -> Trajectory:
+    """x <- Pi_{B_N}(x + lr grad H(x)).  Energies may decrease through the
     projection; nothing is asserted about monotonicity."""
     if steps < 0:
         raise ArgumentError(f"steps={steps} must be >= 0")
     x = np.asarray(x0, dtype=float)
     if norm_n_sq(x) > 1.0 + 1e-9:
         raise ArgumentError("x0 outside B_N")
-    lrs = [float(lr)] * steps if np.isscalar(lr) else [float(v) for v in lr]
-    if len(lrs) < steps:
-        raise ArgumentError("learning-rate sequence shorter than steps")
-    iterates = [x]
-    energies = []
-    for k in range(steps):
-        e, grad = derivatives(h, x, 1)
-        energies.append(e)
-        x = project_ball(x + lrs[k] * grad, 1.0)
-        iterates.append(x)
-    energies.append(energy(h, x))
+    iterates, energies, _hits = _ascend(h, x, steps, float(lr), 1.0)
     return Trajectory(iterates, energies, "gradient_ascent", {"steps": steps, "domain": ("ball", 1.0)})
 
 
@@ -148,12 +164,12 @@ def state_evolution(spec: AmpSpec, m: Mixture):
         n = 100_000
         zmat = rng.stream(0, "amp-se").standard_normal((max(T, 1), n))
         xs = [np.full(n, 1.0)]
+        f = []  # f[t] = f_t(X^0..X^t), evaluated once
         cov = np.zeros((T, T))
         for t in range(T):
-            f_t = np.asarray(spec.fs[t](*xs[: t + 1]))
+            f.append(np.asarray(spec.fs[t](*xs[: t + 1])))
             for s in range(t + 1):
-                f_s = np.asarray(spec.fs[s](*xs[: s + 1]))
-                c = float(np.clip(np.mean(f_t * f_s), -1.0, 2.0))
+                c = float(np.clip(np.mean(f[t] * f[s]), -1.0, 2.0))
                 cov[t, s] = cov[s, t] = xi_eval(m, c, 1)
             chol = np.linalg.cholesky(cov[: t + 1, : t + 1] + 1e-12 * np.eye(t + 1))
             xs.append(chol[t, : t + 1] @ zmat[: t + 1])
@@ -182,32 +198,29 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
 
     Iterates are the raw AMP vectors (not confined to B_N); the recorded
     energies are of the iterate projected onto B_N, and per-iteration
-    empirical overlaps land in params["overlaps"].  A last iterate outside
-    B_N is followed by its projection, so `final` is the point last scored.
+    empirical overlaps land in params["overlaps"].  The run ends through
+    `_end_in_ball`, so `final` is the point last scored.
     """
     field_free = Mixture(dict(h.mixture.gammas), h=0.0)
     h_tilde = Hamiltonian(field_free, h.n, h.tensors, seed=h.seed, label="field-free view")
     x = np.full(h.n, 1.0)
     iterates = [x]
     energies = [energy(h, project_ball(x, 1.0))]
+    f = []  # f[t] = f_t(x^0..x^t), evaluated once
     overlaps = []
     for t in range(spec.horizon):
-        fcur = np.asarray(spec.fs[t](*iterates[: t + 1]), dtype=float)
+        f.append(np.asarray(spec.fs[t](*iterates), dtype=float))
         onsager = np.zeros(h.n)
         if t >= 1:
             derivs = _onsager_derivatives(spec, h.mixture, t)
             for s in range(1, t + 1):
-                fprev = np.asarray(spec.fs[s - 1](*iterates[:s]), dtype=float)
-                r_emp = float(np.clip(overlap(fcur, fprev), -1.0, 2.0))
-                onsager += xi_eval(h.mixture, r_emp, 2) * derivs[s] * fprev
-        x = gradient(h_tilde, fcur) - onsager
+                r_emp = float(np.clip(overlap(f[t], f[s - 1]), -1.0, 2.0))
+                onsager += xi_eval(h.mixture, r_emp, 2) * derivs[s] * f[s - 1]
+        x = gradient(h_tilde, f[t]) - onsager
         iterates.append(x)
         energies.append(energy(h, project_ball(x, 1.0)))
         overlaps.append([overlap(x, xp) for xp in iterates[:-1]])
-    final = project_ball(x, 1.0)
-    if final is not x:
-        iterates.append(final)
-        energies.append(energies[-1])
+    _end_in_ball(h, iterates, energies)
     return Trajectory(
         iterates, energies, "amp", {"horizon": spec.horizon, "overlaps": overlaps}, seed=seed
     )
@@ -284,49 +297,26 @@ def subag_ascent(h: Hamiltonian, delta: float, mode: str = "top_eig", seed: int 
 # -- Langevin ----------------------------------------------------------------------
 
 
-def langevin(
-    h: Hamiltonian,
-    beta: float,
-    horizon: float,
-    dt: float,
-    r: float = 1.0,
-    seed: int = 0,
-    noise_scale: float = 1.0,
-) -> Trajectory:
-    """Euler-Maruyama for dX = (beta/2) grad H dt + dB from the origin, with
-    per-step projection onto rB_N as the reflection surrogate; the final
-    point is projected onto B_N.  Boundary hits are counted in params.  With
-    noise_scale = 0 the map equals gradient ascent at lr = 0.5 * beta * dt."""
+def langevin(h: Hamiltonian, beta: float, horizon: float, dt: float, r: float = 1.0, seed: int = 0) -> Trajectory:
+    """Euler-Maruyama for dX = (beta/2) grad H dt + dB from the origin: the
+    projected-ascent loop at lr = beta dt / 2 on rB_N (projection as the
+    reflection surrogate), with sqrt(dt) N(0, I) noise, ended in B_N.
+    Boundary hits are counted in params."""
     if not 0 < dt <= 1e-2 + 1e-15:
         raise ArgumentError(f"dt={dt} must lie in (0, 1e-2]")
     if not 0 <= horizon < math.inf:
         raise ArgumentError(f"horizon={horizon} must be a nonnegative finite number")
     if not (1.0 <= r < math.sqrt(2.0)):
         raise ArgumentError(f"radius r={r} must lie in [1, sqrt(2))")
-    x = np.zeros(h.n)
     gen = rng.stream(seed, "langevin")
-    steps = int(round(horizon / dt))
-    lr_eq = 0.5 * beta * dt
-    iterates = [x]
-    energies = []
-    hits = 0
-    for _ in range(steps):
-        e, grad = derivatives(h, x, 1)
-        energies.append(e)
-        proposal = x + lr_eq * grad
-        if noise_scale != 0.0:
-            proposal = proposal + noise_scale * math.sqrt(dt) * gen.standard_normal(h.n)
-        x = project_ball(proposal, r)
-        if x is not proposal and not np.array_equal(x, proposal):
-            hits += 1
-        iterates.append(x)
-    energies.append(energy(h, x))
+    scale = math.sqrt(dt)
+    iterates, energies, hits = _ascend(
+        h, np.zeros(h.n), int(round(horizon / dt)), 0.5 * beta * dt, r,
+        noise=lambda: scale * gen.standard_normal(h.n),
+    )
     if not np.all(np.isfinite(energies)):
         raise NumericError("Langevin energy diverged; reduce dt")
-    final = project_ball(x, 1.0)
-    if not np.array_equal(final, x):
-        iterates.append(final)
-        energies.append(energy(h, final))
+    _end_in_ball(h, iterates, energies)
     return Trajectory(
         iterates,
         energies,

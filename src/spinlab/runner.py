@@ -21,7 +21,6 @@ import numbers
 import os
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .ensembles import (
     target_overlap_matrix,
 )
 from .errors import ArgumentError, NumericError, ResourceError
-from .hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES, check_budget, energy, sample_hamiltonian
+from .hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES, check_budget, energy, pool_map, sample_hamiltonian
 from .mixture import Mixture
 from .ogp import (
     check_chi_grid,
@@ -235,15 +234,6 @@ def _matrix_csv(path, mat):
     np.savetxt(path, np.asarray(mat), delimiter=",", fmt="%.17g")
 
 
-def map_replicas(fn, seeds, workers: int = 1):
-    """Apply fn(seed) over replica seeds; results come back in input order, so
-    the output is identical whatever the worker count."""
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
-
-
 def _gradient_ascent(steps, lr, start_scale):
     def alg(h, seed):
         x0 = sphere_point(rng.stream(seed, "ga-x0").standard_normal(h.n)) * start_scale
@@ -253,14 +243,10 @@ def _gradient_ascent(steps, lr, start_scale):
 
 
 def _amp(horizon):
-    def alg(h, seed):
-        # one AmpSpec per call, so replica threads share no state-evolution cache;
-        # clipping keeps |f_t|_N <= 1, so every gradient stays inside the sqrt(2) ball
-        clip = AmpSpec(fs=[lambda *xs: np.clip(xs[-1], -1.0, 1.0)] * horizon,
-                       lipschitz=[1.0] * horizon, horizon=horizon)
-        return amp(h, clip, seed=seed)
-
-    return alg
+    # clipping keeps |f_t|_N <= 1, so every gradient stays inside the sqrt(2) ball
+    clip = AmpSpec(fs=[lambda *xs: np.clip(xs[-1], -1.0, 1.0)] * horizon,
+                   lipschitz=[1.0] * horizon, horizon=horizon)
+    return lambda h, seed: amp(h, clip, seed=seed)
 
 
 def _constant(value):
@@ -546,7 +532,7 @@ def _run_optimize(cfg, out):
 
     artifacts = []
     summary = []
-    for seed, traj in map_replicas(one, seeds, workers):
+    for seed, traj in pool_map(one, seeds, workers=workers):  # in seed order
         csv_path = os.path.join(out, f"trajectory_seed{seed}.csv")
         export_trajectory_csv(traj, csv_path)
         artifacts.append(csv_path)

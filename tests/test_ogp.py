@@ -7,6 +7,7 @@ from spinlab.ensembles import (
     CorrelationLadder,
     OverlapLadder,
     TreeShape,
+    pair_mixer,
     sample_ensemble,
     target_overlap_matrix,
 )
@@ -51,6 +52,27 @@ def test_estimate_chi_p1_identical_inputs():
     # chi(1) is the mean squared output norm; recompute directly
     idx = est.p_grid.index(1.0)
     assert 0.0 <= est.chi_hat[idx] <= 1.0 + 1e-9
+
+
+def test_pair_overlaps_run_the_algorithm_once_at_p1():
+    """At p = 1 both mixes are bit-identical to H0, so the algorithm runs once
+    per rep there (twice at every other p), and R(x, x) is recorded."""
+    calls = []
+
+    def counted(h, seed):
+        calls.append(h.label)
+        return ga_alg(h, seed)
+
+    est = estimate_chi(counted, M2, 16, (0.0, 0.5, 1.0), reps=10, seed=1)
+    assert len(calls) == 10 * (2 + 2 + 1)
+    assert sum(label.endswith("(p=1.0)") for label in calls) == 10
+    overlap_concentration(counted, M2, 16, 1.0, reps=30, lam=0.2, seed=1)
+    assert len(calls) == 50 + 30
+    for r in range(3):
+        h1, h2 = pair_mixer(M2, 16, 1, "chi", r)(1.0)
+        assert np.array_equal(h1.tensors[2].view(np.uint64), h2.tensors[2].view(np.uint64))
+        x = np.asarray(ga_alg(h1, rng.derive_seed(1, "chi-run", r)))
+        assert np.array_equal(x, ga_alg(h2, rng.derive_seed(1, "chi-run", r)))
 
 
 def test_estimate_chi_linear_slope():

@@ -336,13 +336,73 @@ def test_subag_rejects_non_integer_inverse_delta():
         subag_ascent(h, 0.3, "top_eig")
 
 
-def test_langevin_zero_noise_equals_gradient_ascent():
-    h = sample_hamiltonian(pure(2), 24, seed=5)
-    beta, dt, horizon = 1.0, 0.01, 0.3
-    tl = langevin(h, beta, horizon, dt, r=1.0, seed=3, noise_scale=0.0)
-    tg = gradient_ascent(h, np.zeros(24), int(round(horizon / dt)), 0.5 * beta * dt)
-    assert len(tl.iterates) == len(tg.iterates)
-    assert all(np.array_equal(a, b) for a, b in zip(tl.iterates, tg.iterates))
+def oracle_langevin(h, beta, horizon, dt, r, seed):
+    """The hand-written Langevin loop that `langevin` replaced by the shared
+    projected-ascent loop and exit: (iterates, energies, boundary hits)."""
+    x = np.zeros(h.n)
+    gen = rng.stream(seed, "langevin")
+    iterates, energies, hits = [x], [], 0
+    for _ in range(int(round(horizon / dt))):
+        e, grad = derivatives(h, x, 1)
+        energies.append(e)
+        proposal = x + 0.5 * beta * dt * grad
+        proposal = proposal + math.sqrt(dt) * gen.standard_normal(h.n)
+        x = project_ball(proposal, r)
+        if x is not proposal and not np.array_equal(x, proposal):
+            hits += 1
+        iterates.append(x)
+    energies.append(energy(h, x))
+    final = project_ball(x, 1.0)
+    if not np.array_equal(final, x):
+        iterates.append(final)
+        energies.append(energy(h, final))
+    return iterates, energies, hits
+
+
+@pytest.mark.parametrize(
+    "beta, dt, r, seed",
+    [(1.0, 0.01, 1.0, 3), (4.0, 0.005, 1.3, 0), (8.0, 0.01, 1.0, 1), (0.5, 0.002, 1.1, 7)],
+)
+def test_langevin_matches_its_hand_written_loop_bit_for_bit(beta, dt, r, seed):
+    h = sample_hamiltonian(Mixture({2: 1.0, 4: 1.0}, h=0.3), 24, seed=5)
+    traj = langevin(h, beta, 0.6, dt, r=r, seed=seed)
+    iterates, energies, hits = oracle_langevin(h, beta, 0.6, dt, r, seed)
+    assert len(traj.iterates) == len(iterates)
+    assert all(np.array_equal(a, b) for a, b in zip(traj.iterates, iterates))
+    assert np.array_equal(np.array(traj.energies).view(np.uint64), np.array(energies).view(np.uint64))
+    assert traj.params["boundary_hits"] == hits
+
+
+def test_langevin_oracle_cases_hit_the_boundary_and_end_outside_the_ball():
+    """The cases above include a run with boundary hits and one whose last
+    loop iterate lies outside B_N, so both rules are compared."""
+    h = sample_hamiltonian(Mixture({2: 1.0, 4: 1.0}, h=0.3), 24, seed=5)
+    iterates, _energies, hits = oracle_langevin(h, 4.0, 0.6, 0.005, 1.3, 0)
+    assert hits > 0 and norm_n_sq(iterates[-2]) > 1.0
+    assert oracle_langevin(h, 8.0, 0.6, 0.01, 1.0, 1)[2] > 0
+
+
+def test_amp_and_state_evolution_evaluate_each_nonlinearity_once():
+    """f_t is evaluated once per iterate: T calls on the n-vectors in amp
+    and T on the state-evolution samples, where each later t re-evaluated it."""
+    calls = []
+
+    def counted(t, f):
+        def g(*xs):
+            calls.append((t, xs[0].size))
+            return f(*xs)
+
+        return g
+
+    fs = [lambda x0: x0, lambda x0, x1: 0.5 * np.tanh(x1), lambda x0, x1, x2: 0.4 * x2 + 0.3 * np.tanh(x1)]
+    spec = AmpSpec(fs=[counted(t, f) for t, f in enumerate(fs)], lipschitz=[1.0, 0.5, 0.7], horizon=3)
+    calls.clear()  # the Lipschitz probe's calls
+    h = sample_hamiltonian(pure(2), 16, seed=2)
+    state_evolution(spec, h.mixture)
+    assert calls == [(0, 100_000), (1, 100_000), (2, 100_000)]
+    calls.clear()
+    amp(h, spec, seed=0)
+    assert [c for c in calls if c[1] == 16] == [(0, 16), (1, 16), (2, 16)]
 
 
 def test_langevin_noise_only_stays_in_ball():

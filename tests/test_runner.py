@@ -265,6 +265,39 @@ def test_amp_hands_the_overlap_experiments_points_in_the_unit_ball(tmp_path):
     assert branching.status == 0 and np.all(np.diag(r_mat) <= 1.0 + 1e-12)
 
 
+def test_amp_builds_its_clipped_spec_once_per_build(monkeypatch):
+    """The clipped AmpSpec, and with it the state-evolution and Onsager Monte
+    Carlo, is made once per build_algorithm call, not once per run."""
+    built = []
+
+    class Counting(runner.AmpSpec):
+        def __post_init__(self):
+            built.append(self.horizon)
+            super().__post_init__()
+
+    monkeypatch.setattr(runner, "AmpSpec", Counting)
+    alg = build_algorithm({"name": "amp", "horizon": 3})
+    for seed in range(3):
+        alg(sample_hamiltonian(pure(2), 16, seed), seed)
+    assert built == [3]
+
+
+def test_optimize_amp_is_byte_identical_at_every_worker_count(tmp_path, fake_cpus):
+    """Replicas share one AmpSpec; at 3 workers they run on a pool of 3 (the
+    config's workers, not the one CPU) and write what 1 worker writes."""
+    pools = fake_cpus(1)  # so each tensor fill runs inline and the one pool is the replicas'
+    config = {"subcommand": "optimize", "mixture": "p2", "n": 16, "seeds": [0, 1, 2], "alg": {"name": "amp"}}
+    written = []
+    for workers in (1, 3):
+        out = tmp_path / f"w{workers}"
+        res = run({**config, "workers": workers}, out_dir=str(out))
+        results = json.loads((out / "run.json").read_text())["results"]
+        csvs = [(out / f"trajectory_seed{s}.csv").read_bytes() for s in (0, 1, 2)]
+        written.append((json.dumps(results), csvs, len(res.artifacts)))
+    assert pools == [3]
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("value", (1.3, -1.0000001))
 def test_constant_outside_the_unit_ball_exits_2(tmp_path, capsys, value):
     argv = ["optimize", "--n", "16", "--set", f'alg={{"name": "constant", "value": {value}}}']
@@ -464,7 +497,7 @@ def test_optimize_workers_bounded_by_the_tensor_budget(tmp_path, monkeypatch):
         raise AssertionError("nothing may run once the budget is exceeded")
 
     monkeypatch.setattr("spinlab.runner.sample_hamiltonian", refuse)
-    monkeypatch.setattr("spinlab.runner.ThreadPoolExecutor", refuse)
+    monkeypatch.setattr("spinlab.runner.pool_map", refuse)
     config = {"subcommand": "optimize", "mixture": "p4", "n": 64, "seeds": list(range(9))}
     for workers, code in ((9, 3), (65, 2)):
         cfg = tmp_path / f"cfg{workers}.json"
