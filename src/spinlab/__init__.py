@@ -1,5 +1,12 @@
 """spinlab: a numerical laboratory for mixed even p-spin glass Hamiltonians,
-algorithmic thresholds, and ultrametric overlap experiments."""
+algorithmic thresholds, and ultrametric overlap experiments.
+
+Importing spinlab loads numpy but not scipy.  The names re-exported from
+`spinlab.parisi` (the Parisi functionals, the PDE engine and the ALG
+searches) resolve on first access, which imports that package and, with
+it, scipy; every other name is bound here.  The Lanczos solver imports
+scipy on its first call.
+"""
 
 from .mixture import Mixture, pure, xi_eval
 from .hamiltonian import (
@@ -27,24 +34,6 @@ from .ensembles import (
     m_of_q,
     sample_ensemble,
     target_overlap_matrix,
-)
-from .parisi import (
-    PiecewiseZeta,
-    alg_is_numeric,
-    alg_sp,
-    b_profile,
-    cascade_value,
-    gaussian_quadratic_logmoment,
-    increasify_is,
-    increasify_sp,
-    interpolation_bound_sp,
-    lambda_recursion,
-    opt_sp_numeric,
-    parisi_is,
-    parisi_sp,
-    shift_identity_check,
-    solve_parisi_pde,
-    theta,
 )
 from .optimizers import (
     AmpSpec,
@@ -76,3 +65,29 @@ from .ultrametric import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The re-exports of spinlab.parisi, imported on first access (PEP 562)."""
+    if name in {
+        "PiecewiseZeta",
+        "alg_is_numeric",
+        "alg_sp",
+        "b_profile",
+        "cascade_value",
+        "gaussian_quadratic_logmoment",
+        "increasify_is",
+        "increasify_sp",
+        "interpolation_bound_sp",
+        "lambda_recursion",
+        "opt_sp_numeric",
+        "parisi_is",
+        "parisi_sp",
+        "shift_identity_check",
+        "solve_parisi_pde",
+        "theta",
+    }:
+        from . import parisi
+
+        return getattr(parisi, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

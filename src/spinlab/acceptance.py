@@ -447,7 +447,7 @@ def criterion_10_amp_state_evolution() -> CriterionResult:
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     tol = 5 / math.sqrt(128) + 3 * se
     dev = abs(vals.mean() - q[0, 0])
-    passed = dev <= tol and abs(q[0, 0] - xi_eval(m2, 1.0, 1)) <= 1e-12
+    passed = bool(dev <= tol and abs(q[0, 0] - xi_eval(m2, 1.0, 1)) <= 1e-12)
     return CriterionResult(
         "10 AMP state evolution",
         passed,
@@ -640,7 +640,7 @@ def criterion_14_extension_rounding() -> CriterionResult:
     )
     se = draws.std(ddof=1) / math.sqrt(50)
     z = abs(draws.mean() - r_pre) / se
-    passed = member.ok and z <= 3.0
+    passed = bool(member.ok and z <= 3.0)
     return CriterionResult(
         "14 extension and rounding",
         passed,

@@ -42,8 +42,10 @@ The entry budget of `check_budget`, 2^27 per tensor, admits p = 4 up to
 n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap of 512.  So
 above the cap only p = 2 fits, and its Hessian is the constant matrix
 g (G + G^T).  `projected_top_eigvec` runs Lanczos on that formed matrix,
-one BLAS dsymv per matvec.  The O(n)-memory Hessian-vector product
-`hessian_apply` is for p = 2 only: it reads G once for G.w and w.G
+one BLAS dsymv per matvec.  It is the module's one use of scipy (ARPACK
+and dsymv), imported on its first call, so a path that stays at or below
+the dense-Hessian cap never loads scipy.  The O(n)-memory Hessian-vector
+product `hessian_apply` is for p = 2 only: it reads G once for G.w and w.G
 (`_apply_pair`), refuses a nonzero p > 2 term with ResourceError, and
 serves `restricted_top_eigvec`.
 
@@ -59,8 +61,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import rng
 from .errors import ArgumentError, DomainError, NumericError, ResourceError
@@ -451,6 +451,9 @@ def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0,
     otherwise, and always for k > 1 (one start vector in a small invariant
     subspace cannot yield k eigenpairs), it starts from the seeded vector.
     """
+    from scipy.linalg.blas import dsymv
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     n = len(matrix)
     ortho = orthonormal_rows(orth, n)
     upper = matrix.T

@@ -10,8 +10,8 @@ import numpy as np
 
 from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level, m_matrix
 from ..errors import ArgumentError, DomainError
-from ..mixture import Mixture, xi_eval
-from .spherical import b_pieces, b_profile, parisi_sp, quadrature, theta
+from ..mixture import Mixture, quadrature, xi_eval
+from .spherical import b_pieces, b_profile, parisi_sp, theta
 from .zeta import PiecewiseZeta
 
 

@@ -563,7 +563,7 @@ class _StencilPlan:
     value with 1 and the end-cell or asymptotic slope with its offset from the
     end.  CSR products sum a row's terms in order, which is _gh_shifted's
     order, so op @ u is _gh_shifted bit for bit.  The transpose is the CSC
-    view op.T followed by the adjoint of u(vals).
+    view op_t = op.T, made once, followed by the adjoint of u(vals).
     """
 
     def __init__(self, n: int, dx: float, s: float, nodes: int):
@@ -593,6 +593,7 @@ class _StencilPlan:
             cols[at + 1] = np.where(in_cell[entries], end + 1, end + 2)
             coefs[at + 1] = off[entries]
         self.op = csr_array((coefs, cols, indptr), shape=(nodes * n, 3 * n))
+        self.op_t = self.op.T  # a CSC view sharing op's arrays
 
     def transpose(self, wmat, first: int = 0):
         """The adjoint of the input slice, given the adjoint wmat of the
@@ -601,7 +602,7 @@ class _StencilPlan:
         rows, n = wmat.shape
         padded = np.zeros((self.op.shape[0] // n, n))
         padded[first : first + rows] = wmat
-        g = self.op.T @ padded.ravel()
+        g = self.op_t @ padded.ravel()
         gv0, gd1, gd2 = g[: 3 * (n - 2)].reshape(3, n - 2)
         g_lo, lo_slope, _, g_hi, hi_slope, _ = g[3 * (n - 2) :]
         out = np.zeros(n)

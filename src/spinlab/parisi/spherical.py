@@ -1,52 +1,14 @@
 """Spherical Parisi functional, the closed-form algorithmic threshold, and a
 numeric variational minimizer over nondecreasing slope profiles."""
 
-import heapq
 import math
 
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from ..errors import ArgumentError, DomainError, NumericError
-from ..mixture import Mixture, xi_eval
+from ..errors import ArgumentError, DomainError
+from ..mixture import Mixture, quadrature, root_xi2_integral, xi_eval
 from .zeta import PiecewiseZeta
-
-QUAD_ABS_TOL = 1e-10
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
-_MAX_PANELS = 200
-
-
-def _gauss_legendre(f, lo: float, hi: float) -> float:
-    half = 0.5 * (hi - lo)
-    return half * float(f(lo + half + half * _GL_X) @ _GL_W)
-
-
-def quadrature(f, a: float, b: float) -> float:
-    """integral_a^b f for f smooth on [a, b]; f takes an array of points.
-
-    Composite 20-point Gauss-Legendre.  Each panel carries its sum and its
-    two halves' sums; the panel where they disagree most is halved, until
-    the disagreements add up to at most QUAD_ABS_TOL (or 1e-14 of the
-    integral, the rounding floor), and the halves' sums are returned.  So
-    panels double where the integrand needs them, as near B_zeta -> 0.
-    NumericError if that takes more than 200 panels, or a sum is not finite."""
-
-    def panel(lo, hi, whole):  # heap entry: the largest disagreement pops first
-        mid = 0.5 * (lo + hi)
-        left, right = _gauss_legendre(f, lo, mid), _gauss_legendre(f, mid, hi)
-        return -abs(left + right - whole), lo, hi, left, right
-
-    panels = [panel(a, b, _gauss_legendre(f, a, b))]
-    while True:
-        total = sum(left + right for *_, left, right in panels)
-        if math.isfinite(total) and -sum(p[0] for p in panels) <= max(QUAD_ABS_TOL, 1e-14 * abs(total)):
-            return total
-        if len(panels) == _MAX_PANELS or not math.isfinite(total):
-            raise NumericError(f"quadrature on [{a}, {b}] did not settle on {len(panels)} panels")
-        _, lo, hi, left, right = heapq.heappop(panels)
-        mid = 0.5 * (lo + hi)
-        heapq.heappush(panels, panel(lo, mid, left))
-        heapq.heappush(panels, panel(mid, hi, right))
 
 
 def b_profile(B: float, zeta: PiecewiseZeta, m: Mixture, t: float) -> float:
@@ -115,11 +77,6 @@ def alg_sp(m: Mixture):
     q_hat = 0.5 * (lo + hi) if f(0.0) < 0.0 else 0.0
     value = q_hat * math.sqrt(xi_eval(m, q_hat, 2)) + root_xi2_integral(m, q_hat, 1.0)
     return value, "rsb", q_hat
-
-
-def root_xi2_integral(m: Mixture, lo: float, hi: float) -> float:
-    """integral_lo^hi sqrt(xi''(q)) dq, by `quadrature`."""
-    return quadrature(lambda q: np.sqrt(xi_eval(m, q, 2)), lo, hi)
 
 
 def opt_sp_numeric(m: Mixture, grid: int = 200) -> float:

@@ -12,7 +12,10 @@ config byte-reproduces every numeric payload; timings and timestamps (among
 them selftest's per-criterion seconds) live only under the "meta" key.  A
 selftest criterion name that matches no criterion exits 2 before any
 criterion runs.  A run that raises removes the output directories it made,
-so a refused run leaves none.
+so a refused run leaves none.  The thresholds, sandwich and pde handlers,
+and selftest's acceptance suite, import spinlab.parisi, and with it scipy,
+when they run; the other subcommands load scipy only for a Lanczos solve
+(n above the dense-Hessian cap).
 """
 
 import json
@@ -55,16 +58,6 @@ from .optimizers import (
     lipschitz_probe,
     subag_ascent,
 )
-from .parisi import (
-    PiecewiseZeta,
-    alg_is_numeric,
-    alg_sp,
-    interpolation_bound_sp,
-    opt_sp_numeric,
-    solve_parisi_pde,
-)
-from .parisi.interpolation import composite_profile
-from .parisi.pde import _parisi_value
 from .points import project_ball, sphere_point
 from .ultrametric import (
     embed_energy_greedy,
@@ -206,7 +199,7 @@ def _dump17(obj, indent=0):
             return "[]"
         items = [f"{pad}  {_dump17(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (np.floating, float)):
         if not math.isfinite(obj):
@@ -499,6 +492,8 @@ def run(config: dict, out_dir=None) -> RunResult:
 
 
 def _run_thresholds(cfg, out):
+    from .parisi import alg_is_numeric, alg_sp, opt_sp_numeric
+
     m = parse_mixture(cfg["mixture"])
     value, regime, q_hat = alg_sp(m)
     results = {
@@ -624,6 +619,9 @@ def _run_branching(cfg, out):
 
 
 def _run_sandwich(cfg, out):
+    from .parisi import PiecewiseZeta, interpolation_bound_sp
+    from .parisi.interpolation import composite_profile
+
     m, n, seed, beta = parse_mixture(cfg["mixture"]), cfg["n"], cfg["seed"], cfg["beta"]
     shape, pladder, qladder = _parse_ladders(cfg)
     ens = sample_ensemble(m, n, shape, pladder, seed)
@@ -682,6 +680,9 @@ def _run_embed(cfg, out):
 
 
 def _run_pde(cfg, out):
+    from .parisi import PiecewiseZeta, solve_parisi_pde
+    from .parisi.pde import _parisi_value
+
     m, beta, a = parse_mixture(cfg["mixture"]), cfg["beta"], cfg["a"]
     zeta = PiecewiseZeta(tuple(cfg["zeta"]["breaks"]), tuple(cfg["zeta"]["values"]))
     grid = tuple(cfg["grid"]) if cfg["grid"] else None

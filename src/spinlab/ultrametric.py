@@ -21,8 +21,8 @@ import numpy as np
 from . import rng
 from .errors import ArgumentError, ResourceError
 from .hamiltonian import Hamiltonian, energy
+from .mixture import root_xi2_integral
 from .optimizers import subag_step
-from .parisi.spherical import root_xi2_integral
 from .points import norm_n_sq, overlap_matrix, worst_violation
 
 _H_TOL = 1e-12

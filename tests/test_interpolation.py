@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from spinlab import rng
 from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level, m_matrix
 from spinlab.errors import ArgumentError, DomainError
-from spinlab.mixture import Mixture, xi_eval
+from spinlab.mixture import QUAD_ABS_TOL, Mixture, xi_eval
 from spinlab.parisi import (
     PiecewiseZeta,
     b_profile,
@@ -19,7 +19,6 @@ from spinlab.parisi import (
     theta,
 )
 from spinlab.parisi.interpolation import composite_profile, kappa_zeta_profile
-from spinlab.parisi.spherical import QUAD_ABS_TOL
 
 M = Mixture({2: 0.7, 4: 0.6})
 SHAPE = TreeShape((2, 2))

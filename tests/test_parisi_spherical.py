@@ -9,11 +9,10 @@ from spinlab import rng
 from spinlab.acceptance import _random_shape_ladders
 from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align
 from spinlab.errors import ArgumentError, DomainError, NumericError
-from spinlab.mixture import Mixture, pure, xi_eval
+from spinlab.mixture import QUAD_ABS_TOL, Mixture, pure, quadrature, root_xi2_integral, xi_eval
 from spinlab.parisi import PiecewiseZeta, alg_sp, b_profile, lambda_recursion, opt_sp_numeric, parisi_sp, theta
 from spinlab.parisi.increasify import delta_perturb
 from spinlab.parisi.interpolation import composite_profile, kappa_zeta_profile
-from spinlab.parisi.spherical import QUAD_ABS_TOL, quadrature, root_xi2_integral
 from spinlab.runner import DEFAULTS, parse_mixture
 
 

@@ -165,7 +165,7 @@ def test_fields_use_only_interpreted_keywords():
 def test_thresholds_rejects_knots_off_the_refinement_ladder(tmp_path, knots, monkeypatch):
     """alg_is_levels refines 8, 16, 32, ...: any other knot count exits 2
     before the ALG search starts."""
-    monkeypatch.setattr("spinlab.runner.alg_is_numeric", lambda *a, **k: pytest.fail("searched"))
+    monkeypatch.setattr("spinlab.parisi.alg_is_numeric", lambda *a, **k: pytest.fail("searched"))
     with pytest.raises(ArgumentError, match="knots"):
         validate_config({"subcommand": "thresholds", "ising": True, "knots": knots})
     argv = ["thresholds", "--mixture", "p2", "--ising", "--set", f"knots={knots}"]
@@ -380,7 +380,7 @@ def test_pde_run_reads_parisi_is_off_its_own_solve(tmp_path, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(pde, "solve_parisi_pde", counted)
-    monkeypatch.setattr(runner, "solve_parisi_pde", counted)
+    monkeypatch.setattr("spinlab.parisi.solve_parisi_pde", counted)
     config = {
         "subcommand": "pde",
         "mixture": "p2",
@@ -445,7 +445,7 @@ def test_run_json_refuses_non_finite_values(tmp_path, monkeypatch):
         with pytest.raises(NumericError, match="non-finite"):
             runner.write_run_json(tmp_path / "run.json", {}, {"value": [1.0, bad]})
         assert not (tmp_path / "run.json").exists()
-    monkeypatch.setattr(runner, "alg_sp", lambda m: (math.inf, "full_rsb", 0.0))
+    monkeypatch.setattr("spinlab.parisi.alg_sp", lambda m: (math.inf, "full_rsb", 0.0))
     assert main(["thresholds", "--mixture", "p4", "--out", str(tmp_path / "o")]) == 4
     assert not (tmp_path / "o" / "run.json").exists()
 
@@ -718,6 +718,20 @@ def test_selftest_subset(tmp_path):
     assert res.status == 0
     assert len(res.payload["criteria"]) == 2
     assert all(c["passed"] for c in res.payload["criteria"])
+
+
+def test_run_json_writes_numpy_booleans_as_json_booleans():
+    assert runner._dump17(np.bool_(False)) == "false"
+    assert runner._dump17(np.bool_(True)) == "true"
+    assert json.loads(runner._dump17({"a": np.bool_(False), "b": [np.True_, False]})) == {"a": False, "b": [True, False]}
+
+
+def test_selftest_writes_json_booleans_for_criteria_10_and_14(tmp_path):
+    assert main(["selftest", "--criteria", "10", "14", "--out", str(tmp_path / "s")]) == 0
+    results = json.loads((tmp_path / "s" / "run.json").read_text())["results"]
+    assert [c["passed"] for c in results["criteria"]] == [True, True]
+    assert all(type(c["passed"]) is bool for c in results["criteria"])
+    assert results["all_passed"] is True
 
 
 def test_selftest_results_reproduce_and_seconds_live_under_meta(tmp_path):
