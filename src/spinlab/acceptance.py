@@ -160,7 +160,7 @@ def criterion_2_covariance_law() -> CriterionResult:
         want = n * xi_eval(m, overlap(s1, s2), 0)
         se = prods[:, j].std(ddof=1) / math.sqrt(samples)
         worst_z = max(worst_z, abs(prods[:, j].mean() - want) / se)
-    passed = worst_z <= 5.0
+    passed = bool(worst_z <= 5.0)
     return CriterionResult(
         "2 covariance law", passed, f"worst |z| = {worst_z:.2f} (<= 5)"
     )
@@ -359,7 +359,7 @@ def criterion_7_cascade_and_recursion() -> CriterionResult:
                 ql_r.qs[d],
             )
             pd_ok = pd_ok and float(np.linalg.eigvalsh(seq.matrices[d]).min()) >= floor - 1e-8
-    passed = cascade_ok and glm_ok and tele_ok and pd_ok
+    passed = bool(cascade_ok and glm_ok and tele_ok and pd_ok)
     detail = (
         f"cascade z={abs(mc - closed) / se:.2f}; gaussian z={abs(est - closed_g) / se_g:.2f}; "
         f"telescoping {tele_ok}; Loewner floor {pd_ok}"

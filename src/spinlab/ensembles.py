@@ -31,6 +31,7 @@ from .hamiltonian import (
     pool_map,
     sample_hamiltonians,
     save_snapshot,
+    tensor_entries,
     weighted_sum,
 )
 from .mixture import Mixture
@@ -206,7 +207,7 @@ def sample_ensemble(
     if shape.depth != ladder.depth:
         raise ArgumentError("shape and correlation ladder depths disagree")
     nodes = shape.nodes()[1:]  # the root has weight 0
-    total = len(nodes) * sum(n**p for p in m.ps)
+    total = len(nodes) * tensor_entries(m, n)
     if total > max_entries:
         raise ResourceError(
             f"ensemble needs {total} tensor entries over {len(nodes)} nodes, budget {max_entries}"

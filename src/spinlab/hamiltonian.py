@@ -50,13 +50,32 @@ product `hessian_apply` is for p = 2 only: it reads G once for G.w and w.G
 serves `restricted_top_eigvec`.
 
 `weighted_sum` forms sum_i w_i T_i (an ensemble leaf, a pair mix) in
-_SLAB-entry blocks, and `pool_map` runs GIL-releasing work (tensor fills,
-snapshot I/O) on one thread per usable CPU.
+_SLAB-entry blocks.
+
+`pool_map` is the one thread pool for independent replicas, each a pure
+function of its labels and seed, so the width changes no bit.  The loops
+on it are the tensor fills of `sample_tensors`, the snapshots of a
+manifest, `optimize`'s seeds, the underline leaves of
+`run_branching_experiment`, the per-leaf energies of `extend_to_sphere`
+and the reps of `_pair_overlaps` (behind `chi` and `concentration`).  Two
+rules bound it:
+
+- the budget: `replica_width` runs at most as many replicas at once as
+  there are usable CPUs and as fit DEFAULT_MAX_TENSOR_ENTRIES beside the
+  entries already held, given the entries each replica holds;
+- no nesting: a `pool_map` called on a pool thread runs inline, so a pooled
+  replica's tensor fills start no second pool.
+
+Fills, file I/O and `weighted_sum` release the GIL.  The short slab
+matmuls of `_one_read` do not overlap across threads (np.matmul holds the
+GIL on those shapes), so pooled derivative-heavy replicas overlap only in
+part.
 """
 
 import math
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -76,6 +95,8 @@ _APPLY_ROWS = 128  # rows of G per block of the p = 2 Hessian-vector product
 
 _SNAPSHOT_MAGIC = b"SPGLASS1"
 _SNAPSHOT_VERSION = 1
+
+_pool_thread = threading.local()  # .active is set on the threads of a pool_map pool
 
 
 @dataclass(frozen=True)
@@ -127,15 +148,36 @@ def sample_tensors(jobs: list, out=None) -> list:
 
 def pool_map(fn, *items, workers: int | None = None) -> list:
     """[fn(*args) for args in zip(*items)], in input order, on a pool of
-    min(#items, workers) threads, workers defaulting to the usable CPUs; one
-    item or one worker runs inline.  For work that releases the GIL (tensor
-    fills, file I/O, replicas).  An error is raised for the first failing
-    item in order, as the inline loop would."""
-    workers = min(len(items[0]), workers or len(os.sched_getaffinity(0)))
-    if workers <= 1:
+    min(#items, workers) threads, workers defaulting to the usable CPUs
+    (`replica_width` of replicas that hold no tensor).  One item, one
+    worker, or a call made on a pool thread (pools do not nest) runs inline.
+    An error is raised for the first failing item in order, as the inline
+    loop would."""
+    workers = replica_width(len(items[0]), 0, workers=workers)
+    if workers <= 1 or getattr(_pool_thread, "active", False):
         return list(map(fn, *items))
+
+    def marked(*args):
+        _pool_thread.active = True
+        return fn(*args)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *items))
+        return list(pool.map(marked, *items))
+
+
+def tensor_entries(m: Mixture, n: int) -> int:
+    """Entries of one Hamiltonian's tensors, sum_p n^p."""
+    return sum(n**p for p in m.ps)
+
+
+def replica_width(count: int, entries: int, held: int = 0, workers: int | None = None) -> int:
+    """How many of `count` replicas may run at once when each holds `entries`
+    tensor entries and `held` are already live: min(count, workers (default
+    the usable CPUs), (DEFAULT_MAX_TENSOR_ENTRIES - held) // entries), and at
+    least 1.  A replica that holds no tensor (entries 0) is bounded by the
+    CPUs alone."""
+    room = (DEFAULT_MAX_TENSOR_ENTRIES - held) // entries if entries else count
+    return max(1, min(count, workers or len(os.sched_getaffinity(0)), room))
 
 
 def check_budget(m: Mixture, n: int, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES):

@@ -26,7 +26,7 @@ from .ensembles import (
     underline_target_matrix,
 )
 from .errors import ArgumentError
-from .hamiltonian import energy, gradient
+from .hamiltonian import energy, gradient, pool_map, replica_width, tensor_entries
 from .mixture import Mixture
 from .optimizers import extend_to_sphere
 from .points import norm_n_sq, overlap, overlap_matrix, sphere_point, worst_violation
@@ -50,17 +50,22 @@ def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: s
     """[r, j] = R(A(H1), A(H2)) at p_grid[j]: rep r mixes one pair_mixer(m,
     n, seed, tag, r, label=label) over the grid and runs alg on both
     Hamiltonians at derive_seed(seed, tag + "-run", r).  At p = 1 the two
-    mixes are bit-identical to H0, so A runs once and R(x, x) is taken."""
-    values = np.empty((reps, len(p_grid)))
-    for r in range(reps):
+    mixes are bit-identical to H0, so A runs once and R(x, x) is taken.  The
+    reps run on `pool_map`, each holding three base tensors and two mixes."""
+
+    def one_rep(r):
         mix = pair_mixer(m, n, seed, tag, r, label=label)
         run_seed = rng.derive_seed(seed, f"{tag}-run", r)
-        for j, p in enumerate(p_grid):
+        row = []
+        for p in p_grid:
             h1, h2 = mix(p)
             x1 = np.asarray(alg(h1, run_seed))
             x2 = x1 if p == 1.0 else np.asarray(alg(h2, run_seed))
-            values[r, j] = overlap(x1, x2)
-    return values
+            row.append(overlap(x1, x2))
+        return row
+
+    width = replica_width(reps, 5 * tensor_entries(m, n))
+    return np.array(pool_map(one_rep, range(reps), workers=width))
 
 
 def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, algorithm_id: str = "") -> ChiEstimate:
@@ -192,21 +197,29 @@ def run_branching_experiment(
     fresh ensemble per rep; report observed overlap matrices against the
     underline target, per-leaf and grand energies, and (optionally) the
     sphere extension checked against the full target.  `eta` is not read:
-    the sphere extension takes no gap (only the Ising one does)."""
+    the sphere extension takes no gap (only the Ising one does).  Within a
+    rep, the underline leaves (build the leaf, run alg, take its energy) run
+    on `pool_map`, each holding its leaf Hamiltonian beside the ensemble."""
     reports = []
     d_ul = underline_depth(pladder)
     leaves_ul = TreeShape(shape.ks[:d_ul]).leaves()
+    pad = (1,) * (shape.depth - d_ul)
+    leaf_entries = tensor_entries(m, n)
+    ens_entries = (len(shape.nodes()) - 1) * leaf_entries  # the root holds no tensor
+    width = replica_width(len(leaves_ul), leaf_entries, held=ens_entries)
     for r in range(reps):
         ens_seed = rng.derive_seed(seed, "branching", r)
         ens = sample_ensemble(m, n, shape, pladder, ens_seed)
-        outputs = {}
-        energies = {}
         alg_seed = rng.derive_seed(ens_seed, "alg")  # one seed: A is a fixed map of H
-        for u in leaves_ul:
-            h_u = ens.leaf_hamiltonian(u + (1,) * (shape.depth - d_ul), depth=d_ul)
+
+        def one_leaf(u):
+            h_u = ens.leaf_hamiltonian(u + pad, depth=d_ul)
             out = np.asarray(alg(h_u, alg_seed))
-            outputs[u] = out
-            energies[u] = energy(h_u, out)
+            return out, energy(h_u, out)
+
+        runs = pool_map(one_leaf, leaves_ul, workers=width)
+        outputs = {u: out for u, (out, _e) in zip(leaves_ul, runs)}
+        energies = {u: e for u, (_out, e) in zip(leaves_ul, runs)}
         r_mat = overlap_matrix([outputs[u] for u in leaves_ul])
         chi1_val = float(np.mean(np.diag(r_mat))) if chi1 is None else chi1
         q_mat = underline_target_matrix(shape, pladder, qladder, chi1_val)

@@ -23,6 +23,7 @@ All optimizers ascend the energy (thresholds are maxima).
 import csv
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ from .hamiltonian import (
     energy,
     gradient,
     hessian,  # noqa: F401 -- perfbench's tracer tests call spinlab.optimizers.hessian
+    pool_map,
     projected_top_eigvec,
     sample_hamiltonian,
     top_eigenpairs,
@@ -155,11 +157,17 @@ class AmpSpec:
                 )
 
 
+_SE_FILL = threading.Lock()  # pooled replicas sharing one AmpSpec fill its cache once
+
+
 def state_evolution(spec: AmpSpec, m: Mixture):
     """State-evolution covariance Q with Q[t-1, s-1] = Q_{t,s} =
     xi'(E[f_{t-1} f_{s-1}]) for the Gaussian iterates (X^1..X^T), by Monte
-    Carlo on 100 000 cached samples shared with the Onsager expectations."""
-    if m not in spec._se_cache:
+    Carlo on 100 000 cached samples shared with the Onsager expectations.
+    The cache is filled under a lock, once per mixture."""
+    with _SE_FILL:
+        if m in spec._se_cache:
+            return spec._se_cache[m]
         T = spec.horizon
         n = 100_000
         zmat = rng.stream(0, "amp-se").standard_normal((max(T, 1), n))
@@ -174,7 +182,7 @@ def state_evolution(spec: AmpSpec, m: Mixture):
             chol = np.linalg.cholesky(cov[: t + 1, : t + 1] + 1e-12 * np.eye(t + 1))
             xs.append(chol[t, : t + 1] @ zmat[: t + 1])
         spec._se_cache[m] = (cov, xs)
-    return spec._se_cache[m]
+        return spec._se_cache[m]
 
 
 def _onsager_derivatives(spec: AmpSpec, m: Mixture, t: int):
@@ -355,6 +363,8 @@ def extend_to_sphere(
     coordinate directions otherwise, counted as fallbacks), stops at
     1 - min(eta / 2, 0.05), then rounds coordinates independently with the
     mean preserved; only this gap reads eta, so spherical mode ignores it.
+    The geometry is sequential; the per-leaf energy changes then run on
+    `pool_map`.
     """
     if mode not in ("sphere", "ising"):
         raise ArgumentError(f"unknown extension mode {mode!r}")
@@ -436,10 +446,11 @@ def extend_to_sphere(
         pre_rounding = {u: x.copy() for u, x in points.items()}
         points = round_to_corners(points, rng.derive_seed(seed, "round"))
 
-    changes = {}
-    for u, x in points.items():
+    def change(u):
         start = np.asarray(partial[u[:d_ul]], dtype=float)
-        changes[u] = ensemble.leaf_energy(u, x) - ensemble.leaf_energy(u, start)
+        return ensemble.leaf_energy(u, points[u]) - ensemble.leaf_energy(u, start)
+
+    changes = dict(zip(points, pool_map(change, list(points))))  # a leaf energy holds no tensor
     return ExtensionReport(points, changes, fallbacks, pre_rounding)
 
 

@@ -38,7 +38,15 @@ from .ensembles import (
     target_overlap_matrix,
 )
 from .errors import ArgumentError, NumericError, ResourceError
-from .hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES, check_budget, energy, pool_map, sample_hamiltonian
+from .hamiltonian import (
+    DEFAULT_MAX_TENSOR_ENTRIES,
+    check_budget,
+    energy,
+    pool_map,
+    replica_width,
+    sample_hamiltonian,
+    tensor_entries,
+)
 from .mixture import Mixture
 from .ogp import (
     check_chi_grid,
@@ -514,10 +522,10 @@ def _run_optimize(cfg, out):
     if concurrent > 1:
         # every concurrent replica holds its own tensors
         check_budget(m, n)
-        entries = concurrent * sum(n**p for p in m.ps)
-        if entries > DEFAULT_MAX_TENSOR_ENTRIES:
+        each = tensor_entries(m, n)
+        if replica_width(len(seeds), each, workers=workers) < concurrent:
             raise ResourceError(
-                f"{concurrent} concurrent replicas hold {entries} tensor entries,"
+                f"{concurrent} concurrent replicas hold {concurrent * each} tensor entries,"
                 f" over the budget of {DEFAULT_MAX_TENSOR_ENTRIES}"
             )
 
