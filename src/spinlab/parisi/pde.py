@@ -3,17 +3,23 @@ functional and its variational minimization.
 
 On each interval where zeta = c is constant the PDE solution satisfies
 Phi(t, x) = (1/c) log E exp(c Phi(t+, x + Z sqrt(xi'(t+) - xi'(t)))),
-with the plain heat step at c = 0.  The beta = infinity terminal |x| - ax is
+with the plain heat step at c = 0.  One backward loop, _backward, runs it
+over steps (t_lo, c, s^2) from t = 1 down on any breaks, for every solve
+and for the ALG objective.  The beta = infinity terminal |x| - ax is
 integrated in closed form (erf).  The finite-beta terminal is that kink plus
 the bump log1p(e^(-2 beta |x|)) / beta: its step is the kink's closed form
 plus the bump's share, integrated by Gauss-Legendre panels on
-|x| <= 20 / beta (_terminal_quad_step).  Smooth slices use Gauss-Hermite
-quadrature on the spatial grid with linear tail extrapolation at the
-asymptotic slopes.  A node's shifted slice is read off a quadratic stencil
-whose terms are computed once per step in one vector (_stencil_terms), so
-its interior sums plain slices of that vector and no per-entry index is
-built; the tails are written only over the prefix and suffix of the grid
-that reach past its ends.
+|x| <= 20 / beta (_terminal_quad_step).  Smooth slices take one
+Gauss-Hermite step, _gh_step, with linear tails at the asymptotic slopes.
+A node's shifted slice is read off a quadratic stencil whose terms are
+computed once per step in one vector (_stencil_terms), by one of two
+operators with the same bits: _gh_shifted, a per-node loop over plain
+slices of that vector that can compute a column range, or _StencilPlan, the
+same map as a sparse matrix built once per step width.  Callers that hold
+plans get its CSR product: the ALG objective, whose widths repeat over
+hundreds of evaluations, on whose grid (n = 535) it is 3-4x faster.
+One-off solves use _gh_shifted, 2x faster on the fine grid (n = 10 651)
+and with no 45-85 ms plan to build per width.
 Every quadrature of the recursion is truncated by one reach rule, _reach:
 a step of std s at level c integrates over |y - x| <= (12 + |c| L s) s,
 where L = 1 + |a| = max|slopes| bounds the Lipschitz constant of every
@@ -28,21 +34,17 @@ so its reference solve computes each step only on the grid columns that
 value depends on (_cone).
 
 ALG for Ising models minimizes the functional over nonnegative step profiles
-on the uniform partition i/levels with projected L-BFGS-B.  Its gradient is
-exact for the discretized objective: the forward pass runs the recursion on
-the unmerged partition and keeps, per step, the tilted Gauss-Hermite weights
-pi (the softmax of c f_j + log w_j over the nodes) and d out / dc =
-(E_pi f - out) / c, which tends to Var_pi(f) / 2 as c -> 0 (the first
-variation of Jagannath-Tobasco); the terminal kink step has a closed-form
-c-derivative from the tilted truncated-normal means.  Each step width's
-shifted slices are one sparse matrix over the stencil terms (_StencilPlan):
-the forward step is its CSR product, and the reverse pass, which starts from
-the grid point at h, applies its CSC transpose, so a gradient costs about two
-solves.
+with projected L-BFGS-B.  Its gradient is exact for the discretized
+objective on any breaks: given plans, the backward loop also keeps a tape,
+per step the tilted Gauss-Hermite weights pi (the softmax of c f_j + log w_j
+over the nodes) and d out / dc = (E_pi f - out) / c, which tends to
+Var_pi(f) / 2 as c -> 0 (the first variation of Jagannath-Tobasco); the
+terminal kink step has a closed-form c-derivative from the tilted
+truncated-normal means.  The reverse pass starts from the grid point at h
+and applies each plan's CSC transpose, so a gradient costs about two solves.
 """
-
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -94,20 +96,14 @@ class PDESolution:
         raise ArgumentError(f"t={t} is not a stored time knot {self.times}")
 
     def eval(self, t: float, x) -> float | np.ndarray:
-        vals = self.slice_at(t)
-        return _pl_eval(np.asarray(x, dtype=float), self.grid, vals, self.slopes)
-
-
-def _pl_eval(x, grid, vals, slopes):
-    out = np.interp(x, grid, vals)
-    lo, hi = grid[0], grid[-1]
-    left = x < lo
-    right = x > hi
-    if np.any(left):
-        out = np.where(left, vals[0] + slopes[0] * (x - lo), out)
-    if np.any(right):
-        out = np.where(right, vals[-1] + slopes[1] * (x - hi), out)
-    return out if out.ndim else float(out)
+        x = np.asarray(x, dtype=float)
+        vals, lo, hi = self.slice_at(t), self.grid[0], self.grid[-1]
+        out = np.interp(x, self.grid, vals)
+        if np.any(x < lo):
+            out = np.where(x < lo, vals[0] + self.slopes[0] * (x - lo), out)
+        if np.any(x > hi):
+            out = np.where(x > hi, vals[-1] + self.slopes[1] * (x - hi), out)
+        return out if out.ndim else float(out)
 
 
 def _default_grid(m: Mixture, center: float = 0.0):
@@ -296,23 +292,38 @@ def _gh_shifted(grid, vals, slopes, nearest, t, cols=None):
     return fmat
 
 
-def _log_mean_exp(fmat, c: float, logw):
+# Below this |c| a step's d out / dc = (E_pi f - out) / c loses too much to
+# cancellation (out itself carries rounding of order eps / c), so it is
+# taken as Var(f) / 2 under the tilt 2c/3 instead: the one-point quadrature
+# of d out / dc = int_0^1 u Var_{cu}(f) du, exact at c = 0 and off by about
+# c^2 kappa_4(f) / 72 elsewhere.
+_SMALL_C = 1e-3
+
+
+def _log_mean_exp(fmat, c: float, logw, tilted: bool = False):
     """(1/c) log sum_j (w_j / sqrt(pi)) exp(c f_j) over the rows f_j of fmat,
-    in place: fmat ends as the tilted weights up to their column sums, which
-    are returned second."""
+    in place: with tilted, fmat ends as the tilted weights (the softmax of
+    c f_j + log w_j over the rows)."""
     fmat *= c
     fmat += logw[:, None]
     amax = fmat.max(axis=0)
     fmat -= amax
     np.exp(fmat, out=fmat)
     total = np.sum(fmat, axis=0)
-    return (np.log(total) + amax) / c, total
+    if tilted:
+        fmat /= total
+    return (np.log(total) + amax) / c
 
 
-def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int, cols=None):
-    """Gauss-Hermite Cole-Hopf step on the piecewise-linear slice, over the
-    node-shifted slices of _gh_shifted, on the grid columns cols (all of them
-    by default).
+def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int, cols=None, plan=None):
+    """Gauss-Hermite Cole-Hopf step on the piecewise-linear slice, on the
+    grid columns cols (all of them by default).
+
+    The node-shifted slices are the CSR product of plan, this width's
+    _StencilPlan, if one is given, and _gh_shifted's on cols otherwise; the
+    bits are the same.  Without a plan the step returns its output alone.
+    With one it returns (out, pi, d out / dc, first kept node), the tape of
+    the reverse pass, pi being the kept nodes' tilted weights.
 
     Only the nodes of _gh_kept enter.  A node past the reach (12 + |c| L s) s,
     L = max|slopes|, has a tilted weight w_j exp(c f_j) below e^-72 of the
@@ -325,12 +336,33 @@ def _gh_step(grid, vals, slopes, s: float, c: float, nodes: int, cols=None):
     """
     _, w, logw = _gh_roots(nodes)
     keep = _gh_kept(s, c, max(map(abs, slopes)), nodes)
-    nearest, t = _gh_shifts(grid[1] - grid[0], s, nodes)
-    fmat = _gh_shifted(grid, vals, slopes, nearest[keep], t[keep], cols)
+    logw = logw[keep]
+    if plan is None:
+        nearest, t = _gh_shifts(grid[1] - grid[0], s, nodes)
+        fmat = _gh_shifted(grid, vals, slopes, nearest[keep], t[keep], cols)
+    else:
+        # all rows, then the kept ones: a row-range view of op per step costs
+        # more in scipy's constructor checks than the few dropped rows do
+        fmat = (plan.op @ _stencil_terms(grid, vals, slopes)).reshape(nodes, len(grid))[keep]
     if c == 0.0:
-        return (w[keep] / math.sqrt(math.pi)) @ fmat
-    # the log-sum-exp runs in place: fmat is the step's largest array
-    return _log_mean_exp(fmat, c, logw[keep])[0]
+        wn = w[keep] / math.sqrt(math.pi)
+        out, pi = wn @ fmat, np.broadcast_to(wn[:, None], fmat.shape)
+    else:
+        # without a plan the log-sum-exp runs in place: fmat is the step's
+        # largest array
+        pi = fmat if plan is None else fmat.copy()
+        out = _log_mean_exp(pi, c, logw, tilted=plan is not None)
+    if plan is None:
+        return out
+    if abs(c) >= _SMALL_C:
+        return out, pi, (np.einsum("jk,jk->k", pi, fmat) - out) / c, keep.start
+    tilt = pi
+    if c != 0.0:
+        tilt = fmat.copy()
+        _log_mean_exp(tilt, 2.0 * c / 3.0, logw, tilted=True)
+    fmat -= np.einsum("jk,jk->k", tilt, fmat)
+    fmat *= fmat
+    return out, pi, 0.5 * np.einsum("jk,jk->k", tilt, fmat), keep.start
 
 
 _GH_NODES = 64
@@ -387,14 +419,16 @@ def solve_parisi_pde(
     if grid is None:
         grid = _default_grid(m, center)
     xs = _grid_points(grid, center, gh_nodes)
-    sol = _solve_on_grid(m, zeta, a, beta, xs, gh_nodes)
-    if self_check and sol.meta["gh_steps"] > 0:
+    steps = _steps(m, zeta.breaks, zeta.values)
+    vals, counts, _ = _backward(xs, steps, a, beta, gh_nodes)
+    sol = PDESolution((*zeta.breaks, 1.0), xs, vals, a, {"gh_nodes": gh_nodes, **counts})
+    if self_check and counts["gh_steps"] > 0:
         # the first backward step is node-count independent, so it is reused;
         # the check reads only Phi(0, center) = Phi(0, xs[(n - 1) // 2])
-        ref = _solve_on_grid(m, zeta, a, beta, xs, 2 * gh_nodes, top=sol, point=(len(xs) - 1) // 2)
-        delta = abs(sol.eval(0.0, center) - ref.eval(0.0, center))
+        ref, ref_counts, _ = _backward(xs, steps, a, beta, 2 * gh_nodes, top=vals, point=(len(xs) - 1) // 2)
+        delta = abs(sol.eval(0.0, center) - replace(sol, values=ref).eval(0.0, center))
         sol.meta["self_check_delta"] = delta
-        sol.meta["self_check_entries"] = ref.meta["gh_entries"]
+        sol.meta["self_check_entries"] = ref_counts["gh_entries"]
         # a NaN delta fails too: it is what a column read outside the cone gives
         if not delta <= _SELF_CHECK_TOL:
             raise NumericError(
@@ -436,53 +470,62 @@ def _cone(xs, point, steps, lip: float, nodes: int) -> dict:
     return cols
 
 
-def _solve_on_grid(m, zeta, a, beta, xs, gh_nodes, top=None, point=None) -> PDESolution:
-    """The recursion on the grid xs.  top, a solution of the same problem at
-    another node count, supplies the terminal slice and the first backward
-    step, which do not depend on the node count.  With point, an index of
-    xs, the Gauss-Hermite steps compute only the columns of _cone, and the
-    slices hold NaN elsewhere."""
+def _steps(m: Mixture, breaks, values) -> list:
+    """[(t_lo, c, s^2), ...] from t = 1 down: the step profile of values on
+    breaks, s^2 = xi'(t_hi) - xi'(t_lo) being each step's variance."""
+    times = [*breaks, 1.0]
+    return [
+        (t_lo, c, xi_eval(m, t_hi, 1) - xi_eval(m, t_lo, 1))
+        for t_lo, t_hi, c in zip(times[-2::-1], times[:0:-1], values[::-1])
+    ]
+
+
+def _backward(xs, steps, a, beta, nodes, top=None, point=None, plans=None):
+    """The recursion over steps (_steps) on the grid xs: ({t: slice}, the
+    Gauss-Hermite counts, the tape).  top, the slices of a solve at another
+    node count, supplies the terminal slice and the first step, which do not
+    depend on it.  With point, an index of xs, the Gauss-Hermite steps
+    compute only the columns of _cone (NaN elsewhere).  plans, at beta =
+    infinity, holds each step's _StencilPlan (None at t = 1 and at zero
+    width); the tape then holds each step's (pi, d out / dc, first kept
+    node), pi being None at t = 1, and otherwise only None."""
     slopes = (-1.0 - a, 1.0 - a)
     lip = max(map(abs, slopes))
-    times = [*zeta.breaks, 1.0]
-    steps = [
-        (t_lo, zeta(t_lo), xi_eval(m, t_hi, 1) - xi_eval(m, t_lo, 1))
-        for t_hi, t_lo in zip(times[::-1], times[::-1][1:])
-    ]
-    cols = {} if point is None else _cone(xs, point, steps, lip, gh_nodes)
-    vals = {1.0: _terminal(xs, a, beta) if top is None else top.values[1.0]}
-    current = vals[1.0]
-    gh_steps = gh_rows = gh_entries = 0
+    cols = {} if point is None else _cone(xs, point, steps, lip, nodes)
+    current = _terminal(xs, a, beta) if top is None else top[1.0]
+    vals = {1.0: current}
+    counts = {"gh_steps": 0, "gh_rows": 0, "gh_entries": 0}
+    tape = []
     for k, (t_lo, c, s2) in enumerate(steps):
+        entry = None
         if k == 0 and top is not None:
-            current = top.values[t_lo]
+            current = top[t_lo]
         elif s2 <= 0.0:
             current = current.copy()
         elif k > 0:
             s = math.sqrt(s2)
             c0, c1 = cols.get(k, (0, len(xs)))
-            if k in cols:
+            if plans:
+                current, *entry = _gh_step(xs, current, slopes, s, c, nodes, plan=plans[k])
+            elif k in cols:
                 step = np.full(len(xs), np.nan)
-                step[c0:c1] = _gh_step(xs, current, slopes, s, c, gh_nodes, (c0, c1))
+                step[c0:c1] = _gh_step(xs, current, slopes, s, c, nodes, (c0, c1))
                 current = step
             else:
-                current = _gh_step(xs, current, slopes, s, c, gh_nodes)
-            keep = _gh_kept(s, c, lip, gh_nodes)
-            gh_steps += 1
-            gh_rows += keep.stop - keep.start
-            gh_entries += (keep.stop - keep.start) * (c1 - c0)
+                current = _gh_step(xs, current, slopes, s, c, nodes)
+            keep = _gh_kept(s, c, lip, nodes)
+            counts["gh_steps"] += 1
+            counts["gh_rows"] += keep.stop - keep.start
+            counts["gh_entries"] += (keep.stop - keep.start) * (c1 - c0)
         elif math.isinf(beta):
             current = _terminal_kink_step(xs, math.sqrt(s2), c, a)
+            if plans:
+                entry = (None, _terminal_kink_dc(xs, math.sqrt(s2), c, a, current), None)
         else:
             current = _terminal_quad_step(xs, math.sqrt(s2), c, a, beta)
         vals[t_lo] = current
-    return PDESolution(
-        times=tuple(times),
-        grid=xs,
-        values=vals,
-        a=a,
-        meta={"gh_nodes": gh_nodes, "gh_steps": gh_steps, "gh_rows": gh_rows, "gh_entries": gh_entries},
-    )
+        tape.append(entry)
+    return vals, counts, tape
 
 
 def _parisi_value(sol: PDESolution, zeta: PiecewiseZeta, m: Mixture) -> float:
@@ -507,14 +550,6 @@ def shift_identity_check(m: Mixture, zeta: PiecewiseZeta, a: float, x: float, gr
     lhs = float(left.eval(0.0, y)) - a * y
     rhs = float(right.eval(0.0, x)) + 0.5 * a * a * j
     return abs(lhs - rhs)
-
-
-# Below this |c| a step's d out / dc = (E_pi f - out) / c loses too much to
-# cancellation (out itself carries rounding of order eps / c), so it is
-# taken as Var(f) / 2 under the tilt 2c/3 instead: the one-point quadrature
-# of d out / dc = int_0^1 u Var_{cu}(f) du, exact at c = 0 and off by about
-# c^2 kappa_4(f) / 72 elsewhere.
-_SMALL_C = 1e-3
 
 
 def _mills(u):
@@ -614,85 +649,43 @@ class _StencilPlan:
         return out
 
 
-def _gh_tape_step(grid, vals, slopes, plan: _StencilPlan, c: float, nodes: int):
-    """_gh_step's output (bit-identical), the tilted weights pi of the kept
-    nodes, d out / dc and the first kept node, over _gh_step's node range."""
-    _, w, logw = _gh_roots(nodes)
-    keep = _gh_kept(plan.s, c, max(map(abs, slopes)), nodes)
-    logw = logw[keep]
-    # all rows, then the kept ones: a row-range view of op per step costs more
-    # in scipy's constructor checks than the few dropped rows do
-    fmat = (plan.op @ _stencil_terms(grid, vals, slopes)).reshape(nodes, len(grid))[keep]
-    if c == 0.0:
-        wn = w[keep] / math.sqrt(math.pi)
-        out = wn @ fmat
-        pi = np.broadcast_to(wn[:, None], fmat.shape)
-    else:
-        pi = fmat.copy()
-        out, total = _log_mean_exp(pi, c, logw)
-        pi /= total
-    if abs(c) >= _SMALL_C:
-        return out, pi, (np.einsum("jk,jk->k", pi, fmat) - out) / c, keep.start
-    tilt = pi
-    if c != 0.0:
-        tilt = fmat.copy()
-        tilt /= _log_mean_exp(tilt, 2.0 * c / 3.0, logw)[1]
-    fmat -= np.einsum("jk,jk->k", tilt, fmat)
-    fmat *= fmat
-    return out, pi, 0.5 * np.einsum("jk,jk->k", tilt, fmat), keep.start
-
-
 class _AlgObjective:
-    """P(zeta) on the unmerged partition i/levels as a function of the
-    levels' values, with its exact gradient (module docstring), on the grid
-    xs around h at beta = infinity and a = 0.
+    """P(zeta) on the unmerged partition breaks, from 0, as a function of
+    the values on it, with its exact gradient (module docstring), on the
+    grid xs around h at beta = infinity and a = 0.
 
     Every evaluation uses the same step widths, so each width's stencil plan
     is built once here.  A call repeated at the same point is answered from
     the last one.
     """
 
-    def __init__(self, m: Mixture, levels: int, xs, nodes: int):
+    def __init__(self, m: Mixture, breaks, xs, nodes: int):
         self.xs, self.nodes = xs, nodes
         self.center = (len(xs) - 1) // 2  # xs[center] is h
-        times = [i / levels for i in range(levels)] + [1.0]
-        d1 = [xi_eval(m, t, 1) for t in times]
         # d/dzeta_i of -(1/2) int t xi''(t) zeta(t) dt, antiderivative t xi' - xi
-        self.lin = -0.5 * np.diff([t * d - xi_eval(m, t, 0) for t, d in zip(times, d1)])
-        self.widths = [math.sqrt(hi - lo) if hi > lo else 0.0 for lo, hi in zip(d1, d1[1:])]
-        dx = xs[1] - xs[0]
-        self.plans = [_StencilPlan(len(xs), dx, s, nodes) if s > 0 else None for s in self.widths[:-1]]
+        self.lin = -0.5 * np.diff([t * xi_eval(m, t, 1) - xi_eval(m, t, 0) for t in (*breaks, 1.0)])
+        self.steps = _steps(m, breaks, [0.0] * len(breaks))
+        n, dx = len(xs), xs[1] - xs[0]
+        self.plans = [_StencilPlan(n, dx, math.sqrt(s2), nodes) if k and s2 > 0 else None
+                      for k, (_, _, s2) in enumerate(self.steps)]
         self._last = (None, None)
 
     def __call__(self, zeta):
         zeta = np.array(zeta, dtype=float)
         if np.array_equal(self._last[0], zeta):
             return self._last[1]
-        xs = self.xs
-        top = float(zeta[-1])
-        current = _terminal(xs, 0.0, math.inf)
-        top_dc = np.zeros(len(xs))
-        if self.widths[-1] > 0:
-            current = _terminal_kink_step(xs, self.widths[-1], top, 0.0)
-            top_dc = _terminal_kink_dc(xs, self.widths[-1], top, 0.0, current)
-        tape = []  # (pi, d out / dc, first kept node) per step, from t = 1 down
-        for i in range(len(zeta) - 2, -1, -1):
-            plan = self.plans[i]
-            if plan is None:
-                tape.append(None)
-                continue
-            current, *entry = _gh_tape_step(xs, current, (-1.0, 1.0), plan, float(zeta[i]), self.nodes)
-            tape.append(entry)
-        value = float(current[self.center]) + float(self.lin @ zeta)
+        steps = [(t_lo, c, s2) for (t_lo, _, s2), c in zip(self.steps, zeta[::-1].tolist())]
+        vals, _, tape = _backward(self.xs, steps, 0.0, math.inf, self.nodes, plans=self.plans)
+        value = float(vals[steps[-1][0]][self.center]) + float(self.lin @ zeta)
         grad = self.lin.copy()
-        adj = np.zeros(len(xs))
+        adj = np.zeros(len(self.xs))
         adj[self.center] = 1.0
-        for i, entry in enumerate(reversed(tape)):
+        for i, (entry, plan) in enumerate(zip(tape[::-1], self.plans[::-1])):
             if entry is not None:
                 pi, dc, first = entry
                 grad[i] += adj @ dc
-                adj = self.plans[i].transpose(pi * adj, first)
-        grad[-1] += adj @ top_dc
+                if plan is not None:
+                    adj = plan.transpose(pi * adj, first)
         self._last = (zeta, (value, grad))
         return value, grad
 
@@ -725,7 +718,7 @@ def _projected_gradient(zeta, grad, cap: float) -> float:
 def alg_is_numeric(m: Mixture, knots: int = 16, **kw) -> float:
     """Minimum of the Ising functional over nonnegative (not necessarily
     monotone) step profiles on a uniform q-grid: the value at the finest
-    level of `alg_is_levels`."""
+    level of `alg_is_levels`, which takes the options kw."""
     return alg_is_levels(m, knots, **kw)[-1].value
 
 
@@ -736,7 +729,7 @@ def alg_is_levels(
     sweeps_min: int = 3,
     sweeps_max: int = 12,
     value_cap: float = 32.0,
-    **solver_kw,
+    gh_nodes: int = _GH_NODES,
 ) -> list:
     """[AlgLevel(levels, value, zeta, proj_grad), ...] for levels = 8, 16,
     ... up to `knots` (8 times a power of two), from one refinement pass.
@@ -759,7 +752,8 @@ def alg_is_levels(
     they are at most the zeta = 0 value and nonincreasing across levels,
     and the value at each level equals `alg_is_numeric` with that many
     knots.  proj_grad certifies first-order optimality of the discretized
-    objective at the returned profile.
+    objective at the returned profile.  gh_nodes is the Gauss-Hermite node
+    count of every evaluation and value solve.
     """
     octaves = knots // 8 if isinstance(knots, int) else 0
     if not (knots == 8 * octaves and octaves >= 1 and octaves & (octaves - 1) == 0):
@@ -773,12 +767,11 @@ def alg_is_levels(
     if grid is None:
         length = _default_grid(m, m.h)[0]
         grid = (length, min(0.04, 0.01 * length))
-    nodes = solver_kw.get("gh_nodes", _GH_NODES)
-    xs = _grid_points(grid, m.h, nodes)
+    xs = _grid_points(grid, m.h, gh_nodes)
 
     def value_of(values):
         breaks = tuple(i / len(values) for i in range(len(values)))
-        return parisi_is(PiecewiseZeta(breaks, values), m, grid, self_check=False, **solver_kw)
+        return parisi_is(PiecewiseZeta(breaks, values), m, grid, self_check=False, gh_nodes=gh_nodes)
 
     def descend(objective, values):
         x = np.array(values, dtype=float)
@@ -803,7 +796,7 @@ def alg_is_levels(
     ]
     candidates = [(s, value_of(s)) for i, s in enumerate(starts) if s not in starts[:i]]
     while True:
-        objective = _AlgObjective(m, levels, xs, nodes)
+        objective = _AlgObjective(m, tuple(i / levels for i in range(levels)), xs, gh_nodes)
         best_vals, best = None, math.inf
         for start, start_value in candidates:
             vals = descend(objective, start)

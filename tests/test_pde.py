@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,9 +130,11 @@ def oracle_log_gauss_mass(a, b):
     return out
 
 
-def oracle_exact_pl_step(grid, vals, slopes, s: float, c: float):
+def oracle_exact_pl_step(grid, vals, slopes, s: float, c: float, points=None):
     """Exact Gaussian convolution of the piecewise-linear slice (with linear
-    tails); O(n_grid^2) per step but kink-exact: the oracle for _gh_step."""
+    tails) at points (the grid by default); O(n_grid) per point but
+    kink-exact: the oracle for _gh_step."""
+    points = grid if points is None else np.asarray(points, dtype=float)
     edges = np.concatenate([[-np.inf], grid, [np.inf]])
     seg_lo = edges[:-1]
     seg_hi = edges[1:]
@@ -144,10 +147,10 @@ def oracle_exact_pl_step(grid, vals, slopes, s: float, c: float):
     anchor_v = np.concatenate([[vals[0]], vals])
     alpha = anchor_v - slopes_seg * anchor_x
 
-    out = np.empty(len(grid))
+    out = np.empty(len(points))
     chunk = 256
-    for start in range(0, len(grid), chunk):
-        x = grid[start : start + chunk][:, None]
+    for start in range(0, len(points), chunk):
+        x = points[start : start + chunk][:, None]
         if c == 0.0:
             lo = (seg_lo[None, :] - x) / s
             hi = (seg_hi[None, :] - x) / s
@@ -171,14 +174,15 @@ def oracle_exact_pl_step(grid, vals, slopes, s: float, c: float):
     return out
 
 
-def test_exact_method_agrees_with_gh(monkeypatch):
+def test_exact_method_agrees_with_gh():
+    """The solve's one Gauss-Hermite step, from its own slice at t = 0.4,
+    against the exact convolution of that slice at x = 0."""
     z = PiecewiseZeta((0.0, 0.4), (0.3, 0.9))
-    a = solve_parisi_pde(M2, z, grid=GRID, self_check=False).eval(0.0, 0.0)
-    monkeypatch.setattr(
-        pde, "_gh_step", lambda grid, vals, slopes, s, c, nodes: oracle_exact_pl_step(grid, vals, slopes, s, c)
-    )
-    b = solve_parisi_pde(M2, z, grid=GRID, self_check=False).eval(0.0, 0.0)
-    assert a == pytest.approx(b, abs=1e-6)
+    sol = solve_parisi_pde(M2, z, grid=GRID, self_check=False)
+    assert sol.meta["gh_steps"] == 1
+    s = math.sqrt(xi_eval(M2, 0.4, 1) - xi_eval(M2, 0.0, 1))
+    want = oracle_exact_pl_step(sol.grid, sol.slice_at(0.4), sol.slopes, s, 0.3, points=[0.0])
+    assert sol.eval(0.0, 0.0) == pytest.approx(want[0], abs=1e-6)
 
 
 def _shifted_slice(grid, vals, slopes, delta):
@@ -277,9 +281,10 @@ def _plan_grid(dx):
 
 
 @pytest.mark.parametrize("dx", [0.04, 0.002])
-def test_tape_step_bit_identical_to_plain_step(dx):
-    """_gh_tape_step's output is _gh_step's, bit for bit: at c = 0, on both
-    sides of the small-c threshold, and with shifts past both grid ends."""
+def test_gh_step_with_a_plan_bit_identical_to_without(dx):
+    """_gh_step's output through a plan is its output through _gh_shifted,
+    bit for bit: at c = 0, on both sides of the small-c threshold, and with
+    shifts past both grid ends."""
     xs = _plan_grid(dx)
     a = 0.3
     slopes = (-1.0 - a, 1.0 - a)
@@ -290,11 +295,37 @@ def test_tape_step_bit_identical_to_plain_step(dx):
         # the grid's own spacing, as _gh_step and _AlgObjective take it
         plan = pde._StencilPlan(len(xs), xs[1] - xs[0], s, nodes)
         for c in (0.0, 5e-4, 1.5):
-            got = pde._gh_tape_step(xs, vals, slopes, plan, c, nodes)[0]
+            got = pde._gh_step(xs, vals, slopes, s, c, nodes, plan=plan)[0]
             want = pde._gh_step(xs, vals, slopes, s, c, nodes)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the wide step's outer nodes shift past both ends of the grid
     assert math.sqrt(2.0) * 3.0 * pde._gh_roots(nodes)[0].max() > xs[-1] - xs[0]
+
+
+@pytest.mark.parametrize("grid", [(4.0, 0.04), (10.65, 0.002)])
+def test_backward_bit_identical_with_and_without_plans(grid):
+    """The one backward loop gives every slice the same bits through plans
+    (the objective's path) and through _gh_shifted (the solver's), on one
+    unmerged step list with c = 0, c on both sides of the small-c threshold,
+    equal neighbours and the kink top step; and the top step's tape entry
+    is its closed-form d out / dc."""
+    m = Mixture({2: 0.8, 4: 0.4}, h=0.2)
+    breaks, values = (0.0, 0.13, 0.4, 0.55, 0.9), (1.5, 0.0, 5e-4, 5e-4, 0.7)
+    assert 0.0 < 5e-4 < pde._SMALL_C < 0.7
+    nodes = 64
+    f = pde._AlgObjective(m, breaks, pde._grid_points(grid, m.h, nodes), nodes)
+    steps = pde._steps(m, breaks, values)
+    assert [c for _, c, _ in steps] == list(values[::-1])
+    assert all(s2 > 0.0 for _, _, s2 in steps)
+    taped, _, tape = pde._backward(f.xs, steps, 0.0, math.inf, nodes, plans=f.plans)
+    plain, counts, untaped = pde._backward(f.xs, steps, 0.0, math.inf, nodes)
+    assert list(taped) == list(plain) == [1.0, *breaks[::-1]]
+    for t in plain:
+        assert np.array_equal(taped[t].view(np.int64), plain[t].view(np.int64)), t
+    assert counts["gh_steps"] == len(breaks) - 1 and untaped == [None] * len(breaks)
+    assert tape[0][0] is None and all(len(entry) == 3 for entry in tape)
+    want = pde._terminal_kink_dc(f.xs, math.sqrt(steps[0][2]), 0.7, 0.0, plain[0.9])
+    assert np.array_equal(tape[0][1], want)
 
 
 @pytest.mark.parametrize("dx", [0.04, 0.002])
@@ -562,10 +593,12 @@ def _breaks(levels):
 
 
 BREAKS8 = _breaks(8)
+NONUNIFORM = (0.0, 0.13, 0.4, 0.55, 0.9)
 
 
-def _objective(m, levels, nodes=8, grid=ALG_GRID):
-    return pde._AlgObjective(m, levels, pde._grid_points(grid, m.h, nodes), nodes)
+def _objective(m, levels, nodes=8, grid=ALG_GRID, breaks=None):
+    breaks = _breaks(levels) if breaks is None else breaks
+    return pde._AlgObjective(m, breaks, pde._grid_points(grid, m.h, nodes), nodes)
 
 
 def oracle_alg_is_levels(m, knots, grid, sweeps_min, sweeps_max, sweep_tol=1e-6, value_cap=32.0, **solver_kw):
@@ -691,18 +724,21 @@ def _central_difference(f, z, i, d=1e-3):
 def test_gradient_matches_central_differences(m):
     """dP/dzeta of the discretized objective against its own central
     differences, at random profiles with zeros, values below the small-c
-    threshold and equal neighbours (two separate steps, not merged)."""
-    gen = rng.stream(64)
-    f = _objective(m, 8)
-    for _ in range(3):
-        z = gen.uniform(0.0, 2.5, 8)
-        z[gen.choice(8, 2, replace=False)] = 0.0
-        z[gen.choice(8, 2, replace=False)] = gen.uniform(1e-4, 5e-4, 2)
-        z[3] = z[4]
-        z[7] = gen.choice((0.0, 3e-4, 1.3))
-        grad = f(z)[1]
-        fd = np.array([_central_difference(f, z, i) for i in range(8)])
-        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+    threshold and equal neighbours (two separate steps, not merged), on the
+    uniform breaks i/8 and on breaks that are not uniform."""
+    for breaks in (BREAKS8, NONUNIFORM):
+        levels = len(breaks)
+        gen = rng.stream(64)
+        f = _objective(m, levels, breaks=breaks)
+        for _ in range(3):
+            z = gen.uniform(0.0, 2.5, levels)
+            z[gen.choice(levels, 2, replace=False)] = 0.0
+            z[gen.choice(levels, 2, replace=False)] = gen.uniform(1e-4, 5e-4, 2)
+            z[levels // 2 - 1] = z[levels // 2]
+            z[-1] = gen.choice((0.0, 3e-4, 1.3))
+            grad = f(z)[1]
+            fd = np.array([_central_difference(f, z, i) for i in range(levels)])
+            assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 @pytest.mark.parametrize("m", ALG_MIXTURES, ids=("sk", "p2p4h"))
@@ -735,7 +771,7 @@ def test_gradient_across_a_node_set_switch(m):
     differences whose points straddle the switch."""
     nodes, i = 64, 2
     f = _objective(m, 8, nodes=nodes)
-    s = f.widths[i]
+    s = math.sqrt(f.steps[-1 - i][2])  # the width of [i / 8, (i + 1) / 8]
     z = pde._gh_roots(nodes)[0]
     # node j enters where sqrt(2) s |z_j| = (12 + c s) s, the slopes being +-1
     entry = (math.sqrt(2.0) * z[z > 0.0] - 12.0) / s
@@ -784,12 +820,16 @@ def test_gradient_matches_first_variation_at_zero(m):
 def test_objective_forward_equals_solve(m):
     """With no equal neighbours, the objective's forward pass is the solver's
     recursion: its value is parisi_is's to rounding of the linear term, and
-    with equal neighbours (merged by the solver) it stays within 1e-5."""
+    with equal neighbours (merged by the solver) it stays within 1e-5; on
+    breaks that are not uniform too."""
     f = _objective(m, 8, nodes=16)
     base = (0.3, 0.5, 0.45, 0.9, 1.2, 0.8, 1.6, 2.0)
     for values, tol in ((base, 1e-15), ((0.0,) * 8, 1e-5), ((0.3, 0.5, 0.5, 0.9, 0.0, 0.0, 1.6, 1.6), 1e-5)):
         want = parisi_is(PiecewiseZeta(BREAKS8, values), m, grid=ALG_GRID, self_check=False, gh_nodes=16)
         assert f(values)[0] == pytest.approx(want, abs=tol)
+    values = base[: len(NONUNIFORM)]
+    want = parisi_is(PiecewiseZeta(NONUNIFORM, values), m, grid=ALG_GRID, self_check=False, gh_nodes=16)
+    assert _objective(m, len(NONUNIFORM), nodes=16, breaks=NONUNIFORM)(values)[0] == pytest.approx(want, abs=1e-15)
 
 
 def test_projected_gradient():
@@ -832,12 +872,14 @@ def test_self_check_solves_only_the_cone(a, beta):
     for grid, center in (((10.0, 0.02), 0.3), ((6.0, 0.02), -0.2)):
         for z in CONE_ZETAS:
             sol = solve_parisi_pde(M2, z, a=a, beta=beta, grid=grid, center=center, gh_nodes=32)
-            full = pde._solve_on_grid(M2, z, a, beta, sol.grid, 64, top=sol)
-            assert sol.meta["self_check_delta"] == abs(sol.eval(0.0, center) - full.eval(0.0, center))
-            cone = pde._solve_on_grid(M2, z, a, beta, sol.grid, 64, top=sol, point=(len(sol.grid) - 1) // 2)
-            first_gh = cone.values[0.3]
+            steps = pde._steps(M2, z.breaks, z.values)
+            full = pde._backward(sol.grid, steps, a, beta, 64, top=sol.values)[0]
+            full_delta = abs(sol.eval(0.0, center) - replace(sol, values=full).eval(0.0, center))
+            assert sol.meta["self_check_delta"] == full_delta
+            cone = pde._backward(sol.grid, steps, a, beta, 64, top=sol.values, point=(len(sol.grid) - 1) // 2)[0]
+            first_gh = cone[0.3]
             reach.append(bool(np.isfinite(first_gh[[0, -1]]).all()))
-            computed = np.count_nonzero(np.isfinite(cone.values[0.0]))
+            computed = np.count_nonzero(np.isfinite(cone[0.0]))
             assert computed == (2 if z(0.0) > 0.0 else len(sol.grid))
     assert True in reach and False in reach
 
@@ -848,26 +890,27 @@ def test_self_check_entries_count_the_cone():
     z = CONE_ZETAS[0]
     a, nodes = 0.5, 16
     sol = solve_parisi_pde(M2, z, a=a, grid=(10.0, 0.02), center=0.3, gh_nodes=nodes)
-    cone = pde._solve_on_grid(M2, z, a, math.inf, sol.grid, 2 * nodes, top=sol, point=(len(sol.grid) - 1) // 2)
+    steps = pde._steps(M2, z.breaks, z.values)
+    cone = pde._backward(sol.grid, steps, a, math.inf, 2 * nodes, top=sol.values, point=(len(sol.grid) - 1) // 2)[0]
     want = full = 0
     for t_lo, t_hi in zip(sol.times[:-2], sol.times[1:-1]):
         s = math.sqrt(xi_eval(M2, t_hi, 1) - xi_eval(M2, t_lo, 1))
         keep = pde._gh_kept(s, z(t_lo), 1.0 + a, 2 * nodes)
-        want += (keep.stop - keep.start) * np.count_nonzero(np.isfinite(cone.values[t_lo]))
+        want += (keep.stop - keep.start) * np.count_nonzero(np.isfinite(cone[t_lo]))
         full += (keep.stop - keep.start) * len(sol.grid)
     assert sol.meta["self_check_entries"] == want < full
 
 
 def test_self_check_rejects_a_non_finite_delta(monkeypatch):
     """A reference solve that reads NaN at the center fails the self-check."""
-    solve = pde._solve_on_grid
+    solve = pde._backward
 
     def nan_reference(*args, top=None, **kw):
-        sol = solve(*args, top=top, **kw)
+        vals, counts, tape = solve(*args, top=top, **kw)
         if top is not None:
-            sol.values[0.0] = np.full(len(sol.grid), np.nan)
-        return sol
+            vals[0.0] = np.full(len(vals[0.0]), np.nan)
+        return vals, counts, tape
 
-    monkeypatch.setattr(pde, "_solve_on_grid", nan_reference)
+    monkeypatch.setattr(pde, "_backward", nan_reference)
     with pytest.raises(NumericError, match="nan"):
         solve_parisi_pde(M2, CONE_ZETAS[0], grid=COARSE, gh_nodes=16)

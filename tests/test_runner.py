@@ -466,7 +466,7 @@ def test_pde_run_rejects_malformed_grids(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no solve may start on a malformed grid")
 
-    monkeypatch.setattr("spinlab.parisi.pde._solve_on_grid", refuse)
+    monkeypatch.setattr("spinlab.parisi.pde._backward", refuse)
     cases = (
         ([10, 0], 2),
         ([0, 0], 2),
