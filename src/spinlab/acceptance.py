@@ -166,6 +166,20 @@ def criterion_2_covariance_law() -> CriterionResult:
     )
 
 
+def _random_threshold_mixtures() -> list:
+    """Criterion 3's 20 mixtures: gamma_2, gamma_4 and half the time gamma_6
+    and a field, drawn from the stream (3, "acc-thresholds")."""
+    gen = rng.stream(3, "acc-thresholds")
+    out = []
+    for _ in range(20):
+        gammas = {2: float(gen.uniform(0, 1.2)), 4: float(gen.uniform(0, 1.2))}
+        if gen.random() < 0.5:
+            gammas[6] = float(gen.uniform(0, 0.8))
+        h = float(gen.uniform(0, 1.5)) if gen.random() < 0.5 else 0.0
+        out.append(Mixture(gammas, h=h))
+    return out
+
+
 def criterion_3_closed_form_thresholds() -> CriterionResult:
     checks = []
     v4, tag4, _ = alg_sp(pure(4))
@@ -176,15 +190,7 @@ def criterion_3_closed_form_thresholds() -> CriterionResult:
     )
     o2 = opt_sp_numeric(pure(2))
     checks.append(("opt_sp(x^2) = sqrt(2) +- 1e-3", abs(o2 - math.sqrt(2.0)) <= 1e-3))
-    gen = rng.stream(3, "acc-thresholds")
-    ok = True
-    for _ in range(20):
-        gammas = {2: float(gen.uniform(0, 1.2)), 4: float(gen.uniform(0, 1.2))}
-        if gen.random() < 0.5:
-            gammas[6] = float(gen.uniform(0, 0.8))
-        h = float(gen.uniform(0, 1.5)) if gen.random() < 0.5 else 0.0
-        mm = Mixture(gammas, h=h)
-        ok = ok and alg_sp(mm)[0] <= opt_sp_numeric(mm) + 1e-3
+    ok = all(alg_sp(mm)[0] <= opt_sp_numeric(mm) + 1e-3 for mm in _random_threshold_mixtures())
     checks.append(("alg_sp <= opt_sp + 1e-3 on 20 mixtures", ok))
     passed = all(flag for _n, flag in checks)
     detail = "; ".join(f"{nm}: {'ok' if f else 'FAIL'}" for nm, f in checks)

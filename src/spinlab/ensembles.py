@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import ArgumentError, ResourceError
+from .errors import ArgumentError, ResourceError, is_real
 from .hamiltonian import (
     DEFAULT_MAX_TENSOR_ENTRIES,
     Hamiltonian,
@@ -43,10 +43,10 @@ class TreeShape:
     ks: tuple
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.ks)
-        if not ks or any(k < 1 for k in ks):
-            raise ArgumentError(f"arm counts {ks} must be positive")
-        object.__setattr__(self, "ks", ks)
+        ks = tuple(self.ks)
+        if not ks or not all(is_real(k) and k >= 1 and k % 1 == 0 for k in ks):
+            raise ArgumentError(f"arm counts {ks} must be positive integers")
+        object.__setattr__(self, "ks", tuple(map(int, ks)))
 
     @property
     def depth(self) -> int:
@@ -74,6 +74,8 @@ class CorrelationLadder:
     ps: tuple
 
     def __post_init__(self):
+        if not all(map(is_real, self.ps)):
+            raise ArgumentError(f"correlation ladder {self.ps} must hold real numbers")
         ps = tuple(float(p) for p in self.ps)
         if len(ps) < 2:
             raise ArgumentError("correlation ladder needs p_0 and p_D")
@@ -97,6 +99,8 @@ class OverlapLadder:
     qs: tuple
 
     def __post_init__(self):
+        if not all(map(is_real, self.qs)):
+            raise ArgumentError(f"overlap ladder {self.qs} must hold real numbers")
         qs = tuple(float(q) for q in self.qs)
         if len(qs) < 2:
             raise ArgumentError("overlap ladder needs q_0 and q_D")
@@ -435,10 +439,7 @@ def load_manifest(directory) -> CorrelatedEnsemble:
             manifest = json.load(f)
         shape = TreeShape(tuple(manifest["ks"]))
         ladder = CorrelationLadder(tuple(manifest["pladder"]))
-        mixture = Mixture(
-            {int(p): g for p, g in manifest["mixture"]["gammas"].items()},
-            h=manifest["mixture"]["h"],
-        )
+        mixture = Mixture(manifest["mixture"]["gammas"], h=manifest["mixture"]["h"])
         n, seed = manifest["n"], manifest["seed"]
         paths = [tuple(entry["path"]) for entry in manifest["nodes"]]
         snapshots = dict(zip(paths, (str(entry["snapshot"]) for entry in manifest["nodes"])))

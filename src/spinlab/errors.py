@@ -1,7 +1,15 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and `is_real`, the one
+test of a real-number argument.
 
 Runner exit codes: usage/argument -> 2, resource -> 3, numeric -> 4.
 """
+
+import numbers
+
+
+def is_real(x) -> bool:
+    """A real number that is not a bool (JSON's true is not a number)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class ArgumentError(ValueError):

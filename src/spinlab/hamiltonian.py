@@ -45,9 +45,9 @@ g (G + G^T).  `projected_top_eigvec` runs Lanczos on that formed matrix,
 one BLAS dsymv per matvec.  It is the module's one use of scipy (ARPACK
 and dsymv), imported on its first call, so a path that stays at or below
 the dense-Hessian cap never loads scipy.  The O(n)-memory Hessian-vector
-product `hessian_apply` is for p = 2 only: it reads G once for G.w and w.G
-(`_apply_pair`), refuses a nonzero p > 2 term with ResourceError, and
-serves `restricted_top_eigvec`.
+product `hessian_apply` is for p = 2 only: g (G.w + w.G) as two plain
+products, so it reads G twice.  It refuses a nonzero p > 2 term with
+ResourceError, and serves `restricted_top_eigvec`.
 
 `weighted_sum` forms sum_i w_i T_i (an ensemble leaf, a pair mix) in
 _SLAB-entry blocks.
@@ -91,7 +91,6 @@ DEFAULT_DENSE_HESSIAN_CAP = 512
 RADIUS_SQ_CAP = 2.0  # evaluation ball |x|_N <= sqrt(2)
 _RADIUS_TOL = 1e-9
 _SLAB = 2**16  # entries (512 KB) per slab of a one-read pass and per weighted_sum block
-_APPLY_ROWS = 128  # rows of G per block of the p = 2 Hessian-vector product
 
 _SNAPSHOT_MAGIC = b"SPGLASS1"
 _SNAPSHOT_VERSION = 1
@@ -406,22 +405,9 @@ def weighted_sum(terms: list) -> np.ndarray:
     return out.reshape(np.shape(terms[0][0]))
 
 
-def _apply_pair(tensor: np.ndarray, w: np.ndarray) -> tuple:
-    """(G.w, w.G) of a p = 2 tensor from one read of G, in blocks of
-    _APPLY_ROWS rows; one block (n <= _APPLY_ROWS) is the two plain matvecs."""
-    n = w.size
-    gw = np.empty(n)
-    wg = np.zeros(n)
-    for r0 in range(0, n, _APPLY_ROWS):
-        block = tensor[r0 : r0 + _APPLY_ROWS]
-        np.matmul(block, w, out=gw[r0 : r0 + _APPLY_ROWS])
-        wg += w[r0 : r0 + _APPLY_ROWS] @ block
-    return gw, wg
-
-
 def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
-    """Hessian-vector product of a p = 2 Hamiltonian, O(n) memory, available
-    at any n: each p = 2 term reads G once for G.w and w.G (`_apply_pair`).
+    """Hessian-vector product g (G.w + w.G) of a p = 2 Hamiltonian, O(n)
+    memory, available at any n: two plain products, so it reads G twice.
     A nonzero p > 2 term raises ResourceError; zero-weight terms are skipped."""
     x = _check_radius(h, x)
     w = _as_vector(h, w, "w")
@@ -432,9 +418,8 @@ def hessian_apply(h: Hamiltonian, x, w) -> np.ndarray:
             continue
         if p > 2:
             raise ResourceError(f"Hessian-vector product refused for the p={p} term: p = 2 only")
-        gw, wg = _apply_pair(h.tensors[2], w)
-        out += g * gw
-        out += g * wg
+        out += g * (h.tensors[2] @ w)
+        out += g * (w @ h.tensors[2])
     return out
 
 

@@ -4,11 +4,12 @@ the spherical functionals and the embedding's threshold profile share."""
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, is_real
 
 MAX_XI_ORDER = 4
 QUAD_ABS_TOL = 1e-10
@@ -20,31 +21,35 @@ _MAX_PANELS = 200
 class Mixture:
     """Even-p coefficient table gamma_p plus external field strength h.
 
-    gammas maps even p >= 2 to finite gamma_p >= 0 (finite support) with a
-    finite xi''(1); xi(x) = sum_p gamma_p^2 x^p.  All-zero gammas give a
-    field-only model.
+    gammas maps even p >= 2 (an int, or its plain decimal string: "4", not
+    "04") to a real gamma_p, finite and >= 0, not a bool, with a finite
+    xi''(1); xi(x) = sum_p gamma_p^2 x^p, its terms sorted by p.  h is a
+    real number, finite and >= 0.  All-zero gammas give a field-only model.
     """
 
     gammas: dict = field(default_factory=dict)
     h: float = 0.0
 
     def __post_init__(self):
-        if not self.gammas:
-            raise ArgumentError("mixture needs at least one gamma_p")
+        if not isinstance(self.gammas, dict) or not self.gammas:
+            raise ArgumentError(f"mixture gammas {self.gammas!r} must be a nonempty dict p -> gamma_p")
         clean = {}
-        for p, g in sorted(self.gammas.items()):
-            p = int(p)
+        for key, g in self.gammas.items():
+            p = _exponent(key)
+            if p in clean:
+                raise ArgumentError(f"mixture exponent p={p} is given twice")
             if p < 2 or p % 2 != 0:
                 raise ArgumentError(f"mixture exponent p={p} must be even and >= 2")
-            if not 0 <= g < math.inf:
-                raise ArgumentError(f"gamma_{p}={g} must be finite and nonnegative")
+            if not is_real(g) or not 0 <= g < math.inf:
+                raise ArgumentError(f"gamma_{p}={g!r} must be a finite nonnegative number")
             clean[p] = float(g)
+        clean = dict(sorted(clean.items()))
         # a finite gamma can still overflow xi; the thresholds use xi'' at 1
         if not math.isfinite(sum(g * g * p * (p - 1) for p, g in clean.items())):
             raise ArgumentError(f"xi''(1) of gammas {clean} overflows")
         # all-zero gammas are allowed so field-only models can be expressed
-        if not 0 <= self.h < math.inf:
-            raise ArgumentError(f"external field h={self.h} must be finite and nonnegative")
+        if not is_real(self.h) or not 0 <= self.h < math.inf:
+            raise ArgumentError(f"external field h={self.h!r} must be a finite nonnegative number")
         object.__setattr__(self, "gammas", clean)
         object.__setattr__(self, "h", float(self.h))
 
@@ -57,6 +62,15 @@ class Mixture:
 
     def __hash__(self):
         return hash((tuple(sorted(self.gammas.items())), self.h))
+
+
+def _exponent(key) -> int:
+    """p from a gammas key: an integer, or the plain decimal string of one."""
+    if isinstance(key, numbers.Integral) and not isinstance(key, bool):
+        return int(key)
+    if isinstance(key, str) and key.isascii() and key.isdigit() and key == str(int(key)):
+        return int(key)
+    raise ArgumentError(f"malformed mixture exponent {key!r}: want an integer p or its decimal string")
 
 
 def pure(p: int, gamma: float = 1.0, h: float = 0.0) -> Mixture:

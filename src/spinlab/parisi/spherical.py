@@ -1,5 +1,8 @@
-"""Spherical Parisi functional, the closed-form algorithmic threshold, and a
-numeric variational minimizer over nondecreasing slope profiles."""
+"""Spherical Parisi functional, the closed-form algorithmic threshold ALG,
+and `opt_sp_numeric`, the midpoint discretization of ALG over nondecreasing
+slope profiles, computed in closed form as the mean root of one isotonic fit
+(it computes ALG, not OPT; the ROADMAP's OPT item gives it an honest key
+later)."""
 
 import math
 
@@ -80,44 +83,24 @@ def alg_sp(m: Mixture):
 
 
 def opt_sp_numeric(m: Mixture, grid: int = 200) -> float:
-    """Minimize (h^2/B(0) + sum (xi''/B + B)/G) / 2 over positive nondecreasing
-    slope profiles B on a midpoint grid, by projected gradient descent with an
-    isotonic projection after each step, for at most 4000 steps and until an
-    accepted step improves by less than 1e-12.  Deterministic given the fixed
-    initialization B = sqrt(max(xi''(1), h^2 + xi'(1)))."""
+    """The midpoint discretization of ALG, in closed form: the minimum of
+    (h^2/b_0 + sum_i (a_i/b_i + b_i)/G) / 2 over nondecreasing b > 0, with
+    a_i = xi''(t_i) at t_i = (i + 1/2)/G.
+
+    Fold the field into the first point, a_0 += G h^2, and the objective is
+    sum_i (a_i/b_i + b_i) / (2G).  A block of points that shares one b is
+    least at b = sqrt(mean a) and adds |block| sqrt(mean a) / G there.  That
+    b increases with mean a, so pool-adjacent-violators pools two adjacent
+    blocks exactly when the squared-loss isotonic fit of a pools them: the
+    optimal b is the root of that fit, and the minimum is mean(sqrt(fit)).
+    The roots are summed by math.fsum, so pure p2 gives sqrt(2) to the last
+    bit and pure p4 gives sqrt(3); the zero model with h gives h, and 0 at
+    h = 0, the infimum as b -> 0."""
     if grid < 16:
         raise ArgumentError(f"grid={grid} must be >= 16")
-    ts = (np.arange(grid) + 0.5) / grid
-    xi2 = np.array([xi_eval(m, t, 2) for t in ts])
-    h2 = m.h**2
-    floor = 1e-8
-
-    def objective(bvec):
-        return 0.5 * (h2 / bvec[0] + np.sum(xi2 / bvec + bvec) / grid)
-
-    def grad(bvec):
-        g = 0.5 * (1.0 - xi2 / bvec**2) / grid
-        g[0] -= 0.5 * h2 / bvec[0] ** 2
-        return g
-
-    b = np.full(grid, math.sqrt(max(xi_eval(m, 1.0, 2), h2 + xi_eval(m, 1.0, 1))))
-    best = objective(b)
-    lr = 1.0
-    for _ in range(4000):
-        step = b - lr * grad(b)
-        step = np.maximum(isotonic_regression(step, increasing=True).x, floor)
-        val = objective(step)
-        if val < best - 1e-16:
-            improvement = best - val
-            b, best = step, val
-            lr = min(lr * 1.3, 1e3)
-            if improvement < 1e-12:
-                break
-        else:
-            lr *= 0.5
-            if lr < 1e-14:
-                break
-    return float(best)
+    a = xi_eval(m, (np.arange(grid) + 0.5) / grid, 2)
+    a[0] += grid * m.h**2
+    return math.fsum(np.sqrt(isotonic_regression(a).x)) / grid
 
 
 def theta(m: Mixture, q0: float, q: float) -> float:

@@ -99,6 +99,7 @@ DEFAULTS = {
 
 _NUMBER = {"type": "number"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
+_ARMS = {"type": "integer", "minimum": 1}
 
 FIELDS = {
     "subcommand": {"enum": list(DEFAULTS)},
@@ -134,12 +135,14 @@ FIELDS = {
     "grid": {**_NUMBERS, "minItems": 2, "maxItems": 2},
     "knots": {"type": "integer", "enum": [8 * 2**k for k in range(7)]},  # alg_is_levels doubles from 8
     "ising": {"type": "boolean"},
-    "tree": {
-        "type": ["object", "string"],
-        "properties": {
-            "star": {"type": "integer", "minimum": 1},
-            "binary": {"type": "integer", "minimum": 1},
-        },
+    "tree": {  # a tree file's path, or exactly one of three closed objects
+        "oneOf": [
+            {"type": "string"},
+            *(
+                {"type": "object", "additionalProperties": False, "properties": {key: sub}, "required": [key]}
+                for key, sub in (("star", _ARMS), ("binary", _ARMS), ("vertices", {"type": "array"}))
+            ),
+        ]
     },
     "restarts": {"type": "integer", "minimum": 1},
     "C": _NUMBER,
@@ -182,13 +185,11 @@ def parse_mixture(spec) -> Mixture:
             gammas[p] = gammas.get(p, 0.0) + coef
         return Mixture(gammas)
     try:
-        gammas = {int(p): float(g) for p, g in spec["gammas"].items()}
-        hfield = float(spec.get("h", 0.0))
-    except (AttributeError, KeyError, TypeError, ValueError):
+        return Mixture(spec["gammas"], h=spec.get("h", 0.0))
+    except (AttributeError, KeyError, TypeError, ArgumentError) as exc:
         raise ArgumentError(
-            f"bad mixture {spec!r} (want {{'gammas': {{p: number, ...}}, 'h': number}})"
+            f"bad mixture {spec!r}: {exc} (want {{'gammas': {{p: number, ...}}, 'h': number}})"
         ) from None
-    return Mixture(gammas, h=hfield)
 
 
 def _dump17(obj, indent=0):

@@ -12,14 +12,13 @@ embedding realizes R(i(u), i(v)) = |lca(u, v)| after the sqrt(N) scaling.
 import itertools
 import json
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .errors import ArgumentError, ResourceError
+from .errors import ArgumentError, ResourceError, is_real
 from .hamiltonian import Hamiltonian, energy
 from .mixture import root_xi2_integral
 from .optimizers import subag_step
@@ -48,7 +47,7 @@ class DatedRootedTree:
         heights = {}
         for v in self.parents:
             h = self.heights[v]
-            if isinstance(h, bool) or not isinstance(h, numbers.Real) or not math.isfinite(h):
+            if not is_real(h) or not math.isfinite(h):
                 raise ArgumentError(f"vertex {v!r} needs a finite numeric height, got {h!r}")
             heights[v] = float(h)
         self.heights = heights

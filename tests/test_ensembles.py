@@ -54,6 +54,14 @@ def test_ladder_invariants():
             CorrelationLadder((0.0, bad, 1.0))
         with pytest.raises(ArgumentError, match="finite"):
             OverlapLadder((0.0, bad, 1.0))
+    # a bool or a numeric string is not read as a number
+    for bad in (True, "0.5"):
+        with pytest.raises(ArgumentError, match="real numbers"):
+            CorrelationLadder((0.0, bad, 1.0))
+        with pytest.raises(ArgumentError, match="real numbers"):
+            OverlapLadder((0.0, bad, 1.0))
+    with pytest.raises(ArgumentError, match="real numbers"):
+        OverlapLadder(("0", 1.0))
 
 
 def _weight_gram(shape, ladder):
@@ -488,6 +496,14 @@ def test_manifest_with_a_root_entry_still_loads(tmp_path):
         (lambda m: m["nodes"][0].update(path=[[1]]), "malformed"),
         # json.load reads NaN; leaf_energy then gave 0.0 and leaf_hamiltonian NaN tensors
         (lambda m: m.update(pladder=[0.0, math.nan, 1.0]), "must be finite"),
+        # no cast: a bool, a string or a fraction is refused, not read as a number
+        (lambda m: m["mixture"].update(h=True), "external field"),
+        (lambda m: m["mixture"].update(gammas={"2": True, "4": 0.3}), "gamma_2"),
+        (lambda m: m["mixture"].update(gammas={"2": 0.9, "4": 0.3, "02": 0.5}), "malformed mixture exponent"),
+        (lambda m: m.update(ks=[2.7, 1]), "arm counts"),
+        (lambda m: m.update(ks=[True, 1]), "arm counts"),
+        (lambda m: m.update(pladder=["0", "0.3", "1"]), "real numbers"),
+        (lambda m: m.update(pladder=[0.0, True, 1.0]), "real numbers"),
     ],
 )
 def test_malformed_manifest_raises_argument_error(tmp_path, edit, match):

@@ -626,8 +626,8 @@ def test_hessian_assembly_is_symmetric_and_bit_equal_to_the_accumulating_oracle(
             assert np.array_equal(hess, hess.T)
 
 
-def test_p2_hessian_apply_in_row_blocks_matches_the_slot_loop():
-    n = 200  # above one 128-row block
+def test_p2_hessian_apply_at_n_200_matches_the_slot_loop():
+    n = 200
     h = sample_hamiltonian(Mixture({2: 0.8}, h=0.2), n, seed=72)
     gen = rng.stream(73, "form-vectors", n)
     for x in _plan_points(n, 74):

@@ -422,13 +422,28 @@ def test_thresholds_rejects_non_finite_mixtures(tmp_path):
         assert main(["run", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, mixture
 
 
-@pytest.mark.parametrize("gammas", [{"2": "abc"}, {"x": 1}, {"2": [1]}])
+# a bool or a numeric string is no gamma_p, and "02" is no plain decimal
+# (it would fold into p = 2 beside the "2" entry)
+@pytest.mark.parametrize(
+    "gammas",
+    [{"2": "abc"}, {"x": 1}, {"2": [1]}, {"2": True}, {"2": "0.5"}, {"2": 1, "02": 0.5}],
+)
 def test_thresholds_rejects_ill_typed_gammas(tmp_path, gammas):
     with pytest.raises(ArgumentError, match="bad mixture"):
         parse_mixture({"gammas": gammas})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"subcommand": "thresholds", "mixture": {"gammas": gammas}}))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_mixture_sorts_its_terms_and_refuses_bools_and_repeated_exponents():
+    assert Mixture({"10": 1, "2": 1}).ps == (2, 10)
+    assert Mixture({"10": 1, "2": 1}) == Mixture({2: 1.0, 10: 1.0})
+    for gammas, h in (({2: True}, 0.0), ({2: 1.0}, True), ({2: 1.0}, "0.5"), ({True: 1.0}, 0.0)):
+        with pytest.raises(ArgumentError):
+            Mixture(gammas, h=h)
+    with pytest.raises(ArgumentError, match="given twice"):
+        Mixture({2: 1.0, "2": 0.5})
 
 
 def test_thresholds_rejects_a_gamma_whose_xi_overflows(tmp_path):
@@ -538,6 +553,10 @@ def test_embed_rejects_malformed_tree(tmp_path):
         {"binary": "x"},
         {"star": 0},
         {"vertices": [{"id": "r", "parent": None, "height": 0.0}, {"id": "a", "parent": ["r"], "height": 1.0}]},
+        # exactly one tree form, and nothing beside it
+        {"star": 2, "extra": 1},
+        {"star": 3, "binary": 2},
+        {"vertices": [{"id": "r", "parent": None, "height": 0.0}], "star": 2},
     ]
     for i, tree in enumerate(trees):
         cfg.write_text(json.dumps({"subcommand": "embed", "mixture": "p2", "n": 16, "tree": tree}))
