@@ -41,13 +41,14 @@ it would double the tensor memory.
 The entry budget of `check_budget`, 2^27 per tensor, admits p = 4 up to
 n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap of 512.  So
 above the cap only p = 2 fits, and its Hessian is the constant matrix
-g (G + G^T).  `projected_top_eigvec` runs Lanczos on that formed matrix,
-one BLAS dsymv per matvec.  It is the module's one use of scipy (ARPACK
-and dsymv), imported on its first call, so a path that stays at or below
-the dense-Hessian cap never loads scipy.  The O(n)-memory Hessian-vector
-product `hessian_apply` is for p = 2 only: g (G.w + w.G) as two plain
-products, so it reads G twice.  It refuses a nonzero p > 2 term with
-ResourceError, and serves `restricted_top_eigvec`.
+g (G + G^T).  `projected_top_eigvec` is the one projected eigensolve, and
+it alone picks the method: dense eigh up to the cap, and above it Lanczos
+on the formed matrix, one BLAS dsymv per matvec.  Lanczos is the module's
+one use of scipy (ARPACK and dsymv), imported on its first call, so a path
+that stays at or below the dense-Hessian cap never loads scipy.  The
+O(n)-memory Hessian-vector product `hessian_apply` is for p = 2 only:
+g (G.w + w.G) as two plain products, so it reads G twice.  It refuses a
+nonzero p > 2 term with ResourceError, and serves `restricted_top_eigvec`.
 
 `weighted_sum` forms sum_i w_i T_i (an ensemble leaf, a pair mix) in
 _SLAB-entry blocks.
@@ -113,11 +114,6 @@ class Hamiltonian:
             t = self.tensors[p]
             if t.shape != (self.n,) * p:
                 raise ArgumentError(f"tensor for p={p} has shape {t.shape}, want {(self.n,) * p}")
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Disorder vector g(H): tensors concatenated in ascending-p order."""
-        return np.concatenate([self.tensors[p].ravel() for p in self.mixture.ps])
 
     def with_tensors(self, tensors: dict, label: str = "") -> "Hamiltonian":
         return Hamiltonian(self.mixture, self.n, tensors, seed=None, label=label)
@@ -441,7 +437,7 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis):
     images = np.stack([hessian_apply(h, x, b) for b in basis])
     small = basis @ images.T
     small = 0.5 * (small + small.T)
-    vecs, vals = top_eigenpairs(small, np.empty((0, k)))
+    vecs, vals = projected_top_eigvec(small)
     lam, coef = float(vals[0]), vecs[0]
     vec = coef @ basis
     vec /= np.linalg.norm(vec)
@@ -451,61 +447,57 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis):
     return vec, lam
 
 
-def top_eigenpairs(matrix: np.ndarray, ortho: np.ndarray, k: int = 1) -> tuple:
-    """Top-k eigenpairs of the symmetric part of P M P, P = I - ortho.T ortho
-    projecting out the orthonormal rows `ortho` (none: P = I), by dense eigh.
-    Returns (vectors (k, n), eigenvalues (k,)) in descending order."""
-    if ortho.size:
-        pmat = np.eye(len(matrix)) - ortho.T @ ortho
-        matrix = pmat @ matrix @ pmat
-    vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    order = np.argsort(vals)[::-1][:k]
-    return vecs[:, order].T.copy(), vals[order]
-
-
 def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0, start=None):
     """Top-k l2-unit eigenpairs of P M P for an exactly symmetric n x n M
-    (a Hessian from `derivatives`), P projecting out span(orth), by Lanczos;
-    `subag_step` takes the dense `top_eigenpairs` instead up to the
-    dense-Hessian cap.  Returns (vectors (k, n), eigenvalues (k,)) in
+    (a Hessian from `derivatives`), P projecting out span(orth): the one
+    projected eigensolve.  Returns (vectors (k, n), eigenvalues (k,)) in
     descending order.
 
-    Each matvec is one BLAS dsymv on the F-contiguous view M.T, which equals
-    M and of which dsymv reads one triangle.
+    Up to DEFAULT_DENSE_HESSIAN_CAP it is dense: eigh of the symmetric part
+    of P M P, with P formed (none when orth spans nothing); `seed` and
+    `start` go unused.  Above the cap it is Lanczos, each matvec one BLAS
+    dsymv on the F-contiguous view M.T, which equals M and of which dsymv
+    reads one triangle.
 
     Warm start: with k = 1, Lanczos starts from P start (a step chain passes
     its previous direction) unless that projection has norm <= 1e-8 |start|;
     otherwise, and always for k > 1 (one start vector in a small invariant
     subspace cannot yield k eigenpairs), it starts from the seeded vector.
     """
-    from scipy.linalg.blas import dsymv
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     n = len(matrix)
     ortho = orthonormal_rows(orth, n)
-    upper = matrix.T
-
-    def proj(v):
+    if n <= DEFAULT_DENSE_HESSIAN_CAP:
         if ortho.size:
-            v = v - ortho.T @ (ortho @ v)
-        return v
+            pmat = np.eye(n) - ortho.T @ ortho
+            matrix = pmat @ matrix @ pmat
+        vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    else:
+        from scipy.linalg.blas import dsymv
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    op = LinearOperator(
-        (n, n), matvec=lambda w: proj(dsymv(1.0, upper, proj(np.asarray(w).ravel()))), dtype=float
-    )
-    v0 = None
-    if k == 1 and start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (n,):
-            raise ArgumentError(f"start has shape {start.shape}, want ({n},)")
-        v0 = proj(start)
-    if v0 is None or np.linalg.norm(v0) <= 1e-8 * np.linalg.norm(start):
-        v0 = rng.stream(seed, "proj-eig", n).standard_normal(n)
-    try:
-        vals, vecs = eigsh(op, k=k, which="LA", v0=v0)
-    except ArpackError as exc:  # pragma: no cover
-        raise NumericError(f"projected eigensolve did not converge: {exc}") from exc
-    order = np.argsort(vals)[::-1]
+        upper = matrix.T
+
+        def proj(v):
+            if ortho.size:
+                v = v - ortho.T @ (ortho @ v)
+            return v
+
+        op = LinearOperator(
+            (n, n), matvec=lambda w: proj(dsymv(1.0, upper, proj(np.asarray(w).ravel()))), dtype=float
+        )
+        v0 = None
+        if k == 1 and start is not None:
+            start = np.asarray(start, dtype=float)
+            if start.shape != (n,):
+                raise ArgumentError(f"start has shape {start.shape}, want ({n},)")
+            v0 = proj(start)
+        if v0 is None or np.linalg.norm(v0) <= 1e-8 * np.linalg.norm(start):
+            v0 = rng.stream(seed, "proj-eig", n).standard_normal(n)
+        try:
+            vals, vecs = eigsh(op, k=k, which="LA", v0=v0)
+        except ArpackError as exc:  # pragma: no cover
+            raise NumericError(f"projected eigensolve did not converge: {exc}") from exc
+    order = np.argsort(vals)[::-1][:k]
     return vecs[:, order].T.copy(), vals[order]
 
 

@@ -15,7 +15,9 @@ so `final` lies in B_N.
 Hessian projected off the current constraints, signed along the gradient.
 Subag ascent takes it off x alone; the greedy energy embedding
 (`ultrametric.embed_energy_greedy`) takes it off x and every embedded
-vertex.
+vertex.  It, the Ising extension's walk and
+`hamiltonian.restricted_top_eigvec` reach an eigensolve only through
+`hamiltonian.projected_top_eigvec`, which alone picks dense eigh or Lanczos.
 
 All optimizers ascend the energy (thresholds are maxima).
 """
@@ -32,7 +34,6 @@ from . import rng
 from .ensembles import CorrelatedEnsemble, underline_depth
 from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import (
-    DEFAULT_DENSE_HESSIAN_CAP,
     Hamiltonian,
     derivatives,
     energy,
@@ -41,7 +42,6 @@ from .hamiltonian import (
     pool_map,
     projected_top_eigvec,
     sample_hamiltonian,
-    top_eigenpairs,
 )
 from .mixture import Mixture, xi_eval
 from .points import (
@@ -248,21 +248,16 @@ def subag_step(
     normalized and signed along the gradient by `sign_toward`; ResourceError
     if it lies in the span.
 
-    Every step makes one order-2 derivatives call; only the eigensolver
-    depends on n.  Up to the dense-Hessian cap it is the dense
-    `top_eigenpairs`; above it, Lanczos on the same matrix
-    (`projected_top_eigvec`, warm-started from `start`, the previous
-    direction).  Above the cap only p = 2 fits the entry budget, so the
-    Hessian is g(G + G^T), formed per step and not cached: the step holds
-    n^2 more floats, as many as G (1.07 GB at the largest admissible
-    n = 11585)."""
+    Every step makes one order-2 derivatives call and one
+    `projected_top_eigvec` solve, which alone picks dense eigh or Lanczos by
+    n; Lanczos is warm-started from `start`, the previous direction.  Above
+    the dense-Hessian cap only p = 2 fits the entry budget, so the Hessian
+    is g(G + G^T), formed per step and not cached: the step holds n^2 more
+    floats, as many as G (1.07 GB at the largest admissible n = 11585)."""
     orth = [x, *others]
     k = 1 if mode == "top_eig" else max(math.floor(delta * h.n), 1)
     e, grad, hess = derivatives(h, x, 2)
-    if h.n <= DEFAULT_DENSE_HESSIAN_CAP:
-        vecs, _vals = top_eigenpairs(hess, orthonormal_rows(orth, h.n), k)
-    else:
-        vecs, _vals = projected_top_eigvec(hess, orth, k=k, seed=step_seed, start=start)
+    vecs, _vals = projected_top_eigvec(hess, orth, k=k, seed=step_seed, start=start)
     if mode == "top_eig":
         v = vecs[0]
     else:  # signing each eigenvector frees the draw from the eigensolver's sign convention
@@ -359,8 +354,9 @@ def extend_to_sphere(
     Every increment is orthogonal to all contemporaneous iterates, so cross
     overlaps are frozen and within-tree overlaps hit q_{lca depth} exactly
     (spherical mode).  Ising mode walks along nonnegative-curvature Hessian
-    directions among non-saturated coordinates when available (random
-    coordinate directions otherwise, counted as fallbacks), stops at
+    directions among non-saturated coordinates when available, at every n
+    (one `projected_top_eigvec` solve per step; random coordinate
+    directions otherwise, counted as fallbacks), stops at
     1 - min(eta / 2, 0.05), then rounds coordinates independently with the
     mean preserved; only this gap reads eta, so spherical mode ignores it.
     The geometry is sequential; the per-leaf energy changes then run on
@@ -404,11 +400,8 @@ def extend_to_sphere(
             if free.size < 2:
                 break
             span = [x] + constraints_for(node)
-            if n <= DEFAULT_DENSE_HESSIAN_CAP:
-                _e, grad, hess = derivatives(leaf_h, x, 2)
-                v = _ising_direction(hess, free, span)
-            else:
-                grad, v = gradient(leaf_h, x), None
+            _e, grad, hess = derivatives(leaf_h, x, 2)
+            v = _ising_direction(hess, free, span)
             if v is None:
                 v = _fallback_coordinate(free, span, gen, n)
                 fallbacks += 1
@@ -468,16 +461,18 @@ def round_to_corners(points: dict, seed: int) -> dict:
 def _ising_direction(hess, free, span):
     """Top eigenvector of P_S Hess P_S restricted to the orthocomplement of
     span, with S the free coordinates; None if the top eigenvalue is negative
-    (the curvature certificate fails at this finite N)."""
-    n = len(hess)
-    mask = np.zeros(n)
+    (the curvature certificate fails at this finite N).  Masks hess in
+    place: its entries are multiplied by 0 or 1, which is exact, and no
+    n x n temporary is made."""
+    mask = np.zeros(len(hess))
     mask[free] = 1.0
-    hs = hess * np.outer(mask, mask)
-    rows = orthonormal_rows([w * mask for w in span], n)
-    vecs, vals = top_eigenpairs(hs, rows)
+    hess *= mask
+    hess *= mask[:, None]
+    masked = [w * mask for w in span]
+    vecs, vals = projected_top_eigvec(hess, masked)
     if vals[0] < 0.0:
         return None
-    return orthogonal_unit(vecs[0] * mask, rows)
+    return orthogonal_unit(vecs[0] * mask, orthonormal_rows(masked, len(hess)))
 
 
 def _fallback_coordinate(free, span, gen, n):

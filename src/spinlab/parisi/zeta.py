@@ -71,10 +71,6 @@ class PiecewiseZeta:
         cuts = sorted(owner)
         return PiecewiseZeta(cuts, [owner[c](c) for c in cuts])
 
-    @property
-    def is_monotone(self) -> bool:
-        return all(a <= b for a, b in zip(self.values, self.values[1:]))
-
     def __call__(self, t: float) -> float:
         if not (0.0 <= t < 1.0):
             raise ArgumentError(f"t={t} outside [0, 1)")

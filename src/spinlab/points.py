@@ -46,7 +46,7 @@ def sphere_point(v) -> np.ndarray:
     return v * (np.sqrt(v.size) / nrm)
 
 
-def project_ball(x, r: float = 1.0) -> np.ndarray:
+def project_ball(x, r: float) -> np.ndarray:
     """Euclidean projection onto rB_N."""
     x = np.asarray(x, dtype=float)
     nn = norm_n(x)

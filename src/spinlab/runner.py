@@ -7,9 +7,12 @@ where the handler decides; `FIELDS` gives each key's JSON schema, and
 `ALGORITHMS` each `alg` name's parameter defaults, whose types are the
 parameters' types.  Any other key or parameter exits 2.  `run` lays the
 config over its row once; a handler returns its results and CSV artifacts,
-and `run` alone writes run.json, echoing the config as given.  Re-running a
-config byte-reproduces every numeric payload; timings and timestamps (among
-them selftest's per-criterion seconds) live only under the "meta" key.  A
+and `run` alone writes run.json through `json.dumps`, echoing the config as
+given; its floats are Python's shortest round-trip form, so an integral
+float reads back as a float.  A mixture string has one grammar
+(`parse_mixture`), and a malformed one exits 2.  Re-running a config
+byte-reproduces every numeric payload; timings and timestamps (among them
+selftest's per-criterion seconds) live only under the "meta" key.  A
 selftest criterion name that matches no criterion exits 2 before any
 criterion runs.  A run that raises removes the output directories it made,
 so a refused run leaves none.  The thresholds, sandwich and pde handlers,
@@ -22,6 +25,7 @@ import json
 import math
 import numbers
 import os
+import re
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -47,7 +51,7 @@ from .hamiltonian import (
     sample_hamiltonian,
     tensor_entries,
 )
-from .mixture import Mixture
+from .mixture import Mixture, _exponent
 from .ogp import (
     check_chi_grid,
     check_chi_properties,
@@ -59,6 +63,7 @@ from .ogp import (
 from .optimizers import (
     AmpSpec,
     Trajectory,
+    _end_in_ball,
     amp,
     export_trajectory_csv,
     gradient_ascent,
@@ -77,6 +82,7 @@ from .ultrametric import (
 )
 
 _GRADIENT_ASCENT = {"name": "gradient_ascent"}
+_DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")  # a mixture coefficient
 _LADDERS = {"ks": [2, 2], "qladder": [0.0, 0.5, 1.0], "pladder": None, "chi": "identity"}
 
 DEFAULTS = {
@@ -167,22 +173,22 @@ class RunResult:
 
 
 def parse_mixture(spec) -> Mixture:
-    """"p4" -> pure quartic; "p2+p4" sums; dict {"gammas": {...}, "h": ...}."""
+    """"p4" -> pure quartic; "0.5*p2+p4" sums distinct terms, each p<int> or
+    <decimal>*p<int> in ASCII: p as `mixture._exponent` reads a key ("p4",
+    not "p04"), the coefficient digits with at most one point and an
+    optional exponent ("0.5", "1e0"); dict {"gammas": {...}, "h": ...}."""
     if isinstance(spec, Mixture):
         return spec
     if isinstance(spec, str):
         gammas = {}
         for term in spec.split("+"):
             coef, star, name = term.strip().rpartition("*")
-            try:
-                if not name.startswith("p"):
-                    raise ValueError(name)
-                p, coef = int(name[1:]), float(coef) if star else 1.0
-            except ValueError:
-                raise ArgumentError(
-                    f"bad mixture term {term!r} (want e.g. 'p4' or '0.5*p2')"
-                ) from None
-            gammas[p] = gammas.get(p, 0.0) + coef
+            if not name.startswith("p") or (star and not _DECIMAL.fullmatch(coef)):
+                raise ArgumentError(f"bad mixture term {term!r} (want e.g. 'p4' or '0.5*p2')")
+            p = _exponent(name[1:])
+            if p in gammas:
+                raise ArgumentError(f"mixture exponent p={p} is given twice in {spec!r}")
+            gammas[p] = float(coef) if star else 1.0
         return Mixture(gammas)
     try:
         return Mixture(spec["gammas"], h=spec.get("h", 0.0))
@@ -192,42 +198,19 @@ def parse_mixture(spec) -> Mixture:
         ) from None
 
 
-def _dump17(obj, indent=0):
-    """JSON text with floats at 17 significant digits (bit-faithful); a
-    non-finite float raises NumericError, as JSON cannot hold it."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {_dump17(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_dump17(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (np.floating, float)):
-        if not math.isfinite(obj):
-            raise NumericError(f"non-finite value {float(obj)} has no JSON form")
-        return format(float(obj), ".17g")
-    if isinstance(obj, (np.integer, int)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
-
 def write_run_json(path, config, results, meta=None):
+    """run.json: floats in Python's shortest round-trip form (bit-faithful,
+    and an integral float keeps its point), numpy scalars as their Python
+    values; a non-finite float raises NumericError, as JSON cannot hold it."""
     payload = {
         "config": config,
         "results": results,
         "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), **(meta or {})},
     }
-    text = _dump17(payload)  # before the file opens, so a refused payload leaves none
+    try:  # before the file opens, so a refused payload leaves none
+        text = json.dumps(payload, indent=2, allow_nan=False, default=lambda v: v.item())
+    except ValueError as exc:
+        raise NumericError(f"non-finite value has no JSON form ({exc})") from None
     with open(path, "w") as f:
         f.write(text + "\n")
 
@@ -258,11 +241,15 @@ def _constant(value):
 
 
 def _one_point(name, point):
-    """One-iterate trajectory; its energy is taken on B_N, as AMP records it."""
+    """One-point trajectory; its energy is taken on B_N, as AMP records it,
+    and it ends through `_end_in_ball`, so a point outside B_N is followed
+    by its projection and `final` lies in B_N."""
 
     def alg(h, seed):
-        x = point(h)
-        return Trajectory([x], [energy(h, project_ball(x, 1.0))], name, seed=seed)
+        iterates = [point(h)]
+        energies = [energy(h, project_ball(iterates[0], 1.0))]
+        _end_in_ball(h, iterates, energies)
+        return Trajectory(iterates, energies, name, seed=seed)
 
     return alg
 
@@ -282,7 +269,7 @@ ALGORITHMS = {
     "constant": ({"value": 0.5}, _constant),
     "coef_linear": (
         {"scale": 0.8},
-        # the first n entries of h.coefficients, read without concatenating every tensor
+        # the first n disorder entries, read from the lowest-p tensor without concatenating every tensor
         lambda scale: _one_point("coef_linear", lambda h: scale * h.tensors[h.mixture.ps[0]].ravel()[: h.n]),
     ),
 }

@@ -31,6 +31,11 @@ def fake_cpus(monkeypatch):
     return use
 
 
+def coefficients(h):
+    """Disorder vector g(H): the tensors concatenated in ascending-p order."""
+    return np.concatenate([h.tensors[p].ravel() for p in h.mixture.ps])
+
+
 def finite_difference_gradient(f, x, step=1e-6):
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)

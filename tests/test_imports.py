@@ -79,11 +79,12 @@ def test_a_parisi_name_loads_the_pde_engine_on_first_access():
 def test_projected_top_eigvec_runs_in_a_fresh_process():
     body = (
         "import numpy as np\n"
-        "from spinlab.hamiltonian import projected_top_eigvec\n"
-        "g = np.random.default_rng(0).standard_normal((40, 40)); m = g + g.T\n"
+        "from spinlab.hamiltonian import DEFAULT_DENSE_HESSIAN_CAP, projected_top_eigvec\n"
+        "n = DEFAULT_DENSE_HESSIAN_CAP + 8  # above the cap, so the solve is Lanczos\n"
+        "g = np.random.default_rng(0).standard_normal((n, n)); m = g + g.T\n"
         "vecs, vals = projected_top_eigvec(m, k=2)\n"
         "want = np.linalg.eigvalsh(m)[::-1][:2]\n"
-        "assert vecs.shape == (2, 40) and np.allclose(vals, want, rtol=1e-10, atol=0), (vals, want)"
+        "assert vecs.shape == (2, n) and np.allclose(vals, want, rtol=1e-10, atol=0), (vals, want)"
     )
     code, loaded = _loaded_modules(body, ("scipy.sparse.linalg",))
     assert code == 0 and "scipy.sparse.linalg" in loaded

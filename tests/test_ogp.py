@@ -25,6 +25,8 @@ from spinlab.ogp import (
 from spinlab.optimizers import gradient_ascent
 from spinlab.points import sphere_point
 
+from conftest import coefficients
+
 M2 = pure(2)
 
 
@@ -33,7 +35,7 @@ def const_alg(value):
 
 
 def linear_alg(h, seed):
-    return 0.8 * h.coefficients[: h.n]
+    return 0.8 * coefficients(h)[: h.n]
 
 
 def ga_alg(h, seed):

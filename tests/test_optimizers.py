@@ -22,7 +22,6 @@ from spinlab.hamiltonian import (
     hessian_apply,
     projected_top_eigvec,
     sample_hamiltonian,
-    top_eigenpairs,
 )
 from spinlab.mixture import Mixture, pure, xi_eval
 from spinlab.optimizers import (
@@ -47,6 +46,8 @@ from spinlab.points import (
     sign_toward,
     sphere_point,
 )
+
+from conftest import coefficients
 
 
 def test_gradient_ascent_field_only():
@@ -278,7 +279,7 @@ def test_subag_step_dense_and_lanczos_paths_agree(monkeypatch, mode, delta):
     orders = _record_orders(monkeypatch)
     e_lanczos, v_lanczos = subag_step(h, x, mode, delta, 8)
     assert orders == [2]
-    monkeypatch.setattr(optimizers, "DEFAULT_DENSE_HESSIAN_CAP", LANCZOS_N)
+    monkeypatch.setattr(hamiltonian, "DEFAULT_DENSE_HESSIAN_CAP", LANCZOS_N)
     e_dense, v_dense = subag_step(h, x, mode, delta, 8)
     assert orders == [2, 2]
     assert e_dense == e_lanczos
@@ -534,6 +535,42 @@ def test_ising_rounding_mean_consistency():
     assert abs(draws.mean() - r_pre) <= 3 * se
 
 
+def test_ising_walk_takes_hessian_directions_above_the_dense_cap(monkeypatch):
+    """With the dense-Hessian cap patched below n, every Ising step solves
+    by Lanczos and the walk still takes Hessian directions: fewer fallbacks
+    than steps, and pre-rounding points within 1e-8 of the dense run's."""
+    n = 48
+    ens = sample_ensemble(pure(2), n, TreeShape((2,)), CorrelationLadder((0.0, 1.0)), seed=11)
+    gen = rng.stream(75)
+    partial = {(u,): np.clip(gen.standard_normal(n) * 0.4, -1.0, 1.0) for u in (1, 2)}
+    calls = {"steps": 0, "lanczos": 0}
+    direction, eigsh = optimizers._ising_direction, scipy.sparse.linalg.eigsh
+
+    def counted_direction(*args):
+        calls["steps"] += 1
+        return direction(*args)
+
+    def counted_eigsh(*args, **kwargs):
+        calls["lanczos"] += 1
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "_ising_direction", counted_direction)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
+
+    def extend():
+        return extend_to_sphere(ens, partial, OverlapLadder((0.0, 1.0)), eta=0.2, seed=5, mode="ising")
+
+    dense = extend()
+    assert calls["lanczos"] == 0
+    monkeypatch.setattr(hamiltonian, "DEFAULT_DENSE_HESSIAN_CAP", n - 1)
+    calls["steps"] = 0
+    lanczos = extend()
+    assert calls["lanczos"] == calls["steps"] > 0
+    assert lanczos.fallbacks < calls["steps"]
+    for u, x in dense.pre_rounding.items():
+        assert np.max(np.abs(lanczos.pre_rounding[u] - x)) <= 1e-8
+
+
 def test_lipschitz_probe_constant_and_isometric():
     m = pure(2)
 
@@ -544,7 +581,7 @@ def test_lipschitz_probe_constant_and_isometric():
     assert mx == 0.0
 
     def coefficients_alg(h, seed):
-        return h.coefficients
+        return coefficients(h)
 
     mx, mean, _ = lipschitz_probe(coefficients_alg, m, 16, eps=1e-2, reps=5, seed=0)
     assert mx == pytest.approx(1.0, abs=1e-9)
@@ -594,6 +631,17 @@ def test_opt_form_conformance_gradient_ascent():
     assert all(np.array_equal(a, b) for a, b in zip(direct.iterates, generic))
 
 
+def dense_top_eigvec(matrix, x):
+    """Oracle: the top eigenvector of the symmetric part of P M P by eigh,
+    P = I - u u^T projecting out x's unit vector u (none at x = 0)."""
+    rows = orthonormal_rows([x], len(x))
+    if rows.size:
+        pmat = np.eye(len(x)) - rows.T @ rows
+        matrix = pmat @ matrix @ pmat
+    vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    return vecs[:, np.argsort(vals)[-1]]
+
+
 def test_opt_form_conformance_subag():
     h = sample_hamiltonian(pure(2), 24, seed=10)
     delta, seed = 0.25, 3
@@ -603,8 +651,8 @@ def test_opt_form_conformance_subag():
 
     def f(xs, derivs):
         x = xs[-1]
-        vecs, _vals = top_eigenpairs(derivs[-1]["hessian"], orthonormal_rows([x], 24))
-        return x + scale * sign_toward(orthogonal_unit(vecs[0], [x]), derivs[-1]["grad"])
+        v = dense_top_eigvec(derivs[-1]["hessian"], x)
+        return x + scale * sign_toward(orthogonal_unit(v, [x]), derivs[-1]["grad"])
 
     generic = oracle_run_iterative(h, [f] * 4, [np.zeros(24)], k_order=2)
     assert all(np.array_equal(a, b) for a, b in zip(direct.iterates, generic[1:]))

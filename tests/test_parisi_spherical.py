@@ -21,8 +21,6 @@ def test_piecewise_zeta_basics():
     z = PiecewiseZeta((0.0, 0.5), (0.2, 0.7))
     assert z(0.0) == 0.2 and z(0.49) == 0.2 and z(0.5) == 0.7
     assert z.left_limit(0.5) == 0.2
-    assert z.is_monotone
-    assert not PiecewiseZeta((0.0, 0.5), (0.7, 0.2)).is_monotone
     with pytest.raises(ArgumentError):
         PiecewiseZeta((0.1,), (1.0,))
     with pytest.raises(ArgumentError):

@@ -15,6 +15,8 @@ from spinlab.points import norm_n_sq, project_ball
 from spinlab.runner import build_algorithm, parse_mixture, point_algorithm, run, validate_config
 from spinlab.__main__ import main
 
+from conftest import coefficients
+
 
 def test_parse_mixture():
     m = parse_mixture("p4")
@@ -26,6 +28,19 @@ def test_parse_mixture():
     for bad in ("q4", "x4", "p", "p4.5", "a*p2", "0.5*0.5*p2", "p2+"):
         with pytest.raises(ArgumentError):
             parse_mixture(bad)
+    assert parse_mixture("1e0*p4").gammas == {4: 1.0}
+    assert parse_mixture(" p2 + p4 ").gammas == {2: 1.0, 4: 1.0}
+
+
+@pytest.mark.parametrize("bad", ["p1_0", "p\u0664", "p 4", "p04", "1_0*p2", "\u0660.\u0665*p2", "p2+0.5*p2"])
+def test_malformed_mixture_strings_exit_2(tmp_path, bad):
+    """Python numeric literals (underscores, non-ASCII digits, spaces, leading
+    zeros) and a repeated p are refused by --mixture and --set alike."""
+    with pytest.raises(ArgumentError):
+        parse_mixture(bad)
+    assert main(["thresholds", "--mixture", bad, "--out", str(tmp_path / "a")]) == 2
+    assert main(["thresholds", "--set", f"mixture={bad}", "--out", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 # a value each key's field takes: its first non-null default over the rows
@@ -222,10 +237,29 @@ def test_every_subcommand_takes_every_algorithm(tmp_path):
 
 def test_coef_linear_reads_the_first_n_disorder_coefficients():
     """coef_linear reads the lowest-p tensor in place of concatenating every
-    tensor into h.coefficients: the same n entries, bit for bit."""
+    tensor into the disorder vector: the same n entries, bit for bit."""
     h = sample_hamiltonian(Mixture({4: 0.8, 2: 0.6}), 5, seed=3)
-    got = build_algorithm({"name": "coef_linear"})(h, 0).final
-    assert np.array_equal(got, 0.8 * h.coefficients[: h.n])
+    got = build_algorithm({"name": "coef_linear"})(h, 0).iterates[0]
+    assert np.array_equal(got, 0.8 * coefficients(h)[: h.n])
+
+
+def test_one_point_algorithms_end_in_the_unit_ball():
+    """coef_linear's point lies outside B_N on some seeds at n = 16; its
+    projection follows it, so `final` is the point last scored."""
+    coef_linear = build_algorithm({"name": "coef_linear"})
+    outside = 0
+    for seed in range(200):
+        h = sample_hamiltonian(pure(2), 16, seed)
+        traj = coef_linear(h, seed)
+        raw = traj.iterates[0]
+        outside += norm_n_sq(raw) > 1.0
+        assert len(traj.iterates) == 1 + (norm_n_sq(raw) > 1.0)
+        assert np.array_equal(traj.final, project_ball(raw, 1.0))
+        assert traj.energies[-1] == traj.energies[0] == energy(h, traj.final)
+    assert outside > 0
+    h = sample_hamiltonian(pure(2), 16, 0)
+    traj = build_algorithm({"name": "constant", "value": -1.0})(h, 0)
+    assert len(traj.iterates) == 1 and np.array_equal(traj.final, np.full(16, -1.0))
 
 
 def test_amp_default_horizon_stays_in_the_evaluation_ball(tmp_path):
@@ -740,10 +774,27 @@ def test_selftest_subset(tmp_path):
     assert all(c["passed"] for c in res.payload["criteria"])
 
 
-def test_run_json_writes_numpy_booleans_as_json_booleans():
-    assert runner._dump17(np.bool_(False)) == "false"
-    assert runner._dump17(np.bool_(True)) == "true"
-    assert json.loads(runner._dump17({"a": np.bool_(False), "b": [np.True_, False]})) == {"a": False, "b": [True, False]}
+def test_run_json_writes_numpy_booleans_as_json_booleans(tmp_path):
+    path = tmp_path / "run.json"
+    runner.write_run_json(path, {}, {"a": np.bool_(False), "b": [np.True_, False]})
+    text = path.read_text()
+    assert '"a": false' in text
+    assert "true" in text
+    assert json.loads(text)["results"] == {"a": False, "b": [True, False]}
+
+
+def test_run_json_keeps_integral_floats_floats(tmp_path):
+    """An integral float is written with its point, so it reads back as a
+    float; numpy scalars are written as their Python values."""
+    path = tmp_path / "run.json"
+    values = {"zero": 0.0, "two": np.float64(2.0), "half": np.float32(0.5), "count": np.int64(3)}
+    runner.write_run_json(path, {}, values)
+    back = json.loads(path.read_text())["results"]
+    assert back == {"zero": 0.0, "two": 2.0, "half": 0.5, "count": 3}
+    assert [type(back[k]) for k in values] == [float, float, float, int]
+    assert main(["thresholds", "--mixture", "p4", "--out", str(tmp_path / "t")]) == 0
+    q_hat = json.loads((tmp_path / "t" / "run.json").read_text())["results"]["alg_sp"]["q_hat"]
+    assert type(q_hat) is float
 
 
 def test_selftest_writes_numpy_booleans_as_json_booleans(tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """Every public name in spinlab, and every private module-level one, is
 reached by code outside the tests.
 
-A public top-level def or class of a `src/spinlab` module, and every name a
-package `__init__` re-exports, must be referenced (as a name or an attribute)
+A public top-level def or class of a `src/spinlab` module, every public
+method and property of a top-level class there, and every name a package
+`__init__` re-exports, must be referenced (as a name or an attribute)
 by a non-`__init__` module under `src/`, by a demo, or by the benchmark
 (`perfbench/` outside its own tests). So must every module-level def, class
 and assigned constant whose name begins with one underscore: a helper or a
@@ -27,7 +28,8 @@ def _parse(path):
 
 
 def public_names() -> dict:
-    """name -> the module that defines or re-exports it."""
+    """name -> the module that defines or re-exports it; a method or
+    property as Class.name."""
     out = {}
     for path in sorted(SRC.rglob("*.py")):
         rel = str(path.relative_to(ROOT))
@@ -38,6 +40,10 @@ def public_names() -> dict:
                         out.setdefault(alias.asname or alias.name, rel)
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 out.setdefault(node.name, rel)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        out.setdefault(f"{node.name}.{item.name}", rel)
     return out
 
 
@@ -61,7 +67,9 @@ def referenced_names() -> set:
 
 def test_every_public_name_is_reached_outside_the_tests():
     seen = referenced_names()
-    unused = {name: where for name, where in public_names().items() if name not in seen}
+    unused = {
+        name: where for name, where in public_names().items() if name.rpartition(".")[2] not in seen
+    }
     assert not unused, f"public names reached only by tests: {unused}"
 
 
