@@ -489,9 +489,7 @@ def criterion_12_chi_properties() -> CriterionResult:
         se1 = est.se[-1]
         lin_ok = lin_ok and abs(v - p * chi1) <= 3 * (s + p * se1) + 1e-12
     rep = check_chi_properties(est)
-    dip = ChiEstimate(
-        (0.0, 0.5, 1.0), np.array([0.1, 0.02, 0.64]), np.array([0.001, 0.001, 0.001]), 30, "dip", n
-    )
+    dip = ChiEstimate((0.0, 0.5, 1.0), np.array([0.1, 0.02, 0.64]), np.array([0.001, 0.001, 0.001]))
     dip_rep = check_chi_properties(dip)
     dip_flagged = any("monotonicity" in f for f in dip_rep.flags)
     passed = lin_ok and rep.ok and dip_flagged

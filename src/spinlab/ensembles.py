@@ -189,8 +189,7 @@ class CorrelatedEnsemble:
         for p in self.mixture.ps:
             terms = [(ham.tensors[p], w) for ham, w in weighted]
             tensors[p] = weighted_sum(terms) if terms else np.zeros((self.n,) * p)
-        label = f"leaf{tuple(u[:depth])}"
-        return Hamiltonian(self.mixture, self.n, tensors, seed=None, label=label)
+        return Hamiltonian(self.mixture, self.n, tensors, seed=None)
 
     def grand_energy(self, sigmas) -> float:
         """Sum of leaf energies over the fixed lexicographic leaf order."""
@@ -222,11 +221,11 @@ def sample_ensemble(
     return CorrelatedEnsemble(shape, ladder, m, n, seed, dict(zip(nodes, hams)))
 
 
-def pair_mixer(m: Mixture, n: int, *labels, label: str = "pair{i}(p={p})"):
+def pair_mixer(m: Mixture, n: int, *labels):
     """Three base Hamiltonians H_i = sample_hamiltonian(m, n,
     derive_seed(*labels, i)), drawn in one batch, and the map p -> (H1', H2')
     with Hi' = sqrt(p) H0 + sqrt(1-p) Hi: disorder coefficients of covariance
-    [[1, p], [p, 1]] entrywise.  Hi' is labelled label.format(i=i, p=p)."""
+    [[1, p], [p, 1]] entrywise."""
     base = [
         h.tensors for h in sample_hamiltonians(m, n, [rng.derive_seed(*labels, i) for i in range(3)])
     ]
@@ -236,12 +235,7 @@ def pair_mixer(m: Mixture, n: int, *labels, label: str = "pair{i}(p={p})"):
             raise ArgumentError(f"correlation p={p} outside [0, 1]")
         a, b = math.sqrt(p), math.sqrt(1.0 - p)
         return tuple(
-            Hamiltonian(
-                m,
-                n,
-                {q: weighted_sum([(base[0][q], a), (base[i][q], b)]) for q in m.ps},
-                label=label.format(i=i, p=p),
-            )
+            Hamiltonian(m, n, {q: weighted_sum([(base[0][q], a), (base[i][q], b)]) for q in m.ps})
             for i in (1, 2)
         )
 

@@ -107,7 +107,6 @@ class Hamiltonian:
     n: int
     tensors: dict  # p -> ndarray of shape (n,) * p
     seed: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         for p in self.mixture.ps:
@@ -115,8 +114,8 @@ class Hamiltonian:
             if t.shape != (self.n,) * p:
                 raise ArgumentError(f"tensor for p={p} has shape {t.shape}, want {(self.n,) * p}")
 
-    def with_tensors(self, tensors: dict, label: str = "") -> "Hamiltonian":
-        return Hamiltonian(self.mixture, self.n, tensors, seed=None, label=label)
+    def with_tensors(self, tensors: dict) -> "Hamiltonian":
+        return Hamiltonian(self.mixture, self.n, tensors, seed=None)
 
 
 def _tensor_stream(seed: int, p: int) -> np.random.Generator:

@@ -1,6 +1,6 @@
 """Mixture functions xi(x) = sum_p gamma_p^2 x^p over even p, with derivatives,
-and the one quadrature of their integrals (composite Gauss-Legendre), which
-the spherical functionals and the embedding's threshold profile share."""
+and integral sqrt(xi''), which has no closed form for a general mixture, by an
+adaptive composite Gauss-Legendre quadrature."""
 
 import heapq
 import math
@@ -110,8 +110,8 @@ def quadrature(f, a: float, b: float) -> float:
     two halves' sums; the panel where they disagree most is halved, until
     the disagreements add up to at most QUAD_ABS_TOL (or 1e-14 of the
     integral, the rounding floor), and the halves' sums are returned.  So
-    panels double where the integrand needs them, as near B_zeta -> 0.
-    NumericError if that takes more than 200 panels, or a sum is not finite."""
+    panels double where the integrand needs them.  NumericError if that
+    takes more than 200 panels, or a sum is not finite."""
 
     def panel(lo, hi, whole):  # heap entry: the largest disagreement pops first
         mid = 0.5 * (lo + hi)

@@ -37,24 +37,21 @@ class ChiEstimate:
     p_grid: tuple
     chi_hat: np.ndarray
     se: np.ndarray
-    reps: int
-    algorithm: str
-    n: int
 
     def at(self, p: float) -> float:
         idx = self.p_grid.index(p)
         return float(self.chi_hat[idx])
 
 
-def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: str, label: str) -> np.ndarray:
+def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: str) -> np.ndarray:
     """[r, j] = R(A(H1), A(H2)) at p_grid[j]: rep r mixes one pair_mixer(m,
-    n, seed, tag, r, label=label) over the grid and runs alg on both
+    n, seed, tag, r) over the grid and runs alg on both
     Hamiltonians at derive_seed(seed, tag + "-run", r).  At p = 1 the two
     mixes are bit-identical to H0, so A runs once and R(x, x) is taken.  The
     reps run on `pool_map`, each holding three base tensors and two mixes."""
 
     def one_rep(r):
-        mix = pair_mixer(m, n, seed, tag, r, label=label)
+        mix = pair_mixer(m, n, seed, tag, r)
         run_seed = rng.derive_seed(seed, f"{tag}-run", r)
         row = []
         for p in p_grid:
@@ -68,17 +65,17 @@ def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: s
     return np.array(pool_map(one_rep, range(reps), workers=width))
 
 
-def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, algorithm_id: str = "") -> ChiEstimate:
+def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int) -> ChiEstimate:
     """chi(p) = E R(A(H1), A(H2)) over p-correlated pairs; the shared base
     Hamiltonian is reused across the p-grid within a rep (antithetic sweep,
     unbiased per p).  At p = 1 both mixes equal H0, and the algorithm runs once."""
     if reps < 10:
         raise ArgumentError(f"reps={reps} must be >= 10")
     p_grid = tuple(float(p) for p in p_grid)
-    values = _pair_overlaps(alg, m, n, p_grid, reps, seed, "chi", "chi{i}(p={p})")
+    values = _pair_overlaps(alg, m, n, p_grid, reps, seed, "chi")
     chi_hat = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / math.sqrt(reps)
-    return ChiEstimate(p_grid, chi_hat, se, reps, algorithm_id, n)
+    return ChiEstimate(p_grid, chi_hat, se)
 
 
 @dataclass
@@ -145,7 +142,7 @@ def overlap_concentration(
 ) -> ConcentrationReport:
     if reps < 30:
         raise ArgumentError(f"reps={reps} must be >= 30")
-    vals = _pair_overlaps(alg, m, n, (p,), reps, seed, "conc", "conc{i}")[:, 0]
+    vals = _pair_overlaps(alg, m, n, (p,), reps, seed, "conc")[:, 0]
     if np.all(vals == vals[0]):  # identical observations: sd is exactly zero
         mean, sd = float(vals[0]), 0.0
     else:
@@ -168,9 +165,6 @@ def wilson_interval(hits: int, total: int) -> tuple:
 
 @dataclass
 class BranchingReport:
-    shape: TreeShape
-    pladder: CorrelationLadder
-    qladder: OverlapLadder
     leaf_energies: dict
     overlap_matrix: np.ndarray
     target_matrix: np.ndarray
@@ -224,17 +218,7 @@ def run_branching_experiment(
         chi1_val = float(np.mean(np.diag(r_mat))) if chi1 is None else chi1
         q_mat = underline_target_matrix(shape, pladder, qladder, chi1_val)
         max_dev, _ = worst_violation((d, None) for d in np.abs(r_mat - q_mat).flat)
-        report = BranchingReport(
-            shape,
-            pladder,
-            qladder,
-            energies,
-            r_mat,
-            q_mat,
-            max_dev,
-            float(sum(energies.values())),
-            ens_seed,
-        )
+        report = BranchingReport(energies, r_mat, q_mat, max_dev, float(sum(energies.values())), ens_seed)
         if extend:
             ext = extend_to_sphere(
                 ens, outputs, qladder, eta, seed=rng.derive_seed(ens_seed, "ext"), mode="sphere"
@@ -257,8 +241,6 @@ def run_branching_experiment(
 class GrandMaxReport:
     best_energy: float | None  # grand energy per site, None when infeasible everywhere
     feasible: bool
-    restarts: int
-    penalty_final: float
 
 
 def constrained_grand_max(
@@ -310,7 +292,6 @@ def constrained_grand_max(
         return sigmas
 
     best = None
-    penalty_final = 10.0
     for restart in range(restarts):
         gen = rng.stream(seed, "grand-max", restart)
         sigmas = [sphere_point(gen.standard_normal(n)) for _ in range(k)]
@@ -321,9 +302,8 @@ def constrained_grand_max(
             if member.ok:
                 break
             penalty *= 2.0
-        penalty_final = penalty
         if member.ok:
             val = ensemble.grand_energy(sigmas) / n
             if best is None or val > best:
                 best = val
-    return GrandMaxReport(best, best is not None, restarts, penalty_final)
+    return GrandMaxReport(best, best is not None)

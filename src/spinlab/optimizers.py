@@ -210,7 +210,7 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
     `_end_in_ball`, so `final` is the point last scored.
     """
     field_free = Mixture(dict(h.mixture.gammas), h=0.0)
-    h_tilde = Hamiltonian(field_free, h.n, h.tensors, seed=h.seed, label="field-free view")
+    h_tilde = Hamiltonian(field_free, h.n, h.tensors, seed=h.seed)
     x = np.full(h.n, 1.0)
     iterates = [x]
     energies = [energy(h, project_ball(x, 1.0))]
@@ -399,11 +399,13 @@ def extend_to_sphere(
             free = np.flatnonzero(np.abs(x) < 1.0 - 1e-12)
             if free.size < 2:
                 break
-            span = [x] + constraints_for(node)
+            mask = np.zeros(n)
+            mask[free] = 1.0
+            masked = [w * mask for w in [x] + constraints_for(node)]
             _e, grad, hess = derivatives(leaf_h, x, 2)
-            v = _ising_direction(hess, free, span)
+            v = _ising_direction(hess, mask, masked)
             if v is None:
-                v = _fallback_coordinate(free, span, gen, n)
+                v = _fallback_coordinate(free, masked, gen, n)
                 fallbacks += 1
                 if v is None:
                     break
@@ -458,30 +460,30 @@ def round_to_corners(points: dict, seed: int) -> dict:
     return out
 
 
-def _ising_direction(hess, free, span):
+def _ising_direction(hess, mask, masked):
     """Top eigenvector of P_S Hess P_S restricted to the orthocomplement of
-    span, with S the free coordinates; None if the top eigenvalue is negative
-    (the curvature certificate fails at this finite N).  Masks hess in
-    place: its entries are multiplied by 0 or 1, which is exact, and no
-    n x n temporary is made."""
-    mask = np.zeros(len(hess))
-    mask[free] = 1.0
+    the masked span, with S the free coordinates (mask is their 0/1
+    indicator, masked the span times mask); None if the top eigenvalue is
+    negative (the curvature certificate fails at this finite N).  Masks
+    hess in place: its entries are multiplied by 0 or 1, which is exact,
+    and no n x n temporary is made."""
     hess *= mask
     hess *= mask[:, None]
-    masked = [w * mask for w in span]
     vecs, vals = projected_top_eigvec(hess, masked)
     if vals[0] < 0.0:
         return None
     return orthogonal_unit(vecs[0] * mask, orthonormal_rows(masked, len(hess)))
 
 
-def _fallback_coordinate(free, span, gen, n):
-    """Random non-saturated coordinate direction, orthogonalized to span."""
+def _fallback_coordinate(free, masked, gen, n):
+    """Random non-saturated coordinate direction, orthogonalized to the
+    masked span, so it stays on the free coordinates and is orthogonal to
+    the span itself."""
     for _ in range(16):
         i = int(free[gen.integers(free.size)])
         e = np.zeros(n)
         e[i] = 1.0
-        v = orthogonal_unit(e, span)
+        v = orthogonal_unit(e, masked)
         if v is not None:
             return v
     return None
@@ -506,7 +508,7 @@ def lipschitz_probe(alg, m: Mixture, n: int, eps: float, reps: int, seed: int):
             block = delta[offset : offset + sizes[p]].reshape(base.tensors[p].shape)
             tensors[p] = base.tensors[p] + block
             offset += sizes[p]
-        pert = base.with_tensors(tensors, label="probe")
+        pert = base.with_tensors(tensors)
         out1 = np.asarray(alg(pert, seed))
         dist_in = np.linalg.norm(delta) / math.sqrt(n)
         dist_out = np.linalg.norm(out1 - out0) / math.sqrt(n)

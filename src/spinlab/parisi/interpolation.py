@@ -10,8 +10,8 @@ import numpy as np
 
 from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level, m_matrix
 from ..errors import ArgumentError, DomainError
-from ..mixture import Mixture, quadrature, xi_eval
-from .spherical import b_pieces, b_profile, parisi_sp, theta
+from ..mixture import Mixture, xi_eval
+from .spherical import b_profile, parisi_sp, theta, xi2_over_b_integral
 from .zeta import PiecewiseZeta
 
 
@@ -144,14 +144,9 @@ def lambda_recursion(
         - K * B * a**2
     )
 
-    # B_kz has a kink at each break of kz, so the tail is taken piece by piece
-    tail = sum(
-        quadrature(lambda q, bz=bz: xi_eval(m, q, 2) / bz(q), lo, hi)
-        for lo, hi, bz in b_pieces(B, kz, m, qs[0])[0]
-    )
     bound = 0.5 * K * (
         (shifted_field**2 + xi_eval(m, qs[0], 1)) / b_profile(B, kz, m, qs[0])
-        + tail
+        + xi2_over_b_integral(B, kz, m, qs[0])
         - B * a**2
     )
     if value > bound + 1e-8:

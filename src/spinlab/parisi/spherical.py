@@ -1,8 +1,8 @@
-"""Spherical Parisi functional, the closed-form algorithmic threshold ALG,
-and `opt_sp_numeric`, the midpoint discretization of ALG over nondecreasing
-slope profiles, computed in closed form as the mean root of one isotonic fit
-(it computes ALG, not OPT; the ROADMAP's OPT item gives it an honest key
-later)."""
+"""Spherical Parisi functional, exact segment by segment of zeta, the
+closed-form algorithmic threshold ALG, and `opt_sp_numeric`, the midpoint
+discretization of ALG over nondecreasing slope profiles, computed in closed
+form as the mean root of one isotonic fit (it computes ALG, not OPT; the
+ROADMAP's OPT item gives it an honest key later)."""
 
 import math
 
@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from ..errors import ArgumentError, DomainError
-from ..mixture import Mixture, quadrature, root_xi2_integral, xi_eval
+from ..mixture import Mixture, root_xi2_integral, xi_eval
 from .zeta import PiecewiseZeta
 
 
@@ -26,30 +26,30 @@ def b_profile(B: float, zeta: PiecewiseZeta, m: Mixture, t: float) -> float:
 def parisi_sp(B: float, zeta: PiecewiseZeta, m: Mixture) -> float:
     """P(B, zeta) = (h^2 / B_zeta(0) + integral_0^1 (xi''/B_zeta + B_zeta)) / 2.
 
-    Requires B > integral xi'' zeta (so B_zeta > 0 on [0, 1]); the integral is
-    taken by `quadrature` segment by segment of zeta.
+    Requires B > integral xi'' zeta (so B_zeta > 0 on [0, 1]).  Both
+    integrals are exact: xi''/B_zeta by `xi2_over_b_integral`, and B_zeta by
+    Fubini, integral_0^1 B_zeta = B - integral_0^1 t xi''(t) zeta(t) dt.
     """
-    pieces, slack = b_pieces(B, zeta, m, 0.0)
+    slack = b_profile(B, zeta, m, 0.0)
     if slack <= 0.0:
         raise DomainError(f"(B, zeta) infeasible: B - int xi'' zeta = {slack:.3g} <= 0")
-    total = m.h**2 / slack
-    for a, b, bz in pieces:
-        total += quadrature(lambda t, bz=bz: xi_eval(m, t, 2) / bz(t) + bz(t), a, b)
-    return 0.5 * total
+    return 0.5 * (m.h**2 / slack + xi2_over_b_integral(B, zeta, m, 0.0) + B - zeta.integral_t_xi2(m))
 
 
-def b_pieces(B: float, zeta: PiecewiseZeta, m: Mixture, lo: float):
-    """([(a, b, B_zeta on [a, b]), ...] over zeta's segments of [lo, 1],
-    B_zeta(lo)).  Each piece's B_zeta takes an array of points and adds
-    v (xi'(t) - xi'(a)) >= 0 to B_zeta(a), so it keeps its digits where
-    B_zeta is small."""
-    start = base = B - zeta.integral_xi2(m, lo, 1.0)
-    pieces = []
+def xi2_over_b_integral(B: float, zeta: PiecewiseZeta, m: Mixture, lo: float) -> float:
+    """integral_lo^1 xi''/B_zeta, exactly, for B_zeta > 0 on [lo, 1].
+
+    On a segment [a, b] where zeta = v, B_zeta(t) = B_zeta(a) + v (xi'(t) -
+    xi'(a)), so the segment adds log1p(v dxi'/B_zeta(a)) / v, or dxi'/B_zeta(a)
+    at v = 0, with dxi' = xi'(b) - xi'(a).  B_zeta(a) is accumulated upward
+    from B_zeta(lo), so it keeps its digits where it is small."""
+    base = b_profile(B, zeta, m, lo)
+    total = 0.0
     for a, b, v in zeta.segments(lo, 1.0):
-        xi1_a = xi_eval(m, a, 1)
-        pieces.append((a, b, lambda t, c=base, v=v, xi1_a=xi1_a: c + v * (xi_eval(m, t, 1) - xi1_a)))
-        base += v * (xi_eval(m, b, 1) - xi1_a)
-    return pieces, start
+        dxi = xi_eval(m, b, 1) - xi_eval(m, a, 1)
+        total += math.log1p(v * dxi / base) / v if v else dxi / base
+        base += v * dxi
+    return total
 
 
 def alg_sp(m: Mixture):

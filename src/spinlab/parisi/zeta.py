@@ -3,9 +3,8 @@
 `PiecewiseZeta.splice` is the one way to replace a profile on an interval;
 the constructor's merge of equal neighbours keeps every result canonical."""
 
+import bisect
 import math
-
-import numpy as np
 
 from ..errors import ArgumentError
 from ..mixture import Mixture, xi_eval
@@ -74,15 +73,13 @@ class PiecewiseZeta:
     def __call__(self, t: float) -> float:
         if not (0.0 <= t < 1.0):
             raise ArgumentError(f"t={t} outside [0, 1)")
-        idx = np.searchsorted(self.breaks, t, side="right") - 1
-        return self.values[idx]
+        return self.values[bisect.bisect_right(self.breaks, t) - 1]
 
     def left_limit(self, t: float) -> float:
         """zeta(t^-); equals the value at t except exactly at a breakpoint."""
         if not (0.0 < t <= 1.0):
             raise ArgumentError(f"t={t} outside (0, 1]")
-        idx = np.searchsorted(self.breaks, t, side="left") - 1
-        return self.values[max(idx, 0)]
+        return self.values[max(bisect.bisect_left(self.breaks, t) - 1, 0)]
 
     def segments(self, lo: float = 0.0, hi: float = 1.0):
         """(a, b, value) pieces covering [lo, hi]."""

@@ -538,8 +538,7 @@ def _run_chi(cfg, out):
     check_chi_grid(cfg["p_grid"])  # before the first replica runs
     alg = point_algorithm(cfg["alg"])
     est = estimate_chi(
-        alg, parse_mixture(cfg["mixture"]), cfg["n"], tuple(cfg["p_grid"]), cfg["reps"], cfg["seed"],
-        algorithm_id=cfg["alg"]["name"],
+        alg, parse_mixture(cfg["mixture"]), cfg["n"], tuple(cfg["p_grid"]), cfg["reps"], cfg["seed"]
     )
     report = check_chi_properties(est)
     results = {

@@ -120,23 +120,22 @@ def test_pair_correlated():
 
 def test_pair_mixer_equals_the_per_copy_oracle():
     m = Mixture({2: 0.8, 4: 0.4}, h=0.2)
-    for labels, label, p, names, n in (
-        ((4, "pair"), "pair{i}(p={p})", 0.3, ("pair1(p=0.3)", "pair2(p=0.3)"), 5),
-        ((6, "chi", 2), "chi{i}(p={p})", 1.0, ("chi1(p=1.0)", "chi2(p=1.0)"), 5),
-        ((5, "conc", 0), "conc{i}", 0.5, ("conc1", "conc2"), 5),
+    for labels, p, n in (
+        ((4, "pair"), 0.3, 5),
+        ((6, "chi", 2), 1.0, 5),
+        ((5, "conc", 0), 0.5, 5),
         # p4 at n = 17 has 83 521 entries: one full weighted_sum block and a short one
-        ((4, "pair"), "pair{i}(p={p})", 0.3, ("pair1(p=0.3)", "pair2(p=0.3)"), 17),
-        ((4, "pair"), "pair{i}(p={p})", 0.0, ("pair1(p=0.0)", "pair2(p=0.0)"), 17),
+        ((4, "pair"), 0.3, 17),
+        ((4, "pair"), 0.0, 17),
     ):
         # the three copies this helper replaced: sample each base, then mix
         base = [sample_hamiltonian(m, n, rng.derive_seed(*labels, i)).tensors for i in range(3)]
         a, b = math.sqrt(p), math.sqrt(1.0 - p)
-        pair = pair_mixer(m, n, *labels, label=label)(p)
+        pair = pair_mixer(m, n, *labels)(p)
         for i, h in zip((1, 2), pair):
-            assert (h.mixture, h.n, h.seed, h.label) == (m, n, None, names[i - 1])
+            assert (h.mixture, h.n, h.seed) == (m, n, None)
             for q in m.ps:
                 assert np.array_equal(h.tensors[q], a * base[0][q] + b * base[i][q])
-    assert [h.label for h in pair_mixer(m, 4, 4, "pair")(0.25)] == ["pair1(p=0.25)", "pair2(p=0.25)"]
 
 
 def test_target_overlap_matrix():

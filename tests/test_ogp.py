@@ -12,6 +12,7 @@ from spinlab.ensembles import (
     target_overlap_matrix,
 )
 from spinlab.errors import ArgumentError
+from spinlab.hamiltonian import sample_hamiltonian
 from spinlab.mixture import pure
 from spinlab.ogp import (
     ChiEstimate,
@@ -58,16 +59,18 @@ def test_estimate_chi_p1_identical_inputs():
 
 def test_pair_overlaps_run_the_algorithm_once_at_p1():
     """At p = 1 both mixes are bit-identical to H0, so the algorithm runs once
-    per rep there (twice at every other p), and R(x, x) is recorded."""
+    per rep there (twice at every other p), and R(x, x) is recorded.  A p = 1
+    call is one whose tensor is its rep's H0."""
     calls = []
 
     def counted(h, seed):
-        calls.append(h.label)
+        calls.append(h.tensors[2])
         return ga_alg(h, seed)
 
     est = estimate_chi(counted, M2, 16, (0.0, 0.5, 1.0), reps=10, seed=1)
     assert len(calls) == 10 * (2 + 2 + 1)
-    assert sum(label.endswith("(p=1.0)") for label in calls) == 10
+    h0s = [sample_hamiltonian(M2, 16, rng.derive_seed(1, "chi", r, 0)).tensors[2] for r in range(10)]
+    assert sum(any(np.array_equal(t, h0) for h0 in h0s) for t in calls) == 10
     overlap_concentration(counted, M2, 16, 1.0, reps=30, lam=0.2, seed=1)
     assert len(calls) == 50 + 30
     for r in range(3):
@@ -95,13 +98,11 @@ def test_check_chi_properties():
     assert rep.ok and rep.classification == "increasing"
     est_c = estimate_chi(const_alg(0.5), M2, 16, (0.0, 0.5, 1.0), reps=10, seed=0)
     assert check_chi_properties(est_c).classification == "constant"
-    dip = ChiEstimate(
-        (0.0, 0.5, 1.0), np.array([0.1, 0.02, 0.64]), np.array([0.001, 0.001, 0.001]), 30, "", 8
-    )
+    dip = ChiEstimate((0.0, 0.5, 1.0), np.array([0.1, 0.02, 0.64]), np.array([0.001, 0.001, 0.001]))
     assert any("monotonicity" in f for f in check_chi_properties(dip).flags)
     with pytest.raises(ArgumentError):
         check_chi_properties(
-            ChiEstimate((0.0, 1.0), np.array([0.1, 0.2]), np.array([0.0, 0.0]), 10, "", 8)
+            ChiEstimate((0.0, 1.0), np.array([0.1, 0.2]), np.array([0.0, 0.0]))
         )
 
 

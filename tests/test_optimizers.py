@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from spinlab.ensembles import (
 from spinlab.errors import ArgumentError
 from spinlab.hamiltonian import (
     DEFAULT_DENSE_HESSIAN_CAP,
+    Hamiltonian,
     derivatives,
     energy,
     gradient,
@@ -569,6 +571,20 @@ def test_ising_walk_takes_hessian_directions_above_the_dense_cap(monkeypatch):
     assert lanczos.fallbacks < calls["steps"]
     for u, x in dense.pre_rounding.items():
         assert np.max(np.abs(lanczos.pre_rounding[u] - x)) <= 1e-8
+
+
+def test_ising_fallback_directions_stay_on_the_free_coordinates():
+    """With the node tensor -I every Hessian is negative definite, so every
+    step falls back to a coordinate direction.  Orthogonalized against the
+    masked span, each direction stays off the saturated coordinates, so the
+    cube never stops the walk short of its target 1 - eta/2."""
+    n = 32
+    ens = sample_ensemble(pure(2), n, TreeShape((1,)), CorrelationLadder((0.0, 1.0)), seed=0)
+    ens = dataclasses.replace(ens, node_hams={(1,): Hamiltonian(pure(2), n, {2: -np.eye(n)})})
+    for start in (np.zeros(n), np.full(n, 0.1)):
+        rep = extend_to_sphere(ens, {(1,): start}, OverlapLadder((0.0, 1.0)), eta=0.1, seed=0, mode="ising")
+        assert rep.fallbacks > 0
+        assert norm_n_sq(rep.pre_rounding[(1,)]) >= 0.95 - 1e-12
 
 
 def test_lipschitz_probe_constant_and_isometric():

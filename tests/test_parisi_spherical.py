@@ -418,9 +418,10 @@ def test_quadrature_matches_quad():
 def test_quadrature_rule():
     # a degree-39 polynomial is exact on one panel; a kink on a panel edge is
     # exact once the panels split there; a pole the rule cannot settle raises.
-    # Near B = int xi'' zeta = 2 (pure p2, zeta = 1) the integrand peaks at
-    # t = 0: panels halve there, and B_zeta = slack + 2t keeps its digits
-    for eps in (1e-4, 1e-9, 1e-12):
+    # Near B = int xi'' zeta = 2 (pure p2, zeta = 1) xi''/B_zeta peaks at
+    # t = 0: parisi_sp takes it in closed form, log1p(2 / slack), with
+    # B_zeta(0) = slack kept to its digits, down to slack = 1e-15
+    for eps in (1e-4, 1e-9, 1e-12, 1e-15):
         slack = (2.0 + eps) - 2.0
         want = 0.5 * (math.log1p(2 / slack) + 1 + slack)
         assert parisi_sp(2.0 + eps, PiecewiseZeta.constant(1.0), pure(2)) == pytest.approx(want, abs=QUAD_ABS_TOL)

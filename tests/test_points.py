@@ -63,6 +63,15 @@ def test_sign_toward_follows_the_gradient_and_breaks_ties_by_the_largest_entry()
     for g in (tie, tie + 1e-14 * v, tie - 1e-14 * v, np.zeros(9)):
         assert np.array_equal(sign_toward(v, g), -v)
         assert np.array_equal(sign_toward(-v, g), -v)
+    # a near-tie at large |grad|: <grad, v> lies far above rounding and above
+    # 1e-12 |v| / |grad|, but below 1e-12 |grad| |v|, so it is still a tie
+    big = 1e8 * tie / np.linalg.norm(tie)
+    for s in (1e-5, -1e-5):
+        g = big + s * v / (v @ v)
+        scale = np.linalg.norm(g) * np.linalg.norm(v)
+        assert 1e-12 * np.linalg.norm(v) / np.linalg.norm(g) < abs(g @ v) < 1e-12 * scale
+        assert np.array_equal(sign_toward(v, g), -v)
+        assert np.array_equal(sign_toward(-v, g), -v)
     level = np.array([0.0, -2.0, 2.0, 1.0])  # equal magnitudes: the lowest index decides
     assert np.array_equal(sign_toward(level, np.zeros(4)), -level)
 
