@@ -5,7 +5,10 @@ Leaves of the depth-D tree with arm counts (k_1, ..., k_D) are 1-based tuples
 (u_1, ..., u_D), enumerated lexicographically; all matrix outputs use this
 order.  A leaf Hamiltonian is the weighted sum over its ancestor nodes,
 H[u] = sum_d sqrt(p_d - p_{d-1}) H[(u_1..u_d)], so the Gram matrix of the
-weight vectors is exactly (p_{lca depth}).
+weight vectors is exactly (p_{lca depth}).  A p-correlated pair is the
+two-leaf shape (1, 2) with the ladder (0, p, 1), whose leaves are
+sqrt(p) H[(1,)] + sqrt(1 - p) H[(1, i)]: the overlap experiments of `ogp`
+(chi, concentration, branching) all mix disorder by this one rule.
 
 The root's weight is 0 (p_0 = 0), so an ensemble samples, holds and writes
 to its manifest only the nodes at depth >= 1. Their tensors are drawn in one
@@ -219,27 +222,6 @@ def sample_ensemble(
     seeds = [rng.derive_seed(seed, "node", node) for node in nodes]
     hams = sample_hamiltonians(field_free, n, seeds, max_entries)
     return CorrelatedEnsemble(shape, ladder, m, n, seed, dict(zip(nodes, hams)))
-
-
-def pair_mixer(m: Mixture, n: int, *labels):
-    """Three base Hamiltonians H_i = sample_hamiltonian(m, n,
-    derive_seed(*labels, i)), drawn in one batch, and the map p -> (H1', H2')
-    with Hi' = sqrt(p) H0 + sqrt(1-p) Hi: disorder coefficients of covariance
-    [[1, p], [p, 1]] entrywise."""
-    base = [
-        h.tensors for h in sample_hamiltonians(m, n, [rng.derive_seed(*labels, i) for i in range(3)])
-    ]
-
-    def mix(p: float) -> tuple:
-        if not (0.0 <= p <= 1.0):
-            raise ArgumentError(f"correlation p={p} outside [0, 1]")
-        a, b = math.sqrt(p), math.sqrt(1.0 - p)
-        return tuple(
-            Hamiltonian(m, n, {q: weighted_sum([(base[0][q], a), (base[i][q], b)]) for q in m.ps})
-            for i in (1, 2)
-        )
-
-    return mix
 
 
 def target_overlap_matrix(shape: TreeShape, qladder: OverlapLadder) -> np.ndarray:

@@ -8,7 +8,7 @@ bit-equal point, so a pair of bit-identical Hamiltonians is run once.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,14 +19,21 @@ from .ensembles import (
     OverlapLadder,
     TreeShape,
     constrained_membership,
-    pair_mixer,
     sample_ensemble,
     target_overlap_matrix,
     underline_depth,
     underline_target_matrix,
 )
-from .errors import ArgumentError
-from .hamiltonian import energy, gradient, pool_map, replica_width, tensor_entries
+from .errors import ArgumentError, ResourceError
+from .hamiltonian import (
+    DEFAULT_MAX_TENSOR_ENTRIES,
+    energy,
+    gradient,
+    pool_map,
+    replica_width,
+    sample_hamiltonians,
+    tensor_entries,
+)
 from .mixture import Mixture
 from .optimizers import extend_to_sphere
 from .points import norm_n_sq, overlap, overlap_matrix, sphere_point, worst_violation
@@ -43,19 +50,31 @@ class ChiEstimate:
         return float(self.chi_hat[idx])
 
 
+def _pair_ensemble(m: Mixture, n: int, *labels) -> CorrelatedEnsemble:
+    """A p-correlated pair: the ensemble of shape (1, 2) whose nodes hold the
+    field-free H_i of derive_seed(*labels, i), i = 0, 1, 2, in node order.
+    Re-laddered to (0, p, 1), its leaves are sqrt(p) H_0 + sqrt(1 - p) H_i."""
+    shape = TreeShape((1, 2))
+    seeds = [rng.derive_seed(*labels, i) for i in range(3)]
+    hams = dict(zip(shape.nodes()[1:], sample_hamiltonians(Mixture(dict(m.gammas), h=0.0), n, seeds)))
+    return CorrelatedEnsemble(shape, CorrelationLadder((0.0, 0.0, 1.0)), m, n, rng.derive_seed(*labels), hams)
+
+
 def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: str) -> np.ndarray:
-    """[r, j] = R(A(H1), A(H2)) at p_grid[j]: rep r mixes one pair_mixer(m,
-    n, seed, tag, r) over the grid and runs alg on both
-    Hamiltonians at derive_seed(seed, tag + "-run", r).  At p = 1 the two
-    mixes are bit-identical to H0, so A runs once and R(x, x) is taken.  The
-    reps run on `pool_map`, each holding three base tensors and two mixes."""
+    """[r, j] = R(A(H1), A(H2)) at p_grid[j]: rep r re-ladders one
+    `_pair_ensemble(m, n, seed, tag, r)` over the grid and runs alg on both
+    leaves at derive_seed(seed, tag + "-run", r).  At p = 1 the leaves are
+    bit-identical to H_0, so A runs once and R(x, x) is taken.  The reps run
+    on `pool_map`, each holding three node tensors and two leaves."""
+    ladders = [CorrelationLadder((0.0, p, 1.0)) for p in p_grid]
 
     def one_rep(r):
-        mix = pair_mixer(m, n, seed, tag, r)
+        ens = _pair_ensemble(m, n, seed, tag, r)
         run_seed = rng.derive_seed(seed, f"{tag}-run", r)
         row = []
-        for p in p_grid:
-            h1, h2 = mix(p)
+        for p, ladder in zip(p_grid, ladders):
+            pair = replace(ens, ladder=ladder)
+            h1, h2 = (pair.leaf_hamiltonian(u) for u in pair.leaves())
             x1 = np.asarray(alg(h1, run_seed))
             x2 = x1 if p == 1.0 else np.asarray(alg(h2, run_seed))
             row.append(overlap(x1, x2))
@@ -66,9 +85,10 @@ def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: s
 
 
 def estimate_chi(alg, m: Mixture, n: int, p_grid, reps: int, seed: int) -> ChiEstimate:
-    """chi(p) = E R(A(H1), A(H2)) over p-correlated pairs; the shared base
-    Hamiltonian is reused across the p-grid within a rep (antithetic sweep,
-    unbiased per p).  At p = 1 both mixes equal H0, and the algorithm runs once."""
+    """chi(p) = E R(A(H1), A(H2)) over p-correlated pairs, the leaves of a
+    two-leaf ensemble whose shared node H_0 is reused across the p-grid
+    (antithetic sweep, unbiased per p).  At p = 1 both leaves equal H_0, and
+    the algorithm runs once."""
     if reps < 10:
         raise ArgumentError(f"reps={reps} must be >= 10")
     p_grid = tuple(float(p) for p in p_grid)
@@ -256,10 +276,15 @@ def constrained_grand_max(
     penalized projected gradient ascent (step 0.05) over K sphere points,
     quadratic penalties on overlap deviations and the anchor band, penalty
     weight starting at 10 and doubling on infeasibility (up to 10
-    escalations)."""
+    escalations).  The nodes and the K leaves it holds must fit the budget."""
     leaves = ensemble.leaves()
     k = len(leaves)
     n = ensemble.n
+    total = (len(ensemble.node_hams) + k) * tensor_entries(ensemble.mixture, n)
+    if total > DEFAULT_MAX_TENSOR_ENTRIES:
+        raise ResourceError(
+            f"grand maximum holds {total} tensor entries with its {k} leaves, budget {DEFAULT_MAX_TENSOR_ENTRIES}"
+        )
     m_anchor = np.asarray(m_anchor, dtype=float)
     q0 = norm_n_sq(m_anchor) if m_anchor.size else 0.0
     q_target = np.asarray(q_target, dtype=float)
@@ -271,21 +296,16 @@ def constrained_grand_max(
         for _ in range(steps):
             r_mat = overlap_matrix(sigmas)
             new = []
-            for i, u in enumerate(leaves):
+            for i in range(k):
                 g = gradient(leaf_hams[i], sigmas[i]) / n
-                pen_grad = np.zeros(n)
-                for j in range(k):
-                    if j == i:
-                        continue
-                    dev = r_mat[i, j] - q_target[i, j]
-                    excess = abs(dev) - eta
-                    if excess > 0:
-                        pen_grad += 2 * excess * np.sign(dev) * sigmas[j] / n
+                pulls = [(r_mat[i, j] - q_target[i, j], sigmas[j]) for j in range(k) if j != i]
                 if m_anchor.size:
-                    dev = overlap(sigmas[i], m_anchor) - q0
+                    pulls.append((overlap(sigmas[i], m_anchor) - q0, m_anchor))
+                pen_grad = np.zeros(n)
+                for dev, vec in pulls:
                     excess = abs(dev) - eta
                     if excess > 0:
-                        pen_grad += 2 * excess * np.sign(dev) * m_anchor / n
+                        pen_grad += 2 * excess * np.sign(dev) * vec / n
                 step_vec = g - penalty * pen_grad
                 new.append(sphere_point(sigmas[i] + 0.05 * n * step_vec))
             sigmas = new

@@ -508,7 +508,7 @@ def lipschitz_probe(alg, m: Mixture, n: int, eps: float, reps: int, seed: int):
             block = delta[offset : offset + sizes[p]].reshape(base.tensors[p].shape)
             tensors[p] = base.tensors[p] + block
             offset += sizes[p]
-        pert = base.with_tensors(tensors)
+        pert = Hamiltonian(base.mixture, base.n, tensors)
         out1 = np.asarray(alg(pert, seed))
         dist_in = np.linalg.norm(delta) / math.sqrt(n)
         dist_out = np.linalg.norm(out1 - out0) / math.sqrt(n)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align, kappa_level
 from ..errors import ArgumentError, ConstraintError
+from .interpolation import kappa_zeta_profile
 from .zeta import PiecewiseZeta
 
 
@@ -20,8 +21,10 @@ class IncreasifyResult:
     beta: float
 
     def reconstructed(self, d: int) -> float:
-        """beta kappa(q_d) zeta_d, which must equal the target at knot d."""
-        return self.beta * kappa_level(self.shape, self.pladder, d + 1) * self.levels[d]
+        """beta kappa(q_d) zeta_d, which must equal the target at knot d: the
+        kappa zeta profile of the levels beta zeta, `composite_profile`'s."""
+        levels = [self.beta * z for z in self.levels]
+        return kappa_zeta_profile(self.shape, self.pladder, self.qladder, levels)(self.qladder.qs[d])
 
 
 def delta_perturb(target: PiecewiseZeta, delta: float, x: float) -> PiecewiseZeta:

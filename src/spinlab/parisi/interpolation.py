@@ -15,10 +15,6 @@ from .spherical import b_profile, parisi_sp, theta, xi2_over_b_integral
 from .zeta import PiecewiseZeta
 
 
-def _zeta_levels_at_knots(zeta: PiecewiseZeta, qladder: OverlapLadder):
-    return [zeta(q) for q in qladder.qs[:-1]]
-
-
 def cascade_value(
     shape: TreeShape,
     pladder: CorrelationLadder,
@@ -31,17 +27,16 @@ def cascade_value(
     with strictly increasing levels 0 < zeta_0 < ... < zeta_{D-1} < 1."""
     if shape.depth != qladder.depth or shape.depth != pladder.depth:
         raise ArgumentError("shape/ladder depths disagree")
-    levels = _zeta_levels_at_knots(zeta, qladder)
+    levels = [zeta(q) for q in qladder.qs[:-1]]
     if any(a >= b for a, b in zip(levels, levels[1:])) or (
         levels and (levels[0] <= 0.0 or levels[-1] >= 1.0)
     ):
         raise ArgumentError(f"zeta levels {levels} must satisfy 0 < z_0 < ... < z_(D-1) < 1")
-    q0 = qladder.qs[0]
+    qs = qladder.qs
+    kz = kappa_zeta_profile(shape, pladder, qladder, levels)
     total = 0.0
     for d in range(shape.depth):
-        kap = kappa_level(shape, pladder, d + 1)
-        dtheta = theta(m, q0, qladder.qs[d + 1]) - theta(m, q0, qladder.qs[d])
-        total += kap * levels[d] * dtheta
+        total += kz(qs[d]) * (theta(m, qs[0], qs[d + 1]) - theta(m, qs[0], qs[d]))
     return 0.5 * shape.n_leaves * total
 
 
@@ -105,7 +100,7 @@ def lambda_recursion(
         raise ArgumentError("shape/ladder depths disagree")
     depth, K = shape.depth, shape.n_leaves
     qs = qladder.qs
-    levels = _zeta_levels_at_knots(zeta, qladder)
+    levels = [zeta(q) for q in qs[:-1]]
     kz = kappa_zeta_profile(shape, pladder, qladder, levels)
     if B <= kz.integral_xi2(m, qs[0], 1.0):
         raise DomainError("(B, kappa zeta) infeasible: B <= int xi'' kappa zeta")
@@ -200,5 +195,5 @@ def composite_profile(
 ) -> PiecewiseZeta:
     """zeta_under on [0, q0) glued to beta kappa zeta on [q0, 1), the
     latter from zeta's levels at the q-knots."""
-    levels = [beta * z for z in _zeta_levels_at_knots(zeta, qladder)]
+    levels = [beta * zeta(q) for q in qladder.qs[:-1]]
     return zeta_under.splice(qladder.qs[0], 1.0, kappa_zeta_profile(shape, pladder, qladder, levels))

@@ -12,10 +12,6 @@ def norm_n_sq(x) -> float:
     return float(x @ x) / x.size
 
 
-def norm_n(x) -> float:
-    return float(np.sqrt(norm_n_sq(x)))
-
-
 def overlap(x, y) -> float:
     """R(x, y) = <x, y> / N."""
     x = np.asarray(x, dtype=float)
@@ -49,7 +45,7 @@ def sphere_point(v) -> np.ndarray:
 def project_ball(x, r: float) -> np.ndarray:
     """Euclidean projection onto rB_N."""
     x = np.asarray(x, dtype=float)
-    nn = norm_n(x)
+    nn = float(np.sqrt(norm_n_sq(x)))
     if nn <= r:
         return x
     return x * (r / nn)

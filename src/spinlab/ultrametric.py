@@ -22,7 +22,7 @@ from .errors import ArgumentError, ResourceError, is_real
 from .hamiltonian import Hamiltonian, energy
 from .mixture import root_xi2_integral
 from .optimizers import subag_step
-from .points import norm_n_sq, overlap_matrix, worst_violation
+from .points import norm_n_sq, orthonormal_rows, overlap_matrix, worst_violation
 
 _H_TOL = 1e-12
 
@@ -158,14 +158,14 @@ def validate_embedding(t: DatedRootedTree, emb: Embedding, tol: float = 1e-9):
 
 
 def embed_orthogonal(t: DatedRootedTree, n: int, seed: int = 0) -> Embedding:
-    """Assign each vertex a fresh orthonormal increment direction (from a
-    seeded random basis) of squared N-norm |v| - |pa(v)|; the root rides its
-    own direction at squared norm a."""
+    """Assign each vertex a fresh orthonormal increment direction (seeded
+    Gaussian vectors through `orthonormal_rows`) of squared N-norm |v| -
+    |pa(v)|; the root rides its own direction at squared norm a."""
     verts = t.vertices()
     if n < len(verts) + 1:
         raise ResourceError(f"n={n} too small to embed {len(verts)} vertices orthogonally")
     gen = rng.stream(seed, "embed", len(verts))
-    basis = np.linalg.qr(gen.standard_normal((n, len(verts))))[0].T  # rows orthonormal
+    basis = orthonormal_rows(gen.standard_normal((n, len(verts))).T, n)
     vectors = {}
     order = sorted(verts, key=lambda v: (t.heights[v], str(v)))
     for idx, v in enumerate(order):

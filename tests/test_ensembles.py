@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from spinlab.ensembles import (
     load_manifest,
     m_matrix,
     m_of_q,
-    pair_mixer,
     sample_ensemble,
     save_manifest,
     target_overlap_matrix,
@@ -28,6 +28,7 @@ from spinlab.ensembles import (
 from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian, save_snapshot
 from spinlab.mixture import Mixture, pure
+from spinlab.ogp import _pair_ensemble
 from spinlab.points import overlap, sphere_point
 
 from conftest import coefficients
@@ -104,21 +105,27 @@ def test_ensemble_budget():
         sample_ensemble(pure(4), 200, TreeShape((3, 3)), CorrelationLadder((0.0, 0.5, 1.0)), seed=0)
 
 
+def pair_leaves(m, n, p, *labels):
+    """The two leaves of the pair ensemble of `labels` at correlation p."""
+    pair = replace(_pair_ensemble(m, n, *labels), ladder=CorrelationLadder((0.0, p, 1.0)))
+    return tuple(pair.leaf_hamiltonian(u) for u in pair.leaves())
+
+
 def test_pair_correlated():
     m = pure(2)
-    h1, h2 = pair_mixer(m, 8, 4, "pair")(1.0)
+    h1, h2 = pair_leaves(m, 8, 1.0, 4, "pair")
     assert np.array_equal(h1.tensors[2], h2.tensors[2])
-    h1, h2 = pair_mixer(m, 64, 4, "pair")(0.0)
+    h1, h2 = pair_leaves(m, 64, 0.0, 4, "pair")
     c = np.corrcoef(coefficients(h1), coefficients(h2))[0, 1]
     assert abs(c) <= 4 / math.sqrt(64 * 64)
-    h1, h2 = pair_mixer(m, 64, 4, "pair")(0.5)
+    h1, h2 = pair_leaves(m, 64, 0.5, 4, "pair")
     c = np.corrcoef(coefficients(h1), coefficients(h2))[0, 1]
     assert abs(c - 0.5) <= 4 / math.sqrt(64 * 64)
     with pytest.raises(ArgumentError):
-        pair_mixer(m, 8, 0, "pair")(1.5)
+        pair_leaves(m, 8, 1.5, 0, "pair")
 
 
-def test_pair_mixer_equals_the_per_copy_oracle():
+def test_pair_leaves_equal_the_per_copy_oracle():
     m = Mixture({2: 0.8, 4: 0.4}, h=0.2)
     for labels, p, n in (
         ((4, "pair"), 0.3, 5),
@@ -128,10 +135,10 @@ def test_pair_mixer_equals_the_per_copy_oracle():
         ((4, "pair"), 0.3, 17),
         ((4, "pair"), 0.0, 17),
     ):
-        # the three copies this helper replaced: sample each base, then mix
+        # three separate copies: sample each base, then mix
         base = [sample_hamiltonian(m, n, rng.derive_seed(*labels, i)).tensors for i in range(3)]
         a, b = math.sqrt(p), math.sqrt(1.0 - p)
-        pair = pair_mixer(m, n, *labels)(p)
+        pair = pair_leaves(m, n, p, *labels)
         for i, h in zip((1, 2), pair):
             assert (h.mixture, h.n, h.seed) == (m, n, None)
             for q in m.ps:

@@ -84,6 +84,28 @@ def test_sample_tensors_equal_the_serial_oracle(pool_size):
     assert pools == [] and np.array_equal(t, oracle_sample_tensor(9, 4, 4))
 
 
+@pytest.mark.parametrize(
+    "jobs, out",
+    [
+        ([(1, 4, 3)], [np.zeros(10)]),  # 10 entries for a job of 81
+        ([(1, 4, 3), (2, 4, 3)], [np.zeros(81)]),  # one buffer for two jobs
+        ([(1, 4, 3)], [np.zeros(81), np.zeros(81)]),  # two buffers for one job
+        ([(1, 4, 3)], [np.zeros(162)[::2]]),  # not C-contiguous
+        ([(1, 4, 3)], [np.zeros(81, dtype=np.float32)]),
+        ([(1, 4, 3)], [np.frombuffer(bytes(81 * 8))]),  # read-only
+        ([(1, 4, 3)], [[0.0] * 81]),  # not an array
+    ],
+    ids=("entries", "too-few", "too-many", "strided", "float32", "read-only", "list"),
+)
+def test_sample_tensors_refuses_malformed_out_buffers(jobs, out):
+    """A malformed `out` raises ArgumentError and fills nothing, where numpy
+    would fill a buffer of the wrong size, truncate the jobs to the buffers,
+    or raise its own ValueError or TypeError."""
+    with pytest.raises(ArgumentError, match="output buffer"):
+        sample_tensors(jobs, out=out)
+    assert all(not np.any(o) for o in out)
+
+
 def test_sample_hamiltonians_equal_one_by_one(pool_size):
     m = Mixture({2: 0.6, 4: 1.1}, h=0.25)
     seeds = [3, 11, 3]

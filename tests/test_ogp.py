@@ -1,21 +1,24 @@
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from spinlab import rng
+from spinlab import ogp, rng
 from spinlab.ensembles import (
     CorrelationLadder,
     OverlapLadder,
     TreeShape,
-    pair_mixer,
     sample_ensemble,
     target_overlap_matrix,
 )
-from spinlab.errors import ArgumentError
+from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import sample_hamiltonian
 from spinlab.mixture import pure
 from spinlab.ogp import (
     ChiEstimate,
+    _pair_ensemble,
     check_chi_properties,
     constrained_grand_max,
     estimate_chi,
@@ -74,7 +77,8 @@ def test_pair_overlaps_run_the_algorithm_once_at_p1():
     overlap_concentration(counted, M2, 16, 1.0, reps=30, lam=0.2, seed=1)
     assert len(calls) == 50 + 30
     for r in range(3):
-        h1, h2 = pair_mixer(M2, 16, 1, "chi", r)(1.0)
+        pair = replace(_pair_ensemble(M2, 16, 1, "chi", r), ladder=CorrelationLadder((0.0, 1.0, 1.0)))
+        h1, h2 = (pair.leaf_hamiltonian(u) for u in pair.leaves())
         assert np.array_equal(h1.tensors[2].view(np.uint64), h2.tensors[2].view(np.uint64))
         x = np.asarray(ga_alg(h1, rng.derive_seed(1, "chi-run", r)))
         assert np.array_equal(x, ga_alg(h2, rng.derive_seed(1, "chi-run", r)))
@@ -87,9 +91,13 @@ def test_estimate_chi_linear_slope():
         assert abs(v - p * chi1) <= 3 * (s + p * est.se[-1]) + 1e-12
 
 
-def test_estimate_chi_preconditions():
+def test_estimate_chi_preconditions(monkeypatch):
     with pytest.raises(ArgumentError):
         estimate_chi(const_alg(0.1), M2, 8, (0.0, 1.0), reps=5, seed=0)
+    # a correlation outside [0, 1] fails the pair ladder before any draw
+    monkeypatch.setattr(ogp, "sample_hamiltonians", None)
+    with pytest.raises(ArgumentError, match="nondecreasing"):
+        estimate_chi(const_alg(0.1), M2, 8, (0.0, 1.5, 1.0), reps=10, seed=0)
 
 
 def test_check_chi_properties():
@@ -215,6 +223,32 @@ def test_constrained_grand_max_k1():
         for r in range(3)
     )
     assert rep.best_energy >= best_ga - 0.05
+
+
+def test_constrained_grand_max_refuses_leaves_over_the_budget(monkeypatch):
+    """The K leaves are held beside the nodes: 6 nodes and 4 leaves of p2 at
+    n = 16 take 2560 entries, so a budget that holds the nodes but not the
+    leaves refuses before any leaf is built."""
+    shape = TreeShape((2, 2))
+    ens = sample_ensemble(M2, 16, shape, CorrelationLadder((0.0, 0.5, 1.0)), seed=0)
+    q = target_overlap_matrix(shape, OverlapLadder((0.0, 0.5, 1.0)))
+    monkeypatch.setattr(ogp, "DEFAULT_MAX_TENSOR_ENTRIES", 2559)
+    monkeypatch.setattr(type(ens), "leaf_hamiltonian", None)
+    with pytest.raises(ResourceError, match="holds 2560 tensor entries with its 4 leaves"):
+        constrained_grand_max(ens, q, np.zeros(16), eta=0.2, restarts=1, seed=0)
+
+
+def test_constrained_grand_max_pulls_the_points_into_the_anchor_band():
+    """The random start has overlap about 0 with the anchor, far outside the
+    band |R(sigma, m) - q_0| <= eta around q_0 = |m|_N^2 = 0.5; only the
+    band's penalty gradient brings the point in."""
+    n = 32
+    ens = sample_ensemble(M2, n, TreeShape((1,)), CorrelationLadder((0.0, 1.0)), seed=5)
+    anchor = sphere_point(rng.stream(6, "anchor").standard_normal(n)) * math.sqrt(0.5)
+    start = sphere_point(rng.stream(1, "grand-max", 0).standard_normal(n))
+    assert abs(start @ anchor / n - 0.5) > 0.3
+    rep = constrained_grand_max(ens, np.array([[1.0]]), anchor, eta=0.05, restarts=1, seed=1)
+    assert rep.feasible
 
 
 def test_constrained_grand_max_loose_eta_equals_leaf_maxima():

@@ -86,6 +86,26 @@ def test_solution_invariants_convex_lipschitz():
         assert np.max(np.abs(slopes)) <= 1.5 + 1e-9
 
 
+@pytest.mark.parametrize("beta", (math.inf, 8.0))
+def test_the_zero_model_keeps_the_terminal_at_every_time(beta):
+    """With xi = 0 every step has zero width, so Phi(t, .) is the terminal
+    log(2 cosh(beta x)) / beta - a x (|x| - a x at beta = infinity) at every
+    time knot: on the grid, and beyond it along the terminal slopes."""
+    a = 0.2
+
+    def terminal(x):
+        return (np.abs(x) if math.isinf(beta) else np.logaddexp(beta * x, -beta * x) / beta) - a * x
+
+    sol = solve_parisi_pde(Mixture({2: 0.0}), PiecewiseZeta((0.0, 0.4), (0.3, 0.9)), a=a, beta=beta)
+    assert sol.times == (0.0, 0.4, 1.0) and sol.meta["gh_steps"] == 0
+    lo, hi = sol.grid[0], sol.grid[-1]
+    beyond = np.array([lo - 3.0, lo - 0.5, hi + 0.5, hi + 3.0])
+    for t in sol.times:
+        np.testing.assert_allclose(sol.values[t], terminal(sol.grid), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sol.eval(t, beyond), terminal(beyond), rtol=0, atol=1e-12)
+        assert sol.eval(t, hi + 1.0) == pytest.approx(terminal(hi + 1.0), abs=1e-12)
+
+
 @pytest.mark.parametrize("grid", TERMINAL_GRIDS)
 def test_windowed_terminal_step_matches_oracle(grid):
     """Every case against its committed mpmath reference (terminal_step_oracle)."""

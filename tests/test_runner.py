@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinlab import acceptance, rng, runner
+from spinlab import acceptance, ogp, rng, runner
 from spinlab.errors import ArgumentError, NumericError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
@@ -13,6 +14,7 @@ from spinlab.optimizers import AmpSpec, amp, lipschitz_probe
 from spinlab.parisi import PiecewiseZeta, parisi_is, pde, solve_parisi_pde
 from spinlab.points import norm_n_sq, project_ball
 from spinlab.runner import build_algorithm, parse_mixture, point_algorithm, run, validate_config
+from spinlab.ultrametric import full_binary_tree
 from spinlab.__main__ import main
 
 from conftest import coefficients
@@ -193,6 +195,17 @@ def test_thresholds_run(tmp_path):
     assert res.payload["alg_sp"]["value"] == pytest.approx(math.sqrt(3.0), abs=1e-9)
     data = json.loads((tmp_path / "run.json").read_text())
     assert data["results"]["alg_sp"]["value"] == pytest.approx(math.sqrt(3.0), abs=1e-12)
+
+
+def test_thresholds_run_with_the_ising_alg(tmp_path):
+    """--ising adds the ALG-Ising value, which for SK is the ground-state
+    energy: 0.763166 sqrt(2) for xi(q) = q^2, within the 8-knot search's
+    error, and below the spherical ALG sqrt(2)."""
+    res = run({"subcommand": "thresholds", "mixture": "p2", "ising": True}, out_dir=str(tmp_path))
+    value = res.payload["alg_is_numeric"]
+    assert value == pytest.approx(0.763166 * math.sqrt(2.0), abs=1e-3)
+    assert value < res.payload["alg_sp"]["value"]
+    assert json.loads((tmp_path / "run.json").read_text())["results"]["alg_is_numeric"] == value
 
 
 def test_optimize_run_artifacts(tmp_path):
@@ -572,6 +585,18 @@ def test_embed_run(tmp_path):
     assert (tmp_path / "embedding.csv").exists()
 
 
+def test_embed_run_on_a_binary_tree(tmp_path):
+    """tree {"binary": 2} embeds the 7 vertices of the full binary tree of
+    depth 2, one CSV row each."""
+    config = {"subcommand": "embed", "mixture": "p2", "n": 48, "tree": {"binary": 2}}
+    res = run(config, out_dir=str(tmp_path))
+    assert res.payload["validated"]
+    with open(tmp_path / "embedding.csv", newline="") as f:
+        _header, *rows = csv.reader(f)
+    assert sorted(r[0] for r in rows) == sorted(map(str, full_binary_tree(2).vertices()))
+    assert all(len(r) == 1 + 48 for r in rows)
+
+
 def test_embed_rejects_malformed_tree(tmp_path):
     cfg = tmp_path / "cfg.json"
     bad_json = tmp_path / "tree.json"
@@ -744,6 +769,15 @@ def test_sandwich_run(tmp_path):
     res = run(config, out_dir=str(tmp_path))
     assert res.status == 0
     assert "bound_per_n" in res.payload
+
+
+def test_sandwich_exits_3_when_the_grand_max_leaves_are_over_the_budget(tmp_path, monkeypatch, capsys):
+    """The default ks [2, 2] at n = 16 hold 6 node and 4 leaf tensors of 256
+    entries; a budget of 2559 holds the nodes alone."""
+    monkeypatch.setattr(ogp, "DEFAULT_MAX_TENSOR_ENTRIES", 2559)
+    out = tmp_path / "s"
+    assert main(["sandwich", "--n", "16", "--set", "restarts=1", "--out", str(out)]) == 3
+    assert "2560 tensor entries" in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("mixture", (None, "p4", "p2+p4"))
