@@ -27,14 +27,13 @@ import numpy as np
 from . import rng
 from .errors import ArgumentError, ResourceError, is_real
 from .hamiltonian import (
-    DEFAULT_MAX_TENSOR_ENTRIES,
     Hamiltonian,
+    check_budget,
     energy,
     load_snapshot,
     pool_map,
     sample_hamiltonians,
     save_snapshot,
-    tensor_entries,
     weighted_sum,
 )
 from .mixture import Mixture
@@ -202,25 +201,15 @@ class CorrelatedEnsemble:
         return sum(self.leaf_energy(u, x) for u, x in zip(leaves, sigmas))
 
 
-def sample_ensemble(
-    m: Mixture,
-    n: int,
-    shape: TreeShape,
-    ladder: CorrelationLadder,
-    seed: int,
-    max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES,
-) -> CorrelatedEnsemble:
+def sample_ensemble(m: Mixture, n: int, shape: TreeShape, ladder: CorrelationLadder, seed: int) -> CorrelatedEnsemble:
+    """The nodes at depth >= 1, drawn in one `sample_hamiltonians` batch, which
+    refuses them before any fill when together they are over the budget."""
     if shape.depth != ladder.depth:
         raise ArgumentError("shape and correlation ladder depths disagree")
     nodes = shape.nodes()[1:]  # the root has weight 0
-    total = len(nodes) * tensor_entries(m, n)
-    if total > max_entries:
-        raise ResourceError(
-            f"ensemble needs {total} tensor entries over {len(nodes)} nodes, budget {max_entries}"
-        )
     field_free = Mixture(dict(m.gammas), h=0.0)
     seeds = [rng.derive_seed(seed, "node", node) for node in nodes]
-    hams = sample_hamiltonians(field_free, n, seeds, max_entries)
+    hams = sample_hamiltonians(field_free, n, seeds)
     return CorrelatedEnsemble(shape, ladder, m, n, seed, dict(zip(nodes, hams)))
 
 
@@ -406,7 +395,8 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     """Inverse of save_manifest.  Raises ArgumentError on non-JSON, missing or
     ill-typed keys, node paths outside the shape, repeated or missing nodes at
     depth >= 1, and snapshots whose n or mixture disagree with the manifest.
-    A root entry, written by earlier versions, is dropped unread.  The
+    Nodes over the tensor budget raise ResourceError before any snapshot is
+    read.  A root entry, written by earlier versions, is dropped unread.  The
     snapshots are read and checked concurrently by `pool_map`; of several bad
     ones, the first in node order is reported, its error prefixed with the
     node path and file name."""
@@ -436,6 +426,7 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     missing = [list(node) for node in nodes if node not in snapshots]
     if missing:
         raise ArgumentError(f"manifest lacks the nodes {missing}")
+    check_budget(mixture, n, len(nodes), f"the manifest's {len(nodes)} nodes hold")
     field_free = Mixture(dict(mixture.gammas), h=0.0)
 
     def load(node):

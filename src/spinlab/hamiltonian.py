@@ -38,9 +38,15 @@ of max|g| for p4 and p2+p4 at n = 17..90, 2.8e-16 for p6 at n = 11 and
 at most 7.3e-16 of its largest entry.  No symmetrised copy of T is cached:
 it would double the tensor memory.
 
-The entry budget of `check_budget`, 2^27 per tensor, admits p = 4 up to
-n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap of 512.  So
-above the cap only p = 2 fits, and its Hessian is the constant matrix
+The tensor budget, DEFAULT_MAX_TENSOR_ENTRIES = 2^27 entries, is held and
+applied here alone: a run refuses, before it samples, any tensors it would
+hold at once above it.  `check_entries` is the one comparison and message,
+read at call time; `check_budget` counts Hamiltonians of a mixture.  Every
+holder asks one of them first: a sampled batch, a snapshot, a manifest, a
+grand maximum, a pair rep, the Lipschitz probe, a branching rep,
+concurrent replicas and a PDE grid.  One tensor fits at p = 4 up to
+n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap of 512.
+So above the cap only p = 2 fits, and its Hessian is the constant matrix
 g (G + G^T).  `projected_top_eigvec` is the one projected eigensolve, and
 it alone picks the method: dense eigh up to the cap, and above it Lanczos
 on the formed matrix, one BLAS dsymv per matvec.  Lanczos is the module's
@@ -177,23 +183,34 @@ def replica_width(count: int, entries: int, held: int = 0, workers: int | None =
     return max(1, min(count, workers or len(os.sched_getaffinity(0)), room))
 
 
-def check_budget(m: Mixture, n: int, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES):
+def check_entries(entries: int, what: str):
+    """The one tensor budget: ResourceError when `what`, a holder and its
+    verb ("9 concurrent replicas hold"), would hold more than
+    DEFAULT_MAX_TENSOR_ENTRIES entries at once.  The limit is read at call
+    time, as `replica_width` reads it."""
+    if entries > DEFAULT_MAX_TENSOR_ENTRIES:
+        raise ResourceError(f"{what} {entries} tensor entries, over the budget of {DEFAULT_MAX_TENSOR_ENTRIES}")
+
+
+def check_budget(m: Mixture, n: int, copies: int = 1, what: str | None = None):
+    """`check_entries` for `copies` Hamiltonians of m at dimension n held at
+    once (`what` defaults to naming them), after each tensor on its own."""
     for p in m.ps:
         # n >= 2 and p past the budget's bit length is over it without forming n**p
-        if n > 1 and (p >= max_entries.bit_length() or n**p > max_entries):
+        if n > 1 and p >= DEFAULT_MAX_TENSOR_ENTRIES.bit_length():
             raise ResourceError(
-                f"tensor for p={p} at n={n} is over the budget of {max_entries} entries"
+                f"the p={p} tensor at n={n} holds {n}^{p} tensor entries, over the budget of {DEFAULT_MAX_TENSOR_ENTRIES}"
             )
+        check_entries(n**p, f"the p={p} tensor at n={n} holds")
+    check_entries(copies * tensor_entries(m, n), what or f"{copies} Hamiltonian(s) at n={n} hold")
 
 
-def sample_hamiltonians(
-    m: Mixture, n: int, seeds: list, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES
-) -> list:
+def sample_hamiltonians(m: Mixture, n: int, seeds: list) -> list:
     """sample_hamiltonian for each seed, every tensor drawn in one
-    sample_tensors batch."""
+    sample_tensors batch, once the budget admits them all."""
     if n < 1:
         raise ArgumentError(f"dimension n={n} must be >= 1")
-    check_budget(m, n, max_entries)
+    check_budget(m, n, len(seeds))
     tensors = iter(sample_tensors([(seed, p, n) for seed in seeds for p in m.ps]))
     return [Hamiltonian(m, n, {p: next(tensors) for p in m.ps}, seed=seed) for seed in seeds]
 

@@ -24,9 +24,9 @@ from .ensembles import (
     underline_depth,
     underline_target_matrix,
 )
-from .errors import ArgumentError, ResourceError
+from .errors import ArgumentError
 from .hamiltonian import (
-    DEFAULT_MAX_TENSOR_ENTRIES,
+    check_budget,
     energy,
     gradient,
     pool_map,
@@ -65,8 +65,10 @@ def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: s
     `_pair_ensemble(m, n, seed, tag, r)` over the grid and runs alg on both
     leaves at derive_seed(seed, tag + "-run", r).  At p = 1 the leaves are
     bit-identical to H_0, so A runs once and R(x, x) is taken.  The reps run
-    on `pool_map`, each holding three node tensors and two leaves."""
+    on `pool_map`, each holding three node tensors and two leaves, which must
+    fit the budget before any rep samples."""
     ladders = [CorrelationLadder((0.0, p, 1.0)) for p in p_grid]
+    check_budget(m, n, 5, "a rep's 3 nodes and 2 leaves hold")
 
     def one_rep(r):
         ens = _pair_ensemble(m, n, seed, tag, r)
@@ -213,14 +215,16 @@ def run_branching_experiment(
     sphere extension checked against the full target.  `eta` is not read:
     the sphere extension takes no gap (only the Ising one does).  Within a
     rep, the underline leaves (build the leaf, run alg, take its energy) run
-    on `pool_map`, each holding its leaf Hamiltonian beside the ensemble."""
+    on `pool_map`, each holding its leaf Hamiltonian beside the ensemble: the
+    nodes and one leaf must fit the budget before the first rep samples."""
     reports = []
     d_ul = underline_depth(pladder)
     leaves_ul = TreeShape(shape.ks[:d_ul]).leaves()
     pad = (1,) * (shape.depth - d_ul)
+    nodes = len(shape.nodes()) - 1  # the root holds no tensor
+    check_budget(m, n, nodes + 1, f"{nodes} nodes and a leaf hold")
     leaf_entries = tensor_entries(m, n)
-    ens_entries = (len(shape.nodes()) - 1) * leaf_entries  # the root holds no tensor
-    width = replica_width(len(leaves_ul), leaf_entries, held=ens_entries)
+    width = replica_width(len(leaves_ul), leaf_entries, held=nodes * leaf_entries)
     for r in range(reps):
         ens_seed = rng.derive_seed(seed, "branching", r)
         ens = sample_ensemble(m, n, shape, pladder, ens_seed)
@@ -257,6 +261,13 @@ def run_branching_experiment(
     return reports
 
 
+def check_grand_max_budget(m: Mixture, n: int, shape: TreeShape):
+    """The nodes at depth >= 1 and the K leaves that `constrained_grand_max`
+    holds at once must fit the tensor budget; a run asks before it samples."""
+    nodes = len(shape.nodes()) - 1
+    check_budget(m, n, nodes + shape.n_leaves, f"{nodes} nodes and {shape.n_leaves} leaves hold")
+
+
 @dataclass
 class GrandMaxReport:
     best_energy: float | None  # grand energy per site, None when infeasible everywhere
@@ -276,15 +287,12 @@ def constrained_grand_max(
     penalized projected gradient ascent (step 0.05) over K sphere points,
     quadratic penalties on overlap deviations and the anchor band, penalty
     weight starting at 10 and doubling on infeasibility (up to 10
-    escalations).  The nodes and the K leaves it holds must fit the budget."""
+    escalations).  The nodes and the K leaves it holds must fit the budget
+    (`check_grand_max_budget`)."""
     leaves = ensemble.leaves()
     k = len(leaves)
     n = ensemble.n
-    total = (len(ensemble.node_hams) + k) * tensor_entries(ensemble.mixture, n)
-    if total > DEFAULT_MAX_TENSOR_ENTRIES:
-        raise ResourceError(
-            f"grand maximum holds {total} tensor entries with its {k} leaves, budget {DEFAULT_MAX_TENSOR_ENTRIES}"
-        )
+    check_grand_max_budget(ensemble.mixture, n, ensemble.shape)
     m_anchor = np.asarray(m_anchor, dtype=float)
     q0 = norm_n_sq(m_anchor) if m_anchor.size else 0.0
     q_target = np.asarray(q_target, dtype=float)

@@ -35,6 +35,7 @@ from .ensembles import CorrelatedEnsemble, underline_depth
 from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import (
     Hamiltonian,
+    check_budget,
     derivatives,
     energy,
     gradient,
@@ -494,13 +495,17 @@ def lipschitz_probe(alg, m: Mixture, n: int, eps: float, reps: int, seed: int):
     perturbations of scale eps of every disorder coefficient.
 
     Returns (max_ratio, mean_ratio, ratios); distances in the |.|_N norms.
+    It holds the base, one perturbation and its perturbed copy (each rep's
+    are freed when its ratio returns), which must fit the tensor budget
+    before the base is sampled.
     """
+    check_budget(m, n, 3, "the probe's base, perturbation and perturbed copy hold")
     base = sample_hamiltonian(m, n, rng.derive_seed(seed, "probe-base"))
     out0 = np.asarray(alg(base, seed))
     sizes = {p: base.tensors[p].size for p in m.ps}
     total = sum(sizes.values())
-    ratios = []
-    for rep in range(reps):
+
+    def ratio(rep):
         delta = eps * rng.stream(seed, "probe", rep).standard_normal(total)
         tensors = {}
         offset = 0
@@ -512,6 +517,7 @@ def lipschitz_probe(alg, m: Mixture, n: int, eps: float, reps: int, seed: int):
         out1 = np.asarray(alg(pert, seed))
         dist_in = np.linalg.norm(delta) / math.sqrt(n)
         dist_out = np.linalg.norm(out1 - out0) / math.sqrt(n)
-        ratios.append(dist_out / dist_in if dist_in > 0 else 0.0)
-    ratios = np.asarray(ratios)
+        return dist_out / dist_in if dist_in > 0 else 0.0
+
+    ratios = np.asarray([ratio(rep) for rep in range(reps)])
     return float(ratios.max()), float(ratios.mean()), ratios

@@ -27,6 +27,12 @@ class IncreasifyResult:
         return kappa_zeta_profile(self.shape, self.pladder, self.qladder, levels)(self.qladder.qs[d])
 
 
+def _check_beta(beta: float):
+    """Both constructions divide by beta, and the Ising one clamps to it."""
+    if not 0.0 < beta < math.inf:
+        raise ArgumentError(f"beta={beta} must be positive and finite")
+
+
 def delta_perturb(target: PiecewiseZeta, delta: float, x: float) -> PiecewiseZeta:
     """Replace the target on [x, x + delta) by its value at x + delta; a
     window reaching 1 raises ArgumentError."""
@@ -48,6 +54,7 @@ def increasify_sp(
     """Spherical construction: q-knots at the target's jumps past the
     perturbation window, k_{d+1} = floor(target(q_d^-) / (Delta target(q_d)))
     + 1, levels target_perturbed(q_d) / (beta kappa(q_d))."""
+    _check_beta(beta)
     if not (0.0 < delta_frac < 1.0):
         raise ArgumentError(f"Delta={delta_frac} must lie in (0, 1)")
     if not (0.0 <= q0 < 1.0):
@@ -86,8 +93,9 @@ def increasify_is(
 ) -> IncreasifyResult:
     """Ising construction: clamp the target to [delta, beta] on a uniform
     delta-grid from q0, uniform arm count k* = ceil(beta / delta^2)."""
-    if delta <= 0.0 or beta <= 0.0:
-        raise ArgumentError("need delta > 0 and beta > 0")
+    _check_beta(beta)
+    if delta <= 0.0:
+        raise ArgumentError(f"delta={delta} must be positive")
     if not (0.0 <= q0 < 1.0):
         raise ArgumentError(f"q0={q0} must lie in [0, 1)")
     qs = [q0]

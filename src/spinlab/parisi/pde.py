@@ -52,9 +52,10 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_array
 from scipy.special import log_ndtr, ndtr, roots_hermite
 
-from ..errors import ArgumentError, NumericError, ResourceError
-from ..hamiltonian import DEFAULT_MAX_TENSOR_ENTRIES
+from ..errors import ArgumentError, NumericError
+from ..hamiltonian import check_entries
 from ..mixture import Mixture, xi_eval
+from .spherical import _slope_profile
 from .zeta import PiecewiseZeta
 
 _SELF_CHECK_TOL = 1e-6
@@ -380,12 +381,7 @@ def _grid_points(grid, center: float, gh_nodes: int):
     if dx > 0.01 * length + 1e-15:
         raise ArgumentError(f"dx={dx} too coarse for L={length}: need dx <= 0.01 L")
     half = int(math.ceil(length / dx))
-    entries = 2 * gh_nodes * (2 * half + 1)
-    if entries > DEFAULT_MAX_TENSOR_ENTRIES:
-        raise ResourceError(
-            f"grid=({length}, {dx}) with {gh_nodes} nodes needs {entries} quadrature entries,"
-            f" over the budget of {DEFAULT_MAX_TENSOR_ENTRIES}"
-        )
+    check_entries(2 * gh_nodes * (2 * half + 1), f"grid=({length}, {dx}) with {gh_nodes} nodes would hold")
     return center + dx * np.arange(-half, half + 1)
 
 
@@ -812,11 +808,3 @@ def alg_is_levels(
         levels *= 2
         # the doubled profile merges back to best_vals, so it solves to best
         candidates = [([best_vals[i // 2] for i in range(levels)], best)]
-
-
-def _slope_profile(m: Mixture, q: float) -> float:
-    """xi'''(q) / (2 xi''(q)^{3/2}), the spherical-style slope initialization."""
-    denom = xi_eval(m, q, 2)
-    if denom <= 1e-12:
-        return 0.0
-    return xi_eval(m, q, 3) / (2.0 * denom**1.5)

@@ -1,8 +1,9 @@
 """Spherical Parisi functional, exact segment by segment of zeta, the
-closed-form algorithmic threshold ALG, and `opt_sp_numeric`, the midpoint
-discretization of ALG over nondecreasing slope profiles, computed in closed
-form as the mean root of one isotonic fit (it computes ALG, not OPT; the
-ROADMAP's OPT item gives it an honest key later)."""
+closed-form algorithmic threshold ALG and its minimizing zeta
+(`_slope_profile`), and `opt_sp_numeric`, the midpoint discretization of
+ALG over nondecreasing slope profiles, computed in closed form as the mean
+root of one isotonic fit (it computes ALG, not OPT; the ROADMAP's OPT item
+gives it an honest key later)."""
 
 import math
 
@@ -80,6 +81,15 @@ def alg_sp(m: Mixture):
     q_hat = 0.5 * (lo + hi) if f(0.0) < 0.0 else 0.0
     value = q_hat * math.sqrt(xi_eval(m, q_hat, 2)) + root_xi2_integral(m, q_hat, 1.0)
     return value, "rsb", q_hat
+
+
+def _slope_profile(m: Mixture, q: float) -> float:
+    """ALG's minimizing zeta on the sphere, xi'''(q) / (2 xi''(q)^{3/2}), and 0
+    where xi''(q) <= 1e-12; the Ising search of `alg_is_levels` starts from it."""
+    denom = xi_eval(m, q, 2)
+    if denom <= 1e-12:
+        return 0.0
+    return xi_eval(m, q, 3) / (2.0 * denom**1.5)
 
 
 def opt_sp_numeric(m: Mixture, grid: int = 200) -> float:

@@ -41,20 +41,13 @@ from .ensembles import (
     sample_ensemble,
     target_overlap_matrix,
 )
-from .errors import ArgumentError, NumericError, ResourceError
-from .hamiltonian import (
-    DEFAULT_MAX_TENSOR_ENTRIES,
-    check_budget,
-    energy,
-    pool_map,
-    replica_width,
-    sample_hamiltonian,
-    tensor_entries,
-)
+from .errors import ArgumentError, NumericError
+from .hamiltonian import check_budget, energy, pool_map, sample_hamiltonian
 from .mixture import Mixture, _exponent
 from .ogp import (
     check_chi_grid,
     check_chi_properties,
+    check_grand_max_budget,
     constrained_grand_max,
     estimate_chi,
     overlap_concentration,
@@ -509,13 +502,7 @@ def _run_optimize(cfg, out):
     concurrent = min(workers, len(seeds))
     if concurrent > 1:
         # every concurrent replica holds its own tensors
-        check_budget(m, n)
-        each = tensor_entries(m, n)
-        if replica_width(len(seeds), each, workers=workers) < concurrent:
-            raise ResourceError(
-                f"{concurrent} concurrent replicas hold {concurrent * each} tensor entries,"
-                f" over the budget of {DEFAULT_MAX_TENSOR_ENTRIES}"
-            )
+        check_budget(m, n, concurrent, f"{concurrent} concurrent replicas hold")
 
     def one(seed):
         h = sample_hamiltonian(m, n, rng.derive_seed(seed, "optimize"))
@@ -619,6 +606,7 @@ def _run_sandwich(cfg, out):
 
     m, n, seed, beta = parse_mixture(cfg["mixture"]), cfg["n"], cfg["seed"], cfg["beta"]
     shape, pladder, qladder = _parse_ladders(cfg)
+    check_grand_max_budget(m, n, shape)  # before a node is sampled
     ens = sample_ensemble(m, n, shape, pladder, seed)
     q_mat = target_overlap_matrix(shape, qladder)
     anchor = np.zeros(n) if qladder.qs[0] == 0 else sphere_point(

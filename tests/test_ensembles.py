@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinlab import rng
+from spinlab import hamiltonian, rng
 from spinlab.ensembles import (
     CorrelationLadder,
     OverlapLadder,
@@ -435,12 +435,14 @@ def test_a_depth_outside_the_tree_raises_argument_error(depth):
         leaf_weights(shape, ladder, (1, 2), depth)
 
 
-def test_ensemble_budget_counts_only_sampled_nodes():
+def test_ensemble_budget_counts_only_sampled_nodes(monkeypatch):
     shape = TreeShape((2,))  # two sampled nodes; the root would make three
     ladder = CorrelationLadder((0.0, 1.0))
-    assert len(sample_ensemble(pure(2), 4, shape, ladder, seed=0, max_entries=32).node_hams) == 2
+    monkeypatch.setattr(hamiltonian, "DEFAULT_MAX_TENSOR_ENTRIES", 32)
+    assert len(sample_ensemble(pure(2), 4, shape, ladder, seed=0).node_hams) == 2
+    monkeypatch.setattr(hamiltonian, "DEFAULT_MAX_TENSOR_ENTRIES", 31)
     with pytest.raises(ResourceError):
-        sample_ensemble(pure(2), 4, shape, ladder, seed=0, max_entries=31)
+        sample_ensemble(pure(2), 4, shape, ladder, seed=0)
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinlab.errors import ConstraintError
+from spinlab.errors import ArgumentError, ConstraintError
 from spinlab.parisi import PiecewiseZeta, increasify_is, increasify_sp
 from spinlab.parisi.increasify import delta_perturb
 
@@ -53,6 +53,20 @@ def test_increasify_sp_decreasing_best_zeta_style():
 def test_increasify_sp_beta_too_small():
     with pytest.raises(ConstraintError):
         increasify_sp(PiecewiseZeta.constant(5.0), 0.2, 0.0, lambda p: p, beta=2.0)
+
+
+@pytest.mark.parametrize("beta", (0.0, -1.0, math.inf, math.nan))
+@pytest.mark.parametrize("construction", ("sp", "is"))
+def test_increasify_refuses_a_beta_not_positive_and_finite_before_any_work(construction, beta):
+    def chi(p):
+        raise AssertionError("chi is aligned only after beta is checked")
+
+    target = PiecewiseZeta((0.0, 0.5), (2.0, 0.5))
+    with pytest.raises(ArgumentError, match="beta"):
+        if construction == "sp":
+            increasify_sp(target, 0.15, 0.0, chi, beta=beta)
+        else:
+            increasify_is(target, beta=beta, delta=0.25, q0=0.0, chi=chi)
 
 
 def test_increasify_is_constant():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinlab import ogp, rng
+from spinlab import hamiltonian, ogp, rng
 from spinlab.ensembles import (
     CorrelationLadder,
     OverlapLadder,
@@ -232,9 +232,9 @@ def test_constrained_grand_max_refuses_leaves_over_the_budget(monkeypatch):
     shape = TreeShape((2, 2))
     ens = sample_ensemble(M2, 16, shape, CorrelationLadder((0.0, 0.5, 1.0)), seed=0)
     q = target_overlap_matrix(shape, OverlapLadder((0.0, 0.5, 1.0)))
-    monkeypatch.setattr(ogp, "DEFAULT_MAX_TENSOR_ENTRIES", 2559)
+    monkeypatch.setattr(hamiltonian, "DEFAULT_MAX_TENSOR_ENTRIES", 2559)
     monkeypatch.setattr(type(ens), "leaf_hamiltonian", None)
-    with pytest.raises(ResourceError, match="holds 2560 tensor entries with its 4 leaves"):
+    with pytest.raises(ResourceError, match="^6 nodes and 4 leaves hold 2560 tensor entries, over the budget of 2559$"):
         constrained_grand_max(ens, q, np.zeros(16), eta=0.2, restarts=1, seed=0)
 
 

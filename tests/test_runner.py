@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinlab import acceptance, ogp, rng, runner
+from spinlab import acceptance, hamiltonian, rng, runner
 from spinlab.errors import ArgumentError, NumericError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
@@ -771,13 +771,39 @@ def test_sandwich_run(tmp_path):
     assert "bound_per_n" in res.payload
 
 
-def test_sandwich_exits_3_when_the_grand_max_leaves_are_over_the_budget(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "config, limit, holder",
+    (
+        ({"subcommand": "sandwich", "n": 16, "restarts": 1}, 2559, "6 nodes and 4 leaves hold 2560 tensor entries"),
+        ({"subcommand": "chi", "mixture": "p4", "n": 100}, None, "3 nodes and 2 leaves hold 500000000 tensor entries"),
+    ),
+    ids=("sandwich", "chi"),
+)
+def test_runs_over_the_budget_exit_3_before_they_sample(tmp_path, monkeypatch, capsys, config, limit, holder):
     """The default ks [2, 2] at n = 16 hold 6 node and 4 leaf tensors of 256
-    entries; a budget of 2559 holds the nodes alone."""
-    monkeypatch.setattr(ogp, "DEFAULT_MAX_TENSOR_ENTRIES", 2559)
-    out = tmp_path / "s"
-    assert main(["sandwich", "--n", "16", "--set", "restarts=1", "--out", str(out)]) == 3
-    assert "2560 tensor entries" in capsys.readouterr().err and not out.exists()
+    entries, and a budget of 2559 holds the nodes alone; a p4 pair rep at
+    n = 100 holds 3 nodes and 2 leaves of 10^8 entries.  Each run is refused
+    before a tensor is drawn: through main it exits 3 and leaves no output
+    directory, and through run its traced peak stays under 1 MB."""
+    if limit is not None:
+        monkeypatch.setattr(hamiltonian, "DEFAULT_MAX_TENSOR_ENTRIES", limit)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no tensor may be drawn once the budget is exceeded")
+
+    monkeypatch.setattr(hamiltonian, "sample_tensors", refuse)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "s"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert holder in capsys.readouterr().err and not out.exists()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=holder):
+            run(config, out_dir=str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and not out.exists()
 
 
 @pytest.mark.parametrize("mixture", (None, "p4", "p2+p4"))
