@@ -3,16 +3,19 @@ targets, and the kappa machinery.
 
 Leaves of the depth-D tree with arm counts (k_1, ..., k_D) are 1-based tuples
 (u_1, ..., u_D), enumerated lexicographically; all matrix outputs use this
-order.  A leaf Hamiltonian is the weighted sum over its ancestor nodes,
-H[u] = sum_d sqrt(p_d - p_{d-1}) H[(u_1..u_d)], so the Gram matrix of the
-weight vectors is exactly (p_{lca depth}).  A p-correlated pair is the
+order.  The Hamiltonian of a node v = (u_1, ..., u_d) at any depth d is the
+weighted sum over its ancestor nodes, H[v] = sum_{j<=d} sqrt(p_j - p_{j-1})
+H[(u_1..u_j)], so the Gram matrix of the leaves' weight vectors is exactly
+(p_{lca depth}); once p reaches 1 at depth D_ul, the depth-D_ul nodes hold
+the distinct leaf Hamiltonians.  A p-correlated pair is the
 two-leaf shape (1, 2) with the ladder (0, p, 1), whose leaves are
 sqrt(p) H[(1,)] + sqrt(1 - p) H[(1, i)]: the overlap experiments of `ogp`
 (chi, concentration, branching) all mix disorder by this one rule.
 
-The root's weight is 0 (p_0 = 0), so an ensemble samples, holds and writes
-to its manifest only the nodes at depth >= 1. Their tensors are drawn in one
-`sample_tensors` batch, filled concurrently.
+The root has no weight (p_0 = 0) and is not a listed node, so an ensemble
+samples, holds and writes to its manifest only the nodes at depth >= 1.
+Their tensors are drawn in one `sample_tensors` batch, filled concurrently.
+Every ladder must have the tree's depth (`check_depths`).
 """
 
 import itertools
@@ -62,8 +65,9 @@ class TreeShape:
         return [tuple(u) for u in itertools.product(*(range(1, k + 1) for k in self.ks))]
 
     def nodes(self) -> list:
-        """All nodes including the root (the empty tuple), depth-first order."""
-        out = [()]
+        """The nodes at depths 1..D, shallower first, each depth in
+        lexicographic order; the root () is not listed."""
+        out = []
         for d in range(1, self.depth + 1):
             out.extend(tuple(u) for u in itertools.product(*(range(1, k + 1) for k in self.ks[:d])))
         return out
@@ -136,25 +140,28 @@ def _lca_table(shape: TreeShape) -> np.ndarray:
     return np.cumprod(paths[:, None, :] == paths[None, :, :], axis=2).sum(axis=2)
 
 
-def leaf_weights(shape: TreeShape, ladder: CorrelationLadder, u, depth: int | None = None) -> dict:
-    """Node -> sqrt(p_d - p_{d-1}) over the ancestors of the leaf u down to
-    `depth` (default: the full depth D); the root's weight is 0.  Raises
-    ArgumentError unless u is a leaf of the shape and depth lies in 0..D."""
-    if ladder.depth != shape.depth:
-        raise ArgumentError("shape and correlation ladder depths disagree")
-    u = tuple(u)
-    if len(u) != shape.depth or not all(
-        isinstance(a, numbers.Integral) and 1 <= a <= k for a, k in zip(u, shape.ks)
+def check_depths(shape: TreeShape, *ladders):
+    """Raise ArgumentError unless every ladder has the tree's depth D."""
+    for ladder in ladders:
+        if ladder.depth != shape.depth:
+            raise ArgumentError(
+                f"depths disagree: the tree shape {shape.ks} has depth {shape.depth}, "
+                f"{ladder} has depth {ladder.depth}"
+            )
+
+
+def leaf_weights(shape: TreeShape, ladder: CorrelationLadder, v) -> dict:
+    """Node -> sqrt(p_d - p_{d-1}) over the ancestors v[:d], d = 1..|v|, of
+    the node v (the root () has none), nonzero weights only.  Raises
+    ArgumentError unless v is a node of the shape or the root."""
+    check_depths(shape, ladder)
+    v = tuple(v)
+    if len(v) > shape.depth or not all(
+        isinstance(a, numbers.Integral) and 1 <= a <= k for a, k in zip(v, shape.ks)
     ):
-        raise ArgumentError(f"{u} is not a leaf of the tree shape {shape.ks}")
-    depth = shape.depth if depth is None else depth
-    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= shape.depth):
-        raise ArgumentError(f"depth {depth!r} outside 0..{shape.depth}")
+        raise ArgumentError(f"{v} is not a node of the tree shape {shape.ks}")
     ps = ladder.ps
-    weights = {(): 0.0}
-    for d in range(1, depth + 1):
-        weights[u[:d]] = math.sqrt(max(ps[d] - ps[d - 1], 0.0))
-    return weights
+    return {v[:d]: math.sqrt(ps[d] - ps[d - 1]) for d in range(1, len(v) + 1) if ps[d] > ps[d - 1]}
 
 
 @dataclass(frozen=True)
@@ -169,24 +176,19 @@ class CorrelatedEnsemble:
     def leaves(self):
         return self.shape.leaves()
 
-    def leaf_energy(self, u, x) -> float:
-        """H[u](x) = <h, x> + weighted node energies; leaf tensors never built."""
+    def leaf_energy(self, v, x) -> float:
+        """H[v](x) = <h, x> + weighted node energies at the node v (a leaf, an
+        inner node or the root); no tensor is built."""
         val = self.mixture.h * float(np.sum(np.asarray(x, dtype=float)))
-        for node, w in leaf_weights(self.shape, self.ladder, u).items():
-            if w > 0.0:
-                val += w * energy(self.node_hams[node], x)
+        for node, w in leaf_weights(self.shape, self.ladder, v).items():
+            val += w * energy(self.node_hams[node], x)
         return val
 
-    def leaf_hamiltonian(self, u, depth: int | None = None) -> Hamiltonian:
-        """Materialized leaf (or ancestor-prefix) Hamiltonian, tensors summed
-        by `weighted_sum` with the ladder weights up to `depth` (default: full
-        depth)."""
-        depth = self.shape.depth if depth is None else depth
-        weighted = [
-            (self.node_hams[node], w)
-            for node, w in leaf_weights(self.shape, self.ladder, u, depth).items()
-            if w != 0.0
-        ]
+    def leaf_hamiltonian(self, v) -> Hamiltonian:
+        """Materialized Hamiltonian H[v] of the node v (a leaf, an inner node
+        or the root), tensors summed by `weighted_sum` with the ladder weights
+        of `leaf_weights`."""
+        weighted = [(self.node_hams[node], w) for node, w in leaf_weights(self.shape, self.ladder, v).items()]
         tensors = {}
         for p in self.mixture.ps:
             terms = [(ham.tensors[p], w) for ham, w in weighted]
@@ -204,9 +206,8 @@ class CorrelatedEnsemble:
 def sample_ensemble(m: Mixture, n: int, shape: TreeShape, ladder: CorrelationLadder, seed: int) -> CorrelatedEnsemble:
     """The nodes at depth >= 1, drawn in one `sample_hamiltonians` batch, which
     refuses them before any fill when together they are over the budget."""
-    if shape.depth != ladder.depth:
-        raise ArgumentError("shape and correlation ladder depths disagree")
-    nodes = shape.nodes()[1:]  # the root has weight 0
+    check_depths(shape, ladder)
+    nodes = shape.nodes()
     field_free = Mixture(dict(m.gammas), h=0.0)
     seeds = [rng.derive_seed(seed, "node", node) for node in nodes]
     hams = sample_hamiltonians(field_free, n, seeds)
@@ -215,8 +216,7 @@ def sample_ensemble(m: Mixture, n: int, shape: TreeShape, ladder: CorrelationLad
 
 def target_overlap_matrix(shape: TreeShape, qladder: OverlapLadder) -> np.ndarray:
     """Q_{u, v} = q_{lca depth(u, v)}; diagonal = q_D = 1."""
-    if qladder.depth != shape.depth:
-        raise ArgumentError("shape and overlap ladder depths disagree")
+    check_depths(shape, qladder)
     return np.asarray(qladder.qs)[_lca_table(shape)]
 
 
@@ -224,8 +224,7 @@ def m_matrix(shape: TreeShape, pladder: CorrelationLadder, d: int) -> np.ndarray
     """M^d_{u, v} = 1{lca depth >= d} p_{lca depth}."""
     if not (1 <= d <= shape.depth):
         raise ArgumentError(f"level d={d} outside 1..{shape.depth}")
-    if pladder.depth != shape.depth:
-        raise ArgumentError("shape and correlation ladder depths disagree")
+    check_depths(shape, pladder)
     lca = _lca_table(shape)
     return np.where(lca >= d, np.asarray(pladder.ps)[lca], 0.0)
 
@@ -350,7 +349,7 @@ def constrained_membership(
 
 
 def underline_depth(pladder: CorrelationLadder) -> int:
-    """D_ul, the first depth with p_d = 1: the depth-D_ul prefixes index the
+    """D_ul, the first depth with p_d = 1: the depth-D_ul nodes hold the
     distinct leaf Hamiltonians.  At least 1, as p_0 = 0."""
     return next(d for d, p in enumerate(pladder.ps) if p >= 1.0 - 1e-15)
 
@@ -358,8 +357,9 @@ def underline_depth(pladder: CorrelationLadder) -> int:
 def underline_target_matrix(
     shape: TreeShape, pladder: CorrelationLadder, qladder: OverlapLadder, chi1: float
 ) -> np.ndarray:
-    """Q_ul over the depth-D_ul prefixes, entries q_{lca} ^ chi1 (min); the
+    """Q_ul over the depth-D_ul nodes, entries q_{lca} ^ chi1 (min); the
     diagonal is q_{D_ul} ^ chi1."""
+    check_depths(shape, pladder, qladder)
     sub_shape = TreeShape(shape.ks[: underline_depth(pladder)])
     return np.minimum(np.asarray(qladder.qs)[_lca_table(sub_shape)], chi1)
 
@@ -371,7 +371,7 @@ def save_manifest(e: CorrelatedEnsemble, directory):
     """JSON manifest plus one snapshot per node at depth >= 1, referenced by
     node path; the snapshots are written concurrently by `pool_map`."""
     os.makedirs(directory, exist_ok=True)
-    paths = e.shape.nodes()[1:]
+    paths = e.shape.nodes()
     fnames = ["node_" + "_".join(map(str, node)) + ".bin" for node in paths]
     pool_map(
         lambda node, fname: save_snapshot(e.node_hams[node], os.path.join(directory, fname)),
@@ -418,7 +418,7 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     if len(snapshots) != len(paths):
         raise ArgumentError("manifest lists a node more than once")
     snapshots.pop((), None)
-    nodes = shape.nodes()[1:]
+    nodes = shape.nodes()
     known = set(nodes)
     for path in snapshots:
         if path not in known:

@@ -5,6 +5,8 @@ energies against targets and interpolation bounds.
 Algorithms are callables alg(hamiltonian, seed) -> point in B_N (or C_N),
 each a pure function of (H, seed): equal disorder tensors and seed give a
 bit-equal point, so a pair of bit-identical Hamiltonians is run once.
+The branching experiment runs them on H[u] of each depth-D_ul node u, by
+the one node rule of `ensembles`.
 """
 
 import math
@@ -18,6 +20,7 @@ from .ensembles import (
     CorrelationLadder,
     OverlapLadder,
     TreeShape,
+    check_depths,
     constrained_membership,
     sample_ensemble,
     target_overlap_matrix,
@@ -56,7 +59,7 @@ def _pair_ensemble(m: Mixture, n: int, *labels) -> CorrelatedEnsemble:
     Re-laddered to (0, p, 1), its leaves are sqrt(p) H_0 + sqrt(1 - p) H_i."""
     shape = TreeShape((1, 2))
     seeds = [rng.derive_seed(*labels, i) for i in range(3)]
-    hams = dict(zip(shape.nodes()[1:], sample_hamiltonians(Mixture(dict(m.gammas), h=0.0), n, seeds)))
+    hams = dict(zip(shape.nodes(), sample_hamiltonians(Mixture(dict(m.gammas), h=0.0), n, seeds)))
     return CorrelatedEnsemble(shape, CorrelationLadder((0.0, 0.0, 1.0)), m, n, rng.derive_seed(*labels), hams)
 
 
@@ -209,19 +212,20 @@ def run_branching_experiment(
     chi1: float | None = None,
     extend: bool = False,
 ) -> list:
-    """Run the algorithm on each underline-truncated leaf Hamiltonian of a
-    fresh ensemble per rep; report observed overlap matrices against the
-    underline target, per-leaf and grand energies, and (optionally) the
-    sphere extension checked against the full target.  `eta` is not read:
-    the sphere extension takes no gap (only the Ising one does).  Within a
-    rep, the underline leaves (build the leaf, run alg, take its energy) run
-    on `pool_map`, each holding its leaf Hamiltonian beside the ensemble: the
-    nodes and one leaf must fit the budget before the first rep samples."""
+    """Run the algorithm on the Hamiltonian H[u] of each depth-D_ul
+    (underline) node u of a fresh ensemble per rep; report observed overlap
+    matrices against the underline target, per-node and grand energies, and
+    (optionally) the sphere extension checked against the full target.
+    `eta` is not read: the sphere extension takes no gap (only the Ising one
+    does).  Within a rep, the underline nodes (build H[u], run alg, take its
+    energy) run on `pool_map`, each holding its Hamiltonian beside the
+    ensemble: the nodes and one leaf must fit the budget, and both ladders
+    the tree's depth, before the first rep samples."""
+    check_depths(shape, pladder, qladder)
     reports = []
     d_ul = underline_depth(pladder)
     leaves_ul = TreeShape(shape.ks[:d_ul]).leaves()
-    pad = (1,) * (shape.depth - d_ul)
-    nodes = len(shape.nodes()) - 1  # the root holds no tensor
+    nodes = len(shape.nodes())
     check_budget(m, n, nodes + 1, f"{nodes} nodes and a leaf hold")
     leaf_entries = tensor_entries(m, n)
     width = replica_width(len(leaves_ul), leaf_entries, held=nodes * leaf_entries)
@@ -231,7 +235,7 @@ def run_branching_experiment(
         alg_seed = rng.derive_seed(ens_seed, "alg")  # one seed: A is a fixed map of H
 
         def one_leaf(u):
-            h_u = ens.leaf_hamiltonian(u + pad, depth=d_ul)
+            h_u = ens.leaf_hamiltonian(u)
             out = np.asarray(alg(h_u, alg_seed))
             return out, energy(h_u, out)
 
@@ -264,7 +268,7 @@ def run_branching_experiment(
 def check_grand_max_budget(m: Mixture, n: int, shape: TreeShape):
     """The nodes at depth >= 1 and the K leaves that `constrained_grand_max`
     holds at once must fit the tensor budget; a run asks before it samples."""
-    nodes = len(shape.nodes()) - 1
+    nodes = len(shape.nodes())
     check_budget(m, n, nodes + shape.n_leaves, f"{nodes} nodes and {shape.n_leaves} leaves hold")
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .ensembles import CorrelatedEnsemble, underline_depth
+from .ensembles import CorrelatedEnsemble, TreeShape, check_depths, underline_depth
 from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import (
     Hamiltonian,
@@ -349,8 +349,10 @@ def extend_to_sphere(
     seed: int = 0,
     mode: str = "sphere",
 ) -> ExtensionReport:
-    """Grow each underline-leaf point into its subtree of full leaves with the
-    prescribed overlap ladder.
+    """Grow the point of each depth-D_ul (underline) node into its subtree of
+    full leaves with the prescribed overlap ladder.  `partial` must name
+    exactly the underline nodes, and the ladder must have the tree's depth;
+    both are checked before any step.
 
     Every increment is orthogonal to all contemporaneous iterates, so cross
     overlaps are frozen and within-tree overlaps hit q_{lca depth} exactly
@@ -366,7 +368,14 @@ def extend_to_sphere(
     if mode not in ("sphere", "ising"):
         raise ArgumentError(f"unknown extension mode {mode!r}")
     shape = ensemble.shape
+    check_depths(shape, qladder)
     d_ul = underline_depth(ensemble.ladder)
+    underline = set(TreeShape(shape.ks[:d_ul]).leaves())
+    if set(partial) != underline:
+        raise ArgumentError(
+            f"partial points must name exactly the depth-{d_ul} nodes of the tree shape {shape.ks}: "
+            f"missing {sorted(underline - set(partial))}, unknown {[u for u in partial if u not in underline]}"
+        )
     qs = qladder.qs
     n = ensemble.n
     gen = rng.stream(seed, "extend", mode)
@@ -377,7 +386,7 @@ def extend_to_sphere(
         x = np.asarray(x, dtype=float)
         if norm_n_sq(x) > qs[d_ul] + 1e-9:
             raise ArgumentError(f"partial point at {u_ul} has |x|_N^2 > q_{d_ul}")
-        active[tuple(u_ul)] = x
+        active[u_ul] = x
     fallbacks = 0
 
     def constraints_for(node):
@@ -394,7 +403,7 @@ def extend_to_sphere(
 
     def grow_ising(node, x, q_target):
         nonlocal fallbacks
-        leaf_h = ensemble.leaf_hamiltonian(node + (1,) * (shape.depth - len(node)), depth=d_ul)
+        leaf_h = ensemble.leaf_hamiltonian(node[:d_ul])
         step_cap = math.sqrt(0.01 * n)
         while norm_n_sq(x) < q_target - 1e-12:
             free = np.flatnonzero(np.abs(x) < 1.0 - 1e-12)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level, m_matrix
+from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, check_depths, kappa_level, m_matrix
 from ..errors import ArgumentError, DomainError
 from ..mixture import Mixture, xi_eval
 from .spherical import b_profile, parisi_sp, theta, xi2_over_b_integral
@@ -25,8 +25,7 @@ def cascade_value(
     """(K/2) sum_d kappa(q_d) zeta_d (theta(q_{d+1}) - theta(q_d)) with
     theta anchored at q_0; zeta must be piecewise constant on the q-knots
     with strictly increasing levels 0 < zeta_0 < ... < zeta_{D-1} < 1."""
-    if shape.depth != qladder.depth or shape.depth != pladder.depth:
-        raise ArgumentError("shape/ladder depths disagree")
+    check_depths(shape, pladder, qladder)
     levels = [zeta(q) for q in qladder.qs[:-1]]
     if any(a >= b for a, b in zip(levels, levels[1:])) or (
         levels and (levels[0] <= 0.0 or levels[-1] >= 1.0)
@@ -96,8 +95,7 @@ def lambda_recursion(
     Lambda_d >= B_{kappa zeta}(q_d) I and the exact value of the recursive
     Gaussian integral; the value is asserted against its scalar upper bound.
     """
-    if shape.depth != qladder.depth or shape.depth != pladder.depth:
-        raise ArgumentError("shape/ladder depths disagree")
+    check_depths(shape, pladder, qladder)
     depth, K = shape.depth, shape.n_leaves
     qs = qladder.qs
     levels = [zeta(q) for q in qs[:-1]]

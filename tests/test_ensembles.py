@@ -29,6 +29,7 @@ from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian, save_snapshot
 from spinlab.mixture import Mixture, pure
 from spinlab.ogp import _pair_ensemble
+from spinlab.parisi import PiecewiseZeta, cascade_value, lambda_recursion
 from spinlab.points import overlap, sphere_point
 
 from conftest import coefficients
@@ -343,8 +344,34 @@ def test_underline_depth_and_target():
     assert np.array_equal(q_p1, np.array([[0.3, 0.0], [0.0, 0.3]]))
 
 
+_SHAPE = TreeShape((2, 2))
+_PL, _PL3 = CorrelationLadder((0.0, 0.5, 1.0)), CorrelationLadder((0.0, 0.2, 0.5, 1.0))
+_QL1, _QL3 = OverlapLadder((0.0, 1.0)), OverlapLadder((0.0, 0.2, 0.5, 1.0))
+_ZETA = PiecewiseZeta.on_knots((0.0, 0.2, 0.5), (0.2, 0.4, 0.6))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: leaf_weights(_SHAPE, _PL3, (1, 1)),
+        lambda: sample_ensemble(pure(2), 3, _SHAPE, _PL3, seed=0),
+        lambda: m_matrix(_SHAPE, _PL3, 1),
+        lambda: target_overlap_matrix(_SHAPE, _QL3),
+        lambda: underline_target_matrix(_SHAPE, _PL, _QL3, chi1=1.0),
+        lambda: underline_target_matrix(_SHAPE, _PL, _QL1, chi1=1.0),
+        lambda: cascade_value(_SHAPE, _PL, _QL3, _ZETA, pure(2)),
+        lambda: lambda_recursion(2.0, _ZETA, _SHAPE, _PL, _QL3, pure(2)),
+    ],
+)
+def test_a_ladder_whose_depth_is_not_the_trees_raises_argument_error(call):
+    """One check for every site: a deeper overlap ladder once gave an
+    underline target off the wrong rungs, and a shallower one an IndexError."""
+    with pytest.raises(ArgumentError, match="depths disagree"):
+        call()
+
+
 def _oracle_nodes(m, n, shape, seed):
-    """Every node's Hamiltonian as sampled one node at a time, root included."""
+    """Every node's Hamiltonian as sampled one node at a time."""
     field_free = Mixture(dict(m.gammas), h=0.0)
     return {
         node: sample_hamiltonian(field_free, n, rng.derive_seed(seed, "node", node))
@@ -358,7 +385,7 @@ def test_ensemble_nodes_equal_the_per_node_oracle():
     pl = CorrelationLadder((0.0, 0.4, 1.0))
     ens = sample_ensemble(m, 5, shape, pl, seed=9)
     oracle = _oracle_nodes(m, 5, shape, 9)
-    assert list(ens.node_hams) == shape.nodes()[1:]  # the root is not sampled
+    assert list(ens.node_hams) == shape.nodes()  # the root is not sampled
     for node, h in ens.node_hams.items():
         want = oracle[node]
         assert (h.mixture, h.n, h.seed) == (want.mixture, want.n, want.seed)
@@ -368,7 +395,7 @@ def test_ensemble_nodes_equal_the_per_node_oracle():
     x = rng.stream(44).standard_normal(5) * 0.4
     for u in shape.leaves():
         weights = leaf_weights(shape, pl, u)
-        assert weights[()] == 0.0
+        assert () not in weights
         leaf = ens.leaf_hamiltonian(u)
         want_e = m.h * float(np.sum(x))
         for p in m.ps:
@@ -395,19 +422,29 @@ def _oracle_leaf_tensors(ens, u, depth):
     return tensors
 
 
-def test_leaf_hamiltonian_equals_the_summed_oracle():
+def test_every_node_hamiltonian_equals_the_summed_oracle():
+    """H[v] at every node v, the root included, is the leaf below v summed
+    down to depth |v|, bit for bit, and its energy is the field term plus
+    the weighted node energies in ancestor order; a flat step of the ladder
+    (p_2 = p_1) drops its node."""
     m = Mixture({2: 0.8, 4: 0.4}, h=0.3)
     shape = TreeShape((2, 2, 2))
     # n = 17: p4 has 83 521 entries, one full weighted_sum block and a short one
     for n in (6, 17):
-        ens = sample_ensemble(m, n, shape, CorrelationLadder((0.0, 0.3, 0.7, 1.0)), seed=21)
-        for u in shape.leaves():
-            for depth in (0, 1, 2, 3, None):
-                got = ens.leaf_hamiltonian(u, depth)
-                want = _oracle_leaf_tensors(ens, u, shape.depth if depth is None else depth)
+        x = rng.stream(46).standard_normal(n) * 0.4
+        for ps in ((0.0, 0.3, 0.7, 1.0), (0.0, 0.3, 0.3, 1.0)):
+            ens = sample_ensemble(m, n, shape, CorrelationLadder(ps), seed=21)
+            for v in [(), *shape.nodes()]:
+                got = ens.leaf_hamiltonian(v)
+                want = _oracle_leaf_tensors(ens, v + (1,) * (shape.depth - len(v)), len(v))
                 for p in m.ps:
                     assert got.tensors[p].shape == want[p].shape
                     assert np.array_equal(got.tensors[p], want[p])
+                want_e = m.h * float(np.sum(x))
+                for d in range(1, len(v) + 1):
+                    if ps[d] > ps[d - 1]:
+                        want_e += math.sqrt(ps[d] - ps[d - 1]) * energy(ens.node_hams[v[:d]], x)
+                assert ens.leaf_energy(v, x) == want_e
 
 
 @pytest.mark.parametrize(
@@ -418,21 +455,11 @@ def test_leaf_hamiltonian_equals_the_summed_oracle():
         lambda ens, u: ens.leaf_energy(u, np.zeros(ens.n)),
     ],
 )
-@pytest.mark.parametrize("u", [(3, 1), (1, 0), (1,), (1, 1, 1), (), (1, 1.5)])
-def test_a_point_that_is_not_a_leaf_raises_argument_error(call, u):
+@pytest.mark.parametrize("u", [(3, 1), (1, 0), (1, 1, 1), (1, 1.5)])
+def test_a_point_that_is_not_a_node_raises_argument_error(call, u):
     ens = sample_ensemble(pure(2), 3, TreeShape((2, 2)), CorrelationLadder((0.0, 0.5, 1.0)), seed=1)
-    with pytest.raises(ArgumentError, match="not a leaf"):
+    with pytest.raises(ArgumentError, match="not a node"):
         call(ens, u)
-
-
-@pytest.mark.parametrize("depth", [-1, 3, 1.0])
-def test_a_depth_outside_the_tree_raises_argument_error(depth):
-    shape, ladder = TreeShape((2, 2)), CorrelationLadder((0.0, 0.5, 1.0))
-    ens = sample_ensemble(pure(2), 3, shape, ladder, seed=1)
-    with pytest.raises(ArgumentError, match="depth"):
-        ens.leaf_hamiltonian((1, 2), depth)
-    with pytest.raises(ArgumentError, match="depth"):
-        leaf_weights(shape, ladder, (1, 2), depth)
 
 
 def test_ensemble_budget_counts_only_sampled_nodes(monkeypatch):
@@ -477,7 +504,8 @@ def _write(tmp_path, manifest):
 
 def test_manifest_with_a_root_entry_still_loads(tmp_path):
     ens, manifest = _saved(tmp_path)
-    root = _oracle_nodes(ens.mixture, ens.n, ens.shape, ens.seed)[()]
+    field_free = Mixture(dict(ens.mixture.gammas), h=0.0)
+    root = sample_hamiltonian(field_free, ens.n, rng.derive_seed(ens.seed, "node", ()))
     save_snapshot(root, tmp_path / "node_root.bin")  # what earlier versions wrote
     manifest["nodes"].insert(0, {"path": [], "snapshot": "node_root.bin"})
     _write(tmp_path, manifest)

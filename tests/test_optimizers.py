@@ -477,6 +477,44 @@ def test_extend_to_sphere_spherical_exact():
             assert overlap(rep.points[u], rep.points[v]) == pytest.approx(q[i, j], abs=1e-12)
 
 
+def _refusing_extension(monkeypatch, partial, qladder, mode):
+    """extend_to_sphere on a (2, 2) tree with p = (0, 1, 1), so D_ul = 1,
+    with every step helper refusing to run: the call must fail first."""
+    n = 16
+    ens = sample_ensemble(pure(2), n, TreeShape((2, 2)), CorrelationLadder((0.0, 1.0, 1.0)), seed=7)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(optimizers, "orthogonal_unit", no_step)
+    monkeypatch.setattr(optimizers, "derivatives", no_step)
+    x = 0.5 * sphere_point(rng.stream(76).standard_normal(n))
+    return extend_to_sphere(ens, {u: x for u in partial}, qladder, eta=0.1, seed=0, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["sphere", "ising"])
+@pytest.mark.parametrize(
+    "partial",
+    [
+        [(1, 1), (1, 2), (2, 1), (2, 2)],  # the full leaves, not the depth-1 nodes: a KeyError once
+        [(1,), (2,), (3,)],  # an unknown node: refused only after the walk once
+        [(1,)],  # a missing node: its subtree was silently dropped
+    ],
+)
+def test_extend_to_sphere_refuses_points_not_at_the_underline_nodes_before_any_step(monkeypatch, partial, mode):
+    with pytest.raises(ArgumentError, match=r"exactly the depth-1 nodes"):
+        _refusing_extension(monkeypatch, partial, OverlapLadder((0.0, 0.45, 1.0)), mode)
+
+
+@pytest.mark.parametrize("mode", ["sphere", "ising"])
+@pytest.mark.parametrize("qs", [(0.0, 0.3, 0.5, 1.0), (0.0, 1.0)])
+def test_extend_to_sphere_refuses_an_overlap_ladder_of_another_depth_before_any_step(monkeypatch, qs, mode):
+    """A deeper ladder once left the leaves at |x|_N^2 = q_2 = 0.5, off the
+    sphere; a shallower one ended in an IndexError."""
+    with pytest.raises(ArgumentError, match="depths disagree"):
+        _refusing_extension(monkeypatch, [(1,), (2,)], OverlapLadder(qs), mode)
+
+
 def gradient_norm_probe(h, r, trials, seed, iters):
     """Lower estimate of sup_{|x|_N <= r} |grad H(x)|_N, the k = 1 operator
     norm, by random-restart alternating maximization: sigma follows the

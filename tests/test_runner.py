@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinlab import acceptance, hamiltonian, rng, runner
+from spinlab import acceptance, hamiltonian, ogp, rng, runner
 from spinlab.errors import ArgumentError, NumericError, ResourceError
 from spinlab.hamiltonian import energy, sample_hamiltonian
 from spinlab.mixture import Mixture, pure
@@ -363,6 +363,21 @@ def test_chi_refuses_a_bad_grid_before_the_first_replica(tmp_path, capsys, monke
     assert main(argv) == 2
     assert "p = 0 and p = 1" in capsys.readouterr().err
     assert ran == [] and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("qladder", ([0.0, 0.2, 0.5, 1.0], [0.0, 1.0]))
+def test_branching_refuses_an_overlap_ladder_of_another_depth_before_it_samples(
+    tmp_path, capsys, monkeypatch, qladder
+):
+    """On the default (2, 2) tree, a deeper ladder once exited 0 with its
+    target built off the wrong rungs, and a shallower one exited 1 on an
+    IndexError."""
+    sampled = []
+    monkeypatch.setattr(ogp, "sample_ensemble", lambda *args: sampled.append(args))
+    argv = ["branching", "--n", "16", "--set", f"qladder={json.dumps(qladder)}", "--set", "pladder=[0.0, 0.5, 1.0]"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "depths disagree" in capsys.readouterr().err
+    assert sampled == [] and not (tmp_path / "o").exists()
 
 
 def test_byte_reproducibility(tmp_path):
