@@ -1,6 +1,8 @@
 """Empirical correlation functions, overlap-concentration measurement, and
 branching experiments comparing observed overlap structures and grand
-energies against targets and interpolation bounds.
+energies against targets and interpolation bounds, and the primal side of
+the sandwich: the constrained grand maximum from below, by ascent over
+frames whose leaf points meet every target overlap exactly.
 
 Algorithms are callables alg(hamiltonian, seed) -> point in B_N (or C_N),
 each a pure function of (H, seed): equal disorder tensors and seed give a
@@ -27,11 +29,11 @@ from .ensembles import (
     underline_depth,
     underline_target_matrix,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, ResourceError
 from .hamiltonian import (
     check_budget,
+    derivatives,
     energy,
-    gradient,
     pool_map,
     replica_width,
     sample_hamiltonians,
@@ -39,7 +41,7 @@ from .hamiltonian import (
 )
 from .mixture import Mixture
 from .optimizers import extend_to_sphere
-from .points import norm_n_sq, overlap, overlap_matrix, sphere_point, worst_violation
+from .points import norm_n_sq, orthonormal_rows, overlap, overlap_matrix, worst_violation
 
 
 @dataclass
@@ -267,14 +269,17 @@ def run_branching_experiment(
 
 def check_grand_max_budget(m: Mixture, n: int, shape: TreeShape):
     """The nodes at depth >= 1 and the K leaves that `constrained_grand_max`
-    holds at once must fit the tensor budget; a run asks before it samples."""
-    nodes = len(shape.nodes())
-    check_budget(m, n, nodes + shape.n_leaves, f"{nodes} nodes and {shape.n_leaves} leaves hold")
+    holds at once must fit the tensor budget, and its frame of K rows
+    orthogonal to the anchor needs n >= K + 1; a run asks before it samples."""
+    nodes, k = len(shape.nodes()), shape.n_leaves
+    check_budget(m, n, nodes + k, f"{nodes} nodes and {k} leaves hold")
+    if n < k + 1:
+        raise ResourceError(f"n={n} too small for a frame of {k} leaves beside the anchor (need n >= {k + 1})")
 
 
 @dataclass
 class GrandMaxReport:
-    best_energy: float | None  # grand energy per site, None when infeasible everywhere
+    best_energy: float | None  # grand energy per site at eta = 0, None when no start is a member
     feasible: bool
 
 
@@ -287,55 +292,43 @@ def constrained_grand_max(
     seed: int,
     steps: int = 120,
 ) -> GrandMaxReport:
-    """Heuristic primal lower bound on the constrained grand maximum:
-    penalized projected gradient ascent (step 0.05) over K sphere points,
-    quadratic penalties on overlap deviations and the anchor band, penalty
-    weight starting at 10 and doubling on infeasibility (up to 10
-    escalations).  The nodes and the K leaves it holds must fit the budget
-    (`check_grand_max_budget`)."""
-    leaves = ensemble.leaves()
-    k = len(leaves)
-    n = ensemble.n
+    """Primal lower bound on the constrained grand maximum by frame ascent:
+    sigma_i = m + coef_i U, with coef = sqrt(n) V sqrt(Lambda) from the eigh
+    of Q - |m|_N^2 and U K orthonormal rows orthogonal to the anchor m, meets
+    every target overlap and the anchor band exactly, so its value at
+    eta = 0 lower-bounds the band maximum at every eta.  Each restart ascends
+    one random frame on the Stiefel manifold by `steps` tangent steps,
+    retracted by `orthonormal_rows`; the step starts at 0.25 and halves, the
+    step rejected, whenever the grand energy falls.  `constrained_membership`
+    gives the verdict, after `check_grand_max_budget`."""
+    n, k = ensemble.n, ensemble.shape.n_leaves
     check_grand_max_budget(ensemble.mixture, n, ensemble.shape)
     m_anchor = np.asarray(m_anchor, dtype=float)
-    q0 = norm_n_sq(m_anchor) if m_anchor.size else 0.0
-    q_target = np.asarray(q_target, dtype=float)
+    anchor = m_anchor if m_anchor.size else np.zeros(n)
+    lam, vecs = np.linalg.eigh(np.asarray(q_target, dtype=float) - norm_n_sq(anchor))
+    coef = math.sqrt(n) * vecs * np.sqrt(np.maximum(lam, 0.0))
+    leaf_hams = [ensemble.leaf_hamiltonian(u) for u in ensemble.leaves()]
 
-    leaf_hams = [ensemble.leaf_hamiltonian(u) for u in leaves]
+    def frame(rows):
+        return orthonormal_rows([anchor, *rows], n)[-k:]
 
-    def ascend(penalty, start):
-        sigmas = [s.copy() for s in start]
-        for _ in range(steps):
-            r_mat = overlap_matrix(sigmas)
-            new = []
-            for i in range(k):
-                g = gradient(leaf_hams[i], sigmas[i]) / n
-                pulls = [(r_mat[i, j] - q_target[i, j], sigmas[j]) for j in range(k) if j != i]
-                if m_anchor.size:
-                    pulls.append((overlap(sigmas[i], m_anchor) - q0, m_anchor))
-                pen_grad = np.zeros(n)
-                for dev, vec in pulls:
-                    excess = abs(dev) - eta
-                    if excess > 0:
-                        pen_grad += 2 * excess * np.sign(dev) * vec / n
-                step_vec = g - penalty * pen_grad
-                new.append(sphere_point(sigmas[i] + 0.05 * n * step_vec))
-            sigmas = new
-        return sigmas
+    def climb(u):
+        """The grand energy at the frame u and its gradient G in u."""
+        parts = [derivatives(h, anchor + c @ u, 1) for h, c in zip(leaf_hams, coef)]
+        return sum(e for e, _ in parts), coef.T @ np.array([g for _, g in parts]) / n
 
     best = None
     for restart in range(restarts):
-        gen = rng.stream(seed, "grand-max", restart)
-        sigmas = [sphere_point(gen.standard_normal(n)) for _ in range(k)]
-        penalty = 10.0
-        for _ in range(10):
-            sigmas = ascend(penalty, sigmas)
-            member = constrained_membership(sigmas, q_target, m_anchor, eta, domain="sphere")
-            if member.ok:
-                break
-            penalty *= 2.0
-        if member.ok:
-            val = ensemble.grand_energy(sigmas) / n
-            if best is None or val > best:
-                best = val
+        u = frame(rng.stream(seed, "grand-max", restart).standard_normal((k, n)))
+        value, grad = climb(u)
+        lr = 0.25
+        for _ in range(steps):
+            trial = frame(u + lr * (grad - 0.5 * (grad @ u.T + u @ grad.T) @ u))
+            trial_value, trial_grad = climb(trial)
+            if trial_value < value:
+                lr /= 2
+            else:
+                u, value, grad = trial, trial_value, trial_grad
+        if constrained_membership(anchor + coef @ u, q_target, m_anchor, eta, domain="sphere").ok:
+            best = value / n if best is None else max(best, value / n)
     return GrandMaxReport(best, best is not None)

@@ -240,8 +240,8 @@ def test_constrained_grand_max_refuses_leaves_over_the_budget(monkeypatch):
 
 def test_constrained_grand_max_pulls_the_points_into_the_anchor_band():
     """The random start has overlap about 0 with the anchor, far outside the
-    band |R(sigma, m) - q_0| <= eta around q_0 = |m|_N^2 = 0.5; only the
-    band's penalty gradient brings the point in."""
+    band |R(sigma, m) - q_0| <= eta around q_0 = |m|_N^2 = 0.5; the frame
+    puts the point on R(sigma, m) = q_0 exactly."""
     n = 32
     ens = sample_ensemble(M2, n, TreeShape((1,)), CorrelationLadder((0.0, 1.0)), seed=5)
     anchor = sphere_point(rng.stream(6, "anchor").standard_normal(n)) * math.sqrt(0.5)
@@ -249,6 +249,22 @@ def test_constrained_grand_max_pulls_the_points_into_the_anchor_band():
     assert abs(start @ anchor / n - 0.5) > 0.3
     rep = constrained_grand_max(ens, np.array([[1.0]]), anchor, eta=0.05, restarts=1, seed=1)
     assert rep.feasible
+
+
+@pytest.mark.parametrize("eta", (0.05, 1e-9))
+def test_constrained_grand_max_meets_an_anchored_tree_target_exactly(eta):
+    """A (2, 2) tree with q-ladder (0.2, 0.6, 1) and an anchor at q_0 = 0.2:
+    each frame point meets every target overlap and the anchor band to
+    rounding, so the membership verdict passes at eta = 1e-9 as at 0.05,
+    with one value at both."""
+    n = 32
+    shape = TreeShape((2, 2))
+    ens = sample_ensemble(M2, n, shape, CorrelationLadder((0.0, 0.5, 1.0)), seed=0)
+    q = target_overlap_matrix(shape, OverlapLadder((0.2, 0.6, 1.0)))
+    anchor = sphere_point(rng.stream(8, "anchor").standard_normal(n)) * math.sqrt(0.2)
+    rep = constrained_grand_max(ens, q, anchor, eta=eta, restarts=4, seed=1)
+    assert rep.feasible
+    assert rep.best_energy == pytest.approx(4.8871, abs=1e-4)
 
 
 def test_constrained_grand_max_loose_eta_equals_leaf_maxima():

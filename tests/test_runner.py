@@ -791,15 +791,18 @@ def test_sandwich_run(tmp_path):
     (
         ({"subcommand": "sandwich", "n": 16, "restarts": 1}, 2559, "6 nodes and 4 leaves hold 2560 tensor entries"),
         ({"subcommand": "chi", "mixture": "p4", "n": 100}, None, "3 nodes and 2 leaves hold 500000000 tensor entries"),
+        ({"subcommand": "sandwich", "n": 3, "restarts": 1}, None, "n=3 too small for a frame of 4 leaves beside the anchor"),
     ),
-    ids=("sandwich", "chi"),
+    ids=("sandwich", "chi", "sandwich-frame"),
 )
 def test_runs_over_the_budget_exit_3_before_they_sample(tmp_path, monkeypatch, capsys, config, limit, holder):
     """The default ks [2, 2] at n = 16 hold 6 node and 4 leaf tensors of 256
     entries, and a budget of 2559 holds the nodes alone; a p4 pair rep at
-    n = 100 holds 3 nodes and 2 leaves of 10^8 entries.  Each run is refused
-    before a tensor is drawn: through main it exits 3 and leaves no output
-    directory, and through run its traced peak stays under 1 MB."""
+    n = 100 holds 3 nodes and 2 leaves of 10^8 entries; at n = 3 the 4 leaves
+    leave no room for a frame of 4 rows orthogonal to the anchor, which
+    needs n >= 5.  Each run is refused before a tensor is drawn: through main
+    it exits 3 and leaves no output directory, and through run its traced
+    peak stays under 1 MB."""
     if limit is not None:
         monkeypatch.setattr(hamiltonian, "DEFAULT_MAX_TENSOR_ENTRIES", limit)
 
@@ -821,25 +824,24 @@ def test_runs_over_the_budget_exit_3_before_they_sample(tmp_path, monkeypatch, c
     assert peak < 1 << 20 and not out.exists()
 
 
-@pytest.mark.parametrize("mixture", (None, "p4", "p2+p4"))
-def test_sandwich_cli_defaults_are_feasible(tmp_path, mixture):
+@pytest.mark.parametrize(
+    "extra",
+    ([], ["--mixture", "p4"], ["--mixture", "p2+p4"], ["--set", "qladder=[0.2, 0.6, 1.0]"]),
+    ids=("None", "p4", "p2+p4", "anchored"),
+)
+def test_sandwich_cli_defaults_are_feasible(tmp_path, extra):
     """Without B the run picks one with B_zeta(0) = sqrt(max(xi''(1), 1)) for
     its composite profile, so the bound is defined at every default.  The
-    default p2 run finds no feasible primal point, and its sandwich flag is
-    then null, not a vacuous true."""
-    argv = ["sandwich", "--n", "16", "--set", "restarts=1", "--out", str(tmp_path)]
-    if mixture is not None:
-        argv += ["--mixture", mixture]
-    assert main(argv) == 0
+    frame primal meets every target overlap, and with q_0 = 0.2 the anchor
+    band, by construction, so each run, the anchored one included, has a
+    feasible primal point and a sandwich flag that compares it with the
+    bound."""
+    assert main(["sandwich", "--n", "16", "--set", "restarts=1", "--out", str(tmp_path), *extra]) == 0
     results = json.loads((tmp_path / "run.json").read_text())["results"]
     assert math.isfinite(results["bound_total"])
-    assert results["primal_feasible"] is (mixture is not None)
-    if results["primal_feasible"]:
-        below = results["primal_grand_energy_per_n"] <= results["bound_per_n"]
-        assert results["sandwich_holds"] is below
-    else:
-        assert results["primal_grand_energy_per_n"] is None
-        assert results["sandwich_holds"] is None
+    assert results["primal_feasible"] is True
+    below = results["primal_grand_energy_per_n"] <= results["bound_per_n"]
+    assert results["sandwich_holds"] is below
 
 
 def test_selftest_subset(tmp_path):
