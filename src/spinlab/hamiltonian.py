@@ -478,8 +478,8 @@ def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0,
     dsymv on the F-contiguous view M.T, which equals M and of which dsymv
     reads one triangle.
 
-    Warm start: with k = 1, Lanczos starts from P start (a step chain passes
-    its previous direction) unless that projection has norm <= 1e-8 |start|;
+    Warm start: with k = 1, Lanczos starts from P start (the Hessian walk's
+    previous direction) unless that projection has norm <= 1e-8 |start|;
     otherwise, and always for k > 1 (one start vector in a small invariant
     subspace cannot yield k eigenpairs), it starts from the seeded vector.
     """

@@ -69,9 +69,9 @@ def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: s
     """[r, j] = R(A(H1), A(H2)) at p_grid[j]: rep r re-ladders one
     `_pair_ensemble(m, n, seed, tag, r)` over the grid and runs alg on both
     leaves at derive_seed(seed, tag + "-run", r).  At p = 1 the leaves are
-    bit-identical to H_0, so A runs once and R(x, x) is taken.  The reps run
-    on `pool_map`, each holding three node tensors and two leaves, which must
-    fit the budget before any rep samples."""
+    bit-identical to H_0, so one is built, A runs once and R(x, x) is taken.
+    The reps run on `pool_map`, each holding three node tensors and two
+    leaves, which must fit the budget before any rep samples."""
     ladders = [CorrelationLadder((0.0, p, 1.0)) for p in p_grid]
     check_budget(m, n, 5, "a rep's 3 nodes and 2 leaves hold")
 
@@ -81,9 +81,8 @@ def _pair_overlaps(alg, m: Mixture, n: int, p_grid, reps: int, seed: int, tag: s
         row = []
         for p, ladder in zip(p_grid, ladders):
             pair = replace(ens, ladder=ladder)
-            h1, h2 = (pair.leaf_hamiltonian(u) for u in pair.leaves())
-            x1 = np.asarray(alg(h1, run_seed))
-            x2 = x1 if p == 1.0 else np.asarray(alg(h2, run_seed))
+            x1 = np.asarray(alg(pair.leaf_hamiltonian((1, 1)), run_seed))
+            x2 = x1 if p == 1.0 else np.asarray(alg(pair.leaf_hamiltonian((1, 2)), run_seed))
             row.append(overlap(x1, x2))
         return row
 
@@ -267,12 +266,13 @@ def run_branching_experiment(
     return reports
 
 
-def check_grand_max_budget(m: Mixture, n: int, shape: TreeShape):
-    """The nodes at depth >= 1 and the K leaves that `constrained_grand_max`
-    holds at once must fit the tensor budget, and its frame of K rows
-    orthogonal to the anchor needs n >= K + 1; a run asks before it samples."""
+def check_grand_max_budget(m: Mixture, n: int, shape: TreeShape, pladder: CorrelationLadder):
+    """The nodes at depth >= 1 and the K_ul distinct leaves, one per depth-D_ul
+    node, that `constrained_grand_max` holds at once must fit the budget, and
+    its frame of K rows beside the anchor needs n >= K + 1; a run asks first."""
     nodes, k = len(shape.nodes()), shape.n_leaves
-    check_budget(m, n, nodes + k, f"{nodes} nodes and {k} leaves hold")
+    k_ul = math.prod(shape.ks[: underline_depth(pladder)])
+    check_budget(m, n, nodes + k_ul, f"{nodes} nodes and {k_ul} leaves hold")
     if n < k + 1:
         raise ResourceError(f"n={n} too small for a frame of {k} leaves beside the anchor (need n >= {k + 1})")
 
@@ -299,15 +299,18 @@ def constrained_grand_max(
     eta = 0 lower-bounds the band maximum at every eta.  Each restart ascends
     one random frame on the Stiefel manifold by `steps` tangent steps,
     retracted by `orthonormal_rows`; the step starts at 0.25 and halves, the
-    step rejected, whenever the grand energy falls.  `constrained_membership`
-    gives the verdict, after `check_grand_max_budget`."""
+    step rejected, whenever the grand energy falls; the leaves below a
+    depth-D_ul node share its Hamiltonian.  `constrained_membership` gives
+    the verdict, after `check_grand_max_budget`."""
     n, k = ensemble.n, ensemble.shape.n_leaves
-    check_grand_max_budget(ensemble.mixture, n, ensemble.shape)
+    check_grand_max_budget(ensemble.mixture, n, ensemble.shape, ensemble.ladder)
     m_anchor = np.asarray(m_anchor, dtype=float)
     anchor = m_anchor if m_anchor.size else np.zeros(n)
     lam, vecs = np.linalg.eigh(np.asarray(q_target, dtype=float) - norm_n_sq(anchor))
     coef = math.sqrt(n) * vecs * np.sqrt(np.maximum(lam, 0.0))
-    leaf_hams = [ensemble.leaf_hamiltonian(u) for u in ensemble.leaves()]
+    d_ul = underline_depth(ensemble.ladder)
+    distinct = {v: ensemble.leaf_hamiltonian(v) for v in TreeShape(ensemble.shape.ks[:d_ul]).leaves()}
+    leaf_hams = [distinct[u[:d_ul]] for u in ensemble.leaves()]
 
     def frame(rows):
         return orthonormal_rows([anchor, *rows], n)[-k:]

@@ -13,9 +13,9 @@ so `final` lies in B_N.
 
 `subag_step` is the one Hessian-ascent step: the top eigenvector(s) of the
 Hessian projected off the current constraints, signed along the gradient.
-Subag ascent takes it off x alone; the greedy energy embedding
-(`ultrametric.embed_energy_greedy`) takes it off x and every embedded
-vertex.  It, the Ising extension's walk and
+`_hessian_walk`, the one loop that takes it, is Subag ascent from the
+origin, and the greedy energy embedding (`ultrametric.embed_energy_greedy`)
+along each edge.  The step, the Ising extension's walk and
 `hamiltonian.restricted_top_eigvec` reach an eigensolve only through
 `hamiltonian.projected_top_eigvec`, which alone picks dense eigh or Lanczos.
 
@@ -270,6 +270,24 @@ def subag_step(
     return e, sign_toward(v, grad)
 
 
+def _hessian_walk(h: Hamiltonian, x, target_sq: float, delta: float, mode: str, labels: tuple, others=()) -> tuple:
+    """(points, energies) of the radial walk from points[0] = x to |x|_N^2 =
+    target_sq, energies[i] = H(points[i]): step i moves x by sqrt(gain N)
+    along `subag_step` at derive_seed(*labels, i) off x and `others`, gain =
+    delta while more than delta - 1e-12 remains and the remainder after.
+    Each Lanczos solve after the first starts from the previous direction."""
+    points, energies, v = [x], [], None
+    while (norm_sq := norm_n_sq(x)) < target_sq - 1e-12:
+        rest = target_sq - norm_sq
+        e, v = subag_step(h, x, mode, delta, rng.derive_seed(*labels, len(energies)), start=v, others=others)
+        energies.append(e)
+        gain = delta if rest > delta - 1e-12 else rest
+        x = x + math.sqrt(gain * h.n) * v
+        points.append(x)
+    energies.append(energy(h, x))
+    return points, energies
+
+
 def subag_ascent(h: Hamiltonian, delta: float, mode: str = "top_eig", seed: int = 0) -> Trajectory:
     """Radial exploration x^{i+1} = x^i + v^i sqrt(delta N); |x^i|_N^2 = i delta
     exactly, landing on the sphere after 1/delta steps.  The starting point
@@ -281,21 +299,10 @@ def subag_ascent(h: Hamiltonian, delta: float, mode: str = "top_eig", seed: int 
     steps = 1.0 / delta
     if abs(steps - round(steps)) > 1e-9:
         raise ArgumentError(f"1/delta = {steps} must be an integer")
-    steps = int(round(steps))
     if delta * h.n < 2:
         raise ArgumentError(f"delta N = {delta * h.n} too small")
-    scale = math.sqrt(delta * h.n)
-    x = scale * subag_step(h, np.zeros(h.n), mode, delta, rng.derive_seed(seed, "step", 0))[1]
-    iterates = [x]
-    energies = []
-    v = x  # the first direction lies along x, so step 1 starts Lanczos cold
-    for i in range(1, steps):
-        e, v = subag_step(h, x, mode, delta, rng.derive_seed(seed, "step", i), start=v)
-        energies.append(e)
-        x = x + scale * v
-        iterates.append(x)
-    energies.append(energy(h, x))
-    return Trajectory(iterates, energies, "subag_ascent", {"delta": delta, "mode": mode}, seed=seed)
+    points, energies = _hessian_walk(h, np.zeros(h.n), round(steps) * delta, delta, mode, (seed, "step"))
+    return Trajectory(points[1:], energies[1:], "subag_ascent", {"delta": delta, "mode": mode}, seed=seed)
 
 
 # -- Langevin ----------------------------------------------------------------------

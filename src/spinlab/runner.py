@@ -606,7 +606,7 @@ def _run_sandwich(cfg, out):
 
     m, n, seed, beta = parse_mixture(cfg["mixture"]), cfg["n"], cfg["seed"], cfg["beta"]
     shape, pladder, qladder = _parse_ladders(cfg)
-    check_grand_max_budget(m, n, shape)  # before a node is sampled
+    check_grand_max_budget(m, n, shape, pladder)  # before a node is sampled
     ens = sample_ensemble(m, n, shape, pladder, seed)
     q_mat = target_overlap_matrix(shape, qladder)
     anchor = np.zeros(n) if qladder.qs[0] == 0 else sphere_point(

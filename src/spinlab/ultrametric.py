@@ -1,6 +1,6 @@
 """Dated rooted trees, the tree-ultrametric correspondence, Euclidean
 embeddings and their validation, branching depth, interval restriction, and
-the greedy energy-seeking embedding walk.
+the greedy energy-seeking embedding: Subag's Hessian walk along each edge.
 
 A dated rooted tree with range [a, b] carries float heights |v| in [a, b]
 with |root| = a, leaves at height b, and |parent| < |child|; it keeps one
@@ -19,9 +19,9 @@ import numpy as np
 
 from . import rng
 from .errors import ArgumentError, ResourceError, is_real
-from .hamiltonian import Hamiltonian, energy
+from .hamiltonian import Hamiltonian
 from .mixture import root_xi2_integral
-from .optimizers import subag_step
+from .optimizers import _hessian_walk
 from .points import norm_n_sq, orthonormal_rows, overlap_matrix, worst_violation
 
 _H_TOL = 1e-12
@@ -248,10 +248,11 @@ def restrict(t: DatedRootedTree, interval) -> list:
 
 
 def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: int = 0):
-    """Walk the tree root-to-leaves taking sqrt(delta N)-sized steps along the
-    top eigenvector of the Hessian restricted to the orthogonal complement of
-    all current iterates (and finished vertices); branch points spawn children
-    whose first steps come out mutually orthogonal automatically.  A tree
+    """Subag ascent along each edge: every vertex, in height order, is the
+    `top_eig` Hessian walk (`optimizers._hessian_walk`) from its parent's
+    vector to its height, off every vertex embedded so far, so each step
+    freezes all existing overlaps and the children of a branch point come
+    out mutually orthogonal.  A vertex's energy is its walk's last.  A tree
     whose range leaves [0, 1] has no embedding in the unit ball and is refused.
 
     Returns (Embedding, per-vertex energies, profile) where profile maps each
@@ -276,31 +277,13 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
             f"direction budget exhausted: n={n} < {edge_steps + root_steps + len(verts) + 2} required"
         )
 
-    vectors = {}
-    energies = {}
-    order = sorted(verts, key=lambda v: (t.heights[v], str(v)))
-
-    def step_chain(x, target_sq, others, step_seed):
-        # every step is orthogonal to the running iterate AND to every
-        # embedded vertex vector, which freezes all existing overlaps
-        # each Lanczos solve after the first starts from the previous step
-        i, v = 0, None
-        while norm_n_sq(x) < target_sq - 1e-12:
-            gain = min(delta, target_sq - norm_n_sq(x))
-            _e, v = subag_step(
-                h, x, "top_eig", delta, rng.derive_seed(step_seed, i), start=v, others=others
-            )
-            x = x + math.sqrt(gain * n) * v
-            i += 1
-        return x
-
-    for v in order:
+    vectors, energies = {}, {}
+    for v in sorted(verts, key=lambda v: (t.heights[v], str(v))):
         p = t.parents[v]
         base = vectors[p] if p is not None else np.zeros(n)
-        others = list(vectors.values())
-        x = step_chain(base.copy(), t.heights[v], others, rng.derive_seed(seed, "vertex", str(v)))
-        vectors[v] = x
-        energies[v] = energy(h, x)
+        labels = (rng.derive_seed(seed, "vertex", str(v)),)
+        points, walk = _hessian_walk(h, base, t.heights[v], delta, "top_eig", labels, list(vectors.values()))
+        vectors[v], energies[v] = points[-1], walk[-1]
     profile = {v: root_xi2_integral(h.mixture, 0.0, t.heights[v]) for v in verts}
     return Embedding(vectors, n), energies, profile
 

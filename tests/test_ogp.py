@@ -84,6 +84,26 @@ def test_pair_overlaps_run_the_algorithm_once_at_p1():
         assert np.array_equal(x, ga_alg(h2, rng.derive_seed(1, "chi-run", r)))
 
 
+def _record_leaf_builds(monkeypatch) -> list:
+    """The node of every `leaf_hamiltonian` call, in call order."""
+    built = []
+    leaf_hamiltonian = ogp.CorrelatedEnsemble.leaf_hamiltonian
+
+    def counted(self, v):
+        built.append(v)
+        return leaf_hamiltonian(self, v)
+
+    monkeypatch.setattr(ogp.CorrelatedEnsemble, "leaf_hamiltonian", counted)
+    return built
+
+
+def test_pair_overlaps_build_one_leaf_at_p1(monkeypatch):
+    """At p = 1 the second leaf is not built: 2 + 2 + 1 leaves per rep."""
+    built = _record_leaf_builds(monkeypatch)
+    estimate_chi(const_alg(0.5), M2, 16, (0.0, 0.5, 1.0), reps=10, seed=1)
+    assert len(built) == 10 * (2 + 2 + 1)
+
+
 def test_estimate_chi_linear_slope():
     est = estimate_chi(linear_alg, M2, 48, (0.0, 0.25, 0.5, 0.75, 1.0), reps=40, seed=2)
     chi1 = est.at(1.0)
@@ -236,6 +256,21 @@ def test_constrained_grand_max_refuses_leaves_over_the_budget(monkeypatch):
     monkeypatch.setattr(type(ens), "leaf_hamiltonian", None)
     with pytest.raises(ResourceError, match="^6 nodes and 4 leaves hold 2560 tensor entries, over the budget of 2559$"):
         constrained_grand_max(ens, q, np.zeros(16), eta=0.2, restarts=1, seed=0)
+
+
+def test_constrained_grand_max_holds_one_hamiltonian_per_distinct_leaf(monkeypatch):
+    """With the pladder (0, 1, 1) both leaves of the shape (1, 2) are the one
+    depth-1 node's Hamiltonian: 3 nodes and 1 leaf of p2 at n = 16 hold 1024
+    entries, within a budget of 1100 that 3 nodes and 2 leaves (1280) are
+    over, and the leaf is built once."""
+    shape = TreeShape((1, 2))
+    ens = sample_ensemble(M2, 16, shape, CorrelationLadder((0.0, 1.0, 1.0)), seed=0)
+    q = target_overlap_matrix(shape, OverlapLadder((0.0, 0.5, 1.0)))
+    built = _record_leaf_builds(monkeypatch)
+    monkeypatch.setattr(hamiltonian, "DEFAULT_MAX_TENSOR_ENTRIES", 1100)
+    rep = constrained_grand_max(ens, q, np.zeros(16), eta=0.2, restarts=1, seed=0)
+    assert rep.feasible
+    assert built == [(1,)]
 
 
 def test_constrained_grand_max_pulls_the_points_into_the_anchor_band():

@@ -10,6 +10,7 @@ from spinlab.acceptance import _brute_branching, _tree_from_parents
 from spinlab.errors import ArgumentError, ResourceError
 from spinlab.hamiltonian import sample_hamiltonian
 from spinlab.mixture import pure
+from spinlab.optimizers import subag_ascent
 from spinlab.points import norm_n_sq, overlap
 from spinlab.ultrametric import (
     DatedRootedTree,
@@ -377,6 +378,19 @@ def test_embed_energy_greedy_single_leaf_schedule():
     emb, energies, _ = embed_energy_greedy(h, ct, delta=0.25, seed=4)
     for v in ct.vertices():
         assert norm_n_sq(emb.vectors[v]) == pytest.approx(float(ct.heights[v]), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, p, delta, h_seed", [(24, 4, 0.25, 3), (40, 2, 0.1, 1), (48, 2, 0.125, 5)])
+def test_embedding_one_edge_is_subag_ascent(n, p, delta, h_seed):
+    """The embedding of the one-edge tree r(0) -> l(1) is Subag ascent: one
+    Hessian walk, bit for bit.  At n <= 512 the eigensolve is dense, so the
+    step seeds do not matter.  At delta = 0.1 the last remainder is not
+    exactly delta, and both walks take delta."""
+    h = sample_hamiltonian(pure(p), n, seed=h_seed)
+    emb, energies, _ = embed_energy_greedy(h, chain_tree([0.0, 1.0]), delta=delta, seed=0)
+    traj = subag_ascent(h, delta, "top_eig", seed=0)
+    assert np.array_equal(emb.vectors[1], traj.final)
+    assert energies[1] == traj.final_energy
 
 
 def test_embed_energy_greedy_resource_guard():
