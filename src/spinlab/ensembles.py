@@ -61,6 +61,11 @@ class TreeShape:
     def n_leaves(self) -> int:
         return math.prod(self.ks)
 
+    @property
+    def n_nodes(self) -> int:
+        """sum_d prod_{j<=d} k_j, the nodes at depths 1..D, counted without listing them."""
+        return sum(math.prod(self.ks[:d]) for d in range(1, self.depth + 1))
+
     def leaves(self) -> list:
         return [tuple(u) for u in itertools.product(*(range(1, k + 1) for k in self.ks))]
 
@@ -204,11 +209,12 @@ class CorrelatedEnsemble:
 
 
 def sample_ensemble(m: Mixture, n: int, shape: TreeShape, ladder: CorrelationLadder, seed: int) -> CorrelatedEnsemble:
-    """The nodes at depth >= 1, drawn in one `sample_hamiltonians` batch, which
-    refuses them before any fill when together they are over the budget."""
+    """The nodes at depth >= 1, drawn in one `sample_hamiltonians` batch; a
+    shape whose nodes are over the budget is refused before they are listed."""
     check_depths(shape, ladder)
-    nodes = shape.nodes()
     field_free = Mixture(dict(m.gammas), h=0.0)
+    check_budget(field_free, n, shape.n_nodes)
+    nodes = shape.nodes()
     seeds = [rng.derive_seed(seed, "node", node) for node in nodes]
     hams = sample_hamiltonians(field_free, n, seeds)
     return CorrelatedEnsemble(shape, ladder, m, n, seed, dict(zip(nodes, hams)))
@@ -395,11 +401,11 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     """Inverse of save_manifest.  Raises ArgumentError on non-JSON, missing or
     ill-typed keys, node paths outside the shape, repeated or missing nodes at
     depth >= 1, and snapshots whose n or mixture disagree with the manifest.
-    Nodes over the tensor budget raise ResourceError before any snapshot is
-    read.  A root entry, written by earlier versions, is dropped unread.  The
-    snapshots are read and checked concurrently by `pool_map`; of several bad
-    ones, the first in node order is reported, its error prefixed with the
-    node path and file name."""
+    A shape whose nodes are over the tensor budget raises ResourceError before
+    they are listed or a snapshot read.  A root entry, written by earlier
+    versions, is dropped unread.  The snapshots are read and checked
+    concurrently by `pool_map`; of several bad ones, the first in node order
+    is reported, its error prefixed with the node path and file name."""
     try:
         with open(os.path.join(directory, "manifest.json")) as f:
             manifest = json.load(f)
@@ -418,6 +424,7 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     if len(snapshots) != len(paths):
         raise ArgumentError("manifest lists a node more than once")
     snapshots.pop((), None)
+    check_budget(mixture, n, shape.n_nodes, f"the manifest's {shape.n_nodes} nodes hold")
     nodes = shape.nodes()
     known = set(nodes)
     for path in snapshots:
@@ -426,7 +433,6 @@ def load_manifest(directory) -> CorrelatedEnsemble:
     missing = [list(node) for node in nodes if node not in snapshots]
     if missing:
         raise ArgumentError(f"manifest lacks the nodes {missing}")
-    check_budget(mixture, n, len(nodes), f"the manifest's {len(nodes)} nodes hold")
     field_free = Mixture(dict(mixture.gammas), h=0.0)
 
     def load(node):

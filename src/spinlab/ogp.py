@@ -224,10 +224,9 @@ def run_branching_experiment(
     the tree's depth, before the first rep samples."""
     check_depths(shape, pladder, qladder)
     reports = []
-    d_ul = underline_depth(pladder)
-    leaves_ul = TreeShape(shape.ks[:d_ul]).leaves()
-    nodes = len(shape.nodes())
+    nodes = shape.n_nodes
     check_budget(m, n, nodes + 1, f"{nodes} nodes and a leaf hold")
+    leaves_ul = TreeShape(shape.ks[: underline_depth(pladder)]).leaves()
     leaf_entries = tensor_entries(m, n)
     width = replica_width(len(leaves_ul), leaf_entries, held=nodes * leaf_entries)
     for r in range(reps):
@@ -270,7 +269,7 @@ def check_grand_max_budget(m: Mixture, n: int, shape: TreeShape, pladder: Correl
     """The nodes at depth >= 1 and the K_ul distinct leaves, one per depth-D_ul
     node, that `constrained_grand_max` holds at once must fit the budget, and
     its frame of K rows beside the anchor needs n >= K + 1; a run asks first."""
-    nodes, k = len(shape.nodes()), shape.n_leaves
+    nodes, k = shape.n_nodes, shape.n_leaves
     k_ul = math.prod(shape.ks[: underline_depth(pladder)])
     check_budget(m, n, nodes + k_ul, f"{nodes} nodes and {k_ul} leaves hold")
     if n < k + 1:

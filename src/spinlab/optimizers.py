@@ -426,8 +426,7 @@ def extend_to_sphere(
                 fallbacks += 1
                 if v is None:
                     break
-            if grad @ v < 0:
-                v = -v
+            v = sign_toward(v, grad)
             t_level = math.sqrt(max(q_target - norm_n_sq(x), 0.0) * n)
             with np.errstate(divide="ignore", invalid="ignore"):
                 pos = np.where(v > 1e-14, (1.0 - x) / v, np.inf)

@@ -37,7 +37,6 @@ from .ensembles import (
     CorrelationLadder,
     OverlapLadder,
     TreeShape,
-    chi_align,
     sample_ensemble,
     target_overlap_matrix,
 )
@@ -66,6 +65,7 @@ from .optimizers import (
 )
 from .points import project_ball, sphere_point
 from .ultrametric import (
+    check_direction_budget,
     embed_energy_greedy,
     embedding_to_csv,
     full_binary_tree,
@@ -76,7 +76,7 @@ from .ultrametric import (
 
 _GRADIENT_ASCENT = {"name": "gradient_ascent"}
 _DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")  # a mixture coefficient
-_LADDERS = {"ks": [2, 2], "qladder": [0.0, 0.5, 1.0], "pladder": None, "chi": "identity"}
+_LADDERS = {"ks": [2, 2], "qladder": [0.0, 0.5, 1.0], "pladder": None}
 
 DEFAULTS = {
     "thresholds": {"mixture": "p4", "ising": False, "knots": 8, "out": None},
@@ -147,7 +147,6 @@ FIELDS = {
     "C": _NUMBER,
     "B": _NUMBER,
     "criteria": {"type": "array"},
-    "chi": {"type": "string"},
 }
 
 
@@ -418,17 +417,6 @@ def point_algorithm(spec: dict):
     return lambda h, seed: traj(h, seed).final
 
 
-def _chi_fn(name: str):
-    table = {
-        "identity": lambda p: p,
-        "square": lambda p: p * p,
-        "linear_scaled": lambda p: 0.64 * p,
-    }
-    if name not in table:
-        raise ArgumentError(f"unknown chi function {name!r}")
-    return table[name]
-
-
 def validate_config(config: dict):
     """Check config against its subcommand's row of DEFAULTS, and its `alg`
     object against that algorithm's row of ALGORITHMS."""
@@ -565,11 +553,8 @@ def _run_concentration(cfg, out):
 def _parse_ladders(cfg):
     shape = TreeShape(tuple(cfg["ks"]))
     qladder = OverlapLadder(tuple(cfg["qladder"]))
-    if cfg["pladder"] is not None:
-        pladder = CorrelationLadder(tuple(cfg["pladder"]))
-    else:
-        pladder = chi_align(_chi_fn(cfg["chi"]), qladder)
-    return shape, pladder, qladder
+    ps = cfg["pladder"] if cfg["pladder"] is not None else (0.0, *qladder.qs[1:])  # else p_d = q_d, d >= 1
+    return shape, CorrelationLadder(tuple(ps)), qladder
 
 
 def _run_branching(cfg, out):
@@ -641,12 +626,14 @@ def _run_embed(cfg, out):
     if isinstance(tree_cfg, str):
         with open(tree_cfg) as f:
             tree = tree_from_json(f.read())
-    elif "star" in tree_cfg:
-        tree = star_tree(int(tree_cfg["star"]))
-    elif "binary" in tree_cfg:
-        tree = full_binary_tree(int(tree_cfg["binary"]))
-    else:
+    elif "vertices" in tree_cfg:
         tree = tree_from_json(tree_cfg)
+    else:  # a star or binary tree: a step on each of its |V| - 1 edges, so 2|V| + 1 directions or more
+        ((form, size),) = tree_cfg.items()
+        size = int(size)  # a binary tree has 2^(size+1) - 1 vertices; past n's bit length they exceed n already
+        verts = size + 1 if form == "star" else 2 ** (min(size, n.bit_length()) + 1) - 1
+        check_direction_budget(n, 2 * verts + 1, exact=False)
+        tree = star_tree(size) if form == "star" else full_binary_tree(size)
     h = sample_hamiltonian(parse_mixture(cfg["mixture"]), n, cfg["seed"])
     emb, energies, profile = embed_energy_greedy(h, tree, cfg["delta"], seed=cfg["seed"])
     ok, (worst, label) = validate_embedding(tree, emb, tol=1e-6)
@@ -655,7 +642,7 @@ def _run_embed(cfg, out):
     results = {
         "validated": ok,
         "worst_violation": worst,
-        "worst_constraint": label,
+        "worst_constraint": None if ok else label,  # null when every deviation is within tolerance
         "energies_per_n": {str(v): e / n for v, e in energies.items()},
         "threshold_profile": {str(v): p for v, p in profile.items()},
     }

@@ -247,6 +247,13 @@ def restrict(t: DatedRootedTree, interval) -> list:
 # -- greedy energy embedding -----------------------------------------------------
 
 
+def check_direction_budget(n: int, required: int, exact: bool = True):
+    """ResourceError unless n >= required, the number of directions the
+    greedy embedding of a tree takes, or a lower bound on it when not exact."""
+    if n < required:
+        raise ResourceError(f"direction budget exhausted: n={n} < {'' if exact else 'at least '}{required} required")
+
+
 def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: int = 0):
     """Subag ascent along each edge: every vertex, in height order, is the
     `top_eig` Hessian walk (`optimizers._hessian_walk`) from its parent's
@@ -272,10 +279,7 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
         if p is not None
     )
     root_steps = math.ceil(a / delta - 1e-12) if a > 0 else 0
-    if n < edge_steps + root_steps + len(verts) + 2:
-        raise ResourceError(
-            f"direction budget exhausted: n={n} < {edge_steps + root_steps + len(verts) + 2} required"
-        )
+    check_direction_budget(n, edge_steps + root_steps + len(verts) + 2)
 
     vectors, energies = {}, {}
     for v in sorted(verts, key=lambda v: (t.heights[v], str(v))):

@@ -1,6 +1,7 @@
 """The one tensor budget: `hamiltonian.DEFAULT_MAX_TENSOR_ENTRIES`, read at
 call time by every holder of tensors, which asks it before it samples."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -116,3 +117,41 @@ def test_one_patched_limit_moves_every_check(tmp_path, monkeypatch):
         with pytest.raises(ResourceError, match="over the budget of 10$"):
             call()
         assert not (tmp_path / name).exists(), name
+
+
+def test_a_shape_is_counted_before_it_is_listed(tmp_path, monkeypatch):
+    """`TreeShape.n_nodes` counts the nodes without listing them, and every
+    budget check on a shape runs on that count.  With ks = [1000, 1000] (10^6
+    leaves, 1 001 000 p2 nodes at n = 16) each holder refuses before it forms
+    a node or leaf list, which the patched lists would refuse above 10^4
+    leaves."""
+    ks = [1000, 1000]
+    shape = TreeShape(tuple(ks))
+
+    def guarded(lister):
+        def listed(self):
+            assert self.n_leaves <= 10**4, f"{lister.__name__} of {self.ks} formed before the budget check"
+            return lister(self)
+
+        return listed
+
+    for name in ("nodes", "leaves"):
+        monkeypatch.setattr(TreeShape, name, guarded(getattr(TreeShape, name)))
+    claimed = {"ks": ks, "pladder": [0.0, 0.5, 1.0], "mixture": {"gammas": {"2": 1.0}, "h": 0.0}, "n": 16, "seed": 0,
+               "nodes": [{"path": [1], "snapshot": "node_1.bin"}]}
+    (tmp_path / "manifest").mkdir()
+    (tmp_path / "manifest" / "manifest.json").write_text(json.dumps(claimed))
+    calls = {
+        "branching": lambda: run({"subcommand": "branching", "n": 16, "ks": ks}, out_dir=str(tmp_path / "branching")),
+        "sandwich": lambda: run({"subcommand": "sandwich", "n": 16, "restarts": 1, "ks": ks},
+                                out_dir=str(tmp_path / "sandwich")),
+        "sample_ensemble": lambda: sample_ensemble(M2, 16, shape, CorrelationLadder((0.0, 0.5, 1.0)), 0),
+        "load_manifest": lambda: load_manifest(tmp_path / "manifest"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ResourceError, match="tensor entries, over the budget of"):
+            call()
+        assert not (tmp_path / name).exists(), name
+    monkeypatch.undo()
+    assert shape.n_nodes == 1000 + 1000 * 1000
+    assert TreeShape((3, 2, 4)).n_nodes == len(TreeShape((3, 2, 4)).nodes()) == 3 + 6 + 24

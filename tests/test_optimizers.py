@@ -625,6 +625,31 @@ def test_ising_fallback_directions_stay_on_the_free_coordinates():
         assert norm_n_sq(rep.pre_rounding[(1,)]) >= 0.95 - 1e-12
 
 
+def test_ising_walk_signs_a_tied_direction_as_subag_does(monkeypatch):
+    """From the origin the p2 gradient is zero, so <grad, v> ties for every
+    direction v.  The walk signs it by `sign_toward`, as Subag's step does
+    (largest entry positive), so an eigensolver that returns -v in place of
+    v leaves the walk bit for bit unchanged."""
+    n = 24
+    ens = sample_ensemble(pure(2), n, TreeShape((2,)), CorrelationLadder((0.0, 1.0)), seed=3)
+
+    def extend():
+        partial = {(1,): np.zeros(n), (2,): np.zeros(n)}
+        return extend_to_sphere(ens, partial, OverlapLadder((0.0, 1.0)), eta=0.2, seed=1, mode="ising")
+
+    plain = extend()
+    solve = optimizers.projected_top_eigvec
+
+    def negated(*args, **kwargs):
+        vecs, vals = solve(*args, **kwargs)
+        return -vecs, vals
+
+    monkeypatch.setattr(optimizers, "projected_top_eigvec", negated)
+    flipped = extend()
+    for u, x in plain.pre_rounding.items():
+        assert np.array_equal(flipped.pre_rounding[u], x)
+
+
 def test_lipschitz_probe_constant_and_isometric():
     m = pure(2)
 

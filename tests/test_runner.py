@@ -679,6 +679,50 @@ def test_embed_refuses_a_non_positive_or_non_finite_delta(tmp_path, capsys, delt
     assert not out.exists()
 
 
+def test_embed_names_no_worst_constraint_when_the_embedding_validates(tmp_path, monkeypatch):
+    """A validated embedding's largest deviation is rounding noise, and a
+    1-ulp move once renamed it; its label is null.  A failing embedding keeps
+    its label and exits 4."""
+    tree = {"vertices": [{"id": v, "parent": p, "height": h} for v, (p, h) in _GOOD_TREE.items()]}
+    config = {"subcommand": "embed", "n": 24, "tree": tree}
+    res = run(config, out_dir=str(tmp_path / "ok"))
+    assert res.status == 0 and res.payload["validated"] is True
+    assert res.payload["worst_constraint"] is None and 0 <= res.payload["worst_violation"] <= 1e-6
+    monkeypatch.setattr(runner, "validate_embedding", lambda *args, **kwargs: (False, (1.0, "overlap (a,b)")))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "bad")]) == 4
+    results = json.loads((tmp_path / "bad" / "run.json").read_text())["results"]
+    assert results["worst_constraint"] == "overlap (a,b)" and results["validated"] is False
+
+
+@pytest.mark.parametrize(
+    "tree, need",
+    (({"binary": 40}, "at least 127"), ({"star": 1000000}, "at least 2000003")),
+    ids=("binary-40", "star-1000000"),
+)
+def test_embed_refuses_a_shortcut_tree_over_the_direction_budget_before_it_builds_it(
+    tmp_path, capsys, monkeypatch, tree, need
+):
+    """Every edge takes at least one step, so a star or binary tree of |V|
+    vertices needs at least 2|V| + 1 directions, and one beyond n is refused
+    before a vertex is built (a binary depth is capped at n's bit length,
+    past which its vertices already outnumber n)."""
+    for name in ("full_binary_tree", "star_tree"):
+        monkeypatch.setattr(runner, name, lambda *args: pytest.fail("the tree was built"))
+    out = tmp_path / "o"
+    assert main(["embed", "--n", "24", "--set", f"tree={json.dumps(tree)}", "--out", str(out)]) == 3
+    assert f"direction budget exhausted: n=24 < {need} required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_embed_refuses_a_tree_within_the_bound_by_the_exact_count(tmp_path, capsys):
+    """`binary: 2` (7 vertices) passes the 2|V| + 1 = 15 bound at n = 24; its
+    walk takes 4 steps on each of 6 edges, so it needs 6 * 4 + 7 + 2."""
+    assert main(["embed", "--n", "24", "--set", 'tree={"binary": 2}', "--out", str(tmp_path / "o")]) == 3
+    assert "direction budget exhausted: n=24 < 33 required" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     (
@@ -784,6 +828,27 @@ def test_sandwich_run(tmp_path):
     res = run(config, out_dir=str(tmp_path))
     assert res.status == 0
     assert "bound_per_n" in res.payload
+
+
+def test_without_a_pladder_the_p_ladder_is_the_q_ladder_from_p_0_0(tmp_path):
+    """p_0 = 0 and p_d = q_d for d >= 1, exactly: the bisection that once
+    found them left 0.5 at 0.49999999999954525."""
+    res = run({"subcommand": "branching", "n": 16}, out_dir=str(tmp_path / "default"))
+    assert res.payload["pladder"] == [0.0, 0.5, 1.0]
+    res = run({"subcommand": "branching", "n": 16, "qladder": [0.2, 0.6, 1.0]}, out_dir=str(tmp_path / "anchored"))
+    assert res.payload["pladder"] == [0.0, 0.6, 1.0]
+    cfg = {**runner.DEFAULTS["sandwich"], "qladder": [0.2, 0.6, 1.0]}
+    assert runner._parse_ladders(cfg)[1].ps == (0.0, 0.6, 1.0)
+
+
+@pytest.mark.parametrize("sub", ("branching", "sandwich"))
+def test_a_chi_key_exits_2(tmp_path, capsys, sub):
+    """Neither run takes a named correlation function: a p-ladder is given,
+    or it is the q-ladder."""
+    out = tmp_path / "o"
+    assert main([sub, "--n", "16", "--set", "chi=identity", "--out", str(out)]) == 2
+    assert "Additional properties are not allowed ('chi' was unexpected)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
