@@ -34,7 +34,7 @@ for q in (0.2, 0.4, 0.6, 0.9):
 
 print("\nincreasify: a strictly decreasing target becomes increasing levels")
 target = PiecewiseZeta((0.0, 0.3, 0.6), (2.0, 1.2, 0.5))
-res = increasify_sp(target, delta_frac=0.15, q0=0.05, chi=lambda p: p, beta=10.0)
+res = increasify_sp(target, delta_frac=0.15, q0=0.05, beta=10.0)
 print(f"  arm counts k = {res.shape.ks} (K = {res.shape.n_leaves} leaves)")
 print(f"  q-knots: {tuple(round(q, 3) for q in res.qladder.qs)}")
 print(f"  levels : {tuple(round(v, 5) for v in res.levels)} (strictly increasing)")

@@ -26,7 +26,6 @@ from .ensembles import (
     CorrelationLadder,
     OverlapLadder,
     TreeShape,
-    chi_align,
     constrained_membership,
     kappa,
     lca_depth,

@@ -406,8 +406,8 @@ def criterion_8_increasify() -> CriterionResult:
         q0 = float(gen.uniform(0.0, 0.3))
         beta = 10.0 * float(values.max())
         try:
-            increasify_sp(target, 0.15, q0, lambda p: p, beta=beta)
-            increasify_is(target, beta=beta, delta=0.25, q0=q0, chi=lambda p: p)
+            increasify_sp(target, 0.15, q0, beta=beta)
+            increasify_is(target, beta=beta, delta=0.25, q0=q0)
         except Exception as exc:
             ok = False
             detail.append(f"trial {trial}: {exc}")

@@ -15,7 +15,8 @@ sqrt(p) H[(1,)] + sqrt(1 - p) H[(1, i)]: the overlap experiments of `ogp`
 The root has no weight (p_0 = 0) and is not a listed node, so an ensemble
 samples, holds and writes to its manifest only the nodes at depth >= 1.
 Their tensors are drawn in one `sample_tensors` batch, filled concurrently.
-Every ladder must have the tree's depth (`check_depths`).
+Every ladder must have the tree's depth (`check_depths`);
+`CorrelationLadder.matching` is the one p = q rule.
 """
 
 import itertools
@@ -101,6 +102,11 @@ class CorrelationLadder:
     @property
     def depth(self) -> int:
         return len(self.ps) - 1
+
+    @classmethod
+    def matching(cls, qladder: "OverlapLadder") -> "CorrelationLadder":
+        """The p-ladder of a q-ladder: p_0 = 0 and p_d = q_d for d >= 1, exactly."""
+        return cls((0.0, *qladder.qs[1:]))
 
 
 @dataclass(frozen=True)
@@ -265,44 +271,6 @@ def kappa_level(shape: TreeShape, pladder: CorrelationLadder, d: int) -> float:
     for j in range(d, depth):
         total += (ks[j] - 1) * math.prod(ks[j + 1 :]) * ps[j]
     return total
-
-
-def chi_align(chi, qladder: OverlapLadder) -> CorrelationLadder:
-    """Correlation ladder with chi(p_d) = q_d where q_d <= chi(1), else p_d = 1.
-
-    chi must be a correlation function: values in [0, 1], nondecreasing.
-    Constant chi gets p_d = 1 for every d >= 1.
-    """
-    tol = 1e-12  # bisection bracket, and the slack at chi(0) and chi(1)
-    grid = np.linspace(0.0, 1.0, 257)
-    vals = np.array([chi(g) for g in grid])
-    if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
-        raise ArgumentError("chi values leave [0, 1]")
-    if np.any(np.diff(vals) < -1e-10):
-        raise ArgumentError("chi(p) decreasing detected; not a correlation function")
-    chi0, chi1 = float(vals[0]), float(vals[-1])
-    constant = (chi1 - chi0) <= 1e-12
-
-    ps = [0.0]
-    for d in range(1, qladder.depth + 1):
-        q = qladder.qs[d]
-        if constant or q > chi1 + tol:
-            ps.append(1.0)
-            continue
-        if q <= chi0 + tol:
-            ps.append(0.0)
-            continue
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if chi(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        p = 0.5 * (lo + hi)
-        ps.append(1.0 if p > 1.0 - 10 * tol else p)
-    ps = np.maximum.accumulate(ps).tolist()  # guard against bisection jitter
-    return CorrelationLadder(tuple(ps))
 
 
 @dataclass

@@ -43,15 +43,15 @@ applied here alone: a run refuses, before it samples, any tensors it would
 hold at once above it.  `check_entries` is the one comparison and message,
 read at call time; `check_budget` counts Hamiltonians of a mixture.  Every
 holder asks one of them first: a sampled batch, a snapshot, a manifest, a
-grand maximum, a pair rep, the Lipschitz probe, a branching rep,
-concurrent replicas and a PDE grid.  One tensor fits at p = 4 up to
-n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap of 512.
-So above the cap only p = 2 fits, and its Hessian is the constant matrix
-g (G + G^T).  `projected_top_eigvec` is the one projected eigensolve, and
-it alone picks the method: dense eigh up to the cap, and above it Lanczos
-on the formed matrix, one BLAS dsymv per matvec.  Lanczos is the module's
-one use of scipy (ARPACK and dsymv), imported on its first call, so a path
-that stays at or below the dense-Hessian cap never loads scipy.  The
+grand maximum, a pair rep, the Lipschitz probe, a branching rep and its
+overlap matrices, concurrent replicas and a PDE grid.  One tensor fits at
+p = 4 up to n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap
+of 512.  So above the cap only p = 2 fits, and its Hessian is the constant
+matrix g (G + G^T).  `projected_top_eigvec` is the one projected
+eigensolve, and it alone picks the method from (n, k): dense eigh up to
+the cap or for k >= n, else Lanczos on the formed matrix, one BLAS dsymv
+per matvec.  Lanczos is the module's one use of scipy (ARPACK and dsymv),
+imported on its first call, so a dense-only path never loads scipy.  The
 O(n)-memory Hessian-vector product `hessian_apply` is for p = 2 only:
 g (G.w + w.G) as two plain products, so it reads G twice.  It refuses a
 nonzero p > 2 term with ResourceError, and serves `restricted_top_eigvec`.
@@ -472,11 +472,11 @@ def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0,
     projected eigensolve.  Returns (vectors (k, n), eigenvalues (k,)) in
     descending order.
 
-    Up to DEFAULT_DENSE_HESSIAN_CAP it is dense: eigh of the symmetric part
-    of P M P, with P formed (none when orth spans nothing); `seed` and
-    `start` go unused.  Above the cap it is Lanczos, each matvec one BLAS
-    dsymv on the F-contiguous view M.T, which equals M and of which dsymv
-    reads one triangle.
+    Up to DEFAULT_DENSE_HESSIAN_CAP, or for k >= n (past ARPACK), it is
+    dense: eigh of the symmetric part of P M P, with P formed (none when
+    orth spans nothing); `seed` and `start` go unused.  Otherwise it is
+    Lanczos, each matvec one BLAS dsymv on the F-contiguous view M.T, which
+    equals M and of which dsymv reads one triangle.
 
     Warm start: with k = 1, Lanczos starts from P start (the Hessian walk's
     previous direction) unless that projection has norm <= 1e-8 |start|;
@@ -485,7 +485,7 @@ def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0,
     """
     n = len(matrix)
     ortho = orthonormal_rows(orth, n)
-    if n <= DEFAULT_DENSE_HESSIAN_CAP:
+    if n <= DEFAULT_DENSE_HESSIAN_CAP or k >= n:
         if ortho.size:
             pmat = np.eye(n) - ortho.T @ ortho
             matrix = pmat @ matrix @ pmat

@@ -32,6 +32,7 @@ from .ensembles import (
 from .errors import ArgumentError, ResourceError
 from .hamiltonian import (
     check_budget,
+    check_entries,
     derivatives,
     energy,
     pool_map,
@@ -220,13 +221,16 @@ def run_branching_experiment(
     `eta` is not read: the sphere extension takes no gap (only the Ising one
     does).  Within a rep, the underline nodes (build H[u], run alg, take its
     energy) run on `pool_map`, each holding its Hamiltonian beside the
-    ensemble: the nodes and one leaf must fit the budget, and both ladders
-    the tree's depth, before the first rep samples."""
+    ensemble: the nodes and one leaf, then the two K_ul x K_ul matrices and
+    their K_ul x K_ul x D_ul lca comparison, must fit the budget, and both
+    ladders the tree's depth, before the first rep samples."""
     check_depths(shape, pladder, qladder)
     reports = []
     nodes = shape.n_nodes
     check_budget(m, n, nodes + 1, f"{nodes} nodes and a leaf hold")
-    leaves_ul = TreeShape(shape.ks[: underline_depth(pladder)]).leaves()
+    ul = TreeShape(shape.ks[: underline_depth(pladder)])
+    check_entries((2 + ul.depth) * ul.n_leaves**2, f"the overlap matrices of {ul.n_leaves} underline nodes hold")
+    leaves_ul = ul.leaves()
     leaf_entries = tensor_entries(m, n)
     width = replica_width(len(leaves_ul), leaf_entries, held=nodes * leaf_entries)
     for r in range(reps):

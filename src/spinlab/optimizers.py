@@ -135,7 +135,7 @@ def gradient_ascent(h: Hamiltonian, x0, steps: int, lr: float) -> Trajectory:
 @dataclass
 class AmpSpec:
     """Entrywise nonlinearities f_t(x^0..x^t) with recorded Lipschitz
-    constants, and the horizon; x^0 is the all-ones vector."""
+    constants, and the horizon T >= 0; x^0 is the all-ones vector."""
 
     fs: list
     lipschitz: list
@@ -143,8 +143,8 @@ class AmpSpec:
     _se_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if len(self.fs) < self.horizon or len(self.lipschitz) < self.horizon:
-            raise ArgumentError("need a nonlinearity and constant per step up to the horizon")
+        if not 0 <= self.horizon <= min(len(self.fs), len(self.lipschitz)):
+            raise ArgumentError(f"horizon={self.horizon} must be >= 0, with a nonlinearity and constant per step")
         probe = rng.stream(0, "amp-lip-probe")
         for t, (f, lip) in enumerate(zip(self.fs[: self.horizon], self.lipschitz)):
             args1 = [probe.standard_normal(64) for _ in range(t + 1)]

@@ -1,12 +1,12 @@
 """Tree constructions converting decreasing step targets into increasing
-levels against the kappa multiplier: beta kappa(q) zeta(q) reproduces the
-target exactly at the q-knots.  The spherical construction's Delta-perturbed
-target is a `PiecewiseZeta.splice` of the target."""
+levels against the kappa multiplier at p = q (`CorrelationLadder.matching`):
+beta kappa(q) zeta(q) reproduces the target exactly at the q-knots.  The
+Delta-perturbed target of `increasify_sp` is a `PiecewiseZeta.splice`."""
 
 import math
 from dataclasses import dataclass
 
-from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align, kappa_level
+from ..ensembles import CorrelationLadder, OverlapLadder, TreeShape, kappa_level
 from ..errors import ArgumentError, ConstraintError
 from .interpolation import kappa_zeta_profile
 from .zeta import PiecewiseZeta
@@ -48,7 +48,6 @@ def increasify_sp(
     target: PiecewiseZeta,
     delta_frac: float,
     q0: float,
-    chi,
     beta: float,
 ) -> IncreasifyResult:
     """Spherical construction: q-knots at the target's jumps past the
@@ -66,7 +65,7 @@ def increasify_sp(
 
     jumps = [b for b in target.breaks if q0 + window < b < 1.0]
     qladder = OverlapLadder((q0, *jumps, 1.0))
-    pladder = chi_align(chi, qladder)
+    pladder = CorrelationLadder.matching(qladder)
     depth = qladder.depth
 
     ks = [1]
@@ -89,7 +88,6 @@ def increasify_is(
     beta: float,
     delta: float,
     q0: float,
-    chi,
 ) -> IncreasifyResult:
     """Ising construction: clamp the target to [delta, beta] on a uniform
     delta-grid from q0, uniform arm count k* = ceil(beta / delta^2)."""
@@ -105,7 +103,7 @@ def increasify_is(
     depth = qladder.depth
     k_star = int(math.ceil(beta / delta**2))
     shape = TreeShape((k_star,) * depth)
-    pladder = chi_align(chi, qladder)
+    pladder = CorrelationLadder.matching(qladder)
 
     clamped = tuple(min(max(target(qladder.qs[d]), delta), beta) for d in range(depth))
     levels = tuple(

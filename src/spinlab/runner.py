@@ -553,8 +553,8 @@ def _run_concentration(cfg, out):
 def _parse_ladders(cfg):
     shape = TreeShape(tuple(cfg["ks"]))
     qladder = OverlapLadder(tuple(cfg["qladder"]))
-    ps = cfg["pladder"] if cfg["pladder"] is not None else (0.0, *qladder.qs[1:])  # else p_d = q_d, d >= 1
-    return shape, CorrelationLadder(tuple(ps)), qladder
+    ps = cfg["pladder"]
+    return shape, CorrelationLadder.matching(qladder) if ps is None else CorrelationLadder(tuple(ps)), qladder
 
 
 def _run_branching(cfg, out):

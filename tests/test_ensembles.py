@@ -11,7 +11,6 @@ from spinlab.ensembles import (
     CorrelationLadder,
     OverlapLadder,
     TreeShape,
-    chi_align,
     constrained_membership,
     kappa,
     lca_depth,
@@ -245,17 +244,6 @@ def test_loewner_and_psd(gen):
         assert np.linalg.eigvalsh(mat).min() >= -1e-10
         assert np.linalg.eigvalsh(mat).max() <= kappa(shape, pl, ql, q) + 1e-10
         assert np.linalg.eigvalsh(target_overlap_matrix(shape, ql)).min() >= -1e-10
-
-
-def test_chi_align():
-    ql = OverlapLadder((0.0, 0.4, 1.0))
-    assert chi_align(lambda p: p, ql).ps == pytest.approx((0.0, 0.4, 1.0), abs=1e-10)
-    ql2 = OverlapLadder((0.2, 0.6, 1.0))
-    assert chi_align(lambda p: 0.2, ql2).ps == (0.0, 1.0, 1.0)
-    ql3 = OverlapLadder((0.0, 0.49, 1.0))
-    assert chi_align(lambda p: p * p, ql3).ps[1] == pytest.approx(0.7, abs=1e-10)
-    with pytest.raises(ArgumentError):
-        chi_align(lambda p: 1.0 - p, ql3)
 
 
 def test_grand_energy():

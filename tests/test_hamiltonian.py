@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from spinlab import rng
+from spinlab import hamiltonian, rng
 from spinlab.errors import ArgumentError, DomainError, ResourceError
 from spinlab.hamiltonian import (
     DEFAULT_DENSE_HESSIAN_CAP,
@@ -528,6 +528,24 @@ def test_lanczos_cold_start_when_start_is_unusable(lanczos_case):
     assert abs(abs(warm1[0][0] @ cold1[0][0]) - 1.0) <= 1e-10
     with pytest.raises(ArgumentError):
         projected_top_eigvec(hess, orth=orth, k=1, start=np.ones(3))
+
+
+@pytest.mark.parametrize("n_orth", [0, 2])
+def test_k_at_least_n_eigenpairs_solve_densely_above_the_cap(monkeypatch, n_orth):
+    """ARPACK returns at most n - 1 eigenpairs, so k = n goes to the dense
+    solve even above the cap: with the cap patched to 8, n = 12 and k = 12
+    give the unpatched dense solve bit for bit."""
+    n = 12
+    h = sample_hamiltonian(Mixture({2: 1.0}, h=0.3), n, seed=21)
+    gen = rng.stream(24, "k-at-least-n")
+    x = 0.7 * sphere_point(gen.standard_normal(n))
+    orth = [gen.standard_normal(n) for _ in range(n_orth)]
+    hess = derivatives(h, x, 2)[2]
+    want = projected_top_eigvec(hess, orth=orth, k=n, seed=5)
+    monkeypatch.setattr(hamiltonian, "DEFAULT_DENSE_HESSIAN_CAP", 8)
+    got = projected_top_eigvec(hess, orth=orth, k=n, seed=5)
+    assert got[0].shape == (n, n)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_hessian_apply_refuses_a_p4_term():

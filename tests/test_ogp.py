@@ -210,6 +210,22 @@ def test_branching_self_consistency_with_concentration():
         assert np.max(np.abs((r - q)[off])) <= 3 * sd
 
 
+def test_branching_refuses_overlap_matrices_over_the_budget_before_it_samples(monkeypatch):
+    """p2 at n = 2 on the shape (100,) holds 101 node tensors and a leaf of 4
+    entries, within a budget of 10^4; its two 100 x 100 matrices and their
+    100 x 100 x 1 lca table hold 3 * 10^4, so the run is refused before a
+    tensor is drawn."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no tensor may be drawn once the budget is exceeded")
+
+    monkeypatch.setattr(hamiltonian, "DEFAULT_MAX_TENSOR_ENTRIES", 10**4)
+    monkeypatch.setattr(hamiltonian, "sample_tensors", refuse)
+    shape, pl, ql = TreeShape((100,)), CorrelationLadder((0.0, 1.0)), OverlapLadder((0.0, 1.0))
+    with pytest.raises(ResourceError, match="^the overlap matrices of 100 underline nodes hold 30000 tensor entries"):
+        run_branching_experiment(const_alg(0.6), M2, 2, shape, pl, ql, None, reps=1, seed=0)
+
+
 def test_branching_with_extension():
     shape = TreeShape((2, 2))
     pl = CorrelationLadder((0.0, 1.0, 1.0))

@@ -8,7 +8,7 @@ from scipy.optimize import isotonic_regression
 
 from spinlab import rng
 from spinlab.acceptance import _random_shape_ladders, _random_threshold_mixtures
-from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape, chi_align
+from spinlab.ensembles import CorrelationLadder, OverlapLadder, TreeShape
 from spinlab.errors import ArgumentError, DomainError, NumericError
 from spinlab.mixture import QUAD_ABS_TOL, Mixture, pure, quadrature, root_xi2_integral, xi_eval
 from spinlab.parisi import PiecewiseZeta, alg_sp, b_profile, lambda_recursion, opt_sp_numeric, parisi_sp, theta
@@ -377,7 +377,7 @@ def _parisi_cases():
     ql = OverlapLadder(tuple(cfg["qladder"]))
     shape, m2 = TreeShape(tuple(cfg["ks"])), parse_mixture(cfg["mixture"])
     zeta = PiecewiseZeta.on_knots(ql.qs[:-1], np.linspace(0.2, 0.8, ql.depth))
-    comp = composite_profile(PiecewiseZeta.zero(), zeta, cfg["beta"], shape, chi_align(lambda p: p, ql), ql)
+    comp = composite_profile(PiecewiseZeta.zero(), zeta, cfg["beta"], shape, CorrelationLadder.matching(ql), ql)
     cases.append((math.sqrt(max(m2.xi(1.0, 2), 1.0)) + comp.integral_xi2(m2), comp, m2))
     return cases
 

@@ -730,8 +730,9 @@ def test_embed_refuses_a_tree_within_the_bound_by_the_exact_count(tmp_path, caps
         ["optimize", "--alg", "langevin", "--set", "alg.dt=0"],
         ["optimize", "--alg", "gradient_ascent", "--set", "alg.steps=-1"],
         ["sandwich", "--set", "restarts=1", "--set", "eta=0"],
+        ["optimize", "--alg", "amp", "--set", "alg.horizon=-1"],
     ),
-    ids=("subag-delta", "langevin-dt", "gradient-ascent-steps", "sandwich-eta"),
+    ids=("subag-delta", "langevin-dt", "gradient-ascent-steps", "sandwich-eta", "amp-horizon"),
 )
 def test_degenerate_step_settings_exit_2(tmp_path, capsys, argv):
     """A zero step or eta, refused by the function doing the math: each ended
