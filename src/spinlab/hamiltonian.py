@@ -47,14 +47,12 @@ grand maximum, a pair rep, the Lipschitz probe, a branching rep and its
 overlap matrices, concurrent replicas and a PDE grid.  One tensor fits at
 p = 4 up to n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap
 of 512.  So above the cap only p = 2 fits, and its Hessian is the constant
-matrix g (G + G^T).  `projected_top_eigvec` is the one projected
-eigensolve, and it alone picks the method from (n, k): dense eigh up to
-the cap or for k >= n, else Lanczos on the formed matrix, one BLAS dsymv
-per matvec.  Lanczos is the module's one use of scipy (ARPACK and dsymv),
-imported on its first call, so a dense-only path never loads scipy.  The
-O(n)-memory Hessian-vector product `hessian_apply` is for p = 2 only:
-g (G.w + w.G) as two plain products, so it reads G twice.  It refuses a
-nonzero p > 2 term with ResourceError, and serves `restricted_top_eigvec`.
+matrix g (G + G^T), solved once per Hessian walk.  `projected_top_eigvec`
+is the one projected eigensolve, and it alone picks the method from (n, k):
+dense eigh up to the cap or for k >= n, else Lanczos on the formed matrix,
+one thread-stable gemv per matvec.  Lanczos is the module's one use of
+scipy (ARPACK), imported on its first call, so a dense-only path never
+loads scipy.  `hessian_apply`, for p = 2 only, serves `restricted_top_eigvec`.
 
 `weighted_sum` forms sum_i w_i T_i (an ensemble leaf, a pair mix) in
 _SLAB-entry blocks.
@@ -466,7 +464,7 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis):
     return vec, lam
 
 
-def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0, start=None):
+def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0):
     """Top-k l2-unit eigenpairs of P M P for an exactly symmetric n x n M
     (a Hessian from `derivatives`), P projecting out span(orth): the one
     projected eigensolve.  Returns (vectors (k, n), eigenvalues (k,)) in
@@ -474,15 +472,10 @@ def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0,
 
     Up to DEFAULT_DENSE_HESSIAN_CAP, or for k >= n (past ARPACK), it is
     dense: eigh of the symmetric part of P M P, with P formed (none when
-    orth spans nothing); `seed` and `start` go unused.  Otherwise it is
-    Lanczos, each matvec one BLAS dsymv on the F-contiguous view M.T, which
-    equals M and of which dsymv reads one triangle.
-
-    Warm start: with k = 1, Lanczos starts from P start (the Hessian walk's
-    previous direction) unless that projection has norm <= 1e-8 |start|;
-    otherwise, and always for k > 1 (one start vector in a small invariant
-    subspace cannot yield k eigenpairs), it starts from the seeded vector.
-    """
+    orth spans nothing).  Otherwise it is Lanczos from stream (seed,
+    "proj-eig", n), each matvec the gemv M^T.w (M^T = M), which splits its
+    threads over whole output entries: the same bits at one and two BLAS
+    threads (n = 520 to 2048)."""
     n = len(matrix)
     ortho = orthonormal_rows(orth, n)
     if n <= DEFAULT_DENSE_HESSIAN_CAP or k >= n:
@@ -491,29 +484,16 @@ def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0,
             matrix = pmat @ matrix @ pmat
         vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
     else:
-        from scipy.linalg.blas import dsymv
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-        upper = matrix.T
 
         def proj(v):
             if ortho.size:
                 v = v - ortho.T @ (ortho @ v)
             return v
 
-        op = LinearOperator(
-            (n, n), matvec=lambda w: proj(dsymv(1.0, upper, proj(np.asarray(w).ravel()))), dtype=float
-        )
-        v0 = None
-        if k == 1 and start is not None:
-            start = np.asarray(start, dtype=float)
-            if start.shape != (n,):
-                raise ArgumentError(f"start has shape {start.shape}, want ({n},)")
-            v0 = proj(start)
-        if v0 is None or np.linalg.norm(v0) <= 1e-8 * np.linalg.norm(start):
-            v0 = rng.stream(seed, "proj-eig", n).standard_normal(n)
+        op = LinearOperator((n, n), matvec=lambda w: proj(matrix.T @ proj(np.asarray(w).ravel())), dtype=float)
         try:
-            vals, vecs = eigsh(op, k=k, which="LA", v0=v0)
+            vals, vecs = eigsh(op, k=k, which="LA", v0=rng.stream(seed, "proj-eig", n).standard_normal(n))
         except ArpackError as exc:  # pragma: no cover
             raise NumericError(f"projected eigensolve did not converge: {exc}") from exc
     order = np.argsort(vals)[::-1][:k]

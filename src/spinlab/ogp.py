@@ -222,14 +222,16 @@ def run_branching_experiment(
     does).  Within a rep, the underline nodes (build H[u], run alg, take its
     energy) run on `pool_map`, each holding its Hamiltonian beside the
     ensemble: the nodes and one leaf, then the two K_ul x K_ul matrices and
-    their K_ul x K_ul x D_ul lca comparison, must fit the budget, and both
-    ladders the tree's depth, before the first rep samples."""
+    their K_ul x K_ul x D_ul lca comparison (and with `extend` those of all
+    K leaves), must fit the budget, and both ladders the tree's depth, before
+    the first rep samples."""
     check_depths(shape, pladder, qladder)
     reports = []
     nodes = shape.n_nodes
     check_budget(m, n, nodes + 1, f"{nodes} nodes and a leaf hold")
     ul = TreeShape(shape.ks[: underline_depth(pladder)])
-    check_entries((2 + ul.depth) * ul.n_leaves**2, f"the overlap matrices of {ul.n_leaves} underline nodes hold")
+    for tree, what in [(ul, "underline nodes")] + [(shape, "leaves")] * extend:
+        check_entries((2 + tree.depth) * tree.n_leaves**2, f"the overlap matrices of {tree.n_leaves} {what} hold")
     leaves_ul = ul.leaves()
     leaf_entries = tensor_entries(m, n)
     width = replica_width(len(leaves_ul), leaf_entries, held=nodes * leaf_entries)

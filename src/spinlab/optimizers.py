@@ -15,8 +15,8 @@ so `final` lies in B_N.
 Hessian projected off the current constraints, signed along the gradient.
 `_hessian_walk`, the one loop that takes it, is Subag ascent from the
 origin, and the greedy energy embedding (`ultrametric.embed_energy_greedy`)
-along each edge.  The step, the Ising extension's walk and
-`hamiltonian.restricted_top_eigvec` reach an eigensolve only through
+along each edge; above the dense-Hessian cap, in one `hessian_frame`.  Steps,
+frames, the Ising walk and `restricted_top_eigvec` solve only through
 `hamiltonian.projected_top_eigvec`, which alone picks dense eigh or Lanczos.
 
 All optimizers ascend the energy (thresholds are maxima).
@@ -34,6 +34,7 @@ from . import rng
 from .ensembles import CorrelatedEnsemble, TreeShape, check_depths, underline_depth
 from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import (
+    DEFAULT_DENSE_HESSIAN_CAP,
     Hamiltonian,
     check_budget,
     derivatives,
@@ -238,27 +239,41 @@ def amp(h: Hamiltonian, spec: AmpSpec, seed: int = 0) -> Trajectory:
 # -- Subag ascent ------------------------------------------------------------------
 
 
-def subag_step(
-    h: Hamiltonian, x, mode: str, delta: float, step_seed: int, start=None, others=()
-) -> tuple:
+def _top_count(h: Hamiltonian, mode: str, delta: float) -> int:
+    return 1 if mode == "top_eig" else max(math.floor(delta * h.n), 1)  # the eigenpairs a step takes
+
+
+def hessian_frame(h: Hamiltonian, m: int):
+    """(rows, eigenvalues): the top m eigenpairs of the constant Hessian of a
+    pure p = 2 Hamiltonian above the dense-Hessian cap, formed (n^2 floats,
+    as many as G) and solved once at seed 0; None for any other.  A step
+    whose span(x, *others) lies in it with dimension j <= m - k stays in it:
+    P Hess P's top k there are >= lambda_{j+k} >= lambda_{m+1} (interlacing)."""
+    if h.mixture.ps != (2,) or h.n <= DEFAULT_DENSE_HESSIAN_CAP:
+        return None
+    return projected_top_eigvec(derivatives(h, np.zeros(h.n), 2)[2], (), k=m)
+
+
+def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int, others=(), frame=None) -> tuple:
     """(energy at x, step direction from x), from the top eigenpairs of
     P Hess P, P projecting out span(x, *others): the top eigenvector
     ("top_eig"), or a Gaussian combination of the top max(floor(delta N), 1),
     coefficient i on the i-th largest, each first signed along the gradient
     ("random_subspace").  The direction is re-projected off the span,
     normalized and signed along the gradient by `sign_toward`; ResourceError
-    if it lies in the span.
-
-    Every step makes one order-2 derivatives call and one
-    `projected_top_eigvec` solve, which alone picks dense eigh or Lanczos by
-    n; Lanczos is warm-started from `start`, the previous direction.  Above
-    the dense-Hessian cap only p = 2 fits the entry budget, so the Hessian
-    is g(G + G^T), formed per step and not cached: the step holds n^2 more
-    floats, as many as G (1.07 GB at the largest admissible n = 11585)."""
+    if it lies in the span.  It solves an order-2 call's Hessian, or after an
+    order-1 call diag(eigenvalues) of a `hessian_frame` off the frame
+    coordinates of the span, lifted back by the frame's rows."""
     orth = [x, *others]
-    k = 1 if mode == "top_eig" else max(math.floor(delta * h.n), 1)
-    e, grad, hess = derivatives(h, x, 2)
-    vecs, _vals = projected_top_eigvec(hess, orth, k=k, seed=step_seed, start=start)
+    k = _top_count(h, mode, delta)
+    if frame is None:
+        e, grad, hess = derivatives(h, x, 2)
+        vecs, _vals = projected_top_eigvec(hess, orth, k=k, seed=step_seed)
+    else:
+        basis, vals = frame
+        e, grad = derivatives(h, x, 1)
+        coef, _vals = projected_top_eigvec(np.diag(vals), [basis @ w for w in orth], k=k, seed=step_seed)
+        vecs = coef @ basis
     if mode == "top_eig":
         v = vecs[0]
     else:  # signing each eigenvector frees the draw from the eigensolver's sign convention
@@ -270,16 +285,15 @@ def subag_step(
     return e, sign_toward(v, grad)
 
 
-def _hessian_walk(h: Hamiltonian, x, target_sq: float, delta: float, mode: str, labels: tuple, others=()) -> tuple:
+def _hessian_walk(h: Hamiltonian, x, target_sq: float, delta: float, mode: str, labels: tuple, others=(), frame=None):
     """(points, energies) of the radial walk from points[0] = x to |x|_N^2 =
     target_sq, energies[i] = H(points[i]): step i moves x by sqrt(gain N)
-    along `subag_step` at derive_seed(*labels, i) off x and `others`, gain =
-    delta while more than delta - 1e-12 remains and the remainder after.
-    Each Lanczos solve after the first starts from the previous direction."""
-    points, energies, v = [x], [], None
+    along `subag_step` at derive_seed(*labels, i) off x and `others` (in
+    `frame`), gain = delta while more than delta - 1e-12 remains, then the rest."""
+    points, energies = [x], []
     while (norm_sq := norm_n_sq(x)) < target_sq - 1e-12:
         rest = target_sq - norm_sq
-        e, v = subag_step(h, x, mode, delta, rng.derive_seed(*labels, len(energies)), start=v, others=others)
+        e, v = subag_step(h, x, mode, delta, rng.derive_seed(*labels, len(energies)), others, frame)
         energies.append(e)
         gain = delta if rest > delta - 1e-12 else rest
         x = x + math.sqrt(gain * h.n) * v
@@ -301,7 +315,8 @@ def subag_ascent(h: Hamiltonian, delta: float, mode: str = "top_eig", seed: int 
         raise ArgumentError(f"1/delta = {steps} must be an integer")
     if delta * h.n < 2:
         raise ArgumentError(f"delta N = {delta * h.n} too small")
-    points, energies = _hessian_walk(h, np.zeros(h.n), round(steps) * delta, delta, mode, (seed, "step"))
+    frame = hessian_frame(h, _top_count(h, mode, delta) + 1)  # the span is x alone: j <= 1
+    points, energies = _hessian_walk(h, np.zeros(h.n), round(steps) * delta, delta, mode, (seed, "step"), (), frame)
     return Trajectory(points[1:], energies[1:], "subag_ascent", {"delta": delta, "mode": mode}, seed=seed)
 
 

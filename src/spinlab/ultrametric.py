@@ -21,7 +21,7 @@ from . import rng
 from .errors import ArgumentError, ResourceError, is_real
 from .hamiltonian import Hamiltonian
 from .mixture import root_xi2_integral
-from .optimizers import _hessian_walk
+from .optimizers import _hessian_walk, hessian_frame
 from .points import norm_n_sq, orthonormal_rows, overlap_matrix, worst_violation
 
 _H_TOL = 1e-12
@@ -261,6 +261,8 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
     freezes all existing overlaps and the children of a branch point come
     out mutually orthogonal.  A vertex's energy is its walk's last.  A tree
     whose range leaves [0, 1] has no embedding in the unit ball and is refused.
+    The walks share one `hessian_frame`; a span holds its point and the
+    earlier nonzero vectors, so m = 1 + #(vertices above height 0).
 
     Returns (Embedding, per-vertex energies, profile) where profile maps each
     vertex to the reference threshold integral int_0^{|v|} sqrt(xi'') — a
@@ -282,11 +284,12 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
     check_direction_budget(n, edge_steps + root_steps + len(verts) + 2)
 
     vectors, energies = {}, {}
+    frame = hessian_frame(h, 1 + sum(t.heights[v] > 0 for v in verts))
     for v in sorted(verts, key=lambda v: (t.heights[v], str(v))):
         p = t.parents[v]
         base = vectors[p] if p is not None else np.zeros(n)
         labels = (rng.derive_seed(seed, "vertex", str(v)),)
-        points, walk = _hessian_walk(h, base, t.heights[v], delta, "top_eig", labels, list(vectors.values()))
+        points, walk = _hessian_walk(h, base, t.heights[v], delta, "top_eig", labels, list(vectors.values()), frame)
         vectors[v], energies[v] = points[-1], walk[-1]
     profile = {v: root_xi2_integral(h.mixture, 0.0, t.heights[v]) for v in verts}
     return Embedding(vectors, n), energies, profile

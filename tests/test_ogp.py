@@ -226,6 +226,24 @@ def test_branching_refuses_overlap_matrices_over_the_budget_before_it_samples(mo
         run_branching_experiment(const_alg(0.6), M2, 2, shape, pl, ql, None, reps=1, seed=0)
 
 
+def test_branching_refuses_extension_overlap_matrices_over_the_budget_before_it_samples(monkeypatch):
+    """With p_1 = 1 the shape (1, 6000) has one underline node, but its
+    extension forms two 6000 x 6000 matrices over the leaves and their
+    6000 x 6000 x 2 lca table, 1.44 * 10^8 entries over the real budget of
+    2^27, so `extend` is refused before the ensemble samples; without it
+    the run gets as far as sampling."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ensemble sampled")
+
+    monkeypatch.setattr(ogp, "sample_ensemble", refuse)
+    shape, pl, ql = TreeShape((1, 6000)), CorrelationLadder((0.0, 1.0, 1.0)), OverlapLadder((0.0, 0.5, 1.0))
+    with pytest.raises(ResourceError, match="^the overlap matrices of 6000 leaves hold 144000000 tensor entries"):
+        run_branching_experiment(const_alg(0.6), M2, 2, shape, pl, ql, None, reps=1, seed=0, extend=True)
+    with pytest.raises(AssertionError, match="the ensemble sampled"):
+        run_branching_experiment(const_alg(0.6), M2, 2, shape, pl, ql, None, reps=1, seed=0)
+
+
 def test_branching_with_extension():
     shape = TreeShape((2, 2))
     pl = CorrelationLadder((0.0, 1.0, 1.0))

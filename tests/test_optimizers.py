@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.linalg import blas
 
 from spinlab import hamiltonian, optimizers, rng, ultrametric
 from spinlab.ensembles import (
@@ -176,88 +178,121 @@ def test_subag_random_subspace_mode():
     assert np.array_equal(traj.final, traj2.final)
 
 
-# -- warm-started Lanczos (n above the dense-Hessian cap) versus cold solves ------
+# -- the p = 2 frame walk (n above the dense-Hessian cap) versus the per-step walk --
 
 LANCZOS_N = DEFAULT_DENSE_HESSIAN_CAP + 8
 
 
-def _solve_cold(monkeypatch, module):
-    """Make `module` call projected_top_eigvec without its warm start."""
-
-    def cold(matrix, orth=(), k=1, seed=0, start=None):
-        return projected_top_eigvec(matrix, orth=orth, k=k, seed=seed)
-
-    monkeypatch.setattr(module, "projected_top_eigvec", cold)
-
-
-def _record_warm_solves(monkeypatch, module):
-    """Pass `module`'s calls through unchanged; re-solve every warm-started
-    one cold and keep the pair of top eigenvalues (warm, cold)."""
-    pairs = []
-
-    def recorded(matrix, orth=(), k=1, seed=0, start=None):
-        vecs, vals = projected_top_eigvec(matrix, orth=orth, k=k, seed=seed, start=start)
-        if start is not None:
-            pairs.append((vals[0], projected_top_eigvec(matrix, orth=orth, k=k, seed=seed)[1][0]))
-        return vecs, vals
-
-    monkeypatch.setattr(module, "projected_top_eigvec", recorded)
-    return pairs
-
-
-def _count_matvecs(monkeypatch):
-    """Count the Lanczos operator's matvecs: one BLAS dsymv each, looked up
-    in scipy's BLAS module at each projected_top_eigvec call."""
-    calls = [0]
-    dsymv = blas.dsymv
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return dsymv(*args, **kwargs)
-
-    monkeypatch.setattr(blas, "dsymv", counted)
-    return calls
+def oracle_per_step_walk(h, x, target_sq, delta, mode, labels, others=(), frame=None):
+    """The Hessian walk before it took a frame: every step forms the Hessian
+    with one order-2 call and solves it from the step's own seeded start,
+    by Lanczos above the cap.  `frame` is ignored, so it stands in for
+    `_hessian_walk` in both of its callers."""
+    points, energies = [x], []
+    k = 1 if mode == "top_eig" else max(math.floor(delta * h.n), 1)
+    while (norm_sq := norm_n_sq(x)) < target_sq - 1e-12:
+        rest = target_sq - norm_sq
+        step_seed = rng.derive_seed(*labels, len(energies))
+        orth = [x, *others]
+        e, grad, hess = derivatives(h, x, 2)
+        vecs, _vals = projected_top_eigvec(hess, orth, k=k, seed=step_seed)
+        if mode == "top_eig":
+            v = vecs[0]
+        else:
+            coeffs = rng.stream(step_seed, "subag-dir").standard_normal(k)
+            v = coeffs @ np.array([sign_toward(u, grad) for u in vecs])
+        v = sign_toward(orthogonal_unit(v, orth), grad)
+        energies.append(e)
+        gain = delta if rest > delta - 1e-12 else rest
+        x = x + math.sqrt(gain * h.n) * v
+        points.append(x)
+    energies.append(energy(h, x))
+    return points, energies
 
 
-@pytest.mark.parametrize("field", [0.0, 0.3])
-def test_subag_lanczos_warm_start_matches_cold(monkeypatch, field):
+def _walk_per_step(monkeypatch):
+    for module in (optimizers, ultrametric):
+        monkeypatch.setattr(module, "_hessian_walk", oracle_per_step_walk)
+
+
+@pytest.mark.parametrize("mode, field", [("top_eig", 0.0), ("top_eig", 0.3), ("random_subspace", 0.0)])
+def test_subag_frame_walk_matches_the_per_step_walk(monkeypatch, mode, field):
+    """Above the cap a p2 walk solves its Hessian once, for k + 1 eigenpairs,
+    and then takes one order-1 call and an m x m solve per step; it follows
+    the per-step walk to rounding."""
     h = sample_hamiltonian(Mixture({2: 1.0}, h=field), LANCZOS_N, seed=11)
-    matvecs = _count_matvecs(monkeypatch)
     with monkeypatch.context() as mp:
-        _solve_cold(mp, optimizers)
-        cold = subag_ascent(h, 0.1, "top_eig", seed=4)
-    cold_matvecs, matvecs[0] = matvecs[0], 0
-    warm = subag_ascent(h, 0.1, "top_eig", seed=4)
-    assert matvecs[0] < 0.6 * cold_matvecs
-    pairs = _record_warm_solves(monkeypatch, optimizers)
-    assert np.array_equal(subag_ascent(h, 0.1, "top_eig", seed=4).final, warm.final)
-    assert len(pairs) == 9  # every step after the first at the origin
-    for w, c in pairs:
-        assert abs(w - c) <= 1e-12 * abs(c)
-    for a, b in zip(warm.iterates, cold.iterates):
+        _walk_per_step(mp)
+        want = subag_ascent(h, 0.1, mode, seed=4)
+    orders = _record_orders(monkeypatch)
+    got = subag_ascent(h, 0.1, mode, seed=4)
+    assert orders == [2] + [1] * 10 + [0]  # the frame, ten steps, the last energy
+    for a, b in zip(got.iterates, want.iterates, strict=True):
         assert np.max(np.abs(a - b)) <= 1e-10
-    assert np.allclose(warm.energies, cold.energies, rtol=1e-12, atol=0)
+    assert np.allclose(got.energies, want.energies, rtol=1e-12, atol=0)
 
 
-def test_embedding_lanczos_warm_start_matches_cold(monkeypatch):
+TREE_ABOVE_ZERO = {"vertices": [{"id": "r", "parent": None, "height": 0.25},
+                                {"id": "m", "parent": "r", "height": 0.75},
+                                {"id": "a", "parent": "m", "height": 1.0},
+                                {"id": "b", "parent": "m", "height": 1.0},
+                                {"id": "c", "parent": "r", "height": 1.0}]}
+
+
+@pytest.mark.parametrize("tree", [ultrametric.star_tree(3), ultrametric.tree_from_json(TREE_ABOVE_ZERO)],
+                         ids=["star3", "root-above-zero"])
+def test_embedding_frame_walk_matches_the_per_step_walk(monkeypatch, tree):
+    """One frame serves every edge of the tree.  With the root above height
+    0 the last walk's span holds all five vertices, so the frame needs six
+    eigenpairs; five would leave its steps no direction."""
     h = sample_hamiltonian(pure(2), LANCZOS_N, seed=12)
-    tree = ultrametric.star_tree(3)
     with monkeypatch.context() as mp:
-        _solve_cold(mp, optimizers)
-        cold, cold_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
-    pairs = _record_warm_solves(monkeypatch, optimizers)
-    warm, warm_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
-    assert len(pairs) == 3 * 7  # each leaf chain: 8 steps, the first cold
-    for w, c in pairs:
-        assert abs(w - c) <= 1e-12 * abs(c)
+        _walk_per_step(mp)
+        want, want_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
+    frames = []
+    monkeypatch.setattr(ultrametric, "hessian_frame", lambda h, m: frames.append(m) or optimizers.hessian_frame(h, m))
+    got, got_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
+    assert frames == [len(tree.vertices()) + (tree.range[0] > 0)]
     for v in tree.vertices():
-        assert abs(warm_energies[v] - cold_energies[v]) <= 1e-12 * max(1.0, abs(cold_energies[v]))
+        assert abs(got_energies[v] - want_energies[v]) <= 1e-12 * max(1.0, abs(want_energies[v]))
     # pure p2 has <grad H(x), v> at rounding level, so a vector may reflect
     def gram(emb):
         vecs = np.stack([emb.vectors[v] for v in tree.vertices()])
         return vecs @ vecs.T
 
-    assert np.max(np.abs(gram(warm) - gram(cold))) <= 1e-12 * np.max(np.abs(gram(cold)))
+    assert np.max(np.abs(gram(got) - gram(want))) <= 1e-12 * np.max(np.abs(gram(want)))
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from spinlab import hamiltonian, mixture, optimizers, ultrametric
+h = hamiltonian.sample_hamiltonian(mixture.pure(2), {n}, 3)
+digest = hashlib.sha256()
+for mode in ("top_eig", "random_subspace"):
+    traj = optimizers.subag_ascent(h, 0.125, mode, seed=4)
+    digest.update(np.stack(traj.iterates).tobytes() + np.asarray(traj.energies).tobytes())
+emb, energies, _ = ultrametric.embed_energy_greedy(h, ultrametric.star_tree(2), 0.125, seed=5)
+for v in sorted(energies):
+    digest.update(emb.vectors[v].tobytes() + np.float64(energies[v]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_p2_walks_above_the_cap_are_the_same_bits_at_one_and_two_blas_threads():
+    """Subag (both modes) and a star-2 embedding at n = 520, each in a fresh
+    process at OPENBLAS_NUM_THREADS = 1 and 2: the frame's gemv Lanczos and
+    the order-1 steps give equal digests."""
+    src = os.path.dirname(os.path.dirname(optimizers.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE.format(n=LANCZOS_N)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def _record_orders(monkeypatch):

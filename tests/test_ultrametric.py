@@ -8,7 +8,7 @@ import pytest
 from spinlab import rng
 from spinlab.acceptance import _brute_branching, _tree_from_parents
 from spinlab.errors import ArgumentError, ResourceError
-from spinlab.hamiltonian import sample_hamiltonian
+from spinlab.hamiltonian import DEFAULT_DENSE_HESSIAN_CAP, sample_hamiltonian
 from spinlab.mixture import pure
 from spinlab.optimizers import subag_ascent
 from spinlab.points import norm_n_sq, overlap
@@ -380,12 +380,15 @@ def test_embed_energy_greedy_single_leaf_schedule():
         assert norm_n_sq(emb.vectors[v]) == pytest.approx(float(ct.heights[v]), abs=1e-12)
 
 
-@pytest.mark.parametrize("n, p, delta, h_seed", [(24, 4, 0.25, 3), (40, 2, 0.1, 1), (48, 2, 0.125, 5)])
+@pytest.mark.parametrize(
+    "n, p, delta, h_seed", [(24, 4, 0.25, 3), (40, 2, 0.1, 1), (48, 2, 0.125, 5), (DEFAULT_DENSE_HESSIAN_CAP + 8, 2, 0.125, 5)]
+)
 def test_embedding_one_edge_is_subag_ascent(n, p, delta, h_seed):
     """The embedding of the one-edge tree r(0) -> l(1) is Subag ascent: one
     Hessian walk, bit for bit.  At n <= 512 the eigensolve is dense, so the
-    step seeds do not matter.  At delta = 0.1 the last remainder is not
-    exactly delta, and both walks take delta."""
+    step seeds do not matter; above the cap both walks run in the same frame
+    of two eigenpairs, and each step's 2 x 2 solve is dense.  At delta = 0.1
+    the last remainder is not exactly delta, and both walks take delta."""
     h = sample_hamiltonian(pure(p), n, seed=h_seed)
     emb, energies, _ = embed_energy_greedy(h, chain_tree([0.0, 1.0]), delta=delta, seed=0)
     traj = subag_ascent(h, delta, "top_eig", seed=0)
