@@ -46,10 +46,11 @@ holder asks one of them first: a sampled batch, a snapshot, a manifest, a
 grand maximum, a pair rep, the Lipschitz probe, a branching rep and its
 overlap matrices, concurrent replicas and a PDE grid.  One tensor fits at
 p = 4 up to n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap
-of 512.  So above the cap only p = 2 fits, and its Hessian is the constant
-matrix g (G + G^T), solved once per Hessian walk.  `projected_top_eigvec`
-is the one projected eigensolve, and it alone picks the method from (n, k):
-dense eigh up to the cap or for k >= n, else Lanczos on the formed matrix,
+of 512, which `hessian` alone applies.  Past n = 107 only p = 2 fits, and its
+Hessian is the constant matrix g (G + G^T), which a Hessian walk on pure
+p = 2 solves once at every n.  `projected_top_eigvec` is the one projected
+eigensolve, and it alone picks the method from (n, k): dense eigh up to
+DENSE_EIGH_CAP = 144 or for k >= n - 1, else Lanczos on the formed matrix,
 one thread-stable gemv per matvec.  Lanczos is the module's one use of
 scipy (ARPACK), imported on its first call, so a dense-only path never
 loads scipy.  `hessian_apply`, for p = 2 only, serves `restricted_top_eigvec`.
@@ -93,6 +94,10 @@ from .points import norm_n_sq, orthonormal_rows
 
 DEFAULT_MAX_TENSOR_ENTRIES = 2**27
 DEFAULT_DENSE_HESSIAN_CAP = 512
+# eigh of a random symmetric n x n matrix gave the same bits at one and two
+# OpenBLAS threads for every n <= 144, and for most n from 145 to 256 did
+# not; the largest p > 2 dimension the budget admits, n = 107, is below it
+DENSE_EIGH_CAP = 144
 RADIUS_SQ_CAP = 2.0  # evaluation ball |x|_N <= sqrt(2)
 _RADIUS_TOL = 1e-9
 _SLAB = 2**16  # entries (512 KB) per slab of a one-read pass and per weighted_sum block
@@ -470,15 +475,16 @@ def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0)
     projected eigensolve.  Returns (vectors (k, n), eigenvalues (k,)) in
     descending order.
 
-    Up to DEFAULT_DENSE_HESSIAN_CAP, or for k >= n (past ARPACK), it is
+    Up to DENSE_EIGH_CAP, or for k >= n - 1 (past ARPACK, or a frame
+    step's m x m problem, which asks for all but one eigenpair), it is
     dense: eigh of the symmetric part of P M P, with P formed (none when
     orth spans nothing).  Otherwise it is Lanczos from stream (seed,
     "proj-eig", n), each matvec the gemv M^T.w (M^T = M), which splits its
     threads over whole output entries: the same bits at one and two BLAS
-    threads (n = 520 to 2048)."""
+    threads (n = 256 to 2048)."""
     n = len(matrix)
     ortho = orthonormal_rows(orth, n)
-    if n <= DEFAULT_DENSE_HESSIAN_CAP or k >= n:
+    if n <= DENSE_EIGH_CAP or k >= n - 1:
         if ortho.size:
             pmat = np.eye(n) - ortho.T @ ortho
             matrix = pmat @ matrix @ pmat

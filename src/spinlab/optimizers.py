@@ -15,7 +15,7 @@ so `final` lies in B_N.
 Hessian projected off the current constraints, signed along the gradient.
 `_hessian_walk`, the one loop that takes it, is Subag ascent from the
 origin, and the greedy energy embedding (`ultrametric.embed_energy_greedy`)
-along each edge; above the dense-Hessian cap, in one `hessian_frame`.  Steps,
+along each edge; on pure p = 2, at every n, in one `hessian_frame`.  Steps,
 frames, the Ising walk and `restricted_top_eigvec` solve only through
 `hamiltonian.projected_top_eigvec`, which alone picks dense eigh or Lanczos.
 
@@ -34,7 +34,6 @@ from . import rng
 from .ensembles import CorrelatedEnsemble, TreeShape, check_depths, underline_depth
 from .errors import ArgumentError, NumericError, ResourceError
 from .hamiltonian import (
-    DEFAULT_DENSE_HESSIAN_CAP,
     Hamiltonian,
     check_budget,
     derivatives,
@@ -245,11 +244,11 @@ def _top_count(h: Hamiltonian, mode: str, delta: float) -> int:
 
 def hessian_frame(h: Hamiltonian, m: int):
     """(rows, eigenvalues): the top m eigenpairs of the constant Hessian of a
-    pure p = 2 Hamiltonian above the dense-Hessian cap, formed (n^2 floats,
-    as many as G) and solved once at seed 0; None for any other.  A step
-    whose span(x, *others) lies in it with dimension j <= m - k stays in it:
-    P Hess P's top k there are >= lambda_{j+k} >= lambda_{m+1} (interlacing)."""
-    if h.mixture.ps != (2,) or h.n <= DEFAULT_DENSE_HESSIAN_CAP:
+    pure p = 2 Hamiltonian at any n, formed (n^2 floats, as many as G) and
+    solved once at seed 0; None for any other.  A step whose span(x, *others)
+    lies in it with dimension j <= m - k stays in it: P Hess P's top k there
+    are >= lambda_{j+k} >= lambda_{m+1} (interlacing)."""
+    if h.mixture.ps != (2,):
         return None
     return projected_top_eigvec(derivatives(h, np.zeros(h.n), 2)[2], (), k=m)
 
@@ -261,9 +260,11 @@ def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int, other
     coefficient i on the i-th largest, each first signed along the gradient
     ("random_subspace").  The direction is re-projected off the span,
     normalized and signed along the gradient by `sign_toward`; ResourceError
-    if it lies in the span.  It solves an order-2 call's Hessian, or after an
-    order-1 call diag(eigenvalues) of a `hessian_frame` off the frame
-    coordinates of the span, lifted back by the frame's rows."""
+    if it lies in the span.  With a `hessian_frame` (pure p = 2) it solves,
+    after an order-1 call, diag(eigenvalues) off the frame coordinates of
+    the span and lifts the result back by the frame's rows; without one (a
+    p >= 3 term, which the tensor budget keeps at n <= 107) it solves an
+    order-2 call's Hessian."""
     orth = [x, *others]
     k = _top_count(h, mode, delta)
     if frame is None:

@@ -18,7 +18,7 @@ criterion runs.  A run that raises removes the output directories it made,
 so a refused run leaves none.  The thresholds, sandwich and pde handlers,
 and selftest's acceptance suite, import spinlab.parisi, and with it scipy,
 when they run; the other subcommands load scipy only for a Lanczos solve
-(n above the dense-Hessian cap).
+(n above `hamiltonian.DENSE_EIGH_CAP` = 144).
 """
 
 import json

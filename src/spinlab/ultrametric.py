@@ -261,8 +261,9 @@ def embed_energy_greedy(h: Hamiltonian, t: DatedRootedTree, delta: float, seed: 
     freezes all existing overlaps and the children of a branch point come
     out mutually orthogonal.  A vertex's energy is its walk's last.  A tree
     whose range leaves [0, 1] has no embedding in the unit ball and is refused.
-    The walks share one `hessian_frame`; a span holds its point and the
-    earlier nonzero vectors, so m = 1 + #(vertices above height 0).
+    On pure p = 2 the walks share one `hessian_frame` at every n, one
+    eigensolve for the whole tree; a span holds its point and the earlier
+    nonzero vectors, so m = 1 + #(vertices above height 0).
 
     Returns (Embedding, per-vertex energies, profile) where profile maps each
     vertex to the reference threshold integral int_0^{|v|} sqrt(xi'') — a

@@ -431,7 +431,7 @@ def test_non_orthonormal_basis_rejected():
         restricted_top_eigvec(h, np.zeros(6), bad)
 
 
-# -- Lanczos path: projected_top_eigvec above the dense-Hessian cap ------------
+# -- Lanczos path: projected_top_eigvec above DENSE_EIGH_CAP, here at n = 520 --
 
 LANCZOS_N = DEFAULT_DENSE_HESSIAN_CAP + 8
 
@@ -507,20 +507,22 @@ def test_lanczos_on_the_formed_hessian_matches_the_matvec_oracle(lanczos_case, n
 
 
 @pytest.mark.parametrize("n_orth", [0, 2])
-def test_k_at_least_n_eigenpairs_solve_densely_above_the_cap(monkeypatch, n_orth):
-    """ARPACK returns at most n - 1 eigenpairs, so k = n goes to the dense
-    solve even above the cap: with the cap patched to 8, n = 12 and k = 12
-    give the unpatched dense solve bit for bit."""
+@pytest.mark.parametrize("k", [11, 12])
+def test_k_at_least_n_minus_one_eigenpairs_solve_densely_above_the_cap(monkeypatch, n_orth, k):
+    """ARPACK returns at most n - 1 eigenpairs, and a frame step's m x m
+    problem asks for m - 1, so k >= n - 1 goes to the dense solve even above
+    the cap: with DENSE_EIGH_CAP patched to 8, n = 12 and k = 11 or 12 give
+    the unpatched dense solve bit for bit."""
     n = 12
     h = sample_hamiltonian(Mixture({2: 1.0}, h=0.3), n, seed=21)
     gen = rng.stream(24, "k-at-least-n")
     x = 0.7 * sphere_point(gen.standard_normal(n))
     orth = [gen.standard_normal(n) for _ in range(n_orth)]
     hess = derivatives(h, x, 2)[2]
-    want = projected_top_eigvec(hess, orth=orth, k=n, seed=5)
-    monkeypatch.setattr(hamiltonian, "DEFAULT_DENSE_HESSIAN_CAP", 8)
-    got = projected_top_eigvec(hess, orth=orth, k=n, seed=5)
-    assert got[0].shape == (n, n)
+    want = projected_top_eigvec(hess, orth=orth, k=k, seed=5)
+    monkeypatch.setattr(hamiltonian, "DENSE_EIGH_CAP", 8)
+    got = projected_top_eigvec(hess, orth=orth, k=k, seed=5)
+    assert got[0].shape == (k, n)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 

@@ -79,8 +79,8 @@ def test_a_parisi_name_loads_the_pde_engine_on_first_access():
 def test_projected_top_eigvec_runs_in_a_fresh_process():
     body = (
         "import numpy as np\n"
-        "from spinlab.hamiltonian import DEFAULT_DENSE_HESSIAN_CAP, projected_top_eigvec\n"
-        "n = DEFAULT_DENSE_HESSIAN_CAP + 8  # above the cap, so the solve is Lanczos\n"
+        "from spinlab.hamiltonian import DENSE_EIGH_CAP, projected_top_eigvec\n"
+        "n = DENSE_EIGH_CAP + 8  # above the dense eigh cap, so the solve is Lanczos\n"
         "g = np.random.default_rng(0).standard_normal((n, n)); m = g + g.T\n"
         "vecs, vals = projected_top_eigvec(m, k=2)\n"
         "want = np.linalg.eigvalsh(m)[::-1][:2]\n"

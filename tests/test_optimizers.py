@@ -178,7 +178,7 @@ def test_subag_random_subspace_mode():
     assert np.array_equal(traj.final, traj2.final)
 
 
-# -- the p = 2 frame walk (n above the dense-Hessian cap) versus the per-step walk --
+# -- the p = 2 frame walk versus the per-step walk, below and above the caps --
 
 LANCZOS_N = DEFAULT_DENSE_HESSIAN_CAP + 8
 
@@ -186,7 +186,7 @@ LANCZOS_N = DEFAULT_DENSE_HESSIAN_CAP + 8
 def oracle_per_step_walk(h, x, target_sq, delta, mode, labels, others=(), frame=None):
     """The Hessian walk before it took a frame: every step forms the Hessian
     with one order-2 call and solves it from the step's own seeded start,
-    by Lanczos above the cap.  `frame` is ignored, so it stands in for
+    by Lanczos above DENSE_EIGH_CAP.  `frame` is ignored, so it stands in for
     `_hessian_walk` in both of its callers."""
     points, energies = [x], []
     k = 1 if mode == "top_eig" else max(math.floor(delta * h.n), 1)
@@ -215,12 +215,16 @@ def _walk_per_step(monkeypatch):
         monkeypatch.setattr(module, "_hessian_walk", oracle_per_step_walk)
 
 
-@pytest.mark.parametrize("mode, field", [("top_eig", 0.0), ("top_eig", 0.3), ("random_subspace", 0.0)])
-def test_subag_frame_walk_matches_the_per_step_walk(monkeypatch, mode, field):
-    """Above the cap a p2 walk solves its Hessian once, for k + 1 eigenpairs,
+@pytest.mark.parametrize(
+    "mode, field, n",
+    [("top_eig", 0.0, 64), ("top_eig", 0.0, LANCZOS_N), ("top_eig", 0.3, LANCZOS_N),
+     ("random_subspace", 0.0, 96), ("random_subspace", 0.0, 256), ("random_subspace", 0.0, LANCZOS_N)],
+)
+def test_subag_frame_walk_matches_the_per_step_walk(monkeypatch, mode, field, n):
+    """At every n a p2 walk solves its Hessian once, for k + 1 eigenpairs,
     and then takes one order-1 call and an m x m solve per step; it follows
-    the per-step walk to rounding."""
-    h = sample_hamiltonian(Mixture({2: 1.0}, h=field), LANCZOS_N, seed=11)
+    the per-step walk to rounding, below the dense-Hessian cap and above it."""
+    h = sample_hamiltonian(Mixture({2: 1.0}, h=field), n, seed=11)
     with monkeypatch.context() as mp:
         _walk_per_step(mp)
         want = subag_ascent(h, 0.1, mode, seed=4)
@@ -239,13 +243,14 @@ TREE_ABOVE_ZERO = {"vertices": [{"id": "r", "parent": None, "height": 0.25},
                                 {"id": "c", "parent": "r", "height": 1.0}]}
 
 
+@pytest.mark.parametrize("n", [96, LANCZOS_N])
 @pytest.mark.parametrize("tree", [ultrametric.star_tree(3), ultrametric.tree_from_json(TREE_ABOVE_ZERO)],
                          ids=["star3", "root-above-zero"])
-def test_embedding_frame_walk_matches_the_per_step_walk(monkeypatch, tree):
-    """One frame serves every edge of the tree.  With the root above height
-    0 the last walk's span holds all five vertices, so the frame needs six
-    eigenpairs; five would leave its steps no direction."""
-    h = sample_hamiltonian(pure(2), LANCZOS_N, seed=12)
+def test_embedding_frame_walk_matches_the_per_step_walk(monkeypatch, tree, n):
+    """One frame serves every edge of the tree, at every n.  With the root
+    above height 0 the last walk's span holds all five vertices, so the
+    frame needs six eigenpairs; five would leave its steps no direction."""
+    h = sample_hamiltonian(pure(2), n, seed=12)
     with monkeypatch.context() as mp:
         _walk_per_step(mp)
         want, want_energies, _ = ultrametric.embed_energy_greedy(h, tree, 0.125, seed=5)
@@ -266,30 +271,46 @@ def test_embedding_frame_walk_matches_the_per_step_walk(monkeypatch, tree):
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
-from spinlab import hamiltonian, mixture, optimizers, ultrametric
-h = hamiltonian.sample_hamiltonian(mixture.pure(2), {n}, 3)
+from spinlab import ensembles, hamiltonian, mixture, optimizers, rng, ultrametric
 digest = hashlib.sha256()
-for mode in ("top_eig", "random_subspace"):
-    traj = optimizers.subag_ascent(h, 0.125, mode, seed=4)
-    digest.update(np.stack(traj.iterates).tobytes() + np.asarray(traj.energies).tobytes())
-emb, energies, _ = ultrametric.embed_energy_greedy(h, ultrametric.star_tree(2), 0.125, seed=5)
-for v in sorted(energies):
-    digest.update(emb.vectors[v].tobytes() + np.float64(energies[v]).tobytes())
+for n in {ns}:
+    h = hamiltonian.sample_hamiltonian(mixture.pure(2), n, 3)
+    for mode in ("top_eig", "random_subspace"):
+        traj = optimizers.subag_ascent(h, 0.125, mode, seed=4)
+        digest.update(np.stack(traj.iterates).tobytes() + np.asarray(traj.energies).tobytes())
+    emb, energies, _ = ultrametric.embed_energy_greedy(h, ultrametric.star_tree({star}), 0.125, seed=5)
+    for v in sorted(energies):
+        digest.update(emb.vectors[v].tobytes() + np.float64(energies[v]).tobytes())
+for n in {ising_ns}:  # criterion 14's Ising walk
+    ens = ensembles.sample_ensemble(mixture.pure(2), n, ensembles.TreeShape((2,)),
+                                    ensembles.CorrelationLadder((0.0, 1.0)), seed=11)
+    gi = rng.stream(14, "acc-ising")
+    w1 = np.clip(gi.standard_normal(n) * 0.4, -1.0, 1.0)
+    w2 = np.clip(gi.standard_normal(n) * 0.4, -1.0, 1.0)
+    rep = optimizers.extend_to_sphere(ens, {{(1,): w1, (2,): w2}}, ensembles.OverlapLadder((0.0, 1.0)),
+                                      eta=0.2, seed=5, mode="ising")
+    for u in sorted(rep.pre_rounding):
+        digest.update(rep.pre_rounding[u].tobytes())
 print(digest.hexdigest())
 """
 
 
-def test_p2_walks_above_the_cap_are_the_same_bits_at_one_and_two_blas_threads():
-    """Subag (both modes) and a star-2 embedding at n = 520, each in a fresh
-    process at OPENBLAS_NUM_THREADS = 1 and 2: the frame's gemv Lanczos and
-    the order-1 steps give equal digests."""
+@pytest.mark.parametrize("ns, star, ising_ns", [((LANCZOS_N,), 2, ()), ((256, 512), 3, (256,))],
+                         ids=["above-the-cap", "below-the-cap"])
+def test_p2_walks_are_the_same_bits_at_one_and_two_blas_threads(ns, star, ising_ns):
+    """Subag (both modes) and a star embedding at each n in `ns`, and
+    criterion 14's Ising walk at each n in `ising_ns`, in a fresh process
+    at OPENBLAS_NUM_THREADS = 1 and 2, give equal digests: the frames and
+    the Ising steps solve by gemv Lanczos above DENSE_EIGH_CAP, and a frame
+    step's m x m problem stays small.  Below the dense-Hessian cap a dense
+    eigh per step changed bits with the thread count from n = 145."""
     src = os.path.dirname(os.path.dirname(optimizers.__file__))
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE.format(n=LANCZOS_N)], env=env,
-                              capture_output=True, text=True, timeout=300)
+        probe = _THREAD_PROBE.format(ns=ns, star=star, ising_ns=ising_ns)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
@@ -316,7 +337,7 @@ def test_subag_step_dense_and_lanczos_paths_agree(monkeypatch, mode, delta):
     orders = _record_orders(monkeypatch)
     e_lanczos, v_lanczos = subag_step(h, x, mode, delta, 8)
     assert orders == [2]
-    monkeypatch.setattr(hamiltonian, "DEFAULT_DENSE_HESSIAN_CAP", LANCZOS_N)
+    monkeypatch.setattr(hamiltonian, "DENSE_EIGH_CAP", LANCZOS_N)
     e_dense, v_dense = subag_step(h, x, mode, delta, 8)
     assert orders == [2, 2]
     assert e_dense == e_lanczos
@@ -611,7 +632,7 @@ def test_ising_rounding_mean_consistency():
 
 
 def test_ising_walk_takes_hessian_directions_above_the_dense_cap(monkeypatch):
-    """With the dense-Hessian cap patched below n, every Ising step solves
+    """With DENSE_EIGH_CAP patched below n, every Ising step solves
     by Lanczos and the walk still takes Hessian directions: fewer fallbacks
     than steps, and pre-rounding points within 1e-8 of the dense run's."""
     n = 48
@@ -637,7 +658,7 @@ def test_ising_walk_takes_hessian_directions_above_the_dense_cap(monkeypatch):
 
     dense = extend()
     assert calls["lanczos"] == 0
-    monkeypatch.setattr(hamiltonian, "DEFAULT_DENSE_HESSIAN_CAP", n - 1)
+    monkeypatch.setattr(hamiltonian, "DENSE_EIGH_CAP", n - 1)
     calls["steps"] = 0
     lanczos = extend()
     assert calls["lanczos"] == calls["steps"] > 0
@@ -757,7 +778,7 @@ def dense_top_eigvec(matrix, x):
 
 
 def test_opt_form_conformance_subag():
-    h = sample_hamiltonian(pure(2), 24, seed=10)
+    h = sample_hamiltonian(pure(4), 24, seed=10)  # pure p2 walks in a hessian_frame, order 1 per step
     delta, seed = 0.25, 3
     direct = subag_ascent(h, delta, "top_eig", seed=seed)
 
