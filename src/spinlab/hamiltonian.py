@@ -48,12 +48,13 @@ overlap matrices, concurrent replicas and a PDE grid.  One tensor fits at
 p = 4 up to n = 107 and p = 6 up to n = 22, far below the dense-Hessian cap
 of 512, which `hessian` alone applies.  Past n = 107 only p = 2 fits, and its
 Hessian is the constant matrix g (G + G^T), which a Hessian walk on pure
-p = 2 solves once at every n.  `projected_top_eigvec` is the one projected
-eigensolve, and it alone picks the method from (n, k): dense eigh up to
-DENSE_EIGH_CAP = 144 or for k >= n - 1, else Lanczos on the formed matrix,
-one thread-stable gemv per matvec.  Lanczos is the module's one use of
-scipy (ARPACK), imported on its first call, so a dense-only path never
-loads scipy.  `hessian_apply`, for p = 2 only, serves `restricted_top_eigvec`.
+p = 2 solves once at every n.  `projected_top_eigvec`, the one projected
+eigensolve, applies its projector without forming it and alone picks the
+method from (n, k): dense eigh up to DENSE_EIGH_CAP = 144 or for k >= n - 1,
+else Lanczos, one thread-stable gemv per matvec.  Lanczos is the module's
+one use of scipy (ARPACK), imported on its first call, so a dense-only path
+never loads scipy.  `hessian_apply`, for p = 2 only, serves
+`restricted_top_eigvec`.
 
 `weighted_sum` forms sum_i w_i T_i (an ensemble leaf, a pair mix) in
 _SLAB-entry blocks.
@@ -469,37 +470,35 @@ def restricted_top_eigvec(h: Hamiltonian, x, basis):
     return vec, lam
 
 
-def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1, seed: int = 0):
+def projected_top_eigvec(matrix: np.ndarray, orth=(), k: int = 1):
     """Top-k l2-unit eigenpairs of P M P for an exactly symmetric n x n M
     (a Hessian from `derivatives`), P projecting out span(orth): the one
     projected eigensolve.  Returns (vectors (k, n), eigenvalues (k,)) in
     descending order.
 
-    Up to DENSE_EIGH_CAP, or for k >= n - 1 (past ARPACK, or a frame
-    step's m x m problem, which asks for all but one eigenpair), it is
-    dense: eigh of the symmetric part of P M P, with P formed (none when
-    orth spans nothing).  Otherwise it is Lanczos from stream (seed,
-    "proj-eig", n), each matvec the gemv M^T.w (M^T = M), which splits its
-    threads over whole output entries: the same bits at one and two BLAS
-    threads (n = 256 to 2048)."""
+    P is applied, never formed: proj(a) = a - O^T (O a), O the orthonormal
+    rows of orth, for a vector or a matrix's columns.  Up to DENSE_EIGH_CAP,
+    or for k >= n - 1 (past ARPACK, or a frame step's m x m problem, which
+    asks for all but one eigenpair), it is eigh of the symmetric part of
+    proj(proj(M)^T); otherwise Lanczos from stream (0, "proj-eig", n), each
+    matvec proj(M^T proj(w)), whose gemv M^T.w splits its threads over whole
+    output entries.  Both gave the same bits at one and two BLAS threads
+    (dense: n <= 144, spans of up to 20 vectors; Lanczos: n = 256 to 2048)."""
     n = len(matrix)
     ortho = orthonormal_rows(orth, n)
+
+    def proj(a):
+        return a - ortho.T @ (ortho @ a) if ortho.size else a
+
     if n <= DENSE_EIGH_CAP or k >= n - 1:
-        if ortho.size:
-            pmat = np.eye(n) - ortho.T @ ortho
-            matrix = pmat @ matrix @ pmat
-        vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+        pmp = proj(proj(matrix).T)
+        vals, vecs = np.linalg.eigh(0.5 * (pmp + pmp.T))
     else:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-        def proj(v):
-            if ortho.size:
-                v = v - ortho.T @ (ortho @ v)
-            return v
-
         op = LinearOperator((n, n), matvec=lambda w: proj(matrix.T @ proj(np.asarray(w).ravel())), dtype=float)
         try:
-            vals, vecs = eigsh(op, k=k, which="LA", v0=rng.stream(seed, "proj-eig", n).standard_normal(n))
+            vals, vecs = eigsh(op, k=k, which="LA", v0=rng.stream(0, "proj-eig", n).standard_normal(n))
         except ArpackError as exc:  # pragma: no cover
             raise NumericError(f"projected eigensolve did not converge: {exc}") from exc
     order = np.argsort(vals)[::-1][:k]

@@ -48,7 +48,6 @@ from .mixture import Mixture, xi_eval
 from .points import (
     norm_n_sq,
     orthogonal_unit,
-    orthonormal_rows,
     overlap,
     project_ball,
     sign_toward,
@@ -245,7 +244,7 @@ def _top_count(h: Hamiltonian, mode: str, delta: float) -> int:
 def hessian_frame(h: Hamiltonian, m: int):
     """(rows, eigenvalues): the top m eigenpairs of the constant Hessian of a
     pure p = 2 Hamiltonian at any n, formed (n^2 floats, as many as G) and
-    solved once at seed 0; None for any other.  A step whose span(x, *others)
+    solved once; None for any other.  A step whose span(x, *others)
     lies in it with dimension j <= m - k stays in it: P Hess P's top k there
     are >= lambda_{j+k} >= lambda_{m+1} (interlacing)."""
     if h.mixture.ps != (2,):
@@ -269,11 +268,11 @@ def subag_step(h: Hamiltonian, x, mode: str, delta: float, step_seed: int, other
     k = _top_count(h, mode, delta)
     if frame is None:
         e, grad, hess = derivatives(h, x, 2)
-        vecs, _vals = projected_top_eigvec(hess, orth, k=k, seed=step_seed)
+        vecs, _vals = projected_top_eigvec(hess, orth, k=k)
     else:
         basis, vals = frame
         e, grad = derivatives(h, x, 1)
-        coef, _vals = projected_top_eigvec(np.diag(vals), [basis @ w for w in orth], k=k, seed=step_seed)
+        coef, _vals = projected_top_eigvec(np.diag(vals), [basis @ w for w in orth], k=k)
         vecs = coef @ basis
     if mode == "top_eig":
         v = vecs[0]
@@ -381,7 +380,8 @@ def extend_to_sphere(
     overlaps are frozen and within-tree overlaps hit q_{lca depth} exactly
     (spherical mode).  Ising mode walks along nonnegative-curvature Hessian
     directions among non-saturated coordinates when available, at every n
-    (one `projected_top_eigvec` solve per step; random coordinate
+    (one `projected_top_eigvec` solve per step, of the Hessian's block on
+    the free coordinates off the span's entries there; random coordinate
     directions otherwise, counted as fallbacks), stops at
     1 - min(eta / 2, 0.05), then rounds coordinates independently with the
     mean preserved; only this gap reads eta, so spherical mode ignores it.
@@ -432,16 +432,16 @@ def extend_to_sphere(
             free = np.flatnonzero(np.abs(x) < 1.0 - 1e-12)
             if free.size < 2:
                 break
-            mask = np.zeros(n)
-            mask[free] = 1.0
-            masked = [w * mask for w in [x] + constraints_for(node)]
+            span = [w[free] for w in [x, *constraints_for(node)]]
             _e, grad, hess = derivatives(leaf_h, x, 2)
-            v = _ising_direction(hess, mask, masked)
-            if v is None:
-                v = _fallback_coordinate(free, masked, gen, n)
+            u = _ising_direction(hess[np.ix_(free, free)], span)
+            if u is None:
+                u = _fallback_coordinate(span, gen)
                 fallbacks += 1
-                if v is None:
+                if u is None:
                     break
+            v = np.zeros(n)
+            v[free] = u
             v = sign_toward(v, grad)
             t_level = math.sqrt(max(q_target - norm_n_sq(x), 0.0) * n)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -452,7 +452,6 @@ def extend_to_sphere(
             if t <= 1e-12:
                 break
             x = np.clip(x + t * v, -1.0, 1.0)
-            active[node] = x
         return x
 
     grow = grow_sphere if mode == "sphere" else grow_ising
@@ -492,30 +491,26 @@ def round_to_corners(points: dict, seed: int) -> dict:
     return out
 
 
-def _ising_direction(hess, mask, masked):
-    """Top eigenvector of P_S Hess P_S restricted to the orthocomplement of
-    the masked span, with S the free coordinates (mask is their 0/1
-    indicator, masked the span times mask); None if the top eigenvalue is
-    negative (the curvature certificate fails at this finite N).  Masks
-    hess in place: its entries are multiplied by 0 or 1, which is exact,
-    and no n x n temporary is made."""
-    hess *= mask
-    hess *= mask[:, None]
-    vecs, vals = projected_top_eigvec(hess, masked)
+def _ising_direction(hess, span):
+    """Top eigenvector of the Hessian's block on the free coordinates `hess`,
+    projected off `span` (the span vectors on those coordinates), as a unit
+    vector in that restricted space; None if the top eigenvalue is negative
+    (the curvature certificate fails at this finite N)."""
+    vecs, vals = projected_top_eigvec(hess, span)
     if vals[0] < 0.0:
         return None
-    return orthogonal_unit(vecs[0] * mask, orthonormal_rows(masked, len(hess)))
+    return orthogonal_unit(vecs[0], span)
 
 
-def _fallback_coordinate(free, masked, gen, n):
-    """Random non-saturated coordinate direction, orthogonalized to the
-    masked span, so it stays on the free coordinates and is orthogonal to
-    the span itself."""
+def _fallback_coordinate(span, gen):
+    """Random coordinate direction of the free coordinates' space (the space
+    of the `span` vectors), orthogonalized to the span; lifted back, it stays
+    on the free coordinates and is orthogonal to the span itself."""
+    size = len(span[0])
     for _ in range(16):
-        i = int(free[gen.integers(free.size)])
-        e = np.zeros(n)
-        e[i] = 1.0
-        v = orthogonal_unit(e, masked)
+        e = np.zeros(size)
+        e[gen.integers(size)] = 1.0
+        v = orthogonal_unit(e, span)
         if v is not None:
             return v
     return None

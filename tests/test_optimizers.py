@@ -185,9 +185,9 @@ LANCZOS_N = DEFAULT_DENSE_HESSIAN_CAP + 8
 
 def oracle_per_step_walk(h, x, target_sq, delta, mode, labels, others=(), frame=None):
     """The Hessian walk before it took a frame: every step forms the Hessian
-    with one order-2 call and solves it from the step's own seeded start,
-    by Lanczos above DENSE_EIGH_CAP.  `frame` is ignored, so it stands in for
-    `_hessian_walk` in both of its callers."""
+    with one order-2 call and solves it, by Lanczos above DENSE_EIGH_CAP.
+    `frame` is ignored, so it stands in for `_hessian_walk` in both of its
+    callers."""
     points, energies = [x], []
     k = 1 if mode == "top_eig" else max(math.floor(delta * h.n), 1)
     while (norm_sq := norm_n_sq(x)) < target_sq - 1e-12:
@@ -195,7 +195,7 @@ def oracle_per_step_walk(h, x, target_sq, delta, mode, labels, others=(), frame=
         step_seed = rng.derive_seed(*labels, len(energies))
         orth = [x, *others]
         e, grad, hess = derivatives(h, x, 2)
-        vecs, _vals = projected_top_eigvec(hess, orth, k=k, seed=step_seed)
+        vecs, _vals = projected_top_eigvec(hess, orth, k=k)
         if mode == "top_eig":
             v = vecs[0]
         else:
@@ -295,15 +295,20 @@ print(digest.hexdigest())
 """
 
 
-@pytest.mark.parametrize("ns, star, ising_ns", [((LANCZOS_N,), 2, ()), ((256, 512), 3, (256,))],
-                         ids=["above-the-cap", "below-the-cap"])
+@pytest.mark.parametrize("ns, star, ising_ns",
+                         [((LANCZOS_N,), 2, ()), ((256, 512), 3, (256,)), ((816,), 3, (121, 130))],
+                         ids=["above-the-cap", "below-the-cap", "projected-below-the-eigh-cap"])
 def test_p2_walks_are_the_same_bits_at_one_and_two_blas_threads(ns, star, ising_ns):
     """Subag (both modes) and a star embedding at each n in `ns`, and
     criterion 14's Ising walk at each n in `ising_ns`, in a fresh process
     at OPENBLAS_NUM_THREADS = 1 and 2, give equal digests: the frames and
     the Ising steps solve by gemv Lanczos above DENSE_EIGH_CAP, and a frame
     step's m x m problem stays small.  Below the dense-Hessian cap a dense
-    eigh per step changed bits with the thread count from n = 145."""
+    eigh per step changed bits with the thread count from n = 145.  The
+    third case solves projected matrices of 101 to 144 rows densely (a
+    random_subspace frame step at n = 816 has m = 103, and the Ising walk
+    at n = 121 and 130 its free block), where the formed P M P changed bits
+    with the thread count and the applied projection does not."""
     src = os.path.dirname(os.path.dirname(optimizers.__file__))
     digests = []
     for threads in ("1", "2"):
@@ -632,9 +637,10 @@ def test_ising_rounding_mean_consistency():
 
 
 def test_ising_walk_takes_hessian_directions_above_the_dense_cap(monkeypatch):
-    """With DENSE_EIGH_CAP patched below n, every Ising step solves
-    by Lanczos and the walk still takes Hessian directions: fewer fallbacks
-    than steps, and pre-rounding points within 1e-8 of the dense run's."""
+    """With DENSE_EIGH_CAP patched to 2, every Ising step with at least 3
+    free coordinates solves by Lanczos (two stay dense by the k >= n - 1
+    rule) and the walk still takes Hessian directions: fewer fallbacks than
+    steps, and pre-rounding points within 1e-8 of the dense run's."""
     n = 48
     ens = sample_ensemble(pure(2), n, TreeShape((2,)), CorrelationLadder((0.0, 1.0)), seed=11)
     gen = rng.stream(75)
@@ -642,9 +648,9 @@ def test_ising_walk_takes_hessian_directions_above_the_dense_cap(monkeypatch):
     calls = {"steps": 0, "lanczos": 0}
     direction, eigsh = optimizers._ising_direction, scipy.sparse.linalg.eigsh
 
-    def counted_direction(*args):
-        calls["steps"] += 1
-        return direction(*args)
+    def counted_direction(hess, span):
+        calls["steps"] += len(hess) >= 3
+        return direction(hess, span)
 
     def counted_eigsh(*args, **kwargs):
         calls["lanczos"] += 1
@@ -658,7 +664,7 @@ def test_ising_walk_takes_hessian_directions_above_the_dense_cap(monkeypatch):
 
     dense = extend()
     assert calls["lanczos"] == 0
-    monkeypatch.setattr(hamiltonian, "DENSE_EIGH_CAP", n - 1)
+    monkeypatch.setattr(hamiltonian, "DENSE_EIGH_CAP", 2)
     calls["steps"] = 0
     lanczos = extend()
     assert calls["lanczos"] == calls["steps"] > 0
@@ -768,11 +774,13 @@ def test_opt_form_conformance_gradient_ascent():
 
 def dense_top_eigvec(matrix, x):
     """Oracle: the top eigenvector of the symmetric part of P M P by eigh,
-    P = I - u u^T projecting out x's unit vector u (none at x = 0)."""
+    P = I - u u^T projecting out x's unit vector u (none at x = 0), applied
+    as production applies it: a - u (u^T a) on the columns of M, then of
+    the transpose of the result."""
     rows = orthonormal_rows([x], len(x))
     if rows.size:
-        pmat = np.eye(len(x)) - rows.T @ rows
-        matrix = pmat @ matrix @ pmat
+        pm = matrix - rows.T @ (rows @ matrix)
+        matrix = pm.T - rows.T @ (rows @ pm.T)
     vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
     return vecs[:, np.argsort(vals)[-1]]
 
